@@ -6,8 +6,8 @@ parallelism, so the *cold* mix — distinct queries that all miss the
 result cache — gains nothing from threads.  E20 measures the tier built
 to attack exactly that residue: a pool of worker **processes**, each
 holding a full model replica and owning a shard of the start space,
-with scatter/gather merges, single-shard routing proofs, a shared
-plan-blob store, and admission control in front.
+with scatter/gather merges, single-shard routing proofs, per-worker
+plan compilation, and admission control in front.
 
 Three sections, each asserted:
 

@@ -32,13 +32,18 @@ simple scan: no follows, no property filters, no id start, no trace, and
 a sort key whose live text equals its export text — :func:`patch_result`
 splices the inserted/deleted rows into the cached id list at exactly the
 position the backends' shared ``(sort key, id)`` order dictates.
+
+A set lives in the result-cache entry it guards (see
+:class:`~repro.querycalc.service.results.ResultCache`), so it is evicted
+with the entry; plans that share an entry :meth:`~DependencySet.merge`
+their sets into it.
 """
 
 from __future__ import annotations
 
 from bisect import bisect_left
 from dataclasses import dataclass
-from typing import Dict, FrozenSet, List, Optional, Set, Tuple
+from typing import FrozenSet, List, Optional, Set, Tuple
 
 from ...awb.metamodel import Metamodel
 from ...awb.model import Model
@@ -91,9 +96,33 @@ class DependencySet:
                 break
         return reasons
 
+    def covers(self, other: "DependencySet") -> bool:
+        """Whether merging *other* in would leave this set unchanged.
+
+        Only subset tests, so a warm hit by the plan that stored an entry
+        allocates nothing.
+        """
+        if other is self:
+            return True
+        same_order = (
+            self.sort_property == other.sort_property
+            and self.descending == other.descending
+        )
+        return (
+            _within(other.member_types, self.member_types)
+            and _within(other.path_types, self.path_types)
+            and other.node_ids <= self.node_ids
+            and other.relation_names <= self.relation_names
+            and other.properties <= self.properties
+            and (not self.patchable or (other.patchable and same_order))
+        )
+
     def merge(self, other: "DependencySet") -> "DependencySet":
         """The union of two dependency sets (both plans share one cached
-        entry, so the entry depends on everything either plan does)."""
+        entry, so the entry depends on everything either plan does);
+        ``self`` when it already :meth:`covers` *other*."""
+        if self.covers(other):
+            return self
 
         def union(a, b):
             return None if a is None or b is None else a | b
@@ -112,6 +141,13 @@ class DependencySet:
             sort_property=self.sort_property,
             descending=self.descending,
         )
+
+
+def _within(
+    inner: Optional[FrozenSet[str]], outer: Optional[FrozenSet[str]]
+) -> bool:
+    """``inner ⊆ outer`` for type sets where ``None`` means any type."""
+    return outer is None or (inner is not None and inner <= outer)
 
 
 def derive_dependencies(query: Query, metamodel: Metamodel) -> DependencySet:
@@ -265,29 +301,3 @@ def patch_result(
     if deps.descending:
         survivors.reverse()
     return survivors
-
-
-class DependencyIndex:
-    """cache-key → merged :class:`DependencySet` for every known plan.
-
-    Two structurally identical plans can share one result-cache key (the
-    optimized plan signature); their dependency sets are merged so the
-    shared entry is judged against everything either plan reads.  Keys
-    with no registered dependencies are always invalidated — absence of
-    proof is not proof of absence.
-    """
-
-    def __init__(self) -> None:
-        self._by_key: Dict[str, DependencySet] = {}
-
-    def register(self, cache_key: str, deps: DependencySet) -> None:
-        existing = self._by_key.get(cache_key)
-        self._by_key[cache_key] = (
-            deps if existing is None else existing.merge(deps)
-        )
-
-    def get(self, cache_key: str) -> Optional[DependencySet]:
-        return self._by_key.get(cache_key)
-
-    def __len__(self) -> int:
-        return len(self._by_key)

@@ -67,12 +67,19 @@ class QueryPlan:
     query: Query
     #: generated XQuery source (XQuery backend only).
     source: Optional[str] = None
-    #: compiled query, ready to ``run()`` (XQuery backend only).
+    #: compiled query, ready to ``run()`` (thread-mode XQuery plans only).
     compiled: Optional[object] = None
     #: structural signature of the optimized module (XQuery backend only):
     #: position-independent, so structurally identical plans share result
-    #: cache entries even when their calculus spellings differ.
+    #: cache entries even when their calculus spellings differ.  Process
+    #: mode learns it from the plan's first worker reply.
     result_key: Optional[str] = None
+    #: the scatter variant of ``source``, whose start set is filtered by the
+    #: partition scheme's external variable (process mode only).
+    source_shard: Optional[str] = None
+    #: the property the collect orders by, which workers return with each
+    #: row for the gather merge (process mode only).
+    sort_property: Optional[str] = None
     #: the plan's :class:`~repro.querycalc.service.deps.DependencySet`,
     #: derived at build time — what its cached answers can depend on.
     deps: Optional[object] = None

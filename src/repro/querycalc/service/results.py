@@ -15,11 +15,14 @@ messages are recorded **alongside** the ids, so a cached serve replays
 the traces a cold run emitted instead of silently eating them the way
 the Galax optimizer ate the paper's probes (the E8 story).
 
-Invalidation is by *generation*, the model's monotonically increasing
-mutation counter: any mutation bumps it, so entries recorded against an
-older export can never be served again — they simply age out of the LRU.
-There is no per-entry dependency tracking to get wrong; correctness rides
-on the same dirty-tracking clock the incremental exporter uses.
+Every entry is keyed by the model's *generation*, its monotonically
+increasing mutation counter, so an entry recorded against an older
+export is never served again.  Each entry also carries the
+:class:`~repro.querycalc.service.deps.DependencySet` of the plans that
+stored or hit it.  :meth:`ResultCache.propagate` reads that set when an
+update moves the generation, to carry the entry forward (kept or
+patched) or drop it; an entry without one is always dropped.  The set is
+evicted with its entry, so the cache's size bounds it too.
 """
 
 from __future__ import annotations
@@ -32,8 +35,11 @@ from .errors import QueryError
 
 ResultKey = Tuple[str, int]
 
-#: what the cache stores per key: (node ids, trace messages).
+#: what the cache returns per key: (node ids, trace messages).
 CachedResult = Tuple[List[str], Tuple[str, ...]]
+
+#: what it stores: the result plus its dependency set (``None`` = unknown).
+_Entry = Tuple[List[str], Tuple[str, ...], Optional[object]]
 
 
 class BatchItem(List["ModelNode"]):  # noqa: F821 - forward ref, avoids an import cycle
@@ -74,16 +80,19 @@ class BatchItem(List["ModelNode"]):  # noqa: F821 - forward ref, avoids an impor
 
 
 class ResultCache:
-    """A thread-safe LRU of (ids, traces) keyed by (plan key, generation)."""
+    """A thread-safe LRU of (ids, traces, dependency set) keyed by
+    (plan key, generation)."""
 
     def __init__(self, maxsize: int = 512):
         self.maxsize = maxsize
-        self._results: "OrderedDict[ResultKey, CachedResult]" = OrderedDict()
+        self._results: "OrderedDict[ResultKey, _Entry]" = OrderedDict()
         self._lock = threading.Lock()
         self.hits = 0
         self.misses = 0
 
-    def get(self, key: ResultKey) -> Optional[CachedResult]:
+    def get(self, key: ResultKey, deps=None) -> Optional[CachedResult]:
+        """The cached (ids, traces), merging the hitting plan's *deps*
+        into the entry when two spellings share it."""
         with self._lock:
             entry = self._results.get(key)
             if entry is None:
@@ -91,14 +100,31 @@ class ResultCache:
                 return None
             self.hits += 1
             self._results.move_to_end(key)
-            ids, traces = entry
+            ids, traces, held = entry
+            if deps is not None and held is not None:
+                merged = held.merge(deps)
+                if merged is not held:
+                    self._results[key] = (ids, traces, merged)
             return list(ids), traces
 
-    def put(self, key: ResultKey, node_ids: List[str], traces: Sequence[str] = ()) -> None:
+    def put(
+        self,
+        key: ResultKey,
+        node_ids: List[str],
+        traces: Sequence[str] = (),
+        deps=None,
+    ) -> None:
+        """Store a result with the dependency set of the plan that computed
+        it, merged with the set of an entry already stored under *key*
+        (an unknown set on either side stays unknown)."""
         if self.maxsize <= 0:
             return
         with self._lock:
-            self._results[key] = (list(node_ids), tuple(traces))
+            existing = self._results.get(key)
+            if existing is not None:
+                held = existing[2]
+                deps = None if held is None or deps is None else held.merge(deps)
+            self._results[key] = (list(node_ids), tuple(traces), deps)
             self._results.move_to_end(key)
             while len(self._results) > self.maxsize:
                 self._results.popitem(last=False)
@@ -111,27 +137,29 @@ class ResultCache:
     ) -> Dict[str, int]:
         """Carry entries of *old_generation* across a model update.
 
-        ``decide(plan_key, ids)`` returns ``("keep", None)`` when the
-        update provably cannot have changed the answer (the entry is
-        re-keyed to *new_generation* verbatim, traces included),
-        ``("patch", new_ids)`` when inserted/deleted rows were spliced in
-        (traces ride along only for keep — patch is only ever chosen for
-        untraced plans), or ``("drop", None)``.  Entries of other
-        generations are already unservable and are left to age out.
+        ``decide(deps, ids)`` receives the entry's dependency set (``None``
+        when unknown) and returns ``("keep", None)`` when the update
+        provably cannot have changed the answer (the entry is re-keyed to
+        *new_generation* verbatim, traces included), ``("patch",
+        new_ids)`` when inserted/deleted rows were spliced in (traces ride
+        along only for keep — patch is only ever chosen for untraced
+        plans), or ``("drop", None)``.  Entries of other generations are
+        already unservable and are left to age out.
         """
         kept = patched = invalidated = 0
         with self._lock:
             for key in [k for k in self._results if k[1] == old_generation]:
                 plan_key = key[0]
-                ids, traces = self._results.pop(key)
-                action, new_ids = decide(plan_key, ids)
+                ids, traces, deps = self._results.pop(key)
+                action, new_ids = decide(deps, ids)
                 if action == "keep":
-                    self._results[(plan_key, new_generation)] = (ids, traces)
+                    self._results[(plan_key, new_generation)] = (ids, traces, deps)
                     kept += 1
                 elif action == "patch":
                     self._results[(plan_key, new_generation)] = (
                         list(new_ids),
                         traces,
+                        deps,
                     )
                     patched += 1
                 else:

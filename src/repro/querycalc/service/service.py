@@ -55,7 +55,7 @@ from ...xquery.errors import XQueryError, XQueryTimeoutError
 from ..ast import Query
 from ..native import QueryRuntimeError, run_query
 from ..via_xquery import XQueryCalculusBackend
-from .deps import DependencyIndex, derive_dependencies, patch_result
+from .deps import derive_dependencies, patch_result
 from .errors import Deadline, QueryError, QueryOverloadError, classify_error
 from .faults import FaultInjector
 from .plans import PlanCache, QueryPlan, normalize_query
@@ -148,7 +148,6 @@ class QueryService:
         self._algebra_cache_generation: Optional[int] = None
         self._plans = PlanCache(maxsize=plan_cache_size)
         self._results = ResultCache(maxsize=result_cache_size)
-        self._deps = DependencyIndex()
         self._updates = 0
         self._propagations: Dict[str, int] = {
             "kept": 0,
@@ -210,7 +209,7 @@ class QueryService:
             plan = self._plan(query)
             plan_key = plan.key
             root, generation = self._snapshot()
-            cached = self._results.get((plan.cache_key, generation))
+            cached = self._results.get((plan.cache_key, generation), plan.deps)
             if cached is not None:
                 ids, traces = cached
                 self._record(1, 0, time.perf_counter() - started)
@@ -304,7 +303,7 @@ class QueryService:
         to_run: List[QueryPlan] = []
         if export_error is None:
             for key, plan in plans.items():
-                cached = self._results.get((plan.cache_key, generation))
+                cached = self._results.get((plan.cache_key, generation), plan.deps)
                 if cached is not None:
                     ids, traces = cached
                     outcomes[key] = ("ok", ids, traces, True)
@@ -428,11 +427,9 @@ class QueryService:
                 pass
             elif in_sync:
                 footprint = result.footprint
-                deps_index = self._deps
                 model = self.model
 
-                def decide(plan_key, ids):
-                    deps = deps_index.get(plan_key)
+                def decide(deps, ids):
                     if deps is None:
                         return ("drop", None)
                     reasons = deps.affected_by(footprint)
@@ -585,7 +582,6 @@ class QueryService:
                 "generation": self._pool.generation,
                 "refreshes": self._pool.refreshes,
                 "deltas": self._pool.deltas,
-                "plan_blobs": self._pool.blob_stats(),
                 "restarts": sum(h.restarts for h in self._pool.handles),
                 "routes": routes,
                 "shed": shed,
@@ -645,7 +641,18 @@ class QueryService:
                 # the compile LRUs, and the plan's structural signature
                 # (this plan's cross-process result key) is learned from
                 # the first worker reply.
-                return QueryPlan(key, "xquery", query, source=source, deps=deps)
+                return QueryPlan(
+                    key,
+                    "xquery",
+                    query,
+                    source=source,
+                    source_shard=self._backend.compile_to_xquery(
+                        query,
+                        shard_variable=self._pool.partitioner.shard_variable(),
+                    ),
+                    sort_property=self._backend.sort_property(query),
+                    deps=deps,
+                )
             compiled = self.engine.compile(source)
             return QueryPlan(
                 key,
@@ -657,13 +664,7 @@ class QueryService:
                 deps=deps,
             )
 
-        plan = self._plans.get_or_build(key, build)
-        if plan.deps is not None:
-            # idempotent; registered under the *current* cache key, which
-            # process mode may upgrade after the first worker reply (the
-            # upgrade site re-registers under the new key).
-            self._deps.register(plan.cache_key, plan.deps)
-        return plan
+        return self._plans.get_or_build(key, build)
 
     def _snapshot(self) -> Tuple[Optional[ElementNode], int]:
         """The (export root, generation) pair queries should run against."""
@@ -780,25 +781,6 @@ class QueryService:
         self, plan: QueryPlan, deadline: Optional[Deadline]
     ) -> Tuple[List[str], Tuple[str, ...]]:
         """Serve one plan from the worker-process pool (scatter or single)."""
-        from ...serving.pool import PlanBlob
-
-        pool = self._pool
-
-        def build() -> PlanBlob:
-            query = plan.query
-            return PlanBlob(
-                key=plan.key,
-                source_full=plan.source
-                or self._backend.compile_to_xquery(query),
-                source_shard=self._backend.compile_to_xquery(
-                    query, shard_variable=pool.partitioner.shard_variable()
-                ),
-                sort_property=self._backend.sort_property(query),
-                descending=query.collect.descending,
-                distinct=query.collect.distinct,
-            )
-
-        blob = pool.blob(plan.key, build)
         route = self._route(plan.query)
         with self._metrics_lock:
             self._routes[route.kind] = self._routes.get(route.kind, 0) + 1
@@ -807,14 +789,7 @@ class QueryService:
         if deadline is not None:
             deadline.check("dispatch")
         remaining = deadline.remaining() if deadline is not None else None
-        ids, traces = pool.execute(blob, route, remaining)
-        if blob.signature is not None and plan.result_key is None:
-            # upgrade the plan's result-cache key to the structural
-            # signature the worker reported, matching thread mode.
-            plan.result_key = blob.signature
-            if plan.deps is not None:
-                self._deps.register(plan.cache_key, plan.deps)
-        return ids, traces
+        return self._pool.execute(plan, route, remaining)
 
     def _evaluate_plan(
         self,
@@ -865,7 +840,7 @@ class QueryService:
         cached; the next request recomputes against a clean snapshot.
         """
         if self.model.generation == generation:
-            self._results.put((plan.cache_key, generation), ids, traces)
+            self._results.put((plan.cache_key, generation), ids, traces, plan.deps)
 
     def _materialize(self, ids: List[str]) -> List[ModelNode]:
         nodes = self.model.nodes

@@ -12,21 +12,20 @@ partition of the start space.  This package owns the pieces under it:
     the worker process: faithful replica import, per-worker engine +
     compile LRU, full/sharded plan evaluation;
 :mod:`repro.serving.pool`
-    worker lifecycle (boot/refresh/respawn), scatter/gather with the
-    order-preserving merge, and the signature-keyed plan-blob store;
+    worker lifecycle (boot/refresh/respawn) and scatter/gather with the
+    order-preserving merge;
 :mod:`repro.serving.loadgen`
     the load-generator harness (``python -m repro.serving.loadgen``)
     reporting sustained QPS, p50/p95/p99 latency, and shed rate.
 """
 
 from .partition import PARTITION_SCHEMES, Partitioner, Route, route_query
-from .pool import PlanBlob, ProcessPool, merge_partials
+from .pool import ProcessPool, merge_partials
 from .worker import ShardWorker, WorkerConfig, worker_main
 
 __all__ = [
     "PARTITION_SCHEMES",
     "Partitioner",
-    "PlanBlob",
     "ProcessPool",
     "Route",
     "ShardWorker",

@@ -1,20 +1,22 @@
-"""The process pool: worker lifecycle, scatter/gather, and the plan-blob store.
+"""The process pool: worker lifecycle and scatter/gather.
 
 The front-end owns one :class:`ProcessPool`.  Each worker is a real OS
 process (fork where available) holding a full model replica and its own
 engine compile LRU — shared-nothing, so N workers really do evaluate N
 plans concurrently instead of time-slicing one GIL.
 
-The pool also owns the **cross-process plan story**: compiled closures
-don't pickle, so the parent never ships plans.  It builds the *source*
-variants once per normalized query (a cheap string build), stores them in
-a :class:`PlanBlob`, and lets each worker compile on first use (its LRU
-makes every later use a hit — re-compile-on-miss, compile-once-per-worker
-amortized).  Workers report the plan's structural signature back, and the
-blob records it: the signature is the cross-process plan identity the
-front-end's result cache keys on, so two textually different queries with
-the same optimized plan share cached results exactly as they do in thread
-mode.
+Compiled closures don't pickle, so the parent never ships compiled plans.
+A process-mode :class:`~repro.querycalc.service.plans.QueryPlan` carries
+the generated *source* variants (full and shard-filtered) and the merge
+parameters; each worker compiles a source on first use (its LRU makes
+every later use a hit — compile once per worker, amortized).  While the
+plan's ``result_key`` is unknown, the request asks the worker for the
+plan's structural signature, and the pool records it as the plan's
+``result_key``: the cross-process plan identity the front-end's result
+cache keys on, so two textually different queries with the same
+optimized plan share cached results exactly as they do in thread mode.
+The pool keeps no per-plan state of its own; a plan rebuilt after the
+plan cache evicted it asks again.
 """
 
 from __future__ import annotations
@@ -22,18 +24,18 @@ from __future__ import annotations
 import multiprocessing
 import threading
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass
 from itertools import count
 from typing import Dict, List, Optional, Tuple
 
 from ..awb.model import Model
 from ..awb.xml_io import export_model_text
 from ..querycalc.service.errors import RemoteQueryError
+from ..querycalc.service.plans import QueryPlan
 from ..xquery.errors import XQueryTimeoutError
 from .partition import Partitioner, Route
 from .worker import WorkerConfig, worker_main
 
-__all__ = ["PlanBlob", "ProcessPool", "merge_partials"]
+__all__ = ["ProcessPool", "merge_partials"]
 
 #: hard ceiling on one worker round-trip when no query deadline is set.
 DEFAULT_REQUEST_TIMEOUT = 60.0
@@ -44,26 +46,6 @@ REQUEST_GRACE = 5.0
 
 #: how long a worker may take to import its replica and report ready.
 BOOT_TIMEOUT = 120.0
-
-
-@dataclass
-class PlanBlob:
-    """One normalized query's shareable plan material.
-
-    ``source_full`` is the ordinary generated program (single-shard
-    route); ``source_shard`` filters the start set by the partition
-    scheme's external variable (scatter route).  ``signature`` is learned
-    from the first worker reply — the structural plan identity used as
-    the result-cache key across processes.
-    """
-
-    key: str
-    source_full: str
-    source_shard: str
-    sort_property: str
-    descending: bool
-    distinct: bool
-    signature: Optional[str] = None
 
 
 class WorkerUnresponsiveError(XQueryTimeoutError):
@@ -212,7 +194,7 @@ class WorkerHandle:
 
 
 class ProcessPool:
-    """N shard workers plus the scatter/gather and plan-blob machinery."""
+    """N shard workers plus the scatter/gather machinery."""
 
     def __init__(
         self,
@@ -233,8 +215,6 @@ class ProcessPool:
         self.export_text = export_model_text(model, indent=False)
         self.refreshes = 0
         self.deltas = 0
-        self._blobs: Dict[str, PlanBlob] = {}
-        self._blob_lock = threading.Lock()
         self._refresh_lock = threading.Lock()
         #: set when delta broadcasts outran the stored ``export_text``;
         #: guarded by its own lock so a worker respawn (which regenerates
@@ -250,32 +230,6 @@ class ProcessPool:
             max_workers=shards, thread_name_prefix="awb-scatter"
         )
         self._closed = False
-
-    # -- plan blobs --------------------------------------------------------
-
-    def blob(self, key: str, build) -> PlanBlob:
-        """The shared plan material for one normalized query key."""
-        with self._blob_lock:
-            existing = self._blobs.get(key)
-        if existing is not None:
-            return existing
-        built = build()
-        with self._blob_lock:
-            # lost race: keep the first build (it may already carry a
-            # learned signature).
-            return self._blobs.setdefault(key, built)
-
-    def learn_signature(self, blob: PlanBlob, signature: Optional[str]) -> None:
-        if signature and blob.signature is None:
-            blob.signature = signature
-
-    def blob_stats(self) -> Dict[str, int]:
-        with self._blob_lock:
-            blobs = list(self._blobs.values())
-        return {
-            "blobs": len(blobs),
-            "signed": sum(1 for blob in blobs if blob.signature is not None),
-        }
 
     # -- replica refresh ---------------------------------------------------
 
@@ -356,27 +310,26 @@ class ProcessPool:
     # -- execution ---------------------------------------------------------
 
     def execute(
-        self, blob: PlanBlob, route: Route, remaining: Optional[float]
+        self, plan: QueryPlan, route: Route, remaining: Optional[float]
     ) -> Tuple[List[str], Tuple[str, ...]]:
-        """Run one routed query, returning (ordered node ids, traces)."""
-        if route.kind == "single":
-            payload = {
-                "key": blob.key,
-                "source": blob.source_full,
-                "variant": "full",
-                "sort_property": blob.sort_property,
-                "remaining": remaining,
-            }
-            reply = self.handles[route.shard].request("run", payload, remaining)
-            self.learn_signature(blob, reply.get("signature"))
-            return [node_id for _, node_id in reply["rows"]], tuple(reply["traces"])
+        """Run one routed process-mode plan, returning (ordered node ids,
+        traces).  While ``plan.result_key`` is unknown the request asks for
+        the plan's signature and the reply sets it."""
+        want_signature = plan.result_key is None
+        single = route.kind == "single"
         payload = {
-            "key": blob.key,
-            "source": blob.source_shard,
-            "variant": "shard",
-            "sort_property": blob.sort_property,
+            "key": plan.key,
+            "source": plan.source if single else plan.source_shard,
+            "variant": "full" if single else "shard",
+            "sort_property": plan.sort_property,
             "remaining": remaining,
+            "want_signature": want_signature,
         }
+        if single:
+            reply = self.handles[route.shard].request("run", payload, remaining)
+            if want_signature:
+                plan.result_key = reply["signature"]
+            return [node_id for _, node_id in reply["rows"]], tuple(reply["traces"])
 
         def one(handle: WorkerHandle) -> dict:
             return handle.request("run", dict(payload), remaining)
@@ -392,9 +345,10 @@ class ProcessPool:
                     failure = exc
         if failure is not None:
             raise failure
-        for partial in partials:
-            self.learn_signature(blob, partial.get("signature"))
-        return merge_partials(partials, blob.descending, blob.distinct)
+        if want_signature:
+            plan.result_key = partials[0]["signature"]
+        collect = plan.query.collect
+        return merge_partials(partials, collect.descending, collect.distinct)
 
     # -- observability / lifecycle ----------------------------------------
 
@@ -415,7 +369,6 @@ class ProcessPool:
             "generation": self.generation,
             "refreshes": self.refreshes,
             "deltas": self.deltas,
-            "plan_blobs": self.blob_stats(),
             "workers": workers,
             "runs": sum(w.get("runs", 0) for w in workers),
             "fallbacks": sum(w.get("fallbacks", 0) for w in workers),

@@ -15,9 +15,11 @@ and answers two kinds of evaluation request:
     merges the per-shard partials by ``(sort key, id)``.
 
 Everything the parent needs for the merge rides back in the reply:
-``(sort_key, node_id)`` pairs in the worker's result order, trace
-messages, and the plan's structural signature (the cross-process plan
-identity used by the blob store and result cache).
+``(sort_key, node_id)`` pairs in the worker's result order and trace
+messages.  When the request sets ``want_signature`` the reply also
+carries the plan's structural signature (the cross-process plan identity
+the front-end's result cache keys on, about 2 KB pickled); the front-end
+asks only until the plan knows it.
 
 The module pre-imports every dependency at top level: under the ``fork``
 start method a lazily-imported module could otherwise deadlock on an
@@ -126,8 +128,9 @@ class ShardWorker:
 
         ``payload`` carries: ``key`` (normalized plan key), ``source``
         (XQuery text — full or sharded variant), ``variant`` ("full" |
-        "shard"), ``sort_property`` (for merge-key extraction), and
-        ``remaining`` (seconds of wall-clock budget left, or None).
+        "shard"), ``sort_property`` (for merge-key extraction),
+        ``remaining`` (seconds of wall-clock budget left, or None), and
+        ``want_signature`` (put the plan signature in the reply).
         """
         self.runs += 1
         key = payload["key"]
@@ -163,14 +166,15 @@ class ShardWorker:
                 raise
             except Exception:
                 raise first
-        rows = self._rows(result, payload.get("sort_property", ""))
-        return {
-            "rows": rows,
+        reply = {
+            "rows": self._rows(result, payload.get("sort_property", "")),
             "traces": traces,
-            "signature": compiled.plan_signature,
             "shard": self.shard,
             "generation": self.generation,
         }
+        if payload.get("want_signature"):
+            reply["signature"] = compiled.plan_signature
+        return reply
 
     def _evaluate(
         self,

@@ -92,7 +92,7 @@ def test_dangling_start_id_fails_like_thread_mode(model, service):
         service.run(query)
 
 
-# -- caches and the plan-blob store ------------------------------------------
+# -- caches and plan signatures ----------------------------------------------
 
 
 def test_warm_repeat_is_a_result_cache_hit(model, service):
@@ -104,11 +104,74 @@ def test_warm_repeat_is_a_result_cache_hit(model, service):
     assert ids(cold) == ids(warm)
 
 
-def test_blob_store_learns_signatures(model, service):
-    service.run(all_nodes_query())
-    stats = service.metrics()["serving"]["plan_blobs"]
-    assert stats["blobs"] >= 1
-    assert stats["signed"] >= 1
+def record_run_payloads(svc):
+    """Wrap every worker handle so each ``run`` payload sent is recorded."""
+    sent = []
+    for handle in svc._pool.handles:
+        def request(op, payload, timeout=None, _inner=handle.request):
+            if op == "run":
+                sent.append(dict(payload))
+            return _inner(op, payload, timeout)
+
+        handle.request = request
+    return sent
+
+
+def test_plan_learns_result_key_from_first_reply(model):
+    query = all_nodes_query()
+    other = all_nodes_query(descending=True)
+    with QueryService(model, mode="process", workers=2, plan_cache_size=1) as svc:
+        sent = record_run_payloads(svc)
+        assert svc._plan(query).result_key is None
+        svc.run(query)
+        learned = svc._plan(query).result_key
+        assert learned is not None
+        assert sent and all(payload["want_signature"] for payload in sent)
+        # a known signature is not asked for again
+        sent.clear()
+        svc.invalidate()
+        assert not svc.run(query).served_from_cache
+        assert sent and not any(payload["want_signature"] for payload in sent)
+        # evicted from the one-plan cache and rebuilt: the plan asks again
+        svc.run(other)
+        rebuilt = svc._plan(query)
+        assert rebuilt.result_key is None
+        sent.clear()
+        svc.run(query)
+        assert all(payload["want_signature"] for payload in sent)
+        assert rebuilt.result_key == learned
+        assert svc.run(query).served_from_cache
+
+
+def test_worker_reply_carries_signature_only_when_asked(model):
+    from repro.awb.xml_io import export_model_text
+    from repro.querycalc.via_xquery import XQueryCalculusBackend
+    from repro.serving.worker import ShardWorker, WorkerConfig
+
+    worker = ShardWorker(
+        WorkerConfig(
+            shard=0,
+            shards=1,
+            scheme="type",
+            metamodel=model.metamodel,
+            export_text=export_model_text(model, indent=False),
+            generation=model.generation,
+        )
+    )
+    source = XQueryCalculusBackend(model).compile_to_xquery(all_nodes_query())
+    payload = {
+        "key": "all",
+        "source": source,
+        "variant": "full",
+        "sort_property": "label",
+        "remaining": None,
+    }
+    plain = worker.run(payload)
+    assert "signature" not in plain
+    assert worker.run(dict(payload, want_signature=False)).keys() == plain.keys()
+    asked = worker.run(dict(payload, want_signature=True))
+    assert asked["signature"] == worker.engine.compile(source).plan_signature
+    assert asked["rows"] == plain["rows"]
 
 
 def test_refresh_on_generation_bump(model):

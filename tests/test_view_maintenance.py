@@ -10,6 +10,8 @@ a maintained entry must be byte-identical to what cold re-execution
 would produce; when in doubt the service must invalidate, never guess.
 """
 
+from collections.abc import Sized
+
 import pytest
 
 from repro.querycalc.ast import (
@@ -21,8 +23,10 @@ from repro.querycalc.ast import (
     Start,
 )
 from repro.querycalc.native import run_query
-from repro.querycalc.service import QueryService
+from repro.querycalc.service import QueryService, ResultCache
 from repro.querycalc.service.deps import derive_dependencies
+from repro.querycalc.service.service import MAX_LATENCY_SAMPLES
+from repro.testing.models import random_model
 from repro.workloads import make_it_model
 from repro.xquery.updates import apply_script
 from repro.xquery.updates.footprint import Footprint
@@ -113,6 +117,46 @@ class TestDependencySets:
         assert deps.affected_by(footprint) == set()
         footprint.linked_types.add("Server")
         assert "rename" in deps.affected_by(footprint)
+
+
+class TestSharedEntries:
+    """Plans that share one result-cache entry (one optimized signature)
+    share its dependency set.  No two calculus spellings with one signature
+    derive different sets today, so the union is pinned at the cache."""
+
+    @pytest.mark.parametrize("shared_by", [None, "hit", "store"])
+    def test_write_to_second_plans_dependencies_invalidates(self, model, shared_by):
+        first = derive_dependencies(scan("User"), model.metamodel)
+        second = derive_dependencies(follow(), model.metamodel)
+        footprint = Footprint()
+        footprint.relation_names.add("likes")
+        assert not first.affected_by(footprint) and second.affected_by(footprint)
+        cache = ResultCache()
+        if shared_by == "store":  # the second plan stored first
+            cache.put(("sig", 1), ["N1"], deps=second)
+        cache.put(("sig", 1), ["N1"], deps=first)
+        if shared_by == "hit":
+            assert cache.get(("sig", 1), second) == (["N1"], ())
+
+        def decide(deps, ids):
+            return ("drop", None) if deps.affected_by(footprint) else ("keep", None)
+
+        outcome = cache.propagate(1, 2, decide)
+        # unshared, the first plan's entry provably survives the write
+        assert outcome["invalidated" if shared_by else "kept"] == 1
+
+    def test_hit_by_a_covered_plan_keeps_the_entrys_set(self, model):
+        deps = derive_dependencies(scan("User"), model.metamodel)
+        twin = derive_dependencies(scan("User"), model.metamodel)
+        assert twin is not deps and deps.covers(twin)
+        cache = ResultCache()
+        cache.put(("sig", 1), ["N1"], deps=deps)
+        cache.get(("sig", 1), twin)
+        cache.put(("sig", 1), ["N1"], deps=twin)
+        assert cache._results[("sig", 1)][2] is deps
+        merged = deps.merge(derive_dependencies(follow(), model.metamodel))
+        assert merged is not deps and not merged.patchable
+        assert merged.merge(deps) is merged
 
 
 class TestPropagation:
@@ -275,6 +319,73 @@ class TestPropagation:
             for query in queries:
                 item = service.run(query)
                 assert [n.id for n in item] == native_ids(query, model), script
+
+
+class TestBoundedState:
+    """The front end keeps per-plan state only in its bounded caches, and
+    maintenance still works for entries whose plans the plan cache evicted."""
+
+    PLANS, RESULTS = 4, 8
+
+    def assert_bounded(self, service):
+        assert service._plans.stats()["currsize"] <= self.PLANS
+        assert service._results.stats()["currsize"] <= self.RESULTS
+        compile_cache = service.engine.cache_info()
+        assert compile_cache["currsize"] <= compile_cache["maxsize"]
+        bounds = {"_latencies": MAX_LATENCY_SAMPLES}
+        owners = [service, service._backend] + ([service._pool] if service._pool else [])
+        for owner in owners:
+            for name, value in vars(owner).items():
+                if isinstance(value, Sized) and not isinstance(value, str):
+                    assert len(value) <= bounds.get(name, self.RESULTS), name
+
+    @pytest.mark.parametrize("mode", ["thread", "process"])
+    def test_forty_plans_stay_within_the_cache_bounds(self, mode):
+        model = random_model(7, size=30)
+
+        def program(rank):
+            return Query(
+                start=Start(type="Program"),
+                steps=[FilterProperty(name="rank", op="ge", value=str(rank))],
+                collect=Collect(),
+            )
+
+        patched, kept = scan("User"), scan("Server")
+        invalidated = Query(
+            start=Start(type="User"),
+            steps=[FilterProperty(name="rank", op="ge", value="0")],
+            collect=Collect(),
+        )
+        probes = [patched, kept, invalidated, follow(start_type="Person")]
+        # the probes' plans are evicted by the last four, their results are not
+        queries = [program(rank) for rank in range(32)] + probes
+        queries += [program(rank) for rank in range(32, 36)]
+        with QueryService(
+            model,
+            mode=mode,
+            workers=2,
+            plan_cache_size=self.PLANS,
+            result_cache_size=self.RESULTS,
+        ) as service:
+            keys = []
+            for query in queries:
+                service.run(query)
+                keys.append(service._plan(query).cache_key)
+                self.assert_bounded(service)
+            summary = service.apply_update('insert node User with (label "aaa", rank 5)')
+            assert summary["propagation"] == {
+                "kept": 6, "patched": 1, "invalidated": 1, "skipped": 0,
+            }
+            live = list(zip(queries, keys))[-self.RESULTS:]
+            for query, key in live:
+                cached = service._results.get((key, summary["generation"]))
+                if query is invalidated:
+                    assert cached is None
+                else:
+                    assert cached[0] == native_ids(query, model)
+            for query, _ in live:
+                assert [n.id for n in service.run(query)] == native_ids(query, model)
+            self.assert_bounded(service)
 
 
 class TestStoreRaceRegression:
