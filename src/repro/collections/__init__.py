@@ -16,20 +16,24 @@ Layout:
 * :mod:`.store` — :class:`DocumentStore`: the persisted uri → document
   map with per-collection generations and index maintenance hooked into
   the update pipeline;
-* :mod:`.partition` — crc32 document partitioning and routing proofs
-  (uri-addressed ``fn:doc`` is provably single-shard, ``fn:collection``
-  and ``ft:search`` scatter);
 * :mod:`.service` — :class:`SearchService`: the request-level front-end
   with a result cache keyed on collection generation, thread- or
   process-sharded execution, and scatter/gather merge;
-* :mod:`.worker` — the shard worker process for ``mode="process"``.
+* :mod:`.worker` — the shard worker's replica and ops for
+  ``mode="process"``.
+
+Process mode runs on the calculus serving tier's substrate rather than a
+copy of it: documents partition by :func:`repro.serving.partition.bucket`
+of their uri and route through
+:func:`repro.serving.partition.route_request`, and workers run behind
+:class:`repro.serving.pool.WorkerHandle` (boot, respawn) in
+:func:`repro.serving.worker.worker_main` (the request loop).
 """
 
 from __future__ import annotations
 
 from .fulltext import InvertedIndex, count_phrase, tokenize
 from .kwic import kwic_snippets
-from .partition import SearchRoute, doc_shard, route_request
 from .service import SearchRequest, SearchService
 from .store import DocumentStore, validate_uri
 
@@ -38,11 +42,8 @@ __all__ = [
     "validate_uri",
     "InvertedIndex",
     "SearchRequest",
-    "SearchRoute",
     "SearchService",
     "count_phrase",
-    "doc_shard",
     "kwic_snippets",
-    "route_request",
     "tokenize",
 ]

@@ -9,7 +9,8 @@ the serving-tier concerns:
 
 * **routing with proofs** — uri-addressed ``doc`` requests go to the
   crc32 owner shard, ``collection``/``search``/``kwic`` scatter, and
-  every decision carries its reason (:mod:`.partition`);
+  every decision carries its reason
+  (:func:`repro.serving.partition.route_request`);
 * **scatter/gather** — per-shard partials are merge-sorted by
   ``(score desc, uri asc)``, the same key the per-shard ``ft:search``
   ordered by, so sharded bytes equal unsharded bytes;
@@ -19,30 +20,31 @@ the serving-tier concerns:
   A write under ``docs/a/`` therefore leaves cached answers about
   ``notes/`` warm, which is what keeps the E22 95/5 read/write mix
   warm without an invalidation sweep;
-* **process isolation** (``mode="process"``) — real shard workers behind
-  pipes, with worker failures crossing back as structured
-  ``RemoteQueryError`` (``FODC0002`` included).
+* **process isolation** (``mode="process"``) — real shard workers on the
+  serving tier's substrate (:mod:`repro.serving.pool`): worker failures
+  cross back as structured ``RemoteQueryError`` (``FODC0002`` included),
+  scatters fan out concurrently, and a dead or hung worker is respawned
+  from the authoritative store.
 """
 
 from __future__ import annotations
 
-import multiprocessing
 import threading
-import time
-from collections import OrderedDict
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-from itertools import count
-from typing import Dict, List, Optional, Tuple
+from functools import partial
+from typing import Dict, List, Optional
 
-from ..querycalc.service.errors import RemoteQueryError
+from ..querycalc.service.results import ResultCache
+from ..serving.partition import Route, bucket, route_request
+from ..serving.pool import WorkerHandle, scatter, worker_stats
 from ..xquery import EngineConfig, XQueryEngine, serialize_result
 from ..xquery.algebra import StatisticsCatalog
 from .kwic import CHARS_KWIC
-from .partition import SearchRoute, doc_shard, route_request
 from .store import DocumentStore, collection_prefixes, normalize_collection
 from .worker import (
+    CollectionWorker,
     CollectionWorkerConfig,
-    collection_worker_main,
     extract_rows,
     merge_rows,
 )
@@ -50,9 +52,6 @@ from .worker import (
 __all__ = ["SearchRequest", "SearchResult", "SearchService"]
 
 REQUEST_KINDS = ("doc", "collection", "search", "kwic")
-
-_BOOT_TIMEOUT = 30.0
-_REQUEST_TIMEOUT = 60.0
 
 
 def _lit(value: str) -> str:
@@ -138,78 +137,21 @@ class SearchResult:
 
     text: str
     cached: bool
-    route: SearchRoute
+    route: Route
     generation: int
 
 
-class _WorkerHandle:
-    """One shard worker process plus the parent end of its pipe."""
+class _WorkerHandle(WorkerHandle):
+    """A search-tier worker: the serving tier's respawning handle.
 
-    def __init__(self, ctx, config: CollectionWorkerConfig):
-        self.shard = config.shard
-        self._lock = threading.Lock()
-        self._req_ids = count()
-        self._poisoned = False
-        parent_conn, child_conn = ctx.Pipe()
-        self.process = ctx.Process(
-            target=collection_worker_main, args=(child_conn, config), daemon=True
-        )
-        self.process.start()
-        child_conn.close()
-        self.conn = parent_conn
-        if not self.conn.poll(_BOOT_TIMEOUT):
-            self.process.terminate()
-            raise RuntimeError(f"collection worker {self.shard} failed to boot")
-        status, _, payload = self.conn.recv()
-        if status != "ok":
-            self.process.join(timeout=5.0)
-            raise RemoteQueryError(payload)
+    ``request`` is re-bound in this class body rather than inherited, so
+    search round trips keep their own ``collections.worker.request`` span
+    in a traced run, separate from the calculus tier's
+    ``serving.pool.request``.  A plain alias of the shared class would have
+    one method wrapped twice and mix the two tiers' per-layer numbers.
+    """
 
-    def request(self, op: str, payload: dict, timeout: float = _REQUEST_TIMEOUT):
-        with self._lock:
-            if self._poisoned:
-                raise RuntimeError(
-                    f"collection worker {self.shard} broke protocol; restart the service"
-                )
-            req_id = next(self._req_ids)
-            self.conn.send((op, req_id, payload))
-            deadline = time.monotonic() + timeout
-            while True:
-                remaining = deadline - time.monotonic()
-                if remaining <= 0 or not self.conn.poll(remaining):
-                    # the worker may still answer after the deadline; that
-                    # stale reply is drained (reply_id < expected) by the
-                    # next request instead of wedging the handle.
-                    raise RuntimeError(
-                        f"collection worker {self.shard} missed its "
-                        f"{timeout:.1f}s deadline"
-                    )
-                status, reply_id, body = self.conn.recv()
-                if reply_id == req_id:
-                    break
-                if isinstance(reply_id, int) and reply_id < req_id:
-                    continue  # late answer to a request that timed out
-                self._poisoned = True
-                raise RuntimeError(
-                    f"collection worker {self.shard} answered {reply_id!r}, "
-                    f"expected {req_id}"
-                )
-        if status == "err":
-            raise RemoteQueryError(body)
-        return body
-
-    def close(self) -> None:
-        try:
-            self.request("shutdown", {}, timeout=5.0)
-        except Exception:
-            pass
-        try:
-            self.conn.close()
-        except OSError:
-            pass
-        self.process.join(timeout=5.0)
-        if self.process.is_alive():  # pragma: no cover - stuck worker
-            self.process.terminate()
+    request = WorkerHandle.request
 
 
 class SearchService:
@@ -250,8 +192,8 @@ class SearchService:
         #: but skips the cache insert, so a half-replicated state can
         #: never be cached under the post-write generation.
         self._write_epoch = 0
-        self._results: "OrderedDict[Tuple[str, int], str]" = OrderedDict()
-        self._result_cache_size = result_cache_size
+        #: serialized answers keyed on (request key, scope generation).
+        self._results = ResultCache(maxsize=result_cache_size)
         self._statistics = self._fresh_statistics()
         self.metrics: Dict[str, int] = {
             "requests": 0,
@@ -263,31 +205,14 @@ class SearchService:
             "scatter": 0,
             "writes": 0,
         }
-        shard_uris: List[List[str]] = [[] for _ in range(self.shards)]
-        for uri in store.uris():
-            shard_uris[doc_shard(uri, self.shards)].append(uri)
-        self._workers: List[_WorkerHandle] = []
         self._shard_stores: List[DocumentStore] = []
-        if mode == "process":
-            try:
-                ctx = multiprocessing.get_context("fork")
-            except ValueError:  # pragma: no cover - platform without fork
-                ctx = multiprocessing.get_context("spawn")
-            known = store.known_collections()
-            for shard in range(self.shards):
-                config = CollectionWorkerConfig(
-                    shard=shard,
-                    shards=self.shards,
-                    texts=[(uri, store.text_of(uri)) for uri in shard_uris[shard]],
-                    collections=known,
-                    use_index=store.use_index,
-                    backend=backend,
-                )
-                self._workers.append(_WorkerHandle(ctx, config))
-        elif self.shards == 1:
+        if mode == "thread" and self.shards == 1:
             # one shard in thread mode is the store itself: no replica copy.
             self._shard_stores = [store]
-        else:
+        elif mode == "thread":
+            shard_uris: List[List[str]] = [[] for _ in range(self.shards)]
+            for uri in store.uris():
+                shard_uris[bucket(uri, self.shards)].append(uri)
             self._shard_stores = [store.subset(uris) for uris in shard_uris]
         #: per-replica locks (thread mode): a read of shard *i* and the
         #: write patching shard *i* serialize, different shards overlap.
@@ -298,7 +223,36 @@ class SearchService:
             self._authoritative_lock = self._replica_locks[0]
         else:
             self._authoritative_lock = threading.Lock()
+        self._workers: List[_WorkerHandle] = []
+        self._scatter_pool: Optional[ThreadPoolExecutor] = None
+        if mode == "process":
+            self._workers = [
+                _WorkerHandle(shard, CollectionWorker, partial(self._worker_config, shard))
+                for shard in range(self.shards)
+            ]
+            self._scatter_pool = ThreadPoolExecutor(
+                max_workers=self.shards, thread_name_prefix="search-scatter"
+            )
         self._closed = False
+
+    def _worker_config(self, shard: int) -> CollectionWorkerConfig:
+        """Process shard *shard*'s boot config, read from the authoritative
+        store at first boot and again at every respawn, so a replacement
+        worker comes back with every write and registered collection."""
+        with self._authoritative_lock:
+            store = self.store
+            return CollectionWorkerConfig(
+                shard=shard,
+                shards=self.shards,
+                texts=[
+                    (uri, store.text_of(uri))
+                    for uri in store.uris()
+                    if bucket(uri, self.shards) == shard
+                ],
+                collections=store.known_collections(),
+                use_index=store.use_index,
+                backend=self.backend,
+            )
 
     # -- statistics --------------------------------------------------------
 
@@ -335,9 +289,8 @@ class SearchService:
             key = (request.key(), generation)
             cached = self._results.get(key)
             if cached is not None:
-                self._results.move_to_end(key)
                 self.metrics["cache_hits"] += 1
-                return SearchResult(cached, True, route, generation)
+                return SearchResult(cached[0], True, route, generation)
             self.metrics[route.kind] += 1
             epoch = self._write_epoch
             statistics = self._statistics
@@ -356,9 +309,7 @@ class SearchService:
             # cache only write-quiescent runs: an evaluation that
             # overlapped a write may have seen a half-replicated state.
             if epoch % 2 == 0 and self._write_epoch == epoch:
-                self._results[key] = text
-                if len(self._results) > self._result_cache_size:
-                    self._results.popitem(last=False)
+                self._results.put(key, text)
             return SearchResult(text, False, route, generation)
 
     def _run_single(
@@ -377,17 +328,18 @@ class SearchService:
     def _run_scatter(
         self, request: SearchRequest, statistics: StatisticsCatalog
     ) -> str:
-        partials: List[List[Tuple[int, str, str]]] = []
+        partials = []
         if self.mode == "process":
             payload = {
                 "source": request.source(),
                 "structured": True,
                 "key": request.key(),
             }
-            for worker in self._workers:
-                partials.append(
-                    [tuple(row) for row in worker.request("run", payload)["rows"]]
-                )
+            replies = scatter(
+                self._scatter_pool,
+                [partial(worker.request, "run", payload) for worker in self._workers],
+            )
+            partials = [reply["rows"] for reply in replies]
         else:
             for shard, shard_store in enumerate(self._shard_stores):
                 with self._replica_locks[shard]:
@@ -455,7 +407,7 @@ class SearchService:
                 if self.mode == "process":
                     self._owner(uri).request("delete", {"uri": uri})
                 elif self._shard_stores and self._shard_stores[0] is not self.store:
-                    shard = doc_shard(uri, self.shards)
+                    shard = bucket(uri, self.shards)
                     with self._replica_locks[shard]:
                         self._shard_stores[shard].remove(uri)
                 ok = True
@@ -496,19 +448,29 @@ class SearchService:
 
         Only the owner shard holds the document, but a collection created
         by this write must become *known* tier-wide, or scatter requests
-        over it would raise FODC0002 from every non-owner shard.
+        over it would raise FODC0002 from every non-owner shard.  In
+        process mode every replica is asked even when one fails: a worker
+        whose request failed was respawned from the authoritative store,
+        which already holds the write.
         """
         if self.mode == "process":
-            owner = doc_shard(uri, self.shards)
-            self._workers[owner].request(
-                "put", {"uri": uri, "text": self.store.text_of(uri)}
-            )
+            owner = bucket(uri, self.shards)
+            calls = [
+                partial(
+                    self._workers[owner].request,
+                    "put",
+                    {"uri": uri, "text": self.store.text_of(uri)},
+                )
+            ]
             if new_prefixes:
-                for shard, worker in enumerate(self._workers):
-                    if shard != owner:
-                        worker.request("register", {"collections": new_prefixes})
+                calls += [
+                    partial(worker.request, "register", {"collections": new_prefixes})
+                    for shard, worker in enumerate(self._workers)
+                    if shard != owner
+                ]
+            scatter(self._scatter_pool, calls)
         elif self._shard_stores and self._shard_stores[0] is not self.store:
-            owner = doc_shard(uri, self.shards)
+            owner = bucket(uri, self.shards)
             with self._replica_locks[owner]:
                 self._shard_stores[owner].put_text(uri, self.store.text_of(uri))
             if new_prefixes:
@@ -518,7 +480,7 @@ class SearchService:
                             shard_store.register_collections(new_prefixes)
 
     def _owner(self, uri: str) -> _WorkerHandle:
-        return self._workers[doc_shard(uri, self.shards)]
+        return self._workers[bucket(uri, self.shards)]
 
     def _begin_write(self) -> None:
         with self._lock:
@@ -541,14 +503,14 @@ class SearchService:
                 "metrics": dict(self.metrics),
                 "mode": self.mode,
                 "shards": self.shards,
-                "result_cache": len(self._results),
+                "result_cache": self._results.stats()["currsize"],
                 "store": self.store.stats(),
                 "compile_cache": self.engine.cache_info(),
             }
         if self.mode == "process":
-            payload["workers"] = [
-                worker.request("stats", {}) for worker in self._workers
-            ]
+            workers = worker_stats(self._workers)
+            payload["workers"] = workers
+            payload["restarts"] = sum(worker["restarts"] for worker in workers)
         return payload
 
     def close(self) -> None:
@@ -556,6 +518,8 @@ class SearchService:
             if self._closed:
                 return
             self._closed = True
+            if self._scatter_pool is not None:
+                self._scatter_pool.shutdown(wait=False)
             for worker in self._workers:
                 worker.close()
 

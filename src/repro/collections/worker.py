@@ -2,10 +2,12 @@
 
 ``SearchService(mode="process")`` spawns one of these per shard.  Each
 worker rebuilds its shard's :class:`~repro.collections.store.DocumentStore`
-from the picklable ``(uri, raw xml)`` payload, owns its own engine (plan
-LRU included), and serves the same pipe protocol the calculus serving
-tier uses: the parent sends ``(op, req_id, payload)`` and the worker
-answers ``("ok", req_id, result)`` or ``("err", req_id, QueryError)``.
+from the picklable ``(uri, raw xml)`` payload and owns its own engine
+(plan LRU included).  It runs in the calculus tier's request loop,
+:func:`repro.serving.worker.worker_main`, behind the same
+:class:`~repro.serving.pool.WorkerHandle`: the parent sends ``(op,
+req_id, payload)`` and the worker answers ``("ok", req_id, result)`` or
+``("err", req_id, QueryError)``.
 
 Failures cross the pipe *classified*: a missing or unparseable document
 raises ``FODC0002`` inside the worker, :func:`classify_error` wraps it
@@ -15,18 +17,16 @@ advertises ``kind="dynamic"`` / ``code="FODC0002"`` — the error taxonomy
 does not degrade at the process boundary.
 
 Ops: ``run`` (evaluate one request program, serialized or as merge
-rows), ``put`` / ``delete`` / ``update`` (replica maintenance; the index
-patch is per-document, never a rebuild), ``stats``, ``ping``,
-``shutdown``.
+rows), ``put`` / ``delete`` / ``register`` (replica maintenance; the
+index patch is per-document, never a rebuild), ``stats``, and the
+loop's own ``shutdown``.
 """
 
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass, field
-from typing import Dict, List, Tuple
+from typing import Dict, List, Optional, Tuple
 
-from ..querycalc.service.errors import classify_error
 from ..xdm import ElementNode
 from ..xmlio import serialize
 from ..xquery import EngineConfig, XQueryEngine, serialize_result
@@ -36,8 +36,8 @@ from .store import DocumentStore
 __all__ = [
     "CollectionWorker",
     "CollectionWorkerConfig",
-    "collection_worker_main",
     "extract_rows",
+    "merge_rows",
 ]
 
 
@@ -92,6 +92,9 @@ class CollectionWorkerConfig:
 
 class CollectionWorker:
     """The in-process half of one worker: replica store + engine."""
+
+    #: the requests the request loop dispatches to methods of this class.
+    OPS = ("run", "put", "delete", "register", "stats")
 
     def __init__(self, config: CollectionWorkerConfig):
         self.shard = config.shard
@@ -151,7 +154,7 @@ class CollectionWorker:
         self.store.register_collections(payload["collections"])
         return {"collections": len(self.store.known_collections())}
 
-    def stats(self) -> Dict[str, object]:
+    def stats(self, payload: Optional[Dict] = None) -> Dict[str, object]:
         return {
             "shard": self.shard,
             "runs": self.runs,
@@ -160,58 +163,3 @@ class CollectionWorker:
             "store": self.store.stats(),
             "compile_cache": self.engine.cache_info(),
         }
-
-
-def collection_worker_main(conn, config: CollectionWorkerConfig) -> None:
-    """Worker process entry point — a request loop over one Pipe end."""
-    worker = None
-    try:
-        worker = CollectionWorker(config)
-        conn.send(
-            ("ok", "boot", {"shard": worker.shard, "documents": len(worker.store)})
-        )
-    except Exception as exc:  # a broken boot must still answer the parent
-        conn.send(("err", "boot", classify_error(exc)))
-        conn.close()
-        return
-    while True:
-        try:
-            op, req_id, payload = conn.recv()
-        except (EOFError, OSError):
-            break
-        try:
-            if op == "run":
-                conn.send(("ok", req_id, worker.run(payload)))
-            elif op == "put":
-                conn.send(("ok", req_id, worker.put(payload)))
-            elif op == "delete":
-                conn.send(("ok", req_id, worker.delete(payload)))
-            elif op == "register":
-                conn.send(("ok", req_id, worker.register(payload)))
-            elif op == "stats":
-                conn.send(("ok", req_id, worker.stats()))
-            elif op == "ping":
-                conn.send(("ok", req_id, {"time": time.monotonic()}))
-            elif op == "shutdown":
-                conn.send(("ok", req_id, {}))
-                break
-            else:
-                raise ValueError(f"unknown collection worker op {op!r}")
-        except Exception as exc:
-            worker.errors += 1
-            try:
-                conn.send(
-                    (
-                        "err",
-                        req_id,
-                        classify_error(
-                            exc,
-                            payload.get("key")
-                            if isinstance(payload, dict)
-                            else None,
-                        ),
-                    )
-                )
-            except (BrokenPipeError, OSError):
-                break
-    conn.close()

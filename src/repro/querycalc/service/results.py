@@ -7,17 +7,21 @@ serving metadata a robust client needs — the structured
 whether the answer came from cache, and the ``fn:trace`` messages the
 evaluation emitted.
 
-The cache stores node *ids* (not live node objects) keyed by
-``(plan key, export generation)``: ids survive being handed between
-threads, and mapping back through ``model.nodes`` on every hit means a
-hit can never resurrect a node that has since been removed.  Trace
-messages are recorded **alongside** the ids, so a cached serve replays
+:class:`ResultCache` is the result cache of both serving front-ends.  It
+keys an opaque value on ``(request key, generation)`` and hands out
+shallow copies, so a caller can never mutate an entry.  The calculus
+service stores node *ids* (not live node objects) under ``(plan key,
+export generation)``: ids survive being handed between threads, and
+mapping back through ``model.nodes`` on every hit means a hit can never
+resurrect a node that has since been removed.  The search service stores
+serialized text under ``(request key, scope generation)``.  Trace
+messages are recorded **alongside** the value, so a cached serve replays
 the traces a cold run emitted instead of silently eating them the way
 the Galax optimizer ate the paper's probes (the E8 story).
 
-Every entry is keyed by the model's *generation*, its monotonically
-increasing mutation counter, so an entry recorded against an older
-export is never served again.  Each entry also carries the
+Every entry is keyed by a *generation*, a monotonically increasing
+mutation counter, so an entry recorded against an older state is never
+served again.  Each entry also carries the
 :class:`~repro.querycalc.service.deps.DependencySet` of the plans that
 stored or hit it.  :meth:`ResultCache.propagate` reads that set when an
 update moves the generation, to carry the entry forward (kept or
@@ -27,6 +31,7 @@ evicted with its entry, so the cache's size bounds it too.
 
 from __future__ import annotations
 
+import copy
 import threading
 from collections import OrderedDict
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
@@ -35,11 +40,11 @@ from .errors import QueryError
 
 ResultKey = Tuple[str, int]
 
-#: what the cache returns per key: (node ids, trace messages).
-CachedResult = Tuple[List[str], Tuple[str, ...]]
+#: what the cache returns per key: (value, trace messages).
+CachedResult = Tuple[object, Tuple[str, ...]]
 
 #: what it stores: the result plus its dependency set (``None`` = unknown).
-_Entry = Tuple[List[str], Tuple[str, ...], Optional[object]]
+_Entry = Tuple[object, Tuple[str, ...], Optional[object]]
 
 
 class BatchItem(List["ModelNode"]):  # noqa: F821 - forward ref, avoids an import cycle
@@ -80,8 +85,8 @@ class BatchItem(List["ModelNode"]):  # noqa: F821 - forward ref, avoids an impor
 
 
 class ResultCache:
-    """A thread-safe LRU of (ids, traces, dependency set) keyed by
-    (plan key, generation)."""
+    """A thread-safe LRU of (value, traces, dependency set) keyed by
+    (request key, generation)."""
 
     def __init__(self, maxsize: int = 512):
         self.maxsize = maxsize
@@ -91,7 +96,7 @@ class ResultCache:
         self.misses = 0
 
     def get(self, key: ResultKey, deps=None) -> Optional[CachedResult]:
-        """The cached (ids, traces), merging the hitting plan's *deps*
+        """The cached (value, traces), merging the hitting plan's *deps*
         into the entry when two spellings share it."""
         with self._lock:
             entry = self._results.get(key)
@@ -100,17 +105,17 @@ class ResultCache:
                 return None
             self.hits += 1
             self._results.move_to_end(key)
-            ids, traces, held = entry
+            value, traces, held = entry
             if deps is not None and held is not None:
                 merged = held.merge(deps)
                 if merged is not held:
-                    self._results[key] = (ids, traces, merged)
-            return list(ids), traces
+                    self._results[key] = (value, traces, merged)
+            return copy.copy(value), traces
 
     def put(
         self,
         key: ResultKey,
-        node_ids: List[str],
+        value,
         traces: Sequence[str] = (),
         deps=None,
     ) -> None:
@@ -124,7 +129,7 @@ class ResultCache:
             if existing is not None:
                 held = existing[2]
                 deps = None if held is None or deps is None else held.merge(deps)
-            self._results[key] = (list(node_ids), tuple(traces), deps)
+            self._results[key] = (copy.copy(value), tuple(traces), deps)
             self._results.move_to_end(key)
             while len(self._results) > self.maxsize:
                 self._results.popitem(last=False)
@@ -137,11 +142,11 @@ class ResultCache:
     ) -> Dict[str, int]:
         """Carry entries of *old_generation* across a model update.
 
-        ``decide(deps, ids)`` receives the entry's dependency set (``None``
-        when unknown) and returns ``("keep", None)`` when the update
-        provably cannot have changed the answer (the entry is re-keyed to
-        *new_generation* verbatim, traces included), ``("patch",
-        new_ids)`` when inserted/deleted rows were spliced in (traces ride
+        ``decide(deps, value)`` receives the entry's dependency set
+        (``None`` when unknown) and returns ``("keep", None)`` when the
+        update provably cannot have changed the answer (the entry is
+        re-keyed to *new_generation* verbatim, traces included),
+        ``("patch", new_value)`` when inserted/deleted rows were spliced in (traces ride
         along only for keep — patch is only ever chosen for untraced
         plans), or ``("drop", None)``.  Entries of other generations are
         already unservable and are left to age out.
@@ -149,15 +154,15 @@ class ResultCache:
         kept = patched = invalidated = 0
         with self._lock:
             for key in [k for k in self._results if k[1] == old_generation]:
-                plan_key = key[0]
-                ids, traces, deps = self._results.pop(key)
-                action, new_ids = decide(deps, ids)
+                request_key = key[0]
+                value, traces, deps = self._results.pop(key)
+                action, new_value = decide(deps, value)
                 if action == "keep":
-                    self._results[(plan_key, new_generation)] = (ids, traces, deps)
+                    self._results[(request_key, new_generation)] = (value, traces, deps)
                     kept += 1
                 elif action == "patch":
-                    self._results[(plan_key, new_generation)] = (
-                        list(new_ids),
+                    self._results[(request_key, new_generation)] = (
+                        new_value,
                         traces,
                         deps,
                     )

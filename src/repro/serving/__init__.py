@@ -3,24 +3,36 @@
 ``QueryService(mode="process", workers=N)`` (see
 :mod:`repro.querycalc.service`) fronts a :class:`ProcessPool` of N worker
 processes, each holding a full model replica and answering for one
-partition of the start space.  This package owns the pieces under it:
+partition of the start space.  ``SearchService(mode="process")`` (see
+:mod:`repro.collections.service`) runs its document shards on the same
+worker handle, request loop and fan-out.  This package owns the pieces
+under them:
 
 :mod:`repro.serving.partition`
-    ownership schemes (``type``/``hash``), and the router that proves a
-    query single-shard from the statistics catalog or scatters it;
+    the CRC32 bucket, ownership schemes (``type``/``hash``), the router
+    that proves a query single-shard from the statistics catalog or
+    scatters it, and the search-request router;
 :mod:`repro.serving.worker`
-    the worker process: faithful replica import, per-worker engine +
+    the worker process: the request loop both tiers run, and the
+    calculus worker's faithful replica import, per-worker engine +
     compile LRU, full/sharded plan evaluation;
 :mod:`repro.serving.pool`
-    worker lifecycle (boot/refresh/respawn) and scatter/gather with the
-    order-preserving merge;
+    the worker handle (boot/respawn), the concurrent scatter, and the
+    calculus pool's replica refresh and order-preserving merge;
 :mod:`repro.serving.loadgen`
     the load-generator harness (``python -m repro.serving.loadgen``)
     reporting sustained QPS, p50/p95/p99 latency, and shed rate.
 """
 
-from .partition import PARTITION_SCHEMES, Partitioner, Route, route_query
-from .pool import ProcessPool, merge_partials
+from .partition import (
+    PARTITION_SCHEMES,
+    Partitioner,
+    Route,
+    bucket,
+    route_query,
+    route_request,
+)
+from .pool import ProcessPool, WorkerHandle, merge_partials, scatter
 from .worker import ShardWorker, WorkerConfig, worker_main
 
 __all__ = [
@@ -30,7 +42,11 @@ __all__ = [
     "Route",
     "ShardWorker",
     "WorkerConfig",
+    "WorkerHandle",
+    "bucket",
     "merge_partials",
     "route_query",
+    "route_request",
+    "scatter",
     "worker_main",
 ]

@@ -36,12 +36,12 @@ import random
 import sys
 import threading
 import time
-from typing import Dict, List, Optional
+from typing import Callable, Dict, List, Optional
 
 from ..querycalc.service import QueryService
 from ..querycalc.service.errors import QueryOverloadError, classify_error
 from ..querycalc.service.service import _percentile
-from ..testing.models import random_calculus_query, random_model
+from ..testing.models import random_calculus_query, random_model, random_phrase
 
 __all__ = ["run_load", "main"]
 
@@ -67,30 +67,22 @@ class _ClientStats:
 
 
 def _client_loop(
-    service: QueryService,
+    step: Callable[[], object],
     stats: _ClientStats,
     stop_box: List[float],
-    rng: random.Random,
-    warm_queries: List,
-    mix: str,
-    timeout: Optional[float],
     barrier: threading.Barrier,
 ) -> None:
+    """Call ``step`` (one request) back to back until the window closes."""
     try:
         barrier.wait(timeout=30.0)
     except threading.BrokenBarrierError:
         return
-    model = service.model
     stop_at = stop_box[0]
     while time.perf_counter() < stop_at:
-        if mix == "warm" or (mix == "mixed" and rng.random() < 0.2):
-            query = rng.choice(warm_queries)
-        else:
-            query = random_calculus_query(rng, model)
         stats.requests += 1
         started = time.perf_counter()
         try:
-            service.run(query, timeout=timeout)
+            step()
         except QueryOverloadError:
             stats.shed += 1
             # client-side retry backoff: a shed answer arrives in
@@ -107,21 +99,14 @@ def _client_loop(
         stats.latencies.append(time.perf_counter() - started)
 
 
-def run_load(
-    service: QueryService,
-    clients: int = 100,
-    duration: float = 5.0,
-    mix: str = "cold",
-    seed: int = 0,
-    timeout: Optional[float] = None,
+def _drive(
+    make_step: Callable[[random.Random], Callable[[], object]],
+    clients: int,
+    duration: float,
+    seed: int,
 ) -> Dict[str, object]:
-    """Drive *service* with concurrent clients; return the report dict."""
-    if mix not in MIXES:
-        raise ValueError(f"mix must be one of {MIXES}, not {mix!r}")
-    warm_rng = random.Random(seed)
-    warm_queries = [
-        random_calculus_query(warm_rng, service.model) for _ in range(WARM_SET)
-    ]
+    """Run *clients* threads, each calling its own ``make_step(rng)`` step
+    for *duration* seconds; return the tallies every mix reports."""
     barrier = threading.Barrier(clients + 1)
     # the stop time is set right before the barrier opens, so thread
     # startup cost never dilutes the measurement window; clients read it
@@ -130,19 +115,9 @@ def run_load(
     per_client = [_ClientStats() for _ in range(clients)]
     threads = []
     for index, stats in enumerate(per_client):
+        step = make_step(random.Random(seed * 100003 + index))
         thread = threading.Thread(
-            target=_client_loop,
-            args=(
-                service,
-                stats,
-                stop_box,
-                random.Random(seed * 100003 + index),
-                warm_queries,
-                mix,
-                timeout,
-                barrier,
-            ),
-            daemon=True,
+            target=_client_loop, args=(step, stats, stop_box, barrier), daemon=True
         )
         threads.append(thread)
         thread.start()
@@ -157,26 +132,19 @@ def run_load(
     ok = sum(s.ok for s in per_client)
     shed = sum(s.shed for s in per_client)
     errors_by_kind: Dict[str, int] = {}
+    latencies: List[float] = []
     for s in per_client:
         for kind, count in s.errors_by_kind.items():
             errors_by_kind[kind] = errors_by_kind.get(kind, 0) + count
-    errors = sum(errors_by_kind.values())
-    latencies: List[float] = []
-    for s in per_client:
         latencies.extend(s.latencies)
     return {
         "clients": clients,
         "duration_s": round(elapsed, 3),
-        "mix": mix,
-        "mode": service.mode,
-        "workers": service.workers,
-        "partition": service.partition,
-        "max_pending": service.max_pending,
         "cpu_count": os.cpu_count(),
         "requests": requests,
         "ok": ok,
         "shed": shed,
-        "errors": errors,
+        "errors": sum(errors_by_kind.values()),
         "errors_by_kind": errors_by_kind,
         "qps": round(ok / elapsed, 1) if elapsed > 0 else 0.0,
         "shed_rate": round(shed / requests, 4) if requests else 0.0,
@@ -187,10 +155,45 @@ def run_load(
     }
 
 
+def run_load(
+    service: QueryService,
+    clients: int = 100,
+    duration: float = 5.0,
+    mix: str = "cold",
+    seed: int = 0,
+    timeout: Optional[float] = None,
+) -> Dict[str, object]:
+    """Drive *service* with concurrent clients; return the report dict."""
+    if mix not in MIXES:
+        raise ValueError(f"mix must be one of {MIXES}, not {mix!r}")
+    model = service.model
+    warm_rng = random.Random(seed)
+    warm_queries = [random_calculus_query(warm_rng, model) for _ in range(WARM_SET)]
+
+    def make_step(rng: random.Random):
+        def step():
+            if mix == "warm" or (mix == "mixed" and rng.random() < 0.2):
+                query = rng.choice(warm_queries)
+            else:
+                query = random_calculus_query(rng, model)
+            service.run(query, timeout=timeout)
+
+        return step
+
+    report = _drive(make_step, clients, duration, seed)
+    report.update(
+        mix=mix,
+        mode=service.mode,
+        workers=service.workers,
+        partition=service.partition,
+        max_pending=service.max_pending,
+    )
+    return report
+
+
 def _search_request(rng: random.Random, uris: List[str], collections: List[str]):
     """One random full-text read against the document tier."""
     from ..collections import SearchRequest
-    from ..testing.models import random_phrase
 
     roll = rng.random()
     if roll < 0.15 and uris:
@@ -204,44 +207,6 @@ def _search_request(rng: random.Random, uris: List[str], collections: List[str])
         phrase=random_phrase(rng),
         limit=rng.choice((0, 0, 5)),
     )
-
-
-def _search_client_loop(
-    service,
-    stats: _ClientStats,
-    stop_box: List[float],
-    rng: random.Random,
-    warm_requests: List,
-    barrier: threading.Barrier,
-) -> None:
-    from ..testing.models import random_phrase
-
-    try:
-        barrier.wait(timeout=30.0)
-    except threading.BrokenBarrierError:
-        return
-    uris = service.store.uris()
-    collections = list(service.store.known_collections())
-    stop_at = stop_box[0]
-    while time.perf_counter() < stop_at:
-        stats.requests += 1
-        started = time.perf_counter()
-        try:
-            if rng.random() < SEARCH_WRITE_RATE:
-                words = " ".join(random_phrase(rng, 1) for _ in range(6))
-                service.put_text(
-                    f"docs/hot{rng.randrange(0, 8)}.xml", f"<doc>{words}</doc>"
-                )
-            elif rng.random() < 0.8:
-                service.run(rng.choice(warm_requests))
-            else:
-                service.run(_search_request(rng, uris, collections))
-        except Exception as exc:
-            kind = classify_error(exc).kind
-            stats.errors_by_kind[kind] = stats.errors_by_kind.get(kind, 0) + 1
-            continue
-        stats.ok += 1
-        stats.latencies.append(time.perf_counter() - started)
 
 
 def run_search_load(
@@ -263,64 +228,32 @@ def run_search_load(
     warm_requests = [
         _search_request(warm_rng, uris, collections) for _ in range(WARM_SET)
     ]
-    barrier = threading.Barrier(clients + 1)
-    stop_box = [0.0]
-    per_client = [_ClientStats() for _ in range(clients)]
-    threads = []
-    for index, stats in enumerate(per_client):
-        thread = threading.Thread(
-            target=_search_client_loop,
-            args=(
-                service,
-                stats,
-                stop_box,
-                random.Random(seed * 100003 + index),
-                warm_requests,
-                barrier,
-            ),
-            daemon=True,
-        )
-        threads.append(thread)
-        thread.start()
-    started = time.perf_counter()
-    stop_box[0] = started + duration
-    barrier.wait(timeout=30.0)
-    for thread in threads:
-        thread.join(timeout=duration + 60.0)
-    elapsed = time.perf_counter() - started
 
-    requests = sum(s.requests for s in per_client)
-    ok = sum(s.ok for s in per_client)
-    errors_by_kind: Dict[str, int] = {}
-    for s in per_client:
-        for kind, count in s.errors_by_kind.items():
-            errors_by_kind[kind] = errors_by_kind.get(kind, 0) + count
-    errors = sum(errors_by_kind.values())
-    latencies: List[float] = []
-    for s in per_client:
-        latencies.extend(s.latencies)
+    def make_step(rng: random.Random):
+        def step():
+            if rng.random() < SEARCH_WRITE_RATE:
+                words = " ".join(random_phrase(rng, 1) for _ in range(6))
+                service.put_text(
+                    f"docs/hot{rng.randrange(0, 8)}.xml", f"<doc>{words}</doc>"
+                )
+            elif rng.random() < 0.8:
+                service.run(rng.choice(warm_requests))
+            else:
+                service.run(_search_request(rng, uris, collections))
+
+        return step
+
+    report = _drive(make_step, clients, duration, seed)
     metrics = service.stats()["metrics"]
     reads = metrics["cache_hits"] + metrics["cache_misses"]
-    return {
-        "clients": clients,
-        "duration_s": round(elapsed, 3),
-        "mix": "search",
-        "mode": service.mode,
-        "shards": service.shards,
-        "cpu_count": os.cpu_count(),
-        "requests": requests,
-        "ok": ok,
-        "shed": 0,
-        "errors": errors,
-        "errors_by_kind": errors_by_kind,
-        "writes": metrics["writes"],
-        "cache_hit_rate": round(metrics["cache_hits"] / reads, 4) if reads else 0.0,
-        "qps": round(ok / elapsed, 1) if elapsed > 0 else 0.0,
-        "availability": round(ok / requests, 4) if requests else 1.0,
-        "p50_ms": round(_percentile(latencies, 0.50) * 1000.0, 3),
-        "p95_ms": round(_percentile(latencies, 0.95) * 1000.0, 3),
-        "p99_ms": round(_percentile(latencies, 0.99) * 1000.0, 3),
-    }
+    report.update(
+        mix="search",
+        mode=service.mode,
+        shards=service.shards,
+        writes=metrics["writes"],
+        cache_hit_rate=round(metrics["cache_hits"] / reads, 4) if reads else 0.0,
+    )
+    return report
 
 
 def search_parity_sweep(service, seed: int, count: int = 24) -> int:
@@ -408,124 +341,97 @@ def main(argv: Optional[List[str]] = None) -> int:
                              "a post-burst scatter/gather parity sweep passes")
     args = parser.parse_args(argv)
 
+    model = None
     if args.mix == "search":
-        return _search_main(args)
+        from ..collections import SearchService
+        from ..testing.models import random_document_store
 
-    model = random_model(args.seed, size=args.model_size)
-    service = QueryService(
-        model,
-        mode=args.mode,
-        workers=args.workers,
-        partition=args.partition,
-        max_pending=args.max_pending,
-    )
-    try:
-        report = run_load(
-            service,
-            clients=args.clients,
-            duration=args.duration,
-            mix=args.mix,
-            seed=args.seed,
-            timeout=args.timeout,
+        store = random_document_store(args.seed, docs=args.docs)
+        service = SearchService(store, shards=max(1, args.workers), mode=args.mode)
+    else:
+        model = random_model(args.seed, size=args.model_size)
+        service = QueryService(
+            model,
+            mode=args.mode,
+            workers=args.workers,
+            partition=args.partition,
+            max_pending=args.max_pending,
         )
+    try:
         mismatches = None
-        if args.mode == "process":
-            mismatches = parity_sweep(model, service, args.seed)
+        if model is None:
+            report = run_search_load(
+                service, clients=args.clients, duration=args.duration, seed=args.seed
+            )
+            mismatches = search_parity_sweep(service, args.seed)
+        else:
+            report = run_load(
+                service,
+                clients=args.clients,
+                duration=args.duration,
+                mix=args.mix,
+                seed=args.seed,
+                timeout=args.timeout,
+            )
+            if args.mode == "process":
+                mismatches = parity_sweep(model, service, args.seed)
+        if mismatches is not None:
             report["parity_mismatches"] = mismatches
         if args.json:
             print(json.dumps(report, indent=2, sort_keys=True))
         else:
-            print(
-                f"{report['mode']} mode, {report['workers']} workers, "
-                f"{report['clients']} clients, {report['duration_s']}s, "
-                f"mix={report['mix']}"
-            )
-            print(
-                f"  {report['requests']} requests: {report['ok']} ok, "
-                f"{report['shed']} shed ({report['shed_rate']:.1%}), "
-                f"{report['errors']} errors -> availability "
-                f"{report['availability']:.1%}"
-            )
-            print(
-                f"  {report['qps']} qps sustained; latency p50 "
-                f"{report['p50_ms']}ms / p95 {report['p95_ms']}ms / "
-                f"p99 {report['p99_ms']}ms"
-            )
-            if mismatches is not None:
-                print(f"  parity sweep: {mismatches} mismatches")
-        if args.check:
-            if report["availability"] < 1.0:
-                print(
-                    f"CHECK FAILED: availability {report['availability']:.2%} < 100%",
-                    file=sys.stderr,
-                )
-                return 1
-            if mismatches:
-                print(
-                    f"CHECK FAILED: {mismatches} scatter/gather parity mismatches",
-                    file=sys.stderr,
-                )
-                return 1
-            print("check passed: availability 100%, parity clean")
-        return 0
+            _print_report(report)
+        return _check(report) if args.check else 0
     finally:
         service.close()
 
 
-def _search_main(args) -> int:
-    """The ``--mix search`` path: a full-text document tier under load."""
-    from ..collections import SearchService
-    from ..testing.models import random_document_store
-
-    store = random_document_store(args.seed, docs=args.docs)
-    service = SearchService(
-        store, shards=max(1, args.workers), mode=args.mode
+def _print_report(report: Dict[str, object]) -> None:
+    size = (
+        f"{report['shards']} shards"
+        if "shards" in report
+        else f"{report['workers']} workers"
     )
-    try:
-        report = run_search_load(
-            service,
-            clients=args.clients,
-            duration=args.duration,
-            seed=args.seed,
+    print(
+        f"{report['mode']} mode, {size}, {report['clients']} clients, "
+        f"{report['duration_s']}s, mix={report['mix']}"
+    )
+    print(
+        f"  {report['requests']} requests: {report['ok']} ok, "
+        f"{report['shed']} shed ({report['shed_rate']:.1%}), "
+        f"{report['errors']} errors -> availability "
+        f"{report['availability']:.1%}"
+    )
+    if "writes" in report:
+        print(
+            f"  {report['writes']} writes, cache hit rate "
+            f"{report['cache_hit_rate']:.1%}"
         )
-        mismatches = search_parity_sweep(service, args.seed)
-        report["parity_mismatches"] = mismatches
-        if args.json:
-            print(json.dumps(report, indent=2, sort_keys=True))
-        else:
-            print(
-                f"search mix, {report['mode']} mode, {report['shards']} shards, "
-                f"{report['clients']} clients, {report['duration_s']}s"
-            )
-            print(
-                f"  {report['requests']} requests: {report['ok']} ok, "
-                f"{report['errors']} errors -> availability "
-                f"{report['availability']:.1%}; {report['writes']} writes, "
-                f"cache hit rate {report['cache_hit_rate']:.1%}"
-            )
-            print(
-                f"  {report['qps']} qps sustained; latency p50 "
-                f"{report['p50_ms']}ms / p95 {report['p95_ms']}ms / "
-                f"p99 {report['p99_ms']}ms"
-            )
-            print(f"  parity sweep: {mismatches} mismatches")
-        if args.check:
-            if report["availability"] < 1.0:
-                print(
-                    f"CHECK FAILED: availability {report['availability']:.2%} < 100%",
-                    file=sys.stderr,
-                )
-                return 1
-            if mismatches:
-                print(
-                    f"CHECK FAILED: {mismatches} search parity mismatches",
-                    file=sys.stderr,
-                )
-                return 1
-            print("check passed: availability 100%, parity clean")
-        return 0
-    finally:
-        service.close()
+    print(
+        f"  {report['qps']} qps sustained; latency p50 "
+        f"{report['p50_ms']}ms / p95 {report['p95_ms']}ms / "
+        f"p99 {report['p99_ms']}ms"
+    )
+    if "parity_mismatches" in report:
+        print(f"  parity sweep: {report['parity_mismatches']} mismatches")
+
+
+def _check(report: Dict[str, object]) -> int:
+    """The ``--check`` gate: availability 1.0 and a clean parity sweep."""
+    if report["availability"] < 1.0:
+        print(
+            f"CHECK FAILED: availability {report['availability']:.2%} < 100%",
+            file=sys.stderr,
+        )
+        return 1
+    if report.get("parity_mismatches"):
+        print(
+            f"CHECK FAILED: {report['parity_mismatches']} parity mismatches",
+            file=sys.stderr,
+        )
+        return 1
+    print("check passed: availability 100%, parity clean")
+    return 0
 
 
 if __name__ == "__main__":

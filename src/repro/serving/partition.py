@@ -27,6 +27,11 @@ Routing consults the optimizer's statistics catalog: the export walk
 records the small value domain of ``node/@type``, which is precisely the
 evidence needed to *prove* a start set touches one partition (see
 :func:`route_query`).
+
+The search tier partitions documents with the same hash:
+``bucket(uri, shards)`` owns each document, so a uri-addressed ``fn:doc``
+request is provably single-shard and everything else scatters (see
+:func:`route_request`).
 """
 
 from __future__ import annotations
@@ -37,7 +42,14 @@ from typing import FrozenSet, Iterable, List, Optional, Sequence
 
 from ..querycalc.ast import Query
 
-__all__ = ["PARTITION_SCHEMES", "Partitioner", "Route", "route_query"]
+__all__ = [
+    "PARTITION_SCHEMES",
+    "Partitioner",
+    "Route",
+    "bucket",
+    "route_query",
+    "route_request",
+]
 
 #: the partitioning schemes the tier supports.
 PARTITION_SCHEMES = ("type", "hash")
@@ -46,7 +58,7 @@ PARTITION_SCHEMES = ("type", "hash")
 SHARD_VARIABLE = {"type": "awb-shard-types", "hash": "awb-shard-ids"}
 
 
-def _bucket(value: str, shards: int) -> int:
+def bucket(value: str, shards: int) -> int:
     """A process-independent stable bucket for a string key."""
     return zlib.crc32(value.encode("utf-8")) % shards
 
@@ -67,18 +79,18 @@ class Partitioner:
     def shard_of(self, node_id: str, type_name: str) -> int:
         """The shard owning a node, given both identifying facts."""
         if self.scheme == "type":
-            return _bucket(type_name, self.shards)
-        return _bucket(node_id, self.shards)
+            return bucket(type_name, self.shards)
+        return bucket(node_id, self.shards)
 
     def shard_of_type(self, type_name: str) -> int:
-        return _bucket(type_name, self.shards)
+        return bucket(type_name, self.shards)
 
     def shard_of_id(self, node_id: str) -> int:
-        return _bucket(node_id, self.shards)
+        return bucket(node_id, self.shards)
 
     def shards_of_types(self, type_names: Iterable[str]) -> FrozenSet[int]:
         """The set of shards owning any of the given node types."""
-        return frozenset(_bucket(name, self.shards) for name in type_names)
+        return frozenset(bucket(name, self.shards) for name in type_names)
 
     def shard_variable(self) -> str:
         """The external variable name the sharded plan's start filter reads."""
@@ -96,9 +108,9 @@ class Partitioner:
         """
         if self.scheme == "type":
             return sorted(
-                name for name in set(type_names) if _bucket(name, self.shards) == shard
+                name for name in set(type_names) if bucket(name, self.shards) == shard
             )
-        return [nid for nid in node_ids if _bucket(nid, self.shards) == shard]
+        return [nid for nid in node_ids if bucket(nid, self.shards) == shard]
 
     def describe(self) -> dict:
         return {"scheme": self.scheme, "shards": self.shards}
@@ -148,7 +160,7 @@ def route_query(
         # fn:trace emits one message for the whole collected sequence; a
         # scatter would emit one partial message per shard.  Traced queries
         # are diagnostics, so they take a single full-replica evaluation.
-        shard = _bucket(query.trace, partitioner.shards)
+        shard = bucket(query.trace, partitioner.shards)
         return Route("single", shard, "traced-query")
     start = query.start
     if start.node_id is not None:
@@ -176,3 +188,23 @@ def route_query(
             return Route("single", next(iter(shards)), "start-type-single-shard")
         return Route("scatter", None, "start-type-spans-shards")
     return Route("scatter", None, "start-type-hash-partitioned")
+
+
+def route_request(request, shards: int) -> Route:
+    """Route one :class:`~repro.collections.service.SearchRequest`.
+
+    ``doc`` requests go to the uri's owner; everything else touches an
+    unknowable subset of a collection's members and scatters, with the
+    front-end merging the partials by ``(score desc, uri)``.
+    """
+    if shards <= 1:
+        return Route("single", 0, "one-shard-tier")
+    if request.kind == "doc":
+        return Route(
+            "single",
+            bucket(request.uri, shards),
+            f"doc-uri-owner crc32({request.uri!r}) % {shards}",
+        )
+    return Route(
+        "scatter", None, f"{request.kind}-over-collection {request.collection!r}"
+    )

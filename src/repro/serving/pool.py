@@ -1,6 +1,11 @@
 """The process pool: worker lifecycle and scatter/gather.
 
-The front-end owns one :class:`ProcessPool`.  Each worker is a real OS
+:class:`WorkerHandle` (boot, request, respawn), :func:`scatter` (the
+concurrent fan-out) and :func:`worker_stats` serve both serving tiers:
+the calculus tier's :class:`ProcessPool` below and the search tier's
+:class:`~repro.collections.service.SearchService`.
+
+The calculus front-end owns one :class:`ProcessPool`.  Each worker is a real OS
 process (fork where available) holding a full model replica and its own
 engine compile LRU — shared-nothing, so N workers really do evaluate N
 plans concurrently instead of time-slicing one GIL.
@@ -21,11 +26,12 @@ plan cache evicted it asks again.
 
 from __future__ import annotations
 
+import functools
 import multiprocessing
 import threading
 from concurrent.futures import ThreadPoolExecutor
 from itertools import count
-from typing import Dict, List, Optional, Tuple
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from ..awb.model import Model
 from ..awb.xml_io import export_model_text
@@ -33,9 +39,15 @@ from ..querycalc.service.errors import RemoteQueryError
 from ..querycalc.service.plans import QueryPlan
 from ..xquery.errors import XQueryTimeoutError
 from .partition import Partitioner, Route
-from .worker import WorkerConfig, worker_main
+from .worker import ShardWorker, WorkerConfig, worker_main
 
-__all__ = ["ProcessPool", "merge_partials"]
+__all__ = [
+    "ProcessPool",
+    "WorkerHandle",
+    "merge_partials",
+    "scatter",
+    "worker_stats",
+]
 
 #: hard ceiling on one worker round-trip when no query deadline is set.
 DEFAULT_REQUEST_TIMEOUT = 60.0
@@ -46,6 +58,11 @@ REQUEST_GRACE = 5.0
 
 #: how long a worker may take to import its replica and report ready.
 BOOT_TIMEOUT = 120.0
+
+try:
+    _CTX = multiprocessing.get_context("fork")
+except ValueError:  # pragma: no cover - platform without fork
+    _CTX = multiprocessing.get_context("spawn")
 
 
 class WorkerUnresponsiveError(XQueryTimeoutError):
@@ -82,15 +99,30 @@ def merge_partials(
 class WorkerHandle:
     """One worker process plus the parent's end of its pipe.
 
+    Both serving tiers hold their workers through this class.  The worker
+    runs :func:`~repro.serving.worker.worker_main` over ``make_worker``;
+    ``make_config()`` builds its picklable boot config, and is called
+    again on every respawn, so a fresh worker boots from the owner's
+    current state rather than from the state at first boot.
+
     A lock is held across each send+recv pair, so the pipe never carries
     interleaved conversations.  A request that misses its deadline kills
     and respawns the worker (the pipe would otherwise hold a stale reply),
-    surfacing as ``XQDY_TIMEOUT``.
+    surfacing as ``XQDY_TIMEOUT``; a worker that died mid-request is
+    respawned too.
     """
 
-    def __init__(self, shard: int, pool: "ProcessPool"):
+    def __init__(
+        self,
+        shard: int,
+        make_worker: Callable,
+        make_config: Callable[[], object],
+        request_timeout: float = DEFAULT_REQUEST_TIMEOUT,
+    ):
         self.shard = shard
-        self._pool = pool
+        self.request_timeout = request_timeout
+        self._make_worker = make_worker
+        self._make_config = make_config
         self._lock = threading.Lock()
         self._req_ids = count()
         self.restarts = 0
@@ -99,28 +131,16 @@ class WorkerHandle:
         self._spawn()
 
     def _spawn(self) -> None:
-        ctx = self._pool._ctx
-        parent_conn, child_conn = ctx.Pipe()
-        config = WorkerConfig(
-            shard=self.shard,
-            shards=self._pool.shards,
-            scheme=self._pool.scheme,
-            metamodel=self._pool.metamodel,
-            # current_export_text regenerates lazily: after delta
-            # broadcasts the stored text is stale, and a respawned worker
-            # must boot from the live model's state, not the last full
-            # export.
-            export_text=self._pool.current_export_text(),
-            generation=self._pool.generation,
-            plan_cache_size=self._pool.plan_cache_size,
-        )
-        process = ctx.Process(
-            target=worker_main, args=(child_conn, config), daemon=True
+        parent_conn, child_conn = _CTX.Pipe()
+        process = _CTX.Process(
+            target=worker_main,
+            args=(child_conn, self._make_worker, self._make_config()),
+            daemon=True,
         )
         process.start()
         child_conn.close()
         if not parent_conn.poll(BOOT_TIMEOUT):
-            process.terminate()
+            process.kill()
             raise RuntimeError(f"worker {self.shard} failed to boot in time")
         status, _, payload = parent_conn.recv()
         if status != "ok":
@@ -141,7 +161,8 @@ class WorkerHandle:
             except OSError:
                 pass
         if self.process is not None and self.process.is_alive():
-            self.process.terminate()
+            # SIGKILL, not SIGTERM: a stopped (hung) worker ignores the latter
+            self.process.kill()
             self.process.join(timeout=5.0)
         self.process = None
         self.conn = None
@@ -151,7 +172,7 @@ class WorkerHandle:
         wait = (
             timeout + REQUEST_GRACE
             if timeout is not None
-            else self._pool.request_timeout
+            else self.request_timeout
         )
         with self._lock:
             req_id = next(self._req_ids)
@@ -193,6 +214,44 @@ class WorkerHandle:
         self._kill()
 
 
+def scatter(executor: ThreadPoolExecutor, calls: Sequence[Callable]) -> list:
+    """Run every call concurrently on *executor*; results in call order.
+
+    Every call is drained before a failure surfaces (the siblings' pipes
+    must be quiet again before the next request), then the first failure
+    in call order is re-raised.  A single call runs on the calling thread:
+    there is nothing to overlap it with, and a write's one replica update
+    must not queue behind reads that hold the pool's threads.
+    """
+    if len(calls) == 1:
+        return [calls[0]()]
+    futures = [executor.submit(call) for call in calls]
+    results = []
+    failure: Optional[BaseException] = None
+    for future in futures:
+        try:
+            results.append(future.result())
+        except BaseException as exc:  # keep draining: siblings must finish
+            if failure is None:
+                failure = exc
+    if failure is not None:
+        raise failure
+    return results
+
+
+def worker_stats(handles: Sequence[WorkerHandle]) -> List[Dict[str, object]]:
+    """Each worker's own counters plus its handle's restart count."""
+    workers = []
+    for handle in handles:
+        try:
+            entry = handle.request("stats", {})
+        except Exception as exc:
+            entry = {"shard": handle.shard, "error": str(exc)}
+        entry["restarts"] = handle.restarts
+        workers.append(entry)
+    return workers
+
+
 class ProcessPool:
     """N shard workers plus the scatter/gather machinery."""
 
@@ -210,7 +269,6 @@ class ProcessPool:
         self.scheme = scheme
         self.partitioner = Partitioner(scheme, shards)
         self.plan_cache_size = plan_cache_size
-        self.request_timeout = request_timeout
         self.generation = model.generation
         self.export_text = export_model_text(model, indent=False)
         self.refreshes = 0
@@ -221,15 +279,33 @@ class ProcessPool:
         #: lazily) cannot deadlock against an in-flight broadcast.
         self._export_dirty = False
         self._export_text_lock = threading.Lock()
-        try:
-            self._ctx = multiprocessing.get_context("fork")
-        except ValueError:  # pragma: no cover - platform without fork
-            self._ctx = multiprocessing.get_context("spawn")
-        self.handles = [WorkerHandle(shard, self) for shard in range(shards)]
+        self.handles = [
+            WorkerHandle(
+                shard,
+                ShardWorker,
+                functools.partial(self._worker_config, shard),
+                request_timeout,
+            )
+            for shard in range(shards)
+        ]
         self._scatter_pool = ThreadPoolExecutor(
             max_workers=shards, thread_name_prefix="awb-scatter"
         )
         self._closed = False
+
+    def _worker_config(self, shard: int) -> WorkerConfig:
+        return WorkerConfig(
+            shard=shard,
+            shards=self.shards,
+            scheme=self.scheme,
+            metamodel=self.metamodel,
+            # current_export_text regenerates lazily: after delta broadcasts
+            # the stored text is stale, and a respawned worker must boot from
+            # the live model's state, not the last full export.
+            export_text=self.current_export_text(),
+            generation=self.generation,
+            plan_cache_size=self.plan_cache_size,
+        )
 
     # -- replica refresh ---------------------------------------------------
 
@@ -331,20 +407,13 @@ class ProcessPool:
                 plan.result_key = reply["signature"]
             return [node_id for _, node_id in reply["rows"]], tuple(reply["traces"])
 
-        def one(handle: WorkerHandle) -> dict:
-            return handle.request("run", dict(payload), remaining)
-
-        futures = [self._scatter_pool.submit(one, handle) for handle in self.handles]
-        partials: List[dict] = []
-        failure: Optional[BaseException] = None
-        for future in futures:
-            try:
-                partials.append(future.result())
-            except BaseException as exc:  # keep draining: siblings must finish
-                if failure is None:
-                    failure = exc
-        if failure is not None:
-            raise failure
+        partials = scatter(
+            self._scatter_pool,
+            [
+                functools.partial(handle.request, "run", dict(payload), remaining)
+                for handle in self.handles
+            ],
+        )
         if want_signature:
             plan.result_key = partials[0]["signature"]
         collect = plan.query.collect
@@ -354,14 +423,7 @@ class ProcessPool:
 
     def stats(self) -> Dict[str, object]:
         """Synchronous per-worker counters plus pool-level aggregates."""
-        workers = []
-        for handle in self.handles:
-            try:
-                entry = handle.request("stats", {})
-            except Exception as exc:
-                entry = {"shard": handle.shard, "error": str(exc)}
-            entry["restarts"] = handle.restarts
-            workers.append(entry)
+        workers = worker_stats(self.handles)
         return {
             "mode": "process",
             "scheme": self.scheme,

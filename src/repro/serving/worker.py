@@ -21,6 +21,10 @@ carries the plan's structural signature (the cross-process plan identity
 the front-end's result cache keys on, about 2 KB pickled); the front-end
 asks only until the plan knows it.
 
+:func:`worker_main` is the request loop of every worker process in both
+serving tiers; the search tier's
+:class:`~repro.collections.worker.CollectionWorker` runs in it too.
+
 The module pre-imports every dependency at top level: under the ``fork``
 start method a lazily-imported module could otherwise deadlock on an
 import lock the parent held at fork time, and under ``spawn`` the child
@@ -29,7 +33,6 @@ needs them anyway.
 
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
 
@@ -63,6 +66,9 @@ class WorkerConfig:
 class ShardWorker:
     """The in-process half of one worker: replica, backend, plan cache."""
 
+    #: the requests :func:`worker_main` dispatches to methods of this class.
+    OPS = ("run", "refresh", "delta", "stats")
+
     def __init__(self, config: WorkerConfig):
         self.shard = config.shard
         self.partitioner = Partitioner(config.scheme, config.shards)
@@ -90,17 +96,18 @@ class ShardWorker:
             type_names=[node.type_name for node in self.model.nodes.values()],
         )
 
-    def refresh(self, export_text: str, generation: int) -> Dict[str, int]:
+    def refresh(self, payload: Dict) -> Dict[str, int]:
         """Swap in a new export generation (a full replica rebuild)."""
         # the plan cache survives: generated source depends only on the
         # metamodel, not the instance data.  Only the replica moves.
         plans = self._plans
-        self._load(export_text, generation)
+        self._load(payload["export_text"], payload["generation"])
         self._plans = plans
         return {"generation": self.generation, "owned": len(self.owned)}
 
-    def delta(self, script_text: str, generation: int) -> Dict[str, int]:
-        """Replay one resolved update script against the live replica.
+    def delta(self, payload: Dict) -> Dict[str, int]:
+        """Replay ``payload["script"]``, one resolved update script, against
+        the live replica and move to ``payload["generation"]``.
 
         The primary already checked the script and resolved auto-assigned
         ids, so the replay is ``check="off"`` and deterministic: the same
@@ -109,8 +116,8 @@ class ShardWorker:
         subtrees, and the next query sees a byte-identical export —
         without the O(model) serialize/reparse of a full refresh.
         """
-        apply_script(script_text, self.model, check="off")
-        self.generation = generation
+        apply_script(payload["script"], self.model, check="off")
+        self.generation = payload["generation"]
         # membership may have moved (inserts/deletes/renames): recompute
         # this shard's ownership the same way a full load would.
         self.owned = self.partitioner.owned_values(
@@ -124,7 +131,7 @@ class ShardWorker:
     # -- evaluation --------------------------------------------------------
 
     def run(self, payload: Dict) -> Dict:
-        """Evaluate one request; see the protocol note in :func:`worker_main`.
+        """Evaluate one request.
 
         ``payload`` carries: ``key`` (normalized plan key), ``source``
         (XQuery text — full or sharded variant), ``variant`` ("full" |
@@ -221,7 +228,7 @@ class ShardWorker:
             rows.append((key, node_id))
         return rows
 
-    def stats(self) -> Dict[str, object]:
+    def stats(self, payload: Optional[Dict] = None) -> Dict[str, object]:
         return {
             "shard": self.shard,
             "generation": self.generation,
@@ -236,22 +243,22 @@ class ShardWorker:
         }
 
 
-def worker_main(conn, config: WorkerConfig) -> None:
-    """The worker process entry point: a request loop over one Pipe end.
+def worker_main(conn, make_worker, config) -> None:
+    """A worker process's entry point: the request loop over one Pipe end.
+
+    Both serving tiers run this loop: ``make_worker(config)`` builds a
+    :class:`ShardWorker` or a
+    :class:`~repro.collections.worker.CollectionWorker`, and each request
+    calls the worker method its op names, looked up when it arrives.
 
     Protocol: the parent sends ``(op, req_id, payload)`` tuples and the
     worker replies ``("ok", req_id, result)`` or ``("err", req_id,
-    QueryError)``.  Ops: ``run`` (evaluate), ``refresh`` (new export
-    generation), ``delta`` (replay one resolved update script in place),
-    ``stats`` (counters), ``ping`` (liveness), ``shutdown``.
-    Every reply carries the request id, so a parent that timed out one
-    request and kept the pipe can discard stale replies instead of
-    desynchronizing.
+    QueryError)``; ``op`` is one of the worker's ``OPS``, whose methods
+    take the payload dict, or ``shutdown``.
     """
-    worker = None
     try:
-        worker = ShardWorker(config)
-        conn.send(("ok", "boot", {"shard": worker.shard, "owned": len(worker.owned)}))
+        worker = make_worker(config)
+        conn.send(("ok", "boot", {"shard": worker.shard}))
     except Exception as exc:  # a broken boot must still answer the parent
         conn.send(("err", "boot", classify_error(exc)))
         conn.close()
@@ -261,33 +268,18 @@ def worker_main(conn, config: WorkerConfig) -> None:
             op, req_id, payload = conn.recv()
         except (EOFError, OSError):
             break
+        if op == "shutdown":
+            conn.send(("ok", req_id, {}))
+            break
         try:
-            if op == "run":
-                conn.send(("ok", req_id, worker.run(payload)))
-            elif op == "refresh":
-                result = worker.refresh(
-                    payload["export_text"], payload["generation"]
-                )
-                conn.send(("ok", req_id, result))
-            elif op == "delta":
-                result = worker.delta(payload["script"], payload["generation"])
-                conn.send(("ok", req_id, result))
-            elif op == "stats":
-                conn.send(("ok", req_id, worker.stats()))
-            elif op == "ping":
-                conn.send(("ok", req_id, {"time": time.monotonic()}))
-            elif op == "shutdown":
-                conn.send(("ok", req_id, {}))
-                break
-            else:
+            if op not in worker.OPS:
                 raise ValueError(f"unknown worker op {op!r}")
+            conn.send(("ok", req_id, getattr(worker, op)(payload)))
         except Exception as exc:
             worker.errors += 1
+            key = payload.get("key") if isinstance(payload, dict) else None
             try:
-                conn.send(
-                    ("err", req_id, classify_error(exc, payload.get("key")
-                                                   if isinstance(payload, dict) else None))
-            )
+                conn.send(("err", req_id, classify_error(exc, key)))
             except (BrokenPipeError, OSError):
                 break
     conn.close()

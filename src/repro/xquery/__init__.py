@@ -8,8 +8,6 @@ Public entry points:
 * :class:`TraceLog` — collects ``fn:trace`` output.
 * :func:`parse_query` / :func:`parse_expression` — parsing only.
 * :mod:`repro.xquery.debug` — the paper's debugging workflows.
-* :mod:`repro.xquery.statictype` — untyped-mode checking and the type
-  "metastasis" measurement.
 * :mod:`repro.xquery.analysis` — the xqlint static analyzer
   (:func:`analyze_source`, :class:`Diagnostic`; CLI at
   ``python -m repro.xquery.lint``); ``EngineConfig(lint="warn"|"error")``

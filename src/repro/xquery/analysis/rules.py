@@ -17,8 +17,8 @@ Each rule encodes one footgun the paper hit in 2004:
 * **XQL006** — variable shadowing in FLWOR clauses (aggravated by the
   paper's syntax complaints: ``$n-1`` is a *name*, so shadowing is easy
   to introduce while "fixing" exactly that);
-* **XQL007 / XQL008** — the name-resolution and arity checks that used to
-  live in :mod:`repro.xquery.statictype`, re-homed as lint rules (their
+* **XQL007 / XQL008** — the name-resolution and arity checks of the
+  untyped-mode checker (:func:`.types.check_module`), as lint rules (their
   W3C codes XPST0008/XPST0017 ride along as ``spec_code``);
 * **XQL009** — FLWOR nests that are unconstrained cartesian products: a
   later ``for`` clause with no join predicate (in its source or a

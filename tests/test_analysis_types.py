@@ -130,14 +130,6 @@ def test_undefined_variable_still_reported():
     )
 
 
-def test_statictype_shim_reexports():
-    # analysis/rules.py and older callers import from the old module path.
-    from repro.xquery.statictype import StaticIssue, check_module  # noqa: F401
-
-    issues = check_module(parse_query("unknown-fn(1, 2)"))
-    assert any("unknown function" in issue.message for issue in issues)
-
-
 # -- the typed rules ----------------------------------------------------------
 
 

@@ -9,14 +9,9 @@ no sweep, no global flush.
 
 import pytest
 
-from repro.collections import (
-    DocumentStore,
-    SearchRequest,
-    SearchService,
-    doc_shard,
-    route_request,
-)
+from repro.collections import DocumentStore, SearchRequest, SearchService
 from repro.querycalc.service.errors import RemoteQueryError, classify_error
+from repro.serving.partition import bucket, route_request
 from repro.testing.models import random_document_store
 from repro.xquery.errors import XQueryDynamicError
 
@@ -43,7 +38,7 @@ def test_route_proofs():
     assert (one.kind, one.shard, one.reason) == ("single", 0, "one-shard-tier")
     many = route_request(doc, 4)
     assert many.kind == "single"
-    assert many.shard == doc_shard("docs/d0.xml", 4)
+    assert many.shard == bucket("docs/d0.xml", 4)
     assert "crc32" in many.reason and "% 4" in many.reason
     scatter = route_request(SEARCH, 4)
     assert scatter.kind == "scatter"
@@ -222,59 +217,38 @@ def test_write_creating_new_collection_is_visible_on_every_shard(mode):
             assert served.text == service.evaluate_fresh(request, use_index=False)
 
 
-# -- worker handle survives a timeout ------------------------------------------
+# -- a dead worker is respawned from the authoritative store -----------------
 
 
-class _ScriptedConn:
-    """A pipe stand-in with a scripted reply queue."""
-
-    def __init__(self):
-        self.sent = []
-        self.replies = []
-
-    def send(self, message):
-        self.sent.append(message)
-
-    def poll(self, timeout=None):
-        return bool(self.replies)
-
-    def recv(self):
-        return self.replies.pop(0)
-
-
-def _bare_handle():
-    import itertools
-    import threading
-
-    from repro.collections.service import _WorkerHandle
-
-    handle = _WorkerHandle.__new__(_WorkerHandle)
-    handle.shard = 0
-    handle._lock = threading.Lock()
-    handle._req_ids = itertools.count()
-    handle._poisoned = False
-    handle.conn = _ScriptedConn()
-    return handle
-
-
-def test_worker_handle_drains_late_reply_after_timeout():
-    handle = _bare_handle()
-    with pytest.raises(RuntimeError, match="deadline"):
-        handle.request("ping", {}, timeout=0.01)
-    # the worker recovers and its late answer to request 0 lands on the
-    # pipe; the next request drains it instead of wedging on a reply-id
-    # mismatch forever.
-    handle.conn.replies = [("ok", 0, {"late": True}), ("ok", 1, {"fresh": True})]
-    assert handle.request("ping", {}) == {"fresh": True}
-
-
-def test_worker_handle_poisons_on_protocol_violation():
-    handle = _bare_handle()
-    handle.conn.replies = [("ok", 99, {})]
-    with pytest.raises(RuntimeError, match="answered"):
-        handle.request("ping", {})
-    with pytest.raises(RuntimeError, match="broke protocol"):
-        handle.request("ping", {})
+def test_write_after_owner_worker_dies_respawns_it_with_the_write():
+    """Kill the owner of a new document, then write it into a brand-new
+    collection: the write may fail (structured) or succeed, but the owner
+    comes back booted from the authoritative store, so every read after it
+    equals an index-off evaluation of that store."""
+    uri = "brand/sub/new.xml"
+    with SearchService(make_store(), shards=2, mode="process") as service:
+        victim = service._workers[bucket(uri, 2)]
+        victim.process.kill()
+        victim.process.join(timeout=5.0)
+        try:
+            service.put_text(uri, "<doc>alpha fresh</doc>")
+        except Exception as exc:
+            assert classify_error(exc).kind in ("internal", "timeout")
+        requests = [
+            SearchRequest(kind="doc", uri=uri),
+            SearchRequest(kind="search", collection="brand/", phrase="alpha"),
+            SearchRequest(kind="collection", collection="brand/"),
+            SEARCH,
+        ]
+        for request in requests:
+            served = service.run(request).text
+            assert served == service.evaluate_fresh(request, use_index=False)
+        assert "brand/sub/new.xml" in service.run(requests[1]).text
+        stats = service.stats()
+        assert stats["restarts"] == 1
+        assert [worker["restarts"] for worker in stats["workers"]] == [
+            int(shard == bucket(uri, 2)) for shard in range(2)
+        ]
 
 
 # -- reads do not serialize on the service lock --------------------------------
@@ -320,7 +294,7 @@ def test_read_overlapping_a_write_skips_the_cache_insert():
         # lock the blocked reader holds (shard 0 scatters first).
         write_uri = next(
             f"notes/w{i}.xml" for i in range(64)
-            if doc_shard(f"notes/w{i}.xml", 2) == 1
+            if bucket(f"notes/w{i}.xml", 2) == 1
         )
         started, release = threading.Event(), threading.Event()
         original = service._execute

@@ -11,7 +11,7 @@ from repro.xquery import (
     XQueryStaticError,
     parse_query,
 )
-from repro.xquery.statictype import check_module
+from repro.xquery.analysis.types import check_module
 
 DEAD_TRACE = 'let $x := 6 * 7 let $dummy := trace("x=", $x) return $x'
 

@@ -1,6 +1,7 @@
 """End-to-end tests for the shared-nothing serving tier (mode="process")."""
 
 import os
+import signal
 
 import pytest
 
@@ -9,8 +10,13 @@ from repro.querycalc.service import (
     QueryOverloadError,
     QueryService,
 )
+from repro.querycalc.service.errors import classify_error
 from repro.querycalc.service.faults import FaultInjector
-from repro.testing.models import random_calculus_query, random_model
+from repro.testing.models import (
+    random_calculus_query,
+    random_document_store,
+    random_model,
+)
 
 import random
 import threading
@@ -286,6 +292,54 @@ def test_worker_crash_respawns_and_recovers(model):
         assert svc.metrics()["serving"]["restarts"] >= 1
     finally:
         svc.close()
+
+
+def _tier_under_test(model, tier):
+    """(service, its worker handles, serve(), reference()) for one tier."""
+    if tier == "query":
+        svc = QueryService(model, mode="process", workers=2)
+        twin = QueryService(model)
+        query = all_nodes_query(sort_by="label")
+        return (
+            svc,
+            svc._pool.handles,
+            lambda: ids(svc.run(query)),
+            lambda: ids(twin.run(query)),
+        )
+    from repro.collections import SearchRequest, SearchService
+
+    svc = SearchService(random_document_store(41, docs=12), shards=2, mode="process")
+    request = SearchRequest(kind="search", collection="", phrase="alpha")
+    return (
+        svc,
+        svc._workers,
+        lambda: svc.run(request).text,
+        lambda: svc.evaluate_fresh(request, use_index=False),
+    )
+
+
+@pytest.mark.parametrize("tier", ["query", "search"])
+def test_hung_worker_times_out_and_is_respawned(model, tier):
+    """Both tiers share one worker handle: a worker that stops answering
+    fails the request with a structured XQDY_TIMEOUT and is replaced, and
+    the replacement answers like the reference path."""
+    svc, handles, serve, reference = _tier_under_test(model, tier)
+    with svc:
+        victim = handles[0]
+        hung = victim.process
+        os.kill(hung.pid, signal.SIGSTOP)
+        victim.request_timeout = 0.5
+        try:
+            with pytest.raises(Exception) as caught:
+                serve()
+        finally:
+            if hung.is_alive():
+                hung.kill()
+        error = classify_error(caught.value)
+        assert (error.kind, error.code) == ("timeout", "XQDY_TIMEOUT")
+        assert victim.restarts == 1
+        assert victim.process is not hung and victim.process.is_alive()
+        assert serve() == reference()
 
 
 def test_metrics_expose_p99_and_mode(model, service):

@@ -1,7 +1,7 @@
 """Tests for the static checker and the type-metastasis measurement."""
 
 from repro.xquery import parse_query
-from repro.xquery.statictype import annotation_pressure, call_graph, check_module
+from repro.xquery.analysis.types import annotation_pressure, call_graph, check_module
 
 
 class TestChecker:

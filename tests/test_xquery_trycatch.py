@@ -8,7 +8,7 @@ import pytest
 
 from repro.workloads import nested_input, trycatch_chain_program
 from repro.xquery import XQueryEngine, XQueryStaticError, XQueryUserError
-from repro.xquery.statictype import check_module
+from repro.xquery.analysis.types import check_module
 from repro.xquery import parse_query
 
 engine = XQueryEngine()

@@ -3,7 +3,7 @@
 import pytest
 
 from repro.xquery import XQueryEngine, XQueryStaticError
-from repro.xquery.statictype import check_module
+from repro.xquery.analysis.types import check_module
 from repro.xquery import parse_query
 
 engine = XQueryEngine()
