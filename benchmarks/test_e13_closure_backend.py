@@ -1,19 +1,24 @@
-"""E13 — the closure-compiling backend vs the treewalk reference.
+"""E13 — the production algebra backend vs the treewalk reference.
 
 The paper's lopsidedness numbers (`e05`, `e06`) are measured on the
-period-accurate treewalk.  The closure backend compiles the same optimized
-AST to nested Python closures and uses the lazy name indexes on elements;
-this experiment shows how much of the gap was interpreter overhead rather
-than the language itself — and that the paper's native-vs-XQuery *ordering*
+period-accurate treewalk.  The algebra backend runs what it can as
+set-at-a-time plans and hands everything else to the closure compiler,
+which compiles the optimized AST to nested Python closures and uses the
+lazy name indexes on elements.  The docgen templates (e05) lower almost
+entirely to that fallback, so their rows measure the closure compiler;
+the calculus queries (e06) lower to hash-join plans.  This experiment
+shows how much of the gap was interpreter overhead rather than the
+language itself — and that the paper's native-vs-XQuery *ordering*
 survives: even compiled, the XQuery path stays well behind the native one.
 
-Methodology: this machine's throughput drifts by 2–3x between processes,
-so each comparison interleaves the two backends inside one process and
-takes the best of N alternations; the treewalk acts as the in-run control.
-Outputs are asserted identical before anything is timed.
+Methodology: throughput drifts by 2–3x between processes on a shared
+machine, so each comparison interleaves the two backends inside one
+process and takes the best of N alternations; the treewalk acts as the
+in-run control.  Outputs are asserted identical before anything is timed.
 
-The hard gate (kept CI-noise-proof at a generous 1.0x) is that the closure
-backend is never *slower* than the treewalk on the e05 scale=4 workload.
+The hard gates: the algebra's fallback beats the treewalk by at least
+1.3x on the e05 scale=4 docgen workload, and the algebra is never
+*slower* than the treewalk on any row (a CI-noise-proof 1.0x).
 """
 
 import time
@@ -66,14 +71,14 @@ def test_e13_closure_backend_speedups():
         template = table_template("User", "Program", "uses")
         generators = {
             backend: XQueryDocumentGenerator(model, engine=_engine(backend))
-            for backend in ("treewalk", "closures")
+            for backend in ("treewalk", "algebra")
         }
         native = NativeDocumentGenerator(model)
         outputs = {
             backend: serialize(generator.generate(template).document)
             for backend, generator in generators.items()
         }
-        assert outputs["treewalk"] == outputs["closures"]
+        assert outputs["treewalk"] == outputs["algebra"]
         assert outputs["treewalk"] == serialize(native.generate(template).document)
 
         best = _interleaved_best(
@@ -86,15 +91,15 @@ def test_e13_closure_backend_speedups():
         for _ in range(5):
             native.generate(template)
         native_seconds = (time.perf_counter() - started) / 5
-        ratio = best["treewalk"] / best["closures"]
+        ratio = best["treewalk"] / best["algebra"]
         guard_ratios[f"e05/{scale}"] = ratio
         # the paper's ordering: native stays far ahead of both backends.
-        assert native_seconds < best["closures"]
+        assert native_seconds < best["algebra"]
         rows.append(
             (
                 f"e05 docgen {scale}x{max(2, scale // 2)}",
                 f"{best['treewalk'] * 1000:.1f}ms",
-                f"{best['closures'] * 1000:.1f}ms",
+                f"{best['algebra'] * 1000:.1f}ms",
                 f"{ratio:.2f}x",
                 f"{native_seconds * 1000:.2f}ms",
                 "same",
@@ -106,7 +111,7 @@ def test_e13_closure_backend_speedups():
         model = make_it_model(scale=scale)
         backends = {
             backend: XQueryCalculusBackend(model, engine=_engine(backend))
-            for backend in ("treewalk", "closures")
+            for backend in ("treewalk", "algebra")
         }
         for backend in backends.values():
             backend.export  # build the XML export outside the timed region
@@ -115,7 +120,7 @@ def test_e13_closure_backend_speedups():
             for name, backend in backends.items()
         }
         native_ids = [n.id for n in run_query(QUERY, model)]
-        assert ids["treewalk"] == ids["closures"] == native_ids
+        assert ids["treewalk"] == ids["algebra"] == native_ids
 
         best = _interleaved_best(
             {
@@ -127,15 +132,15 @@ def test_e13_closure_backend_speedups():
         for _ in range(50):
             run_query(QUERY, model)
         native_seconds = (time.perf_counter() - started) / 50
-        ratio = best["treewalk"] / best["closures"]
+        ratio = best["treewalk"] / best["algebra"]
         guard_ratios[f"e06/{scale}"] = ratio
-        assert native_seconds < best["closures"]
+        assert native_seconds < best["algebra"]
         stats = model.stats()
         rows.append(
             (
                 f"e06 query n={stats['nodes']}",
                 f"{best['treewalk'] * 1000:.1f}ms",
-                f"{best['closures'] * 1000:.1f}ms",
+                f"{best['algebra'] * 1000:.1f}ms",
                 f"{ratio:.2f}x",
                 f"{native_seconds * 1000:.2f}ms",
                 "same",
@@ -145,7 +150,7 @@ def test_e13_closure_backend_speedups():
     record_result(
         "e13_closure_backend.txt",
         format_table(
-            ["workload", "treewalk", "closures", "speedup", "native", "output"],
+            ["workload", "treewalk", "algebra", "speedup", "native", "output"],
             rows,
         ),
     )
@@ -157,18 +162,19 @@ def test_e13_closure_backend_speedups():
                 {
                     "workload": workload,
                     "treewalk_ms": float(treewalk.rstrip("ms")),
-                    "closures_ms": float(closures.rstrip("ms")),
+                    "algebra_ms": float(algebra.rstrip("ms")),
                     "speedup": float(speedup.rstrip("x")),
                     "native_ms": float(native.rstrip("ms")),
                     "output": output,
                 }
-                for workload, treewalk, closures, speedup, native, output in rows
+                for workload, treewalk, algebra, speedup, native, output in rows
             ],
         },
     )
 
-    # The CI gate: closures must never regress below the treewalk on the
-    # small docgen workload (generous 1.0x so machine noise cannot flake it).
-    assert guard_ratios["e05/4"] >= 1.0
-    # And every measured workload must at least not regress.
-    assert all(ratio >= 1.0 for ratio in guard_ratios.values())
+    # The CI gate: the algebra's closure-compiler fallback must clearly beat
+    # the treewalk on the small docgen workload ...
+    assert guard_ratios["e05/4"] >= 1.3, guard_ratios
+    # ... and no measured workload may regress below the treewalk (a
+    # generous 1.0x so machine noise cannot flake it).
+    assert all(ratio >= 1.0 for ratio in guard_ratios.values()), guard_ratios

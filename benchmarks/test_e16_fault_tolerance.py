@@ -8,11 +8,11 @@ still return a correct answer) and **p50/p95 latency** across three
 configurations:
 
 * **baseline** — no faults, for reference latency;
-* **degraded** — internal faults restricted to the closures backend at a
-  10% rate.  Graceful degradation retries each internal failure once on
-  the treewalk reference backend, so availability stays ≥ 99% (in
-  practice 100%: every fault is absorbed) at the cost of slower retried
-  requests in the tail;
+* **degraded** — internal faults restricted to the algebra backend (the
+  service's primary) at a 10% rate.  Graceful degradation retries each
+  internal failure once on the treewalk reference backend, so
+  availability stays ≥ 99% (in practice 100%: every fault is absorbed)
+  at the cost of slower retried requests in the tail;
 * **isolated** — spec (dynamic) faults at a 10% rate.  These are the
   query's own fault, so no retry can save them — availability sits near
   90% — but every failure is a structured per-query error and every
@@ -109,7 +109,7 @@ def test_e16_smoke_availability():
     """CI smoke gate: ≥ 99% availability at a 10% injected fault rate,
     thanks to degradation onto the treewalk backend."""
     config = FaultConfig(
-        eval_failure_rate=FAULT_RATE, eval_backends={"closures"}, seed=13
+        eval_failure_rate=FAULT_RATE, eval_backends={"algebra"}, seed=13
     )
     availability, _, metrics, _ = _run_scenario(config, rounds=3)
     assert availability >= 0.99, f"availability collapsed: {availability:.3f}"
@@ -122,7 +122,7 @@ def test_e16_fault_tolerance_matrix():
         (
             "degraded",
             FaultConfig(
-                eval_failure_rate=FAULT_RATE, eval_backends={"closures"}, seed=13
+                eval_failure_rate=FAULT_RATE, eval_backends={"algebra"}, seed=13
             ),
         ),
         (

@@ -4,7 +4,7 @@ The parity suites replay programs someone thought to write; E17 measures
 what the *generated* conformance campaign covers.  One fixed-seed run
 
 * generates ≥ 500 programs across the three kinds (raw XQuery programs
-  for the treewalk/closures pair, metamorphic rewrite pairs, and calculus
+  for the treewalk/algebra pair, metamorphic rewrite pairs, and calculus
   queries for the native / via-XQuery / service fleet),
 * reports grammar-production coverage (how much of the subset the
   weighted grammar actually exercised),

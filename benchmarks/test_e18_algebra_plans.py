@@ -12,7 +12,6 @@ path.  The matrix runs the same three-hop workload as E6/E15 at the same
 scales, comparing per-backend cold times against the native reference:
 
 * ``treewalk``  — the reference evaluator, nested loops (the E6 story);
-* ``closures``  — the compiled evaluator, still tuple-at-a-time;
 * ``algebra``   — set-at-a-time hash-join plans over the statistics
   catalog collected at export time (the service default cold path).
 
@@ -50,7 +49,6 @@ QUERY = parse_query_xml(
 SCALES = [8, 24, 48]  # n = 17, 51, 101 nodes — the E6 matrix
 NATIVE_ROUNDS = 50
 ALGEBRA_COLD_ROUNDS = 7  # the gated number: generous best-of against noise
-CLOSURES_COLD_ROUNDS = 2
 TREEWALK_COLD_ROUNDS = 1  # quadratic: one round is seconds at n=101
 WARM_ROUNDS = 5
 
@@ -120,9 +118,6 @@ def test_e18_algebra_plans_matrix():
         treewalk_seconds = _cold_seconds(
             model, "treewalk", TREEWALK_COLD_ROUNDS, native_ids
         )
-        closures_seconds = _cold_seconds(
-            model, "closures", CLOSURES_COLD_ROUNDS, native_ids
-        )
         algebra_seconds = _cold_seconds(
             model, "algebra", ALGEBRA_COLD_ROUNDS, native_ids
         )
@@ -141,11 +136,9 @@ def test_e18_algebra_plans_matrix():
             "relations": stats["relations"],
             "native_ms": native_seconds * 1000,
             "treewalk_cold_ms": treewalk_seconds * 1000,
-            "closures_cold_ms": closures_seconds * 1000,
             "algebra_cold_ms": algebra_seconds * 1000,
             "algebra_warm_ms": warm_seconds * 1000,
             "treewalk_cold_vs_native": treewalk_seconds / native_seconds,
-            "closures_cold_vs_native": closures_seconds / native_seconds,
             "algebra_cold_vs_native": algebra_seconds / native_seconds,
         }
         json_rows.append(row)
@@ -154,10 +147,8 @@ def test_e18_algebra_plans_matrix():
                 stats["nodes"],
                 f"{native_seconds * 1000:.2f}ms",
                 f"{treewalk_seconds * 1000:.0f}ms",
-                f"{closures_seconds * 1000:.1f}ms",
                 f"{algebra_seconds * 1000:.1f}ms",
                 f"{row['treewalk_cold_vs_native']:.0f}x",
-                f"{row['closures_cold_vs_native']:.0f}x",
                 f"{row['algebra_cold_vs_native']:.1f}x",
             )
         )
@@ -187,10 +178,8 @@ def test_e18_algebra_plans_matrix():
                 "nodes",
                 "native",
                 "tw-cold",
-                "cl-cold",
                 "alg-cold",
                 "tw/nat",
-                "cl/nat",
                 "alg/nat",
             ],
             matrix_rows,
@@ -207,9 +196,6 @@ def test_e18_algebra_plans_matrix():
         "plan_text": explanation["text"],
         "headline": {
             "cold_vs_native_at_n101": headline["algebra_cold_vs_native"],
-            "closures_cold_vs_native_at_n101": headline[
-                "closures_cold_vs_native"
-            ],
             "treewalk_cold_vs_native_at_n101": headline[
                 "treewalk_cold_vs_native"
             ],

@@ -60,7 +60,7 @@ class FaultConfig:
 
     Rates are probabilities in [0, 1] checked once per hook call.
     ``eval_backends`` restricts evaluation faults to specific engine
-    backends (e.g. ``{"closures"}`` faults only the fast path, leaving
+    backends (e.g. ``{"algebra"}`` faults only the fast path, leaving
     the treewalk fallback clean — the graceful-degradation scenario);
     ``None`` faults every backend.
     """

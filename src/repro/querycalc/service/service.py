@@ -28,7 +28,7 @@ of an unhandled exception:
   between pipeline stages and raise ``XQDY_TIMEOUT`` cleanly instead of
   hanging a worker;
 * **graceful degradation** — an *internal* (non-spec) error from the
-  closures backend is retried once on the treewalk reference backend
+  algebra backend is retried once on the treewalk reference backend
   before surfacing, and counted in ``metrics()["fallbacks"]``;
 * **fault injection** — a :class:`~repro.querycalc.service.faults.FaultInjector`
   can fail or stall any pipeline site, which is how the chaos suite and
@@ -701,7 +701,7 @@ class QueryService:
         """Evaluate one plan, returning (node ids, trace messages).
 
         Spec errors (including timeouts) surface as-is.  An *internal*
-        error from the compiled closures backend is retried once on the
+        error from the algebra backend is retried once on the
         treewalk reference backend — graceful degradation: correctness
         from the reference interpreter beats failing the request — and
         only surfaces if the retry also fails.

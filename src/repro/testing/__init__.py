@@ -1,7 +1,8 @@
 """Generative differential conformance harness.
 
 The repo carries four implementations that must agree — the treewalk
-interpreter, the closure compiler, the cached/fault-tolerant
+interpreter, the algebra backend (with its closure-compiler fallback),
+the cached/fault-tolerant
 :class:`~repro.querycalc.service.QueryService`, and the native-vs-XQuery
 calculus pair — and hand-written parity corpora only cover the programs
 someone thought to write.  This package generates the rest:

@@ -4,7 +4,8 @@ Two oracle families:
 
 * the **XQuery pair** — a generated program is compiled once per
   :class:`~repro.xquery.context.EngineConfig` and run under both engine
-  backends; serialized results, ``fn:trace`` output, and error
+  backends (the treewalk reference and the algebra, whose fallback is the
+  closure compiler); serialized results, ``fn:trace`` output, and error
   (class, code, message) triples must match exactly.
 * the **calculus fleet** — a generated calculus query runs under the
   native graph interpreter, the via-XQuery backend on both engine
@@ -36,7 +37,6 @@ from ..xquery.errors import XQueryError
 CALCULUS_ENGINES = (
     "native",
     "via-treewalk",
-    "via-closures",
     "via-algebra",
     "service-cold",
     "service-warm",
@@ -221,7 +221,7 @@ def compare_xquery(
     run_kwargs: Optional[dict] = None,
     timeout: Optional[float] = None,
 ) -> Optional[Divergence]:
-    """The pair oracle: treewalk and closures must agree on everything."""
+    """The pair oracle: treewalk and algebra must agree on everything."""
     outcomes = xquery_outcomes(source, config, run_kwargs, timeout=timeout)
     return divergence_from(source, outcomes, "xquery-pair")
 
@@ -515,7 +515,7 @@ class CollectionOracle:
 
     One program runs under every engine backend **twice** — once with the
     store's inverted index answering ``ft:search`` and once with the index
-    disabled (brute-force document scan) — six outcomes that must agree
+    disabled (brute-force document scan) — four outcomes that must agree
     byte-for-byte.  Nothing here is ever allowlisted: the allowlist's
     rules all match kind ``"calculus"``, and a collection divergence
     (indexed vs scan, or backend vs backend) is always a bug.

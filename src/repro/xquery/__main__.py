@@ -19,7 +19,7 @@ import time
 
 from ..xmlio import parse_document
 from .api import XQueryEngine, serialize_result
-from .context import EngineConfig, TraceLog
+from .context import BACKENDS, EngineConfig, TraceLog
 from .errors import XQueryError
 
 
@@ -65,7 +65,7 @@ def build_argument_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument(
         "--backend",
-        choices=("treewalk", "closures", "algebra"),
+        choices=BACKENDS,
         default="treewalk",
         help="execution backend (default: treewalk, the reference interpreter)",
     )
@@ -144,7 +144,7 @@ def main(argv=None) -> int:
             else:
                 explanation = query.algebra.explain()
                 if explanation["fallback"]:
-                    print("(whole query falls back to the treewalk evaluator)")
+                    print("(whole query falls back to the closure compiler)")
                 print(explanation["text"])
         except XQueryError as error:
             print(str(error), file=sys.stderr)
@@ -153,10 +153,8 @@ def main(argv=None) -> int:
     try:
         started = time.perf_counter()
         query = engine.compile(source)
-        if args.backend == "closures":
-            query.closures  # build the closure program inside the compile window
-        elif args.backend == "algebra":
-            query.algebra  # likewise: lowering+optimization is compile work
+        if args.backend == "algebra":
+            query.algebra  # lowering+optimization is compile work
         compile_seconds = time.perf_counter() - started
         started = time.perf_counter()
         result = query.run(

@@ -3,18 +3,18 @@
 The paper's central complaint is *lopsidedness*: a language small enough to
 write in an afternoon, implemented so naively that a two-line query is
 "preposterously inefficient".  This package is the repository's answer —
-the third execution backend, ``EngineConfig(backend="algebra")``:
+the production backend, ``EngineConfig(backend="algebra")``:
 
 * :mod:`.lowering` turns the parsed AST into a small logical algebra
   (index scans, twig hash joins, select/project, order-by, FLWOR tuple
-  sources), falling back to the tree-walking evaluator for anything
-  outside the fragment;
+  sources), leaving anything outside the fragment to the closure
+  compiler (:mod:`repro.xquery.compiler`);
 * :mod:`.optimize` is the rewrite/cost pass, fed by a
   :class:`~.stats.StatisticsCatalog` collected at export time;
 * :mod:`.executor` interprets plans set-at-a-time, producing bit-identical
   XDM sequences (the differential fuzzer enforces this);
-* :class:`AlgebraProgram` packages the three behind the same interface the
-  closure backend exposes to :class:`~repro.xquery.api.CompiledQuery`.
+* :class:`AlgebraProgram` packages the three, and the closure compiler,
+  for :class:`~repro.xquery.api.CompiledQuery`.
 """
 
 from __future__ import annotations
@@ -24,8 +24,8 @@ import threading
 from typing import Dict, Optional, Tuple
 
 from .. import ast
+from ..compiler import Compiler, Thunk
 from ..context import DynamicContext, EngineConfig
-from ..evaluator import evaluate
 from .executor import ExecState, SharedEvalCache, execute_plan
 from .lowering import Lowerer
 from .optimize import optimize_plan
@@ -46,11 +46,11 @@ __all__ = [
 class AlgebraProgram:
     """A module lowered to a logical plan, ready for repeated execution.
 
-    Mirrors the closure backend's ``CompiledProgram`` contract: built once
-    per compiled query (lazily, under the query's lock) and reused across
-    runs.  Re-optimization happens when a run supplies a different
-    statistics catalog; every optimizer decision is semantics-preserving,
-    so executions racing a re-optimization stay correct.
+    Built once per compiled query (lazily, under the query's lock) and
+    reused across runs.  Re-optimization happens when a run supplies a
+    different statistics catalog; every optimizer decision is
+    semantics-preserving, so executions racing a re-optimization stay
+    correct.
     """
 
     def __init__(
@@ -69,6 +69,26 @@ class AlgebraProgram:
         self._optimized_for: Optional[StatisticsCatalog] = None
         self._occurrences: Optional[Dict[int, str]] = None
         self.optimize_for(None)
+        self._compiler: Optional[Compiler] = None
+        self._thunks: Dict[int, Thunk] = {}
+        self._compile_lock = threading.Lock()
+
+    # -- the fallback evaluator -------------------------------------------
+
+    def thunk(self, expr: ast.Expr) -> Thunk:
+        """The closure for *expr*, the fallback's one evaluator, compiled on
+        first use.  Keyed on the expression (a node of ``self.module``, so
+        its id is stable), not the plan node: the optimizer rebuilds
+        predicates and swaps join probes."""
+        thunk = self._thunks.get(id(expr))
+        if thunk is None:
+            with self._compile_lock:
+                thunk = self._thunks.get(id(expr))
+                if thunk is None:
+                    if self._compiler is None:
+                        self._compiler = Compiler(self.functions, self.config)
+                    thunk = self._thunks[id(expr)] = self._compiler.compile(expr)
+        return thunk
 
     # -- optimization -----------------------------------------------------
 
@@ -131,11 +151,11 @@ class AlgebraProgram:
         shared_cache: Optional[SharedEvalCache] = None,
     ):
         if self.trivial:
-            # the whole body fell back: run the reference evaluator with no
+            # the whole body fell back: run its closure with no
             # plan-interpretation overhead at all.
-            return evaluate(self.module.body, ctx)
+            return self.thunk(self.module.body)(ctx)
         plan = self.optimize_for(statistics)
-        return execute_plan(plan, ctx, {}, ExecState(shared_cache))
+        return execute_plan(plan, ctx, {}, ExecState(self.thunk, shared_cache))
 
     # -- explain ----------------------------------------------------------
 

@@ -18,7 +18,7 @@ sources, each individually proven equivalent:
   once.
 
 Anything the lowering could not prove safe sits in an ``EvalPlan`` leaf and
-runs on the reference evaluator with the exact same dynamic context.
+runs on the program's closure compiler with the exact same dynamic context.
 """
 
 from __future__ import annotations
@@ -43,7 +43,6 @@ from ..evaluator import (
     _OrderKey,
     _test_matches,
     ebv,
-    evaluate,
 )
 from ..errors import XQueryTypeError
 from .plans import (
@@ -121,11 +120,13 @@ class SharedEvalCache:
 
 
 class ExecState:
-    """Per-run executor state: local memos plus the optional shared cache."""
+    """Per-run executor state: fallback closures, memos, the shared cache."""
 
-    __slots__ = ("shared", "join_builds", "scans", "roots", "probes")
+    __slots__ = ("thunk", "shared", "join_builds", "scans", "roots", "probes")
 
-    def __init__(self, shared: Optional[SharedEvalCache] = None):
+    def __init__(self, thunk, shared: Optional[SharedEvalCache] = None):
+        #: ``AlgebraProgram.thunk``: AST expression -> its compiled closure.
+        self.thunk = thunk
         self.shared = shared
         #: (op identity, base node ids) -> _JoinBuild
         self.join_builds: Dict[tuple, "_JoinBuild"] = {}
@@ -138,10 +139,6 @@ class ExecState:
         #: (op identity, build identity, probe key) -> match list, for
         #: single-key probes whose residual is tuple-independent.
         self.probes: Dict[tuple, list] = {}
-        #: id(node) -> (node, [root]): fn:root is pure per node, and join
-        #: scans anchored on root($n) re-resolve it once per tuple — the
-        #: node reference in the value pins the id against reuse.
-        self.roots: Dict[int, tuple] = {}
 
 
 def execute_plan(plan: Plan, ctx: DynamicContext, bindings: dict, state: ExecState):
@@ -153,7 +150,7 @@ def execute_plan(plan: Plan, ctx: DynamicContext, bindings: dict, state: ExecSta
 
 def _exec_eval(plan: EvalPlan, ctx, bindings, state):
     scope = ctx.with_variables(bindings) if bindings else ctx
-    return evaluate(plan.expr, scope)
+    return state.thunk(plan.expr)(scope)
 
 
 def _exec_literal(plan: LiteralPlan, ctx, bindings, state):
@@ -247,15 +244,14 @@ def _exec_inline_call(plan: InlineCallPlan, ctx, bindings, state):
 # -- predicates --------------------------------------------------------------
 
 
-def _generic_keep(pred_expr, item, position, size, scope) -> bool:
-    focus = scope.with_focus(item, position, size)
-    result = evaluate(pred_expr, focus)
+def _generic_keep(state, pred_expr, item, position, size, scope) -> bool:
+    result = state.thunk(pred_expr)(scope.with_focus(item, position, size))
     if _is_numeric_predicate(result):
         return float(result[0]) == position
     return ebv(result, pred_expr, scope)
 
 
-def _apply_pred_plans(items, predicates, ctx, bindings):
+def _apply_pred_plans(items, predicates, ctx, bindings, state):
     """Apply compiled predicates to one candidate list — `_apply_predicates`
     with fast paths; positions renumber between predicates, exactly as the
     reference does."""
@@ -286,7 +282,7 @@ def _apply_pred_plans(items, predicates, ctx, bindings):
                             kept.append(item)
                     elif any(a.value in values for a in matches):
                         kept.append(item)
-                elif _generic_keep(pred.expr, item, position, size, scope):
+                elif _generic_keep(state, pred.expr, item, position, size, scope):
                     kept.append(item)
         elif isinstance(pred, AttrValueEqPred):
             name, value = pred.name, pred.value
@@ -297,10 +293,10 @@ def _apply_pred_plans(items, predicates, ctx, bindings):
                         if matches[0].value == value:
                             kept.append(item)
                     elif matches and _generic_keep(
-                        pred.expr, item, position, size, scope
+                        state, pred.expr, item, position, size, scope
                     ):  # >1 attrs (keep-mode): the reference path raises
                         kept.append(item)
-                elif _generic_keep(pred.expr, item, position, size, scope):
+                elif _generic_keep(state, pred.expr, item, position, size, scope):
                     kept.append(item)
         elif isinstance(pred, AttrExistsPred):
             name = pred.name
@@ -308,12 +304,12 @@ def _apply_pred_plans(items, predicates, ctx, bindings):
                 if isinstance(item, ElementNode):
                     if item.attributes_by_name(name):
                         kept.append(item)
-                elif _generic_keep(pred.expr, item, position, size, scope):
+                elif _generic_keep(state, pred.expr, item, position, size, scope):
                     kept.append(item)
         else:
             expr = pred.expr
             for position, item in enumerate(items, start=1):
-                if _generic_keep(expr, item, position, size, scope):
+                if _generic_keep(state, expr, item, position, size, scope):
                     kept.append(item)
         items = kept
     return items
@@ -377,15 +373,15 @@ def _step_candidates(step: StepPlan, node):
     ]
 
 
-def _run_steps(current, ordered, non_nested, steps, ctx, bindings):
+def _run_steps(current, ordered, non_nested, steps, ctx, bindings, state):
     for step in steps:
         current, ordered, non_nested = _run_one_step(
-            current, ordered, non_nested, step, ctx, bindings
+            current, ordered, non_nested, step, ctx, bindings, state
         )
     return current, ordered, non_nested
 
 
-def _run_one_step(current, ordered, non_nested, step: StepPlan, ctx, bindings):
+def _run_one_step(current, ordered, non_nested, step: StepPlan, ctx, bindings, state):
     ctx.check_deadline()
     if step.separator == "//":
         current, ordered, non_nested = _expand_descendants(current, ordered, non_nested)
@@ -402,7 +398,7 @@ def _run_one_step(current, ordered, non_nested, step: StepPlan, ctx, bindings):
             )
         candidates = _step_candidates(step, item)
         if step.predicates:
-            candidates = _apply_pred_plans(candidates, step.predicates, ctx, bindings)
+            candidates = _apply_pred_plans(candidates, step.predicates, ctx, bindings, state)
         results.extend(candidates)
     ordered, non_nested, needs_sort = _order_after(
         step.axis, ordered, non_nested, single
@@ -448,19 +444,19 @@ def _exec_path(plan: PathPlan, ctx, bindings, state):
                 state.scans[local_key] = value
                 return value
         result, _, _ = _run_steps(
-            current, ordered, non_nested, plan.steps, ctx, bindings
+            current, ordered, non_nested, plan.steps, ctx, bindings, state
         )
         if shared is not None:
             shared.put(shared_key, result)
         state.scans[local_key] = result
         return result
-    result, _, _ = _run_steps(current, ordered, non_nested, plan.steps, ctx, bindings)
+    result, _, _ = _run_steps(current, ordered, non_nested, plan.steps, ctx, bindings, state)
     return result
 
 
 def _exec_filter(plan: FilterPlan, ctx, bindings, state):
     items = execute_plan(plan.base, ctx, bindings, state)
-    return _apply_pred_plans(items, plan.predicates, ctx, bindings)
+    return _apply_pred_plans(items, plan.predicates, ctx, bindings, state)
 
 
 # -- FLWOR -------------------------------------------------------------------
@@ -469,6 +465,7 @@ def _exec_filter(plan: FilterPlan, ctx, bindings, state):
 def _exec_flwor(plan: FLWORPlan, ctx, bindings, state):
     tuples: List[dict] = [dict(bindings)]
     invariants: Dict[int, list] = {}
+    check_deadline = ctx.deadline is not None  # checked per tuple, per clause
     for op in plan.ops:
         ctx.check_deadline()
         if isinstance(op, ForOp):
@@ -477,6 +474,8 @@ def _exec_flwor(plan: FLWORPlan, ctx, bindings, state):
             tuples = _expand_join_op(op, tuples, ctx, state)
         elif isinstance(op, LetOp):
             for tuple_bindings in tuples:
+                if check_deadline:
+                    ctx.check_deadline()
                 value = execute_plan(op.value, ctx, tuple_bindings, state)
                 declared = op.declared_type
                 if declared is not None and not declared.matches(value):
@@ -489,20 +488,18 @@ def _exec_flwor(plan: FLWORPlan, ctx, bindings, state):
                     )
                 tuple_bindings[op.var] = value
         elif isinstance(op, WhereOp):
-            tuples = [
-                tuple_bindings
-                for tuple_bindings in tuples
-                if ebv(
-                    execute_plan(op.condition, ctx, tuple_bindings, state),
-                    op.condition_expr,
-                    ctx,
-                )
-            ]
+            kept = []
+            for tuple_bindings in tuples:
+                if check_deadline:
+                    ctx.check_deadline()
+                value = execute_plan(op.condition, ctx, tuple_bindings, state)
+                if ebv(value, op.condition_expr, ctx):
+                    kept.append(tuple_bindings)
+            tuples = kept
         elif isinstance(op, OrderOp):
             tuples = _order_tuples_op(op, tuples, ctx, state)
     result: list = []
     result_plan = plan.result
-    check_deadline = ctx.deadline is not None
     for tuple_bindings in tuples:
         if check_deadline:
             ctx.check_deadline()
@@ -535,7 +532,10 @@ def _expand_for_op(op: ForOp, tuples, ctx, state, invariants):
 
 def _order_tuples_op(op: OrderOp, tuples, ctx, state):
     decorated = []
+    check_deadline = ctx.deadline is not None
     for index, tuple_bindings in enumerate(tuples):
+        if check_deadline:
+            ctx.check_deadline()
         keys = tuple(
             _OrderKey(
                 execute_plan(key_plan, ctx, tuple_bindings, state),
@@ -650,7 +650,7 @@ def _join_build(op: ForJoinOp, ctx, tuple_bindings, state) -> _JoinBuild:
     inner = scan.steps[:-1]
     last = scan.steps[-1]
     current, ordered, non_nested = _run_steps(
-        base, ordered, non_nested, inner, ctx, tuple_bindings
+        base, ordered, non_nested, inner, ctx, tuple_bindings, state
     )
     ctx.check_deadline()
     if last.separator == "//":
@@ -668,7 +668,7 @@ def _join_build(op: ForJoinOp, ctx, tuple_bindings, state) -> _JoinBuild:
             )
         candidates = _step_candidates(last, item)
         if last.predicates:
-            candidates = _apply_pred_plans(candidates, last.predicates, ctx, {})
+            candidates = _apply_pred_plans(candidates, last.predicates, ctx, {}, state)
         groups.append(list(candidates))
     ordered, non_nested, needs_sort = _order_after(last.axis, ordered, non_nested, single)
     build = _JoinBuild(groups, ordered=not needs_sort)
@@ -811,7 +811,7 @@ def _probe_join(op: ForJoinOp, build: _JoinBuild, ctx, tuple_bindings, state):
     hashable = True
     if keys is None:
         scope = ctx.with_variables(tuple_bindings) if tuple_bindings else ctx
-        probe_atoms = atomize(evaluate(op.probe_expr, scope))
+        probe_atoms = atomize(state.thunk(op.probe_expr)(scope))
         keys = []
         for atom in probe_atoms:
             if isinstance(atom, str):
@@ -843,9 +843,9 @@ def _probe_join(op: ForJoinOp, build: _JoinBuild, ctx, tuple_bindings, state):
         if any_multi:
             # some candidate carries duplicate attributes (keep-mode): the
             # reference raises when its predicate reaches that item.
-            return _probe_join_generic(op, build, ctx, tuple_bindings)
+            return _probe_join_generic(op, build, ctx, tuple_bindings, state)
     if not hashable:
-        return _probe_join_generic(op, build, ctx, tuple_bindings)
+        return _probe_join_generic(op, build, ctx, tuple_bindings, state)
     memo_key = None
     if len(keys) == 1 and not any(
         type(pred) is GenericPred for pred in op.residual
@@ -875,7 +875,7 @@ def _probe_join(op: ForJoinOp, build: _JoinBuild, ctx, tuple_bindings, state):
         else:
             matched = []
         if matched and op.residual:
-            matched = _apply_pred_plans(matched, op.residual, ctx, tuple_bindings)
+            matched = _apply_pred_plans(matched, op.residual, ctx, tuple_bindings, state)
         results.extend(matched)
     if not build.ordered:
         results = sort_document_order(results)
@@ -884,12 +884,12 @@ def _probe_join(op: ForJoinOp, build: _JoinBuild, ctx, tuple_bindings, state):
     return results
 
 
-def _probe_join_generic(op: ForJoinOp, build: _JoinBuild, ctx, tuple_bindings):
+def _probe_join_generic(op: ForJoinOp, build: _JoinBuild, ctx, tuple_bindings, state):
     """Per-item fallback: evaluate the join predicate as the reference does."""
     predicates = [GenericPred(op.join_expr)] + list(op.residual)
     results: list = []
     for group in build.groups:
-        results.extend(_apply_pred_plans(group, predicates, ctx, tuple_bindings))
+        results.extend(_apply_pred_plans(group, predicates, ctx, tuple_bindings, state))
     if build.ordered:
         return results
     return sort_document_order(results)

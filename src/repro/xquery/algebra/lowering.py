@@ -1,14 +1,15 @@
-"""Lowering: parsed AST -> logical algebra, with treewalk fallback.
+"""Lowering: parsed AST -> logical algebra, with closure-compiler fallback.
 
 The lowering pass is deliberately conservative.  It recognizes the
 FLWOR/path fragment the calculus compiler emits (scans over the
 ``ElementNode`` name indexes, attribute-equality twig joins, positional
 predicates, ``order by`` over string keys) and lowers everything else to an
 :class:`~.plans.EvalPlan` leaf — a subtree the set-at-a-time executor hands
-to the reference tree-walking evaluator verbatim.  A construct is only
-specialized when the rewrite is provably observation-equivalent, *including
-errors and ``fn:trace`` output*: the differential fuzzer treats any drift
-as a bug, mirroring how the paper treats Galax's optimizer bugs.
+verbatim to the closure compiler, which matches the tree-walking reference
+bit for bit.  A construct is only specialized when the rewrite is provably
+observation-equivalent, *including errors and ``fn:trace`` output*: the
+differential fuzzer treats any drift as a bug, mirroring how the paper
+treats Galax's optimizer bugs.
 
 Safety gates worth naming (each one is a place a faster-but-wrong rewrite
 was rejected):
@@ -470,12 +471,3 @@ def _string_literals(expr: ast.Expr) -> Optional[List[str]]:
             values.append(item.value)
         return values
     return None
-
-
-def lower_body(
-    module: ast.Module,
-    functions: Dict[Tuple[str, int], ast.FunctionDecl],
-    config: EngineConfig,
-) -> Plan:
-    """Lower a module body; an :class:`EvalPlan` result means full fallback."""
-    return Lowerer(functions, config).lower(module.body)

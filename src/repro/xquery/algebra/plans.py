@@ -3,10 +3,11 @@
 The algebra is deliberately small: it covers the FLWOR/path fragment that
 Koch's complexity results single out as polynomial when evaluated
 set-at-a-time, and every construct outside the fragment appears as an
-:class:`EvalPlan` leaf that delegates to the tree-walking evaluator.  That
-delegation rule is what keeps the backend *exactly* faithful to the
-reference semantics — the plan layer only specializes shapes it can prove
-equivalent, and the differential fuzzer holds it to that.
+:class:`EvalPlan` leaf that delegates to the closure compiler, which is
+held at parity with the tree-walking evaluator.  That delegation rule is
+what keeps the backend *exactly* faithful to the reference semantics —
+the plan layer only specializes shapes it can prove equivalent, and the
+differential fuzzer holds it to that.
 
 Plan nodes are declarative: lowering builds them, ``optimize`` annotates
 and reorders them, and :mod:`.executor` interprets them.  Every node knows
@@ -158,7 +159,7 @@ class PositionalPred(PredPlan):
 
 
 class GenericPred(PredPlan):
-    """Any other predicate: evaluated per item by the reference evaluator."""
+    """Any other predicate: evaluated per item by the closure compiler."""
 
     def describe(self) -> str:
         return f"generic predicate @{self.expr.line}:{self.expr.column}"
@@ -210,7 +211,7 @@ class Plan:
 
 
 class EvalPlan(Plan):
-    """Fallback leaf: the subtree is evaluated by the treewalk backend."""
+    """Fallback leaf: the subtree is evaluated by the closure compiler."""
 
     __slots__ = ("expr", "note")
 

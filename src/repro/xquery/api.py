@@ -27,15 +27,11 @@ from typing import Dict, List, Optional, Tuple
 from ..xdm import DocumentNode, Node, Sequence, is_node, sequence
 from ..xmlio import serialize
 from .ast import FunctionDecl, Module
-from .compiler import CompiledProgram
-from .context import DynamicContext, EngineConfig, TraceLog
+from .context import BACKENDS, DynamicContext, EngineConfig, TraceLog
 from .errors import XQueryStaticError, extended_stack
 from .evaluator import evaluate
 from .optimizer import OptimizerStats, optimize_module
 from .parser import parse_query
-
-#: Names accepted by ``EngineConfig.backend`` / ``CompiledQuery.run``.
-BACKENDS = ("treewalk", "closures", "algebra")
 
 
 class CompiledQuery:
@@ -80,8 +76,6 @@ class CompiledQuery:
             self.optimizer_stats = optimize_module(
                 module, trace_is_dead_code=config.trace_is_dead_code
             )
-        self._closures: Optional[CompiledProgram] = None
-        self._closures_lock = threading.Lock()
         self._algebra: Optional["AlgebraProgram"] = None
         self._algebra_lock = threading.Lock()
         self._plan_signature: Optional[str] = None
@@ -105,30 +99,12 @@ class CompiledQuery:
             warnings.warn(diagnostic.render(), LintWarning, stacklevel=4)
 
     @property
-    def closures(self) -> CompiledProgram:
-        """The closure-compiled form of this query, built on first use.
-
-        The treewalk backend needs nothing beyond the AST, so queries that
-        never run under ``backend="closures"`` never pay for compilation.
-        Built under a lock so concurrent first runs (the query service's
-        thread pool) share one program instead of racing to build two.
-        """
-        if self._closures is None:
-            with self._closures_lock:
-                if self._closures is None:
-                    with extended_stack():
-                        self._closures = CompiledProgram(
-                            self.module, self.functions, self.config
-                        )
-        return self._closures
-
-    @property
     def algebra(self) -> "AlgebraProgram":
         """The algebraic plan for this query, built on first use.
 
-        Like :attr:`closures`, lowering is deferred until the query first
-        runs under ``backend="algebra"`` and the result is shared across
-        threads (one plan, one lock).
+        Lowering is deferred until the query first runs under
+        ``backend="algebra"`` (a treewalk-only query never pays for it), and
+        the result is shared across threads (one plan, one lock).
         """
         if self._algebra is None:
             with self._algebra_lock:
@@ -235,15 +211,13 @@ class CompiledQuery:
         provided = {
             name: _coerce_sequence(value) for name, value in (variables or {}).items()
         }
-        program = self.closures if backend == "closures" else None
+        program = self.algebra if backend == "algebra" else None
         with extended_stack():
             self._bind_globals(ctx, provided, program)
             if context_item is not None:
                 ctx = ctx.with_focus(context_item, 1, 1)
             if program is not None:
-                return program.body(ctx)
-            if backend == "algebra":
-                return self.algebra.run(
+                return program.run(
                     ctx, statistics=statistics, shared_cache=algebra_cache
                 )
             return evaluate(self.module.body, ctx)
@@ -252,7 +226,7 @@ class CompiledQuery:
         self,
         ctx: DynamicContext,
         provided: Dict[str, Sequence],
-        program: Optional[CompiledProgram] = None,
+        program: Optional["AlgebraProgram"] = None,
     ) -> None:
         for declaration in self.module.variables:
             if declaration.value is None:
@@ -265,7 +239,7 @@ class CompiledQuery:
                     )
                 value = provided[declaration.name]
             elif program is not None:
-                value = program.variable_values[declaration.name](ctx)
+                value = program.thunk(declaration.value)(ctx)
             else:
                 value = evaluate(declaration.value, ctx)
             if (

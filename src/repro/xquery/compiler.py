@@ -1,12 +1,12 @@
-"""The closure-compiling XQuery backend.
+"""The closure compiler: the algebra backend's fallback evaluator.
 
 The tree-walking evaluator pays a ``_DISPATCH`` dict lookup, attribute
 re-resolution, and a chain of ``isinstance`` tests on *every* evaluation
 step of every node — per row, per cell, per predicate.  This module walks
-the (already optimized) AST **once** at compile time and emits nested
-Python closures (``Callable[[DynamicContext], Sequence]``): all dispatch
+an (already optimized) AST expression **once** and emits nested Python
+closures (``Callable[[DynamicContext], Sequence]``): all dispatch
 decisions, node-test shapes, and function resolutions are taken while
-compiling, so running a query is just calling plain closures.
+compiling, so running an expression is just calling plain closures.
 
 Semantics are *bit-for-bit* the treewalk's — same quirks, same error codes,
 same evaluation order — which is asserted by ``tests/test_backend_parity.py``
@@ -64,27 +64,6 @@ from .operators import arithmetic, negate, set_operation
 
 #: A compiled expression: call it with a dynamic context, get a sequence.
 Thunk = Callable[[DynamicContext], Sequence]
-
-
-class CompiledProgram:
-    """A whole module compiled to closures: body, globals, and functions."""
-
-    def __init__(
-        self,
-        module: ast.Module,
-        functions: Dict[Tuple[str, int], ast.FunctionDecl],
-        config: EngineConfig,
-    ):
-        compiler = _Compiler(functions, config)
-        for key, declaration in functions.items():
-            compiler.add_function(key, declaration)
-        #: closures for the prolog's *declared* (non-external) variables.
-        self.variable_values: Dict[str, Thunk] = {
-            declaration.name: compiler.compile(declaration.value)
-            for declaration in module.variables
-            if declaration.value is not None
-        }
-        self.body: Thunk = compiler.compile(module.body)
 
 
 #: A compiled predicate: filters a candidate sequence under a context.
@@ -206,8 +185,9 @@ def _apply_step(thunk: Thunk, context_items: Sequence, ctx: DynamicContext) -> S
     return results
 
 
-class _Compiler:
-    """Compiles AST nodes to thunks; one instance per program."""
+class Compiler:
+    """Compiles one module's expressions to thunks; owned by an
+    :class:`~repro.xquery.algebra.AlgebraProgram`."""
 
     def __init__(
         self,
@@ -216,12 +196,16 @@ class _Compiler:
     ):
         self.functions = functions
         self.config = config
-        #: compiled user-function bodies, looked up at call time so
-        #: (mutually) recursive declarations compile in any order.
+        #: user-function bodies, compiled on their first call: recursion
+        #: needs no ordering, and a fallback that calls none compiles none.
         self.function_bodies: Dict[Tuple[str, int], Thunk] = {}
 
-    def add_function(self, key: Tuple[str, int], declaration: ast.FunctionDecl) -> None:
-        self.function_bodies[key] = self.compile(declaration.body)
+    def function_body(self, key: Tuple[str, int]) -> Thunk:
+        body = self.function_bodies.get(key)
+        if body is None:
+            # racing first calls compile equal thunks; either one may win.
+            body = self.function_bodies[key] = self.compile(self.functions[key].body)
+        return body
 
     def compile(self, expr: ast.Expr) -> Thunk:
         method = _COMPILE.get(type(expr))
@@ -1108,7 +1092,7 @@ class _Compiler:
         declaration: ast.FunctionDecl,
     ) -> Thunk:
         function_name = declaration.name
-        bodies = self.function_bodies  # resolved at call time: recursion-safe
+        function_body = self.function_body  # resolved at call time: recursion-safe
         max_depth = self.config.max_recursion_depth
         # The program is compiled against one config (the compile cache is
         # keyed on it), so the type-checking decision and the per-parameter
@@ -1144,7 +1128,7 @@ class _Compiler:
                     raise _error(expr, ctx, type_message, "XPTY0004")
                 bindings[param_name] = value
             scope = ctx.function_scope(bindings)
-            result = bodies[key](scope)
+            result = function_body(key)(scope)
             if return_type is not None and not return_type.matches(result):
                 raise _error(
                     expr,
@@ -1391,35 +1375,35 @@ def _attribute_value_text(parts: tuple, ctx: DynamicContext) -> str:
 
 
 _COMPILE = {
-    ast.Literal: _Compiler._literal,
-    ast.EmptySequence: _Compiler._empty,
-    ast.VarRef: _Compiler._var,
-    ast.ContextItem: _Compiler._context_item,
-    ast.SequenceExpr: _Compiler._sequence,
-    ast.RangeExpr: _Compiler._range,
-    ast.Arithmetic: _Compiler._arithmetic,
-    ast.Unary: _Compiler._unary,
-    ast.Comparison: _Compiler._comparison,
-    ast.BooleanOp: _Compiler._boolean_op,
-    ast.SetOp: _Compiler._set_op,
-    ast.AxisStep: _Compiler._axis_step,
-    ast.FilterExpr: _Compiler._filter,
-    ast.PathExpr: _Compiler._path,
-    ast.FLWOR: _Compiler._flwor,
-    ast.Quantified: _Compiler._quantified,
-    ast.IfExpr: _Compiler._if,
-    ast.Typeswitch: _Compiler._typeswitch,
-    ast.TryCatch: _Compiler._try_catch,
-    ast.FunctionCall: _Compiler._function_call,
-    ast.InstanceOf: _Compiler._instance_of,
-    ast.CastAs: _Compiler._cast,
-    ast.CastableAs: _Compiler._castable,
-    ast.TreatAs: _Compiler._treat,
-    ast.DirectElement: _Compiler._direct_element,
-    ast.DirectComment: _Compiler._direct_comment,
-    ast.ComputedElement: _Compiler._computed_element,
-    ast.ComputedAttribute: _Compiler._computed_attribute,
-    ast.ComputedText: _Compiler._computed_text,
-    ast.ComputedComment: _Compiler._computed_comment,
-    ast.ComputedDocument: _Compiler._computed_document,
+    ast.Literal: Compiler._literal,
+    ast.EmptySequence: Compiler._empty,
+    ast.VarRef: Compiler._var,
+    ast.ContextItem: Compiler._context_item,
+    ast.SequenceExpr: Compiler._sequence,
+    ast.RangeExpr: Compiler._range,
+    ast.Arithmetic: Compiler._arithmetic,
+    ast.Unary: Compiler._unary,
+    ast.Comparison: Compiler._comparison,
+    ast.BooleanOp: Compiler._boolean_op,
+    ast.SetOp: Compiler._set_op,
+    ast.AxisStep: Compiler._axis_step,
+    ast.FilterExpr: Compiler._filter,
+    ast.PathExpr: Compiler._path,
+    ast.FLWOR: Compiler._flwor,
+    ast.Quantified: Compiler._quantified,
+    ast.IfExpr: Compiler._if,
+    ast.Typeswitch: Compiler._typeswitch,
+    ast.TryCatch: Compiler._try_catch,
+    ast.FunctionCall: Compiler._function_call,
+    ast.InstanceOf: Compiler._instance_of,
+    ast.CastAs: Compiler._cast,
+    ast.CastableAs: Compiler._castable,
+    ast.TreatAs: Compiler._treat,
+    ast.DirectElement: Compiler._direct_element,
+    ast.DirectComment: Compiler._direct_comment,
+    ast.ComputedElement: Compiler._computed_element,
+    ast.ComputedAttribute: Compiler._computed_attribute,
+    ast.ComputedText: Compiler._computed_text,
+    ast.ComputedComment: Compiler._computed_comment,
+    ast.ComputedDocument: Compiler._computed_document,
 }

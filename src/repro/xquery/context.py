@@ -10,6 +10,9 @@ from ..xdm import DocumentNode, Sequence
 from .ast import FunctionDecl
 from .errors import XQueryTimeoutError
 
+#: Names accepted by ``EngineConfig.backend`` / ``CompiledQuery.run``.
+BACKENDS = ("treewalk", "algebra")
+
 
 @dataclass
 class EngineConfig:
@@ -33,11 +36,11 @@ class EngineConfig:
         Guard for runaway recursive user functions.
     ``backend``
         Which execution backend ``CompiledQuery.run`` uses by default:
-        ``"treewalk"`` (the period-accurate reference interpreter),
-        ``"closures"`` (the closure-compiling backend, same semantics,
-        several times faster), or ``"algebra"`` (the set-at-a-time plan
-        executor with index scans and hash joins; see
-        :mod:`repro.xquery.algebra`).  Parity across all three is asserted
+        ``"treewalk"`` (the period-accurate reference interpreter) or
+        ``"algebra"`` (the production path: set-at-a-time plans with index
+        scans and hash joins, whose fallback for everything outside the
+        plan fragment is the closure compiler; see
+        :mod:`repro.xquery.algebra`).  Parity between the two is asserted
         by ``tests/test_backend_parity.py`` and the differential fuzzer.
     ``compile_cache_size``
         Maximum number of compiled queries the engine's LRU compile cache
@@ -71,6 +74,10 @@ class EngineConfig:
     lint_schema: str = "awb"
 
     def __post_init__(self) -> None:
+        if self.backend not in BACKENDS:
+            raise ValueError(
+                f"backend must be one of {BACKENDS}, not {self.backend!r}"
+            )
         if self.lint not in ("off", "warn", "error"):
             raise ValueError(
                 f"lint must be 'off', 'warn', or 'error', not {self.lint!r}"

@@ -707,7 +707,7 @@ def _fn_doc_available(ctx, args, expr) -> Sequence:
 # inverted index, brute-force scan, KWIC extraction — lives in
 # :mod:`repro.collections`.  Registering them here (not in that package)
 # guarantees they exist whenever the function registry is imported, for
-# all three backends and for the typed lint pass, with no circular import.
+# every backend and for the typed lint pass, with no circular import.
 
 
 def _collection_store(ctx, what: str):

@@ -1,16 +1,17 @@
-"""Differential parity: every backend must match the treewalk exactly.
+"""Differential parity: the algebra backend must match the treewalk exactly.
 
-Neither the closure compiler (:mod:`repro.xquery.compiler`) nor the
-algebra backend (:mod:`repro.xquery.algebra`) shares the treewalk's
-interpreter loop, so their fidelity to the period-accurate quirks is
-asserted *here*, by running the same programs under all backends and
-comparing serialized results, trace output, and error codes.  The corpus
-mirrors the benchmark suite: the e01 sequence-indexing rows, the e02
-attribute-folding programs under every duplicate-attribute mode, the error
-regimes (spec codes and Galax diagnostics), the trace-optimizer deletion
-bug, and the real docgen/querycalc workloads end to end — the calculus
-workloads through every implementation, including the query service cold
-and warm (the warm hit must replay the cold result and its traces).
+Neither the algebra's plan executor (:mod:`repro.xquery.algebra`) nor the
+closure compiler it falls back on (:mod:`repro.xquery.compiler`) shares
+the treewalk's interpreter loop, so their fidelity to the period-accurate
+quirks is asserted *here*, by running the same programs under both
+backends and comparing serialized results, trace output, and error
+codes.  The corpus mirrors the benchmark suite: the e01 sequence-indexing
+rows, the e02 attribute-folding programs under every duplicate-attribute
+mode, the error regimes (spec codes and Galax diagnostics), the
+trace-optimizer deletion bug, and the real docgen/querycalc workloads end
+to end — the calculus workloads through every implementation, including
+the query service cold and warm (the warm hit must replay the cold result
+and its traces).
 
 The comparison currency lives in :mod:`repro.testing.oracle`; the fuzzer
 (``python -m repro.testing.fuzz``) drives the same functions over

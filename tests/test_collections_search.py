@@ -1,7 +1,7 @@
 """Full-text builtins across every backend, indexed and brute-force.
 
 The conformance pin: ``fn:doc``/``fn:collection``/``ft:*`` answer
-byte-identically on treewalk, closures, and algebra, with the inverted
+byte-identically on treewalk and algebra, with the inverted
 index on or off — plus the algebra-only surface (the ``FullTextScan``
 operator and its catalog-backed selectivity) and a fixed-seed mini fuzz
 campaign over the collection productions.

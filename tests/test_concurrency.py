@@ -1,17 +1,19 @@
 """Concurrency stress: one engine / one service shared by many threads.
 
-The compile LRU (lookup, insert, eviction, counters) and the lazy closure
-build are the shared mutable state; these tests hammer them from 8
-threads and assert no corruption — every thread sees correct results and
-the cache counters stay consistent.
+The compile LRU (lookup, insert, eviction, counters) and the algebra's
+lazily built fallback compiler are the shared mutable state; these tests
+hammer them from 8 threads and assert no corruption — every thread sees
+correct results and the cache counters stay consistent.
 """
 
+import sys
 import threading
+from collections import Counter
 from concurrent.futures import ThreadPoolExecutor
 
 from repro.querycalc import QueryService, parse_query_xml, run_query
 from repro.workloads import make_it_model
-from repro.xquery import EngineConfig, XQueryEngine
+from repro.xquery import EngineConfig, XQueryEngine, algebra, serialize_result
 
 THREADS = 8
 QUERIES_PER_THREAD = 100
@@ -51,24 +53,52 @@ class TestEngineThreadSafety:
         assert info["hits"] + info["misses"] == THREADS * QUERIES_PER_THREAD
         assert 0 < info["currsize"] <= 8
 
-    def test_concurrent_closures_build_shares_one_program(self):
-        engine = XQueryEngine(EngineConfig(backend="closures"))
-        compiled = engine.compile("for $i in 1 to 5 return $i * $i")
-        programs = []
-        barrier = threading.Barrier(THREADS)
+    def test_concurrent_closures_build_shares_one_program(self, monkeypatch):
+        # the return clause's constructor is an EvalPlan leaf: the first
+        # runs race to build the closure compiler and compile the leaf.  A
+        # large leaf keeps the compile slow enough for the race to show.
+        terms = ", ".join(f"$i * {n}" for n in range(300))
+        source = f"for $i in 1 to 5 return <sq>{{ ({terms}) }}</sq>"
+        built = []
+        compiles = Counter()
 
-        def build():
-            barrier.wait()
-            programs.append(compiled.closures)
+        class CountingCompiler(algebra.Compiler):
+            def __init__(self, *args):
+                built.append(self)
+                super().__init__(*args)
 
-        with ThreadPoolExecutor(max_workers=THREADS) as pool:
-            for _ in range(THREADS):
-                pool.submit(build)
-        assert len(programs) == THREADS
-        assert all(program is programs[0] for program in programs)
+            def compile(self, expr):
+                compiles[id(expr)] += 1
+                return super().compile(expr)
+
+        monkeypatch.setattr(algebra, "Compiler", CountingCompiler)
+        engine = XQueryEngine(EngineConfig(backend="algebra"))
+        expected = serialize_result(XQueryEngine().compile(source).run())
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)  # switch threads often: widen the race
+        try:
+            for _ in range(5):
+                built.clear()
+                compiles.clear()
+                compiled = engine.compile(source, use_cache=False)
+                barrier = threading.Barrier(THREADS)
+
+                def first_run():
+                    barrier.wait(timeout=30)
+                    return serialize_result(compiled.run())
+
+                with ThreadPoolExecutor(max_workers=THREADS) as pool:
+                    futures = [pool.submit(first_run) for _ in range(THREADS)]
+                    results = [future.result(timeout=60) for future in futures]
+                assert results == [expected] * THREADS
+                assert len(built) == 1
+                assert compiled.algebra._compiler is built[0]
+                assert set(compiles.values()) == {1}  # each node compiled once
+        finally:
+            sys.setswitchinterval(interval)
 
     def test_concurrent_runs_of_one_compiled_query(self):
-        engine = XQueryEngine(EngineConfig(backend="closures"))
+        engine = XQueryEngine(EngineConfig(backend="algebra"))
         compiled = engine.compile("sum(for $i in $v return $i * $i)")
         results = []
 

@@ -90,7 +90,7 @@ def test_metamorphic_rules_preserve_semantics(fuzz_seed):
 def test_crash_outcome_is_always_a_divergence():
     outcomes = {
         "treewalk": ("crash", "ValueError", "boom"),
-        "closures": ("crash", "ValueError", "boom"),
+        "algebra": ("crash", "ValueError", "boom"),
     }
     divergence = divergence_from("max(<x>et</x>)", outcomes, "xquery-pair")
     assert divergence is not None and not divergence.allowlisted

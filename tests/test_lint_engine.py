@@ -84,7 +84,7 @@ class TestBackendParity:
     def test_both_backends_emit_identical_diagnostics(self):
         for source in self.PROGRAMS:
             per_backend = {}
-            for backend in ("treewalk", "closures"):
+            for backend in ("treewalk", "algebra"):
                 config = EngineConfig(lint="warn", backend=backend)
                 with warnings.catch_warnings():
                     warnings.simplefilter("ignore")
@@ -93,7 +93,7 @@ class TestBackendParity:
                     (d.code, d.severity, d.line, d.column, d.message)
                     for d in query.diagnostics
                 ]
-            assert per_backend["treewalk"] == per_backend["closures"], source
+            assert per_backend["treewalk"] == per_backend["algebra"], source
 
 
 class TestPositionThreading:

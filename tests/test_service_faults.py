@@ -7,9 +7,9 @@ The scenarios here are the acceptance criteria of the robustness layer:
   the pre-robustness ``run_batch`` lost both;
 * a stalled query must be cut off within a small multiple of its
   wall-clock budget, surfacing as a structured ``timeout`` error;
-* an internal failure of the primary engine backend (algebra by
-  default, closures when so configured) must degrade to the treewalk
-  reference backend instead of failing the request;
+* an internal failure of the primary engine backend (the algebra) must
+  degrade to the treewalk reference backend instead of failing the
+  request;
 * injected compile faults must not be negatively cached.
 
 All faults are injected through the same hooks the CLI's
@@ -182,22 +182,6 @@ class TestDegradation:
         # the algebra backend is the service's default primary
         config = FaultConfig(eval_failure_rate=1.0, eval_backends={"algebra"})
         service = QueryService(model, fault_injector=FaultInjector(config))
-        query = label_query(4)
-        item = service.run(query)
-        assert item.ok is True
-        assert ids(item) == ids(run_query(query, model))
-        assert service.metrics()["fallbacks"] >= 1
-        assert service.metrics()["errors"] == 0
-
-    def test_closures_fault_degrades_to_treewalk(self, model):
-        from repro.xquery import EngineConfig, XQueryEngine
-
-        config = FaultConfig(eval_failure_rate=1.0, eval_backends={"closures"})
-        service = QueryService(
-            model,
-            engine=XQueryEngine(EngineConfig(backend="closures")),
-            fault_injector=FaultInjector(config),
-        )
         query = label_query(4)
         item = service.run(query)
         assert item.ok is True

@@ -2,6 +2,8 @@
 
 import pytest
 
+from repro.querycalc import XQueryCalculusBackend, parse_query_xml, run_query
+from repro.workloads import make_it_model
 from repro.xdm import ElementNode
 from repro.xquery import (
     CompiledQuery,
@@ -204,13 +206,51 @@ class TestBackendSelection:
         with pytest.raises(ValueError):
             query.run(backend="bytecode")
 
+    def test_unknown_backend_rejected_at_config_time(self):
+        # a stale name fails where the config is built, not at first run.
+        with pytest.raises(ValueError, match="'treewalk', 'algebra'"):
+            EngineConfig(backend="closures")
+
     def test_config_backend_is_default(self):
-        engine = XQueryEngine(backend="closures")
+        engine = XQueryEngine(backend="algebra")
         query = engine.compile("2 + 2")
         assert query.run() == [4]
-        assert query._closures is not None
+        assert query._algebra is not None
 
     def test_treewalk_never_builds_closures(self):
         query = XQueryEngine().compile("2 + 2")
         assert query.run() == [4]
-        assert query._closures is None
+        assert query._algebra is None
+
+    def test_lowered_calculus_plan_never_builds_the_fallback_compiler(self):
+        model = make_it_model(scale=3)
+        engine = XQueryEngine(backend="algebra")
+        calculus = XQueryCalculusBackend(model, engine=engine)
+        query = parse_query_xml(
+            '<query><start type="User"/><follow relation="uses"/>'
+            '<collect sort-by="label"/></query>'
+        )
+        expected = [node.id for node in run_query(query, model)]
+        for _ in range(2):
+            assert [node.id for node in calculus.run(query)] == expected
+        compiled = engine.compile(calculus.compile_to_xquery(query))
+        assert compiled._algebra is not None  # the runs above used this plan
+        assert not compiled.algebra.trivial
+        assert compiled.algebra._compiler is None
+
+    def test_trivial_body_builds_the_fallback_compiler_once(self):
+        engine = XQueryEngine(backend="algebra")
+        query = engine.compile(
+            "declare variable $n := 3;"
+            " <r>{ for $i in 1 to $n return $i * $i }</r>"
+        )
+        assert serialize_result(query.run()) == "<r>1 4 9</r>"
+        program = query.algebra
+        assert program.trivial
+        compiler = program._compiler
+        assert compiler is not None
+        thunks = dict(program._thunks)
+        assert len(thunks) == 2  # the declared global and the whole body
+        assert serialize_result(query.run()) == "<r>1 4 9</r>"
+        assert program._compiler is compiler
+        assert program._thunks == thunks
