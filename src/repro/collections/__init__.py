@@ -19,15 +19,15 @@ Layout:
 * :mod:`.service` — :class:`SearchService`: the request-level front-end
   with a result cache keyed on collection generation, thread- or
   process-sharded execution, and scatter/gather merge;
-* :mod:`.worker` — the shard worker's replica and ops for
-  ``mode="process"``.
+* :mod:`.worker` — the shard worker's replica and ops, in both modes.
 
-Process mode runs on the calculus serving tier's substrate rather than a
+Both modes run on the calculus serving tier's substrate rather than a
 copy of it: documents partition by :func:`repro.serving.partition.bucket`
 of their uri and route through
 :func:`repro.serving.partition.route_request`, and workers run behind
 :class:`repro.serving.pool.WorkerHandle` (boot, respawn) in
-:func:`repro.serving.worker.worker_main` (the request loop).
+:func:`repro.serving.worker.worker_main` (the request loop), or
+in-process behind :class:`repro.serving.pool.LocalHandle` in thread mode.
 """
 
 from __future__ import annotations

@@ -20,11 +20,13 @@ the serving-tier concerns:
   A write under ``docs/a/`` therefore leaves cached answers about
   ``notes/`` warm, which is what keeps the E22 95/5 read/write mix
   warm without an invalidation sweep;
-* **process isolation** (``mode="process"``) — real shard workers on the
-  serving tier's substrate (:mod:`repro.serving.pool`): worker failures
-  cross back as structured ``RemoteQueryError`` (``FODC0002`` included),
-  scatters fan out concurrently, and a dead or hung worker is respawned
-  from the authoritative store.
+* **one shard path** — each shard is a
+  :class:`~repro.collections.worker.CollectionWorker` reached through the
+  serving tier's handles (:mod:`repro.serving.pool`), and scatters fan
+  out concurrently in both modes.  ``mode="process"`` runs the workers as
+  real processes: failures cross back as structured ``RemoteQueryError``
+  (``FODC0002`` included), and a dead or hung worker is respawned from
+  the authoritative store.  ``mode="thread"`` holds them in-process.
 """
 
 from __future__ import annotations
@@ -37,15 +39,14 @@ from typing import Dict, List, Optional
 
 from ..querycalc.service.results import ResultCache
 from ..serving.partition import Route, bucket, route_request
-from ..serving.pool import WorkerHandle, scatter, worker_stats
+from ..serving.pool import LocalHandle, WorkerHandle, scatter, worker_stats
 from ..xquery import EngineConfig, XQueryEngine, serialize_result
-from ..xquery.algebra import StatisticsCatalog
 from .kwic import CHARS_KWIC
 from .store import DocumentStore, collection_prefixes, normalize_collection
 from .worker import (
     CollectionWorker,
     CollectionWorkerConfig,
-    extract_rows,
+    fulltext_catalog,
     merge_rows,
 )
 
@@ -157,11 +158,13 @@ class _WorkerHandle(WorkerHandle):
 class SearchService:
     """Request-level front-end over one authoritative DocumentStore.
 
-    ``mode="thread"`` keeps shard replicas in-process (sub-stores of the
-    authoritative store); ``mode="process"`` runs each shard in a real
-    worker process.  Either way the authoritative store takes every
-    write first — single-writer, shared-nothing readers — and replicas
-    see the write as a per-document index patch, never a rebuild.
+    Each shard is a :class:`CollectionWorker` holding the documents whose
+    uri buckets to it.  ``mode="process"`` runs each in a real worker
+    process; ``mode="thread"`` holds each in-process behind a
+    :class:`~repro.serving.pool.LocalHandle`.  Either way the
+    authoritative store takes every write first — single-writer,
+    shared-nothing readers — and replicas see the write as a
+    per-document index patch, never a rebuild.
     """
 
     def __init__(
@@ -179,9 +182,9 @@ class SearchService:
         self.mode = mode
         self.backend = backend
         self.engine = XQueryEngine(EngineConfig(backend=backend))
-        #: guards service bookkeeping only — result cache, metrics,
-        #: statistics reference.  Never held across an evaluation, so
-        #: concurrent reads overlap instead of queueing on the service.
+        #: guards service bookkeeping only — result cache and metrics.
+        #: Never held across an evaluation, so concurrent reads overlap
+        #: instead of queueing on the service.
         self._lock = threading.RLock()
         #: serializes writers (and ``evaluate_fresh``, which temporarily
         #: reconfigures the authoritative store) against each other.
@@ -192,9 +195,11 @@ class SearchService:
         #: but skips the cache insert, so a half-replicated state can
         #: never be cached under the post-write generation.
         self._write_epoch = 0
+        #: guards the authoritative store itself: its mutations,
+        #: ``evaluate_fresh`` and the boot config a worker (re)starts from.
+        self._authoritative_lock = threading.Lock()
         #: serialized answers keyed on (request key, scope generation).
         self._results = ResultCache(maxsize=result_cache_size)
-        self._statistics = self._fresh_statistics()
         self.metrics: Dict[str, int] = {
             "requests": 0,
             "cache_hits": 0,
@@ -205,40 +210,20 @@ class SearchService:
             "scatter": 0,
             "writes": 0,
         }
-        self._shard_stores: List[DocumentStore] = []
-        if mode == "thread" and self.shards == 1:
-            # one shard in thread mode is the store itself: no replica copy.
-            self._shard_stores = [store]
-        elif mode == "thread":
-            shard_uris: List[List[str]] = [[] for _ in range(self.shards)]
-            for uri in store.uris():
-                shard_uris[bucket(uri, self.shards)].append(uri)
-            self._shard_stores = [store.subset(uris) for uris in shard_uris]
-        #: per-replica locks (thread mode): a read of shard *i* and the
-        #: write patching shard *i* serialize, different shards overlap.
-        self._replica_locks = [threading.Lock() for _ in self._shard_stores]
-        #: guards direct evaluation over the authoritative store; when
-        #: shard 0 *is* the store (one-shard thread mode) they share a lock.
-        if self._shard_stores and self._shard_stores[0] is store:
-            self._authoritative_lock = self._replica_locks[0]
-        else:
-            self._authoritative_lock = threading.Lock()
-        self._workers: List[_WorkerHandle] = []
-        self._scatter_pool: Optional[ThreadPoolExecutor] = None
-        if mode == "process":
-            self._workers = [
-                _WorkerHandle(shard, CollectionWorker, partial(self._worker_config, shard))
-                for shard in range(self.shards)
-            ]
-            self._scatter_pool = ThreadPoolExecutor(
-                max_workers=self.shards, thread_name_prefix="search-scatter"
-            )
+        handle = _WorkerHandle if mode == "process" else LocalHandle
+        self._workers = [
+            handle(shard, CollectionWorker, partial(self._worker_config, shard))
+            for shard in range(self.shards)
+        ]
+        self._scatter_pool = ThreadPoolExecutor(
+            max_workers=self.shards, thread_name_prefix="search-scatter"
+        )
         self._closed = False
 
     def _worker_config(self, shard: int) -> CollectionWorkerConfig:
-        """Process shard *shard*'s boot config, read from the authoritative
-        store at first boot and again at every respawn, so a replacement
-        worker comes back with every write and registered collection."""
+        """Shard *shard*'s boot config, read from the authoritative store at
+        first boot and again at every respawn, so a replacement worker
+        comes back with every write and registered collection."""
         with self._authoritative_lock:
             store = self.store
             return CollectionWorkerConfig(
@@ -253,13 +238,6 @@ class SearchService:
                 use_index=store.use_index,
                 backend=self.backend,
             )
-
-    # -- statistics --------------------------------------------------------
-
-    def _fresh_statistics(self) -> StatisticsCatalog:
-        catalog = StatisticsCatalog()
-        catalog.set_fulltext(self.store.fulltext_stats())
-        return catalog
 
     # -- reads -------------------------------------------------------------
 
@@ -279,8 +257,8 @@ class SearchService:
 
         The service lock covers only the cache probe and the post-run
         insert; the evaluation itself runs unlocked, so N clients drive
-        N shard pipes (or replica locks) concurrently instead of
-        queueing behind one global lock.
+        N shard workers concurrently instead of queueing behind one
+        global lock.
         """
         with self._lock:
             self.metrics["requests"] += 1
@@ -293,12 +271,20 @@ class SearchService:
                 return SearchResult(cached[0], True, route, generation)
             self.metrics[route.kind] += 1
             epoch = self._write_epoch
-            statistics = self._statistics
+        payload = {
+            "source": request.source(),
+            "structured": route.kind == "scatter",
+            "key": request.key(),
+        }
         try:
             if route.kind == "single":
-                text = self._run_single(request, route.shard, statistics)
+                text = self._workers[route.shard].request("run", payload)["text"]
             else:
-                text = self._run_scatter(request, statistics)
+                replies = scatter(
+                    self._scatter_pool,
+                    [partial(worker.request, "run", payload) for worker in self._workers],
+                )
+                text = merge_rows([reply["rows"] for reply in replies], limit=request.limit)
         except Exception:
             with self._lock:
                 self.metrics["errors"] += 1
@@ -311,55 +297,6 @@ class SearchService:
             if epoch % 2 == 0 and self._write_epoch == epoch:
                 self._results.put(key, text)
             return SearchResult(text, False, route, generation)
-
-    def _run_single(
-        self, request: SearchRequest, shard: int, statistics: StatisticsCatalog
-    ) -> str:
-        if self.mode == "process":
-            body = self._workers[shard].request(
-                "run",
-                {"source": request.source(), "structured": False, "key": request.key()},
-            )
-            return body["text"]
-        with self._replica_locks[shard]:
-            result = self._execute(request, self._shard_stores[shard], statistics)
-        return serialize_result(result)
-
-    def _run_scatter(
-        self, request: SearchRequest, statistics: StatisticsCatalog
-    ) -> str:
-        partials = []
-        if self.mode == "process":
-            payload = {
-                "source": request.source(),
-                "structured": True,
-                "key": request.key(),
-            }
-            replies = scatter(
-                self._scatter_pool,
-                [partial(worker.request, "run", payload) for worker in self._workers],
-            )
-            partials = [reply["rows"] for reply in replies]
-        else:
-            for shard, shard_store in enumerate(self._shard_stores):
-                with self._replica_locks[shard]:
-                    rows = extract_rows(
-                        self._execute(request, shard_store, statistics)
-                    )
-                partials.append(rows)
-        return merge_rows(partials, limit=request.limit)
-
-    def _execute(
-        self,
-        request: SearchRequest,
-        store: DocumentStore,
-        statistics: Optional[StatisticsCatalog] = None,
-    ):
-        compiled = self.engine.compile(request.source())
-        return compiled.run(
-            collections=store,
-            statistics=statistics if statistics is not None else self._statistics,
-        )
 
     def evaluate_fresh(
         self, request: SearchRequest, use_index: Optional[bool] = None
@@ -375,7 +312,7 @@ class SearchService:
                 self.store.use_index = use_index
             try:
                 result = self.engine.compile(request.source()).run(
-                    collections=self.store, statistics=self._statistics
+                    collections=self.store, statistics=fulltext_catalog(self.store)
                 )
             finally:
                 self.store.use_index = previous
@@ -404,12 +341,7 @@ class SearchService:
             try:
                 with self._authoritative_lock:
                     self.store.remove(uri)
-                if self.mode == "process":
-                    self._owner(uri).request("delete", {"uri": uri})
-                elif self._shard_stores and self._shard_stores[0] is not self.store:
-                    shard = bucket(uri, self.shards)
-                    with self._replica_locks[shard]:
-                        self._shard_stores[shard].remove(uri)
+                self._workers[bucket(uri, self.shards)].request("delete", {"uri": uri})
                 ok = True
             finally:
                 self._end_write(ok)
@@ -448,39 +380,26 @@ class SearchService:
 
         Only the owner shard holds the document, but a collection created
         by this write must become *known* tier-wide, or scatter requests
-        over it would raise FODC0002 from every non-owner shard.  In
-        process mode every replica is asked even when one fails: a worker
-        whose request failed was respawned from the authoritative store,
-        which already holds the write.
+        over it would raise FODC0002 from every non-owner shard.  Every
+        replica is asked even when one fails: a process worker whose
+        request failed was respawned from the authoritative store, which
+        already holds the write.
         """
-        if self.mode == "process":
-            owner = bucket(uri, self.shards)
-            calls = [
-                partial(
-                    self._workers[owner].request,
-                    "put",
-                    {"uri": uri, "text": self.store.text_of(uri)},
-                )
+        owner = bucket(uri, self.shards)
+        calls = [
+            partial(
+                self._workers[owner].request,
+                "put",
+                {"uri": uri, "text": self.store.text_of(uri)},
+            )
+        ]
+        if new_prefixes:
+            calls += [
+                partial(worker.request, "register", {"collections": new_prefixes})
+                for shard, worker in enumerate(self._workers)
+                if shard != owner
             ]
-            if new_prefixes:
-                calls += [
-                    partial(worker.request, "register", {"collections": new_prefixes})
-                    for shard, worker in enumerate(self._workers)
-                    if shard != owner
-                ]
-            scatter(self._scatter_pool, calls)
-        elif self._shard_stores and self._shard_stores[0] is not self.store:
-            owner = bucket(uri, self.shards)
-            with self._replica_locks[owner]:
-                self._shard_stores[owner].put_text(uri, self.store.text_of(uri))
-            if new_prefixes:
-                for shard, shard_store in enumerate(self._shard_stores):
-                    if shard != owner:
-                        with self._replica_locks[shard]:
-                            shard_store.register_collections(new_prefixes)
-
-    def _owner(self, uri: str) -> _WorkerHandle:
-        return self._workers[bucket(uri, self.shards)]
+        scatter(self._scatter_pool, calls)
 
     def _begin_write(self) -> None:
         with self._lock:
@@ -489,11 +408,10 @@ class SearchService:
     def _end_write(self, ok: bool = True) -> None:
         with self._lock:
             self._write_epoch += 1
+            # generation-keyed cache entries for the touched scopes are
+            # now unreachable; they age out of the LRU, never swept.
             if ok:
                 self.metrics["writes"] += 1
-                # generation-keyed cache entries for the touched scopes are
-                # now unreachable; they age out of the LRU, never swept.
-                self._statistics = self._fresh_statistics()
 
     # -- lifecycle ---------------------------------------------------------
 
@@ -507,10 +425,9 @@ class SearchService:
                 "store": self.store.stats(),
                 "compile_cache": self.engine.cache_info(),
             }
-        if self.mode == "process":
-            workers = worker_stats(self._workers)
-            payload["workers"] = workers
-            payload["restarts"] = sum(worker["restarts"] for worker in workers)
+        workers = worker_stats(self._workers)
+        payload["workers"] = workers
+        payload["restarts"] = sum(worker["restarts"] for worker in workers)
         return payload
 
     def close(self) -> None:
@@ -518,8 +435,7 @@ class SearchService:
             if self._closed:
                 return
             self._closed = True
-            if self._scatter_pool is not None:
-                self._scatter_pool.shutdown(wait=False)
+            self._scatter_pool.shutdown(wait=False)
             for worker in self._workers:
                 worker.close()
 

@@ -337,9 +337,9 @@ class DocumentStore:
     def subset(self, uris: List[str]) -> "DocumentStore":
         """A new store holding only *uris* (collections stay known).
 
-        Shard replicas are built this way; every known collection is
-        carried over so a scatter over an empty-on-this-shard collection
-        answers ``()`` instead of FODC0002.
+        Every known collection is carried over, so a search over a
+        collection with no member in the new store answers ``()`` instead
+        of FODC0002.
         """
         shard = DocumentStore(use_index=self.use_index)
         for uri in sorted(uris):

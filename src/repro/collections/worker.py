@@ -1,13 +1,15 @@
-"""The collection shard worker: one process, one document-shard replica.
+"""The collection shard worker: one document-shard replica.
 
-``SearchService(mode="process")`` spawns one of these per shard.  Each
-worker rebuilds its shard's :class:`~repro.collections.store.DocumentStore`
-from the picklable ``(uri, raw xml)`` payload and owns its own engine
-(plan LRU included).  It runs in the calculus tier's request loop,
+:class:`~repro.collections.service.SearchService` builds one of these per
+shard.  Each worker rebuilds its shard's
+:class:`~repro.collections.store.DocumentStore` from the picklable
+``(uri, raw xml)`` payload and owns its own engine (plan LRU included).
+In process mode it runs in the calculus tier's request loop,
 :func:`repro.serving.worker.worker_main`, behind the same
 :class:`~repro.serving.pool.WorkerHandle`: the parent sends ``(op,
 req_id, payload)`` and the worker answers ``("ok", req_id, result)`` or
-``("err", req_id, QueryError)``.
+``("err", req_id, QueryError)``.  In thread mode a
+:class:`~repro.serving.pool.LocalHandle` calls the same ops in-process.
 
 Failures cross the pipe *classified*: a missing or unparseable document
 raises ``FODC0002`` inside the worker, :func:`classify_error` wraps it
@@ -37,8 +39,16 @@ __all__ = [
     "CollectionWorker",
     "CollectionWorkerConfig",
     "extract_rows",
+    "fulltext_catalog",
     "merge_rows",
 ]
+
+
+def fulltext_catalog(store: DocumentStore) -> StatisticsCatalog:
+    """A statistics catalog carrying *store*'s full-text estimates."""
+    catalog = StatisticsCatalog()
+    catalog.set_fulltext(store.fulltext_stats())
+    return catalog
 
 
 def extract_rows(result) -> List[Tuple[int, str, str]]:
@@ -106,12 +116,7 @@ class CollectionWorker:
         self.runs = 0
         self.writes = 0
         self.errors = 0
-        self._statistics = self._fresh_statistics()
-
-    def _fresh_statistics(self) -> StatisticsCatalog:
-        catalog = StatisticsCatalog()
-        catalog.set_fulltext(self.store.fulltext_stats())
-        return catalog
+        self._statistics = fulltext_catalog(self.store)
 
     # -- evaluation --------------------------------------------------------
 
@@ -136,13 +141,13 @@ class CollectionWorker:
     def put(self, payload: Dict) -> Dict:
         self.store.put_text(payload["uri"], payload["text"])
         self.writes += 1
-        self._statistics = self._fresh_statistics()
+        self._statistics = fulltext_catalog(self.store)
         return {"documents": len(self.store)}
 
     def delete(self, payload: Dict) -> Dict:
         self.store.remove(payload["uri"])
         self.writes += 1
-        self._statistics = self._fresh_statistics()
+        self._statistics = fulltext_catalog(self.store)
         return {"documents": len(self.store)}
 
     def register(self, payload: Dict) -> Dict:

@@ -16,7 +16,7 @@ from .errors import (
 from .faults import FaultConfig, FaultInjector, InjectedFault
 from .plans import PlanCache, QueryPlan, normalize_query
 from .results import BatchItem, ResultCache
-from .service import SERVICE_MODES, QueryService
+from .service import SERVICE_MODES, QueryService, percentile
 
 __all__ = [
     "BatchItem",
@@ -35,4 +35,5 @@ __all__ = [
     "ResultCache",
     "classify_error",
     "normalize_query",
+    "percentile",
 ]

@@ -74,8 +74,9 @@ class QueryPlan:
     #: cache entries even when their calculus spellings differ.  Process
     #: mode learns it from the plan's first worker reply.
     result_key: Optional[str] = None
-    #: the scatter variant of ``source``, whose start set is filtered by the
-    #: partition scheme's external variable (process mode only).
+    #: the scatter variant of ``source``, whose start set is filtered to the
+    #: types in the ``$awb-shard-types`` external variable (process mode
+    #: only).
     source_shard: Optional[str] = None
     #: the property the collect orders by, which workers return with each
     #: row for the gather merge (process mode only).

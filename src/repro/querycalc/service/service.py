@@ -70,7 +70,7 @@ SERVICE_MODES = ("thread", "process")
 MAX_LATENCY_SAMPLES = 2048
 
 
-def _percentile(samples: List[float], fraction: float) -> float:
+def percentile(samples: List[float], fraction: float) -> float:
     """Standard ceil-based nearest-rank percentile (1-indexed rank).
 
     The previous ``round()``-based formula suffered banker's rounding:
@@ -111,7 +111,6 @@ class QueryService:
         default_timeout: Optional[float] = None,
         fault_injector: Optional[FaultInjector] = None,
         mode: str = "thread",
-        partition: str = "type",
         max_pending: Optional[int] = None,
     ):
         if backend not in ("xquery", "native"):
@@ -170,7 +169,6 @@ class QueryService:
         self._routes: Dict[str, int] = {}
         # -- the shared-nothing serving tier (mode="process") --------------
         self._pool = None
-        self.partition = partition
         if max_pending is None and mode == "process":
             max_pending = workers * 4
         self.max_pending = max_pending
@@ -187,7 +185,6 @@ class QueryService:
             self._pool = ProcessPool(
                 model,
                 shards=workers,
-                scheme=partition,
                 plan_cache_size=plan_cache_size,
             )
 
@@ -577,7 +574,6 @@ class QueryService:
             # pool-level counters only — per-worker counters require a
             # round-trip; see :meth:`serving_stats`.
             serving = {
-                "scheme": self._pool.scheme,
                 "shards": self._pool.shards,
                 "generation": self._pool.generation,
                 "refreshes": self._pool.refreshes,
@@ -607,9 +603,9 @@ class QueryService:
             "misses": result_stats["misses"],
             "plan_hits": plan_stats["hits"],
             "plan_misses": plan_stats["misses"],
-            "p50_ms": _percentile(latencies, 0.50) * 1000.0,
-            "p95_ms": _percentile(latencies, 0.95) * 1000.0,
-            "p99_ms": _percentile(latencies, 0.99) * 1000.0,
+            "p50_ms": percentile(latencies, 0.50) * 1000.0,
+            "p95_ms": percentile(latencies, 0.95) * 1000.0,
+            "p99_ms": percentile(latencies, 0.99) * 1000.0,
             # the engine compile LRU (hits/misses/races) for the active
             # backend; the native backend has no engine, hence no cache.
             "compile_cache": (
@@ -646,10 +642,7 @@ class QueryService:
                     "xquery",
                     query,
                     source=source,
-                    source_shard=self._backend.compile_to_xquery(
-                        query,
-                        shard_variable=self._pool.partitioner.shard_variable(),
-                    ),
+                    source_shard=self._backend.compile_to_xquery(query, sharded=True),
                     sort_property=self._backend.sort_property(query),
                     deps=deps,
                 )
@@ -758,20 +751,20 @@ class QueryService:
 
     def _route(self, query: Query):
         """The serving tier's routing decision for one query."""
-        from ...serving.partition import route_query
+        from ...serving.partition import bucket, route_query
 
-        pool = self._pool
+        shards = self._pool.shards
         domain = self._backend.statistics.attribute_domain("node", "type")
 
         def owner_of_id(node_id: str) -> Optional[int]:
             node = self.model.nodes.get(node_id)
             if node is None:
                 return None
-            return pool.partitioner.shard_of(node_id, node.type_name)
+            return bucket(node.type_name, shards)
 
         return route_query(
             query,
-            pool.partitioner,
+            shards,
             domain,
             self.model.metamodel.node_subtype_names,
             owner_of_id,

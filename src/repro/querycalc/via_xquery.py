@@ -24,6 +24,10 @@ from ..xquery import XQueryEngine
 from .ast import Collect, FilterProperty, FilterType, Follow, Query
 from .native import QueryRuntimeError
 
+#: the external variable a sharded plan's start filter reads; each worker
+#: binds it to the type names it owns.
+SHARD_TYPES = "awb-shard-types"
+
 
 def _string_sequence(names: List[str]) -> str:
     quoted = ", ".join(f'"{name}"' for name in names)
@@ -106,23 +110,21 @@ class XQueryCalculusBackend:
         self._stats_cursor = self._exporter.delta_cursor()
         return self._statistics
 
-    def compile_to_xquery(self, query: Query, shard_variable: Optional[str] = None) -> str:
+    def compile_to_xquery(self, query: Query, sharded: bool = False) -> str:
         """Translate a calculus query into XQuery source text.
 
-        ``shard_variable`` names an external variable restricting the start
-        set (the serving tier's scatter plan): the generated program
-        declares it and filters the start expression with
-        ``[@type = $var]`` / ``[@id = $var]``.  The filter is an external
-        variable rather than a literal list, so every worker process
-        compiles the *same* source (one plan signature tier-wide) and binds
-        its own ownership list at run time.
+        ``sharded`` builds the serving tier's scatter plan: the generated
+        program declares the external variable ``$awb-shard-types`` and
+        keeps only start nodes whose ``@type`` it lists.  The filter is an
+        external variable rather than a literal list, so every worker
+        process compiles the *same* source (one plan signature tier-wide)
+        and binds the types it owns at run time.
         """
         lines: List[str] = ['declare variable $model external;']
         start = self._compile_start(query)
-        if shard_variable is not None:
-            lines.append(f"declare variable ${shard_variable} external;")
-            attribute = "@id" if shard_variable.endswith("ids") else "@type"
-            start = f"({start})[{attribute} = ${shard_variable}]"
+        if sharded:
+            lines.append(f"declare variable ${SHARD_TYPES} external;")
+            start = f"({start})[@type = ${SHARD_TYPES}]"
         pipeline = start
         for index, step in enumerate(query.steps, start=1):
             function_name = f"local:step{index}"

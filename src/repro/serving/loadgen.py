@@ -38,9 +38,8 @@ import threading
 import time
 from typing import Callable, Dict, List, Optional
 
-from ..querycalc.service import QueryService
+from ..querycalc.service import QueryService, percentile
 from ..querycalc.service.errors import QueryOverloadError, classify_error
-from ..querycalc.service.service import _percentile
 from ..testing.models import random_calculus_query, random_model, random_phrase
 
 __all__ = ["run_load", "main"]
@@ -149,9 +148,9 @@ def _drive(
         "qps": round(ok / elapsed, 1) if elapsed > 0 else 0.0,
         "shed_rate": round(shed / requests, 4) if requests else 0.0,
         "availability": round((ok + shed) / requests, 4) if requests else 1.0,
-        "p50_ms": round(_percentile(latencies, 0.50) * 1000.0, 3),
-        "p95_ms": round(_percentile(latencies, 0.95) * 1000.0, 3),
-        "p99_ms": round(_percentile(latencies, 0.99) * 1000.0, 3),
+        "p50_ms": round(percentile(latencies, 0.50) * 1000.0, 3),
+        "p95_ms": round(percentile(latencies, 0.95) * 1000.0, 3),
+        "p99_ms": round(percentile(latencies, 0.99) * 1000.0, 3),
     }
 
 
@@ -185,7 +184,6 @@ def run_load(
         mix=mix,
         mode=service.mode,
         workers=service.workers,
-        partition=service.partition,
         max_pending=service.max_pending,
     )
     return report
@@ -321,7 +319,6 @@ def main(argv: Optional[List[str]] = None) -> int:
     parser.add_argument("--mode", choices=("thread", "process"), default="process")
     parser.add_argument("--workers", type=int, default=2,
                         help="worker count (0 = one per CPU core)")
-    parser.add_argument("--partition", choices=("type", "hash"), default="type")
     parser.add_argument("--clients", type=int, default=100)
     parser.add_argument("--duration", type=float, default=5.0,
                         help="measurement window in seconds")
@@ -354,7 +351,6 @@ def main(argv: Optional[List[str]] = None) -> int:
             model,
             mode=args.mode,
             workers=args.workers,
-            partition=args.partition,
             max_pending=args.max_pending,
         )
     try:

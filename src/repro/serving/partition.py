@@ -9,17 +9,13 @@ full pipeline per-shard and merging the partials is *exactly* the
 single-process result — the algebraic property the scatter/gather layer
 leans on, and the one the parity property suite pins.
 
-Two partitioning schemes, straight from the issue:
+Nodes are owned by the shard of their metamodel class
+(``crc32(type_name) % shards``), so a start-by-type query whose subtype
+closure lands on one shard gets the single-shard fast path, and a worker's
+start partition is the list of present type names it owns (see
+:func:`owned_types`).
 
-``type``
-    nodes are owned by the shard of their metamodel class
-    (``crc32(type_name) % shards``).  Start-by-type queries whose subtype
-    closure lands on one shard get the single-shard fast path.
-``hash``
-    nodes are owned by ``crc32(node_id) % shards``.  Start-by-id queries
-    always route to exactly one shard.
-
-Hashes are CRC32, not Python's ``hash()``: worker processes must agree on
+The hash is CRC32, not Python's ``hash()``: worker processes must agree on
 ownership with the front-end across interpreter boundaries, and ``str``
 hashing is salted per process.
 
@@ -38,24 +34,11 @@ from __future__ import annotations
 
 import zlib
 from dataclasses import dataclass
-from typing import FrozenSet, Iterable, List, Optional, Sequence
+from typing import FrozenSet, Iterable, List, Optional
 
 from ..querycalc.ast import Query
 
-__all__ = [
-    "PARTITION_SCHEMES",
-    "Partitioner",
-    "Route",
-    "bucket",
-    "route_query",
-    "route_request",
-]
-
-#: the partitioning schemes the tier supports.
-PARTITION_SCHEMES = ("type", "hash")
-
-#: the external variable the sharded plan filters its start set with.
-SHARD_VARIABLE = {"type": "awb-shard-types", "hash": "awb-shard-ids"}
+__all__ = ["Route", "bucket", "owned_types", "route_query", "route_request"]
 
 
 def bucket(value: str, shards: int) -> int:
@@ -63,57 +46,14 @@ def bucket(value: str, shards: int) -> int:
     return zlib.crc32(value.encode("utf-8")) % shards
 
 
-class Partitioner:
-    """Assigns every model node to exactly one of ``shards`` partitions."""
+def owned_types(shard: int, shards: int, type_names: Iterable[str]) -> List[str]:
+    """The present type names worker *shard* owns: the values it binds to
+    the sharded plan's start filter.
 
-    def __init__(self, scheme: str = "type", shards: int = 2):
-        if scheme not in PARTITION_SCHEMES:
-            raise ValueError(
-                f"partition scheme must be one of {PARTITION_SCHEMES}, not {scheme!r}"
-            )
-        if shards < 1:
-            raise ValueError(f"shards must be >= 1, not {shards}")
-        self.scheme = scheme
-        self.shards = shards
-
-    def shard_of(self, node_id: str, type_name: str) -> int:
-        """The shard owning a node, given both identifying facts."""
-        if self.scheme == "type":
-            return bucket(type_name, self.shards)
-        return bucket(node_id, self.shards)
-
-    def shard_of_type(self, type_name: str) -> int:
-        return bucket(type_name, self.shards)
-
-    def shard_of_id(self, node_id: str) -> int:
-        return bucket(node_id, self.shards)
-
-    def shards_of_types(self, type_names: Iterable[str]) -> FrozenSet[int]:
-        """The set of shards owning any of the given node types."""
-        return frozenset(bucket(name, self.shards) for name in type_names)
-
-    def shard_variable(self) -> str:
-        """The external variable name the sharded plan's start filter reads."""
-        return SHARD_VARIABLE[self.scheme]
-
-    def owned_values(
-        self, shard: int, node_ids: Sequence[str], type_names: Sequence[str]
-    ) -> List[str]:
-        """The values worker ``shard`` binds to its shard variable.
-
-        Under ``type`` partitioning these are the *present* type names the
-        shard owns; under ``hash`` partitioning the node ids.  Computed
-        worker-side at startup/refresh from the worker's own replica, so
-        the front-end never ships ownership lists over the wire.
-        """
-        if self.scheme == "type":
-            return sorted(
-                name for name in set(type_names) if bucket(name, self.shards) == shard
-            )
-        return [nid for nid in node_ids if bucket(nid, self.shards) == shard]
-
-    def describe(self) -> dict:
-        return {"scheme": self.scheme, "shards": self.shards}
+    Computed worker-side at startup/refresh from the worker's own replica,
+    so the front-end never ships ownership lists over the wire.
+    """
+    return sorted(name for name in set(type_names) if bucket(name, shards) == shard)
 
 
 @dataclass
@@ -134,7 +74,7 @@ class Route:
 
 def route_query(
     query: Query,
-    partitioner: Partitioner,
+    shards: int,
     present_types: Optional[FrozenSet[str]],
     subtype_names,
     owner_of_id=None,
@@ -147,27 +87,22 @@ def route_query(
     catalog caps recorded domains, so a very type-diverse model yields
     ``None`` and the router conservatively scatters).  ``subtype_names``
     maps a type name to its subtype closure (the metamodel's view);
-    ``owner_of_id`` maps a node id to its owning shard under ``hash``
-    partitioning (``None`` when unknown).
+    ``owner_of_id`` maps a node id to its owning shard (``None`` when
+    unknown).
 
     The fast path triggers only on *proof*: every start node the query can
     possibly select is owned by one shard.  Anything unprovable scatters,
     which is always correct — merely wider.
     """
-    if partitioner.shards == 1:
+    if shards == 1:
         return Route("single", 0, "one-shard-tier")
     if query.trace is not None:
         # fn:trace emits one message for the whole collected sequence; a
         # scatter would emit one partial message per shard.  Traced queries
         # are diagnostics, so they take a single full-replica evaluation.
-        shard = bucket(query.trace, partitioner.shards)
-        return Route("single", shard, "traced-query")
+        return Route("single", bucket(query.trace, shards), "traced-query")
     start = query.start
     if start.node_id is not None:
-        if partitioner.scheme == "hash":
-            return Route(
-                "single", partitioner.shard_of_id(start.node_id), "start-id-owner"
-            )
         if owner_of_id is not None:
             shard = owner_of_id(start.node_id)
             if shard is not None:
@@ -175,19 +110,17 @@ def route_query(
         return Route("scatter", None, "start-id-unmapped")
     if start.all_nodes:
         return Route("scatter", None, "start-all-nodes")
-    if partitioner.scheme == "type" and start.type is not None:
-        names = set(subtype_names(start.type))
-        if present_types is not None:
-            names &= present_types
-        if not names:
-            # provably empty start set: any single worker returns () —
-            # cheapest possible proof, no scatter needed.
-            return Route("single", 0, "start-type-absent")
-        shards = partitioner.shards_of_types(names)
-        if len(shards) == 1:
-            return Route("single", next(iter(shards)), "start-type-single-shard")
-        return Route("scatter", None, "start-type-spans-shards")
-    return Route("scatter", None, "start-type-hash-partitioned")
+    names = set(subtype_names(start.type))
+    if present_types is not None:
+        names &= present_types
+    if not names:
+        # provably empty start set: any single worker returns () —
+        # cheapest possible proof, no scatter needed.
+        return Route("single", 0, "start-type-absent")
+    owners = {bucket(name, shards) for name in names}
+    if len(owners) == 1:
+        return Route("single", owners.pop(), "start-type-single-shard")
+    return Route("scatter", None, "start-type-spans-shards")
 
 
 def route_request(request, shards: int) -> Route:

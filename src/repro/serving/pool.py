@@ -3,7 +3,8 @@
 :class:`WorkerHandle` (boot, request, respawn), :func:`scatter` (the
 concurrent fan-out) and :func:`worker_stats` serve both serving tiers:
 the calculus tier's :class:`ProcessPool` below and the search tier's
-:class:`~repro.collections.service.SearchService`.
+:class:`~repro.collections.service.SearchService`, whose thread mode
+holds the same workers in-process through :class:`LocalHandle`.
 
 The calculus front-end owns one :class:`ProcessPool`.  Each worker is a real OS
 process (fork where available) holding a full model replica and its own
@@ -38,10 +39,11 @@ from ..awb.xml_io import export_model_text
 from ..querycalc.service.errors import RemoteQueryError
 from ..querycalc.service.plans import QueryPlan
 from ..xquery.errors import XQueryTimeoutError
-from .partition import Partitioner, Route
-from .worker import ShardWorker, WorkerConfig, worker_main
+from .partition import Route
+from .worker import ShardWorker, WorkerConfig, dispatch, worker_main
 
 __all__ = [
+    "LocalHandle",
     "ProcessPool",
     "WorkerHandle",
     "merge_partials",
@@ -99,11 +101,11 @@ def merge_partials(
 class WorkerHandle:
     """One worker process plus the parent's end of its pipe.
 
-    Both serving tiers hold their workers through this class.  The worker
-    runs :func:`~repro.serving.worker.worker_main` over ``make_worker``;
-    ``make_config()`` builds its picklable boot config, and is called
-    again on every respawn, so a fresh worker boots from the owner's
-    current state rather than from the state at first boot.
+    Both serving tiers hold their worker processes through this class.
+    The worker runs :func:`~repro.serving.worker.worker_main` over
+    ``make_worker``; ``make_config()`` builds its picklable boot config,
+    and is called again on every respawn, so a fresh worker boots from
+    the owner's current state rather than from the state at first boot.
 
     A lock is held across each send+recv pair, so the pipe never carries
     interleaved conversations.  A request that misses its deadline kills
@@ -214,6 +216,31 @@ class WorkerHandle:
         self._kill()
 
 
+class LocalHandle:
+    """One worker in this process, behind :class:`WorkerHandle`'s
+    ``request(op, payload)`` interface.
+
+    ``make_config()`` builds the worker once; each request runs under one
+    lock through :func:`~repro.serving.worker.dispatch`, the same dispatch
+    the process loop uses, and a failure raises the worker's own exception.
+    Nothing crosses a pipe and nothing is respawned.
+    """
+
+    restarts = 0
+
+    def __init__(self, shard: int, make_worker: Callable, make_config: Callable[[], object]):
+        self.shard = shard
+        self.worker = make_worker(make_config())
+        self._lock = threading.Lock()
+
+    def request(self, op: str, payload: dict):
+        with self._lock:
+            return dispatch(self.worker, op, payload)
+
+    def close(self) -> None:
+        pass
+
+
 def scatter(executor: ThreadPoolExecutor, calls: Sequence[Callable]) -> list:
     """Run every call concurrently on *executor*; results in call order.
 
@@ -259,15 +286,12 @@ class ProcessPool:
         self,
         model: Model,
         shards: int,
-        scheme: str = "type",
         plan_cache_size: int = 128,
         request_timeout: float = DEFAULT_REQUEST_TIMEOUT,
     ):
         self.model = model
         self.metamodel = model.metamodel
         self.shards = shards
-        self.scheme = scheme
-        self.partitioner = Partitioner(scheme, shards)
         self.plan_cache_size = plan_cache_size
         self.generation = model.generation
         self.export_text = export_model_text(model, indent=False)
@@ -297,7 +321,6 @@ class ProcessPool:
         return WorkerConfig(
             shard=shard,
             shards=self.shards,
-            scheme=self.scheme,
             metamodel=self.metamodel,
             # current_export_text regenerates lazily: after delta broadcasts
             # the stored text is stale, and a respawned worker must boot from
@@ -426,7 +449,6 @@ class ProcessPool:
         workers = worker_stats(self.handles)
         return {
             "mode": "process",
-            "scheme": self.scheme,
             "shards": self.shards,
             "generation": self.generation,
             "refreshes": self.refreshes,

@@ -11,7 +11,7 @@ and answers two kinds of evaluation request:
     statistics catalog *proves* the query touches one partition.
 ``shard``
     evaluate the sharded plan (start set filtered by an external
-    variable) bound to this worker's ownership list.  The front-end
+    variable) bound to the type names this worker owns.  The front-end
     merges the per-shard partials by ``(sort key, id)``.
 
 Everything the parent needs for the merge rides back in the reply:
@@ -23,7 +23,9 @@ asks only until the plan knows it.
 
 :func:`worker_main` is the request loop of every worker process in both
 serving tiers; the search tier's
-:class:`~repro.collections.worker.CollectionWorker` runs in it too.
+:class:`~repro.collections.worker.CollectionWorker` runs in it too.  It
+serves each op through :func:`dispatch`, which the in-process handle
+calls directly.
 
 The module pre-imports every dependency at top level: under the ``fork``
 start method a lazily-imported module could otherwise deadlock on an
@@ -40,14 +42,14 @@ from ..awb.metamodel import Metamodel
 from ..awb.xml_io import import_model_text
 from ..querycalc.service.errors import Deadline, classify_error
 from ..querycalc.service.plans import PlanCache
-from ..querycalc.via_xquery import XQueryCalculusBackend
+from ..querycalc.via_xquery import SHARD_TYPES, XQueryCalculusBackend
 from ..xquery.updates.apply import apply_script
 from ..xdm import ElementNode
 from ..xquery import EngineConfig, TraceLog, XQueryEngine
 from ..xquery.errors import XQueryError, XQueryTimeoutError
-from .partition import Partitioner
+from .partition import owned_types
 
-__all__ = ["WorkerConfig", "ShardWorker", "worker_main"]
+__all__ = ["WorkerConfig", "ShardWorker", "dispatch", "worker_main"]
 
 
 @dataclass
@@ -56,7 +58,6 @@ class WorkerConfig:
 
     shard: int
     shards: int
-    scheme: str
     metamodel: Metamodel
     export_text: str
     generation: int
@@ -71,7 +72,7 @@ class ShardWorker:
 
     def __init__(self, config: WorkerConfig):
         self.shard = config.shard
-        self.partitioner = Partitioner(config.scheme, config.shards)
+        self.shards = config.shards
         self.metamodel = config.metamodel
         self.plan_cache_size = config.plan_cache_size
         self._plans = PlanCache(maxsize=config.plan_cache_size)
@@ -90,10 +91,14 @@ class ShardWorker:
         self.engine = XQueryEngine(EngineConfig(backend="algebra"))
         self.backend = XQueryCalculusBackend(self.model, engine=self.engine)
         self.generation = generation
-        self.owned = self.partitioner.owned_values(
+        self._own()
+
+    def _own(self) -> None:
+        """Recompute the type names this shard owns in its replica."""
+        self.owned = owned_types(
             self.shard,
-            node_ids=list(self.model.nodes),
-            type_names=[node.type_name for node in self.model.nodes.values()],
+            self.shards,
+            (node.type_name for node in self.model.nodes.values()),
         )
 
     def refresh(self, payload: Dict) -> Dict[str, int]:
@@ -118,13 +123,9 @@ class ShardWorker:
         """
         apply_script(payload["script"], self.model, check="off")
         self.generation = payload["generation"]
-        # membership may have moved (inserts/deletes/renames): recompute
+        # membership may have moved (inserts/deletes/retypes): recompute
         # this shard's ownership the same way a full load would.
-        self.owned = self.partitioner.owned_values(
-            self.shard,
-            node_ids=list(self.model.nodes),
-            type_names=[node.type_name for node in self.model.nodes.values()],
-        )
+        self._own()
         self.deltas += 1
         return {"generation": self.generation, "owned": len(self.owned)}
 
@@ -155,7 +156,7 @@ class ShardWorker:
             "model": self.backend.export.document_element()
         }
         if variant == "shard":
-            variables[self.partitioner.shard_variable()] = list(self.owned)
+            variables[SHARD_TYPES] = list(self.owned)
         primary = self.engine.config.backend
         try:
             result, traces = self._evaluate(compiled, variables, deadline, primary)
@@ -243,18 +244,31 @@ class ShardWorker:
         }
 
 
+def dispatch(worker, op: str, payload):
+    """Run one request op on *worker*: the method its op names, which takes
+    the payload dict.  Both handle kinds serve requests through this, the
+    process loop below and the in-process
+    :class:`~repro.serving.pool.LocalHandle`."""
+    try:
+        if op not in worker.OPS:
+            raise ValueError(f"unknown worker op {op!r}")
+        return getattr(worker, op)(payload)
+    except Exception:
+        worker.errors += 1
+        raise
+
+
 def worker_main(conn, make_worker, config) -> None:
     """A worker process's entry point: the request loop over one Pipe end.
 
     Both serving tiers run this loop: ``make_worker(config)`` builds a
     :class:`ShardWorker` or a
     :class:`~repro.collections.worker.CollectionWorker`, and each request
-    calls the worker method its op names, looked up when it arrives.
+    goes through :func:`dispatch`.
 
     Protocol: the parent sends ``(op, req_id, payload)`` tuples and the
     worker replies ``("ok", req_id, result)`` or ``("err", req_id,
-    QueryError)``; ``op`` is one of the worker's ``OPS``, whose methods
-    take the payload dict, or ``shutdown``.
+    QueryError)``; ``op`` is one of the worker's ``OPS`` or ``shutdown``.
     """
     try:
         worker = make_worker(config)
@@ -272,11 +286,8 @@ def worker_main(conn, make_worker, config) -> None:
             conn.send(("ok", req_id, {}))
             break
         try:
-            if op not in worker.OPS:
-                raise ValueError(f"unknown worker op {op!r}")
-            conn.send(("ok", req_id, getattr(worker, op)(payload)))
+            conn.send(("ok", req_id, dispatch(worker, op, payload)))
         except Exception as exc:
-            worker.errors += 1
             key = payload.get("key") if isinstance(payload, dict) else None
             try:
                 conn.send(("err", req_id, classify_error(exc, key)))

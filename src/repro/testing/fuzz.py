@@ -178,10 +178,9 @@ def run_campaign(
 
     ``serving=True`` (the default) adds the sharded process-pool service
     to the calculus fleet: every calculus draw also runs through real
-    worker processes with scatter/gather, alternating the partition
-    scheme per model (odd model index → ``type``, even → ``hash``) so
-    both schemes see every campaign.  The flag draws nothing from the
-    RNG, so campaigns with and without it generate identical programs.
+    worker processes with scatter/gather over type-partitioned start
+    sets.  The flag draws nothing from the RNG, so campaigns with and
+    without it generate identical programs.
     """
     rng = random.Random(seed)
     stats = CampaignStats(seed=seed, budget=budget)
@@ -262,9 +261,7 @@ def run_campaign(
                 if oracle is not None:
                     oracle.close()
                 oracle = CalculusOracle(
-                    random_model(seed * 1000 + model_index),
-                    serving=serving,
-                    serving_scheme="type" if model_index % 2 else "hash",
+                    random_model(seed * 1000 + model_index), serving=serving
                 )
                 model_queries = 0
             query = random_calculus_query(rng, oracle.model)
@@ -309,18 +306,10 @@ def _collection_draw(
     if roll < 0.12:
         uri = f"docs/w{rng.randrange(0, 5)}.xml"
         if rng.random() < 0.25 and uri in store:
-            if oracle.services:
-                oracle.sharded.delete(uri)
-            else:
-                store.remove(uri)
+            oracle.delete(uri)
         else:
             words = " ".join(random_phrase(rng, 1) for _ in range(rng.randrange(2, 9)))
-            text = f"<doc>{words}</doc>"
-            if oracle.services:
-                for service in oracle.services:
-                    service.put_text(uri, text)
-            else:
-                store.put_text(uri, text)
+            oracle.put_text(uri, f"<doc>{words}</doc>")
     uris = store.uris()
     collections = store.known_collections() or list(FT_COLLECTIONS)
     phrases = [random_phrase(rng) for _ in range(4)]

@@ -333,13 +333,10 @@ class ServingOracle:
     oracle — a sharded divergence is always a bug.
     """
 
-    def __init__(self, model: Model, scheme: str = "type", workers: int = 2):
+    def __init__(self, model: Model, workers: int = 2):
         from ..querycalc.service import QueryService
 
-        self.scheme = scheme
-        self.service = QueryService(
-            model, mode="process", workers=workers, partition=scheme
-        )
+        self.service = QueryService(model, mode="process", workers=workers)
 
     def outcome(self, query: Query) -> tuple:
         from ..querycalc.service.errors import classify_error
@@ -368,8 +365,8 @@ class CalculusOracle:
     execution that populated it).
 
     ``serving=True`` adds the sharded process-pool service to the fleet
-    (``sharded-cold``/``sharded-warm`` outcomes, via :class:`ServingOracle`
-    with ``serving_scheme`` partitioning).  Worker processes are real OS
+    (``sharded-cold``/``sharded-warm`` outcomes, via :class:`ServingOracle`).
+    Worker processes are real OS
     processes — call :meth:`close` (or use the oracle as a context
     manager) when done.
     """
@@ -378,7 +375,6 @@ class CalculusOracle:
         self,
         model: Model,
         serving: bool = False,
-        serving_scheme: str = "type",
         serving_workers: int = 2,
     ):
         self.model = model
@@ -392,7 +388,7 @@ class CalculusOracle:
 
         self.service = QueryService(model)
         self.serving: Optional[ServingOracle] = (
-            ServingOracle(model, scheme=serving_scheme, workers=serving_workers)
+            ServingOracle(model, workers=serving_workers)
             if serving
             else None
         )
@@ -525,7 +521,9 @@ class CollectionOracle:
     engine (indexed and scan), a one-shard :class:`SearchService` cold and
     warm (the warm hit must replay the cold text from the generation-keyed
     cache), and a sharded thread-tier service whose scatter/gather merge
-    must be byte-identical to the unsharded answer.
+    must be byte-identical to the unsharded answer.  The one-shard service
+    fronts ``store`` itself and the sharded one a copy of it, so every
+    write must go through :meth:`put_text` / :meth:`delete` to reach both.
     """
 
     def __init__(
@@ -545,8 +543,23 @@ class CollectionOracle:
             from ..collections import SearchService
 
             self.single = SearchService(store, shards=1, mode="thread")
-            self.sharded = SearchService(store, shards=shards, mode="thread")
+            self.sharded = SearchService(
+                store.subset(store.uris()), shards=shards, mode="thread"
+            )
             self.services = [self.single, self.sharded]
+
+    def put_text(self, uri: str, text: str) -> None:
+        """Write one document through every service (or the bare store)."""
+        for service in self.services:
+            service.put_text(uri, text)
+        if not self.services:
+            self.store.put_text(uri, text)
+
+    def delete(self, uri: str) -> None:
+        for service in self.services:
+            service.delete(uri)
+        if not self.services:
+            self.store.remove(uri)
 
     def close(self) -> None:
         for service in self.services:

@@ -256,27 +256,28 @@ def test_write_after_owner_worker_dies_respawns_it_with_the_write():
 
 def test_reads_execute_outside_the_service_lock():
     """While one read is deep in evaluation, the service lock must be
-    free: stats() (which takes it) completes instead of queueing behind
-    the scatter — the shared-nothing-readers property the load harness
-    measures."""
+    free: the read holds its shard's handle, not the service — the
+    shared-nothing-readers property the load harness measures."""
     import threading
 
     with SearchService(make_store(), shards=2, mode="thread") as service:
         started, release = threading.Event(), threading.Event()
-        original = service._execute
+        worker = service._workers[0].worker
+        original = worker.run
 
-        def slow(request, shard_store, statistics=None):
+        def slow(payload):
             started.set()
             assert release.wait(5.0)
-            return original(request, shard_store, statistics)
+            return original(payload)
 
-        service._execute = slow
+        worker.run = slow
         reader = threading.Thread(target=service.run, args=(SEARCH,))
         reader.start()
         try:
             assert started.wait(5.0)
-            snapshot = service.stats()  # needs the service lock
-            assert snapshot["metrics"]["requests"] == 1
+            assert service._lock.acquire(timeout=2.0)
+            service._lock.release()
+            assert service.metrics["requests"] == 1
         finally:
             release.set()
             reader.join(5.0)
@@ -290,24 +291,25 @@ def test_read_overlapping_a_write_skips_the_cache_insert():
     import threading
 
     with SearchService(make_store(), shards=2, mode="thread") as service:
-        # a write uri owned by shard 1, so it does not need the replica
-        # lock the blocked reader holds (shard 0 scatters first).
+        # a write uri owned by shard 1, so it does not wait on shard 0's
+        # handle, where the reader is blocked.
         write_uri = next(
             f"notes/w{i}.xml" for i in range(64)
             if bucket(f"notes/w{i}.xml", 2) == 1
         )
         started, release = threading.Event(), threading.Event()
-        original = service._execute
+        worker = service._workers[0].worker
+        original = worker.run
         first = threading.Event()
 
-        def slow(request, shard_store, statistics=None):
+        def slow(payload):
             if not first.is_set():
                 first.set()
                 started.set()
                 assert release.wait(5.0)
-            return original(request, shard_store, statistics)
+            return original(payload)
 
-        service._execute = slow
+        worker.run = slow
         reader = threading.Thread(target=service.run, args=(SEARCH,))
         reader.start()
         try:
@@ -322,3 +324,80 @@ def test_read_overlapping_a_write_skips_the_cache_insert():
         second = service.run(SEARCH)
         assert not second.cached
         assert service.run(SEARCH).cached  # quiescent run caches again
+
+
+# -- concurrent reads and writes -----------------------------------------------
+
+
+@pytest.mark.parametrize("mode", ["thread", "process"])
+def test_concurrent_reads_and_writes(mode):
+    """Four readers over docs/ and notes/ race one writer under hot/ for
+    about a second.  No request raises, and no answer changes between
+    reads, since the writer never touches what the readers read; after
+    the threads join every answer equals an index-off evaluation."""
+    import sys
+    import threading
+    import time
+
+    requests = [
+        SEARCH,
+        NOTES,
+        SearchRequest(kind="kwic", collection="docs/", phrase="beta", width=12),
+        SearchRequest(kind="collection", collection="notes/"),
+        SearchRequest(kind="doc", uri="docs/d0.xml"),
+    ]
+    failures, answers, reads, writes = [], {}, [0], [0]
+    answers_lock = threading.Lock()
+    previous = sys.getswitchinterval()
+    sys.setswitchinterval(1e-4)
+    try:
+        with SearchService(make_store(), shards=2, mode=mode) as service:
+            stop_at = time.monotonic() + 1.0
+
+            def reader(offset):
+                index = offset
+                while time.monotonic() < stop_at:
+                    request = requests[index % len(requests)]
+                    index += 1
+                    try:
+                        text = service.run(request).text
+                    except Exception as exc:  # noqa: BLE001 - reported below
+                        failures.append(f"{request.key()}: {exc!r}")
+                        continue
+                    with answers_lock:
+                        reads[0] += 1
+                        if answers.setdefault(request.key(), text) != text:
+                            failures.append(f"{request.key()}: answer changed")
+
+            def writer():
+                index = 0
+                while time.monotonic() < stop_at:
+                    try:
+                        # fresh uris grow the shard stores under the readers
+                        if index % 5 == 4:
+                            service.delete(f"hot/w{index - 1}.xml")
+                        else:
+                            service.put_text(
+                                f"hot/w{index}.xml", f"<doc>alpha beta hot {index}</doc>"
+                            )
+                    except Exception as exc:  # noqa: BLE001 - reported below
+                        failures.append(f"write {index}: {exc!r}")
+                    writes[0] += 1
+                    index += 1
+
+            threads = [threading.Thread(target=reader, args=(i,)) for i in range(4)]
+            threads.append(threading.Thread(target=writer))
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(30.0)
+            assert not any(thread.is_alive() for thread in threads)
+            assert failures == []
+            assert reads[0] > 0 and writes[0] > 0
+            for request in requests:
+                assert service.run(request).text == service.evaluate_fresh(
+                    request, use_index=False
+                ), request.key()
+            assert service.stats()["restarts"] == 0
+    finally:
+        sys.setswitchinterval(previous)

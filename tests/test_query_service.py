@@ -11,7 +11,7 @@ from repro.querycalc import (
     run_query,
 )
 from repro.querycalc.service import PlanCache, QueryPlan, ResultCache
-from repro.querycalc.service.service import _percentile
+from repro.querycalc.service import percentile
 from repro.workloads import make_it_model
 
 LIKES_USES = """
@@ -240,28 +240,28 @@ class TestPercentile:
     """The ceil-based nearest-rank formula (the round() one was off by one)."""
 
     def test_empty(self):
-        assert _percentile([], 0.5) == 0.0
+        assert percentile([], 0.5) == 0.0
 
     def test_median_of_odd_count_is_the_middle_value(self):
         # round(0.5 * 5) == 2 under banker's rounding — the old bug
-        assert _percentile([5.0, 1.0, 4.0, 2.0, 3.0], 0.50) == 3.0
+        assert percentile([5.0, 1.0, 4.0, 2.0, 3.0], 0.50) == 3.0
 
     def test_median_of_two(self):
         # nearest-rank p50 of two samples is the lower one (rank ceil(1.0)=1)
-        assert _percentile([1.0, 2.0], 0.50) == 1.0
+        assert percentile([1.0, 2.0], 0.50) == 1.0
 
     def test_p95_of_one_hundred(self):
         samples = [float(value) for value in range(1, 101)]
-        assert _percentile(samples, 0.95) == 95.0
-        assert _percentile(samples, 0.50) == 50.0
+        assert percentile(samples, 0.95) == 95.0
+        assert percentile(samples, 0.50) == 50.0
 
     def test_extremes_clamp(self):
         samples = [1.0, 2.0, 3.0]
-        assert _percentile(samples, 0.0) == 1.0
-        assert _percentile(samples, 1.0) == 3.0
+        assert percentile(samples, 0.0) == 1.0
+        assert percentile(samples, 1.0) == 3.0
 
     def test_single_sample(self):
-        assert _percentile([7.0], 0.95) == 7.0
+        assert percentile([7.0], 0.95) == 7.0
 
 
 class TestBackendParityUnderService:

@@ -2,7 +2,7 @@
 
 The scatter/gather correctness argument (pipeline steps distribute over
 the start-set union; collect is a dedup+sort that merges) is pinned here
-over random models and queries, under both partition schemes, including
+over random models and queries with type-partitioned start sets, including
 the cases the router *must* scatter (all-nodes starts, type starts whose
 subtype closure spans shards) and both sort directions with and without
 distinct.  "Identical" means: same node ids in the same order, same trace
@@ -16,10 +16,8 @@ import pytest
 from repro.querycalc.ast import Collect, FilterProperty, Query, Start
 from repro.querycalc.service import QueryService
 from repro.querycalc.service.errors import classify_error
-from repro.serving.partition import Partitioner
+from repro.serving.partition import bucket
 from repro.testing.models import random_calculus_query, random_model
-
-SCHEMES = ("type", "hash")
 
 
 def outcome(service, query):
@@ -32,15 +30,15 @@ def outcome(service, query):
     return ("ok", tuple(node.id for node in item), tuple(item.traces))
 
 
-def assert_sharded_parity(model, queries, scheme, workers=3):
+def assert_sharded_parity(model, queries, workers=3):
     reference = QueryService(model)
-    sharded = QueryService(model, mode="process", workers=workers, partition=scheme)
+    sharded = QueryService(model, mode="process", workers=workers)
     try:
         for query in queries:
             expect = outcome(reference, query)
             got = outcome(sharded, query)
             assert got == expect, (
-                f"scheme={scheme} query diverged:\n"
+                "query diverged:\n"
                 f"  thread : {expect!r}\n  sharded: {got!r}"
             )
         return sharded.metrics()["routes"]
@@ -48,17 +46,15 @@ def assert_sharded_parity(model, queries, scheme, workers=3):
         sharded.close()
 
 
-@pytest.mark.parametrize("scheme", SCHEMES)
 @pytest.mark.parametrize("seed", [11, 47])
-def test_random_queries_identical_across_schemes(scheme, seed):
+def test_random_queries_identical_to_thread_service(seed):
     model = random_model(seed, size=30)
     rng = random.Random(seed * 13)
     queries = [random_calculus_query(rng, model) for _ in range(18)]
-    assert_sharded_parity(model, queries, scheme)
+    assert_sharded_parity(model, queries)
 
 
-@pytest.mark.parametrize("scheme", SCHEMES)
-def test_forced_cross_shard_order_by_matrix(scheme):
+def test_forced_cross_shard_order_by_matrix():
     """All-nodes starts force scatter; check every collect combination."""
     model = random_model(7, size=40)
     queries = [
@@ -71,22 +67,23 @@ def test_forced_cross_shard_order_by_matrix(scheme):
         for descending in (False, True)
         for distinct in (True, False)
     ]
-    routes = assert_sharded_parity(model, queries, scheme)
+    routes = assert_sharded_parity(model, queries)
     assert routes.get("scatter", 0) >= len(queries) / 2
 
 
 def test_type_start_spanning_shards_scatters_and_matches():
     """A start type whose present subtype closure spans shards."""
     model = random_model(19, size=40)
-    partitioner = Partitioner("type", 2)
     present = {node.type_name for node in model.nodes.values()}
     spanning = [
         name
         for name in present
         if len(
-            partitioner.shards_of_types(
-                set(model.metamodel.node_subtype_names(name)) & present
-            )
+            {
+                bucket(subtype, 2)
+                for subtype in model.metamodel.node_subtype_names(name)
+                if subtype in present
+            }
         )
         > 1
     ]
@@ -97,7 +94,7 @@ def test_type_start_spanning_shards_scatters_and_matches():
     ]
     if not queries:
         pytest.skip("no spanning type in this model draw")
-    routes = assert_sharded_parity(model, queries, "type", workers=2)
+    routes = assert_sharded_parity(model, queries, workers=2)
     assert routes.get("scatter", 0) >= 1
 
 
@@ -112,16 +109,14 @@ def test_duplicate_preserving_pipeline_counts_match():
         ),
         Query(Start(all_nodes=True), [], Collect(distinct=False)),
     ]
-    for scheme in SCHEMES:
-        assert_sharded_parity(model, queries, scheme)
+    assert_sharded_parity(model, queries)
 
 
-@pytest.mark.parametrize("scheme", SCHEMES)
-def test_parity_survives_mutation_and_refresh(scheme):
+def test_parity_survives_mutation_and_refresh():
     model = random_model(37, size=25)
     rng = random.Random(99)
     reference = QueryService(model)
-    sharded = QueryService(model, mode="process", workers=2, partition=scheme)
+    sharded = QueryService(model, mode="process", workers=2)
     try:
         for round_index in range(3):
             queries = [random_calculus_query(rng, model) for _ in range(6)]

@@ -1,15 +1,11 @@
-"""Units for the serving tier's partitioner, router, and gather merge."""
+"""Units for the serving tier's type ownership, router, and gather merge."""
 
 import zlib
 
-import pytest
-
 from repro.querycalc.ast import Collect, Query, Start
-from repro.serving.partition import (
-    PARTITION_SCHEMES,
-    Partitioner,
-    route_query,
-)
+from repro.querycalc.via_xquery import XQueryCalculusBackend
+from repro.serving.partition import bucket as tier_bucket
+from repro.serving.partition import owned_types, route_query
 from repro.serving.pool import merge_partials
 from repro.testing.models import random_model
 
@@ -18,61 +14,47 @@ def bucket(value: str, shards: int) -> int:
     return zlib.crc32(value.encode("utf-8")) % shards
 
 
-# -- partitioner ---------------------------------------------------------------
+# -- ownership -----------------------------------------------------------------
 
 
-def test_partitioner_rejects_bad_inputs():
-    with pytest.raises(ValueError):
-        Partitioner("round-robin", 2)
-    with pytest.raises(ValueError):
-        Partitioner("type", 0)
-
-
-@pytest.mark.parametrize("scheme", PARTITION_SCHEMES)
-def test_every_node_owned_by_exactly_one_shard(scheme):
+def test_every_node_owned_by_exactly_one_shard():
     model = random_model(3, size=30)
-    partitioner = Partitioner(scheme, shards=3)
+    types = [node.type_name for node in model.nodes.values()]
+    owned = [set(owned_types(shard, 3, types)) for shard in range(3)]
     for node in model.nodes.values():
-        owners = [
-            shard
-            for shard in range(3)
-            if partitioner.shard_of(node.id, node.type_name) == shard
-        ]
-        assert len(owners) == 1
+        assert sum(node.type_name in shard for shard in owned) == 1
 
 
 def test_type_scheme_groups_by_class():
-    partitioner = Partitioner("type", shards=4)
-    assert partitioner.shard_of("N1", "Server") == partitioner.shard_of(
-        "N999", "Server"
+    shard = bucket("Server", 4)
+    assert owned_types(shard, 4, ["Server", "Server"]) == ["Server"]
+    assert all(
+        owned_types(other, 4, ["Server"]) == [] for other in range(4) if other != shard
     )
-    assert partitioner.shard_of_type("Server") == bucket("Server", 4)
 
 
 def test_hash_scheme_is_process_independent():
     # CRC32, not salted str.hash: workers must agree with the front-end.
-    partitioner = Partitioner("hash", shards=5)
-    assert partitioner.shard_of_id("N17") == bucket("N17", 5)
+    assert tier_bucket("N17", 5) == bucket("N17", 5)
 
 
-@pytest.mark.parametrize("scheme", PARTITION_SCHEMES)
-def test_owned_values_partition_the_inputs(scheme):
+def test_owned_types_partition_the_present_types():
     model = random_model(9, size=25)
-    partitioner = Partitioner(scheme, shards=3)
-    ids = list(model.nodes)
     types = [node.type_name for node in model.nodes.values()]
-    owned = [partitioner.owned_values(s, ids, types) for s in range(3)]
+    owned = [owned_types(s, 3, types) for s in range(3)]
     flat = [value for shard in owned for value in shard]
     assert len(flat) == len(set(flat))  # disjoint
-    if scheme == "hash":
-        assert sorted(flat) == sorted(ids)  # complete
-    else:
-        assert sorted(flat) == sorted(set(types))
+    assert sorted(flat) == sorted(set(types))  # complete
 
 
-def test_shard_variable_names_follow_scheme():
-    assert Partitioner("type", 2).shard_variable() == "awb-shard-types"
-    assert Partitioner("hash", 2).shard_variable() == "awb-shard-ids"
+def test_sharded_source_filters_start_types():
+    model = random_model(5, size=10)
+    backend = XQueryCalculusBackend(model)
+    query = make_query(all_nodes=True)
+    sharded = backend.compile_to_xquery(query, sharded=True)
+    assert "declare variable $awb-shard-types external;" in sharded
+    assert "($model/node)[@type = $awb-shard-types]" in sharded
+    assert "awb-shard-types" not in backend.compile_to_xquery(query)
 
 
 # -- router --------------------------------------------------------------------
@@ -90,64 +72,54 @@ def make_query(**kwargs):
 
 def test_one_shard_tier_always_routes_single():
     route = route_query(
-        make_query(all_nodes=True), Partitioner("type", 1), None, _subtypes
+        make_query(all_nodes=True), 1, None, _subtypes
     )
     assert route.kind == "single" and route.shard == 0
 
 
 def test_traced_query_routes_single():
     query = Query(Start(all_nodes=True), [], Collect(), trace="t")
-    route = route_query(query, Partitioner("hash", 3), None, _subtypes)
+    route = route_query(query, 3, None, _subtypes)
     assert route.kind == "single"
     assert route.reason == "traced-query"
 
 
-def test_start_id_routes_to_owner_under_hash():
-    partitioner = Partitioner("hash", 4)
-    route = route_query(make_query(node_id="N7"), partitioner, None, _subtypes)
-    assert route.kind == "single"
-    assert route.shard == bucket("N7", 4)
-
-
 def test_start_id_under_type_scheme_uses_owner_callback():
-    partitioner = Partitioner("type", 4)
     route = route_query(
         make_query(node_id="N7"),
-        partitioner,
+        4,
         None,
         _subtypes,
         owner_of_id=lambda node_id: 2,
     )
     assert route.kind == "single" and route.shard == 2
     # without the callback the router cannot prove ownership: scatter.
-    route = route_query(make_query(node_id="N7"), partitioner, None, _subtypes)
+    route = route_query(make_query(node_id="N7"), 4, None, _subtypes)
     assert route.kind == "scatter"
 
 
 def test_all_nodes_scatters():
     route = route_query(
-        make_query(all_nodes=True), Partitioner("type", 2), None, _subtypes
+        make_query(all_nodes=True), 2, None, _subtypes
     )
     assert route.kind == "scatter"
 
 
 def test_start_type_single_shard_proof():
-    partitioner = Partitioner("type", 3)
-    shard = partitioner.shard_of_type("Widget")
     route = route_query(
         make_query(type="Widget"),
-        partitioner,
+        3,
         frozenset({"Widget", "Server"}),
         _subtypes,
     )
-    assert route.kind == "single" and route.shard == shard
+    assert route.kind == "single" and route.shard == bucket("Widget", 3)
     assert route.reason == "start-type-single-shard"
 
 
 def test_start_type_absent_from_domain_routes_single_empty():
     route = route_query(
         make_query(type="Ghost"),
-        Partitioner("type", 3),
+        3,
         frozenset({"Server"}),
         _subtypes,
     )
@@ -158,14 +130,11 @@ def test_start_type_absent_from_domain_routes_single_empty():
 def test_start_type_spanning_shards_scatters():
     # force the subtype closure onto 2+ shards by finding names that bucket
     # differently.
-    partitioner = Partitioner("type", 2)
     a, b = "Host", "Server"
     assert bucket(a, 2) != bucket(b, 2) or True  # document the intent
     names = frozenset({a, b})
-    route = route_query(
-        make_query(type="Host"), partitioner, names, _subtypes
-    )
-    if partitioner.shards_of_types(["Host", "Server"]) == {bucket(a, 2)}:
+    route = route_query(make_query(type="Host"), 2, names, _subtypes)
+    if bucket(a, 2) == bucket(b, 2):
         assert route.kind == "single"
     else:
         assert route.kind == "scatter"
@@ -174,20 +143,12 @@ def test_start_type_spanning_shards_scatters():
 def test_unknown_domain_is_conservative():
     # a None domain (statistics cap exceeded) must scatter, never guess.
     route = route_query(
-        make_query(type="Host"), Partitioner("type", 2), None, _subtypes
+        make_query(type="Host"), 2, None, _subtypes
     )
     assert route.kind in ("single", "scatter")
     if route.kind == "single":
         # only legitimate if the whole closure lands on one shard
-        assert len(Partitioner("type", 2).shards_of_types(_subtypes("Host"))) == 1
-
-
-def test_hash_scheme_type_start_scatters():
-    route = route_query(
-        make_query(type="Server"), Partitioner("hash", 2), None, _subtypes
-    )
-    assert route.kind == "scatter"
-    assert route.reason == "start-type-hash-partitioned"
+        assert len({bucket(name, 2) for name in _subtypes("Host")}) == 1
 
 
 # -- gather merge --------------------------------------------------------------

@@ -158,7 +158,6 @@ def test_worker_reply_carries_signature_only_when_asked(model):
         WorkerConfig(
             shard=0,
             shards=1,
-            scheme="type",
             metamodel=model.metamodel,
             export_text=export_model_text(model, indent=False),
             generation=model.generation,
@@ -350,7 +349,6 @@ def test_metrics_expose_p99_and_mode(model, service):
     assert metrics["p99_ms"] >= metrics["p50_ms"] >= 0.0
     serving = metrics["serving"]
     assert serving["shards"] == 2
-    assert serving["scheme"] == "type"
 
 
 def test_serving_stats_round_trip(model, service):
