@@ -247,11 +247,7 @@ def test_e15_query_service_matrix():
             "batch_workers1_ms": batch1_seconds * 1000,
             "batch_workers4_ms": batch4_seconds * 1000,
             "speedup_vs_naive": batch_speedup,
-            "service_metrics": {
-                key: value
-                for key, value in batch_metrics.items()
-                if key != "backend"
-            },
+            "service_metrics": batch_metrics,
         },
         "headline": {
             "warm_vs_native_at_n101": json_rows[-1]["warm_vs_native"],

@@ -177,13 +177,9 @@ def test_e20_serving_tier_matrix():
     # the tentpole gate — real parallelism needs real cores.  On a
     # single-core container the process tier pays IPC for no extra CPU,
     # so the gate is recorded but not enforced (cpu_count is in the
-    # payload; see docs/serving.md).
+    # payload; see docs/serving.md).  Every gate is asserted only after
+    # the results are recorded, so a red run still rewrites them.
     gate_enforced = cpu_count >= 2
-    if gate_enforced:
-        assert speedup_w4 >= PROCESS_SPEEDUP_GATE, (
-            f"process w=4 only {speedup_w4:.2f}x thread w=4 "
-            f"on {cpu_count} cores"
-        )
 
     # -- tail latency under load ----------------------------------------------
     with QueryService(model, mode="process", workers=4) as service:
@@ -194,12 +190,7 @@ def test_e20_serving_tier_matrix():
             mix="mixed",
             seed=20040522,
         )
-        # availability 1.0: ok + deliberate sheds cover every request.
-        assert report["requests"] >= LOAD_CLIENTS
-        assert report["availability"] == 1.0, report["errors_by_kind"]
-        assert report["ok"] >= 1
         mismatches = parity_sweep(model, service, seed=20040522, count=24)
-        assert mismatches == 0
         post_metrics = service.metrics()
 
     matrix_rows = [
@@ -284,3 +275,14 @@ def test_e20_serving_tier_matrix():
     }
     record_json("e20_serving_tier.json", payload)
     record_json("BENCH_e20.json", payload, directory=REPO_ROOT)
+
+    # availability 1.0: ok + deliberate sheds cover every request.
+    assert report["requests"] >= LOAD_CLIENTS
+    assert report["availability"] == 1.0, report["errors_by_kind"]
+    assert report["ok"] >= 1
+    assert mismatches == 0
+    if gate_enforced:
+        assert speedup_w4 >= PROCESS_SPEEDUP_GATE, (
+            f"process w=4 only {speedup_w4:.2f}x thread w=4 "
+            f"on {cpu_count} cores"
+        )

@@ -11,7 +11,7 @@ Usage::
 The ``xquery`` backend is the paper's "preposterously inefficient"
 configuration — useful for feeling the difference first-hand.  The
 ``service`` backend puts the serving layer (plan/result caches over the
-closure-compiled engine) in front of it; with ``--repeat`` the cold
+algebra engine) in front of it; with ``--repeat`` the cold
 first run and warm repeats are printed separately, demonstrating by hand
 what E15 measures.
 """

@@ -1,14 +1,17 @@
-"""Plan normalization and the plan cache.
+"""Plan normalization, the plan cache, and the one way to run a plan.
 
 A *plan* is everything the service needs to execute one calculus query
-repeatedly without re-doing per-query work: for the XQuery backend, the
-generated XQuery source and its :class:`~repro.xquery.api.CompiledQuery`
-(parsed, linted, optimized, closure-compiled); for the native backend the
-query AST itself is the plan.
+repeatedly without re-doing per-query work: the generated XQuery source
+and, in thread mode, its :class:`~repro.xquery.api.CompiledQuery`
+(parsed, linted, optimized and lowered to the algebra).
 
 Plans are keyed by the *normalized query text* — a canonical rendering of
 the calculus AST — so two structurally identical queries parsed from
 different XML files share one compiled plan.
+
+:func:`run_compiled` evaluates a compiled plan for both halves of the
+serving path, the thread-mode front end and the process-mode shard
+worker, so the algebra→treewalk degradation is written once.
 """
 
 from __future__ import annotations
@@ -16,9 +19,12 @@ from __future__ import annotations
 import threading
 from collections import OrderedDict
 from dataclasses import dataclass
-from typing import Callable, Dict, Optional
+from typing import Callable, Dict, Optional, Sequence, Tuple
 
+from ...xquery import TraceLog
+from ...xquery.errors import XQueryError, XQueryTimeoutError
 from ..ast import FilterProperty, FilterType, Follow, Query
+from .errors import Deadline
 
 
 def normalize_query(query: Query) -> str:
@@ -63,16 +69,15 @@ class QueryPlan:
     """An executable plan for one normalized calculus query."""
 
     key: str
-    backend: str  # "xquery" or "native"
     query: Query
-    #: generated XQuery source (XQuery backend only).
+    #: generated XQuery source.
     source: Optional[str] = None
-    #: compiled query, ready to ``run()`` (thread-mode XQuery plans only).
+    #: compiled query, ready to ``run()`` (thread mode only).
     compiled: Optional[object] = None
-    #: structural signature of the optimized module (XQuery backend only):
-    #: position-independent, so structurally identical plans share result
-    #: cache entries even when their calculus spellings differ.  Process
-    #: mode learns it from the plan's first worker reply.
+    #: structural signature of the optimized module: position-independent,
+    #: so structurally identical plans share result cache entries even when
+    #: their calculus spellings differ.  Process mode learns it from the
+    #: plan's first worker reply.
     result_key: Optional[str] = None
     #: the scatter variant of ``source``, whose start set is filtered to the
     #: types in the ``$awb-shard-types`` external variable (process mode
@@ -89,6 +94,63 @@ class QueryPlan:
     def cache_key(self) -> str:
         """The result-cache key: the optimized plan's signature when known."""
         return self.result_key if self.result_key is not None else self.key
+
+
+def run_compiled(
+    compiled,
+    variables: Dict[str, object],
+    deadline: Optional[Deadline],
+    statistics,
+    algebra_cache=None,
+    before: Optional[Callable[[str], None]] = None,
+) -> Tuple[Sequence, Tuple[str, ...]]:
+    """Run *compiled* on its engine's backend; return (result, traces).
+
+    Spec errors (timeouts included) surface as they are.  An *internal*
+    error from the algebra is retried once on the treewalk reference
+    backend — graceful degradation: correctness from the reference
+    interpreter beats failing the request.  If the retry fails too, the
+    original error surfaces, unless the budget ran out during the retry
+    (then it is a timeout).
+
+    ``before(backend)`` runs ahead of each attempt: the service hooks its
+    fault injector there, and both callers count a fallback when the
+    attempt's backend is not ``compiled.config.backend``.  ``statistics``
+    and ``algebra_cache`` only steer the algebra.
+    """
+    primary = compiled.config.backend
+
+    def attempt(backend: str) -> Tuple[Sequence, Tuple[str, ...]]:
+        if before is not None:
+            before(backend)
+        if deadline is not None:
+            deadline.check("evaluate")
+        trace = TraceLog()
+        result = compiled.run(
+            variables=variables,
+            trace=trace,
+            backend=backend,
+            deadline=deadline.at if deadline is not None else None,
+            statistics=statistics,
+            algebra_cache=algebra_cache,
+        )
+        if deadline is not None:
+            deadline.check("materialize")
+        return result, tuple(trace.messages)
+
+    try:
+        return attempt(primary)
+    except XQueryError:
+        raise
+    except Exception as first:
+        if primary == "treewalk":
+            raise  # already on the reference backend: nothing to degrade to
+        try:
+            return attempt("treewalk")
+        except XQueryTimeoutError:
+            raise  # the budget ran out during the retry: that is a timeout
+        except Exception:
+            raise first
 
 
 class PlanCache:

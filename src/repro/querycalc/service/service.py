@@ -1,4 +1,4 @@
-"""The query service: a fault-tolerant serving layer over the calculus backends.
+"""The query service: a fault-tolerant serving layer over the XQuery calculus path.
 
 This is the architectural answer to E6 *and* the robustness answer to the
 paper's error-handling chapter.  The caching story (PR 3) keeps four
@@ -11,10 +11,10 @@ layers warm between requests:
 3. a **result cache** keyed by (plan, export generation): repeat queries
    against an unchanged model are a dict hit, and any model mutation
    bumps the generation and silently invalidates every stale entry;
-4. a **batch API**: :meth:`QueryService.run_batch` runs a whole UI
-   refresh worth of queries over one shared export snapshot on a thread
-   pool, evaluating each distinct plan once and fanning results out to
-   duplicates.
+4. a **batch API**: :meth:`QueryService.run_batch` serves a whole UI
+   refresh worth of queries on a thread pool through the same path as
+   :meth:`QueryService.run`, serving each distinct plan once and copying
+   its outcome to duplicates.
 
 The robustness layer on top makes failure a first-class outcome instead
 of an unhandled exception:
@@ -29,7 +29,8 @@ of an unhandled exception:
   hanging a worker;
 * **graceful degradation** — an *internal* (non-spec) error from the
   algebra backend is retried once on the treewalk reference backend
-  before surfacing, and counted in ``metrics()["fallbacks"]``;
+  before surfacing (:func:`~repro.querycalc.service.plans.run_compiled`,
+  shared with the shard worker), and counted in ``metrics()["fallbacks"]``;
 * **fault injection** — a :class:`~repro.querycalc.service.faults.FaultInjector`
   can fail or stall any pipeline site, which is how the chaos suite and
   the E16 benchmark exercise all of the above.
@@ -50,15 +51,14 @@ from typing import Dict, Iterable, List, Optional, Tuple
 
 from ...awb.model import Model, ModelNode
 from ...xdm import ElementNode
-from ...xquery import EngineConfig, TraceLog, XQueryEngine
-from ...xquery.errors import XQueryError, XQueryTimeoutError
+from ...xquery import EngineConfig, XQueryEngine
 from ..ast import Query
-from ..native import QueryRuntimeError, run_query
+from ..native import QueryRuntimeError
 from ..via_xquery import XQueryCalculusBackend
 from .deps import derive_dependencies, patch_result
 from .errors import Deadline, QueryError, QueryOverloadError, classify_error
 from .faults import FaultInjector
-from .plans import PlanCache, QueryPlan, normalize_query
+from .plans import PlanCache, QueryPlan, normalize_query, run_compiled
 from .results import BatchItem, ResultCache
 
 #: the service's execution modes: a thread pool in this process (threads
@@ -85,14 +85,13 @@ def percentile(samples: List[float], fraction: float) -> float:
 
 
 class QueryService:
-    """Serves calculus queries from caches, falling back to a backend.
+    """Serves calculus queries from caches, falling back to the XQuery path.
 
-    ``backend`` selects the engine under the caches: ``"xquery"`` (the
-    paper's preposterously inefficient path, served by the algebra
-    backend's optimized plans by default) or ``"native"`` (the live-graph
-    interpreter).
-    Both share the same plan normalization, result cache, and metrics, so
-    E15 can compare them under identical serving conditions.
+    A miss runs the paper's preposterously inefficient path: calculus →
+    generated XQuery → ``engine`` (the algebra backend's optimized plans by
+    default).  The native interpreter,
+    :func:`~repro.querycalc.native.run_query`, is the reference the
+    service's answers are checked against, not a mode of the service.
 
     ``default_timeout`` is the per-query wall-clock budget in seconds
     applied when a call does not pass its own; ``fault_injector`` wires a
@@ -104,7 +103,6 @@ class QueryService:
         self,
         model: Model,
         engine: Optional[XQueryEngine] = None,
-        backend: str = "xquery",
         plan_cache_size: int = 128,
         result_cache_size: int = 512,
         workers: int = 4,
@@ -113,14 +111,9 @@ class QueryService:
         mode: str = "thread",
         max_pending: Optional[int] = None,
     ):
-        if backend not in ("xquery", "native"):
-            raise ValueError(f"unknown backend {backend!r}")
         if mode not in SERVICE_MODES:
             raise ValueError(f"mode must be one of {SERVICE_MODES}, not {mode!r}")
-        if mode == "process" and backend != "xquery":
-            raise ValueError("mode='process' serves the XQuery backend only")
         self.model = model
-        self.backend = backend
         if workers == 0:
             # "as many as the machine has": meaningful parallelism in
             # process mode; in thread mode extra workers only widen the
@@ -131,16 +124,12 @@ class QueryService:
         self.mode = mode
         self.default_timeout = default_timeout
         self.faults = fault_injector
-        if backend == "xquery":
-            # the algebra backend is the default cold path: set-at-a-time
-            # plans with hash joins, falling back to the reference
-            # evaluator per-subtree (and wholesale, via _execute's retry,
-            # on any internal error).
-            self.engine = engine or XQueryEngine(EngineConfig(backend="algebra"))
-            self._backend = XQueryCalculusBackend(model, engine=self.engine)
-        else:
-            self.engine = engine
-            self._backend = None
+        # the algebra backend is the default cold path: set-at-a-time plans
+        # with hash joins, falling back to the closure compiler per subtree
+        # (and to the treewalk wholesale, via run_compiled's retry, on any
+        # internal error).
+        self.engine = engine or XQueryEngine(EngineConfig(backend="algebra"))
+        self._backend = XQueryCalculusBackend(model, engine=self.engine)
         #: batch-level common-subexpression cache for the algebra backend,
         #: replaced whenever the export generation moves.
         self._algebra_cache = None
@@ -198,37 +187,7 @@ class QueryService:
         that want errors as values use :meth:`run_batch` — but are still
         recorded in :meth:`metrics` first.
         """
-        started = time.perf_counter()
-        deadline = self._deadline(timeout)
-        plan_key: Optional[str] = None
-        executed = 0
-        try:
-            plan = self._plan(query)
-            plan_key = plan.key
-            root, generation = self._snapshot()
-            cached = self._results.get((plan.cache_key, generation), plan.deps)
-            if cached is not None:
-                ids, traces = cached
-                self._record(1, 0, time.perf_counter() - started)
-                return BatchItem(
-                    self._materialize(ids), served_from_cache=True, traces=traces
-                )
-            executed = 1
-            admitted = self._admit()
-            try:
-                ids, traces = self._execute(plan, root, deadline)
-            finally:
-                if admitted:
-                    self._admission.release()
-            self._store(plan, generation, ids, traces)
-            self._record(1, 1, time.perf_counter() - started)
-            return BatchItem(self._materialize(ids), traces=traces)
-        except Exception as exc:
-            error = classify_error(exc, plan_key)
-            self._record(
-                1, executed, time.perf_counter() - started, errors=(error,)
-            )
-            raise
+        return self._serve(query, self._deadline(timeout))
 
     def run_batch(
         self,
@@ -237,11 +196,12 @@ class QueryService:
         timeout: Optional[float] = None,
         batch_timeout: Optional[float] = None,
     ) -> List[BatchItem]:
-        """Run independent read-only queries over one export snapshot.
+        """Serve independent read-only queries on a thread pool.
 
-        Distinct plans are evaluated once each — duplicates within the
-        batch share the result — on a pool of ``workers`` threads.  The
-        model must not be mutated while a batch is in flight.
+        Each distinct plan is served once, through the same path as
+        :meth:`run`, on a pool of ``workers`` threads; duplicates within
+        the batch copy their plan's outcome.  Metrics record one latency
+        sample per distinct plan.
 
         Failures are **isolated per query**: a failing job yields a
         :class:`BatchItem` whose ``error`` is a structured
@@ -252,7 +212,6 @@ class QueryService:
         that would start after it expires fail fast with kind
         ``timeout``.
         """
-        started = time.perf_counter()
         queries = list(queries)
         if not queries:
             return []
@@ -262,122 +221,55 @@ class QueryService:
             # this only widens the dedup window (GIL); real scaling needs
             # mode="process", where each worker is its own interpreter.
             workers = os.cpu_count() or 1
-        per_query = timeout if timeout is not None else self.default_timeout
         batch_deadline = (
             Deadline.after(batch_timeout) if batch_timeout is not None else None
         )
-
-        # 1. plan every query, isolating per-query compile/lint failures.
-        plan_keys: List[str] = []
-        plans: Dict[str, QueryPlan] = {}
-        plan_errors: Dict[str, QueryError] = {}
+        keys: List[str] = []
         for index, query in enumerate(queries):
             try:
-                plan = self._plan(query)
+                keys.append(normalize_query(query))
+            except Exception:
+                keys.append(f"<unplannable #{index}>")
+        distinct: Dict[str, Query] = {}
+        for key, query in zip(keys, queries):
+            distinct.setdefault(key, query)
+
+        def serve(job: Tuple[str, Query]) -> BatchItem:
+            key, query = job
+            deadline = self._deadline(timeout)
+            if deadline is None:
+                deadline = batch_deadline
+            else:
+                deadline = deadline.cap(batch_deadline)
+            try:
+                return self._serve(query, deadline)
             except Exception as exc:
-                try:
-                    key = normalize_query(query)
-                except Exception:
-                    key = f"<unplannable #{index}>"
-                plan_keys.append(key)
-                plan_errors.setdefault(key, classify_error(exc, key))
-            else:
-                plan_keys.append(plan.key)
-                plans.setdefault(plan.key, plan)
+                return BatchItem(error=classify_error(exc, key))
 
-        # 2. one shared export snapshot; if it fails, every planned query
-        # gets the structured error instead of the batch raising.
-        root: Optional[ElementNode] = None
-        generation = 0
-        export_error: Optional[QueryError] = None
-        try:
-            root, generation = self._snapshot()
-        except Exception as exc:
-            export_error = classify_error(exc)
+        jobs = list(distinct.items())
+        if workers <= 1 or len(jobs) <= 1:
+            served = [serve(job) for job in jobs]
+        else:
+            with ThreadPoolExecutor(max_workers=min(workers, len(jobs))) as pool:
+                served = list(pool.map(serve, jobs))
+        outcomes = dict(zip(distinct, served))
 
-        # 3. serve each distinct plan: result cache, then the backend.
-        outcomes: Dict[str, Tuple] = {}
-        to_run: List[QueryPlan] = []
-        if export_error is None:
-            for key, plan in plans.items():
-                cached = self._results.get((plan.cache_key, generation), plan.deps)
-                if cached is not None:
-                    ids, traces = cached
-                    outcomes[key] = ("ok", ids, traces, True)
-                else:
-                    to_run.append(plan)
-
-            def job(plan: QueryPlan) -> Tuple[str, Tuple]:
-                deadline = (
-                    Deadline.after(per_query) if per_query is not None else None
-                )
-                if deadline is not None:
-                    deadline = deadline.cap(batch_deadline)
-                else:
-                    deadline = batch_deadline
-                try:
-                    if deadline is not None:
-                        deadline.check("batch queue")
-                    admitted = self._admit()
-                    try:
-                        ids, traces = self._execute(plan, root, deadline)
-                    finally:
-                        if admitted:
-                            self._admission.release()
-                    self._store(plan, generation, ids, traces)
-                    return plan.key, ("ok", ids, traces, False)
-                except Exception as exc:
-                    return plan.key, ("err", classify_error(exc, plan.key))
-
-            if workers <= 1 or len(to_run) <= 1:
-                for plan in to_run:
-                    key, outcome = job(plan)
-                    outcomes[key] = outcome
-            else:
-                pool = ThreadPoolExecutor(max_workers=min(workers, len(to_run)))
-                try:
-                    for key, outcome in pool.map(job, to_run):
-                        outcomes[key] = outcome
-                finally:
-                    pool.shutdown()
-
-        # 4. fan results (and errors) out to the original query order.
         items: List[BatchItem] = []
-        errors: List[QueryError] = []
-        for key in plan_keys:
-            if key in plan_errors:
-                error = plan_errors[key]
-            elif export_error is not None:
-                error = QueryError(
-                    kind=export_error.kind,
-                    message=export_error.message,
-                    code=export_error.code,
-                    plan_key=key,
-                    exception=export_error.exception,
-                )
-            else:
-                outcome = outcomes[key]
-                if outcome[0] == "ok":
-                    _, ids, traces, from_cache = outcome
-                    items.append(
-                        BatchItem(
-                            self._materialize(ids),
-                            served_from_cache=from_cache,
-                            traces=traces,
-                        )
-                    )
-                    continue
-                error = outcome[1]
-            errors.append(error)
-            items.append(BatchItem((), error=error))
-
-        # 5. bookkeeping happens unconditionally — partial failure no
-        # longer skips it (the pre-robustness bug this layer fixes).
-        elapsed = time.perf_counter() - started
+        dup_errors: List[QueryError] = []
+        seen = set()
+        for key in keys:
+            item = outcomes[key]
+            if key in seen:
+                item = BatchItem(item, item.error, item.served_from_cache, item.traces)
+                if item.error is not None:
+                    dup_errors.append(item.error)
+            seen.add(key)
+            items.append(item)
+        dups = len(queries) - len(jobs)
         with self._metrics_lock:
             self._batches += 1
-            self._batch_deduped += len(queries) - len(set(plan_keys))
-        self._record(len(queries), len(to_run), elapsed, errors=errors)
+            self._batch_deduped += dups
+        self._record(dups, 0, None, errors=dup_errors)
         return items
 
     def apply_update(self, script, check: str = "error") -> Dict[str, object]:
@@ -409,11 +301,7 @@ class QueryService:
 
         with self._export_lock:
             old_generation = self.model.generation
-            export_generation = (
-                self._backend.export_generation
-                if self._backend is not None
-                else old_generation
-            )
+            export_generation = self._backend.export_generation
             in_sync = old_generation == export_generation
             result = apply_script(script, self.model, check=check)
             new_generation = self.model.generation
@@ -446,23 +334,20 @@ class QueryService:
                 # foreign mutations already orphaned the warm entries;
                 # footprint-based carry-over would be unsound here.
                 propagation["skipped"] = self._results.stats()["currsize"]
-            if self._backend is not None and new_generation != old_generation:
+            if new_generation != old_generation:
                 # fold the script's subtree patches into the export now:
                 # the next apply_update (or query) then sees
                 # export_generation == model.generation, so back-to-back
                 # updates keep propagating instead of being mistaken for
                 # foreign mutations and falling into the skip path.
                 self._backend.export
-            if (
-                self._pool is not None
-                and new_generation != old_generation
-            ):
-                self._pool.apply_delta(
-                    result.text,
-                    base_generation=export_generation,
-                    new_generation=new_generation,
-                    in_sync=in_sync,
-                )
+                if self._pool is not None:
+                    self._pool.apply_delta(
+                        result.text,
+                        base_generation=export_generation,
+                        new_generation=new_generation,
+                        in_sync=in_sync,
+                    )
             with self._metrics_lock:
                 self._updates += 1
                 for key in ("kept", "patched", "invalidated", "skipped"):
@@ -484,20 +369,16 @@ class QueryService:
         baseline in benchmarks.
         """
         self._results.clear()
-        if self._backend is not None:
-            self._backend.invalidate_export()
+        self._backend.invalidate_export()
 
     def explain(self, query: Query) -> Dict[str, object]:
         """The optimized plan for one query, as text and a JSON-ready tree.
 
-        For the XQuery backend this is the algebra backend's plan (with
-        cardinalities estimated from the current export's statistics
-        catalog) plus the generated source; the native backend has no plan
-        beyond the normalized query text.
+        This is the algebra backend's plan (with cardinalities estimated
+        from the current export's statistics catalog) plus the generated
+        source.
         """
         plan = self._plan(query)
-        if plan.backend == "native":
-            return {"backend": "native", "plan_key": plan.key}
         self._snapshot()  # refresh the export so statistics are current
         # process-mode plans carry no parent-side compilation; explain is a
         # diagnostic, so compiling here on demand is fine (the engine's
@@ -541,15 +422,12 @@ class QueryService:
 
     def cache_stats(self) -> Dict[str, Dict[str, int]]:
         """Per-layer cache counters: plans, results, engine compile, export."""
-        stats = {
+        return {
             "plans": self._plans.stats(),
             "results": self._results.stats(),
+            "compile": self.engine.cache_info(),
+            "export": self._backend.export_stats(),
         }
-        if self.engine is not None:
-            stats["compile"] = self.engine.cache_info()
-        if self._backend is not None:
-            stats["export"] = self._backend.export_stats()
-        return stats
 
     def metrics(self) -> Dict[str, object]:
         """The small metrics dict the E15/E16 reports read."""
@@ -584,7 +462,6 @@ class QueryService:
                 "max_pending": self.max_pending,
             }
         return {
-            "backend": self.backend,
             "mode": self.mode,
             "shed": shed,
             "routes": routes,
@@ -606,11 +483,8 @@ class QueryService:
             "p50_ms": percentile(latencies, 0.50) * 1000.0,
             "p95_ms": percentile(latencies, 0.95) * 1000.0,
             "p99_ms": percentile(latencies, 0.99) * 1000.0,
-            # the engine compile LRU (hits/misses/races) for the active
-            # backend; the native backend has no engine, hence no cache.
-            "compile_cache": (
-                self.engine.cache_info() if self.engine is not None else None
-            ),
+            # the engine compile LRU (hits/misses/races).
+            "compile_cache": self.engine.cache_info(),
             "algebra_cache": (
                 self._algebra_cache.info() if self._algebra_cache is not None else None
             ),
@@ -629,8 +503,6 @@ class QueryService:
             if self.faults is not None:
                 self.faults.on_compile(key)
             deps = derive_dependencies(query, self.model.metamodel)
-            if self.backend == "native":
-                return QueryPlan(key, "native", query, deps=deps)
             source = self._backend.compile_to_xquery(query)
             if self.mode == "process":
                 # the front-end never compiles in process mode: workers own
@@ -639,7 +511,6 @@ class QueryService:
                 # the first worker reply.
                 return QueryPlan(
                     key,
-                    "xquery",
                     query,
                     source=source,
                     source_shard=self._backend.compile_to_xquery(query, sharded=True),
@@ -649,7 +520,6 @@ class QueryService:
             compiled = self.engine.compile(source)
             return QueryPlan(
                 key,
-                "xquery",
                 query,
                 source=source,
                 compiled=compiled,
@@ -659,12 +529,8 @@ class QueryService:
 
         return self._plans.get_or_build(key, build)
 
-    def _snapshot(self) -> Tuple[Optional[ElementNode], int]:
+    def _snapshot(self) -> Tuple[ElementNode, int]:
         """The (export root, generation) pair queries should run against."""
-        if self._backend is None:
-            if self.faults is not None:
-                self.faults.on_export()
-            return None, self.model.generation
         with self._export_lock:
             if self.faults is not None:
                 self.faults.on_export()
@@ -685,19 +551,53 @@ class QueryService:
                 self._pool.ensure_generation(generation)
             return document.document_element(), generation
 
+    def _serve(self, query: Query, deadline: Optional[Deadline]) -> BatchItem:
+        """The one serve path: plan → snapshot → result cache → admit →
+        execute → store, recorded in :meth:`metrics` whether it succeeds
+        or raises."""
+        started = time.perf_counter()
+        plan_key: Optional[str] = None
+        executed = 0
+        try:
+            plan = self._plan(query)
+            plan_key = plan.key
+            root, generation = self._snapshot()
+            cached = self._results.get((plan.cache_key, generation), plan.deps)
+            if cached is not None:
+                ids, traces = cached
+                self._record(1, 0, time.perf_counter() - started)
+                return BatchItem(
+                    self._materialize(ids), served_from_cache=True, traces=traces
+                )
+            executed = 1
+            admitted = self._admit()
+            try:
+                ids, traces = self._execute(plan, root, deadline)
+            finally:
+                if admitted:
+                    self._admission.release()
+            self._store(plan, generation, ids, traces)
+            self._record(1, 1, time.perf_counter() - started)
+            return BatchItem(self._materialize(ids), traces=traces)
+        except Exception as exc:
+            error = classify_error(exc, plan_key)
+            self._record(
+                1, executed, time.perf_counter() - started, errors=(error,)
+            )
+            raise
+
     def _execute(
         self,
         plan: QueryPlan,
-        root: Optional[ElementNode],
+        root: ElementNode,
         deadline: Optional[Deadline] = None,
     ) -> Tuple[List[str], Tuple[str, ...]]:
         """Evaluate one plan, returning (node ids, trace messages).
 
-        Spec errors (including timeouts) surface as-is.  An *internal*
-        error from the algebra backend is retried once on the
-        treewalk reference backend — graceful degradation: correctness
-        from the reference interpreter beats failing the request — and
-        only surfaces if the retry also fails.
+        Thread mode runs the compiled plan through
+        :func:`~repro.querycalc.service.plans.run_compiled`, which degrades
+        an internal algebra error to the treewalk once; each attempt passes
+        the fault injector, and a treewalk attempt counts as a fallback.
         """
         start_id = plan.query.start.node_id
         if start_id is not None and start_id not in self.model.nodes:
@@ -706,30 +606,33 @@ class QueryService:
             # the differential fuzzer) — the service must agree even when
             # it evaluates the cached plan itself.
             raise QueryRuntimeError(f"start node {start_id!r} is not in the model")
-        if plan.backend == "native":
-            if self.faults is not None:
-                self.faults.on_evaluate(plan.key, deadline, backend="native")
-            if deadline is not None:
-                deadline.check("evaluate")
-            return [node.id for node in run_query(plan.query, self.model)], ()
         if self._pool is not None:
             return self._process_execute(plan, deadline)
-        primary_backend = self.engine.config.backend
-        try:
-            return self._evaluate_plan(plan, root, deadline, primary_backend)
-        except XQueryError:
-            raise
-        except Exception as primary:
-            if primary_backend == "treewalk":
-                raise  # already on the reference backend: nothing to degrade to
-            with self._metrics_lock:
-                self._fallbacks += 1
-            try:
-                return self._evaluate_plan(plan, root, deadline, "treewalk")
-            except XQueryTimeoutError:
-                raise  # the budget ran out during the retry: that is a timeout
-            except Exception:
-                raise primary
+        compiled = plan.compiled
+
+        def before(backend: str) -> None:
+            if backend != compiled.config.backend:
+                with self._metrics_lock:
+                    self._fallbacks += 1
+            if self.faults is not None:
+                self.faults.on_evaluate(plan.key, deadline, backend=backend)
+
+        result, traces = run_compiled(
+            compiled,
+            {"model": root},
+            deadline,
+            self._backend.statistics,
+            self._algebra_cache,
+            before=before,
+        )
+        nodes = self.model.nodes
+        ids: List[str] = []
+        for item in result:
+            if isinstance(item, ElementNode):
+                node_id = item.get_attribute("id")
+                if node_id is not None and node_id in nodes:
+                    ids.append(node_id)
+        return ids, traces
 
     def _admit(self) -> bool:
         """Reserve an execution slot, or shed with ``XQDY_OVERLOAD``.
@@ -784,38 +687,6 @@ class QueryService:
         remaining = deadline.remaining() if deadline is not None else None
         return self._pool.execute(plan, route, remaining)
 
-    def _evaluate_plan(
-        self,
-        plan: QueryPlan,
-        root: Optional[ElementNode],
-        deadline: Optional[Deadline],
-        backend: str,
-    ) -> Tuple[List[str], Tuple[str, ...]]:
-        if self.faults is not None:
-            self.faults.on_evaluate(plan.key, deadline, backend=backend)
-        if deadline is not None:
-            deadline.check("evaluate")
-        trace = TraceLog()
-        algebra = backend == "algebra"
-        result = plan.compiled.run(
-            variables={"model": root},
-            trace=trace,
-            backend=backend,
-            deadline=deadline.at if deadline is not None else None,
-            statistics=self._backend.statistics if algebra else None,
-            algebra_cache=self._algebra_cache if algebra else None,
-        )
-        if deadline is not None:
-            deadline.check("materialize")
-        ids: List[str] = []
-        for item in result:
-            if not isinstance(item, ElementNode):
-                continue
-            node_id = item.get_attribute("id")
-            if node_id is not None and node_id in self.model.nodes:
-                ids.append(node_id)
-        return ids, tuple(trace.messages)
-
     def _store(
         self,
         plan: QueryPlan,
@@ -826,11 +697,11 @@ class QueryService:
         """Cache a computed result — unless the model has moved on.
 
         A mutation landing between :meth:`_snapshot` and here means the
-        evaluation may have read post-mutation state (the native backend
-        reads the live graph); storing that under the pre-mutation
-        generation would let :meth:`apply_update`'s carry-over re-key a
-        torn result into the new generation.  The entry is simply not
-        cached; the next request recomputes against a clean snapshot.
+        evaluation may have read post-mutation state; storing that under
+        the pre-mutation generation would let :meth:`apply_update`'s
+        carry-over re-key a torn result into the new generation.  The
+        entry is simply not cached; the next request recomputes against a
+        clean snapshot.
         """
         if self.model.generation == generation:
             self._results.put((plan.cache_key, generation), ids, traces, plan.deps)
@@ -843,15 +714,17 @@ class QueryService:
         self,
         queries: int,
         executed: int,
-        elapsed: float,
+        elapsed: Optional[float],
         errors: Iterable[QueryError] = (),
     ) -> None:
+        """Count *queries*; ``elapsed=None`` records no latency sample."""
         with self._metrics_lock:
             self._queries += queries
             self._executed += executed
-            self._latencies.append(elapsed)
-            if len(self._latencies) > MAX_LATENCY_SAMPLES:
-                del self._latencies[: len(self._latencies) - MAX_LATENCY_SAMPLES]
+            if elapsed is not None:
+                self._latencies.append(elapsed)
+                if len(self._latencies) > MAX_LATENCY_SAMPLES:
+                    del self._latencies[: len(self._latencies) - MAX_LATENCY_SAMPLES]
             for error in errors:
                 self._errors += 1
                 self._errors_by_kind[error.kind] = (

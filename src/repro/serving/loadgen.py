@@ -280,14 +280,12 @@ def search_parity_sweep(service, seed: int, count: int = 24) -> int:
     return mismatches
 
 
-def parity_sweep(
-    model, process_service: QueryService, seed: int, count: int = 24
-) -> int:
-    """Compare the process tier against a thread-mode twin; mismatch count.
+def parity_sweep(model, service: QueryService, seed: int, count: int = 24) -> int:
+    """Compare *service* against a fresh thread-mode twin; mismatch count.
 
-    Run post-burst as the loadgen's correctness gate: whatever state the
-    burst drove the workers into, scatter/gather answers must still be
-    byte-identical to single-process answers.
+    Run post-burst as the loadgen's correctness gate, in either mode:
+    whatever state the burst drove the caches and workers into, the
+    served answers must still be byte-identical to a cold service's.
     """
     reference = QueryService(model)
     rng = random.Random(seed + 7)
@@ -300,7 +298,7 @@ def parity_sweep(
         except Exception as exc:
             expect, expect_err = None, classify_error(exc).kind
         try:
-            got = [node.id for node in process_service.run(query)]
+            got = [node.id for node in service.run(query)]
             got_err = None
         except QueryOverloadError:
             continue  # a saturated tier refusing is not a parity failure
@@ -335,7 +333,7 @@ def main(argv: Optional[List[str]] = None) -> int:
     parser.add_argument("--json", action="store_true", help="emit the report as JSON")
     parser.add_argument("--check", action="store_true",
                         help="exit nonzero unless availability is 100%% and "
-                             "a post-burst scatter/gather parity sweep passes")
+                             "a post-burst parity sweep passes")
     args = parser.parse_args(argv)
 
     model = None
@@ -354,7 +352,6 @@ def main(argv: Optional[List[str]] = None) -> int:
             max_pending=args.max_pending,
         )
     try:
-        mismatches = None
         if model is None:
             report = run_search_load(
                 service, clients=args.clients, duration=args.duration, seed=args.seed
@@ -369,10 +366,8 @@ def main(argv: Optional[List[str]] = None) -> int:
                 seed=args.seed,
                 timeout=args.timeout,
             )
-            if args.mode == "process":
-                mismatches = parity_sweep(model, service, args.seed)
-        if mismatches is not None:
-            report["parity_mismatches"] = mismatches
+            mismatches = parity_sweep(model, service, args.seed)
+        report["parity_mismatches"] = mismatches
         if args.json:
             print(json.dumps(report, indent=2, sort_keys=True))
         else:

@@ -41,12 +41,11 @@ from typing import Dict, List, Optional, Tuple
 from ..awb.metamodel import Metamodel
 from ..awb.xml_io import import_model_text
 from ..querycalc.service.errors import Deadline, classify_error
-from ..querycalc.service.plans import PlanCache
+from ..querycalc.service.plans import PlanCache, run_compiled
 from ..querycalc.via_xquery import SHARD_TYPES, XQueryCalculusBackend
 from ..xquery.updates.apply import apply_script
 from ..xdm import ElementNode
-from ..xquery import EngineConfig, TraceLog, XQueryEngine
-from ..xquery.errors import XQueryError, XQueryTimeoutError
+from ..xquery import EngineConfig, XQueryEngine
 from .partition import owned_types
 
 __all__ = ["WorkerConfig", "ShardWorker", "dispatch", "worker_main"]
@@ -157,23 +156,14 @@ class ShardWorker:
         }
         if variant == "shard":
             variables[SHARD_TYPES] = list(self.owned)
-        primary = self.engine.config.backend
-        try:
-            result, traces = self._evaluate(compiled, variables, deadline, primary)
-        except XQueryError:
-            raise
-        except Exception as first:
-            if primary == "treewalk":
-                raise
-            self.fallbacks += 1
-            try:
-                result, traces = self._evaluate(
-                    compiled, variables, deadline, "treewalk"
-                )
-            except XQueryTimeoutError:
-                raise
-            except Exception:
-                raise first
+
+        def before(backend: str) -> None:
+            if backend != compiled.config.backend:
+                self.fallbacks += 1
+
+        result, traces = run_compiled(
+            compiled, variables, deadline, self.backend.statistics, before=before
+        )
         reply = {
             "rows": self._rows(result, payload.get("sort_property", "")),
             "traces": traces,
@@ -183,28 +173,6 @@ class ShardWorker:
         if payload.get("want_signature"):
             reply["signature"] = compiled.plan_signature
         return reply
-
-    def _evaluate(
-        self,
-        compiled,
-        variables: Dict[str, object],
-        deadline: Optional[Deadline],
-        backend: str,
-    ) -> Tuple[List, Tuple[str, ...]]:
-        if deadline is not None:
-            deadline.check("worker evaluate")
-        trace = TraceLog()
-        algebra = backend == "algebra"
-        result = compiled.run(
-            variables=variables,
-            trace=trace,
-            backend=backend,
-            deadline=deadline.at if deadline is not None else None,
-            statistics=self.backend.statistics if algebra else None,
-        )
-        if deadline is not None:
-            deadline.check("worker materialize")
-        return result, tuple(trace.messages)
 
     def _rows(self, result, sort_property: str) -> List[Tuple[str, str]]:
         """(sort key, node id) pairs, in the engine's result order.

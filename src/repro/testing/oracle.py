@@ -665,14 +665,14 @@ class UpdateOracle:
     invalidate-everything never had and incremental maintenance risks.
     """
 
-    def __init__(self, model: Model, seed: int = 0, backend: str = "xquery"):
+    def __init__(self, model: Model, seed: int = 0):
         import random as _random
 
         from ..querycalc.service import QueryService
 
         self.model = model
         self.rng = _random.Random(seed)
-        self.service = QueryService(model, backend=backend)
+        self.service = QueryService(model)
         #: resolved script texts, in application order (the repro trail).
         self.scripts: List[str] = []
 

@@ -276,11 +276,6 @@ class TestServiceIntegration:
         assert "hits" in metrics["compile_cache"]
         assert metrics["algebra_cache"] is not None
 
-    def test_native_backend_explain_degrades_gracefully(self):
-        service = QueryService(make_it_model(scale=3), backend="native")
-        explanation = service.explain(parse_query_xml(FOLLOW_XML))
-        assert explanation["backend"] == "native"
-
 
 class TestCli:
     def test_explain_text(self, capsys):

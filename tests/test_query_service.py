@@ -70,12 +70,6 @@ class TestQueryServiceCorrectness:
         query = parse_query_xml(source)
         assert ids(service.run(query)) == ids(run_query(query, model))
 
-    @pytest.mark.parametrize("source", QUERIES)
-    def test_native_backend_service_matches_too(self, model, source):
-        service = QueryService(model, backend="native")
-        query = parse_query_xml(source)
-        assert ids(service.run(query)) == ids(run_query(query, model))
-
     def test_warm_run_is_a_cache_hit_with_same_results(self, model, service):
         query = parse_query_xml(LIKES_USES)
         first = service.run(query)
@@ -123,10 +117,6 @@ class TestQueryServiceCorrectness:
         assert ids(service.run(query)) == expected
         assert service.cache_stats()["export"]["full_exports"] == 2
 
-    def test_rejects_unknown_backend(self, model):
-        with pytest.raises(ValueError):
-            QueryService(model, backend="graphql")
-
 
 class TestQueryServiceBatch:
     def test_batch_matches_sequential(self, model, service):
@@ -143,6 +133,18 @@ class TestQueryServiceBatch:
         assert metrics["queries"] == 8
         assert metrics["executed"] == 1
         assert metrics["batch_deduped"] == 7
+
+    def test_in_batch_duplicates_build_no_plan(self, service):
+        first, second = (parse_query_xml(source) for source in QUERIES[:2])
+        items = service.run_batch([first, second, first, first], workers=2)
+        assert ids(items[2]) == ids(items[3]) == ids(items[0])
+        assert items[3] is not items[0]
+        metrics = service.metrics()
+        # duplicates copy their plan's outcome: only distinct plans are
+        # planned, and only they leave a latency sample.
+        assert (metrics["plan_misses"], metrics["plan_hits"]) == (2, 0)
+        assert len(service._latencies) == 2
+        assert metrics["queries"] == 4 and metrics["batch_deduped"] == 2
 
     def test_batch_reuses_result_cache_across_calls(self, model, service):
         queries = [parse_query_xml(source) for source in QUERIES]
@@ -168,7 +170,7 @@ class TestMetricsAndStats:
         service.run(parse_query_xml(ALL_USERS))
         metrics = service.metrics()
         for field in (
-            "backend", "queries", "batches", "executed", "batch_deduped",
+            "mode", "queries", "batches", "executed", "batch_deduped",
             "errors", "timeouts", "fallbacks", "errors_by_kind",
             "hits", "misses", "plan_hits", "plan_misses", "p50_ms", "p95_ms",
         ):
@@ -200,12 +202,12 @@ class TestPlanAndResultCacheUnits:
     def test_plan_cache_lru_eviction(self):
         cache = PlanCache(maxsize=2)
         for key in ("a", "b", "c"):
-            cache.get_or_build(key, lambda k=key: QueryPlan(k, "native", None))
+            cache.get_or_build(key, lambda k=key: QueryPlan(k, None))
         stats = cache.stats()
         assert stats["currsize"] == 2
         assert stats["misses"] == 3
         # "a" was evicted; rebuilding it is a miss again
-        cache.get_or_build("a", lambda: QueryPlan("a", "native", None))
+        cache.get_or_build("a", lambda: QueryPlan("a", None))
         assert cache.stats()["misses"] == 4
 
     def test_result_cache_generation_keys_do_not_collide(self):

@@ -45,11 +45,6 @@ def all_nodes_query(**collect):
 # -- construction ------------------------------------------------------------
 
 
-def test_process_mode_requires_xquery_backend(model):
-    with pytest.raises(ValueError):
-        QueryService(model, backend="native", mode="process")
-
-
 def test_unknown_mode_rejected(model):
     with pytest.raises(ValueError):
         QueryService(model, mode="fibers")
@@ -149,7 +144,8 @@ def test_plan_learns_result_key_from_first_reply(model):
         assert svc.run(query).served_from_cache
 
 
-def test_worker_reply_carries_signature_only_when_asked(model):
+def _in_process_worker(model):
+    """A one-shard ShardWorker in this process, plus a full-plan payload."""
     from repro.awb.xml_io import export_model_text
     from repro.querycalc.via_xquery import XQueryCalculusBackend
     from repro.serving.worker import ShardWorker, WorkerConfig
@@ -163,20 +159,55 @@ def test_worker_reply_carries_signature_only_when_asked(model):
             generation=model.generation,
         )
     )
-    source = XQueryCalculusBackend(model).compile_to_xquery(all_nodes_query())
     payload = {
         "key": "all",
-        "source": source,
+        "source": XQueryCalculusBackend(model).compile_to_xquery(all_nodes_query()),
         "variant": "full",
         "sort_property": "label",
         "remaining": None,
     }
+    return worker, payload
+
+
+def test_worker_reply_carries_signature_only_when_asked(model):
+    worker, payload = _in_process_worker(model)
     plain = worker.run(payload)
     assert "signature" not in plain
     assert worker.run(dict(payload, want_signature=False)).keys() == plain.keys()
     asked = worker.run(dict(payload, want_signature=True))
-    assert asked["signature"] == worker.engine.compile(source).plan_signature
+    assert asked["signature"] == worker.engine.compile(payload["source"]).plan_signature
     assert asked["rows"] == plain["rows"]
+
+
+def _broken(message):
+    def run(*args, **kwargs):
+        raise RuntimeError(message)
+
+    return run
+
+
+def test_worker_degrades_an_algebra_failure_to_the_treewalk(model, monkeypatch):
+    from repro.xquery.algebra import AlgebraProgram
+
+    worker, payload = _in_process_worker(model)
+    expected = worker.run(payload)["rows"]
+    monkeypatch.setattr(AlgebraProgram, "run", _broken("algebra broken"))
+    assert worker.run(payload)["rows"] == expected
+    assert worker.stats()["fallbacks"] == 1
+
+
+def test_worker_surfaces_the_algebra_error_when_both_backends_fail(
+    model, monkeypatch
+):
+    import repro.xquery.api
+    from repro.xquery.algebra import AlgebraProgram
+
+    worker, payload = _in_process_worker(model)
+    monkeypatch.setattr(AlgebraProgram, "run", _broken("algebra broken"))
+    monkeypatch.setattr(repro.xquery.api, "evaluate", _broken("treewalk broken"))
+    with pytest.raises(RuntimeError, match="algebra broken"):
+        worker.run(payload)
+    assert worker.stats()["fallbacks"] == 1
 
 
 def test_refresh_on_generation_bump(model):

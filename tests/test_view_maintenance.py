@@ -57,9 +57,11 @@ def model():
     return make_it_model(scale=6)
 
 
-@pytest.fixture(params=["xquery", "native"])
-def service(request, model):
-    with QueryService(model, backend=request.param) as svc:
+@pytest.fixture(params=["xquery"])
+def service(model):
+    # the service fronts the XQuery path only; the param keeps the
+    # propagation tests' ids stable.
+    with QueryService(model) as svc:
         yield svc
 
 
@@ -267,13 +269,8 @@ class TestPropagation:
         self.warm(service, [query])
         service.model.nodes_of_type("User")[0].set("rank", 99)  # foreign
         summary = service.apply_update('insert node Document with (label "d")')
-        if service.backend == "xquery":
-            # the export lags the model: detected, every entry skipped.
-            assert summary["propagation"]["skipped"] >= 1
-        else:
-            # native entries are keyed by live generation: the foreign
-            # write already orphaned them, so there is nothing to carry.
-            assert summary["propagation"]["patched"] == 0
+        # the export lags the model: detected, every entry skipped.
+        assert summary["propagation"]["skipped"] >= 1
         assert summary["propagation"]["kept"] == 0
         assert not service.run(query).served_from_cache
         self.assert_parity(service, [query])
@@ -394,7 +391,7 @@ class TestStoreRaceRegression:
     propagate() would then carry or patch a torn result forward."""
 
     def test_store_refuses_results_from_an_older_generation(self, model):
-        with QueryService(model, backend="native") as service:
+        with QueryService(model) as service:
             query = scan("User")
             service.run(query)
             plan = service._plan(query)
@@ -408,7 +405,7 @@ class TestStoreRaceRegression:
             assert cached is not None and cached[0] != ["N1"]
 
     def test_store_accepts_results_from_the_live_generation(self, model):
-        with QueryService(model, backend="native") as service:
+        with QueryService(model) as service:
             query = scan("User")
             service.run(query)
             assert service.run(query).served_from_cache
