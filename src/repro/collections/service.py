@@ -33,6 +33,7 @@ from __future__ import annotations
 
 import threading
 from concurrent.futures import ThreadPoolExecutor
+from contextlib import contextmanager
 from dataclasses import dataclass
 from functools import partial
 from typing import Dict, List, Optional
@@ -182,21 +183,20 @@ class SearchService:
         self.mode = mode
         self.backend = backend
         self.engine = XQueryEngine(EngineConfig(backend=backend))
-        #: guards service bookkeeping only — result cache and metrics.
-        #: Never held across an evaluation, so concurrent reads overlap
-        #: instead of queueing on the service.
-        self._lock = threading.RLock()
-        #: serializes writers (and ``evaluate_fresh``, which temporarily
-        #: reconfigures the authoritative store) against each other.
-        self._write_gate = threading.RLock()
-        #: writes bump this (under ``_lock``) once when they start and
-        #: once when they finish; a read that overlaps a write — odd
-        #: epoch at start, or any movement by the end — returns its text
-        #: but skips the cache insert, so a half-replicated state can
-        #: never be cached under the post-write generation.
-        self._write_epoch = 0
+        #: guards service bookkeeping only — result cache, metrics and
+        #: ``_settled``.  Never held across an evaluation, so concurrent
+        #: reads overlap instead of queueing on the service.
+        self._lock = threading.Lock()
+        #: serializes writers; entered only through :meth:`_writing`.
+        self._write_lock = threading.Lock()
+        #: the newest store generation every replica has applied: each
+        #: write publishes it when its replication is over.
+        self._settled = store.generation
         #: guards the authoritative store itself: its mutations,
         #: ``evaluate_fresh`` and the boot config a worker (re)starts from.
+        #: It cannot be the writer lock, which is held across replication:
+        #: a reader respawning a worker needs a boot config while a writer
+        #: waits on that worker's handle.
         self._authoritative_lock = threading.Lock()
         #: serialized answers keyed on (request key, scope generation).
         self._results = ResultCache(maxsize=result_cache_size)
@@ -259,6 +259,12 @@ class SearchService:
         insert; the evaluation itself runs unlocked, so N clients drive
         N shard workers concurrently instead of queueing behind one
         global lock.
+
+        The answer is cached only if the scope generation it keys on was
+        settled at the probe (every replica had applied the write that
+        made it) and is unchanged at the insert (no write to the scope
+        reached the store meanwhile).  Anything else may have read a
+        half-replicated state: it is served, not cached.
         """
         with self._lock:
             self.metrics["requests"] += 1
@@ -270,7 +276,7 @@ class SearchService:
                 self.metrics["cache_hits"] += 1
                 return SearchResult(cached[0], True, route, generation)
             self.metrics[route.kind] += 1
-            epoch = self._write_epoch
+            settled = generation <= self._settled
         payload = {
             "source": request.source(),
             "structured": route.kind == "scatter",
@@ -292,9 +298,7 @@ class SearchService:
         with self._lock:
             self.metrics["cache_misses"] += 1
             self.metrics["executed"] += 1
-            # cache only write-quiescent runs: an evaluation that
-            # overlapped a write may have seen a half-replicated state.
-            if epoch % 2 == 0 and self._write_epoch == epoch:
+            if settled and self.scope_generation(request) == generation:
                 self._results.put(key, text)
             return SearchResult(text, False, route, generation)
 
@@ -306,7 +310,7 @@ class SearchService:
         ``use_index=False`` is the brute-force parity reference the
         oracle and E22 compare every served byte against.
         """
-        with self._write_gate, self._authoritative_lock:
+        with self._authoritative_lock:
             previous = self.store.use_index
             if use_index is not None:
                 self.store.use_index = use_index
@@ -322,29 +326,17 @@ class SearchService:
 
     def put_text(self, uri: str, text: str) -> None:
         """Write one document; replicas patch that document only."""
-        with self._write_gate:
-            self._begin_write()
-            ok = False
-            try:
-                new_prefixes = self._new_prefixes(uri)
-                with self._authoritative_lock:
-                    self.store.put_text(uri, text)
-                self._replicate_put(uri, new_prefixes)
-                ok = True
-            finally:
-                self._end_write(ok)
+        with self._writing():
+            new_prefixes = self._new_prefixes(uri)
+            with self._authoritative_lock:
+                self.store.put_text(uri, text)
+            self._replicate_put(uri, new_prefixes)
 
     def delete(self, uri: str) -> None:
-        with self._write_gate:
-            self._begin_write()
-            ok = False
-            try:
-                with self._authoritative_lock:
-                    self.store.remove(uri)
-                self._workers[bucket(uri, self.shards)].request("delete", {"uri": uri})
-                ok = True
-            finally:
-                self._end_write(ok)
+        with self._writing():
+            with self._authoritative_lock:
+                self.store.remove(uri)
+            self._workers[bucket(uri, self.shards)].request("delete", {"uri": uri})
 
     def apply_update(self, uri: str, script: str):
         """Run an update-language script against a model-backed document.
@@ -354,18 +346,30 @@ class SearchService:
         patched document text), so their index maintenance is the same
         per-document patch.
         """
-        with self._write_gate:
-            self._begin_write()
-            ok = False
+        with self._writing():
+            new_prefixes = self._new_prefixes(uri)
+            with self._authoritative_lock:
+                result = self.store.apply_update(uri, script)
+            self._replicate_put(uri, new_prefixes)
+            return result
+
+    @contextmanager
+    def _writing(self):
+        """One write: serialized with the others, counted if it succeeds.
+
+        However the write ends, every replica has then applied it or been
+        respawned from the authoritative store, which holds it; so the
+        store's generation is published as settled.
+        """
+        with self._write_lock:
+            written = False
             try:
-                new_prefixes = self._new_prefixes(uri)
-                with self._authoritative_lock:
-                    result = self.store.apply_update(uri, script)
-                self._replicate_put(uri, new_prefixes)
-                ok = True
-                return result
+                yield
+                written = True
             finally:
-                self._end_write(ok)
+                with self._lock:
+                    self._settled = self.store.generation
+                    self.metrics["writes"] += written
 
     def _new_prefixes(self, uri: str) -> List[str]:
         """The collection prefixes this write is about to create."""
@@ -400,18 +404,6 @@ class SearchService:
                 if shard != owner
             ]
         scatter(self._scatter_pool, calls)
-
-    def _begin_write(self) -> None:
-        with self._lock:
-            self._write_epoch += 1
-
-    def _end_write(self, ok: bool = True) -> None:
-        with self._lock:
-            self._write_epoch += 1
-            # generation-keyed cache entries for the touched scopes are
-            # now unreachable; they age out of the LRU, never swept.
-            if ok:
-                self.metrics["writes"] += 1
 
     # -- lifecycle ---------------------------------------------------------
 

@@ -379,16 +379,16 @@ class QueryService:
         source.
         """
         plan = self._plan(query)
-        self._snapshot()  # refresh the export so statistics are current
+        _, _, statistics = self._snapshot()
         # process-mode plans carry no parent-side compilation; explain is a
         # diagnostic, so compiling here on demand is fine (the engine's
         # compile LRU keeps repeats cheap).
         compiled = plan.compiled or self.engine.compile(plan.source)
-        explanation = compiled.explain(self._backend.statistics)
+        explanation = compiled.explain(statistics)
         explanation["plan_key"] = plan.key
         explanation["source"] = plan.source
         if self._pool is not None:
-            route = self._route(query)
+            route = self._route(query, statistics)
             explanation["route"] = {
                 "kind": route.kind,
                 "shard": route.shard,
@@ -529,8 +529,11 @@ class QueryService:
 
         return self._plans.get_or_build(key, build)
 
-    def _snapshot(self) -> Tuple[ElementNode, int]:
-        """The (export root, generation) pair queries should run against."""
+    def _snapshot(self) -> Tuple[ElementNode, int, object]:
+        """The (export root, generation, statistics catalog) a query runs
+        against.  The catalog is read here, under the export lock: reading
+        it later would patch the export from the reader's thread while an
+        update holds the lock."""
         with self._export_lock:
             if self.faults is not None:
                 self.faults.on_export()
@@ -541,44 +544,57 @@ class QueryService:
 
                 self._algebra_cache = SharedEvalCache()
                 self._algebra_cache_generation = generation
-                # collect the statistics catalog here, at export time: the
-                # walk rides the (already O(model)) export refresh instead
-                # of taxing the first query after a mutation.
-                self._backend.statistics
+            # the statistics walk rides the (already O(model)) export
+            # refresh instead of taxing the first query after a mutation.
+            statistics = self._backend.statistics
             if self._pool is not None:
                 # broadcast the new generation to the worker replicas
                 # before any query of this generation is dispatched.
                 self._pool.ensure_generation(generation)
-            return document.document_element(), generation
+            return document.document_element(), generation, statistics
 
     def _serve(self, query: Query, deadline: Optional[Deadline]) -> BatchItem:
-        """The one serve path: plan → snapshot → result cache → admit →
-        execute → store, recorded in :meth:`metrics` whether it succeeds
-        or raises."""
+        """The one serve path: plan, then snapshot → result cache → admit →
+        execute until an execution ends on the generation it started from;
+        recorded in :meth:`metrics` whether it succeeds or raises.
+
+        A result is cached and returned only if the model is still at the
+        snapshot's generation.  Otherwise an update landed mid-read (its
+        delta may have reached one shard before the read and another after
+        it, or its patch moved the export under the read), so the read runs
+        again; its next snapshot waits on the export lock until the update
+        has published.  The executor's deadline checks bound the loop.
+        """
         started = time.perf_counter()
         plan_key: Optional[str] = None
         executed = 0
         try:
             plan = self._plan(query)
             plan_key = plan.key
-            root, generation = self._snapshot()
-            cached = self._results.get((plan.cache_key, generation), plan.deps)
-            if cached is not None:
-                ids, traces = cached
-                self._record(1, 0, time.perf_counter() - started)
-                return BatchItem(
-                    self._materialize(ids), served_from_cache=True, traces=traces
-                )
-            executed = 1
-            admitted = self._admit()
-            try:
-                ids, traces = self._execute(plan, root, deadline)
-            finally:
-                if admitted:
-                    self._admission.release()
-            self._store(plan, generation, ids, traces)
-            self._record(1, 1, time.perf_counter() - started)
-            return BatchItem(self._materialize(ids), traces=traces)
+            while True:
+                root, generation, statistics = self._snapshot()
+                cached = self._results.get((plan.cache_key, generation), plan.deps)
+                if cached is not None:
+                    ids, traces = cached
+                    self._record(1, executed, time.perf_counter() - started)
+                    return BatchItem(
+                        self._materialize(ids), served_from_cache=True, traces=traces
+                    )
+                executed += 1
+                admitted = self._admit()
+                try:
+                    ids, traces = self._execute(plan, root, statistics, deadline)
+                finally:
+                    if admitted:
+                        self._admission.release()
+                if self.model.generation == generation:
+                    # keyed after the run: a process-mode run may have
+                    # just taught the plan its signature.
+                    self._results.put(
+                        (plan.cache_key, generation), ids, traces, plan.deps
+                    )
+                    self._record(1, executed, time.perf_counter() - started)
+                    return BatchItem(self._materialize(ids), traces=traces)
         except Exception as exc:
             error = classify_error(exc, plan_key)
             self._record(
@@ -590,6 +606,7 @@ class QueryService:
         self,
         plan: QueryPlan,
         root: ElementNode,
+        statistics,
         deadline: Optional[Deadline] = None,
     ) -> Tuple[List[str], Tuple[str, ...]]:
         """Evaluate one plan, returning (node ids, trace messages).
@@ -607,7 +624,7 @@ class QueryService:
             # it evaluates the cached plan itself.
             raise QueryRuntimeError(f"start node {start_id!r} is not in the model")
         if self._pool is not None:
-            return self._process_execute(plan, deadline)
+            return self._process_execute(plan, statistics, deadline)
         compiled = plan.compiled
 
         def before(backend: str) -> None:
@@ -621,7 +638,7 @@ class QueryService:
             compiled,
             {"model": root},
             deadline,
-            self._backend.statistics,
+            statistics,
             self._algebra_cache,
             before=before,
         )
@@ -652,12 +669,12 @@ class QueryService:
             )
         return True
 
-    def _route(self, query: Query):
+    def _route(self, query: Query, statistics):
         """The serving tier's routing decision for one query."""
         from ...serving.partition import bucket, route_query
 
         shards = self._pool.shards
-        domain = self._backend.statistics.attribute_domain("node", "type")
+        domain = statistics.attribute_domain("node", "type")
 
         def owner_of_id(node_id: str) -> Optional[int]:
             node = self.model.nodes.get(node_id)
@@ -674,10 +691,10 @@ class QueryService:
         )
 
     def _process_execute(
-        self, plan: QueryPlan, deadline: Optional[Deadline]
+        self, plan: QueryPlan, statistics, deadline: Optional[Deadline]
     ) -> Tuple[List[str], Tuple[str, ...]]:
         """Serve one plan from the worker-process pool (scatter or single)."""
-        route = self._route(plan.query)
+        route = self._route(plan.query, statistics)
         with self._metrics_lock:
             self._routes[route.kind] = self._routes.get(route.kind, 0) + 1
         if self.faults is not None:
@@ -686,25 +703,6 @@ class QueryService:
             deadline.check("dispatch")
         remaining = deadline.remaining() if deadline is not None else None
         return self._pool.execute(plan, route, remaining)
-
-    def _store(
-        self,
-        plan: QueryPlan,
-        generation: int,
-        ids: List[str],
-        traces: Tuple[str, ...],
-    ) -> None:
-        """Cache a computed result — unless the model has moved on.
-
-        A mutation landing between :meth:`_snapshot` and here means the
-        evaluation may have read post-mutation state; storing that under
-        the pre-mutation generation would let :meth:`apply_update`'s
-        carry-over re-key a torn result into the new generation.  The
-        entry is simply not cached; the next request recomputes against a
-        clean snapshot.
-        """
-        if self.model.generation == generation:
-            self._results.put((plan.cache_key, generation), ids, traces, plan.deps)
 
     def _materialize(self, ids: List[str]) -> List[ModelNode]:
         nodes = self.model.nodes

@@ -280,7 +280,16 @@ def worker_stats(handles: Sequence[WorkerHandle]) -> List[Dict[str, object]]:
 
 
 class ProcessPool:
-    """N shard workers plus the scatter/gather machinery."""
+    """N shard workers plus the scatter/gather machinery.
+
+    Callers serialize :meth:`ensure_generation` and :meth:`apply_delta`
+    (the calculus front end calls both under its export lock).  Workers
+    boot, and reboot on respawn, from an export of the live model, so a
+    respawn mid-update may boot one step ahead of :attr:`generation`:
+    replaying that update's delta then fails (its ids already exist, and
+    the pool refreshes) or changes nothing.  The front end sees the model
+    generation move under the read and runs it again either way.
+    """
 
     def __init__(
         self,
@@ -294,15 +303,8 @@ class ProcessPool:
         self.shards = shards
         self.plan_cache_size = plan_cache_size
         self.generation = model.generation
-        self.export_text = export_model_text(model, indent=False)
         self.refreshes = 0
         self.deltas = 0
-        self._refresh_lock = threading.Lock()
-        #: set when delta broadcasts outran the stored ``export_text``;
-        #: guarded by its own lock so a worker respawn (which regenerates
-        #: lazily) cannot deadlock against an in-flight broadcast.
-        self._export_dirty = False
-        self._export_text_lock = threading.Lock()
         self.handles = [
             WorkerHandle(
                 shard,
@@ -322,48 +324,25 @@ class ProcessPool:
             shard=shard,
             shards=self.shards,
             metamodel=self.metamodel,
-            # current_export_text regenerates lazily: after delta broadcasts
-            # the stored text is stale, and a respawned worker must boot from
-            # the live model's state, not the last full export.
-            export_text=self.current_export_text(),
+            export_text=export_model_text(self.model, indent=False),
             generation=self.generation,
             plan_cache_size=self.plan_cache_size,
         )
 
     # -- replica refresh ---------------------------------------------------
 
-    def current_export_text(self) -> str:
-        """The export text matching the pool's generation, regenerated
-        lazily when delta broadcasts have outrun the stored copy."""
-        with self._export_text_lock:
-            if self._export_dirty:
-                self.export_text = export_model_text(self.model, indent=False)
-                self._export_dirty = False
-            return self.export_text
-
-    def _set_export_text(self, text: str) -> None:
-        with self._export_text_lock:
-            self.export_text = text
-            self._export_dirty = False
-
-    def _mark_export_dirty(self) -> None:
-        with self._export_text_lock:
-            self._export_dirty = True
-
     def ensure_generation(self, generation: int) -> None:
         """Broadcast a replica refresh if the model moved past the pool."""
         if generation == self.generation:
             return
-        with self._refresh_lock:
-            if generation == self.generation:
-                return
-            export_text = export_model_text(self.model, indent=False)
-            payload = {"export_text": export_text, "generation": generation}
-            for handle in self.handles:
-                handle.request("refresh", dict(payload))
-            self._set_export_text(export_text)
-            self.generation = generation
-            self.refreshes += 1
+        payload = {
+            "export_text": export_model_text(self.model, indent=False),
+            "generation": generation,
+        }
+        for handle in self.handles:
+            handle.request("refresh", dict(payload))
+        self.generation = generation
+        self.refreshes += 1
 
     def apply_delta(
         self,
@@ -382,29 +361,24 @@ class ProcessPool:
         otherwise the replicas would replay the delta on top of state the
         primary never had.  When the preconditions fail, or any worker's
         replay fails, the pool falls back to the full-refresh path: the
-        stored export text is marked stale and the generation is reset so
-        the next :meth:`ensure_generation` rebuilds every replica.
+        next :meth:`ensure_generation` rebuilds every replica.
 
         Returns True when the delta path was used.
         """
-        with self._refresh_lock:
-            if not in_sync or self.generation != base_generation:
-                self._mark_export_dirty()
-                return False
-            payload = {"script": script_text, "generation": new_generation}
-            try:
-                for handle in self.handles:
-                    handle.request("delta", dict(payload))
-            except Exception:
-                # a partial broadcast leaves the replicas mixed: poison the
-                # pool generation so the next snapshot refreshes them all.
-                self.generation = -1
-                self._mark_export_dirty()
-                return False
-            self.generation = new_generation
-            self._mark_export_dirty()
-            self.deltas += 1
-            return True
+        if not in_sync or self.generation != base_generation:
+            return False
+        payload = {"script": script_text, "generation": new_generation}
+        try:
+            for handle in self.handles:
+                handle.request("delta", dict(payload))
+        except Exception:
+            # a partial broadcast leaves the replicas mixed: poison the
+            # pool generation so the next snapshot refreshes them all.
+            self.generation = -1
+            return False
+        self.generation = new_generation
+        self.deltas += 1
+        return True
 
     # -- execution ---------------------------------------------------------
 

@@ -285,17 +285,19 @@ def test_reads_execute_outside_the_service_lock():
         assert service.metrics["executed"] == 1
 
 
-def test_read_overlapping_a_write_skips_the_cache_insert():
-    """An evaluation that raced a write may have seen a half-replicated
-    state; its text is served but never cached."""
+@pytest.mark.parametrize("scope", ["docs/", "notes/"])
+def test_read_overlapping_a_write_skips_the_cache_insert(scope):
+    """A docs/ search that overlaps a write to docs/ may have seen a
+    half-replicated state: its text is served but not cached.  A write to
+    notes/ cannot change its answer, so the same overlap caches."""
     import threading
 
     with SearchService(make_store(), shards=2, mode="thread") as service:
         # a write uri owned by shard 1, so it does not wait on shard 0's
         # handle, where the reader is blocked.
         write_uri = next(
-            f"notes/w{i}.xml" for i in range(64)
-            if bucket(f"notes/w{i}.xml", 2) == 1
+            f"{scope}w{i}.xml" for i in range(64)
+            if bucket(f"{scope}w{i}.xml", 2) == 1
         )
         started, release = threading.Event(), threading.Event()
         worker = service._workers[0].worker
@@ -310,20 +312,65 @@ def test_read_overlapping_a_write_skips_the_cache_insert():
             return original(payload)
 
         worker.run = slow
-        reader = threading.Thread(target=service.run, args=(SEARCH,))
+        raced = []
+        reader = threading.Thread(target=lambda: raced.append(service.run(SEARCH)))
         reader.start()
         try:
             assert started.wait(5.0)
-            service.put_text(write_uri, "<doc>unrelated</doc>")
+            service.put_text(write_uri, "<doc>alpha beta unrelated</doc>")
         finally:
             release.set()
             reader.join(5.0)
         assert not reader.is_alive()
-        # the write touched notes/ only, so SEARCH's docs/ generation is
-        # unchanged — but the raced run must not have been cached.
-        second = service.run(SEARCH)
-        assert not second.cached
-        assert service.run(SEARCH).cached  # quiescent run caches again
+        assert not raced[0].cached
+        key = (SEARCH.key(), raced[0].generation)
+        assert (service._results.get(key) is not None) == (scope == "notes/")
+        assert service.run(SEARCH).text == service.evaluate_fresh(SEARCH, use_index=False)
+        assert service.run(SEARCH).cached  # a quiescent run caches
+
+
+def test_read_keyed_on_an_unreplicated_write_is_not_cached():
+    """A write has reached the authoritative store but not yet its owner
+    replica when a read of that document probes: the read keys on the new
+    generation but serves the old text, which must not be cached under it."""
+    import threading
+
+    uri = "docs/d0.xml"
+    doc = SearchRequest(kind="doc", uri=uri)
+    with SearchService(make_store(), shards=2, mode="thread") as service:
+        old = service.run(doc).text
+        stored, run_started = threading.Event(), threading.Event()
+        replicate = service._replicate_put
+
+        def held_replicate(*args):
+            stored.set()
+            assert run_started.wait(5.0)
+            replicate(*args)
+
+        service._replicate_put = held_replicate
+        worker = service._workers[bucket(uri, 2)].worker
+        original = worker.run
+
+        def run(payload):
+            run_started.set()
+            return original(payload)
+
+        worker.run = run
+        writer = threading.Thread(
+            target=service.put_text, args=(uri, "<doc>rewritten</doc>")
+        )
+        writer.start()
+        try:
+            assert stored.wait(5.0)
+            raced = service.run(doc)
+        finally:
+            run_started.set()
+            writer.join(5.0)
+        assert not writer.is_alive()
+        assert raced.generation == service.scope_generation(doc)
+        assert raced.text == old and not raced.cached
+        fresh = service.run(doc)
+        assert not fresh.cached and "rewritten" in fresh.text
 
 
 # -- concurrent reads and writes -----------------------------------------------

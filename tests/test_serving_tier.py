@@ -210,6 +210,62 @@ def test_worker_surfaces_the_algebra_error_when_both_backends_fail(
     assert worker.stats()["fallbacks"] == 1
 
 
+def test_scatter_read_straddling_a_delta_sees_one_generation():
+    """Shard 0 answers a scatter after an update's delta and shard 1
+    before it.  The merged answer mixes two generations, so the service
+    must not return it: it runs the read again and answers as native does
+    before or after the script."""
+    from repro.querycalc.native import run_query
+    from repro.serving.partition import bucket
+    from repro.workloads import make_it_model
+
+    model = make_it_model(scale=6)
+    query = all_nodes_query(sort_by="label")
+    types = sorted({node.type_name for node in model.nodes.values()})
+    owned = [next(t for t in types if bucket(t, 2) == shard) for shard in (0, 1)]
+    script = "; ".join(
+        f'insert node {type_name} id zz{shard} with (label "zz{shard}")'
+        for shard, type_name in enumerate(owned)
+    )
+    before = [node.id for node in run_query(query, model)]
+    with QueryService(model, mode="process", workers=2) as svc:
+        run_waiting, delta_done, run_done = (threading.Event() for _ in range(3))
+        first, second = svc._pool.handles
+
+        def first_request(op, payload, timeout=None, _inner=first.request):
+            if op == "run":
+                run_waiting.set()
+                assert delta_done.wait(10.0)
+            reply = _inner(op, payload, timeout)
+            if op == "delta":
+                delta_done.set()
+            return reply
+
+        def second_request(op, payload, timeout=None, _inner=second.request):
+            if op == "delta":
+                assert run_done.wait(10.0)
+            reply = _inner(op, payload, timeout)
+            if op == "run":
+                run_done.set()
+            return reply
+
+        first.request, second.request = first_request, second_request
+        served = []
+        reader = threading.Thread(target=lambda: served.append(ids(svc.run(query))))
+        reader.start()
+        try:
+            assert run_waiting.wait(10.0)
+            svc.apply_update(script)
+        finally:
+            delta_done.set()
+            run_done.set()
+            reader.join(10.0)
+        assert not reader.is_alive()
+        after = [node.id for node in run_query(query, model)]
+        assert {"zz0", "zz1"} <= set(after)
+        assert served[0] in (before, after)
+
+
 def test_refresh_on_generation_bump(model):
     svc = QueryService(model, mode="process", workers=2)
     try:

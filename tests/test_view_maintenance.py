@@ -386,23 +386,61 @@ class TestBoundedState:
 
 
 class TestStoreRaceRegression:
-    """Satellite regression: a mid-batch mutation must not let a stale
-    evaluation land in the result cache under the old generation key —
-    propagate() would then carry or patch a torn result forward."""
+    """A mutation that lands while a read executes must not let that
+    evaluation be returned or cached under the old generation key —
+    propagate() would then carry or patch a torn result forward.  The read
+    runs again on the new generation instead."""
 
     def test_store_refuses_results_from_an_older_generation(self, model):
+        query = scan("User")
         with QueryService(model) as service:
-            query = scan("User")
-            service.run(query)
-            plan = service._plan(query)
-            generation = model.generation
-            model.create_node("User", label="concurrent")  # the race
-            before = service._results.stats()["currsize"]
-            service._store(plan, generation, ["N1"], ())
-            assert service._results.stats()["currsize"] == before
-            cached = service._results.get((plan.cache_key, generation))
-            # the cold run's honest entry survives; the torn one was refused.
-            assert cached is not None and cached[0] != ["N1"]
+            execute = service._execute
+            calls = []
+
+            def racing(*args):
+                result = execute(*args)
+                calls.append(result)
+                if len(calls) == 1:
+                    model.create_node("User", label="concurrent")  # the race
+                return result
+
+            service._execute = racing
+            served = service.run(query)
+            assert [node.id for node in served] == native_ids(query, model)
+            assert len(calls) == 2
+            assert service.metrics()["executed"] == 2
+            assert service._results.stats()["currsize"] == 1
+
+    def test_reads_touch_the_export_only_under_the_export_lock(self, model):
+        """A mutation lands between a read's snapshot and its execution.  A
+        read that then refreshed the export (say, for its statistics
+        catalog) outside the export lock could patch it concurrently with
+        an update holding that lock; the read uses its snapshot's catalog."""
+        query = scan("User")
+        with QueryService(model) as service:
+            exporter = service._backend._exporter
+            export = exporter.export
+            unlocked = []
+
+            def checked_export():
+                if not service._export_lock.locked():
+                    unlocked.append(True)
+                return export()
+
+            exporter.export = checked_export
+            snapshot = service._snapshot
+            raced = []
+
+            def racing_snapshot():
+                taken = snapshot()
+                if not raced:
+                    raced.append(model.create_node("User", label="concurrent"))
+                return taken
+
+            service._snapshot = racing_snapshot
+            served = service.run(query)
+            assert unlocked == []
+            assert [node.id for node in served] == native_ids(query, model)
 
     def test_store_accepts_results_from_the_live_generation(self, model):
         with QueryService(model) as service:
