@@ -50,7 +50,7 @@ def tokenize(text: str) -> List[Tuple[str, int, int]]:
 
 def tokens_of(text: str) -> List[str]:
     """Just the casefolded tokens, in order."""
-    return [match.group().casefold() for match in _TOKEN_RE.finditer(text)]
+    return [token.casefold() for token in _TOKEN_RE.findall(text)]
 
 
 def phrase_positions(tokens: List[str], phrase_tokens: List[str]) -> List[int]:
@@ -186,15 +186,34 @@ class InvertedIndex:
                 return {}
         scores: Dict[str, int] = {}
         for uri in candidates:
-            starts = set(first[uri])
-            for offset, token in enumerate(phrase_tokens[1:], start=1):
-                positions = self._postings[token][uri]
-                starts &= {position - offset for position in positions}
-                if not starts:
-                    break
-            if starts:
-                scores[uri] = len(starts)
+            occurrences = self._join(uri, phrase_tokens)
+            if occurrences:
+                scores[uri] = occurrences
         return scores
+
+    def count(self, uri: str, phrase: str) -> int:
+        """Occurrences of *phrase* in *uri*: :meth:`search`'s answer for one
+        document, equal to :func:`count_phrase` over its indexed text."""
+        phrase_tokens = tokens_of(phrase)
+        if not phrase_tokens:
+            return 0
+        return self._join(uri, phrase_tokens)
+
+    def _join(self, uri: str, phrase_tokens: List[str]) -> int:
+        """The adjacency join in one document: starts where every phrase
+        token sits at its offset from the first."""
+        starts = None
+        for offset, token in enumerate(phrase_tokens):
+            positions = self._postings.get(token, {}).get(uri)
+            if positions is None:
+                return 0
+            if starts is None:
+                starts = set(positions)
+            else:
+                starts &= {position - offset for position in positions}
+            if not starts:
+                return 0
+        return len(starts)
 
     def document_frequency(self, token: str) -> int:
         entry = self._postings.get(token.casefold())

@@ -40,7 +40,7 @@ from typing import Dict, List, Optional
 
 from ..querycalc.service.results import ResultCache
 from ..serving.partition import Route, bucket, route_request
-from ..serving.pool import LocalHandle, WorkerHandle, scatter, worker_stats
+from ..serving.pool import LocalHandle, WorkerHandle, boot_workers, scatter, worker_stats
 from ..xquery import EngineConfig, XQueryEngine, serialize_result
 from .kwic import CHARS_KWIC
 from .store import DocumentStore, collection_prefixes, normalize_collection
@@ -211,10 +211,10 @@ class SearchService:
             "writes": 0,
         }
         handle = _WorkerHandle if mode == "process" else LocalHandle
-        self._workers = [
-            handle(shard, CollectionWorker, partial(self._worker_config, shard))
-            for shard in range(self.shards)
-        ]
+        self._workers = boot_workers(
+            lambda shard: handle(shard, CollectionWorker, partial(self._worker_config, shard)),
+            self.shards,
+        )
         self._scatter_pool = ThreadPoolExecutor(
             max_workers=self.shards, thread_name_prefix="search-scatter"
         )

@@ -246,12 +246,18 @@ class DocumentStore:
 
     def uri_of(self, document: DocumentNode) -> str:
         """The URI a stored document lives under (FODC0002 if unknown)."""
-        uri = self._uri_by_doc.get(id(document))
-        if uri is None or self._docs.get(uri) is not document:
+        uri = self._stored_uri(document)
+        if uri is None:
             raise XQueryDynamicError(
                 "node does not belong to a stored document", code="FODC0002"
             )
         return uri
+
+    def _stored_uri(self, node) -> Optional[str]:
+        """The URI *node* is stored under if it is a stored document itself
+        (an identity check, so a copy or a descendant answers None)."""
+        uri = self._uri_by_doc.get(id(node))
+        return uri if uri is not None and self._docs.get(uri) is node else None
 
     def text_of(self, uri: str) -> str:
         text = self._texts.get(uri)
@@ -316,6 +322,18 @@ class DocumentStore:
                     hits.append((uri, score))
         hits.sort(key=lambda hit: (-hit[1], hit[0]))
         return hits
+
+    def score(self, node, phrase: str) -> int:
+        """``ft:score``: occurrences of *phrase* in *node*'s string value.
+
+        A stored document read with ``use_index`` on is counted from its
+        postings; anything else (a constructed node, an element, the scan
+        mode) is tokenized afresh by :func:`count_phrase`, the reference.
+        """
+        uri = self._stored_uri(node) if self.use_index else None
+        if uri is not None:
+            return self.index.count(uri, phrase)
+        return count_phrase(node.string_value(), phrase)
 
     def fulltext_stats(self) -> Dict[str, object]:
         """Catalog food for the algebra's ``FullTextScan`` selectivity.

@@ -1,7 +1,8 @@
 """The process pool: worker lifecycle and scatter/gather.
 
-:class:`WorkerHandle` (boot, request, respawn), :func:`scatter` (the
-concurrent fan-out) and :func:`worker_stats` serve both serving tiers:
+:class:`WorkerHandle` (boot, request, respawn), :func:`boot_workers`
+(start every shard, then wait for each), :func:`scatter` (the concurrent
+fan-out) and :func:`worker_stats` serve both serving tiers:
 the calculus tier's :class:`ProcessPool` below and the search tier's
 :class:`~repro.collections.service.SearchService`, whose thread mode
 holds the same workers in-process through :class:`LocalHandle`.
@@ -46,6 +47,7 @@ __all__ = [
     "LocalHandle",
     "ProcessPool",
     "WorkerHandle",
+    "boot_workers",
     "merge_partials",
     "scatter",
     "worker_stats",
@@ -107,6 +109,11 @@ class WorkerHandle:
     and is called again on every respawn, so a fresh worker boots from
     the owner's current state rather than from the state at first boot.
 
+    Booting is two steps: the constructor (and :meth:`start`) forks the
+    worker, and :meth:`wait` takes its boot reply.  An owner starts every
+    handle before waiting on any (:func:`boot_workers`), so its workers
+    boot at the same time; a respawn is start + wait on one handle.
+
     A lock is held across each send+recv pair, so the pipe never carries
     interleaved conversations.  A request that misses its deadline kills
     and respawns the worker (the pipe would otherwise hold a stale reply),
@@ -130,41 +137,53 @@ class WorkerHandle:
         self.restarts = 0
         self.process = None
         self.conn = None
-        self._spawn()
+        self.start()
 
-    def _spawn(self) -> None:
-        parent_conn, child_conn = _CTX.Pipe()
-        process = _CTX.Process(
+    def start(self) -> None:
+        """Fork a worker booting from a fresh ``make_config()``."""
+        config = self._make_config()
+        self.conn, child_conn = _CTX.Pipe()
+        self.process = _CTX.Process(
             target=worker_main,
-            args=(child_conn, self._make_worker, self._make_config()),
+            args=(child_conn, self._make_worker, config),
             daemon=True,
         )
-        process.start()
+        self.process.start()
         child_conn.close()
-        if not parent_conn.poll(BOOT_TIMEOUT):
-            process.kill()
-            raise RuntimeError(f"worker {self.shard} failed to boot in time")
-        status, _, payload = parent_conn.recv()
-        if status != "ok":
-            process.join(timeout=5.0)
-            raise RemoteQueryError(payload)
-        self.process = process
-        self.conn = parent_conn
+
+    def wait(self) -> None:
+        """Take the boot reply.  A boot that fails, dies or overruns
+        :data:`BOOT_TIMEOUT` kills the worker, closes the pipe and raises."""
+        try:
+            if not self.conn.poll(BOOT_TIMEOUT):
+                raise RuntimeError(f"worker {self.shard} failed to boot in time")
+            status, _, payload = self.conn.recv()
+            if status != "ok":
+                raise RemoteQueryError(payload)
+        except (EOFError, OSError):
+            self.kill()
+            raise RuntimeError(f"worker {self.shard} died while booting") from None
+        except BaseException:
+            self.kill()
+            raise
 
     def _respawn(self) -> None:
         self.restarts += 1
-        self._kill()
-        self._spawn()
+        self.kill()
+        self.start()
+        self.wait()
 
-    def _kill(self) -> None:
+    def kill(self) -> None:
+        """Close the pipe and SIGKILL the worker; safe to call twice."""
         if self.conn is not None:
             try:
                 self.conn.close()
             except OSError:
                 pass
-        if self.process is not None and self.process.is_alive():
-            # SIGKILL, not SIGTERM: a stopped (hung) worker ignores the latter
-            self.process.kill()
+        if self.process is not None:
+            if self.process.is_alive():
+                # SIGKILL, not SIGTERM: a stopped (hung) worker ignores the latter
+                self.process.kill()
             self.process.join(timeout=5.0)
         self.process = None
         self.conn = None
@@ -213,7 +232,7 @@ class WorkerHandle:
                 pass
         if self.process is not None:
             self.process.join(timeout=5.0)
-        self._kill()
+        self.kill()
 
 
 class LocalHandle:
@@ -237,8 +256,34 @@ class LocalHandle:
         with self._lock:
             return dispatch(self.worker, op, payload)
 
+    def wait(self) -> None:
+        """The worker was built in the constructor: nothing to wait for."""
+
     def close(self) -> None:
         pass
+
+    kill = close
+
+
+def boot_workers(make_handle: Callable[[int], object], shards: int) -> list:
+    """Start ``make_handle(shard)`` for every shard, then wait for each.
+
+    Every worker is forked before any boot reply is read, so the workers
+    boot concurrently and the tier is up after about one boot.  If any
+    start or boot fails, every handle made so far is killed before the
+    failure propagates: no sibling outlives it.
+    """
+    handles = []
+    try:
+        for shard in range(shards):
+            handles.append(make_handle(shard))
+        for handle in handles:
+            handle.wait()
+    except BaseException:
+        for handle in handles:
+            handle.kill()
+        raise
+    return handles
 
 
 def scatter(executor: ThreadPoolExecutor, calls: Sequence[Callable]) -> list:
@@ -305,15 +350,15 @@ class ProcessPool:
         self.generation = model.generation
         self.refreshes = 0
         self.deltas = 0
-        self.handles = [
-            WorkerHandle(
+        self.handles = boot_workers(
+            lambda shard: WorkerHandle(
                 shard,
                 ShardWorker,
                 functools.partial(self._worker_config, shard),
                 request_timeout,
-            )
-            for shard in range(shards)
-        ]
+            ),
+            shards,
+        )
         self._scatter_pool = ThreadPoolExecutor(
             max_workers=shards, thread_name_prefix="awb-scatter"
         )

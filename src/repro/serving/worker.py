@@ -46,6 +46,7 @@ from ..querycalc.via_xquery import SHARD_TYPES, XQueryCalculusBackend
 from ..xquery.updates.apply import apply_script
 from ..xdm import ElementNode
 from ..xquery import EngineConfig, XQueryEngine
+from ..xquery import algebra  # noqa: F401  (the engine and backend load it lazily)
 from .partition import owned_types
 
 __all__ = ["WorkerConfig", "ShardWorker", "dispatch", "worker_main"]
@@ -91,6 +92,9 @@ class ShardWorker:
         self.backend = XQueryCalculusBackend(self.model, engine=self.engine)
         self.generation = generation
         self._own()
+        # build the export and its statistics catalog while booting, so the
+        # first query on a fresh replica pays for neither.
+        self.backend.statistics
 
     def _own(self) -> None:
         """Recompute the type names this shard owns in its replica."""

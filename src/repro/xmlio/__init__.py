@@ -1,12 +1,9 @@
 """From-scratch XML 1.0 reading and writing over XDM trees."""
 
-from .lexer import Lexer, Token, XmlSyntaxError, decode_entities
-from .parser import parse_document, parse_element
+from .parser import XmlSyntaxError, decode_entities, parse_document, parse_element
 from .serializer import escape_attribute, escape_text, serialize
 
 __all__ = [
-    "Lexer",
-    "Token",
     "XmlSyntaxError",
     "decode_entities",
     "escape_attribute",

@@ -1,19 +1,107 @@
-"""XML parser: token stream → XDM node trees."""
+"""A from-scratch XML 1.0 parser: one scanning loop over compiled patterns.
+
+The reproduction builds its own XML layer rather than leaning on a library:
+the paper's engine works on first-class attribute nodes, document order, and
+node identity, which we control end to end.
+
+:func:`parse_document` walks the text once.  Text runs are found with
+``str.find``; each piece of markup is matched by a compiled pattern — a
+start tag's name, each of its attributes and its close, an end tag — or
+located by ``str.find`` (comments, CDATA sections, processing
+instructions, a DOCTYPE).  XDM nodes are built as the loop goes, so no
+token stream sits between the text and the tree.  Malformed input raises
+:class:`XmlSyntaxError` carrying the offset, line and column of the fault.
+"""
 
 from __future__ import annotations
 
-from typing import List, Optional
+import re
 
 from ..xdm import (
     AttributeNode,
     CommentNode,
     DocumentNode,
     ElementNode,
-    Node,
     ProcessingInstructionNode,
     TextNode,
 )
-from .lexer import Lexer, Token, XmlSyntaxError
+
+__all__ = ["XmlSyntaxError", "decode_entities", "parse_document", "parse_element"]
+
+
+class XmlSyntaxError(ValueError):
+    """Malformed XML input."""
+
+    def __init__(self, message: str, position: int, line: int, column: int):
+        super().__init__(f"{message} (line {line}, column {column})")
+        self.position = position
+        self.line = line
+        self.column = column
+
+
+_NAME = r"[A-Za-z_:][A-Za-z0-9_:.\-]*"
+_SPACE = r"[ \t\r\n]*"
+
+_NAME_RE = re.compile(_NAME)
+_SPACE_RE = re.compile(_SPACE)
+#: ``<name`` opening a start tag.
+_START_TAG = re.compile(rf"<({_NAME})")
+#: what follows a start tag's name: one ``name="value"`` (or single-quoted)
+#: attribute, groups 1-3, or the ``>`` / ``/>`` closing the tag, group 4.
+_ATTRIBUTE_OR_CLOSE = re.compile(
+    rf"{_SPACE}(?:({_NAME}){_SPACE}={_SPACE}(?:\"([^\"]*)\"|'([^']*)')|(/?)>)"
+)
+_END_TAG = re.compile(rf"</({_NAME}){_SPACE}>")
+_DOCTYPE_MARK = re.compile(r"[\[\]>]")
+
+CHAR_ENTITIES = {
+    "lt": "<",
+    "gt": ">",
+    "amp": "&",
+    "quot": '"',
+    "apos": "'",
+}
+
+
+def _fail(source, message: str, position: int) -> None:
+    """Raise :class:`XmlSyntaxError` at *position* of *source*."""
+    if source is None:
+        raise XmlSyntaxError(message, position, 0, 0)
+    line = source.count("\n", 0, position) + 1
+    column = position - (source.rfind("\n", 0, position) + 1) + 1
+    raise XmlSyntaxError(message, position, line, column)
+
+
+def decode_entities(text: str, source: str = None, position: int = 0) -> str:
+    """Replace XML character/entity references in *text*.
+
+    *text* sits at *position* of the document *source*; an error is
+    reported there (without a line when *source* is None).
+    """
+    if "&" not in text:
+        return text
+    out = []
+    index = 0
+    while index < len(text):
+        char = text[index]
+        if char != "&":
+            out.append(char)
+            index += 1
+            continue
+        end = text.find(";", index + 1)
+        if end < 0:
+            _fail(source, "unterminated entity reference", position + index)
+        name = text[index + 1 : end]
+        if name.startswith("#x") or name.startswith("#X"):
+            out.append(chr(int(name[2:], 16)))
+        elif name.startswith("#"):
+            out.append(chr(int(name[1:])))
+        elif name in CHAR_ENTITIES:
+            out.append(CHAR_ENTITIES[name])
+        else:
+            _fail(source, f"unknown entity &{name};", position + index)
+        index = end + 1
+    return "".join(out)
 
 
 def parse_document(text: str, keep_whitespace_text: bool = False) -> DocumentNode:
@@ -23,91 +111,152 @@ def parse_document(text: str, keep_whitespace_text: bool = False) -> DocumentNod
     formatting, not data, for the AWB export and template formats); pass
     ``keep_whitespace_text=True`` to preserve it.
     """
-    parser = _Parser(text, keep_whitespace_text)
-    return parser.parse()
+    # Nodes are linked by filling their child and attribute lists directly:
+    # an element's lazy name indexes are not built until after the parse.
+    document = DocumentNode()
+    stack = []
+    parent = document
+    children = document.children
+    find = text.find
+    size = len(text)
+    pos = 0
+    while pos < size:
+        if text[pos] != "<":
+            stop = find("<", pos)
+            if stop < 0:
+                stop = size
+            raw = text[pos:stop]
+            if "&" in raw:
+                raw = decode_entities(raw, text, pos)
+            if keep_whitespace_text or raw.strip():
+                node = TextNode(raw)
+                node.parent = parent
+                children.append(node)
+            pos = stop
+            continue
+        following = text[pos + 1 : pos + 2]
+        if following == "/":
+            match = _END_TAG.match(text, pos)
+            if match is None:
+                _end_tag_error(text, pos)
+            name = match.group(1)
+            if not stack:
+                _fail(text, f"closing tag </{name}> with no open element", pos)
+            element = stack.pop()
+            if element.name != name:
+                _fail(text, f"mismatched tag: <{element.name}> closed by </{name}>", pos)
+            parent = stack[-1] if stack else document
+            children = parent.children
+            pos = match.end()
+            continue
+        if following == "!" and text.startswith("<!--", pos):
+            stop = find("-->", pos + 4)
+            if stop < 0:
+                _fail(text, "unterminated comment", pos)
+            node = CommentNode(text[pos + 4 : stop])
+            pos = stop + 3
+        elif following == "!" and text.startswith("<![CDATA[", pos):
+            stop = find("]]>", pos + 9)
+            if stop < 0:
+                _fail(text, "unterminated CDATA section", pos)
+            node = TextNode(text[pos + 9 : stop])
+            pos = stop + 3
+        elif following == "?":
+            stop = find("?>", pos + 2)
+            if stop < 0:
+                _fail(text, "unterminated processing instruction", pos)
+            target, _, rest = text[pos + 2 : stop].partition(" ")
+            pos = stop + 2
+            if target.lower() == "xml":  # drop the XML declaration
+                continue
+            node = ProcessingInstructionNode(target, rest.strip())
+        elif following == "!" and text.startswith("<!DOCTYPE", pos):
+            pos = _skip_doctype(text, pos)
+            continue
+        else:
+            match = _START_TAG.match(text, pos)
+            if match is None:
+                _fail(text, "expected a name", pos + 1)
+            node = ElementNode(match.group(1))
+            pos = match.end()
+            seen = set()
+            while True:
+                match = _ATTRIBUTE_OR_CLOSE.match(text, pos)
+                if match is None:
+                    _start_tag_error(text, pos)
+                pos = match.end()
+                name = match.group(1)
+                if name is None:
+                    break
+                value = match.group(2)
+                if value is None:
+                    value = match.group(3)
+                if "&" in value:
+                    value = decode_entities(value, text, match.start(1))
+                if name in seen:
+                    _fail(text, f"duplicate attribute {name!r}", match.start(1))
+                seen.add(name)
+                attribute = AttributeNode(name, value)
+                attribute.parent = node
+                node.attributes.append(attribute)
+            node.parent = parent
+            children.append(node)
+            if not match.group(4):
+                stack.append(node)
+                parent = node
+                children = node.children
+            continue
+        node.parent = parent
+        children.append(node)
+    if stack:
+        _fail(text, f"unclosed element <{stack[-1].name}>", size)
+    if document.document_element() is None:
+        _fail(text, "document has no element", 0)
+    return document
 
 
 def parse_element(text: str, keep_whitespace_text: bool = False) -> ElementNode:
     """Parse an XML fragment with a single root element."""
-    document = parse_document(text, keep_whitespace_text)
-    root = document.document_element()
-    if root is None:
-        raise XmlSyntaxError("document has no element", 0, 1, 1)
-    return root
+    # parse_document has already raised if the text holds no element
+    return parse_document(text, keep_whitespace_text).document_element()
 
 
-class _Parser:
-    def __init__(self, text: str, keep_whitespace_text: bool):
-        self._lexer = Lexer(text)
-        self._tokens = self._lexer.tokens()
-        self._keep_ws = keep_whitespace_text
-        self._pushed: Optional[Token] = None
+def _skip_doctype(text: str, pos: int) -> int:
+    """The offset after the DOCTYPE at *pos*, internal subset included."""
+    depth = 0
+    for mark in _DOCTYPE_MARK.finditer(text, pos):
+        char = mark.group()
+        if char == "[":
+            depth += 1
+        elif char == "]":
+            depth -= 1
+        elif depth <= 0:
+            return mark.end()
+    _fail(text, "unterminated DOCTYPE", pos)
 
-    def parse(self) -> DocumentNode:
-        document = DocumentNode()
-        stack: List[ElementNode] = []
 
-        def attach(node: Node) -> None:
-            if stack:
-                stack[-1].append(node)
-            else:
-                document.append(node)
+def _start_tag_error(text: str, pos: int) -> None:
+    """Raise the error for a start tag whose next attribute or close does
+    not match at *pos*."""
+    pos = _SPACE_RE.match(text, pos).end()
+    if pos >= len(text):
+        _fail(text, "unterminated start tag", pos)
+    start = pos
+    name = _NAME_RE.match(text, pos)
+    if name is None:
+        _fail(text, "expected a name", pos)
+    pos = _SPACE_RE.match(text, name.end()).end()
+    if not text.startswith("=", pos):
+        _fail(text, "expected '='", pos)
+    pos = _SPACE_RE.match(text, pos + 1).end()
+    if pos < len(text) and text[pos] in "\"'":
+        _fail(text, "unterminated attribute value", start)
+    _fail(text, "expected quoted attribute value", start)
 
-        while True:
-            token = self._next()
-            if token.kind == "eof":
-                break
-            if token.kind == "start_open":
-                element = ElementNode(token.value)
-                self._read_attributes(element)
-                closer = self._next()
-                attach(element)
-                if closer.kind == "start_close":
-                    stack.append(element)
-                elif closer.kind != "empty_close":
-                    self._lexer.error("malformed start tag", closer.position)
-            elif token.kind == "end_tag":
-                if not stack:
-                    self._lexer.error(
-                        f"closing tag </{token.value}> with no open element",
-                        token.position,
-                    )
-                open_element = stack.pop()
-                if open_element.name != token.value:
-                    self._lexer.error(
-                        f"mismatched tag: <{open_element.name}> closed by </{token.value}>",
-                        token.position,
-                    )
-            elif token.kind == "text":
-                if self._keep_ws or token.value.strip():
-                    attach(TextNode(token.value))
-            elif token.kind == "cdata":
-                attach(TextNode(token.value))
-            elif token.kind == "comment":
-                attach(CommentNode(token.value))
-            elif token.kind == "pi":
-                if token.value.lower() != "xml":  # drop the XML declaration
-                    attach(ProcessingInstructionNode(token.value, token.extra))
-        if stack:
-            self._lexer.error(f"unclosed element <{stack[-1].name}>", len(self._lexer.text))
-        if document.document_element() is None:
-            self._lexer.error("document has no element", 0)
-        return document
 
-    def _read_attributes(self, element: ElementNode) -> None:
-        while True:
-            token = self._next()
-            if token.kind != "attribute":
-                self._pushed = token
-                return
-            if element.get_attribute(token.value) is not None:
-                self._lexer.error(
-                    f"duplicate attribute {token.value!r}", token.position
-                )
-            element.set_attribute_node(AttributeNode(token.value, token.extra))
-
-    def _next(self) -> Token:
-        if self._pushed is not None:
-            token, self._pushed = self._pushed, None
-            return token
-        return next(self._tokens)
+def _end_tag_error(text: str, pos: int) -> None:
+    """Raise the error for an end tag at *pos* that does not match."""
+    name = _NAME_RE.match(text, pos + 2)
+    if name is None:
+        _fail(text, "expected a name", pos + 2)
+    _fail(text, "expected '>'", _SPACE_RE.match(text, name.end()).end())

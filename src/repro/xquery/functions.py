@@ -764,7 +764,8 @@ def _ft_score(ctx, args, expr) -> Sequence:
 
     Purely document-local (no idf), so the score a shard computes equals
     the score the unsharded engine computes — the property scatter/gather
-    and the indexed/brute parity both rely on.
+    and the indexed/brute parity both rely on.  A stored document is
+    counted by the store (from its postings when indexed).
     """
     from ..collections.fulltext import count_phrase
 
@@ -774,12 +775,13 @@ def _ft_score(ctx, args, expr) -> Sequence:
     if len(args[0]) > 1:
         raise XQueryTypeError("ft:score requires a singleton first argument")
     item = args[0][0]
-    if is_node(item):
-        text = item.string_value()
-    else:
+    store = ctx.collections
+    if not is_node(item):
         store = _collection_store(ctx, "ft:score")
-        text = store.resolve(string_value_of_atomic(item)).string_value()
-    return [count_phrase(text, phrase)]
+        item = store.resolve(string_value_of_atomic(item))
+    if store is None:
+        return [count_phrase(item.string_value(), phrase)]
+    return [store.score(item, phrase)]
 
 
 @builtin("ft:kwic", 2, 3)

@@ -10,6 +10,8 @@ skip corpus rebuilds forever.
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.collections import DocumentStore, InvertedIndex, count_phrase, tokenize
 from repro.testing.models import (
@@ -54,6 +56,46 @@ def test_phrase_counts_match_brute_force_on_random_text():
         index = InvertedIndex.rebuild([("d.xml", text)])
         expected = count_phrase(text, phrase)
         assert index.search(phrase).get("d.xml", 0) == expected, (text, phrase)
+
+
+#: tokens whose casefolds collide, repeats that overlap, and punctuation.
+_SCORE_WORDS = ["a", "A", "b", "Straße", "STRASSE", "strasse", "京都", "naïve", "-", "!!", ","]
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    st.lists(st.lists(st.sampled_from(_SCORE_WORDS), max_size=14), min_size=1, max_size=4),
+    st.lists(st.sampled_from(_SCORE_WORDS), max_size=4),
+    st.sampled_from([" ", "", ", "]),
+)
+def test_count_equals_count_phrase(documents, phrase_words, separator):
+    """``InvertedIndex.count`` — what ``ft:score`` reads for a stored
+    document — equals the reference scan for every document and phrase."""
+    texts = [(f"d{i}.xml", " ".join(words)) for i, words in enumerate(documents)]
+    index = InvertedIndex.rebuild(texts)
+    phrase = separator.join(phrase_words)
+    for uri, text in texts:
+        assert index.count(uri, phrase) == count_phrase(text, phrase), (text, phrase)
+        assert index.count(uri, phrase) == index.search(phrase).get(uri, 0)
+
+
+@pytest.mark.parametrize(
+    "text,phrase,expected",
+    [
+        ("a a a", "a a", 2),
+        ("a b a b a", "a b a", 2),
+        ("Straße im Schnee", "STRASSE", 1),
+        ("strasse STRASSE Straße", "straße", 3),
+        ("a b", "", 0),
+        ("a b", "!! ,", 0),
+        ("a b", "b a", 0),
+        ("a b", "c", 0),
+    ],
+)
+def test_count_corner_cases(text, phrase, expected):
+    index = InvertedIndex.rebuild([("d.xml", text), ("e.xml", "a a b")])
+    assert index.count("d.xml", phrase) == count_phrase(text, phrase) == expected
+    assert index.count("missing.xml", phrase) == 0
 
 
 def test_add_replaces_and_remove_is_o_doc():

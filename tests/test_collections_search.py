@@ -74,6 +74,43 @@ def test_search_results_ordered_by_score_then_uri(store):
     assert got == "docs/a.xml docs/b.xml"
 
 
+@pytest.mark.parametrize("backend", BACKENDS)
+@pytest.mark.parametrize(
+    "argument,use_index,reads,score",
+    [
+        ('fn:doc("docs/b.xml")', True, "postings", 1),
+        ('"docs/b.xml"', True, "postings", 1),
+        ('fn:doc("docs/b.xml")', False, "scan", 1),
+        ('fn:doc("docs/b.xml")/doc', True, "scan", 1),
+        ('fn:doc("docs/empty.xml")', True, "postings", 0),
+        ("<doc>alpha beta alpha beta</doc>", True, "scan", 2),
+        ("document { <doc>alpha beta alpha beta</doc> }", True, "scan", 2),
+    ],
+)
+def test_ft_score_reads_the_postings_only_for_a_stored_document(
+    store, monkeypatch, backend, argument, use_index, reads, score
+):
+    """A stored document, indexed, is counted from the postings; a
+    constructed node, an element and the scan mode keep ``count_phrase``."""
+    from repro.collections import store as store_module
+    from repro.collections.fulltext import InvertedIndex
+
+    calls = []
+    count, scan = InvertedIndex.count, store_module.count_phrase
+    monkeypatch.setattr(
+        InvertedIndex, "count", lambda *args: calls.append("postings") or count(*args)
+    )
+    monkeypatch.setattr(
+        store_module, "count_phrase", lambda *args: calls.append("scan") or scan(*args)
+    )
+    store.use_index = use_index
+    result = XQueryEngine().compile(f'ft:score({argument}, "alpha beta")').run(
+        backend=backend, collections=store
+    )
+    assert result == [score]
+    assert calls == [reads]
+
+
 def test_missing_doc_is_fodc0002_in_every_backend(store):
     engine = XQueryEngine()
     compiled = engine.compile('fn:doc("missing.xml")')

@@ -1,7 +1,9 @@
 """End-to-end tests for the shared-nothing serving tier (mode="process")."""
 
+import multiprocessing
 import os
 import signal
+import time
 
 import pytest
 
@@ -426,6 +428,74 @@ def test_hung_worker_times_out_and_is_respawned(model, tier):
         assert victim.restarts == 1
         assert victim.process is not hung and victim.process.is_alive()
         assert serve() == reference()
+
+
+def _tier_booting_with(model, tier, monkeypatch, before_boot):
+    """A constructor for a 2-shard process tier of *tier* whose workers
+    run ``before_boot(config)`` at the start of their boot."""
+    from repro.collections import SearchService
+    from repro.collections import service as search_service
+    from repro.serving import pool
+
+    if tier == "query":
+        module, name = pool, "ShardWorker"
+        build = lambda: QueryService(model, mode="process", workers=2)
+    else:
+        module, name = search_service, "CollectionWorker"
+        build = lambda: SearchService(
+            random_document_store(41, docs=12), shards=2, mode="process"
+        )
+    base = getattr(module, name)
+
+    class Worker(base):
+        def __init__(self, config):
+            before_boot(config)
+            super().__init__(config)
+
+    monkeypatch.setattr(module, name, Worker)
+    return build
+
+
+@pytest.mark.parametrize("tier", ["query", "search"])
+def test_workers_boot_concurrently(model, tier, monkeypatch):
+    """Every shard is forked before any boot reply is read: two 0.4 s
+    boots take about one boot, not two."""
+    build = _tier_booting_with(model, tier, monkeypatch, lambda config: time.sleep(0.4))
+    started = time.perf_counter()
+    svc = build()
+    elapsed = time.perf_counter() - started
+    svc.close()
+    assert elapsed < 0.7
+
+
+@pytest.mark.parametrize("tier", ["query", "search"])
+def test_failed_boot_leaves_no_worker(model, tier, monkeypatch):
+    """A shard that cannot boot fails the tier with a structured error,
+    and neither its sibling's process nor any pipe outlives the failure."""
+    from repro.querycalc.service.errors import RemoteQueryError
+    from repro.serving import pool
+
+    def fail_shard_one(config):
+        if config.shard == 1:
+            raise ValueError("shard 1 cannot boot")
+
+    build = _tier_booting_with(model, tier, monkeypatch, fail_shard_one)
+    pipes = []
+    make_pipe = pool._CTX.Pipe
+
+    def recording_pipe(*args, **kwargs):
+        ends = make_pipe(*args, **kwargs)
+        pipes.append(ends[0])
+        return ends
+
+    monkeypatch.setattr(pool._CTX, "Pipe", recording_pipe)
+    alive_before = set(multiprocessing.active_children())
+    with pytest.raises(RemoteQueryError) as caught:
+        build()
+    assert caught.value.remote_exception == "ValueError"
+    assert "shard 1 cannot boot" in caught.value.bare_message
+    assert set(multiprocessing.active_children()) - alive_before == set()
+    assert len(pipes) == 2 and all(conn.closed for conn in pipes)
 
 
 def test_metrics_expose_p99_and_mode(model, service):
