@@ -5,20 +5,22 @@ honest limitation: a thread pool on CPython adds concurrency, not
 parallelism, so the *cold* mix — distinct queries that all miss the
 result cache — gains nothing from threads.  E20 measures the tier built
 to attack exactly that residue: a pool of worker **processes**, each
-holding a full model replica and owning a shard of the start space,
-with scatter/gather merges, single-shard routing proofs, per-worker
-plan compilation, and admission control in front.
+holding a full model replica and answering whole queries (each query
+runs on the one worker its plan key routes to), with per-worker plan
+compilation and admission control in front.
 
-Three sections, each asserted:
+Three sections:
 
 * **cold-mix batch throughput** — a 52-query workload of *distinct*
   plans (zero result-cache hits) through thread w=4 vs process
-  w=1/2/4.  On a multi-core box the process tier at w=4 must beat the
-  thread pool ≥ 1.5× (real parallelism vs GIL time-slicing).  On a
-  single-core container that speedup is physically unavailable — the
-  gate is then recorded as unenforced (``gate["enforced"]: false``)
-  with ``cpu_count`` in the payload, mirroring E15's honesty about its
-  workers column.  Parity is asserted before anything is timed.
+  w=1/2/4.  Parity is asserted before anything is timed.  The process
+  w=4 / thread w=4 ratio is recorded, not gated: on a 2-core machine it
+  reads anywhere from about 0.6× to 1.3× between runs (0.23–0.65× when
+  each query's start set was split across workers), so a timing gate
+  would only be flaky.  The payload's ``gate.decision`` records what the
+  numbers support: the process tier serves isolation (respawn, hang
+  recovery) and parallelism *across* queries, and thread mode is the
+  default.
 * **tail latency under open fire** — the loadgen drives ≥100 closed-loop
   clients at a 4-worker tier for a measured window and reports QPS,
   p50/p95/p99, and shed rate.  Availability must be 1.0: every request
@@ -54,14 +56,18 @@ ROUNDS = 2
 CONFIGS = [("thread", 4), ("process", 1), ("process", 2), ("process", 4)]
 LOAD_CLIENTS = 100
 LOAD_DURATION = 2.5
-PROCESS_SPEEDUP_GATE = 1.5
+DECISION = (
+    "at workers=cpu_count on 2 cores the process tier does not reach 1.5x "
+    "thread mode, so it is kept for isolation (respawn, hang recovery) and "
+    "parallelism across queries, and thread mode is the default"
+)
 
 
 def _cold_workload():
     """52 distinct queries: every one is a plan-cache and result-cache miss.
 
     Four start types × twelve pipeline/collect shapes, plus four
-    all-nodes starts that force the router to scatter.  No duplicates —
+    all-nodes starts.  No duplicates —
     the thread pool's dedup advantage (E15's batch win) is deliberately
     taken off the table so the comparison isolates execution.
     """
@@ -174,13 +180,6 @@ def test_e20_serving_tier_matrix():
     }
     speedup_w4 = process_qps[4] / thread_qps
 
-    # the tentpole gate — real parallelism needs real cores.  On a
-    # single-core container the process tier pays IPC for no extra CPU,
-    # so the gate is recorded but not enforced (cpu_count is in the
-    # payload; see docs/serving.md).  Every gate is asserted only after
-    # the results are recorded, so a red run still rewrites them.
-    gate_enforced = cpu_count >= 2
-
     # -- tail latency under load ----------------------------------------------
     with QueryService(model, mode="process", workers=4) as service:
         report = run_load(
@@ -221,9 +220,8 @@ def test_e20_serving_tier_matrix():
         + format_table(["config", "total", "qps", "vs thread w=4"], matrix_rows)
         + f"\n\nloadgen burst (mixed, {LOAD_CLIENTS} clients)\n"
         + format_table(["metric", "value"], load_rows)
-        + f"\n\nprocess-vs-thread gate (>= {PROCESS_SPEEDUP_GATE}x): "
-        + ("ENFORCED" if gate_enforced else
-           f"recorded only ({cpu_count} core container)")
+        + f"\n\nprocess w=4 vs thread w=4: {speedup_w4:.2f}x (recorded, not gated)"
+        + f"\ndecision: {DECISION}"
     )
     record_result("e20_serving_tier.txt", text)
 
@@ -245,8 +243,7 @@ def test_e20_serving_tier_matrix():
         "routes_by_workers": route_mixes,
         "gate": {
             "process_w4_vs_thread_w4": speedup_w4,
-            "threshold": PROCESS_SPEEDUP_GATE,
-            "enforced": gate_enforced,
+            "decision": DECISION,
         },
         "loadgen": {
             key: report[key]
@@ -276,13 +273,10 @@ def test_e20_serving_tier_matrix():
     record_json("e20_serving_tier.json", payload)
     record_json("BENCH_e20.json", payload, directory=REPO_ROOT)
 
-    # availability 1.0: ok + deliberate sheds cover every request.
+    # asserted only after the results are recorded, so a red run still
+    # rewrites them.  Availability 1.0: ok + deliberate sheds cover every
+    # request.
     assert report["requests"] >= LOAD_CLIENTS
     assert report["availability"] == 1.0, report["errors_by_kind"]
     assert report["ok"] >= 1
     assert mismatches == 0
-    if gate_enforced:
-        assert speedup_w4 >= PROCESS_SPEEDUP_GATE, (
-            f"process w=4 only {speedup_w4:.2f}x thread w=4 "
-            f"on {cpu_count} cores"
-        )

@@ -79,13 +79,6 @@ class QueryPlan:
     #: their calculus spellings differ.  Process mode learns it from the
     #: plan's first worker reply.
     result_key: Optional[str] = None
-    #: the scatter variant of ``source``, whose start set is filtered to the
-    #: types in the ``$awb-shard-types`` external variable (process mode
-    #: only).
-    source_shard: Optional[str] = None
-    #: the property the collect orders by, which workers return with each
-    #: row for the gather merge (process mode only).
-    sort_property: Optional[str] = None
     #: the plan's :class:`~repro.querycalc.service.deps.DependencySet`,
     #: derived at build time — what its cached answers can depend on.
     deps: Optional[object] = None

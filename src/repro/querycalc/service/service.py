@@ -388,7 +388,9 @@ class QueryService:
         explanation["plan_key"] = plan.key
         explanation["source"] = plan.source
         if self._pool is not None:
-            route = self._route(query, statistics)
+            from ...serving.partition import route_query
+
+            route = route_query(plan.key, self._pool.shards)
             explanation["route"] = {
                 "kind": route.kind,
                 "shard": route.shard,
@@ -509,14 +511,7 @@ class QueryService:
                 # the compile LRUs, and the plan's structural signature
                 # (this plan's cross-process result key) is learned from
                 # the first worker reply.
-                return QueryPlan(
-                    key,
-                    query,
-                    source=source,
-                    source_shard=self._backend.compile_to_xquery(query, sharded=True),
-                    sort_property=self._backend.sort_property(query),
-                    deps=deps,
-                )
+                return QueryPlan(key, query, source=source, deps=deps)
             compiled = self.engine.compile(source)
             return QueryPlan(
                 key,
@@ -560,8 +555,8 @@ class QueryService:
 
         A result is cached and returned only if the model is still at the
         snapshot's generation.  Otherwise an update landed mid-read (its
-        delta may have reached one shard before the read and another after
-        it, or its patch moved the export under the read), so the read runs
+        delta may have reached the worker before the read, or its patch
+        moved the export under the read), so the read runs
         again; its next snapshot waits on the export lock until the update
         has published.  The executor's deadline checks bound the loop.
         """
@@ -624,7 +619,7 @@ class QueryService:
             # it evaluates the cached plan itself.
             raise QueryRuntimeError(f"start node {start_id!r} is not in the model")
         if self._pool is not None:
-            return self._process_execute(plan, statistics, deadline)
+            return self._process_execute(plan, deadline)
         compiled = plan.compiled
 
         def before(backend: str) -> None:
@@ -669,32 +664,13 @@ class QueryService:
             )
         return True
 
-    def _route(self, query: Query, statistics):
-        """The serving tier's routing decision for one query."""
-        from ...serving.partition import bucket, route_query
-
-        shards = self._pool.shards
-        domain = statistics.attribute_domain("node", "type")
-
-        def owner_of_id(node_id: str) -> Optional[int]:
-            node = self.model.nodes.get(node_id)
-            if node is None:
-                return None
-            return bucket(node.type_name, shards)
-
-        return route_query(
-            query,
-            shards,
-            domain,
-            self.model.metamodel.node_subtype_names,
-            owner_of_id,
-        )
-
     def _process_execute(
-        self, plan: QueryPlan, statistics, deadline: Optional[Deadline]
+        self, plan: QueryPlan, deadline: Optional[Deadline]
     ) -> Tuple[List[str], Tuple[str, ...]]:
-        """Serve one plan from the worker-process pool (scatter or single)."""
-        route = self._route(plan.query, statistics)
+        """Serve one plan from the worker its key routes to."""
+        from ...serving.partition import route_query
+
+        route = route_query(plan.key, self._pool.shards)
         with self._metrics_lock:
             self._routes[route.kind] = self._routes.get(route.kind, 0) + 1
         if self.faults is not None:

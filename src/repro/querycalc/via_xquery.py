@@ -24,10 +24,6 @@ from ..xquery import XQueryEngine
 from .ast import Collect, FilterProperty, FilterType, Follow, Query
 from .native import QueryRuntimeError
 
-#: the external variable a sharded plan's start filter reads; each worker
-#: binds it to the type names it owns.
-SHARD_TYPES = "awb-shard-types"
-
 
 def _string_sequence(names: List[str]) -> str:
     quoted = ", ".join(f'"{name}"' for name in names)
@@ -85,9 +81,8 @@ class XQueryCalculusBackend:
         add the new one) rather than recollected — a point mutation costs
         O(subtree), not O(document).  Falls back to a full walk when the
         log does not cover the span (a full export rebuild happened).
-        Either way, the catalog the algebra cost pass and the serving
-        router read is always the current generation's: routing proofs
-        never see a pre-mutation ``attribute_domain``.
+        Either way, the catalog the algebra cost pass reads is always the
+        current generation's.
         """
         from ..xquery.algebra import StatisticsCatalog
 
@@ -110,32 +105,16 @@ class XQueryCalculusBackend:
         self._stats_cursor = self._exporter.delta_cursor()
         return self._statistics
 
-    def compile_to_xquery(self, query: Query, sharded: bool = False) -> str:
-        """Translate a calculus query into XQuery source text.
-
-        ``sharded`` builds the serving tier's scatter plan: the generated
-        program declares the external variable ``$awb-shard-types`` and
-        keeps only start nodes whose ``@type`` it lists.  The filter is an
-        external variable rather than a literal list, so every worker
-        process compiles the *same* source (one plan signature tier-wide)
-        and binds the types it owns at run time.
-        """
+    def compile_to_xquery(self, query: Query) -> str:
+        """Translate a calculus query into XQuery source text."""
         lines: List[str] = ['declare variable $model external;']
-        start = self._compile_start(query)
-        if sharded:
-            lines.append(f"declare variable ${SHARD_TYPES} external;")
-            start = f"({start})[@type = ${SHARD_TYPES}]"
-        pipeline = start
+        pipeline = self._compile_start(query)
         for index, step in enumerate(query.steps, start=1):
             function_name = f"local:step{index}"
             lines.append(self._compile_step(step, function_name))
             pipeline = f"{function_name}({pipeline})"
         lines.append(self._compile_collect(query.collect, pipeline, query.trace))
         return "\n".join(lines)
-
-    def sort_property(self, query: Query) -> str:
-        """The property name the query's collect clause orders by."""
-        return query.collect.sort_by or self.metamodel.label_property
 
     def run(self, query: Query) -> List[ModelNode]:
         """Compile, evaluate, and map results back to live model nodes."""

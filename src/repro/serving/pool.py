@@ -1,4 +1,4 @@
-"""The process pool: worker lifecycle and scatter/gather.
+"""The process pool: worker lifecycle, fan-out and the calculus pool.
 
 :class:`WorkerHandle` (boot, request, respawn), :func:`boot_workers`
 (start every shard, then wait for each), :func:`scatter` (the concurrent
@@ -10,13 +10,13 @@ holds the same workers in-process through :class:`LocalHandle`.
 The calculus front-end owns one :class:`ProcessPool`.  Each worker is a real OS
 process (fork where available) holding a full model replica and its own
 engine compile LRU — shared-nothing, so N workers really do evaluate N
-plans concurrently instead of time-slicing one GIL.
+different queries concurrently instead of time-slicing one GIL.  Each
+query runs, whole, on one worker.
 
 Compiled closures don't pickle, so the parent never ships compiled plans.
 A process-mode :class:`~repro.querycalc.service.plans.QueryPlan` carries
-the generated *source* variants (full and shard-filtered) and the merge
-parameters; each worker compiles a source on first use (its LRU makes
-every later use a hit — compile once per worker, amortized).  While the
+the generated *source*; the one worker its key routes to compiles it on
+first use (its LRU makes every later use a hit).  While the
 plan's ``result_key`` is unknown, the request asks the worker for the
 plan's structural signature, and the pool records it as the plan's
 ``result_key``: the cross-process plan identity the front-end's result
@@ -73,6 +73,7 @@ class WorkerUnresponsiveError(XQueryTimeoutError):
     """The worker missed the parent-side deadline and was respawned."""
 
 
+# No caller in src/; kept because bench/layers.py names it as a trace target.
 def merge_partials(
     partials: List[dict], descending: bool, distinct: bool
 ) -> Tuple[List[str], Tuple[str, ...]]:
@@ -118,7 +119,8 @@ class WorkerHandle:
     interleaved conversations.  A request that misses its deadline kills
     and respawns the worker (the pipe would otherwise hold a stale reply),
     surfacing as ``XQDY_TIMEOUT``; a worker that died mid-request is
-    respawned too.
+    respawned too.  A respawn that failed to boot leaves no worker, and
+    the next request boots one before it sends.
     """
 
     def __init__(
@@ -196,6 +198,8 @@ class WorkerHandle:
             else self.request_timeout
         )
         with self._lock:
+            if self.conn is None:
+                self._respawn()
             req_id = next(self._req_ids)
             try:
                 self.conn.send((op, req_id, payload))
@@ -325,7 +329,7 @@ def worker_stats(handles: Sequence[WorkerHandle]) -> List[Dict[str, object]]:
 
 
 class ProcessPool:
-    """N shard workers plus the scatter/gather machinery.
+    """N shard workers, each answering whole queries over a full replica.
 
     Callers serialize :meth:`ensure_generation` and :meth:`apply_delta`
     (the calculus front end calls both under its export lock).  Workers
@@ -359,15 +363,11 @@ class ProcessPool:
             ),
             shards,
         )
-        self._scatter_pool = ThreadPoolExecutor(
-            max_workers=shards, thread_name_prefix="awb-scatter"
-        )
         self._closed = False
 
     def _worker_config(self, shard: int) -> WorkerConfig:
         return WorkerConfig(
             shard=shard,
-            shards=self.shards,
             metamodel=self.metamodel,
             export_text=export_model_text(self.model, indent=False),
             generation=self.generation,
@@ -430,36 +430,20 @@ class ProcessPool:
     def execute(
         self, plan: QueryPlan, route: Route, remaining: Optional[float]
     ) -> Tuple[List[str], Tuple[str, ...]]:
-        """Run one routed process-mode plan, returning (ordered node ids,
-        traces).  While ``plan.result_key`` is unknown the request asks for
-        the plan's signature and the reply sets it."""
+        """Run one plan on the worker *route* names, returning (ordered
+        node ids, traces).  While ``plan.result_key`` is unknown the
+        request asks for the plan's signature and the reply sets it."""
         want_signature = plan.result_key is None
-        single = route.kind == "single"
         payload = {
             "key": plan.key,
-            "source": plan.source if single else plan.source_shard,
-            "variant": "full" if single else "shard",
-            "sort_property": plan.sort_property,
+            "source": plan.source,
             "remaining": remaining,
             "want_signature": want_signature,
         }
-        if single:
-            reply = self.handles[route.shard].request("run", payload, remaining)
-            if want_signature:
-                plan.result_key = reply["signature"]
-            return [node_id for _, node_id in reply["rows"]], tuple(reply["traces"])
-
-        partials = scatter(
-            self._scatter_pool,
-            [
-                functools.partial(handle.request, "run", dict(payload), remaining)
-                for handle in self.handles
-            ],
-        )
+        reply = self.handles[route.shard].request("run", payload, remaining)
         if want_signature:
-            plan.result_key = partials[0]["signature"]
-        collect = plan.query.collect
-        return merge_partials(partials, collect.descending, collect.distinct)
+            plan.result_key = reply["signature"]
+        return reply["ids"], tuple(reply["traces"])
 
     # -- observability / lifecycle ----------------------------------------
 
@@ -482,7 +466,6 @@ class ProcessPool:
         if self._closed:
             return
         self._closed = True
-        self._scatter_pool.shutdown(wait=False)
         for handle in self.handles:
             handle.close()
 

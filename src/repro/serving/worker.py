@@ -1,21 +1,13 @@
-"""The shard worker: one process, one full model replica, one start partition.
+"""The shard worker: one process, one full model replica.
 
 Each worker imports the model from the front-end's XML export (faithfully:
 ``apply_defaults=False``, so deleted default-valued properties stay
 deleted), owns its own :class:`XQueryCalculusBackend` + engine compile LRU,
-and answers two kinds of evaluation request:
+and evaluates whole calculus plans over its full replica — exact
+single-process semantics.  The front-end sends each plan to one worker
+(:func:`~repro.serving.partition.route_query`).
 
-``full``
-    evaluate the unsharded plan over the whole replica — exact
-    single-process semantics.  The front-end routes here when the
-    statistics catalog *proves* the query touches one partition.
-``shard``
-    evaluate the sharded plan (start set filtered by an external
-    variable) bound to the type names this worker owns.  The front-end
-    merges the per-shard partials by ``(sort key, id)``.
-
-Everything the parent needs for the merge rides back in the reply:
-``(sort_key, node_id)`` pairs in the worker's result order and trace
+A reply carries the result's node ids in the engine's order and the trace
 messages.  When the request sets ``want_signature`` the reply also
 carries the plan's structural signature (the cross-process plan identity
 the front-end's result cache keys on, about 2 KB pickled); the front-end
@@ -36,18 +28,17 @@ needs them anyway.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Optional
 
 from ..awb.metamodel import Metamodel
 from ..awb.xml_io import import_model_text
 from ..querycalc.service.errors import Deadline, classify_error
 from ..querycalc.service.plans import PlanCache, run_compiled
-from ..querycalc.via_xquery import SHARD_TYPES, XQueryCalculusBackend
+from ..querycalc.via_xquery import XQueryCalculusBackend
 from ..xquery.updates.apply import apply_script
 from ..xdm import ElementNode
 from ..xquery import EngineConfig, XQueryEngine
 from ..xquery import algebra  # noqa: F401  (the engine and backend load it lazily)
-from .partition import owned_types
 
 __all__ = ["WorkerConfig", "ShardWorker", "dispatch", "worker_main"]
 
@@ -57,7 +48,6 @@ class WorkerConfig:
     """Everything a worker process needs to build its replica (picklable)."""
 
     shard: int
-    shards: int
     metamodel: Metamodel
     export_text: str
     generation: int
@@ -72,7 +62,6 @@ class ShardWorker:
 
     def __init__(self, config: WorkerConfig):
         self.shard = config.shard
-        self.shards = config.shards
         self.metamodel = config.metamodel
         self.plan_cache_size = config.plan_cache_size
         self._plans = PlanCache(maxsize=config.plan_cache_size)
@@ -91,18 +80,9 @@ class ShardWorker:
         self.engine = XQueryEngine(EngineConfig(backend="algebra"))
         self.backend = XQueryCalculusBackend(self.model, engine=self.engine)
         self.generation = generation
-        self._own()
         # build the export and its statistics catalog while booting, so the
         # first query on a fresh replica pays for neither.
         self.backend.statistics
-
-    def _own(self) -> None:
-        """Recompute the type names this shard owns in its replica."""
-        self.owned = owned_types(
-            self.shard,
-            self.shards,
-            (node.type_name for node in self.model.nodes.values()),
-        )
 
     def refresh(self, payload: Dict) -> Dict[str, int]:
         """Swap in a new export generation (a full replica rebuild)."""
@@ -111,7 +91,7 @@ class ShardWorker:
         plans = self._plans
         self._load(payload["export_text"], payload["generation"])
         self._plans = plans
-        return {"generation": self.generation, "owned": len(self.owned)}
+        return {"generation": self.generation}
 
     def delta(self, payload: Dict) -> Dict[str, int]:
         """Replay ``payload["script"]``, one resolved update script, against
@@ -126,50 +106,42 @@ class ShardWorker:
         """
         apply_script(payload["script"], self.model, check="off")
         self.generation = payload["generation"]
-        # membership may have moved (inserts/deletes/retypes): recompute
-        # this shard's ownership the same way a full load would.
-        self._own()
         self.deltas += 1
-        return {"generation": self.generation, "owned": len(self.owned)}
+        return {"generation": self.generation}
 
     # -- evaluation --------------------------------------------------------
 
     def run(self, payload: Dict) -> Dict:
-        """Evaluate one request.
+        """Evaluate one plan over the full replica.
 
         ``payload`` carries: ``key`` (normalized plan key), ``source``
-        (XQuery text — full or sharded variant), ``variant`` ("full" |
-        "shard"), ``sort_property`` (for merge-key extraction),
-        ``remaining`` (seconds of wall-clock budget left, or None), and
-        ``want_signature`` (put the plan signature in the reply).
+        (the generated XQuery text), ``remaining`` (seconds of wall-clock
+        budget left, or None), and ``want_signature`` (put the plan
+        signature in the reply).
         """
         self.runs += 1
-        key = payload["key"]
-        variant = payload["variant"]
         deadline = (
             Deadline.after(payload["remaining"])
             if payload.get("remaining") is not None
             else None
         )
-        plan_key = f"{variant}:{key}"
         compiled = self._plans.get_or_build(
-            plan_key, lambda: self.engine.compile(payload["source"])
+            payload["key"], lambda: self.engine.compile(payload["source"])
         )
-        variables: Dict[str, object] = {
-            "model": self.backend.export.document_element()
-        }
-        if variant == "shard":
-            variables[SHARD_TYPES] = list(self.owned)
 
         def before(backend: str) -> None:
             if backend != compiled.config.backend:
                 self.fallbacks += 1
 
         result, traces = run_compiled(
-            compiled, variables, deadline, self.backend.statistics, before=before
+            compiled,
+            {"model": self.backend.export.document_element()},
+            deadline,
+            self.backend.statistics,
+            before=before,
         )
         reply = {
-            "rows": self._rows(result, payload.get("sort_property", "")),
+            "ids": self._ids(result),
             "traces": traces,
             "shard": self.shard,
             "generation": self.generation,
@@ -178,34 +150,21 @@ class ShardWorker:
             reply["signature"] = compiled.plan_signature
         return reply
 
-    def _rows(self, result, sort_property: str) -> List[Tuple[str, str]]:
-        """(sort key, node id) pairs, in the engine's result order.
-
-        The sort key is exactly what the generated ``order by`` computed —
-        ``string($result/property[@name eq "<prop>"])`` — so the
-        front-end's merge sorts per-shard partials by the same key the
-        per-shard sort used.
-        """
-        rows: List[Tuple[str, str]] = []
+    @staticmethod
+    def _ids(result) -> List[str]:
+        """The ``id`` of each ``<node>`` in the result, in engine order."""
+        ids: List[str] = []
         for item in result:
-            if not isinstance(item, ElementNode):
-                continue
-            node_id = item.get_attribute("id")
-            if node_id is None:
-                continue
-            key = ""
-            for child in item.child_elements("property"):
-                if child.get_attribute("name") == sort_property:
-                    key = child.string_value()
-                    break
-            rows.append((key, node_id))
-        return rows
+            if isinstance(item, ElementNode):
+                node_id = item.get_attribute("id")
+                if node_id is not None:
+                    ids.append(node_id)
+        return ids
 
     def stats(self, payload: Optional[Dict] = None) -> Dict[str, object]:
         return {
             "shard": self.shard,
             "generation": self.generation,
-            "owned": len(self.owned),
             "runs": self.runs,
             "fallbacks": self.fallbacks,
             "errors": self.errors,

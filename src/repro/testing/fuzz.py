@@ -176,10 +176,9 @@ def run_campaign(
 ) -> CampaignStats:
     """Run one seeded campaign of ``budget`` generated programs.
 
-    ``serving=True`` (the default) adds the sharded process-pool service
-    to the calculus fleet: every calculus draw also runs through real
-    worker processes with scatter/gather over type-partitioned start
-    sets.  The flag draws nothing from the RNG, so campaigns with and
+    ``serving=True`` (the default) adds the process-pool service to the
+    calculus fleet: every calculus draw also runs through real worker
+    processes, each query whole on one worker.  The flag draws nothing from the RNG, so campaigns with and
     without it generate identical programs.
     """
     rng = random.Random(seed)
@@ -428,7 +427,7 @@ def main(argv: Optional[List[str]] = None) -> int:
     parser.add_argument(
         "--no-serving",
         action="store_true",
-        help="skip the sharded process-pool oracle on calculus draws "
+        help="skip the process-pool oracle on calculus draws "
              "(the generated program stream is identical either way)",
     )
     parser.add_argument("--json", default=None, help="write stats JSON to this path")

@@ -321,16 +321,16 @@ def type_soundness_divergence(
 
 
 class ServingOracle:
-    """The sharded-service member of the calculus fleet.
+    """The process-tier member of the calculus fleet.
 
     Wraps a ``mode="process"`` :class:`QueryService` — real worker
-    processes, scatter/gather, admission control — and reports outcomes in
+    processes, key routing, admission control — and reports outcomes in
     the fleet's comparison currency.  Worker failures travel as
     :class:`~repro.querycalc.service.errors.RemoteQueryError` carriers, so
     outcomes name the *original* exception class (via ``classify_error``):
     a worker raising ``XQueryDynamicError`` must compare equal to the
     thread service raising it directly.  Nothing is allowlisted for this
-    oracle — a sharded divergence is always a bug.
+    oracle — a process-tier divergence is always a bug.
     """
 
     def __init__(self, model: Model, workers: int = 2):
@@ -364,7 +364,7 @@ class CalculusOracle:
     must be indistinguishable — ids *and* replayed traces — from the cold
     execution that populated it).
 
-    ``serving=True`` adds the sharded process-pool service to the fleet
+    ``serving=True`` adds the process-pool service to the fleet
     (``sharded-cold``/``sharded-warm`` outcomes, via :class:`ServingOracle`).
     Worker processes are real OS
     processes — call :meth:`close` (or use the oracle as a context
@@ -394,7 +394,7 @@ class CalculusOracle:
         )
 
     def close(self) -> None:
-        """Reap the sharded service's worker processes, if any."""
+        """Reap the process-pool service's worker processes, if any."""
         if self.serving is not None:
             self.serving.close()
 
@@ -448,7 +448,7 @@ class CalculusOracle:
             svc, shd = outcomes["service-cold"], outcomes["sharded-cold"]
             if svc[0] == "ok" and shd[0] == "ok" and svc[2] != shd[2]:
                 # the ids matched, but fn:trace output differed — the
-                # router must have scattered a traced query.
+                # worker's trace log did not reach the reply intact.
                 return apply_allowlist(
                     Divergence(
                         "calculus",

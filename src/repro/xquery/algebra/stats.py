@@ -232,9 +232,9 @@ class StatisticsCatalog:
         element a direct child of the document root.  Old contributions
         are subtracted and new ones added exactly, the root's own
         fan-out/edges move by the net change, the derived estimates are
-        recomputed, and schema conformance is re-checked — so downstream
-        proofs (the serving router's ``attribute_domain("node", "type")``)
-        stay sound without an O(document) recollection.
+        recomputed, and schema conformance is re-checked — so the value
+        domains that check reads stay exact without an O(document)
+        recollection.
         """
         for old, new in pairs:
             if old is not None:
@@ -279,10 +279,9 @@ class StatisticsCatalog:
         """The full recorded value domain of ``element/@attribute``, or None.
 
         Only small domains (≤ the collection cap) are recorded; ``None``
-        therefore means "unknown", not "empty".  The serving tier's router
-        reads ``attribute_domain("node", "type")`` as its proof source for
-        single-shard routing: if the domain is known, it is *exactly* the
-        set of node types present in the export.
+        therefore means "unknown", not "empty".  A known domain is
+        *exactly* the set of values present in the export: for
+        ``("node", "type")``, the node types.
         """
         return self.attr_domains.get((element, attribute))
 

@@ -14,6 +14,8 @@ from repro.querycalc.service import (
 )
 from repro.querycalc.service.errors import classify_error
 from repro.querycalc.service.faults import FaultInjector
+from repro.querycalc.service.plans import normalize_query
+from repro.serving.partition import bucket
 from repro.testing.models import (
     random_calculus_query,
     random_document_store,
@@ -64,7 +66,6 @@ def test_scatter_result_matches_thread_service(model, service):
     reference = QueryService(model)
     query = all_nodes_query(sort_by="label")
     assert ids(service.run(query)) == ids(reference.run(query))
-    assert service.metrics()["routes"].get("scatter", 0) >= 1
 
 
 def test_single_route_result_matches(model, service):
@@ -147,7 +148,7 @@ def test_plan_learns_result_key_from_first_reply(model):
 
 
 def _in_process_worker(model):
-    """A one-shard ShardWorker in this process, plus a full-plan payload."""
+    """A ShardWorker in this process, plus a ``run`` payload."""
     from repro.awb.xml_io import export_model_text
     from repro.querycalc.via_xquery import XQueryCalculusBackend
     from repro.serving.worker import ShardWorker, WorkerConfig
@@ -155,7 +156,6 @@ def _in_process_worker(model):
     worker = ShardWorker(
         WorkerConfig(
             shard=0,
-            shards=1,
             metamodel=model.metamodel,
             export_text=export_model_text(model, indent=False),
             generation=model.generation,
@@ -164,8 +164,6 @@ def _in_process_worker(model):
     payload = {
         "key": "all",
         "source": XQueryCalculusBackend(model).compile_to_xquery(all_nodes_query()),
-        "variant": "full",
-        "sort_property": "label",
         "remaining": None,
     }
     return worker, payload
@@ -178,7 +176,7 @@ def test_worker_reply_carries_signature_only_when_asked(model):
     assert worker.run(dict(payload, want_signature=False)).keys() == plain.keys()
     asked = worker.run(dict(payload, want_signature=True))
     assert asked["signature"] == worker.engine.compile(payload["source"]).plan_signature
-    assert asked["rows"] == plain["rows"]
+    assert asked["ids"] == plain["ids"]
 
 
 def _broken(message):
@@ -192,9 +190,9 @@ def test_worker_degrades_an_algebra_failure_to_the_treewalk(model, monkeypatch):
     from repro.xquery.algebra import AlgebraProgram
 
     worker, payload = _in_process_worker(model)
-    expected = worker.run(payload)["rows"]
+    expected = worker.run(payload)["ids"]
     monkeypatch.setattr(AlgebraProgram, "run", _broken("algebra broken"))
-    assert worker.run(payload)["rows"] == expected
+    assert worker.run(payload)["ids"] == expected
     assert worker.stats()["fallbacks"] == 1
 
 
@@ -210,62 +208,6 @@ def test_worker_surfaces_the_algebra_error_when_both_backends_fail(
     with pytest.raises(RuntimeError, match="algebra broken"):
         worker.run(payload)
     assert worker.stats()["fallbacks"] == 1
-
-
-def test_scatter_read_straddling_a_delta_sees_one_generation():
-    """Shard 0 answers a scatter after an update's delta and shard 1
-    before it.  The merged answer mixes two generations, so the service
-    must not return it: it runs the read again and answers as native does
-    before or after the script."""
-    from repro.querycalc.native import run_query
-    from repro.serving.partition import bucket
-    from repro.workloads import make_it_model
-
-    model = make_it_model(scale=6)
-    query = all_nodes_query(sort_by="label")
-    types = sorted({node.type_name for node in model.nodes.values()})
-    owned = [next(t for t in types if bucket(t, 2) == shard) for shard in (0, 1)]
-    script = "; ".join(
-        f'insert node {type_name} id zz{shard} with (label "zz{shard}")'
-        for shard, type_name in enumerate(owned)
-    )
-    before = [node.id for node in run_query(query, model)]
-    with QueryService(model, mode="process", workers=2) as svc:
-        run_waiting, delta_done, run_done = (threading.Event() for _ in range(3))
-        first, second = svc._pool.handles
-
-        def first_request(op, payload, timeout=None, _inner=first.request):
-            if op == "run":
-                run_waiting.set()
-                assert delta_done.wait(10.0)
-            reply = _inner(op, payload, timeout)
-            if op == "delta":
-                delta_done.set()
-            return reply
-
-        def second_request(op, payload, timeout=None, _inner=second.request):
-            if op == "delta":
-                assert run_done.wait(10.0)
-            reply = _inner(op, payload, timeout)
-            if op == "run":
-                run_done.set()
-            return reply
-
-        first.request, second.request = first_request, second_request
-        served = []
-        reader = threading.Thread(target=lambda: served.append(ids(svc.run(query))))
-        reader.start()
-        try:
-            assert run_waiting.wait(10.0)
-            svc.apply_update(script)
-        finally:
-            delta_done.set()
-            run_done.set()
-            reader.join(10.0)
-        assert not reader.is_alive()
-        after = [node.id for node in run_query(query, model)]
-        assert {"zz0", "zz1"} <= set(after)
-        assert served[0] in (before, after)
 
 
 def test_refresh_on_generation_bump(model):
@@ -365,27 +307,65 @@ def test_worker_crash_respawns_and_recovers(model):
         victim = svc._pool.handles[0]
         victim.process.terminate()
         victim.process.join(timeout=5.0)
-        # the next cold query that routes there fails once (structured),
-        # respawns the worker, and the tier recovers
-        fresh = Query(
-            Start(all_nodes=True), [FilterType(type="Server")], Collect()
+        # the next cold query that routes there fails once, respawns the
+        # worker, and the tier recovers
+        fresh = next(
+            query
+            for name in sorted({n.type_name for n in model.nodes.values()})
+            for query in [Query(Start(all_nodes=True), [FilterType(type=name)], Collect())]
+            if bucket(normalize_query(query), 2) == 0
         )
-        try:
+        with pytest.raises(RuntimeError, match="died mid-request"):
             svc.run(fresh)
-        except Exception:
-            pass
-        recovered = svc.run(fresh)
-        assert ids(recovered) is not None
+        assert ids(svc.run(fresh)) == ids(QueryService(model).run(fresh))
         assert ids(svc.run(query)) == before  # warm path unaffected
-        assert svc.metrics()["serving"]["restarts"] >= 1
+        assert victim.restarts == 1
     finally:
         svc.close()
 
 
-def _tier_under_test(model, tier):
+def test_each_query_is_one_worker_round_trip(model):
+    """Every query — all nodes, a type start whose subtypes span workers,
+    an id start, a traced query — is one ``run`` request to one worker,
+    and answers as native does."""
+    from repro.querycalc.native import run_query
+
+    present = {node.type_name for node in model.nodes.values()}
+    spanning = next(
+        name
+        for name in sorted(present)
+        if len(
+            {
+                bucket(subtype, 2)
+                for subtype in model.metamodel.node_subtype_names(name)
+                if subtype in present
+            }
+        )
+        > 1
+    )
+    queries = [
+        all_nodes_query(sort_by="label", descending=True),
+        Query(Start(type=spanning), [], Collect(sort_by="label")),
+        Query(Start(node_id=next(iter(model.nodes))), [], Collect()),
+        Query(Start(all_nodes=True), [], Collect(), trace="one-trip"),
+    ]
+    twin = QueryService(model)
+    for workers in (2, 3):
+        with QueryService(model, mode="process", workers=workers) as svc:
+            sent = record_run_payloads(svc)
+            for query in queries:
+                sent.clear()
+                got = svc.run(query)
+                assert len(sent) == 1
+                assert ids(got) == [node.id for node in run_query(query, model)]
+                assert tuple(got.traces) == tuple(twin.run(query).traces)
+            assert svc.metrics()["routes"] == {"single": len(queries)}
+
+
+def _tier_under_test(model, tier, shards=2):
     """(service, its worker handles, serve(), reference()) for one tier."""
     if tier == "query":
-        svc = QueryService(model, mode="process", workers=2)
+        svc = QueryService(model, mode="process", workers=shards)
         twin = QueryService(model)
         query = all_nodes_query(sort_by="label")
         return (
@@ -396,7 +376,9 @@ def _tier_under_test(model, tier):
         )
     from repro.collections import SearchRequest, SearchService
 
-    svc = SearchService(random_document_store(41, docs=12), shards=2, mode="process")
+    svc = SearchService(
+        random_document_store(41, docs=12), shards=shards, mode="process"
+    )
     request = SearchRequest(kind="search", collection="", phrase="alpha")
     return (
         svc,
@@ -428,6 +410,32 @@ def test_hung_worker_times_out_and_is_respawned(model, tier):
         assert victim.restarts == 1
         assert victim.process is not hung and victim.process.is_alive()
         assert serve() == reference()
+
+
+@pytest.mark.parametrize("tier", ["query", "search"])
+def test_request_after_a_failed_respawn_boots_a_fresh_worker(model, tier):
+    """A respawn whose boot fails leaves its handle with no worker.  The
+    next request boots one before it sends, instead of failing on the
+    missing pipe for good."""
+    svc, handles, serve, reference = _tier_under_test(model, tier, shards=1)
+    with svc:
+        victim = handles[0]
+        make_config = victim._make_config
+        failures = ["config unavailable"]
+
+        def make_config_failing_once():
+            if failures:
+                raise ValueError(failures.pop())
+            return make_config()
+
+        victim._make_config = make_config_failing_once
+        victim.process.kill()
+        victim.process.join(timeout=5.0)
+        with pytest.raises(ValueError, match="config unavailable"):
+            serve()
+        assert victim.process is None and victim.restarts == 1
+        assert serve() == reference()
+        assert victim.restarts == 2 and victim.process.is_alive()
 
 
 def _tier_booting_with(model, tier, monkeypatch, before_boot):
@@ -515,15 +523,16 @@ def test_serving_stats_round_trip(model, service):
     assert len(stats["workers"]) == 2
     assert stats["runs"] >= 1
     for worker in stats["workers"]:
-        assert "owned" in worker
+        assert worker["generation"] == stats["generation"]
 
 
 def test_explain_includes_route(model, service):
-    explanation = service.explain(all_nodes_query())
-    assert explanation["route"]["kind"] == "scatter"
     node_id = next(iter(model.nodes))
-    explanation = service.explain(Query(Start(node_id=node_id), [], Collect()))
-    assert explanation["route"]["kind"] == "single"
+    for query in (all_nodes_query(), Query(Start(node_id=node_id), [], Collect())):
+        route = service.explain(query)["route"]
+        assert route["kind"] == "single"
+        assert route["shard"] == bucket(normalize_query(query), 2)
+        assert route["reason"] == "plan-key-owner crc32(key) % 2"
 
 
 def test_context_manager_closes_pool(model):

@@ -451,8 +451,8 @@ class TestStoreRaceRegression:
 
 class TestStatisticsMaintenance:
     """Satellite regression: the statistics catalog follows the export
-    delta instead of being recollected from a full walk — and the routing
-    proof (``attribute_domain("node", "type")``) must always reflect the
+    delta instead of being recollected from a full walk — and its value
+    domains (``attribute_domain("node", "type")``) must always reflect the
     post-mutation document."""
 
     def test_delta_log_cursor_semantics(self, model):
