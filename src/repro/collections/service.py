@@ -14,12 +14,13 @@ the serving-tier concerns:
 * **scatter/gather** — per-shard partials are merge-sorted by
   ``(score desc, uri asc)``, the same key the per-shard ``ft:search``
   ordered by, so sharded bytes equal unsharded bytes;
-* **a result cache keyed on collection generation** — the cache key is
+* **the calculus service's read loop** — :class:`SearchService` extends
+  :class:`~repro.querycalc.service.service.FrontEnd`, keyed on
   ``(request key, generation of the touched scope)``, where a ``doc``
   request's scope is its document and anything else's is its collection.
-  A write under ``docs/a/`` therefore leaves cached answers about
-  ``notes/`` warm, which is what keeps the E22 95/5 read/write mix
-  warm without an invalidation sweep;
+  A read whose scope generation moved while it executed runs again, and
+  a write under ``docs/a/`` leaves cached answers about ``notes/`` warm,
+  which keeps the E22 95/5 read/write mix warm without a sweep;
 * **one shard path** — each shard is a
   :class:`~repro.collections.worker.CollectionWorker` reached through the
   serving tier's handles (:mod:`repro.serving.pool`), and scatters fan
@@ -33,12 +34,12 @@ from __future__ import annotations
 
 import threading
 from concurrent.futures import ThreadPoolExecutor
-from contextlib import contextmanager
 from dataclasses import dataclass
 from functools import partial
-from typing import Dict, List, Optional
+from typing import Dict, List, Optional, Tuple
 
-from ..querycalc.service.results import ResultCache
+from ..querycalc.service.plans import QueryPlan
+from ..querycalc.service.service import FrontEnd
 from ..serving.partition import Route, bucket, route_request
 from ..serving.pool import LocalHandle, WorkerHandle, boot_workers, scatter, worker_stats
 from ..xquery import EngineConfig, XQueryEngine, serialize_result
@@ -57,8 +58,9 @@ REQUEST_KINDS = ("doc", "collection", "search", "kwic")
 
 
 def _lit(value: str) -> str:
-    """An XQuery string literal (quotes escape by doubling)."""
-    return '"' + value.replace('"', '""') + '"'
+    """An XQuery string literal: ``&`` escapes as ``&amp;``, quotes by
+    doubling, so the literal evaluates to *value* exactly."""
+    return '"' + value.replace("&", "&amp;").replace('"', '""') + '"'
 
 
 @dataclass(frozen=True)
@@ -156,7 +158,7 @@ class _WorkerHandle(WorkerHandle):
     request = WorkerHandle.request
 
 
-class SearchService:
+class SearchService(FrontEnd):
     """Request-level front-end over one authoritative DocumentStore.
 
     Each shard is a :class:`CollectionWorker` holding the documents whose
@@ -165,7 +167,8 @@ class SearchService:
     :class:`~repro.serving.pool.LocalHandle`.  Either way the
     authoritative store takes every write first — single-writer,
     shared-nothing readers — and replicas see the write as a
-    per-document index patch, never a rebuild.
+    per-document index patch, never a rebuild.  Reads run the shared
+    :class:`FrontEnd` loop with no deadline, admission bound or faults.
     """
 
     def __init__(
@@ -178,38 +181,23 @@ class SearchService:
     ):
         if mode not in ("thread", "process"):
             raise ValueError(f"mode must be 'thread' or 'process', not {mode!r}")
+        super().__init__(result_cache_size)
         self.store = store
         self.shards = max(1, shards)
         self.mode = mode
         self.backend = backend
         self.engine = XQueryEngine(EngineConfig(backend=backend))
-        #: guards service bookkeeping only — result cache, metrics and
-        #: ``_settled``.  Never held across an evaluation, so concurrent
-        #: reads overlap instead of queueing on the service.
-        self._lock = threading.Lock()
-        #: serializes writers; entered only through :meth:`_writing`.
+        #: serializes writers, and is held across a write's replication; a
+        #: read snapshots its scope generation under it.
         self._write_lock = threading.Lock()
-        #: the newest store generation every replica has applied: each
-        #: write publishes it when its replication is over.
-        self._settled = store.generation
         #: guards the authoritative store itself: its mutations,
         #: ``evaluate_fresh`` and the boot config a worker (re)starts from.
         #: It cannot be the writer lock, which is held across replication:
         #: a reader respawning a worker needs a boot config while a writer
         #: waits on that worker's handle.
         self._authoritative_lock = threading.Lock()
-        #: serialized answers keyed on (request key, scope generation).
-        self._results = ResultCache(maxsize=result_cache_size)
-        self.metrics: Dict[str, int] = {
-            "requests": 0,
-            "cache_hits": 0,
-            "cache_misses": 0,
-            "executed": 0,
-            "errors": 0,
-            "single": 0,
-            "scatter": 0,
-            "writes": 0,
-        }
+        #: completed writes; counted under the writer lock.
+        self._writes = 0
         handle = _WorkerHandle if mode == "process" else LocalHandle
         self._workers = boot_workers(
             lambda shard: handle(shard, CollectionWorker, partial(self._worker_config, shard)),
@@ -218,7 +206,6 @@ class SearchService:
         self._scatter_pool = ThreadPoolExecutor(
             max_workers=self.shards, thread_name_prefix="search-scatter"
         )
-        self._closed = False
 
     def _worker_config(self, shard: int) -> CollectionWorkerConfig:
         """Shard *shard*'s boot config, read from the authoritative store at
@@ -253,54 +240,56 @@ class SearchService:
         return self.store.collection_generation(request.collection)
 
     def run(self, request: SearchRequest) -> SearchResult:
-        """Answer one request (cache → route → execute → cache).
+        """Answer one request through the shared read loop: a read that a
+        write to its scope overlapped runs again.  Shards execute outside
+        every service lock."""
+        text, _, cached, generation = self._serve(request)
+        return SearchResult(text, cached, route_request(request, self.shards), generation)
 
-        The service lock covers only the cache probe and the post-run
-        insert; the evaluation itself runs unlocked, so N clients drive
-        N shard workers concurrently instead of queueing behind one
-        global lock.
+    @property
+    def metrics(self) -> Dict[str, int]:
+        """The tier's eight counters, read from the shared read counters."""
+        reads = self._read_metrics()
+        return {
+            "requests": reads["queries"],
+            "cache_hits": reads["hits"],
+            "cache_misses": reads["misses"],
+            "executed": reads["executed"],
+            "errors": reads["errors"],
+            "single": reads["routes"].get("single", 0),
+            "scatter": reads["routes"].get("scatter", 0),
+            "writes": self._writes,
+        }
 
-        The answer is cached only if the scope generation it keys on was
-        settled at the probe (every replica had applied the write that
-        made it) and is unchanged at the insert (no write to the scope
-        reached the store meanwhile).  Anything else may have read a
-        half-replicated state: it is served, not cached.
-        """
-        with self._lock:
-            self.metrics["requests"] += 1
-            generation = self.scope_generation(request)
-            route = route_request(request, self.shards)
-            key = (request.key(), generation)
-            cached = self._results.get(key)
-            if cached is not None:
-                self.metrics["cache_hits"] += 1
-                return SearchResult(cached[0], True, route, generation)
-            self.metrics[route.kind] += 1
-            settled = generation <= self._settled
+    def _plan(self, request: SearchRequest) -> QueryPlan:
+        return QueryPlan(request.key(), request)
+
+    def _snapshot(self, plan: QueryPlan) -> Tuple[int, None]:
+        """The scope generation, read under the writer lock: a read never
+        keys on a write whose replication is still in flight."""
+        with self._write_lock:
+            return self.scope_generation(plan.query), None
+
+    def _generation(self, plan: QueryPlan) -> int:
+        return self.scope_generation(plan.query)
+
+    def _execute(self, plan: QueryPlan, state, deadline) -> Tuple[str, tuple]:
+        """One round trip to the owner shard, or a scatter plus merge."""
+        request = plan.query
+        route = route_request(request, self.shards)
+        self._route(route.kind)
         payload = {
             "source": request.source(),
             "structured": route.kind == "scatter",
-            "key": request.key(),
+            "key": plan.key,
         }
-        try:
-            if route.kind == "single":
-                text = self._workers[route.shard].request("run", payload)["text"]
-            else:
-                replies = scatter(
-                    self._scatter_pool,
-                    [partial(worker.request, "run", payload) for worker in self._workers],
-                )
-                text = merge_rows([reply["rows"] for reply in replies], limit=request.limit)
-        except Exception:
-            with self._lock:
-                self.metrics["errors"] += 1
-            raise
-        with self._lock:
-            self.metrics["cache_misses"] += 1
-            self.metrics["executed"] += 1
-            if settled and self.scope_generation(request) == generation:
-                self._results.put(key, text)
-            return SearchResult(text, False, route, generation)
+        if route.kind == "single":
+            return self._workers[route.shard].request("run", payload)["text"], ()
+        replies = scatter(
+            self._scatter_pool,
+            [partial(worker.request, "run", payload) for worker in self._workers],
+        )
+        return merge_rows([reply["rows"] for reply in replies], limit=request.limit), ()
 
     def evaluate_fresh(
         self, request: SearchRequest, use_index: Optional[bool] = None
@@ -323,20 +312,19 @@ class SearchService:
             return serialize_result(result)
 
     # -- writes ------------------------------------------------------------
+    # Each holds the writer lock until every replica has applied it (or was
+    # respawned from the authoritative store), and counts only on success.
 
     def put_text(self, uri: str, text: str) -> None:
         """Write one document; replicas patch that document only."""
-        with self._writing():
-            new_prefixes = self._new_prefixes(uri)
-            with self._authoritative_lock:
-                self.store.put_text(uri, text)
-            self._replicate_put(uri, new_prefixes)
+        self._put(uri, partial(self.store.put_text, uri, text))
 
     def delete(self, uri: str) -> None:
-        with self._writing():
+        with self._write_lock:
             with self._authoritative_lock:
                 self.store.remove(uri)
             self._workers[bucket(uri, self.shards)].request("delete", {"uri": uri})
+            self._writes += 1
 
     def apply_update(self, uri: str, script: str):
         """Run an update-language script against a model-backed document.
@@ -346,38 +334,19 @@ class SearchService:
         patched document text), so their index maintenance is the same
         per-document patch.
         """
-        with self._writing():
-            new_prefixes = self._new_prefixes(uri)
-            with self._authoritative_lock:
-                result = self.store.apply_update(uri, script)
-            self._replicate_put(uri, new_prefixes)
-            return result
+        return self._put(uri, partial(self.store.apply_update, uri, script))
 
-    @contextmanager
-    def _writing(self):
-        """One write: serialized with the others, counted if it succeeds.
-
-        However the write ends, every replica has then applied it or been
-        respawned from the authoritative store, which holds it; so the
-        store's generation is published as settled.
-        """
+    def _put(self, uri: str, write):
+        """Apply *write* to the authoritative store, then replicate *uri*."""
         with self._write_lock:
-            written = False
-            try:
-                yield
-                written = True
-            finally:
-                with self._lock:
-                    self._settled = self.store.generation
-                    self.metrics["writes"] += written
-
-    def _new_prefixes(self, uri: str) -> List[str]:
-        """The collection prefixes this write is about to create."""
-        return [
-            prefix
-            for prefix in collection_prefixes(uri)
-            if prefix not in self.store._collection_gens
-        ]
+            # the collection prefixes this write is about to create
+            known = self.store._collection_gens
+            new_prefixes = [prefix for prefix in collection_prefixes(uri) if prefix not in known]
+            with self._authoritative_lock:
+                result = write()
+            self._replicate_put(uri, new_prefixes)
+            self._writes += 1
+            return result
 
     def _replicate_put(self, uri: str, new_prefixes: List[str]) -> None:
         """Patch the owner replica; tell *every* replica about new prefixes.
@@ -408,25 +377,23 @@ class SearchService:
     # -- lifecycle ---------------------------------------------------------
 
     def stats(self) -> Dict[str, object]:
-        with self._lock:
-            payload: Dict[str, object] = {
-                "metrics": dict(self.metrics),
-                "mode": self.mode,
-                "shards": self.shards,
-                "result_cache": self._results.stats()["currsize"],
-                "store": self.store.stats(),
-                "compile_cache": self.engine.cache_info(),
-            }
+        """``metrics``, the shared read shape (``reads``), caches and workers."""
         workers = worker_stats(self._workers)
-        payload["workers"] = workers
-        payload["restarts"] = sum(worker["restarts"] for worker in workers)
-        return payload
+        return {
+            "metrics": self.metrics,
+            "reads": self._read_metrics(),
+            "mode": self.mode,
+            "shards": self.shards,
+            "result_cache": self._results.stats()["currsize"],
+            "store": self.store.stats(),
+            "compile_cache": self.engine.cache_info(),
+            "workers": workers,
+            "restarts": sum(worker["restarts"] for worker in workers),
+        }
 
     def close(self) -> None:
-        with self._lock:
-            if self._closed:
-                return
-            self._closed = True
+        """Stop the workers once no write is in flight; safe to call twice."""
+        with self._write_lock:
             self._scatter_pool.shutdown(wait=False)
             for worker in self._workers:
                 worker.close()

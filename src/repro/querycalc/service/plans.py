@@ -66,10 +66,11 @@ def normalize_query(query: Query) -> str:
 
 @dataclass
 class QueryPlan:
-    """An executable plan for one normalized calculus query."""
+    """An executable plan for one calculus query or search request."""
 
     key: str
-    query: Query
+    #: the calculus :class:`Query`, or the search tier's ``SearchRequest``.
+    query: object
     #: generated XQuery source.
     source: Optional[str] = None
     #: compiled query, ready to ``run()`` (thread mode only).

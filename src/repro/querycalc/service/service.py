@@ -38,6 +38,10 @@ of an unhandled exception:
 Engine semantics are untouched: a cold miss runs exactly the code E6
 measures, quirks and all.  The service only decides *how often* that
 code runs — and, now, what happens when it fails.
+
+The read loop is :class:`FrontEnd`, which the search tier's
+:class:`~repro.collections.service.SearchService` extends too: both front
+ends serve reads under one rule and count them in one shape.
 """
 
 from __future__ import annotations
@@ -49,7 +53,7 @@ import time
 from concurrent.futures import ThreadPoolExecutor
 from typing import Dict, Iterable, List, Optional, Tuple
 
-from ...awb.model import Model, ModelNode
+from ...awb.model import Model
 from ...xdm import ElementNode
 from ...xquery import EngineConfig, XQueryEngine
 from ..ast import Query
@@ -84,7 +88,138 @@ def percentile(samples: List[float], fraction: float) -> float:
     return ordered[rank - 1]
 
 
-class QueryService:
+class FrontEnd:
+    """The read loop both serving front ends share, with its counters.
+
+    A subclass supplies four steps: ``_plan(request)``, the
+    :class:`QueryPlan` the result cache keys on; ``_snapshot(plan)``,
+    ``(generation, state)`` read under the subclass's writer lock;
+    ``_execute(plan, state, deadline)``, ``(value, traces)``; and
+    ``_generation(plan)``, the generation now.  ``max_pending`` bounds
+    executions in flight (``None`` admits all).
+    """
+
+    def __init__(self, result_cache_size: int, max_pending: Optional[int] = None):
+        self._results = ResultCache(maxsize=result_cache_size)
+        self._metrics_lock = threading.Lock()
+        self._latencies: List[float] = []
+        self._queries = 0
+        self._executed = 0
+        self._errors_by_kind: Dict[str, int] = {}
+        self._shed = 0
+        self._routes: Dict[str, int] = {}
+        self.max_pending = max_pending
+        self._admission = (
+            threading.BoundedSemaphore(max_pending)
+            if max_pending is not None
+            else None
+        )
+
+    def _serve(self, request, deadline: Optional[Deadline] = None):
+        """Plan, then snapshot → result cache → admit → execute, and return
+        ``(value, traces, cached, generation)``; recorded either way.
+
+        A write that lands mid-read may reach a worker before the read, so
+        a result is cached and returned only if the generation is still the
+        snapshot's.  Otherwise the read runs again, once the next snapshot
+        has waited out the write.  Deadline checks bound the loop.
+        """
+        started = time.perf_counter()
+        key: Optional[str] = None
+        executed = 0
+        errors: Tuple[QueryError, ...] = ()
+        try:
+            plan = self._plan(request)
+            key = plan.key
+            while True:
+                generation, state = self._snapshot(plan)
+                cached = self._results.get((plan.cache_key, generation), plan.deps)
+                if cached is not None:
+                    return cached[0], cached[1], True, generation
+                executed += 1
+                admitted = self._admit()
+                try:
+                    value, traces = self._execute(plan, state, deadline)
+                finally:
+                    if admitted:
+                        self._admission.release()
+                if self._generation(plan) == generation:
+                    # keyed after the run: a process-mode run may have
+                    # just taught the plan its signature.
+                    self._results.put(
+                        (plan.cache_key, generation), value, traces, plan.deps
+                    )
+                    return value, traces, False, generation
+        except Exception as exc:
+            errors = (classify_error(exc, key),)
+            raise
+        finally:
+            self._record(1, executed, time.perf_counter() - started, errors)
+
+    def _admit(self) -> bool:
+        """Reserve an execution slot, or shed with ``XQDY_OVERLOAD``.
+
+        Returns False when admission control is off (``max_pending=None``);
+        cache hits never reach this point, so a saturated tier still
+        answers everything it has already computed.
+        """
+        if self._admission is None:
+            return False
+        if not self._admission.acquire(blocking=False):
+            with self._metrics_lock:
+                self._shed += 1
+            raise QueryOverloadError(
+                f"serving tier saturated: {self.max_pending} requests "
+                "already in flight"
+            )
+        return True
+
+    def _route(self, kind: str) -> None:
+        """Count one execution routed as *kind* (``single``/``scatter``)."""
+        with self._metrics_lock:
+            self._routes[kind] = self._routes.get(kind, 0) + 1
+
+    def _record(
+        self,
+        queries: int,
+        executed: int,
+        elapsed: Optional[float],
+        errors: Iterable[QueryError] = (),
+    ) -> None:
+        """Count *queries*; ``elapsed=None`` records no latency sample."""
+        with self._metrics_lock:
+            self._queries += queries
+            self._executed += executed
+            if elapsed is not None:
+                self._latencies.append(elapsed)
+                if len(self._latencies) > MAX_LATENCY_SAMPLES:
+                    del self._latencies[: len(self._latencies) - MAX_LATENCY_SAMPLES]
+            for error in errors:
+                self._errors_by_kind[error.kind] = self._errors_by_kind.get(error.kind, 0) + 1
+
+    def _read_metrics(self) -> Dict[str, object]:
+        """The read counters, result-cache hits and latency percentiles."""
+        with self._metrics_lock:
+            latencies = list(self._latencies)
+            by_kind = dict(self._errors_by_kind)
+            reads: Dict[str, object] = {
+                "queries": self._queries,
+                "executed": self._executed,
+                "errors": sum(by_kind.values()),
+                "timeouts": by_kind.get("timeout", 0),
+                "errors_by_kind": by_kind,
+                "shed": self._shed,
+                "routes": dict(self._routes),
+            }
+        results = self._results.stats()
+        reads["hits"] = results["hits"]
+        reads["misses"] = results["misses"]
+        for name, fraction in (("p50_ms", 0.50), ("p95_ms", 0.95), ("p99_ms", 0.99)):
+            reads[name] = percentile(latencies, fraction) * 1000.0
+        return reads
+
+
+class QueryService(FrontEnd):
     """Serves calculus queries from caches, falling back to the XQuery path.
 
     A miss runs the paper's preposterously inefficient path: calculus →
@@ -113,13 +248,16 @@ class QueryService:
     ):
         if mode not in SERVICE_MODES:
             raise ValueError(f"mode must be one of {SERVICE_MODES}, not {mode!r}")
-        self.model = model
         if workers == 0:
             # "as many as the machine has": meaningful parallelism in
             # process mode; in thread mode extra workers only widen the
             # dedup window (the GIL serializes actual evaluation — use
             # mode="process" for real scaling).
             workers = os.cpu_count() or 1
+        if max_pending is None and mode == "process":
+            max_pending = workers * 4
+        super().__init__(result_cache_size, max_pending)
+        self.model = model
         self.workers = workers
         self.mode = mode
         self.default_timeout = default_timeout
@@ -135,7 +273,6 @@ class QueryService:
         self._algebra_cache = None
         self._algebra_cache_generation: Optional[int] = None
         self._plans = PlanCache(maxsize=plan_cache_size)
-        self._results = ResultCache(maxsize=result_cache_size)
         self._updates = 0
         self._propagations: Dict[str, int] = {
             "kept": 0,
@@ -144,28 +281,11 @@ class QueryService:
             "skipped": 0,
         }
         self._export_lock = threading.Lock()
-        self._metrics_lock = threading.Lock()
-        self._latencies: List[float] = []
-        self._queries = 0
         self._batches = 0
-        self._executed = 0
         self._batch_deduped = 0
-        self._errors = 0
-        self._timeouts = 0
         self._fallbacks = 0
-        self._errors_by_kind: Dict[str, int] = {}
-        self._shed = 0
-        self._routes: Dict[str, int] = {}
         # -- the shared-nothing serving tier (mode="process") --------------
         self._pool = None
-        if max_pending is None and mode == "process":
-            max_pending = workers * 4
-        self.max_pending = max_pending
-        self._admission = (
-            threading.BoundedSemaphore(max_pending)
-            if max_pending is not None
-            else None
-        )
         if mode == "process":
             # imported lazily: repro.serving imports this package's errors
             # module, so a top-level import would be circular.
@@ -187,7 +307,7 @@ class QueryService:
         that want errors as values use :meth:`run_batch` — but are still
         recorded in :meth:`metrics` first.
         """
-        return self._serve(query, self._deadline(timeout))
+        return self._answer(query, self._deadline(timeout))
 
     def run_batch(
         self,
@@ -242,7 +362,7 @@ class QueryService:
             else:
                 deadline = deadline.cap(batch_deadline)
             try:
-                return self._serve(query, deadline)
+                return self._answer(query, deadline)
             except Exception as exc:
                 return BatchItem(error=classify_error(exc, key))
 
@@ -379,7 +499,7 @@ class QueryService:
         source.
         """
         plan = self._plan(query)
-        _, _, statistics = self._snapshot()
+        _, (_, statistics) = self._snapshot()
         # process-mode plans carry no parent-side compilation; explain is a
         # diagnostic, so compiling here on demand is fine (the engine's
         # compile LRU keeps repeats cheap).
@@ -433,22 +553,14 @@ class QueryService:
 
     def metrics(self) -> Dict[str, object]:
         """The small metrics dict the E15/E16 reports read."""
+        reads = self._read_metrics()
         with self._metrics_lock:
-            latencies = list(self._latencies)
-            queries = self._queries
             batches = self._batches
-            executed = self._executed
             deduped = self._batch_deduped
-            errors = self._errors
-            timeouts = self._timeouts
             fallbacks = self._fallbacks
-            by_kind = dict(self._errors_by_kind)
-            shed = self._shed
-            routes = dict(self._routes)
             updates = self._updates
             propagations = dict(self._propagations)
         plan_stats = self._plans.stats()
-        result_stats = self._results.stats()
         serving = None
         if self._pool is not None:
             # pool-level counters only — per-worker counters require a
@@ -459,32 +571,21 @@ class QueryService:
                 "refreshes": self._pool.refreshes,
                 "deltas": self._pool.deltas,
                 "restarts": sum(h.restarts for h in self._pool.handles),
-                "routes": routes,
-                "shed": shed,
+                "routes": reads["routes"],
+                "shed": reads["shed"],
                 "max_pending": self.max_pending,
             }
         return {
+            **reads,
             "mode": self.mode,
-            "shed": shed,
-            "routes": routes,
             "serving": serving,
-            "queries": queries,
             "batches": batches,
-            "executed": executed,
             "batch_deduped": deduped,
-            "errors": errors,
-            "timeouts": timeouts,
             "fallbacks": fallbacks,
-            "errors_by_kind": by_kind,
             "updates": updates,
             "propagations": propagations,
-            "hits": result_stats["hits"],
-            "misses": result_stats["misses"],
             "plan_hits": plan_stats["hits"],
             "plan_misses": plan_stats["misses"],
-            "p50_ms": percentile(latencies, 0.50) * 1000.0,
-            "p95_ms": percentile(latencies, 0.95) * 1000.0,
-            "p99_ms": percentile(latencies, 0.99) * 1000.0,
             # the engine compile LRU (hits/misses/races).
             "compile_cache": self.engine.cache_info(),
             "algebra_cache": (
@@ -524,11 +625,11 @@ class QueryService:
 
         return self._plans.get_or_build(key, build)
 
-    def _snapshot(self) -> Tuple[ElementNode, int, object]:
-        """The (export root, generation, statistics catalog) a query runs
-        against.  The catalog is read here, under the export lock: reading
-        it later would patch the export from the reader's thread while an
-        update holds the lock."""
+    def _snapshot(self, plan: Optional[QueryPlan] = None) -> Tuple[int, tuple]:
+        """``(generation, (export root, statistics catalog))`` for any plan.
+        The catalog is read here, under the export lock: reading it later
+        would patch the export from the reader's thread while an update
+        holds the lock."""
         with self._export_lock:
             if self.faults is not None:
                 self.faults.on_export()
@@ -546,70 +647,32 @@ class QueryService:
                 # broadcast the new generation to the worker replicas
                 # before any query of this generation is dispatched.
                 self._pool.ensure_generation(generation)
-            return document.document_element(), generation, statistics
+            return generation, (document.document_element(), statistics)
 
-    def _serve(self, query: Query, deadline: Optional[Deadline]) -> BatchItem:
-        """The one serve path: plan, then snapshot → result cache → admit →
-        execute until an execution ends on the generation it started from;
-        recorded in :meth:`metrics` whether it succeeds or raises.
+    def _generation(self, plan: QueryPlan) -> int:
+        return self.model.generation
 
-        A result is cached and returned only if the model is still at the
-        snapshot's generation.  Otherwise an update landed mid-read (its
-        delta may have reached the worker before the read, or its patch
-        moved the export under the read), so the read runs
-        again; its next snapshot waits on the export lock until the update
-        has published.  The executor's deadline checks bound the loop.
-        """
-        started = time.perf_counter()
-        plan_key: Optional[str] = None
-        executed = 0
-        try:
-            plan = self._plan(query)
-            plan_key = plan.key
-            while True:
-                root, generation, statistics = self._snapshot()
-                cached = self._results.get((plan.cache_key, generation), plan.deps)
-                if cached is not None:
-                    ids, traces = cached
-                    self._record(1, executed, time.perf_counter() - started)
-                    return BatchItem(
-                        self._materialize(ids), served_from_cache=True, traces=traces
-                    )
-                executed += 1
-                admitted = self._admit()
-                try:
-                    ids, traces = self._execute(plan, root, statistics, deadline)
-                finally:
-                    if admitted:
-                        self._admission.release()
-                if self.model.generation == generation:
-                    # keyed after the run: a process-mode run may have
-                    # just taught the plan its signature.
-                    self._results.put(
-                        (plan.cache_key, generation), ids, traces, plan.deps
-                    )
-                    self._record(1, executed, time.perf_counter() - started)
-                    return BatchItem(self._materialize(ids), traces=traces)
-        except Exception as exc:
-            error = classify_error(exc, plan_key)
-            self._record(
-                1, executed, time.perf_counter() - started, errors=(error,)
-            )
-            raise
+    def _answer(self, query: Query, deadline: Optional[Deadline]) -> BatchItem:
+        """Serve *query* through the read loop; map its ids to live nodes."""
+        ids, traces, cached, _ = self._serve(query, deadline)
+        nodes = self.model.nodes
+        live = [nodes[node_id] for node_id in ids if node_id in nodes]
+        return BatchItem(live, served_from_cache=cached, traces=traces)
 
     def _execute(
         self,
         plan: QueryPlan,
-        root: ElementNode,
-        statistics,
+        state: tuple,
         deadline: Optional[Deadline] = None,
     ) -> Tuple[List[str], Tuple[str, ...]]:
         """Evaluate one plan, returning (node ids, trace messages).
 
-        Thread mode runs the compiled plan through
-        :func:`~repro.querycalc.service.plans.run_compiled`, which degrades
-        an internal algebra error to the treewalk once; each attempt passes
-        the fault injector, and a treewalk attempt counts as a fallback.
+        Process mode sends it whole to the worker its key routes to.  Thread
+        mode runs the compiled plan against the snapshot's ``(root,
+        statistics)`` through :func:`~repro.querycalc.service.plans.run_compiled`,
+        which degrades an internal algebra error to the treewalk once; each
+        attempt passes the fault injector, and a treewalk attempt counts as
+        a fallback.
         """
         start_id = plan.query.start.node_id
         if start_id is not None and start_id not in self.model.nodes:
@@ -619,7 +682,17 @@ class QueryService:
             # it evaluates the cached plan itself.
             raise QueryRuntimeError(f"start node {start_id!r} is not in the model")
         if self._pool is not None:
-            return self._process_execute(plan, deadline)
+            from ...serving.partition import route_query
+
+            route = route_query(plan.key, self._pool.shards)
+            self._route(route.kind)
+            if self.faults is not None:
+                self.faults.on_evaluate(plan.key, deadline, backend="process")
+            if deadline is not None:
+                deadline.check("dispatch")
+            remaining = deadline.remaining() if deadline is not None else None
+            return self._pool.execute(plan, route, remaining)
+        root, statistics = state
         compiled = plan.compiled
 
         def before(backend: str) -> None:
@@ -645,64 +718,3 @@ class QueryService:
                 if node_id is not None and node_id in nodes:
                     ids.append(node_id)
         return ids, traces
-
-    def _admit(self) -> bool:
-        """Reserve an execution slot, or shed with ``XQDY_OVERLOAD``.
-
-        Returns False when admission control is off (``max_pending=None``);
-        cache hits never reach this point, so a saturated tier still
-        answers everything it has already computed.
-        """
-        if self._admission is None:
-            return False
-        if not self._admission.acquire(blocking=False):
-            with self._metrics_lock:
-                self._shed += 1
-            raise QueryOverloadError(
-                f"serving tier saturated: {self.max_pending} requests "
-                "already in flight"
-            )
-        return True
-
-    def _process_execute(
-        self, plan: QueryPlan, deadline: Optional[Deadline]
-    ) -> Tuple[List[str], Tuple[str, ...]]:
-        """Serve one plan from the worker its key routes to."""
-        from ...serving.partition import route_query
-
-        route = route_query(plan.key, self._pool.shards)
-        with self._metrics_lock:
-            self._routes[route.kind] = self._routes.get(route.kind, 0) + 1
-        if self.faults is not None:
-            self.faults.on_evaluate(plan.key, deadline, backend="process")
-        if deadline is not None:
-            deadline.check("dispatch")
-        remaining = deadline.remaining() if deadline is not None else None
-        return self._pool.execute(plan, route, remaining)
-
-    def _materialize(self, ids: List[str]) -> List[ModelNode]:
-        nodes = self.model.nodes
-        return [nodes[node_id] for node_id in ids if node_id in nodes]
-
-    def _record(
-        self,
-        queries: int,
-        executed: int,
-        elapsed: Optional[float],
-        errors: Iterable[QueryError] = (),
-    ) -> None:
-        """Count *queries*; ``elapsed=None`` records no latency sample."""
-        with self._metrics_lock:
-            self._queries += queries
-            self._executed += executed
-            if elapsed is not None:
-                self._latencies.append(elapsed)
-                if len(self._latencies) > MAX_LATENCY_SAMPLES:
-                    del self._latencies[: len(self._latencies) - MAX_LATENCY_SAMPLES]
-            for error in errors:
-                self._errors += 1
-                self._errors_by_kind[error.kind] = (
-                    self._errors_by_kind.get(error.kind, 0) + 1
-                )
-                if error.kind == "timeout":
-                    self._timeouts += 1

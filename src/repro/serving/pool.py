@@ -332,9 +332,10 @@ class ProcessPool:
     """N shard workers, each answering whole queries over a full replica.
 
     Callers serialize :meth:`ensure_generation` and :meth:`apply_delta`
-    (the calculus front end calls both under its export lock).  Workers
-    boot, and reboot on respawn, from an export of the live model, so a
-    respawn mid-update may boot one step ahead of :attr:`generation`:
+    (the calculus front end calls both under its export lock).  Every
+    worker boots from one export taken at construction, and reboots on
+    respawn from an export of the live model, so a respawn mid-update may
+    boot one step ahead of :attr:`generation`:
     replaying that update's delta then fails (its ids already exist, and
     the pool refreshes) or changes nothing.  The front end sees the model
     generation move under the read and runs it again either way.
@@ -354,6 +355,9 @@ class ProcessPool:
         self.generation = model.generation
         self.refreshes = 0
         self.deltas = 0
+        #: the first boot hands every shard one export; a respawn exports
+        #: the live model again.
+        self._boot_text: Optional[str] = export_model_text(model, indent=False)
         self.handles = boot_workers(
             lambda shard: WorkerHandle(
                 shard,
@@ -363,13 +367,14 @@ class ProcessPool:
             ),
             shards,
         )
+        self._boot_text = None
         self._closed = False
 
     def _worker_config(self, shard: int) -> WorkerConfig:
         return WorkerConfig(
             shard=shard,
             metamodel=self.metamodel,
-            export_text=export_model_text(self.model, indent=False),
+            export_text=self._boot_text or export_model_text(self.model, indent=False),
             generation=self.generation,
             plan_cache_size=self.plan_cache_size,
         )

@@ -19,6 +19,7 @@ exactly that point.
 from __future__ import annotations
 
 import re
+import sys
 from bisect import bisect_right
 from typing import List, Optional
 
@@ -32,6 +33,10 @@ _DIGITS = set("0123456789")
 #: one NCName run — the paper's quirk characters ``-`` and ``.`` included;
 #: a compiled regex scans the run in C instead of a per-character loop.
 _NCNAME_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_.\-]*")
+
+#: the name of a character reference, ``&#65;`` or ``&#x41;``, without ``&;``;
+#: a reference with more significant digits than any code point does not match.
+_CHAR_REF_RE = re.compile(r"#(?:0*([0-9]{1,7})|[xX]0*([0-9a-fA-F]{1,6}))")
 
 #: multi-character symbols grouped by first character (longest first within
 #: a group), so scanning tries only the handful that can possibly match.
@@ -216,16 +221,22 @@ class Lexer:
 
     def _entity(self) -> str:
         text = self.text
-        end = text.find(";", self.pos + 1)
+        start = self.pos
+        end = text.find(";", start + 1)
         if end < 0:
             raise self.error("unterminated entity reference")
-        name = text[self.pos + 1 : end]
+        name = text[start + 1 : end]
         self.pos = end + 1
         entities = {"lt": "<", "gt": ">", "amp": "&", "quot": '"', "apos": "'"}
-        if name.startswith("#x") or name.startswith("#X"):
-            return chr(int(name[2:], 16))
         if name.startswith("#"):
-            return chr(int(name[1:]))
+            reference = _CHAR_REF_RE.fullmatch(name)
+            code = -1
+            if reference is not None:
+                digits, hexdigits = reference.groups()
+                code = int(digits) if digits else int(hexdigits, 16)
+            if not 0 <= code <= sys.maxunicode:
+                raise self.error(f"invalid character reference &{name};", start)
+            return chr(code)
         if name in entities:
             return entities[name]
         raise self.error(f"unknown entity &{name};")

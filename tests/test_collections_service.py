@@ -185,6 +185,30 @@ def test_request_validation():
     assert SEARCH.key() != NOTES.key()
 
 
+def test_ampersands_and_quotes_in_literals_ask_the_store_what_they_say():
+    """``source()`` escapes ``&`` and ``"`` in its string literals, so a
+    phrase or uri holding them answers what the store itself answers.
+    ``evaluate_fresh`` compiles the same source, so the store is the
+    reference here."""
+    from xml.etree import ElementTree
+
+    from repro.xmlio import serialize
+
+    store = DocumentStore()
+    store.put_text("docs/b&c.xml", '<doc>AT&amp;T said &quot;hi&quot; &amp;amp; AT T</doc>')
+    store.put_text('docs/q"d.xml', "<doc>at t amp say hi</doc>")
+    store.put_text("docs/plain.xml", "<doc>nothing here</doc>")
+    with SearchService(store, shards=2) as service:
+        for uri in store.uris():
+            served = service.run(SearchRequest(kind="doc", uri=uri)).text
+            assert served == serialize(store.resolve(uri)), uri
+        for phrase in ["AT&T", 'said "hi"', "&amp;", "&", '"hi" &amp; at']:
+            request = SearchRequest(kind="search", collection="docs/", phrase=phrase)
+            hits = ElementTree.fromstring(f"<r>{service.run(request).text}</r>")
+            served = [(hit.get("uri"), int(hit.get("score"))) for hit in hits]
+            assert served == store.search("docs/", phrase), phrase
+
+
 def test_search_loadgen_smoke():
     from repro.serving.loadgen import run_search_load, search_parity_sweep
 
@@ -251,13 +275,14 @@ def test_write_after_owner_worker_dies_respawns_it_with_the_write():
         ]
 
 
-# -- reads do not serialize on the service lock --------------------------------
+# -- reads do not serialize on the service's locks ----------------------------
 
 
 def test_reads_execute_outside_the_service_lock():
-    """While one read is deep in evaluation, the service lock must be
-    free: the read holds its shard's handle, not the service — the
-    shared-nothing-readers property the load harness measures."""
+    """While one read is deep in evaluation, the writer lock and the
+    shared metrics lock must be free: the read holds its shard's handle,
+    not the service — the shared-nothing-readers property the load harness
+    measures."""
     import threading
 
     with SearchService(make_store(), shards=2, mode="thread") as service:
@@ -275,21 +300,24 @@ def test_reads_execute_outside_the_service_lock():
         reader.start()
         try:
             assert started.wait(5.0)
-            assert service._lock.acquire(timeout=2.0)
-            service._lock.release()
-            assert service.metrics["requests"] == 1
+            for lock in (service._write_lock, service._metrics_lock):
+                assert lock.acquire(timeout=2.0)
+                lock.release()
+            assert service.metrics["requests"] == 0  # counted when it ends
         finally:
             release.set()
             reader.join(5.0)
         assert not reader.is_alive()
+        assert service.metrics["requests"] == 1
         assert service.metrics["executed"] == 1
 
 
 @pytest.mark.parametrize("scope", ["docs/", "notes/"])
-def test_read_overlapping_a_write_skips_the_cache_insert(scope):
-    """A docs/ search that overlaps a write to docs/ may have seen a
-    half-replicated state: its text is served but not cached.  A write to
-    notes/ cannot change its answer, so the same overlap caches."""
+def test_read_overlapping_a_write_to_its_scope_runs_again(scope):
+    """A docs/ search that overlaps a write to docs/ may have read a
+    half-replicated state: it runs again and serves, and caches, the
+    post-write answer.  A write to notes/ cannot change its answer, so the
+    same overlap serves and caches its one execution."""
     import threading
 
     with SearchService(make_store(), shards=2, mode="thread") as service:
@@ -322,55 +350,62 @@ def test_read_overlapping_a_write_skips_the_cache_insert(scope):
             release.set()
             reader.join(5.0)
         assert not reader.is_alive()
-        assert not raced[0].cached
-        key = (SEARCH.key(), raced[0].generation)
-        assert (service._results.get(key) is not None) == (scope == "notes/")
-        assert service.run(SEARCH).text == service.evaluate_fresh(SEARCH, use_index=False)
-        assert service.run(SEARCH).cached  # a quiescent run caches
+        served = raced[0]
+        assert not served.cached
+        assert service.metrics["executed"] == (2 if scope == "docs/" else 1)
+        assert served.generation == service.scope_generation(SEARCH)
+        assert served.text == service.evaluate_fresh(SEARCH, use_index=False)
+        assert service._results.get((SEARCH.key(), served.generation)) == (served.text, ())
+        assert service.run(SEARCH).cached
 
 
-def test_read_keyed_on_an_unreplicated_write_is_not_cached():
+def test_read_waits_for_a_write_in_flight():
     """A write has reached the authoritative store but not yet its owner
-    replica when a read of that document probes: the read keys on the new
-    generation but serves the old text, which must not be cached under it."""
+    replica when a read of that document arrives: the read reaches no
+    worker until the replication is released, then returns the new text."""
     import threading
 
     uri = "docs/d0.xml"
     doc = SearchRequest(kind="doc", uri=uri)
     with SearchService(make_store(), shards=2, mode="thread") as service:
-        old = service.run(doc).text
-        stored, run_started = threading.Event(), threading.Event()
+        service.run(doc)
+        stored, replicate_now = threading.Event(), threading.Event()
         replicate = service._replicate_put
 
         def held_replicate(*args):
             stored.set()
-            assert run_started.wait(5.0)
+            assert replicate_now.wait(5.0)
             replicate(*args)
 
         service._replicate_put = held_replicate
-        worker = service._workers[bucket(uri, 2)].worker
-        original = worker.run
+        reached = threading.Event()
+        for handle in service._workers:
+            original = handle.worker.run
 
-        def run(payload):
-            run_started.set()
-            return original(payload)
+            def run(payload, original=original):
+                reached.set()
+                return original(payload)
 
-        worker.run = run
+            handle.worker.run = run
         writer = threading.Thread(
             target=service.put_text, args=(uri, "<doc>rewritten</doc>")
         )
         writer.start()
+        raced = []
+        reader = threading.Thread(target=lambda: raced.append(service.run(doc)))
         try:
             assert stored.wait(5.0)
-            raced = service.run(doc)
+            reader.start()
+            assert not reached.wait(0.3)
         finally:
-            run_started.set()
+            replicate_now.set()
             writer.join(5.0)
-        assert not writer.is_alive()
-        assert raced.generation == service.scope_generation(doc)
-        assert raced.text == old and not raced.cached
-        fresh = service.run(doc)
-        assert not fresh.cached and "rewritten" in fresh.text
+            reader.join(5.0)
+        assert not writer.is_alive() and not reader.is_alive()
+        assert reached.is_set()
+        assert "rewritten" in raced[0].text and not raced[0].cached
+        assert raced[0].generation == service.scope_generation(doc)
+        assert service.run(doc).cached
 
 
 # -- concurrent reads and writes -----------------------------------------------

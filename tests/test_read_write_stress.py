@@ -4,8 +4,10 @@ Each case runs reader and writer threads together for about two seconds
 at a 0.1 ms switch interval and checks every read against what a
 linearizable read may return: a state between the last write that
 finished before the read began and the last write that began before it
-ended.  ``QueryService`` reads must also hold each update script wholly
-or not at all.
+ended.  One reader's successive reads must never go back for any
+writer: the interval check alone would let a read return an older state
+than the same reader's previous read.  ``QueryService`` reads must also
+hold each update script wholly or not at all.
 """
 
 import re
@@ -66,6 +68,16 @@ def check_written(seen, done_before, started_after, what):
         assert low <= value <= high, f"{what}: writer {writer} at {value}, not in [{low}, {high}]"
 
 
+def check_monotonic(seen, last, what):
+    """*seen* holds the writer counters one read saw, and *last* the
+    newest each writer reached in the same reader's earlier reads; a
+    counter may not go back.  *last* is updated in place."""
+    for writer, value in seen.items():
+        previous = last.get(writer, -1)
+        assert value >= previous, f"{what}: writer {writer} went back from {previous} to {value}"
+        last[writer] = value
+
+
 @pytest.mark.parametrize("mode", ["thread", "process"])
 def test_query_service_reads_see_whole_scripts(mode):
     """Two writers insert two nodes of different types per script, each in
@@ -87,6 +99,7 @@ def test_query_service_reads_see_whole_scripts(mode):
     done = [-1] * WRITERS
     started = [-1] * WRITERS
     pattern = re.compile(r"w(\d+)n(\d+)([ab])$")
+    newest = [{} for _ in range(READERS)]
 
     with QueryService(model, mode=mode, workers=2) as service:
 
@@ -107,6 +120,7 @@ def test_query_service_reads_see_whole_scripts(mode):
                 assert first == set(range(len(first))), f"gap in writer {writer}: {ids}"
                 seen[writer] = len(first) - 1
             check_written(seen, done_before, started_after, "query read")
+            check_monotonic(seen, newest[index], "query read")
 
         def writer(index, count):
             started[index] = count
@@ -146,6 +160,7 @@ def test_search_service_reads_are_no_older_than_the_last_write(mode):
     started = [0] * WRITERS
     # KWIC snippets mark the phrase: "w0 «count» 7 end"
     counter = re.compile(r"w(\d+) «?count»? (\d+)")
+    newest = [{} for _ in range(READERS)]
 
     with SearchService(store, shards=2, mode=mode) as service:
 
@@ -155,6 +170,7 @@ def test_search_service_reads_are_no_older_than_the_last_write(mode):
             text = service.run(request).text
             started_after = list(started)
             seen = {int(w): int(c) for w, c in counter.findall(text)}
+            check_monotonic(seen, newest[index], request.key())
             if request.kind == "doc":
                 writer = int(request.uri[len("hot/w")])
                 assert list(seen) == [writer], text

@@ -324,6 +324,29 @@ def test_worker_crash_respawns_and_recovers(model):
         svc.close()
 
 
+def test_boot_exports_the_model_once_and_a_respawn_exports_it_again(model, monkeypatch):
+    """Every shard's first boot shares one export; a respawned worker boots
+    from a fresh export of the live model."""
+    from repro.serving import pool
+
+    exports = []
+    export = pool.export_model_text
+
+    def counting_export(*args, **kwargs):
+        exports.append(args[0].generation)
+        return export(*args, **kwargs)
+
+    monkeypatch.setattr(pool, "export_model_text", counting_export)
+    with QueryService(model, mode="process", workers=3) as svc:
+        assert exports == [model.generation]
+        victim = svc._pool.handles[0]
+        victim.process.kill()
+        victim.process.join(timeout=5.0)
+        with pytest.raises(RuntimeError, match="died mid-request"):
+            victim.request("stats", {})
+        assert victim.restarts == 1 and len(exports) == 2
+
+
 def test_each_query_is_one_worker_round_trip(model):
     """Every query — all nodes, a type start whose subtypes span workers,
     an id start, a traced query — is one ``run`` request to one worker,

@@ -431,8 +431,8 @@ class TestStoreRaceRegression:
             snapshot = service._snapshot
             raced = []
 
-            def racing_snapshot():
-                taken = snapshot()
+            def racing_snapshot(*args):
+                taken = snapshot(*args)
                 if not raced:
                     raced.append(model.create_node("User", label="concurrent"))
                 return taken

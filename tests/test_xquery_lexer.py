@@ -94,6 +94,32 @@ class TestStrings:
         with pytest.raises(XQueryStaticError):
             tokens_of('"oops')
 
+    @pytest.mark.parametrize(
+        "source, reference, column",
+        [
+            ('"&#xZZ;"', "&#xZZ;", 2),
+            ('"&#;"', "&#;", 2),
+            ('"&#99999999;"', "&#99999999;", 2),
+            ("<a>&#xZZ;</a>", "&#xZZ;", 4),
+        ],
+    )
+    def test_malformed_character_reference_is_a_syntax_error(
+        self, source, reference, column
+    ):
+        from repro.querycalc.service.errors import classify_error
+        from repro.xquery import XQueryEngine
+
+        with pytest.raises(XQueryStaticError) as caught:
+            XQueryEngine().compile(source)
+        error = caught.value
+        assert error.code == "XPST0003"
+        assert error.bare_message == f"invalid character reference {reference}"
+        assert (error.line, error.column) == (1, column)
+        assert classify_error(error).kind == "compile"
+
+    def test_character_references_in_both_cases_and_with_leading_zeros(self):
+        assert tokens_of('"&#65;&#x42;&#X43;&#0068;&#x0045;"') == [("string", "ABCDE")]
+
 
 class TestSymbolsAndComments:
     def test_multichar_symbols(self):
