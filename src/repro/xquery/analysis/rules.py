@@ -37,7 +37,7 @@ from dataclasses import dataclass
 from typing import Callable, Dict, Iterable, Iterator, List, Optional, Set, Tuple
 
 from .. import ast
-from ..optimizer import contains_trace, free_variables, has_side_effects
+from ..optimizer import clause_variables, contains_trace, free_variables, has_side_effects
 from ...xdm import ItemType
 from .cardinality import (
     Env,
@@ -283,18 +283,9 @@ def _result_roots(expr) -> List[object]:
 def _flwor_downstream_names(flwor: ast.FLWOR, index: int) -> Set[str]:
     """Free variables referenced after clause *index* — exactly the
     optimizer's liveness computation, shared so XQL001 predicts it."""
-    downstream: Set[str] = set()
+    downstream = free_variables(flwor.result)
     for later in flwor.clauses[index + 1 :]:
-        if isinstance(later, ast.ForClause):
-            downstream |= free_variables(later.source)
-        elif isinstance(later, ast.LetClause):
-            downstream |= free_variables(later.value)
-        elif isinstance(later, ast.WhereClause):
-            downstream |= free_variables(later.condition)
-        elif isinstance(later, ast.OrderByClause):
-            for spec in later.specs:
-                downstream |= free_variables(spec.key)
-    downstream |= free_variables(flwor.result)
+        downstream |= clause_variables(later)
     return downstream
 
 

@@ -9,6 +9,11 @@ Reproduces the syntactic quirks the paper catalogues:
   variables — variables need ``$``;
 * ``(: ... :)`` comments nest.
 
+Scanning is one compiled master pattern built from
+:data:`~repro.xquery.tokens.TOKEN_TABLE`: it skips whitespace, matches at
+the cursor, and the table row that matched (``lastgroup``) is the token's
+kind.  Comments are skipped with ``str.find``.
+
 The lexer is pull-based.  Direct element constructors are *not* lexed here:
 the parser detects ``<`` in expression position and switches to raw
 character scanning (XML mode) using the cursor-control methods at the
@@ -24,25 +29,26 @@ from bisect import bisect_right
 from typing import List, Optional
 
 from .errors import XQueryStaticError
-from .tokens import MULTI_SYMBOLS, SINGLE_SYMBOLS, Token
+from .tokens import QNAME, TOKEN_TABLE, Token
 
-_NAME_START = set("abcdefghijklmnopqrstuvwxyzABCDEFGHIJKLMNOPQRSTUVWXYZ_")
-_NAME_CHARS = _NAME_START | set("0123456789.-")
-_DIGITS = set("0123456789")
-
-#: one NCName run — the paper's quirk characters ``-`` and ``.`` included;
-#: a compiled regex scans the run in C instead of a per-character loop.
-_NCNAME_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_.\-]*")
+#: the master pattern: whitespace, then the first TOKEN_TABLE row that
+#: matches, captured in a group named for the row.
+_match = re.compile(
+    r"[ \t\r\n]*(?:"
+    + "|".join(f"(?P<{kind}>{pattern})" for kind, pattern in TOKEN_TABLE)
+    + ")"
+).match
+_SPACE = re.compile(r"[ \t\r\n]*")
+_QNAME = re.compile(QNAME)
 
 #: the name of a character reference, ``&#65;`` or ``&#x41;``, without ``&;``;
 #: a reference with more significant digits than any code point does not match.
 _CHAR_REF_RE = re.compile(r"#(?:0*([0-9]{1,7})|[xX]0*([0-9a-fA-F]{1,6}))")
 
-#: multi-character symbols grouped by first character (longest first within
-#: a group), so scanning tries only the handful that can possibly match.
-_MULTI_BY_FIRST: dict = {}
-for _symbol in MULTI_SYMBOLS:
-    _MULTI_BY_FIRST.setdefault(_symbol[0], []).append(_symbol)
+_ENTITIES = {"lt": "<", "gt": ">", "amp": "&", "quot": '"', "apos": "'"}
+
+#: builds a Token without the Python-level ``__new__`` a NamedTuple call runs.
+_new_token = tuple.__new__
 
 
 class Lexer:
@@ -51,6 +57,12 @@ class Lexer:
     def __init__(self, text: str):
         self.text = text
         self.pos = 0
+        #: the last token peeked and the cursor offsets before and after it.
+        #: A token depends only on where scanning starts, so the memo holds
+        #: whenever the cursor comes back to that offset.
+        self._ahead: Optional[Token] = None
+        self._ahead_pos = -1
+        self._ahead_end = 0
         # offsets where each line starts: location() is a bisect instead of
         # an O(pos) newline count per token (which made lexing quadratic).
         starts: List[int] = [0]
@@ -76,129 +88,77 @@ class Lexer:
 
     def next_token(self) -> Token:
         """Scan and return the next token (``eof`` at end of input)."""
-        self._skip_space_and_comments()
+        pos = self.pos
+        if pos == self._ahead_pos:
+            self.pos = self._ahead_end
+            return self._ahead
         text = self.text
-        if self.pos >= len(text):
-            return self._token("eof", "")
-        start = self.pos
-        char = text[start]
-
-        if char == "$":
-            return self._variable(start)
-        if char in _NAME_START:
-            return self._name_or_qname(start)
-        if char in _DIGITS or (
-            char == "." and start + 1 < len(text) and text[start + 1] in _DIGITS
-        ):
-            return self._number(start)
-        if char in "\"'":
-            return self._string(start)
-        for symbol in _MULTI_BY_FIRST.get(char, ()):
-            if text.startswith(symbol, start):
-                self.pos = start + len(symbol)
-                return self._token("symbol", symbol, start)
-        if char in SINGLE_SYMBOLS or char == ":":
-            self.pos = start + 1
-            return self._token("symbol", char, start)
-        raise self.error(f"unexpected character {char!r}", start)
-
-    def _token(self, kind: str, value: str, start: Optional[int] = None) -> Token:
-        start = self.pos if start is None else start
+        match = _match(text, pos)
+        if match is None:
+            start = _SPACE.match(text, pos).end()
+            raise self.error(f"unexpected character {text[start]!r}", start)
+        kind = match.lastgroup
+        if kind == "comment":
+            self.pos = self._skip_comments(match.start(kind))
+            return self.next_token()
+        start, end = match.span(kind)
+        if kind == "name" or kind == "symbol":
+            value = text[start:end]
+        elif kind == "var":
+            value = text[start + 1 : end]
+        elif kind == "string":
+            quote = text[start]
+            value = text[start + 1 : end - 1].replace(quote + quote, quote)
+        elif kind == "quote":
+            kind = "string"
+            value = self._string(start)
+            end = self.pos
+        elif kind == "dollar":
+            raise self.error("expected a variable name after '$'", start)
+        else:  # a number, or eof
+            value = text[start:end]
+        self.pos = end
         starts = self._line_starts
         line = bisect_right(starts, start)
-        return Token(kind, value, start, line, start - starts[line - 1] + 1)
+        return _new_token(Token, (kind, value, start, line, start - starts[line - 1] + 1))
 
-    def _skip_space_and_comments(self) -> None:
-        text = self.text
-        size = len(text)
+    def peek_token(self) -> Token:
+        """The next token, leaving the cursor where it is."""
         pos = self.pos
+        if pos != self._ahead_pos:
+            self._ahead = self.next_token()
+            self._ahead_pos = pos
+            self._ahead_end = self.pos
+            self.pos = pos
+        return self._ahead
+
+    def _skip_comments(self, start: int) -> int:
+        """The offset past the comment that opens at *start* and the
+        whitespace and comments after it."""
+        text = self.text
+        find = text.find
         while True:
-            while pos < size and text[pos] in " \t\r\n":
-                pos += 1
-            if pos < size and text[pos] == "(" and text.startswith("(:", pos):
-                self.pos = pos
-                self._skip_comment()
-                pos = self.pos
-            else:
-                break
-        self.pos = pos
+            depth = 1
+            pos = start + 2
+            while depth:
+                close = find(":)", pos)
+                if close < 0:
+                    raise self.error("unterminated comment (: ... :)", start)
+                # a "(:" that starts before the ":)" opens first, even "(:)".
+                opening = find("(:", pos, close + 1)
+                if opening >= 0:
+                    depth += 1
+                    pos = opening + 2
+                else:
+                    depth -= 1
+                    pos = close + 2
+            start = _SPACE.match(text, pos).end()
+            if not text.startswith("(:", start):
+                return start
 
-    def _skip_comment(self) -> None:
-        start = self.pos
-        depth = 0
-        text = self.text
-        while self.pos < len(text):
-            if text.startswith("(:", self.pos):
-                depth += 1
-                self.pos += 2
-            elif text.startswith(":)", self.pos):
-                depth -= 1
-                self.pos += 2
-                if depth == 0:
-                    return
-            else:
-                self.pos += 1
-        raise self.error("unterminated comment (: ... :)", start)
-
-    def _variable(self, start: int) -> Token:
-        # The infamous quirk: "-" continues the name, so $n-1 is one variable.
-        self.pos = start + 1
-        if self.pos >= len(self.text) or self.text[self.pos] not in _NAME_START:
-            raise self.error("expected a variable name after '$'", start)
-        name = self._scan_name()
-        return self._token("var", name, start)
-
-    def _name_or_qname(self, start: int) -> Token:
-        name = self._scan_name()
-        return self._token("name", name, start)
-
-    def _scan_name(self) -> str:
-        """Scan an NCName or a QName (one optional colon)."""
-        text = self.text
-        start = self.pos
-        match = _NCNAME_RE.match(text, start)
-        if match is not None:
-            self.pos = match.end()
-        # one prefix:local colon, but not "::" (axis) and not ":=".
-        if (
-            self.pos < len(text)
-            and text[self.pos] == ":"
-            and self.pos + 1 < len(text)
-            and text[self.pos + 1] in _NAME_START
-            and not text.startswith("::", self.pos)
-        ):
-            match = _NCNAME_RE.match(text, self.pos + 1)
-            self.pos = match.end()
-        name = text[start : self.pos]
-        # names may not end with "." or "-" followed by nothing meaningful;
-        # XML allows trailing ones, keep as scanned.
-        return name
-
-    def _number(self, start: int) -> Token:
-        text = self.text
-        self.pos = start
-        while self.pos < len(text) and text[self.pos] in _DIGITS:
-            self.pos += 1
-        kind = "integer"
-        if self.pos < len(text) and text[self.pos] == ".":
-            # ".." is the parent step, not a decimal point.
-            if not text.startswith("..", self.pos):
-                kind = "decimal"
-                self.pos += 1
-                while self.pos < len(text) and text[self.pos] in _DIGITS:
-                    self.pos += 1
-        if self.pos < len(text) and text[self.pos] in "eE":
-            lookahead = self.pos + 1
-            if lookahead < len(text) and text[lookahead] in "+-":
-                lookahead += 1
-            if lookahead < len(text) and text[lookahead] in _DIGITS:
-                kind = "double"
-                self.pos = lookahead
-                while self.pos < len(text) and text[self.pos] in _DIGITS:
-                    self.pos += 1
-        return self._token(kind, text[start : self.pos], start)
-
-    def _string(self, start: int) -> Token:
+    def _string(self, start: int) -> str:
+        """Scan a string literal with entity references; leaves the cursor
+        after its closing quote."""
         text = self.text
         quote = text[start]
         self.pos = start + 1
@@ -211,35 +171,13 @@ class Lexer:
                     self.pos += 2
                     continue
                 self.pos += 1
-                return self._token("string", "".join(parts), start)
+                return "".join(parts)
             if char == "&":
-                parts.append(self._entity())
+                parts.append(self.scan_entity())
                 continue
             parts.append(char)
             self.pos += 1
         raise self.error("unterminated string literal", start)
-
-    def _entity(self) -> str:
-        text = self.text
-        start = self.pos
-        end = text.find(";", start + 1)
-        if end < 0:
-            raise self.error("unterminated entity reference")
-        name = text[start + 1 : end]
-        self.pos = end + 1
-        entities = {"lt": "<", "gt": ">", "amp": "&", "quot": '"', "apos": "'"}
-        if name.startswith("#"):
-            reference = _CHAR_REF_RE.fullmatch(name)
-            code = -1
-            if reference is not None:
-                digits, hexdigits = reference.groups()
-                code = int(digits) if digits else int(hexdigits, 16)
-            if not 0 <= code <= sys.maxunicode:
-                raise self.error(f"invalid character reference &{name};", start)
-            return chr(code)
-        if name in entities:
-            return entities[name]
-        raise self.error(f"unknown entity &{name};")
 
     # -- raw XML-mode scanning (for direct constructors) --------------------
     #
@@ -262,13 +200,34 @@ class Lexer:
         return char
 
     def skip_xml_space(self) -> None:
-        while self.pos < len(self.text) and self.text[self.pos] in " \t\r\n":
-            self.pos += 1
+        self.pos = _SPACE.match(self.text, self.pos).end()
 
     def scan_xml_name(self) -> str:
-        if self.peek_char() not in _NAME_START:
+        match = _QNAME.match(self.text, self.pos)
+        if match is None:
             raise self.error("expected an XML name")
-        return self._scan_name()
+        self.pos = match.end()
+        return match.group()
 
     def scan_entity(self) -> str:
-        return self._entity()
+        """Decode the entity or character reference at the cursor; an error
+        points at its ``&``."""
+        text = self.text
+        start = self.pos
+        end = text.find(";", start + 1)
+        if end < 0:
+            raise self.error("unterminated entity reference", start)
+        name = text[start + 1 : end]
+        self.pos = end + 1
+        if name.startswith("#"):
+            reference = _CHAR_REF_RE.fullmatch(name)
+            code = -1
+            if reference is not None:
+                digits, hexdigits = reference.groups()
+                code = int(digits) if digits else int(hexdigits, 16)
+            if not 0 <= code <= sys.maxunicode:
+                raise self.error(f"invalid character reference &{name};", start)
+            return chr(code)
+        if name in _ENTITIES:
+            return _ENTITIES[name]
+        raise self.error(f"unknown entity &{name};", start)

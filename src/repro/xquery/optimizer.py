@@ -22,7 +22,7 @@ from __future__ import annotations
 
 from dataclasses import replace
 from decimal import Decimal
-from typing import List, Set
+from typing import Dict, List, Set, Tuple
 
 from . import ast
 from .errors import XQueryError
@@ -76,6 +76,21 @@ def free_variables(expr) -> Set[str]:
     return names
 
 
+def clause_variables(clause, variables=free_variables) -> Set[str]:
+    """The variable names a FLWOR clause's expressions reference, as
+    *variables* finds them in each."""
+    if isinstance(clause, ast.ForClause):
+        return variables(clause.source)
+    if isinstance(clause, ast.LetClause):
+        return variables(clause.value)
+    if isinstance(clause, ast.WhereClause):
+        return variables(clause.condition)
+    names: Set[str] = set()
+    for spec in clause.specs:
+        names |= variables(spec.key)
+    return names
+
+
 def has_side_effects(expr, trace_is_dead_code: bool) -> bool:
     """True if evaluating *expr* could do something observable.
 
@@ -112,15 +127,39 @@ def contains_trace(expr) -> bool:
     return bool(found)
 
 
+#: expressions with no subexpressions: no pass rewrites them.
+_LEAVES = frozenset(
+    (ast.Literal, ast.EmptySequence, ast.VarRef, ast.ContextItem, ast.DirectComment, ast.DirectPI)
+)
+
+
 class _Optimizer:
     def __init__(self, trace_is_dead_code: bool):
         self.trace_is_dead_code = trace_is_dead_code
         self.stats = OptimizerStats()
+        #: the names each FLWOR uses once its dead lets are gone, by id; the
+        #: FLWOR is kept beside them, so no other node takes over the id.
+        self._flwor_names: Dict[int, Tuple[ast.FLWOR, Set[str]]] = {}
+
+    def _variables(self, expr) -> Set[str]:
+        """``free_variables(expr)``, reading each FLWOR this pass has
+        already reduced from its record instead of walking it again."""
+        names: Set[str] = set()
+        pending = [expr]
+        while pending:
+            node = pending.pop()
+            if isinstance(node, ast.VarRef):
+                names.add(node.name)
+            elif isinstance(node, ast.FLWOR) and id(node) in self._flwor_names:
+                names |= self._flwor_names[id(node)][1]
+                continue
+            pending.extend(ast.children_of(node))
+        return names
 
     # -- driver -----------------------------------------------------------
 
     def rewrite(self, expr):
-        if expr is None or not isinstance(expr, ast.Expr):
+        if expr is None or type(expr) in _LEAVES or not isinstance(expr, ast.Expr):
             return expr
         expr = self._rewrite_children(expr)
         if isinstance(expr, ast.Arithmetic):
@@ -252,34 +291,34 @@ class _Optimizer:
         This is the pass that ate the paper's ``let $dummy := trace(...)``
         probes when ``trace_is_dead_code`` is on.
         """
-        kept: List[object] = []
         clauses = expr.clauses
-        for index, clause in enumerate(clauses):
-            if not isinstance(clause, ast.LetClause):
+        if not any(isinstance(clause, ast.LetClause) for clause in clauses):
+            return expr
+        # one walk over the clauses from the last: `downstream` holds the
+        # names the result and every later clause use.  Those are the
+        # original clauses, so a let found dead still keeps alive the lets
+        # its value reads.  `used` collects the names of what stays.
+        used = self._variables(expr.result)
+        downstream = set(used)
+        kept: List[object] = []
+        for index in range(len(clauses) - 1, -1, -1):
+            clause = clauses[index]
+            names = clause_variables(clause, self._variables)
+            if (
+                isinstance(clause, ast.LetClause)
+                and clause.var not in downstream
+                and not has_side_effects(clause.value, self.trace_is_dead_code)
+            ):
+                self.stats.dead_lets_removed += 1
+                if contains_trace(clause.value):
+                    self.stats.traces_removed += 1
+            else:
                 kept.append(clause)
-                continue
-            downstream: Set[str] = set()
-            for later in clauses[index + 1 :]:
-                if isinstance(later, ast.ForClause):
-                    downstream |= free_variables(later.source)
-                elif isinstance(later, ast.LetClause):
-                    downstream |= free_variables(later.value)
-                elif isinstance(later, ast.WhereClause):
-                    downstream |= free_variables(later.condition)
-                elif isinstance(later, ast.OrderByClause):
-                    for spec in later.specs:
-                        downstream |= free_variables(spec.key)
-            downstream |= free_variables(expr.result)
-            if clause.var in downstream:
-                kept.append(clause)
-                continue
-            if has_side_effects(clause.value, self.trace_is_dead_code):
-                kept.append(clause)
-                continue
-            self.stats.dead_lets_removed += 1
-            if contains_trace(clause.value):
-                self.stats.traces_removed += 1
+                used |= names
+            downstream |= names
+        kept.reverse()
         expr.clauses = kept
+        self._flwor_names[id(expr)] = (expr, used)
         if not expr.clauses:
             return expr.result
         return expr

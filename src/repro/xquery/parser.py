@@ -1,10 +1,15 @@
-"""Recursive-descent parser for the XQuery subset.
+"""Parser for the XQuery subset: recursive descent for the statement forms,
+precedence climbing for the operators.
 
 Covers the fragment the paper's document generator exercised: the full
 XPath 2.0 expression core (paths with axes, predicates, operators), FLWOR
 with ``order by``, quantifiers, conditionals, direct and computed
 constructors, and a prolog with ``declare function`` / ``declare
 variable`` / ``declare namespace``.
+
+The twelve binary and postfix operator levels are one loop over
+:data:`OPERATORS` (:meth:`Parser._parse_operators`) instead of a function
+per level.
 
 The grammar is context sensitive where direct element constructors appear;
 the parser switches the lexer into raw character scanning at ``<`` in
@@ -13,6 +18,7 @@ expression position (see :meth:`_direct_element`).
 
 from __future__ import annotations
 
+import re
 from typing import List, Optional, Tuple
 
 from ..xdm import ItemType, SequenceType, parse_number
@@ -45,12 +51,113 @@ AXES = {
     "preceding-sibling",
 }
 
-GENERAL_COMPARISONS = {"=", "!=", "<", "<=", ">", ">="}
-VALUE_COMPARISONS = {"eq", "ne", "lt", "le", "gt", "ge"}
-NODE_COMPARISONS = {"is", "<<", ">>"}
-
 #: function names that may not be called as ordinary functions.
 RESERVED_FUNCTION_NAMES = KIND_TESTS | {"if", "item", "typeswitch", "empty-sequence"}
+
+#: keywords that can start a FLWOR, quantified, if, typeswitch or try
+#: expression (each only when the right token follows).
+STATEMENT_KEYWORDS = {"for", "let", "some", "every", "if", "typeswitch", "try"}
+
+#: keywords that start a computed constructor (``element {...}`` ...).
+CONSTRUCTOR_KEYWORDS = {"element", "attribute", "text", "comment", "document"}
+
+
+# -- the operator table --------------------------------------------------------
+
+
+def _binary(node_class):
+    return lambda op, left, right: node_class(op=op, left=left, right=right)
+
+
+def _comparison(style: str):
+    return lambda op, left, right: ast.Comparison(op=op, style=style, left=left, right=right)
+
+
+_BOOLEAN = _binary(ast.BooleanOp)
+_ARITHMETIC = _binary(ast.Arithmetic)
+_SET_OP = _binary(ast.SetOp)
+_UNION = lambda op, left, right: ast.SetOp(op="union", left=left, right=right)
+_GENERAL = _comparison("general")
+_VALUE = _comparison("value")
+_NODE = _comparison("node")
+
+#: the binary and postfix operators, by token value: (token kind, level,
+#: repeats, right operand, node).  Levels run from the loosest, ``or`` (1),
+#: to the tightest, ``cast as`` (12); unary ``-``/``+`` and paths bind
+#: tighter still.  A row that repeats is left-associative; one that does
+#: not applies at most once at its level, so ``1 = 2 = 3`` and
+#: ``1 to 2 to 3`` do not parse.  The right operand is an expression one
+#: level tighter (``None``), or a keyword and the type parser after it.
+#: ``node(op, left, right)`` builds the AST node, which takes the
+#: operator's position.
+OPERATORS = {
+    "or": ("name", 1, True, None, _BOOLEAN),
+    "and": ("name", 2, True, None, _BOOLEAN),
+    "=": ("symbol", 3, False, None, _GENERAL),
+    "!=": ("symbol", 3, False, None, _GENERAL),
+    "<": ("symbol", 3, False, None, _GENERAL),
+    "<=": ("symbol", 3, False, None, _GENERAL),
+    ">": ("symbol", 3, False, None, _GENERAL),
+    ">=": ("symbol", 3, False, None, _GENERAL),
+    "eq": ("name", 3, False, None, _VALUE),
+    "ne": ("name", 3, False, None, _VALUE),
+    "lt": ("name", 3, False, None, _VALUE),
+    "le": ("name", 3, False, None, _VALUE),
+    "gt": ("name", 3, False, None, _VALUE),
+    "ge": ("name", 3, False, None, _VALUE),
+    "is": ("name", 3, False, None, _NODE),
+    "<<": ("symbol", 3, False, None, _NODE),
+    ">>": ("symbol", 3, False, None, _NODE),
+    "to": ("name", 4, False, None, lambda op, left, right: ast.RangeExpr(start=left, end=right)),
+    "+": ("symbol", 5, True, None, _ARITHMETIC),
+    "-": ("symbol", 5, True, None, _ARITHMETIC),
+    "*": ("symbol", 6, True, None, _ARITHMETIC),
+    "div": ("name", 6, True, None, _ARITHMETIC),
+    "idiv": ("name", 6, True, None, _ARITHMETIC),
+    "mod": ("name", 6, True, None, _ARITHMETIC),
+    "union": ("name", 7, True, None, _UNION),
+    "|": ("symbol", 7, True, None, _UNION),
+    "intersect": ("name", 8, True, None, _SET_OP),
+    "except": ("name", 8, True, None, _SET_OP),
+    "instance": (
+        "name", 9, False, ("of", "_parse_sequence_type"),
+        lambda op, left, right: ast.InstanceOf(operand=left, sequence_type=right),
+    ),
+    "treat": (
+        "name", 10, False, ("as", "_parse_sequence_type"),
+        lambda op, left, right: ast.TreatAs(operand=left, sequence_type=right),
+    ),
+    "castable": (
+        "name", 11, False, ("as", "_parse_single_type"),
+        lambda op, left, right: ast.CastableAs(
+            operand=left, type_name=right[0], allow_empty=right[1]
+        ),
+    ),
+    "cast": (
+        "name", 12, False, ("as", "_parse_single_type"),
+        lambda op, left, right: ast.CastAs(operand=left, type_name=right[0], allow_empty=right[1]),
+    ),
+}
+
+LOOSEST = 1
+TIGHTEST = 12
+#: a minimum level above every row: just an operand, no operators.
+OPERAND = TIGHTEST + 1
+
+#: symbols that start an operand before any step: signs and root paths.
+_PREFIXES = frozenset(("-", "+", "/", "//"))
+_SEPARATORS = frozenset(("/", "//"))
+
+#: token kinds that can start a step (or a filter expression's primary).
+_STEP_KINDS = frozenset(("var", "integer", "decimal", "double", "string", "name"))
+_STEP_SYMBOLS = frozenset(("(", ".", "..", "@", "*", "<", "$"))
+#: symbols that are whole steps or start one: ``..``, ``@name``, ``*``.
+_ABBREVIATED_STEPS = frozenset(("..", "@", "*"))
+
+#: literal text runs inside direct constructors, up to the next character
+#: that means something there.
+_CONTENT_TEXT = re.compile(r"[^<{}&]+")
+_ATTRIBUTE_TEXT = {'"': re.compile(r'[^"{}&]+'), "'": re.compile(r"[^'{}&]+")}
 
 
 def parse_query(source: str) -> ast.Module:
@@ -76,36 +183,27 @@ class Parser:
         self.source = source
         self.token: Token = self.lexer.next_token()
         self._nesting = 0
-        #: lookahead memo: (cursor when peeked, cursor after, token).  Valid
-        #: only while the lexer cursor still sits where the peek happened —
-        #: any direct cursor move (raw XML mode, rewinds) invalidates it by
-        #: construction, so those code paths need no cache management.
-        self._peek: Optional[Tuple[int, int, Token]] = None
 
     # -- token plumbing -----------------------------------------------------
 
     def advance(self) -> Token:
         previous = self.token
-        lexer = self.lexer
-        peek = self._peek
-        if peek is not None and peek[0] == lexer.pos:
-            lexer.pos = peek[1]
-            self.token = peek[2]
-            self._peek = None
-        else:
-            self._peek = None
-            self.token = lexer.next_token()
+        self.token = self.lexer.next_token()
         return previous
 
     def expect_symbol(self, symbol: str) -> Token:
-        if not self.token.is_symbol(symbol):
+        token = self.token
+        if token.value != symbol or token.kind != "symbol":
             raise self.error(f"expected {symbol!r}, found {self._describe()}")
-        return self.advance()
+        self.token = self.lexer.next_token()
+        return token
 
     def expect_name(self, name: str) -> Token:
-        if not self.token.is_name(name):
+        token = self.token
+        if token.value != name or token.kind != "name":
             raise self.error(f"expected keyword {name!r}, found {self._describe()}")
-        return self.advance()
+        self.token = self.lexer.next_token()
+        return token
 
     def expect_kind(self, kind: str) -> Token:
         if self.token.kind != kind:
@@ -118,49 +216,27 @@ class Parser:
             return "end of query"
         return f"{token.kind} {token.value!r}"
 
-    def error(self, message: str) -> XQueryStaticError:
-        return XQueryStaticError(
-            message, line=self.token.line, column=self.token.column
-        )
+    def error(self, message: str, token: Optional[Token] = None) -> XQueryStaticError:
+        """A syntax error at *token*, by default the current one."""
+        token = token or self.token
+        return XQueryStaticError(message, line=token.line, column=token.column)
 
-    def _peek_next(self) -> Token:
-        """Look one token past the current one without consuming."""
-        lexer = self.lexer
-        peek = self._peek
-        if peek is not None and peek[0] == lexer.pos:
-            return peek[2]
-        saved_pos = lexer.pos
-        token = lexer.next_token()
-        self._peek = (saved_pos, lexer.pos, token)
-        lexer.pos = saved_pos
-        return token
-
-    def _peek_two(self) -> Tuple[Token, Token]:
-        """Look two tokens past the current one without consuming."""
-        saved_pos = self.lexer.pos
-        first = self.lexer.next_token()
-        second = self.lexer.next_token()
-        self.lexer.pos = saved_pos
-        return first, second
-
-    def _at_computed_constructor(self) -> bool:
-        """True if the current token begins a computed constructor.
+    def _starts_constructor(self, keyword: str) -> bool:
+        """True if *keyword*, just passed, begins a computed constructor.
 
         ``element``/``attribute`` may be followed by a static name and then
         ``{``; the others take ``{`` directly.  Anything else starting with
         these keywords is a NameTest (an element really named "text"...).
         """
-        token = self.token
-        if token.kind != "name":
-            return False
-        if token.value in ("element", "attribute"):
-            first, second = self._peek_two()
+        first = self.token
+        if keyword in ("element", "attribute"):
+            # the token after next is scanned either way, as the grammar's
+            # two-token lookahead always did.
+            second = self.lexer.peek_token()
             if first.is_symbol("{"):
                 return True
             return first.kind == "name" and second.is_symbol("{")
-        if token.value in ("text", "comment", "document"):
-            return self._peek_next().is_symbol("{")
-        return False
+        return first.is_symbol("{")
 
     # -- module / prolog ------------------------------------------------------
 
@@ -223,14 +299,8 @@ class Parser:
         elif self.token.is_name("function"):
             self.advance()
             module.functions.append(self._parse_function_decl())
-        elif self.token.is_name("boundary-space") or self.token.is_name("option"):
+        elif self.token.is_name("boundary-space", "option", "default"):
             # accepted and ignored: scan to the terminating semicolon.
-            while not self.token.is_symbol(";"):
-                if self.token.kind == "eof":
-                    raise self.error("unterminated declaration")
-                self.advance()
-            self.advance()
-        elif self.token.is_name("default"):
             while not self.token.is_symbol(";"):
                 if self.token.kind == "eof":
                     raise self.error("unterminated declaration")
@@ -321,16 +391,29 @@ class Parser:
             name = f"xs:{name}"
         return ItemType.atomic(name)
 
+    def _parse_single_type(self) -> Tuple[str, bool]:
+        name = self.expect_kind("name").value
+        if ":" not in name:
+            name = f"xs:{name}"
+        allow_empty = False
+        if self.token.is_symbol("?"):
+            allow_empty = True
+            self.advance()
+        return name, allow_empty
+
     # -- expressions ----------------------------------------------------------
 
     def parse_expr(self) -> ast.Expr:
         first_token = self.token
-        items = [self.parse_expr_single()]
-        while self.token.is_symbol(","):
+        first = self.parse_expr_single()
+        token = self.token
+        if token.value != "," or token.kind != "symbol":
+            return first
+        items = [first]
+        while token.value == "," and token.kind == "symbol":
             self.advance()
             items.append(self.parse_expr_single())
-        if len(items) == 1:
-            return items[0]
+            token = self.token
         return ast.at(ast.SequenceExpr(items=items), first_token)
 
     def parse_expr_single(self) -> ast.Expr:
@@ -340,29 +423,27 @@ class Parser:
                 raise self.error(
                     f"expression nesting exceeds {self.MAX_NESTING} levels"
                 )
-            return self._parse_expr_single_inner()
+            token = self.token
+            if token.value in STATEMENT_KEYWORDS and token.kind == "name":
+                value = token.value
+                if value in ("for", "let") and self.lexer.peek_token().kind == "var":
+                    return self._parse_flwor()
+                if value in ("some", "every") and self.lexer.peek_token().kind == "var":
+                    return self._parse_quantified()
+                if value == "if" and self.lexer.peek_token().is_symbol("("):
+                    return self._parse_if()
+                if value == "typeswitch" and self.lexer.peek_token().is_symbol("("):
+                    return self._parse_typeswitch()
+                if value == "try" and self.lexer.peek_token().is_symbol("{"):
+                    return self._parse_try_catch()
+            return self._parse_operators(LOOSEST)
         finally:
             self._nesting -= 1
-
-    def _parse_expr_single_inner(self) -> ast.Expr:
-        token = self.token
-        if token.kind == "name":
-            if token.value in ("for", "let") and self._peek_next().kind == "var":
-                return self._parse_flwor()
-            if token.value in ("some", "every") and self._peek_next().kind == "var":
-                return self._parse_quantified()
-            if token.value == "if" and self._peek_next().is_symbol("("):
-                return self._parse_if()
-            if token.value == "typeswitch" and self._peek_next().is_symbol("("):
-                return self._parse_typeswitch()
-            if token.value == "try" and self._peek_next().is_symbol("{"):
-                return self._parse_try_catch()
-        return self._parse_or()
 
     def _parse_flwor(self) -> ast.Expr:
         start = self.token
         clauses: List[object] = []
-        while self.token.is_name("for", "let") and self._peek_next().kind == "var":
+        while self.token.is_name("for", "let") and self.lexer.peek_token().kind == "var":
             keyword = self.advance().value
             while True:
                 var_token = self.expect_kind("var")
@@ -411,7 +492,7 @@ class Parser:
                     column=where_token.column,
                 )
             )
-        if self.token.is_name("stable") or self.token.is_name("order"):
+        if self.token.is_name("stable", "order"):
             stable = False
             if self.token.is_name("stable"):
                 stable = True
@@ -534,281 +615,177 @@ class Parser:
             start,
         )
 
-    # -- operator precedence chain ---------------------------------------------
+    # -- operators: precedence climbing over OPERATORS -------------------------
 
-    def _parse_or(self) -> ast.Expr:
-        left = self._parse_and()
-        while self.token.is_name("or"):
-            token = self.advance()
-            right = self._parse_and()
-            left = ast.at(ast.BooleanOp(op="or", left=left, right=right), token)
-        return left
+    def _parse_operators(self, min_level: int) -> ast.Expr:
+        """An operand followed by operators binding at *min_level* or tighter.
 
-    def _parse_and(self) -> ast.Expr:
-        left = self._parse_comparison()
-        while self.token.is_name("and"):
-            token = self.advance()
-            right = self._parse_comparison()
-            left = ast.at(ast.BooleanOp(op="and", left=left, right=right), token)
-        return left
-
-    def _parse_comparison(self) -> ast.Expr:
-        left = self._parse_range()
+        Each right operand is parsed one level tighter than its operator, so
+        tighter operators group first.  After a row applies, only operators
+        at its level (if it repeats) or looser may follow — exactly what the
+        one-function-per-level chain accepted.
+        """
         token = self.token
-        style = None
-        if token.kind == "symbol" and token.value in GENERAL_COMPARISONS:
-            style = "general"
-        elif token.kind == "name" and token.value in VALUE_COMPARISONS:
-            style = "value"
-        elif token.kind == "name" and token.value == "is":
-            style = "node"
-        elif token.kind == "symbol" and token.value in ("<<", ">>"):
-            style = "node"
-        if style is None:
-            return left
-        op_token = self.advance()
-        right = self._parse_range()
-        return ast.at(
-            ast.Comparison(op=op_token.value, style=style, left=left, right=right),
-            op_token,
-        )
+        if token.value in _PREFIXES and token.kind == "symbol":
+            left = self._parse_prefixed()
+        else:
+            # a relative path, or the one step or primary it reduces to
+            left = self._parse_step_expr()
+            after = self.token
+            if after.value in _SEPARATORS and after.kind == "symbol":
+                left = ast.PathExpr(
+                    first=left, steps=self._parse_steps(), line=token.line, column=token.column
+                )
+            elif type(left) is ast.AxisStep:
+                left = ast.PathExpr(first=left, steps=[], line=token.line, column=token.column)
+        max_level = TIGHTEST
+        while True:
+            token = self.token
+            row = OPERATORS.get(token.value)
+            if row is None:
+                return left
+            kind, level, repeats, right, node = row
+            if kind != token.kind or not min_level <= level <= max_level:
+                return left
+            self.token = self.lexer.next_token()
+            if right is None:
+                operand = self._parse_operators(level + 1)
+            else:
+                keyword, parse_type = right
+                self.expect_name(keyword)
+                operand = getattr(self, parse_type)()
+            left = node(token.value, left, operand)
+            left.line = token.line
+            left.column = token.column
+            max_level = level if repeats else level - 1
 
-    def _parse_range(self) -> ast.Expr:
-        left = self._parse_additive()
-        if self.token.is_name("to"):
-            token = self.advance()
-            right = self._parse_additive()
-            return ast.at(ast.RangeExpr(start=left, end=right), token)
-        return left
-
-    def _parse_additive(self) -> ast.Expr:
-        left = self._parse_multiplicative()
-        while self.token.is_symbol("+", "-"):
-            token = self.advance()
-            right = self._parse_multiplicative()
-            left = ast.at(
-                ast.Arithmetic(op=token.value, left=left, right=right), token
-            )
-        return left
-
-    def _parse_multiplicative(self) -> ast.Expr:
-        left = self._parse_union()
-        while self.token.is_symbol("*") or self.token.is_name("div", "idiv", "mod"):
-            token = self.advance()
-            right = self._parse_union()
-            left = ast.at(
-                ast.Arithmetic(op=token.value, left=left, right=right), token
-            )
-        return left
-
-    def _parse_union(self) -> ast.Expr:
-        left = self._parse_intersect()
-        while self.token.is_name("union") or self.token.is_symbol("|"):
-            token = self.advance()
-            right = self._parse_intersect()
-            left = ast.at(ast.SetOp(op="union", left=left, right=right), token)
-        return left
-
-    def _parse_intersect(self) -> ast.Expr:
-        left = self._parse_instance_of()
-        while self.token.is_name("intersect", "except"):
-            token = self.advance()
-            right = self._parse_instance_of()
-            left = ast.at(
-                ast.SetOp(op=token.value, left=left, right=right), token
-            )
-        return left
-
-    def _parse_instance_of(self) -> ast.Expr:
-        left = self._parse_treat()
-        if self.token.is_name("instance"):
-            token = self.advance()
-            self.expect_name("of")
-            sequence_type = self._parse_sequence_type()
-            return ast.at(
-                ast.InstanceOf(operand=left, sequence_type=sequence_type), token
-            )
-        return left
-
-    def _parse_treat(self) -> ast.Expr:
-        left = self._parse_castable()
-        if self.token.is_name("treat"):
-            token = self.advance()
-            self.expect_name("as")
-            sequence_type = self._parse_sequence_type()
-            return ast.at(
-                ast.TreatAs(operand=left, sequence_type=sequence_type), token
-            )
-        return left
-
-    def _parse_castable(self) -> ast.Expr:
-        left = self._parse_cast()
-        if self.token.is_name("castable"):
-            token = self.advance()
-            self.expect_name("as")
-            type_name, allow_empty = self._parse_single_type()
-            return ast.at(
-                ast.CastableAs(
-                    operand=left, type_name=type_name, allow_empty=allow_empty
-                ),
-                token,
-            )
-        return left
-
-    def _parse_cast(self) -> ast.Expr:
-        left = self._parse_unary()
-        if self.token.is_name("cast"):
-            token = self.advance()
-            self.expect_name("as")
-            type_name, allow_empty = self._parse_single_type()
-            return ast.at(
-                ast.CastAs(operand=left, type_name=type_name, allow_empty=allow_empty),
-                token,
-            )
-        return left
-
-    def _parse_single_type(self) -> Tuple[str, bool]:
-        name = self.expect_kind("name").value
-        if ":" not in name:
-            name = f"xs:{name}"
-        allow_empty = False
-        if self.token.is_symbol("?"):
-            allow_empty = True
+    def _parse_prefixed(self) -> ast.Expr:
+        """Unary ``-``/``+`` signs before an operand, or a path from the root."""
+        token = self.token
+        if token.value == "/" or token.value == "//":
             self.advance()
-        return name, allow_empty
-
-    def _parse_unary(self) -> ast.Expr:
-        if self.token.is_symbol("-", "+"):
-            token = self.advance()
-            operand = self._parse_unary()
-            if token.value == "+":
-                return operand
-            return ast.at(ast.Unary(op="-", operand=operand), token)
-        return self._parse_path()
+            if token.value == "/" and not self._starts_step():
+                return ast.PathExpr(
+                    anchor="/", first=None, steps=[], line=token.line, column=token.column
+                )
+            first = self._parse_step_expr()
+            return ast.PathExpr(
+                anchor=token.value,
+                first=first,
+                steps=self._parse_steps(),
+                line=token.line,
+                column=token.column,
+            )
+        signs = []
+        while token.kind == "symbol" and (token.value == "-" or token.value == "+"):
+            signs.append(self.advance())
+            token = self.token
+        operand = self._parse_operators(OPERAND)
+        for sign in reversed(signs):
+            if sign.value == "-":
+                operand = ast.at(ast.Unary(op="-", operand=operand), sign)
+        return operand
 
     # -- paths ---------------------------------------------------------------------
 
-    def _parse_path(self) -> ast.Expr:
-        token = self.token
-        if token.kind == "symbol" and (token.value == "/" or token.value == "//"):
-            self.advance()
-            if token.value == "/":
-                if self._starts_step():
-                    first, steps = self._parse_relative_path()
-                    return ast.at(
-                        ast.PathExpr(anchor="/", first=first, steps=steps), token
-                    )
-                return ast.at(ast.PathExpr(anchor="/", first=None, steps=[]), token)
-            first, steps = self._parse_relative_path()
-            return ast.at(ast.PathExpr(anchor="//", first=first, steps=steps), token)
-        if not self._starts_step():
-            raise self.error(f"expected an expression, found {self._describe()}")
-        first, steps = self._parse_relative_path()
-        if not steps and not isinstance(first, ast.AxisStep):
-            return first
-        return ast.at(ast.PathExpr(anchor=None, first=first, steps=steps), token)
-
-    def _parse_relative_path(self) -> Tuple[ast.Expr, List[Tuple[str, ast.Expr]]]:
-        first = self._parse_step_expr()
+    def _parse_steps(self) -> List[Tuple[str, ast.Expr]]:
+        """The ``/step`` and ``//step`` continuations of a path."""
         steps: List[Tuple[str, ast.Expr]] = []
         token = self.token
-        while token.kind == "symbol" and (token.value == "/" or token.value == "//"):
-            separator = self.advance().value
-            steps.append((separator, self._parse_step_expr()))
+        while token.value in _SEPARATORS and token.kind == "symbol":
+            self.advance()
+            steps.append((token.value, self._parse_step_expr()))
             token = self.token
-        return first, steps
-
-    _STEP_SYMBOLS = frozenset(("(", ".", "..", "@", "*", "<", "$"))
+        return steps
 
     def _starts_step(self) -> bool:
         token = self.token
-        if token.kind in ("var", "integer", "decimal", "double", "string", "name"):
+        if token.kind in _STEP_KINDS:
             return True
-        return token.kind == "symbol" and token.value in self._STEP_SYMBOLS
+        return token.kind == "symbol" and token.value in _STEP_SYMBOLS
 
     def _parse_step_expr(self) -> ast.Expr:
+        """One step: an axis step, or a primary with optional predicates."""
         token = self.token
-        if token.kind == "symbol":
-            # reverse step: ".."
-            if token.value == "..":
-                self.advance()
-                step = ast.at(
-                    ast.AxisStep(axis="parent", test=ast.NodeTest("node")), token
-                )
-                step.predicates = self._parse_predicates()
-                return step
-            # attribute abbreviation: @name
-            if token.value == "@":
-                self.advance()
-                test = self._parse_node_test()
-                step = ast.at(ast.AxisStep(axis="attribute", test=test), token)
-                step.predicates = self._parse_predicates()
-                return step
-            # wildcard child step (the name-flavored cases cannot apply)
-            if token.value == "*":
-                self.advance()
-                step = ast.at(
-                    ast.AxisStep(axis="child", test=ast.NodeTest("wildcard", "*")),
-                    token,
-                )
-                step.predicates = self._parse_predicates()
-                return step
-        elif token.kind == "name":
+        kind = token.kind
+        if kind == "var":
+            self.token = self.lexer.next_token()
+            base = ast.VarRef(name=token.value, line=token.line, column=token.column)
+        elif kind == "name":
+            # what a name means depends on the token after it
+            value = token.value
+            self.token = following = self.lexer.next_token()
+            after = following.value if following.kind == "symbol" else None
             # explicit axis: axisname::test
-            if token.value in AXES and self._peek_next().is_symbol("::"):
-                axis = self.advance().value
-                self.expect_symbol("::")
-                test = self._parse_node_test()
-                step = ast.at(ast.AxisStep(axis=axis, test=test), token)
-                step.predicates = self._parse_predicates()
-                return step
+            if after == "::" and value in AXES:
+                self.token = self.lexer.next_token()
+                return self._step(value, self._parse_node_test(), token)
             # kind test as a child step: text(), node(), element(name)...
-            if token.value in KIND_TESTS and self._peek_next().is_symbol("("):
-                test = self._parse_node_test()
-                axis = "attribute" if token.value == "attribute" else "child"
-                step = ast.at(ast.AxisStep(axis=axis, test=test), token)
-                step.predicates = self._parse_predicates()
-                return step
+            if after == "(" and value in KIND_TESTS:
+                axis = "attribute" if value == "attribute" else "child"
+                return self._step(axis, self._node_test(value), token)
             # computed constructors are primaries, not name tests
-            if self._at_computed_constructor():
-                base = self._computed_constructor()
-                predicates = self._parse_predicates()
-                if predicates:
-                    return ast.at(
-                        ast.FilterExpr(base=base, predicates=predicates), token
-                    )
-                return base
+            if value in CONSTRUCTOR_KEYWORDS and self._starts_constructor(value):
+                base = self._computed_constructor(token)
             # name test (child axis), unless it is a function call
-            if not self._peek_next().is_symbol("("):
-                name = self.advance().value
-                if name.endswith(":") and self.token.is_symbol("*"):
-                    self.advance()
-                    test = ast.NodeTest("wildcard", name + "*")
-                else:
-                    test = ast.NodeTest("name", name)
-                step = ast.at(ast.AxisStep(axis="child", test=test), token)
-                step.predicates = self._parse_predicates()
-                return step
-        # otherwise: a filter expression (primary + predicates)
-        base = self._parse_primary()
-        predicates = self._parse_predicates()
-        if predicates:
-            return ast.at(ast.FilterExpr(base=base, predicates=predicates), token)
-        return base
+            elif after != "(":
+                return self._step("child", ast.NodeTest("name", value), token)
+            elif value in RESERVED_FUNCTION_NAMES:
+                raise self.error(f"unexpected name {value!r} in expression position", token)
+            else:
+                base = self._function_call(token)
+        elif kind == "symbol":
+            value = token.value
+            if value in _ABBREVIATED_STEPS:
+                self.token = self.lexer.next_token()
+                if value == "..":
+                    return self._step("parent", ast.NodeTest("node"), token)
+                if value == "@":
+                    return self._step("attribute", self._parse_node_test(), token)
+                return self._step("child", ast.NodeTest("wildcard", "*"), token)
+            base = self._parse_primary()
+        elif kind == "string":
+            self.token = self.lexer.next_token()
+            base = ast.Literal(value=token.value, line=token.line, column=token.column)
+        elif kind in ("integer", "decimal", "double"):
+            self.token = self.lexer.next_token()
+            base = ast.Literal(
+                value=parse_number(token.value), line=token.line, column=token.column
+            )
+        else:
+            raise self.error(f"expected an expression, found {self._describe()}")
+        # a primary, or a filter expression if predicates follow
+        after = self.token
+        if after.value != "[" or after.kind != "symbol":
+            return base
+        return ast.FilterExpr(
+            base=base,
+            predicates=self._parse_predicates(),
+            line=token.line,
+            column=token.column,
+        )
+
+    def _step(self, axis: str, test: ast.NodeTest, token: Token) -> ast.AxisStep:
+        return ast.AxisStep(
+            axis=axis,
+            test=test,
+            predicates=self._parse_predicates(),
+            line=token.line,
+            column=token.column,
+        )
 
     def _parse_node_test(self) -> ast.NodeTest:
-        token = self.token
-        if token.is_symbol("*"):
+        if self.token.is_symbol("*"):
             self.advance()
             return ast.NodeTest("wildcard", "*")
-        name_token = self.expect_kind("name")
-        name = name_token.value
+        return self._node_test(self.expect_kind("name").value)
+
+    def _node_test(self, name: str) -> ast.NodeTest:
+        """The node test *name* begins; the parser has just passed it."""
         if name in KIND_TESTS and self.token.is_symbol("("):
             self.advance()
             inner = None
-            if self.token.kind == "name":
-                inner = self.advance().value
-            elif self.token.kind == "string":
+            if self.token.kind in ("name", "string"):
                 inner = self.advance().value
             elif self.token.is_symbol("*"):
                 self.advance()
@@ -819,7 +796,7 @@ class Parser:
     def _parse_predicates(self) -> List[ast.Expr]:
         predicates: List[ast.Expr] = []
         token = self.token
-        while token.kind == "symbol" and token.value == "[":
+        while token.value == "[" and token.kind == "symbol":
             self.advance()
             predicates.append(self.parse_expr())
             self.expect_symbol("]")
@@ -829,17 +806,9 @@ class Parser:
     # -- primaries --------------------------------------------------------------------
 
     def _parse_primary(self) -> ast.Expr:
+        """A primary that starts with a symbol: ``(...)``, ``.``, ``<...>``."""
         token = self.token
-        if token.kind == "var":
-            self.advance()
-            return ast.at(ast.VarRef(name=token.value), token)
-        if token.kind == "string":
-            self.advance()
-            return ast.at(ast.Literal(value=token.value), token)
-        if token.kind in ("integer", "decimal", "double"):
-            self.advance()
-            return ast.at(ast.Literal(value=parse_number(token.value)), token)
-        if token.is_symbol("("):
+        if token.value == "(":
             self.advance()
             if self.token.is_symbol(")"):
                 self.advance()
@@ -847,42 +816,32 @@ class Parser:
             inner = self.parse_expr()
             self.expect_symbol(")")
             return inner
-        if token.is_symbol("."):
+        if token.value == ".":
             self.advance()
             return ast.at(ast.ContextItem(), token)
-        if token.is_symbol("<"):
+        if token.value == "<":
             return self._direct_constructor()
-        if token.kind == "name":
-            return self._parse_named_primary()
         raise self.error(f"expected an expression, found {self._describe()}")
 
-    def _parse_named_primary(self) -> ast.Expr:
+    def _function_call(self, name: Token) -> ast.Expr:
+        """The call *name* begins; the current token is its ``(``."""
+        self.token = self.lexer.next_token()
+        args: List[ast.Expr] = []
         token = self.token
-        name = token.value
-        next_token = self._peek_next()
-        # computed constructors: element foo {...}, attribute {$n} {...}, etc.
-        if name in ("element", "attribute", "text", "comment", "document") and (
-            next_token.is_symbol("{")
-            or (name in ("element", "attribute") and next_token.kind == "name")
-        ):
-            return self._computed_constructor()
-        if next_token.is_symbol("(") and name not in RESERVED_FUNCTION_NAMES:
-            self.advance()
-            self.expect_symbol("(")
-            args: List[ast.Expr] = []
-            if not self.token.is_symbol(")"):
-                while True:
-                    args.append(self.parse_expr_single())
-                    if self.token.is_symbol(","):
-                        self.advance()
-                        continue
-                    break
-            self.expect_symbol(")")
-            return ast.at(ast.FunctionCall(name=name, args=args), token)
-        raise self.error(f"unexpected name {name!r} in expression position")
+        if token.value != ")" or token.kind != "symbol":
+            args.append(self.parse_expr_single())
+            token = self.token
+            while token.value == "," and token.kind == "symbol":
+                self.token = self.lexer.next_token()
+                args.append(self.parse_expr_single())
+                token = self.token
+        self.expect_symbol(")")
+        return ast.FunctionCall(
+            name=name.value, args=args, line=name.line, column=name.column
+        )
 
-    def _computed_constructor(self) -> ast.Expr:
-        token = self.advance()  # element | attribute | text | comment | document
+    def _computed_constructor(self, token: Token) -> ast.Expr:
+        """The constructor keyword *token* begins; the parser has passed it."""
         kind = token.value
         name = None
         name_expr = None
@@ -959,9 +918,15 @@ class Parser:
     def _attribute_value(self) -> List[object]:
         """Scan a quoted attribute value template: text and ``{expr}`` parts."""
         lexer = self.lexer
+        text = lexer.text
         quote = lexer.take_char()
+        if quote == "":
+            # the input ended where the value should start; the cursor
+            # has stepped one past the end, and the error says so.
+            raise lexer.error("unterminated attribute value")
         if quote not in "\"'":
             raise lexer.error("expected a quoted attribute value")
+        run = _ATTRIBUTE_TEXT[quote].match
         parts: List[object] = []
         buffer: List[str] = []
 
@@ -971,6 +936,10 @@ class Parser:
                 buffer.clear()
 
         while True:
+            literal = run(text, lexer.pos)
+            if literal is not None:
+                buffer.append(literal.group())
+                lexer.pos = literal.end()
             char = lexer.peek_char()
             if char == "":
                 raise lexer.error("unterminated attribute value")
@@ -1001,6 +970,7 @@ class Parser:
     def _element_content(self, element_name: str) -> List[object]:
         """Scan element content until the matching end tag."""
         lexer = self.lexer
+        text = lexer.text
         parts: List[object] = []
         buffer: List[str] = []
         buffer_has_entity = False
@@ -1008,15 +978,19 @@ class Parser:
         def flush() -> None:
             nonlocal buffer_has_entity
             if buffer:
-                text = "".join(buffer)
+                content = "".join(buffer)
                 # boundary-space strip: drop whitespace-only literal runs
                 # unless they contain character references.
-                if text.strip() or buffer_has_entity:
-                    parts.append(ast.DirectText(text=text))
+                if content.strip() or buffer_has_entity:
+                    parts.append(ast.DirectText(text=content))
                 buffer.clear()
             buffer_has_entity = False
 
         while True:
+            literal = _CONTENT_TEXT.match(text, lexer.pos)
+            if literal is not None:
+                buffer.append(literal.group())
+                lexer.pos = literal.end()
             if lexer.at("</"):
                 flush()
                 lexer.take("</")
@@ -1035,12 +1009,12 @@ class Parser:
                 flush()
                 line, column = lexer.location()
                 lexer.take("<!--")
-                end = lexer.text.find("-->", lexer.pos)
+                end = text.find("-->", lexer.pos)
                 if end < 0:
                     raise lexer.error("unterminated XML comment")
                 parts.append(
                     ast.DirectComment(
-                        text=lexer.text[lexer.pos : end], line=line, column=column
+                        text=text[lexer.pos : end], line=line, column=column
                     )
                 )
                 lexer.pos = end + 3
@@ -1049,22 +1023,20 @@ class Parser:
                 flush()
                 lexer.take("<?")
                 target = lexer.scan_xml_name()
-                end = lexer.text.find("?>", lexer.pos)
+                end = text.find("?>", lexer.pos)
                 if end < 0:
                     raise lexer.error("unterminated processing instruction")
                 parts.append(
-                    ast.DirectPI(
-                        target=target, text=lexer.text[lexer.pos : end].strip()
-                    )
+                    ast.DirectPI(target=target, text=text[lexer.pos : end].strip())
                 )
                 lexer.pos = end + 2
                 continue
             if lexer.at("<![CDATA["):
                 lexer.take("<![CDATA[")
-                end = lexer.text.find("]]>", lexer.pos)
+                end = text.find("]]>", lexer.pos)
                 if end < 0:
                     raise lexer.error("unterminated CDATA section")
-                buffer.append(lexer.text[lexer.pos : end])
+                buffer.append(text[lexer.pos : end])
                 buffer_has_entity = True  # CDATA whitespace is significant
                 lexer.pos = end + 3
                 continue

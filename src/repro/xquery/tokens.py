@@ -1,4 +1,5 @@
-"""Token definitions for the XQuery lexer."""
+"""Token definitions for the XQuery lexer: the token type and the table of
+XQuery's lexical syntax."""
 
 from __future__ import annotations
 
@@ -28,43 +29,35 @@ class Token(NamedTuple):
         return self.kind == "name" and self.value in names
 
 
-#: Multi-character symbols, longest first so the lexer scans greedily.
-MULTI_SYMBOLS = [
-    "<=",
-    ">=",
-    "!=",
-    "<<",
-    ">>",
-    "//",
-    ":=",
-    "..",
-    "::",
-    "{{",
-    "}}",
-]
+#: one NCName — the paper's quirk characters ``-`` and ``.`` included, so
+#: ``$n-1`` is a variable with a three-character name.
+NCNAME = r"[A-Za-z_][A-Za-z0-9_.\-]*"
 
-SINGLE_SYMBOLS = set("()[]{},;/@.*+-=<>|?$")
+#: an NCName with at most one ``prefix:`` (never ``::``, an axis, nor
+#: ``:=``: the local part must start like a name).
+QNAME = rf"{NCNAME}(?::{NCNAME})?"
 
-#: Names that act as binary operators when found in operator position.
-OPERATOR_NAMES = {
-    "and",
-    "or",
-    "div",
-    "idiv",
-    "mod",
-    "to",
-    "eq",
-    "ne",
-    "lt",
-    "le",
-    "gt",
-    "ge",
-    "is",
-    "union",
-    "intersect",
-    "except",
-    "instance",
-    "cast",
-    "castable",
-    "treat",
-}
+#: XQuery's lexical syntax, one row per token kind: (kind, pattern).  The
+#: lexer joins the rows into one alternation, tried in this order at the
+#: cursor after whitespace, and the row that matched names the token.
+#: Three rows are not token kinds: ``comment`` opens a nested ``(: :)``
+#: comment, ``dollar`` is a ``$`` with no name after it (an error), and
+#: ``quote`` is a string literal the ``string`` row cannot take, one with
+#: an entity reference or no closing quote, which the lexer scans itself.
+TOKEN_TABLE = (
+    ("comment", r"\(:"),
+    ("name", QNAME),
+    # longest first; a "." before a digit starts a number (".5").
+    ("symbol", r"<=|>=|!=|<<|>>|//|:=|\.\.|::|\{\{|\}\}|\.(?![0-9])|[()\[\]{},;/@*+\-=<>|?:]"),
+    ("var", rf"\${QNAME}"),
+    ("dollar", r"\$"),
+    # ".." is the parent step, never a decimal point: "1..3" is 1 .. 3.
+    ("double", r"(?:[0-9]+(?:\.(?!\.)[0-9]*)?|\.[0-9]+)[eE][+-]?[0-9]+"),
+    ("decimal", r"[0-9]+\.(?!\.)[0-9]*|\.[0-9]+"),
+    ("integer", r"[0-9]+"),
+    # a doubled quote escapes itself, so a closing quote is never followed
+    # by another (the lookahead stops "a"" from reading as "a").
+    ("string", r'"[^"&]*(?:""[^"&]*)*"(?!")' + r"|'[^'&]*(?:''[^'&]*)*'(?!')"),
+    ("quote", r"[\"']"),
+    ("eof", r"\Z"),
+)

@@ -117,6 +117,19 @@ class TestStrings:
         assert (error.line, error.column) == (1, column)
         assert classify_error(error).kind == "compile"
 
+    @pytest.mark.parametrize(
+        "source, column", [('"&bogus;"', 2), ("<a>&bogus;</a>", 4)]
+    )
+    def test_unknown_entity_is_reported_at_its_ampersand(self, source, column):
+        from repro.xquery import XQueryEngine
+
+        with pytest.raises(XQueryStaticError) as caught:
+            XQueryEngine().compile(source)
+        error = caught.value
+        assert error.code == "XPST0003"
+        assert error.bare_message == "unknown entity &bogus;"
+        assert (error.line, error.column) == (1, column)
+
     def test_character_references_in_both_cases_and_with_leading_zeros(self):
         assert tokens_of('"&#65;&#x42;&#X43;&#0068;&#x0045;"') == [("string", "ABCDE")]
 
