@@ -26,7 +26,7 @@ from __future__ import annotations
 
 from typing import Dict, List, Optional, Tuple
 
-from ..xdm import DocumentNode, ElementNode, Node, TextNode
+from ..xdm import AttributeNode, DocumentNode, ElementNode, Node, TextNode
 from ..xmlio import parse_document, parse_element, serialize
 from .metamodel import Metamodel
 from .model import Model, ModelNode, RelationObject
@@ -34,13 +34,11 @@ from .model import Model, ModelNode, RelationObject
 
 def export_model(model: Model) -> DocumentNode:
     """Export a model to its XML document form."""
-    root = ElementNode("awb-model")
-    root.set_attribute("name", model.name)
-    root.set_attribute("metamodel", model.metamodel.name)
+    root = _element("awb-model", (("name", model.name), ("metamodel", model.metamodel.name)))
     for node in model.nodes.values():
-        root.append(_export_node(node))
+        _add_child(root, _export_node(node))
     for relation in model.relations.values():
-        root.append(_export_relation(relation))
+        _add_child(root, _export_relation(relation))
     return DocumentNode([root])
 
 
@@ -49,54 +47,77 @@ def export_model_text(model: Model, indent: bool = True) -> str:
     return serialize(export_model(model), indent=indent, xml_declaration=True)
 
 
+# Export elements are built in one pass: each gets its attribute list
+# filled directly and its children appended to the raw list, as the XML
+# parser does, so no per-attribute replace scan or index invalidation runs.
+
+
+def _element(name: str, attributes: Tuple[Tuple[str, str], ...]) -> ElementNode:
+    element = ElementNode(name)
+    attribute_list = element.attributes
+    for attribute_name, value in attributes:
+        attribute = AttributeNode(attribute_name, value)
+        attribute.parent = element
+        attribute_list.append(attribute)
+    return element
+
+
+def _add_child(parent: ElementNode, child: Node) -> None:
+    child.parent = parent
+    parent.children.append(child)
+
+
 def _export_node(node: ModelNode) -> ElementNode:
-    out = ElementNode("node")
-    out.set_attribute("id", node.id)
-    out.set_attribute("type", node.type_name)
-    _export_properties(out, node.properties, node)
+    out = _element("node", (("id", node.id), ("type", node.type_name)))
+    node_type = node.model.metamodel.node_type(node.type_name)
+    declared = node_type.all_properties() if node_type is not None else {}
+    _export_properties(out, node.properties, declared)
     return out
 
 
 def _export_relation(relation: RelationObject) -> ElementNode:
-    out = ElementNode("relation")
-    out.set_attribute("id", relation.id)
-    out.set_attribute("type", relation.relation_name)
-    out.set_attribute("source", relation.source.id)
-    out.set_attribute("target", relation.target.id)
-    _export_properties(out, relation.properties, None)
+    out = _element(
+        "relation",
+        (
+            ("id", relation.id),
+            ("type", relation.relation_name),
+            ("source", relation.source.id),
+            ("target", relation.target.id),
+        ),
+    )
+    _export_properties(out, relation.properties, {})
     return out
 
 
 def _export_properties(
-    parent: ElementNode, properties: Dict[str, object], node: Optional[ModelNode]
+    parent: ElementNode, properties: Dict[str, object], declared: Dict[str, object]
 ) -> None:
+    """One ``<property>`` per value; *declared* maps a property name to its
+    node type's declaration, which fixes the exported type."""
     for name, value in properties.items():
-        prop = ElementNode("property")
-        prop.set_attribute("name", name)
-        type_name = _value_type(value, name, node)
-        if type_name != "string":
-            prop.set_attribute("type", type_name)
+        declaration = declared.get(name)
+        type_name = declaration.type if declaration is not None else _value_type(value)
+        if type_name == "string":
+            prop = _element("property", (("name", name),))
+        else:
+            prop = _element("property", (("name", name), ("type", type_name)))
         if type_name == "html":
             # HTML-valued properties export as child elements, not text —
             # the schema drift the paper describes.
             try:
-                prop.append(parse_element(f"<html-value>{value}</html-value>"))
+                content = parse_element(f"<html-value>{value}</html-value>")
             except Exception:
-                prop.append(TextNode(str(value)))
+                content = TextNode(str(value))
         elif isinstance(value, bool):
-            prop.append(TextNode("true" if value else "false"))
+            content = TextNode("true" if value else "false")
         else:
-            prop.append(TextNode(str(value)))
-        parent.append(prop)
+            content = TextNode(str(value))
+        _add_child(prop, content)
+        _add_child(parent, prop)
 
 
-def _value_type(value: object, name: str, node: Optional[ModelNode]) -> str:
-    if node is not None:
-        node_type = node.model.metamodel.node_type(node.type_name)
-        if node_type is not None:
-            declaration = node_type.property_decl(name)
-            if declaration is not None:
-                return declaration.type
+def _value_type(value: object) -> str:
+    """The exported type of an undeclared property value."""
     if isinstance(value, bool):
         return "boolean"
     if isinstance(value, int):

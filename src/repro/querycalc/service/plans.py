@@ -7,7 +7,10 @@ and, in thread mode, its :class:`~repro.xquery.api.CompiledQuery`
 
 Plans are keyed by the *normalized query text* — a canonical rendering of
 the calculus AST — so two structurally identical queries parsed from
-different XML files share one compiled plan.
+different XML files share one compiled plan.  Results are keyed by the
+generated source: spellings that normalize differently but generate the
+same XQuery (``sort_by=None`` and the label property, say) share one
+cached answer.
 
 :func:`run_compiled` evaluates a compiled plan for both halves of the
 serving path, the thread-mode front end and the process-mode shard
@@ -75,19 +78,15 @@ class QueryPlan:
     source: Optional[str] = None
     #: compiled query, ready to ``run()`` (thread mode only).
     compiled: Optional[object] = None
-    #: structural signature of the optimized module: position-independent,
-    #: so structurally identical plans share result cache entries even when
-    #: their calculus spellings differ.  Process mode learns it from the
-    #: plan's first worker reply.
-    result_key: Optional[str] = None
     #: the plan's :class:`~repro.querycalc.service.deps.DependencySet`,
     #: derived at build time — what its cached answers can depend on.
     deps: Optional[object] = None
 
     @property
     def cache_key(self) -> str:
-        """The result-cache key: the optimized plan's signature when known."""
-        return self.result_key if self.result_key is not None else self.key
+        """The result-cache key: the generated source, which both modes know
+        when the plan is built (equal source, equal plan), else the key."""
+        return self.source if self.source is not None else self.key
 
 
 def run_compiled(

@@ -8,9 +8,10 @@ layers warm between requests:
    compiled closure program (the engine's own compile LRU backs this up);
 2. an **incremental model export**: mutations dirty individual subtrees,
    so the XML document the queries scan is patched, not rebuilt;
-3. a **result cache** keyed by (plan, export generation): repeat queries
-   against an unchanged model are a dict hit, and any model mutation
-   bumps the generation and silently invalidates every stale entry;
+3. a **result cache** keyed by (generated source, export generation):
+   repeat queries against an unchanged model are a dict hit, and any
+   model mutation bumps the generation and silently invalidates every
+   stale entry;
 4. a **batch API**: :meth:`QueryService.run_batch` serves a whole UI
    refresh worth of queries on a thread pool through the same path as
    :meth:`QueryService.run`, serving each distinct plan once and copying
@@ -144,8 +145,6 @@ class FrontEnd:
                     if admitted:
                         self._admission.release()
                 if self._generation(plan) == generation:
-                    # keyed after the run: a process-mode run may have
-                    # just taught the plan its signature.
                     self._results.put(
                         (plan.cache_key, generation), value, traces, plan.deps
                     )
@@ -607,21 +606,10 @@ class QueryService(FrontEnd):
                 self.faults.on_compile(key)
             deps = derive_dependencies(query, self.model.metamodel)
             source = self._backend.compile_to_xquery(query)
-            if self.mode == "process":
-                # the front-end never compiles in process mode: workers own
-                # the compile LRUs, and the plan's structural signature
-                # (this plan's cross-process result key) is learned from
-                # the first worker reply.
-                return QueryPlan(key, query, source=source, deps=deps)
-            compiled = self.engine.compile(source)
-            return QueryPlan(
-                key,
-                query,
-                source=source,
-                compiled=compiled,
-                result_key=compiled.plan_signature,
-                deps=deps,
-            )
+            # the front-end never compiles in process mode: workers own the
+            # compile LRUs.  Either way the source is the result key.
+            compiled = self.engine.compile(source) if self.mode == "thread" else None
+            return QueryPlan(key, query, source=source, compiled=compiled, deps=deps)
 
         return self._plans.get_or_build(key, build)
 

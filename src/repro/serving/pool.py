@@ -16,14 +16,11 @@ query runs, whole, on one worker.
 Compiled closures don't pickle, so the parent never ships compiled plans.
 A process-mode :class:`~repro.querycalc.service.plans.QueryPlan` carries
 the generated *source*; the one worker its key routes to compiles it on
-first use (its LRU makes every later use a hit).  While the
-plan's ``result_key`` is unknown, the request asks the worker for the
-plan's structural signature, and the pool records it as the plan's
-``result_key``: the cross-process plan identity the front-end's result
-cache keys on, so two textually different queries with the same
-optimized plan share cached results exactly as they do in thread mode.
-The pool keeps no per-plan state of its own; a plan rebuilt after the
-plan cache evicted it asks again.
+first use (its LRU makes every later use a hit).  The source is also the
+plan's result key, in both modes, so the front end knows it before any
+worker answers: a plan rebuilt after the plan cache evicted it still hits
+its cached result, and two calculus spellings that generate one source
+share one entry.  The pool keeps no per-plan state.
 """
 
 from __future__ import annotations
@@ -436,18 +433,9 @@ class ProcessPool:
         self, plan: QueryPlan, route: Route, remaining: Optional[float]
     ) -> Tuple[List[str], Tuple[str, ...]]:
         """Run one plan on the worker *route* names, returning (ordered
-        node ids, traces).  While ``plan.result_key`` is unknown the
-        request asks for the plan's signature and the reply sets it."""
-        want_signature = plan.result_key is None
-        payload = {
-            "key": plan.key,
-            "source": plan.source,
-            "remaining": remaining,
-            "want_signature": want_signature,
-        }
+        node ids, traces)."""
+        payload = {"key": plan.key, "source": plan.source, "remaining": remaining}
         reply = self.handles[route.shard].request("run", payload, remaining)
-        if want_signature:
-            plan.result_key = reply["signature"]
         return reply["ids"], tuple(reply["traces"])
 
     # -- observability / lifecycle ----------------------------------------

@@ -8,10 +8,8 @@ single-process semantics.  The front-end sends each plan to one worker
 (:func:`~repro.serving.partition.route_query`).
 
 A reply carries the result's node ids in the engine's order and the trace
-messages.  When the request sets ``want_signature`` the reply also
-carries the plan's structural signature (the cross-process plan identity
-the front-end's result cache keys on, about 2 KB pickled); the front-end
-asks only until the plan knows it.
+messages.  The front end keys its result cache on the plan's generated
+source, which it sent, so nothing else comes back.
 
 :func:`worker_main` is the request loop of every worker process in both
 serving tiers; the search tier's
@@ -115,9 +113,8 @@ class ShardWorker:
         """Evaluate one plan over the full replica.
 
         ``payload`` carries: ``key`` (normalized plan key), ``source``
-        (the generated XQuery text), ``remaining`` (seconds of wall-clock
-        budget left, or None), and ``want_signature`` (put the plan
-        signature in the reply).
+        (the generated XQuery text) and ``remaining`` (seconds of
+        wall-clock budget left, or None).
         """
         self.runs += 1
         deadline = (
@@ -140,15 +137,12 @@ class ShardWorker:
             self.backend.statistics,
             before=before,
         )
-        reply = {
+        return {
             "ids": self._ids(result),
             "traces": traces,
             "shard": self.shard,
             "generation": self.generation,
         }
-        if payload.get("want_signature"):
-            reply["signature"] = compiled.plan_signature
-        return reply
 
     @staticmethod
     def _ids(result) -> List[str]:

@@ -26,11 +26,12 @@ from typing import Dict, Optional, Tuple
 from .. import ast
 from ..compiler import Compiler, Thunk
 from ..context import DynamicContext, EngineConfig
+from ..errors import extended_stack
 from .executor import ExecState, SharedEvalCache, execute_plan
 from .lowering import Lowerer
-from .optimize import optimize_plan
+from .optimize import annotate_occurrences, optimize_plan
 from .plans import EvalPlan, Plan
-from .signature import expr_signature, module_signature
+from .signature import module_signature
 from .stats import DEFAULT_STATS, StatisticsCatalog
 
 __all__ = [
@@ -38,7 +39,6 @@ __all__ = [
     "SharedEvalCache",
     "StatisticsCatalog",
     "DEFAULT_STATS",
-    "expr_signature",
     "module_signature",
 ]
 
@@ -47,10 +47,12 @@ class AlgebraProgram:
     """A module lowered to a logical plan, ready for repeated execution.
 
     Built once per compiled query (lazily, under the query's lock) and
-    reused across runs.  Re-optimization happens when a run supplies a
-    different statistics catalog; every optimizer decision is
+    reused across runs.  Construction only lowers: the first run (or
+    explain) optimizes against the statistics catalog it brings, and a run
+    bringing a different catalog re-optimizes.  Every optimizer decision is
     semantics-preserving, so executions racing a re-optimization stay
-    correct.
+    correct.  The static-type pass never runs on this path; only
+    :meth:`explain` computes occurrences, for its ``[occ=...]`` marks.
     """
 
     def __init__(
@@ -65,10 +67,9 @@ class AlgebraProgram:
         self.plan: Plan = Lowerer(functions, config).lower(module.body)
         #: whole-body fallback: nothing in the query lowered to algebra.
         self.trivial = isinstance(self.plan, EvalPlan)
-        self._optimize_lock = threading.Lock()
+        self._optimize_lock = threading.RLock()
         self._optimized_for: Optional[StatisticsCatalog] = None
         self._occurrences: Optional[Dict[int, str]] = None
-        self.optimize_for(None)
         self._compiler: Optional[Compiler] = None
         self._thunks: Dict[int, Thunk] = {}
         self._compile_lock = threading.Lock()
@@ -95,9 +96,9 @@ class AlgebraProgram:
     def occurrence_map(self) -> Dict[int, str]:
         """``id(ast expr) → occurrence`` for the exprs this plan references.
 
-        Computed once per program from the static-type pass (occurrences
-        never depend on the catalog) and only for the handful of AST nodes
-        the plan tree actually points at, so the cold path stays cheap.
+        Computed once per program, on its first explain, from the
+        static-type pass (occurrences never depend on the catalog), and
+        only for the handful of AST nodes the plan tree points at.
         """
         if self._occurrences is None:
             # lazy: the analysis package import chain reaches back here.
@@ -138,7 +139,7 @@ class AlgebraProgram:
         if self._optimized_for is not catalog:
             with self._optimize_lock:
                 if self._optimized_for is not catalog:
-                    optimize_plan(self.plan, catalog, self.occurrence_map())
+                    optimize_plan(self.plan, catalog)
                     self._optimized_for = catalog
         return self.plan
 
@@ -160,14 +161,21 @@ class AlgebraProgram:
     # -- explain ----------------------------------------------------------
 
     def explain(self, statistics: Optional[StatisticsCatalog] = None) -> dict:
-        """The optimized plan as text and JSON, with estimated rows."""
-        plan = self.optimize_for(statistics)
-        return {
-            "backend": "algebra",
-            "fallback": self.trivial,
-            "text": "\n".join(plan.render()),
-            "plan": plan.to_dict(),
-        }
+        """The optimized plan as text and JSON, with estimated rows and the
+        static-type pass's occurrences."""
+        with extended_stack():
+            occurrences = self.occurrence_map()
+        # one lock across optimize, annotate and render: a run re-optimizing
+        # for another catalog meanwhile would clear the marks mid-render.
+        with self._optimize_lock:
+            plan = self.optimize_for(statistics)
+            annotate_occurrences(plan, occurrences)
+            return {
+                "backend": "algebra",
+                "fallback": self.trivial,
+                "text": "\n".join(plan.render()),
+                "plan": plan.to_dict(),
+            }
 
     def explain_text(self, statistics: Optional[StatisticsCatalog] = None) -> str:
         return self.explain(statistics)["text"]

@@ -64,6 +64,7 @@ from .plans import (
     PathPlan,
     Plan,
     PositionalPred,
+    PropertyFilterPred,
     SequencePlan,
     SetOpPlan,
     StepPlan,
@@ -85,10 +86,11 @@ _STAYS_ORDERED = ("child", "attribute", "self")
 class SharedEvalCache:
     """Cross-query scan/join-build cache for ``run_batch`` CSE.
 
-    Keys embed the structural signature of the (closed, pure) scan plus the
-    identities of its base nodes, so two queries sharing a subplan over the
-    same document share the work.  The service resets the cache whenever the
-    export generation moves.
+    Keys embed the (closed, pure) scan's ``scan_key``, a tuple built from
+    its compiled steps (plus the hashed attribute, for a join build), and
+    the identities of its base nodes, so two queries sharing a subplan over
+    the same document share the work.  The service resets the cache
+    whenever the export generation moves.
     """
 
     def __init__(self):
@@ -306,6 +308,14 @@ def _apply_pred_plans(items, predicates, ctx, bindings, state):
                         kept.append(item)
                 elif _generic_keep(state, pred.expr, item, position, size, scope):
                     kept.append(item)
+        elif isinstance(pred, PropertyFilterPred):
+            decide = pred.decide
+            for position, item in enumerate(items, start=1):
+                keep = decide(item)
+                if keep is None:  # a node the shape cannot decide
+                    keep = _generic_keep(state, pred.expr, item, position, size, scope)
+                if keep:
+                    kept.append(item)
         else:
             expr = pred.expr
             for position, item in enumerate(items, start=1):
@@ -438,7 +448,7 @@ def _exec_path(plan: PathPlan, ctx, bindings, state):
             return cached
         shared = state.shared
         if shared is not None:
-            shared_key = ("scan", plan.scan_signature, local_key[1])
+            shared_key = ("scan", plan.scan_key, local_key[1])
             value = shared.get(shared_key)
             if value is not _MISSING:
                 state.scans[local_key] = value
@@ -642,7 +652,7 @@ def _join_build(op: ForJoinOp, ctx, tuple_bindings, state) -> _JoinBuild:
     shared = state.shared
     shared_key = None
     if shared is not None and scan.cacheable:
-        shared_key = ("join", scan.scan_signature, key[1])
+        shared_key = ("join", scan.scan_key, op.build_attr, key[1])
         cached = shared.get(shared_key)
         if cached is not _MISSING:
             state.join_builds[key] = cached

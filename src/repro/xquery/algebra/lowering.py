@@ -33,6 +33,7 @@ from __future__ import annotations
 
 from typing import Dict, List, Optional, Set, Tuple
 
+from ...xdm import number_value
 from .. import ast
 from ..context import EngineConfig
 from ..optimizer import free_variables, has_side_effects
@@ -56,6 +57,7 @@ from .plans import (
     Plan,
     PositionalPred,
     PredPlan,
+    PropertyFilterPred,
     SequencePlan,
     SetOpPlan,
     StepPlan,
@@ -63,7 +65,6 @@ from .plans import (
     VarPlan,
     WhereOp,
 )
-from .signature import expr_signature
 
 __all__ = ["Lowerer", "RESULT_VAR"]
 
@@ -143,9 +144,7 @@ class Lowerer:
         plan = PathPlan(expr, expr.anchor, base, steps)
         plan.cacheable = bool(steps) and all(step.closed for step in steps)
         if plan.cacheable:
-            plan.scan_signature = expr_signature(
-                [(step.separator, step.expr) for step in steps]
-            )
+            plan.scan_key = tuple(step.key() for step in steps)
         return plan
 
     def _lower_filter(self, expr: ast.FilterExpr) -> Plan:
@@ -168,7 +167,7 @@ class Lowerer:
         name = _attr_step_name(pred)
         if name is not None:
             return AttrExistsPred(pred, name)
-        return GenericPred(pred)
+        return self._property_filter_pred(pred) or GenericPred(pred)
 
     def _positional_pred(self, pred: ast.Expr) -> Optional[PositionalPred]:
         if isinstance(pred, ast.Literal):
@@ -223,11 +222,91 @@ class Lowerer:
                 if values is not None:
                     return AttrMembershipPred(pred, name, frozenset(values))
             if pred.style == "value" and pred.op == "eq":
-                if isinstance(value_side, ast.Literal) and isinstance(
-                    value_side.value, str
-                ):
-                    return AttrValueEqPred(pred, name, value_side.value)
+                value = _string_literal(value_side)
+                if value is not None:
+                    return AttrValueEqPred(pred, name, value)
         return None
+
+    def _property_filter_pred(self, pred: ast.Expr) -> Optional[PropertyFilterPred]:
+        """The calculus property filter (see :class:`PropertyFilterPred`),
+        matched node for node against what the calculus compiler emits."""
+        args = self._builtin_args(pred, "contains", 2)
+        if args is not None:
+            name = self._string_of_property(args[0])
+            value = _string_literal(args[1])
+            if name is None or value is None:
+                return None
+            return PropertyFilterPred(pred, name, "contains", value)
+        if not (isinstance(pred, ast.BooleanOp) and pred.op == "and"):
+            return None
+        name = _property_name(pred.left)
+        outer = pred.right
+        if name is None or not isinstance(outer, ast.IfExpr):
+            return None
+        inner = outer.else_branch
+        if not (
+            isinstance(inner, ast.IfExpr)
+            and _is_type_test(outer.condition, name, "=", ("integer", "float"))
+            and _is_type_test(inner.condition, name, "eq", ("boolean",))
+        ):
+            return None
+        # else: string(P) op "value"
+        strings = inner.else_branch
+        op = _value_op(strings)
+        if op is None or self._string_of_property(strings.left) != name:
+            return None
+        value = _string_literal(strings.right)
+        if value is None:
+            return None
+        # then: (string(P) eq "true") op true()|false()
+        boolean = inner.then_branch
+        if _value_op(boolean) != op or _value_op(boolean.left) != "eq":
+            return None
+        if (
+            self._string_of_property(boolean.left.left) != name
+            or _string_literal(boolean.left.right) != "true"
+        ):
+            return None
+        if self._builtin_args(boolean.right, "true", 0) is not None:
+            truth = True
+        elif self._builtin_args(boolean.right, "false", 0) is not None:
+            truth = False
+        else:
+            return None
+        # then: number(string(P)) op number("value"), or false()
+        numeric = outer.then_branch
+        number = None
+        if self._builtin_args(numeric, "false", 0) is None:
+            if _value_op(numeric) != op:
+                return None
+            left = self._builtin_args(numeric.left, "number", 1)
+            right = self._builtin_args(numeric.right, "number", 1)
+            if (
+                left is None
+                or right is None
+                or self._string_of_property(left[0]) != name
+                or _string_literal(right[0]) != value
+            ):
+                return None
+            number = number_value([value])
+        return PropertyFilterPred(pred, name, op, value, number, truth)
+
+    def _builtin_args(self, expr: ast.Expr, name: str, arity: int) -> Optional[list]:
+        """The arguments of a call to builtin ``name#arity`` (not shadowed
+        by a user declaration), else None."""
+        if (
+            isinstance(expr, ast.FunctionCall)
+            and expr.name == name
+            and len(expr.args) == arity
+            and (name, arity) not in self.functions
+        ):
+            return expr.args
+        return None
+
+    def _string_of_property(self, expr: ast.Expr) -> Optional[str]:
+        """The property name if *expr* is ``string(property[@name eq "n"])``."""
+        args = self._builtin_args(expr, "string", 1)
+        return _property_name(args[0]) if args is not None else None
 
     # -- FLWOR ------------------------------------------------------------
 
@@ -271,6 +350,10 @@ class Lowerer:
 
     def _lower_for(self, clause: ast.ForClause, bound: Set[str]):
         source_plan = self.lower(clause.source)
+        if not bound:
+            # the first clause: its source runs once per execution anyway,
+            # and there is nothing to join against (see ForOp.invariant).
+            return ForOp(clause, source_plan, None)
         if isinstance(source_plan, PathPlan):
             join = self._try_join(clause, source_plan, bound)
             if join is not None:
@@ -320,9 +403,7 @@ class Lowerer:
             )
             build_scan.cacheable = all(s.closed for s in build_scan.steps)
             if build_scan.cacheable:
-                build_scan.scan_signature = expr_signature(
-                    [(s.separator, s.expr) for s in build_scan.steps]
-                ) + f"|join@{attr}"
+                build_scan.scan_key = tuple(s.key() for s in build_scan.steps)
             op = ForJoinOp(clause, build_scan, attr, probe, style, residual, pred.expr)
             # sibling equi-predicates directly after the chosen one are
             # interchangeable join keys; the optimizer picks by selectivity.
@@ -398,12 +479,7 @@ class Lowerer:
             # operator so the optimizer can estimate hits from the
             # collection catalog (df of the rarest phrase token).
             args = [self.lower(arg) for arg in expr.args]
-            literals = [
-                arg.value
-                if isinstance(arg, ast.Literal) and isinstance(arg.value, str)
-                else None
-                for arg in expr.args
-            ]
+            literals = [_string_literal(arg) for arg in expr.args]
             if len(expr.args) == 1:
                 collection, phrase = "", literals[0]
             else:
@@ -457,17 +533,74 @@ def _attr_step_name(expr: ast.Expr) -> Optional[str]:
     return None
 
 
+def _string_literal(expr: ast.Expr) -> Optional[str]:
+    """The string if *expr* is a string literal, else None."""
+    if isinstance(expr, ast.Literal) and isinstance(expr.value, str):
+        return expr.value
+    return None
+
+
+def _value_op(expr: ast.Expr) -> Optional[str]:
+    """The operator if *expr* is a value comparison, else None."""
+    if isinstance(expr, ast.Comparison) and expr.style == "value":
+        return expr.op
+    return None
+
+
+def _property_name(expr: ast.Expr) -> Optional[str]:
+    """The name if *expr* is exactly ``property[@name eq "name"]``."""
+    if isinstance(expr, ast.PathExpr) and expr.anchor is None and not expr.steps:
+        return _property_step_name(expr.first)
+    return None
+
+
+def _property_step_name(step: ast.Expr) -> Optional[str]:
+    """The name if *step* is the axis step ``property[@name eq "name"]``."""
+    if not (
+        isinstance(step, ast.AxisStep)
+        and step.axis == "child"
+        and step.test.kind == "name"
+        and step.test.name == "property"
+        and len(step.predicates) == 1
+    ):
+        return None
+    pred = step.predicates[0]
+    if _value_op(pred) == "eq" and _attr_step_name(pred.left) == "name":
+        return _string_literal(pred.right)
+    return None
+
+
+def _is_type_test(expr: ast.Expr, name: str, op: str, types: Tuple[str, ...]) -> bool:
+    """True if *expr* is ``property[@name eq "name"]/@type op types``: a
+    general ``=`` against a sequence of string literals, or a value ``eq``
+    against one."""
+    if not isinstance(expr, ast.Comparison) or expr.op != op:
+        return False
+    path = expr.left
+    if not (
+        isinstance(path, ast.PathExpr)
+        and path.anchor is None
+        and len(path.steps) == 1
+        and _property_step_name(path.first) == name
+    ):
+        return False
+    separator, step = path.steps[0]
+    if separator != "/" or _attr_step_name(step) != "type":
+        return False
+    if op == "eq":
+        return expr.style == "value" and (_string_literal(expr.right),) == types
+    literals = _string_literals(expr.right)
+    return expr.style == "general" and literals is not None and tuple(literals) == types
+
+
 def _string_literals(expr: ast.Expr) -> Optional[List[str]]:
     """The literal strings if *expr* is one or a sequence of them."""
     if isinstance(expr, ast.Literal):
-        return [expr.value] if isinstance(expr.value, str) else None
+        value = _string_literal(expr)
+        return [value] if value is not None else None
     if isinstance(expr, ast.EmptySequence):
         return []
     if isinstance(expr, ast.SequenceExpr):
-        values: List[str] = []
-        for item in expr.items:
-            if not isinstance(item, ast.Literal) or not isinstance(item.value, str):
-                return None
-            values.append(item.value)
-        return values
+        values = [_string_literal(item) for item in expr.items]
+        return None if None in values else values
     return None

@@ -20,12 +20,13 @@ Positional short-circuiting itself is compiled during lowering
 (:class:`~.plans.PositionalPred` slices instead of iterating); this pass
 only accounts for it in the estimates.
 
-Two additions ride the static-type pass (PR 7):
+Two more decisions lean on the export's schema and statistics:
 
-* **occurrence annotations** — when the caller supplies the inferred
-  occurrence map (``id(ast expr) → "empty | 1 | ? | + | *"``), plan nodes
-  carry it into ``--explain`` as ``[occ=...]``, and proven-dead schema
-  paths surface as ``occ=empty`` with 0 estimated rows.
+* **occurrence marks** — proven-dead schema paths surface in ``--explain``
+  as ``occ=empty`` with 0 estimated rows, and a join on a proven key as
+  ``occ=?``.  The static-type pass's occurrences are display-only, so
+  they are not an input here: ``explain`` computes them and
+  :func:`annotate_occurrences` fills the marks this pass left empty.
 * **schema-licensed pruning** — a catalog that carries a ``schema``
   (attached by ``StatisticsCatalog.from_root`` only after verifying the
   walked document conforms) warrants that schema's facts for the
@@ -72,31 +73,41 @@ from .plans import (
 )
 from .stats import DEFAULT_STATS, StatisticsCatalog
 
-__all__ = ["optimize_plan"]
+__all__ = ["annotate_occurrences", "optimize_plan"]
 
 _REORDERABLE = (AttrMembershipPred, AttrValueEqPred, AttrExistsPred)
 
 
-def optimize_plan(
-    plan: Plan,
-    stats: Optional[StatisticsCatalog] = None,
-    occurrences: Optional[Dict[int, str]] = None,
-) -> Plan:
-    """Annotate and (safely) reorder *plan* in place; returns it.
-
-    *occurrences* maps ``id(ast expr)`` to the statically inferred
-    occurrence indicator (from :mod:`..analysis.types`); when given, plan
-    nodes surface it in ``--explain``.
-    """
-    _Optimizer(stats or DEFAULT_STATS, occurrences or {}).visit(plan, None)
+def optimize_plan(plan: Plan, stats: Optional[StatisticsCatalog] = None) -> Plan:
+    """Annotate and (safely) reorder *plan* in place; returns it."""
+    _Optimizer(stats or DEFAULT_STATS).visit(plan, None)
     return plan
 
 
+def annotate_occurrences(plan: Plan, occurrences: Dict[int, str]) -> None:
+    """Fill the ``[occ=...]`` marks of an optimized *plan* from the static
+    type pass: *occurrences* maps ``id(ast expr)`` to an occurrence
+    indicator.  A mark the optimizer set itself stands; a ``for``/``let``
+    operator always takes its bound expression's occurrence."""
+    stack = [plan]
+    while stack:
+        node = stack.pop()
+        expr = getattr(node, "expr", None)
+        if expr is not None and node.occ is None:
+            node.occ = occurrences.get(id(expr))
+        if isinstance(node, FLWORPlan):
+            for op in node.ops:
+                if isinstance(op, ForOp):
+                    op.occ = occurrences.get(id(op.clause.source))
+                elif isinstance(op, LetOp):
+                    op.occ = occurrences.get(id(op.clause.value))
+        stack.extend(child for child in node.children() if child is not None)
+
+
 class _Optimizer:
-    def __init__(self, stats: StatisticsCatalog, occurrences: Dict[int, str]):
+    def __init__(self, stats: StatisticsCatalog):
         self.stats = stats
         self.schema = stats.schema
-        self.occurrences = occurrences
 
     # -- dispatch ---------------------------------------------------------
 
@@ -142,9 +153,6 @@ class _Optimizer:
         else:  # LiteralPlan and friends
             rows = float(len(getattr(plan, "values", [0])))
         plan.est_rows = rows
-        expr = getattr(plan, "expr", None)
-        if expr is not None and plan.occ is None:
-            plan.occ = self.occurrences.get(id(expr))
         return rows
 
     # -- scans ------------------------------------------------------------
@@ -330,8 +338,6 @@ class _Optimizer:
                 self._choose_join_key(op)
                 scan_rows, scan_anchor = self._visit_path_anchored(op.scan)
                 op.scan.est_rows = scan_rows
-                if op.scan.occ is None:
-                    op.scan.occ = self.occurrences.get(id(op.scan.expr))
                 element = (
                     op.scan.steps[-1].test.name
                     if op.scan.steps and op.scan.steps[-1].test.kind == "name"
@@ -350,10 +356,8 @@ class _Optimizer:
                 tuples *= max(matches, 0.001)
             elif isinstance(op, ForOp):
                 tuples *= max(self.visit(op.source, None), 0.001)
-                op.occ = self.occurrences.get(id(op.clause.source))
             elif isinstance(op, LetOp):
                 self.visit(op.value, None)
-                op.occ = self.occurrences.get(id(op.clause.value))
             elif isinstance(op, WhereOp):
                 self.visit(op.condition, None)
                 tuples *= 0.5
@@ -409,7 +413,3 @@ class _Optimizer:
             best_style,
             best_expr,
         )
-        if op.scan.cacheable:
-            op.scan.scan_signature = (
-                op.scan.scan_signature.rsplit("|join@", 1)[0] + f"|join@{best_attr}"
-            )

@@ -19,7 +19,9 @@ from __future__ import annotations
 
 from typing import List, Optional, Tuple
 
+from ...xdm import ElementNode, number_value, value_compare
 from .. import ast
+from ..optimizer import has_side_effects
 
 __all__ = [
     "Plan",
@@ -47,6 +49,7 @@ __all__ = [
     "AttrExistsPred",
     "PositionalPred",
     "GenericPred",
+    "PropertyFilterPred",
 ]
 
 
@@ -86,6 +89,9 @@ class AttrMembershipPred(PredPlan):
         self.name = name
         self.values = values
 
+    def key(self) -> tuple:
+        return ("in", self.name, self.values)
+
     def describe(self) -> str:
         options = ", ".join(repr(v) for v in sorted(self.values))
         return f"@{self.name} in ({options})"
@@ -101,6 +107,9 @@ class AttrValueEqPred(PredPlan):
         self.name = name
         self.value = value
 
+    def key(self) -> tuple:
+        return ("eq", self.name, self.value)
+
     def describe(self) -> str:
         return f"@{self.name} eq {self.value!r}"
 
@@ -113,6 +122,9 @@ class AttrExistsPred(PredPlan):
     def __init__(self, expr: ast.Expr, name: str):
         super().__init__(expr)
         self.name = name
+
+    def key(self) -> tuple:
+        return ("exists", self.name)
 
     def describe(self) -> str:
         return f"exists(@{self.name})"
@@ -149,6 +161,9 @@ class PositionalPred(PredPlan):
             return items[max(k, 0) :] if k >= 1 else list(items)
         raise AssertionError(f"unknown positional op {op!r}")
 
+    def key(self) -> tuple:
+        return ("position", self.op, self.k)
+
     def describe(self) -> str:
         if self.op == "last":
             return "position() = last()"
@@ -163,6 +178,77 @@ class GenericPred(PredPlan):
 
     def describe(self) -> str:
         return f"generic predicate @{self.expr.line}:{self.expr.column}"
+
+
+class PropertyFilterPred(GenericPred):
+    """The calculus property filter, decided without the closure compiler.
+
+    Lowering recognizes exactly the predicate
+    :meth:`~repro.querycalc.via_xquery.XQueryCalculusBackend._compile_filter_property`
+    emits for ``name op value``: ``contains(string(P), value)``, or ``P and
+    (if (P/@type = ("integer", "float")) then NUMERIC else if (P/@type eq
+    "boolean") then BOOLEAN else STRINGS)`` with ``P`` the
+    ``property[@name eq name]`` child.  :meth:`decide` evaluates it per
+    node with the engine's own cast (``number_value``) and comparison
+    (``value_compare``).  It answers None for a node the shape cannot
+    decide (not an element, two ``property`` children of that name, a
+    repeated ``name`` or ``type`` attribute), and the executor asks the
+    generic closure about that node, so errors stay the reference's.
+
+    ``number`` is ``number(value)``, or None when the numeric branch is
+    ``false()`` (a literal that does not parse); ``truth`` is the boolean
+    branch's ``true()``/``false()``.  Explain shows it as the generic
+    predicate it replaces.
+    """
+
+    __slots__ = ("name", "op", "value", "number", "truth")
+
+    def __init__(
+        self,
+        expr: ast.Expr,
+        name: str,
+        op: str,
+        value: str,
+        number: Optional[float] = None,
+        truth: bool = False,
+    ):
+        super().__init__(expr)
+        self.name = name
+        self.op = op  # "eq" | "ne" | "lt" | "le" | "gt" | "ge" | "contains"
+        self.value = value
+        self.number = number
+        self.truth = truth
+
+    def decide(self, item) -> Optional[bool]:
+        if not isinstance(item, ElementNode):
+            return None
+        prop = None
+        for child in item.children_by_name("property"):
+            names = child.attributes_by_name("name")
+            if len(names) > 1:
+                return None
+            if names and names[0].value == self.name:
+                if prop is not None:
+                    return None
+                prop = child
+        op = self.op
+        if prop is None:
+            # string(()) is "", and `P and ...` is false on an empty P.
+            return self.value in "" if op == "contains" else False
+        text = prop.string_value()
+        if op == "contains":
+            return self.value in text  # fn:contains is a substring test
+        types = prop.attributes_by_name("type")
+        if len(types) > 1:
+            return None
+        kind = types[0].value if types else None
+        if kind == "integer" or kind == "float":
+            if self.number is None:
+                return False
+            return value_compare(op, number_value([text]), self.number)
+        if kind == "boolean":
+            return value_compare(op, text == "true", self.truth)
+        return value_compare(op, text, self.value)
 
 
 # -- expression plans --------------------------------------------------------
@@ -390,6 +476,17 @@ class StepPlan:
         self.predicates = predicates
         self.closed = closed
 
+    def key(self) -> tuple:
+        """The step's structure from its compiled parts (closed steps only:
+        every predicate is a fast one with a ``key``)."""
+        return (
+            self.separator,
+            self.axis,
+            self.test.kind,
+            self.test.name,
+            tuple(pred.key() for pred in self.predicates),
+        )
+
     def describe(self) -> str:
         test = self.test.name if self.test.name is not None else self.test.kind + "()"
         preds = "".join(
@@ -406,7 +503,7 @@ class StepPlan:
 class PathPlan(Plan):
     """A scan: base sequence (or the context item / document root) + steps."""
 
-    __slots__ = ("expr", "anchor", "base", "steps", "cacheable", "scan_signature")
+    __slots__ = ("expr", "anchor", "base", "steps", "cacheable", "scan_key")
 
     def __init__(
         self,
@@ -421,9 +518,10 @@ class PathPlan(Plan):
         self.base = base
         self.steps = steps
         #: set by lowering: all steps closed and side-effect free, so the
-        #: step application may be shared across queries in a batch.
+        #: step application may be shared across queries in a batch, keyed
+        #: on ``scan_key`` (the steps' :meth:`StepPlan.key` tuples).
         self.cacheable = False
-        self.scan_signature: Optional[str] = None
+        self.scan_key: Optional[tuple] = None
 
     def label(self) -> str:
         path = "".join(step.describe() for step in self.steps)
@@ -510,12 +608,17 @@ class ForOp(TupleOp):
 
     ``invariant`` marks sources that cannot observe the tuple variables
     bound so far (and are side-effect free); the executor evaluates those
-    once per FLWOR execution instead of once per tuple.
+    once per FLWOR execution instead of once per tuple.  It is None for a
+    FLWOR's first clause, where nothing is bound yet: that source runs once
+    per execution whatever the flag says, so lowering skips the walks that
+    decide it, and only the explain label applies the side-effect rule.
     """
 
     __slots__ = ("clause", "var", "position_var", "source", "invariant")
 
-    def __init__(self, clause: ast.ForClause, source: Plan, invariant: bool):
+    def __init__(
+        self, clause: ast.ForClause, source: Plan, invariant: Optional[bool]
+    ):
         super().__init__()
         self.clause = clause
         self.var = clause.var
@@ -524,7 +627,10 @@ class ForOp(TupleOp):
         self.invariant = invariant
 
     def label(self) -> str:
-        note = " invariant" if self.invariant else ""
+        invariant = self.invariant
+        if invariant is None:
+            invariant = not has_side_effects(self.clause.source, False)
+        note = " invariant" if invariant else ""
         return f"For ${self.var}{note}"
 
     def plans(self) -> List[Plan]:

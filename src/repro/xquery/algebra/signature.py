@@ -1,10 +1,11 @@
-"""Structural AST signatures: the cache key for plans and shared scans.
+"""Structural module signatures: :attr:`CompiledQuery.plan_signature`.
 
 Two queries that differ only in whitespace, comments, or source positions
-parse to ASTs that differ only in ``line``/``column`` fields.  The service's
-result cache and the batch common-subexpression cache both want to treat
-those as the same query, so the signature walks the dataclass fields and
-deliberately skips positions.
+parse to ASTs that differ only in ``line``/``column`` fields.  A caller
+that wants to treat those as the same query keys on the signature, which
+walks the dataclass fields and deliberately skips positions.  (The query
+service keys its results on the generated source instead, and shared
+scans on tuples built from their compiled steps; neither walks the AST.)
 
 The signature is a plain string (stable, hashable, comparable) rather than
 a hash, so collisions are impossible and the fuzzer cannot manufacture a
@@ -18,7 +19,7 @@ from typing import Dict, List
 
 from .. import ast
 
-__all__ = ["expr_signature", "module_signature"]
+__all__ = ["module_signature"]
 
 _SKIP_FIELDS = {"line", "column"}
 
@@ -72,13 +73,6 @@ def _write(out: List[str], value) -> None:
         out.append(repr(value))
     else:
         out.append(info[1] + repr(value))
-
-
-def expr_signature(expr) -> str:
-    """A structural key for one expression, ignoring source positions."""
-    out: List[str] = []
-    _write(out, expr)
-    return "".join(out)
 
 
 def module_signature(module: ast.Module) -> str:

@@ -122,8 +122,7 @@ class CompiledQuery:
         """A structural key for this query's module, stable across reparses.
 
         Position information (line/column) is excluded, so two textually
-        different sources with identical structure share a signature; the
-        query service keys its plan/result caches on this.
+        different sources with identical structure share a signature.
 
         Computed once per query; the module is immutable after parse, so
         the signature never changes. (A racing second computation yields

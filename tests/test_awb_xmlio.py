@@ -1,5 +1,7 @@
 """Tests for AWB model XML export/import and metamodel export."""
 
+import hashlib
+
 import pytest
 
 from repro.awb import (
@@ -123,3 +125,54 @@ class TestMetamodelExport:
     def test_serializes(self):
         text = serialize(export_metamodel(load_metamodel("glass-catalog")))
         assert "node-type" in text
+
+
+#: sha256 over ``export_digest_texts()``, recorded before the exporter
+#: built each element in one pass.  Never re-record it unless a model
+#: generator changed on purpose.
+EXPORT_DIGEST = (
+    "33852cec80e6bffbfacc2b9688e4f70a5808a86bdded30e7624c5f2982669626"
+)
+
+
+def export_digest_texts():
+    """Indented and compact exports of the repo's model generators, plus a
+    hand-built model covering html (well-formed and not), booleans, floats
+    and relation properties."""
+    from bench.workloads import calculus_model
+    from repro.testing.models import random_model
+    from repro.workloads import make_awb_self_model, make_glass_catalog, make_it_model
+
+    mixed = Model(load_metamodel("it-architecture"), name="mixed")
+    system = mixed.create_node("SystemBeingDesigned", label="Core", active=True)
+    user = mixed.create_node(
+        "User", label="Ann", birthYear=1970, weight=2.5,
+        biography="<p>Architect &amp; <b>builder</b></p>",
+    )
+    broken = mixed.create_node("User", label="Bob", biography="<p>unclosed")
+    mixed.connect(system, "has", user, since=2001, note="x < y")
+    mixed.connect(user, "likes", broken, strong=False, score=0.25)
+    models = [
+        calculus_model(),
+        make_it_model(),
+        make_it_model(scale=48),
+        make_glass_catalog(),
+        make_awb_self_model(),
+        random_model(7, size=60, html_properties=True),
+        mixed,
+    ]
+    for model in models:
+        yield export_model_text(model)
+        yield export_model_text(model, indent=False)
+
+
+def export_digest():
+    digest = hashlib.sha256()
+    for text in export_digest_texts():
+        digest.update(text.encode("utf-8"))
+        digest.update(b"\0")
+    return digest.hexdigest()
+
+
+def test_export_text_matches_the_recorded_digest():
+    assert export_digest() == EXPORT_DIGEST

@@ -96,7 +96,7 @@ def test_dangling_start_id_fails_like_thread_mode(model, service):
         service.run(query)
 
 
-# -- caches and plan signatures ----------------------------------------------
+# -- caches and result keys ---------------------------------------------------
 
 
 def test_warm_repeat_is_a_result_cache_hit(model, service):
@@ -121,30 +121,43 @@ def record_run_payloads(svc):
     return sent
 
 
-def test_plan_learns_result_key_from_first_reply(model):
-    query = all_nodes_query()
-    other = all_nodes_query(descending=True)
-    with QueryService(model, mode="process", workers=2, plan_cache_size=1) as svc:
-        sent = record_run_payloads(svc)
-        assert svc._plan(query).result_key is None
-        svc.run(query)
-        learned = svc._plan(query).result_key
-        assert learned is not None
-        assert sent and all(payload["want_signature"] for payload in sent)
-        # a known signature is not asked for again
-        sent.clear()
-        svc.invalidate()
-        assert not svc.run(query).served_from_cache
-        assert sent and not any(payload["want_signature"] for payload in sent)
-        # evicted from the one-plan cache and rebuilt: the plan asks again
-        svc.run(other)
-        rebuilt = svc._plan(query)
-        assert rebuilt.result_key is None
-        sent.clear()
-        svc.run(query)
-        assert all(payload["want_signature"] for payload in sent)
-        assert rebuilt.result_key == learned
-        assert svc.run(query).served_from_cache
+@pytest.mark.parametrize("mode", ["thread", "process"])
+def test_evicted_plan_still_hits_its_cached_result(model, mode):
+    """A plan the plan cache evicted is rebuilt with the same result key, so
+    its answer is still served from the result cache."""
+    queries = [
+        all_nodes_query(),
+        all_nodes_query(descending=True),
+        all_nodes_query(distinct=False),
+        Query(Start(node_id=next(iter(model.nodes))), [], Collect()),
+    ]
+    with QueryService(
+        model, mode=mode, workers=2, plan_cache_size=2, result_cache_size=16
+    ) as svc:
+        for query in queries:
+            assert not svc.run(query).served_from_cache
+        again = svc.run(queries[0])
+        assert again.served_from_cache
+        assert svc.metrics()["executed"] == len(queries)
+        assert ids(again) == ids(QueryService(model).run(queries[0]))
+
+
+@pytest.mark.parametrize("mode", ["thread", "process"])
+def test_result_key_is_the_generated_source(model, mode):
+    """Two spellings that generate one source make one execution and share
+    one result-cache entry."""
+    label = model.metamodel.label_property
+    implicit, explicit = all_nodes_query(), all_nodes_query(sort_by=label)
+    with QueryService(model, mode=mode, workers=2) as svc:
+        first, second = svc._plan(implicit), svc._plan(explicit)
+        assert first.key != second.key
+        assert first.cache_key == second.cache_key == first.source == second.source
+        cold = svc.run(implicit)
+        warm = svc.run(explicit)
+        assert not cold.served_from_cache and warm.served_from_cache
+        assert ids(cold) == ids(warm)
+        assert svc.metrics()["executed"] == 1
+        assert svc.cache_stats()["results"]["currsize"] == 1
 
 
 def _in_process_worker(model):
@@ -167,16 +180,6 @@ def _in_process_worker(model):
         "remaining": None,
     }
     return worker, payload
-
-
-def test_worker_reply_carries_signature_only_when_asked(model):
-    worker, payload = _in_process_worker(model)
-    plain = worker.run(payload)
-    assert "signature" not in plain
-    assert worker.run(dict(payload, want_signature=False)).keys() == plain.keys()
-    asked = worker.run(dict(payload, want_signature=True))
-    assert asked["signature"] == worker.engine.compile(payload["source"]).plan_signature
-    assert asked["ids"] == plain["ids"]
 
 
 def _broken(message):
