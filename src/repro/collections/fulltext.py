@@ -106,22 +106,21 @@ class DocumentFrequencyView(Mapping):
 class InvertedIndex:
     """Positional inverted index over ``uri → text``, incrementally kept.
 
-    ``add``/``remove``/``replace`` touch only the named document's
+    ``add``/``adopt``/``remove`` touch only the named document's
     postings — O(document), never O(corpus) — which is the property the
     rebuild-vs-incremental property test pins after random update
-    scripts.
+    scripts.  No step mutates a position list once it is indexed, so
+    :meth:`adopt` can share them between indexes.
     """
 
-    __slots__ = ("_postings", "_doc_terms", "_doc_lengths", "maintenance_ops")
+    __slots__ = ("_postings", "_doc_terms", "maintenance_ops")
 
     def __init__(self) -> None:
         #: token → uri → sorted token ordinals where the token occurs
         self._postings: Dict[str, Dict[str, List[int]]] = {}
         #: uri → the distinct tokens it contributed (for O(doc) removal)
         self._doc_terms: Dict[str, Tuple[str, ...]] = {}
-        #: uri → token count (reserved for future length-aware ranking)
-        self._doc_lengths: Dict[str, int] = {}
-        #: incremental add/remove operations applied (observability)
+        #: incremental add/adopt/remove operations applied (observability)
         self.maintenance_ops = 0
 
     # -- maintenance -------------------------------------------------------
@@ -130,14 +129,33 @@ class InvertedIndex:
         """Index *uri*; replaces any previous postings for it."""
         if uri in self._doc_terms:
             self.remove(uri)
-        tokens = tokens_of(text)
         by_token: Dict[str, List[int]] = {}
-        for position, token in enumerate(tokens):
-            by_token.setdefault(token, []).append(position)
+        for position, token in enumerate(_TOKEN_RE.findall(text)):
+            token = token.casefold()
+            positions = by_token.get(token)
+            if positions is None:
+                by_token[token] = [position]
+            else:
+                positions.append(position)
+        self._insert(uri, by_token)
+
+    def adopt(self, uri: str, source: "InvertedIndex") -> None:
+        """Index *uri* with *source*'s postings for it; replaces any previous
+        postings.  Each position list is taken by reference, not copied."""
+        if uri in self._doc_terms:
+            self.remove(uri)
+        postings = source._postings
+        self._insert(uri, {token: postings[token][uri] for token in source._doc_terms[uri]})
+
+    def _insert(self, uri: str, by_token: Dict[str, List[int]]) -> None:
+        postings = self._postings
         for token, positions in by_token.items():
-            self._postings.setdefault(token, {})[uri] = positions
-        self._doc_terms[uri] = tuple(sorted(by_token))
-        self._doc_lengths[uri] = len(tokens)
+            entry = postings.get(token)
+            if entry is None:
+                postings[token] = {uri: positions}
+            else:
+                entry[uri] = positions
+        self._doc_terms[uri] = tuple(by_token)
         self.maintenance_ops += 1
 
     def remove(self, uri: str) -> None:
@@ -151,7 +169,6 @@ class InvertedIndex:
                 entry.pop(uri, None)
                 if not entry:
                     del self._postings[token]
-        self._doc_lengths.pop(uri, None)
         self.maintenance_ops += 1
 
     @classmethod

@@ -210,20 +210,12 @@ class SearchService(FrontEnd):
     def _worker_config(self, shard: int) -> CollectionWorkerConfig:
         """Shard *shard*'s boot config, read from the authoritative store at
         first boot and again at every respawn, so a replacement worker
-        comes back with every write and registered collection."""
+        comes back with every write and registered collection.  Its store
+        shares the authoritative store's parsed documents and postings."""
         with self._authoritative_lock:
-            store = self.store
+            uris = [uri for uri in self.store.uris() if bucket(uri, self.shards) == shard]
             return CollectionWorkerConfig(
-                shard=shard,
-                shards=self.shards,
-                texts=[
-                    (uri, store.text_of(uri))
-                    for uri in store.uris()
-                    if bucket(uri, self.shards) == shard
-                ],
-                collections=store.known_collections(),
-                use_index=store.use_index,
-                backend=self.backend,
+                shard=shard, store=self.store.subset(uris), backend=self.backend
             )
 
     # -- reads -------------------------------------------------------------

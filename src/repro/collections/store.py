@@ -8,7 +8,7 @@ belongs to every ancestor collection, and ``""`` names the whole store.
 Three document flavors coexist:
 
 * plain XDM documents (``put_text``) — parsed once, the raw source kept
-  for persistence and for shipping shard replicas to worker processes;
+  for persistence and for replicating writes to shard workers;
 * AWB model exports (``put_model``) — backed by a live
   :class:`~repro.awb.Model` plus the update pipeline's
   :class:`~repro.awb.xml_io.IncrementalExporter`, so an update script
@@ -118,7 +118,7 @@ class DocumentStore:
         self.index = InvertedIndex()
         self.generation = 0
         self._docs: Dict[str, DocumentNode] = {}
-        #: raw XML per URI — persistence + worker-replica shipping.
+        #: raw XML per URI — persistence + write replication.
         self._texts: Dict[str, str] = {}
         #: model-backed documents: live model + its incremental exporter.
         self._models: Dict[str, Tuple[Model, IncrementalExporter]] = {}
@@ -202,7 +202,15 @@ class DocumentStore:
             )
         self._bump(uri)
 
-    def _install(self, uri: str, document: DocumentNode, text: str) -> None:
+    def _install(
+        self,
+        uri: str,
+        document: DocumentNode,
+        text: str,
+        postings: Optional[InvertedIndex] = None,
+    ) -> None:
+        """Store *document* under *uri* and index it: tokenized afresh, or
+        adopted from the *postings* of another index holding *uri*."""
         validate_uri(uri)
         previous = self._docs.get(uri)
         if previous is not None:
@@ -215,7 +223,10 @@ class DocumentStore:
         self._docs[uri] = document
         self._texts[uri] = text
         self._uri_by_doc[id(document)] = uri
-        self.index.add(uri, document.string_value())
+        if postings is None:
+            self.index.add(uri, document.string_value())
+        else:
+            self.index.adopt(uri, postings)
         self._bump(uri)
 
     def _bump(self, uri: str) -> None:
@@ -352,21 +363,29 @@ class DocumentStore:
 
     # -- sharding ----------------------------------------------------------
 
-    def subset(self, uris: List[str]) -> "DocumentStore":
+    def subset(self, uris: Iterable[str]) -> "DocumentStore":
         """A new store holding only *uris* (collections stay known).
 
-        Every known collection is carried over, so a search over a
-        collection with no member in the new store answers ``()`` instead
-        of FODC0002.
+        A text document is shared, not re-parsed: the new store installs
+        this store's tree, raw text and postings, none of which any store
+        mutates in place.  A model-backed document is parsed afresh from
+        its text (as a plain text document), because its exporter patches
+        its tree in place.  Every known collection is carried over, so a
+        search over a collection with no member in the new store answers
+        ``()`` instead of FODC0002.
         """
         shard = DocumentStore(use_index=self.use_index)
         for uri in sorted(uris):
-            shard.put_text(uri, self.text_of(uri))
+            text = self.text_of(uri)
+            if uri in self._models:
+                shard.put_text(uri, text)
+            else:
+                shard._install(uri, self._docs[uri], text, self.index)
         shard.register_collections(self._collection_gens)
         return shard
 
     def texts(self) -> List[Tuple[str, str]]:
-        """``(uri, raw xml)`` pairs — the picklable replica payload."""
+        """``(uri, raw xml)`` pairs, in uri order."""
         return [(uri, self._texts[uri]) for uri in sorted(self._docs)]
 
     def known_collections(self) -> List[str]:

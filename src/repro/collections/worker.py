@@ -1,10 +1,12 @@
 """The collection shard worker: one document-shard replica.
 
 :class:`~repro.collections.service.SearchService` builds one of these per
-shard.  Each worker rebuilds its shard's
-:class:`~repro.collections.store.DocumentStore` from the picklable
-``(uri, raw xml)`` payload and owns its own engine (plan LRU included).
-In process mode it runs in the calculus tier's request loop,
+shard.  Each worker takes its shard's
+:class:`~repro.collections.store.DocumentStore` ready-made, a subset of
+the authoritative store that shares its parsed documents and postings,
+and owns its own engine (plan LRU included).  A process worker is
+forked, so it holds a private copy-on-write copy and parses nothing at
+boot.  In process mode it runs in the calculus tier's request loop,
 :func:`repro.serving.worker.worker_main`, behind the same
 :class:`~repro.serving.pool.WorkerHandle`: the parent sends ``(op,
 req_id, payload)`` and the worker answers ``("ok", req_id, result)`` or
@@ -26,7 +28,7 @@ loop's own ``shutdown``.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
 
 from ..xdm import ElementNode
@@ -88,15 +90,14 @@ def merge_rows(
 
 @dataclass
 class CollectionWorkerConfig:
-    """Everything a worker process needs to build its replica (picklable)."""
+    """Everything a worker needs to build its replica."""
 
     shard: int
-    shards: int
-    texts: List[Tuple[str, str]] = field(default_factory=list)
-    #: every collection the tier knows, so a shard holding no member of
-    #: one still answers ``()`` instead of FODC0002.
-    collections: List[str] = field(default_factory=list)
-    use_index: bool = True
+    #: the shard's documents, sharing the authoritative store's parsed
+    #: trees and postings (:meth:`DocumentStore.subset`), with every
+    #: collection the tier knows, so a shard holding no member of one
+    #: still answers ``()`` instead of FODC0002.
+    store: DocumentStore
     backend: str = "algebra"
 
 
@@ -108,10 +109,7 @@ class CollectionWorker:
 
     def __init__(self, config: CollectionWorkerConfig):
         self.shard = config.shard
-        self.store = DocumentStore(use_index=config.use_index)
-        for uri, text in config.texts:
-            self.store.put_text(uri, text)
-        self.store.register_collections(config.collections)
+        self.store = config.store
         self.engine = XQueryEngine(EngineConfig(backend=config.backend))
         self.runs = 0
         self.writes = 0

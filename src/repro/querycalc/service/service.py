@@ -290,8 +290,13 @@ class QueryService(FrontEnd):
             # module, so a top-level import would be circular.
             from ...serving.pool import ProcessPool
 
+            with self._export_lock:
+                # the export and its catalog (built together) exist before
+                # the fork, so every worker inherits them instead of
+                # parsing a copy, and the first snapshot builds neither.
+                self._backend.statistics
             self._pool = ProcessPool(
-                model,
+                self._backend,
                 shards=workers,
                 plan_cache_size=plan_cache_size,
             )

@@ -14,8 +14,8 @@ pieces under them:
     owns its key) and the search-request router;
 :mod:`repro.serving.worker`
     the worker: the op dispatch and request loop both tiers run, and the
-    calculus worker's faithful replica import, per-worker engine +
-    compile LRU and plan evaluation;
+    calculus worker's adopted replica, per-worker engine + compile LRU
+    and plan evaluation;
 :mod:`repro.serving.pool`
     the worker handles (a respawning process, or one in-process worker),
     the concurrent scatter, and the calculus pool's replica refresh and

@@ -7,11 +7,13 @@ the calculus tier's :class:`ProcessPool` below and the search tier's
 :class:`~repro.collections.service.SearchService`, whose thread mode
 holds the same workers in-process through :class:`LocalHandle`.
 
-The calculus front-end owns one :class:`ProcessPool`.  Each worker is a real OS
-process (fork where available) holding a full model replica and its own
-engine compile LRU — shared-nothing, so N workers really do evaluate N
-different queries concurrently instead of time-slicing one GIL.  Each
-query runs, whole, on one worker.
+The calculus front-end owns one :class:`ProcessPool`.  Each worker is a
+forked OS process holding a full model replica and its own engine compile
+LRU — shared-nothing, so N workers really do evaluate N different queries
+concurrently instead of time-slicing one GIL.  Each query runs, whole, on
+one worker.  The tier is fork-only: a boot config holds live objects the
+child inherits (a backend, or a document store whose documents are known
+by ``id()``), which a ``spawn`` child would receive as pickled copies.
 
 Compiled closures don't pickle, so the parent never ships compiled plans.
 A process-mode :class:`~repro.querycalc.service.plans.QueryPlan` carries
@@ -32,13 +34,13 @@ from concurrent.futures import ThreadPoolExecutor
 from itertools import count
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
-from ..awb.model import Model
 from ..awb.xml_io import export_model_text
 from ..querycalc.service.errors import RemoteQueryError
 from ..querycalc.service.plans import QueryPlan
+from ..querycalc.via_xquery import XQueryCalculusBackend
 from ..xquery.errors import XQueryTimeoutError
 from .partition import Route
-from .worker import ShardWorker, WorkerConfig, dispatch, worker_main
+from .worker import ShardWorker, WorkerConfig, dispatch, replica_backend, worker_main
 
 __all__ = [
     "LocalHandle",
@@ -57,13 +59,10 @@ DEFAULT_REQUEST_TIMEOUT = 60.0
 #: declares the worker unresponsive and respawns it.
 REQUEST_GRACE = 5.0
 
-#: how long a worker may take to import its replica and report ready.
+#: how long a worker may take to build its replica and report ready.
 BOOT_TIMEOUT = 120.0
 
-try:
-    _CTX = multiprocessing.get_context("fork")
-except ValueError:  # pragma: no cover - platform without fork
-    _CTX = multiprocessing.get_context("spawn")
+_CTX = multiprocessing.get_context("fork")
 
 
 class WorkerUnresponsiveError(XQueryTimeoutError):
@@ -103,9 +102,10 @@ class WorkerHandle:
 
     Both serving tiers hold their worker processes through this class.
     The worker runs :func:`~repro.serving.worker.worker_main` over
-    ``make_worker``; ``make_config()`` builds its picklable boot config,
-    and is called again on every respawn, so a fresh worker boots from
-    the owner's current state rather than from the state at first boot.
+    ``make_worker``; ``make_config()`` builds its boot config, which the
+    forked child inherits, and is called again on every respawn, so a
+    fresh worker boots from the owner's current state rather than from
+    the state at first boot.
 
     Booting is two steps: the constructor (and :meth:`start`) forks the
     worker, and :meth:`wait` takes its boot reply.  An owner starts every
@@ -330,31 +330,33 @@ class ProcessPool:
 
     Callers serialize :meth:`ensure_generation` and :meth:`apply_delta`
     (the calculus front end calls both under its export lock).  Every
-    worker boots from one export taken at construction, and reboots on
-    respawn from an export of the live model, so a respawn mid-update may
-    boot one step ahead of :attr:`generation`:
-    replaying that update's delta then fails (its ids already exist, and
-    the pool refreshes) or changes nothing.  The front end sees the model
-    generation move under the read and runs it again either way.
+    worker first boots by forking with *backend*, whose export and
+    catalog the caller has built, so no worker parses anything.  A
+    respawn must not fork the live model, which another thread may be
+    halfway through updating: it boots from a backend built from an
+    export of the live model, so it may boot one step ahead of
+    :attr:`generation`: replaying that update's delta then fails (its ids
+    already exist, and the pool refreshes) or changes nothing.  The front
+    end sees the model generation move under the read and runs it again
+    either way.
     """
 
     def __init__(
         self,
-        model: Model,
+        backend: XQueryCalculusBackend,
         shards: int,
         plan_cache_size: int = 128,
         request_timeout: float = DEFAULT_REQUEST_TIMEOUT,
     ):
-        self.model = model
-        self.metamodel = model.metamodel
+        self.model = backend.model
         self.shards = shards
         self.plan_cache_size = plan_cache_size
-        self.generation = model.generation
+        self.generation = backend.export_generation
         self.refreshes = 0
         self.deltas = 0
-        #: the first boot hands every shard one export; a respawn exports
-        #: the live model again.
-        self._boot_text: Optional[str] = export_model_text(model, indent=False)
+        #: the first boot forks every shard with the caller's backend; a
+        #: respawn builds one from the live model.
+        self._boot_backend: Optional[XQueryCalculusBackend] = backend
         self.handles = boot_workers(
             lambda shard: WorkerHandle(
                 shard,
@@ -364,14 +366,16 @@ class ProcessPool:
             ),
             shards,
         )
-        self._boot_text = None
+        self._boot_backend = None
         self._closed = False
 
     def _worker_config(self, shard: int) -> WorkerConfig:
+        backend = self._boot_backend or replica_backend(
+            export_model_text(self.model, indent=False), self.model.metamodel
+        )
         return WorkerConfig(
             shard=shard,
-            metamodel=self.metamodel,
-            export_text=self._boot_text or export_model_text(self.model, indent=False),
+            backend=backend,
             generation=self.generation,
             plan_cache_size=self.plan_cache_size,
         )

@@ -1,11 +1,15 @@
 """The shard worker: one process, one full model replica.
 
-Each worker imports the model from the front-end's XML export (faithfully:
-``apply_defaults=False``, so deleted default-valued properties stay
-deleted), owns its own :class:`XQueryCalculusBackend` + engine compile LRU,
-and evaluates whole calculus plans over its full replica — exact
-single-process semantics.  The front-end sends each plan to one worker
-(:func:`~repro.serving.partition.route_query`).
+Each worker adopts an :class:`XQueryCalculusBackend` built in the parent
+(a model, its export and its statistics catalog), owns its own engine
+compile LRU, and evaluates whole calculus plans over its full replica —
+exact single-process semantics.  Workers are forked, so each holds a
+private copy-on-write copy of that backend and parses nothing at boot:
+the first boot forks with the front end's own backend, and a respawn or
+a ``refresh`` builds one from an export of the live model
+(:func:`replica_backend`; faithfully, ``apply_defaults=False``, so
+deleted default-valued properties stay deleted).  The front-end sends
+each plan to one worker (:func:`~repro.serving.partition.route_query`).
 
 A reply carries the result's node ids in the engine's order and the trace
 messages.  The front end keys its result cache on the plan's generated
@@ -17,10 +21,11 @@ serving tiers; the search tier's
 serves each op through :func:`dispatch`, which the in-process handle
 calls directly.
 
-The module pre-imports every dependency at top level: under the ``fork``
-start method a lazily-imported module could otherwise deadlock on an
-import lock the parent held at fork time, and under ``spawn`` the child
-needs them anyway.
+The serving tier is fork-only: a boot config holds live objects (a
+backend here, a document store in the search tier) that the child
+inherits rather than unpickles.  The module pre-imports every dependency
+at top level, so a lazily-imported module cannot deadlock on an import
+lock the parent held at fork time.
 """
 
 from __future__ import annotations
@@ -38,16 +43,27 @@ from ..xdm import ElementNode
 from ..xquery import EngineConfig, XQueryEngine
 from ..xquery import algebra  # noqa: F401  (the engine and backend load it lazily)
 
-__all__ = ["WorkerConfig", "ShardWorker", "dispatch", "worker_main"]
+__all__ = ["WorkerConfig", "ShardWorker", "dispatch", "replica_backend", "worker_main"]
+
+
+def replica_backend(export_text: str, metamodel: Metamodel) -> XQueryCalculusBackend:
+    """A backend over a faithful import of *export_text*, with its export
+    and statistics catalog built, so no query on it pays for either."""
+    backend = XQueryCalculusBackend(
+        import_model_text(export_text, metamodel, apply_defaults=False)
+    )
+    backend.statistics
+    return backend
 
 
 @dataclass
 class WorkerConfig:
-    """Everything a worker process needs to build its replica (picklable)."""
+    """Everything a worker needs to hold its replica."""
 
     shard: int
-    metamodel: Metamodel
-    export_text: str
+    #: the replica: a model, its export and its statistics catalog.  A
+    #: forked worker adopts its own copy-on-write copy.
+    backend: XQueryCalculusBackend
     generation: int
     plan_cache_size: int = 128
 
@@ -60,35 +76,30 @@ class ShardWorker:
 
     def __init__(self, config: WorkerConfig):
         self.shard = config.shard
-        self.metamodel = config.metamodel
         self.plan_cache_size = config.plan_cache_size
         self._plans = PlanCache(maxsize=config.plan_cache_size)
+        self.engine = XQueryEngine(EngineConfig(backend="algebra"))
         self.runs = 0
         self.fallbacks = 0
         self.errors = 0
         self.deltas = 0
-        self._load(config.export_text, config.generation)
+        self._adopt(config.backend, config.generation)
 
     # -- replica lifecycle -------------------------------------------------
 
-    def _load(self, export_text: str, generation: int) -> None:
-        self.model = import_model_text(
-            export_text, self.metamodel, apply_defaults=False
-        )
-        self.engine = XQueryEngine(EngineConfig(backend="algebra"))
-        self.backend = XQueryCalculusBackend(self.model, engine=self.engine)
+    def _adopt(self, backend: XQueryCalculusBackend, generation: int) -> None:
+        self.backend = backend
+        self.model = backend.model
         self.generation = generation
-        # build the export and its statistics catalog while booting, so the
-        # first query on a fresh replica pays for neither.
-        self.backend.statistics
 
     def refresh(self, payload: Dict) -> Dict[str, int]:
         """Swap in a new export generation (a full replica rebuild)."""
-        # the plan cache survives: generated source depends only on the
-        # metamodel, not the instance data.  Only the replica moves.
-        plans = self._plans
-        self._load(payload["export_text"], payload["generation"])
-        self._plans = plans
+        # the plan cache and engine survive: generated source depends only
+        # on the metamodel, not the instance data.  Only the replica moves.
+        self._adopt(
+            replica_backend(payload["export_text"], self.model.metamodel),
+            payload["generation"],
+        )
         return {"generation": self.generation}
 
     def delta(self, payload: Dict) -> Dict[str, int]:

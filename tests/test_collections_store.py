@@ -8,9 +8,11 @@ the code.
 
 import pytest
 
-from repro.collections import DocumentStore
+from repro.collections import DocumentStore, InvertedIndex
 from repro.collections.store import collection_prefixes, normalize_collection
 from repro.querycalc.service.errors import classify_error
+from repro.testing.models import random_document_store
+from repro.xmlio import serialize
 from repro.xquery.errors import XQueryDynamicError
 
 
@@ -136,6 +138,71 @@ def test_subset_keeps_collections_known():
     # FODC0002 — scatter must not flicker errors on partial shards.
     assert shard.collection_uris("notes/") == []
     assert shard.search("notes/", "delta") == []
+
+
+def _image(store):
+    """Everything a reader of *store* can observe, as plain values."""
+    return (
+        {uri: (store.text_of(uri), serialize(store.resolve(uri))) for uri in store.uris()},
+        store.index.snapshot(),
+        store.known_collections(),
+        store.generation,
+    )
+
+
+def _shared_store():
+    store = random_document_store(5, docs=10)
+    uris = [uri for uri in store.uris() if uri != "docs/d0.xml"]
+    return store, store.subset(uris)
+
+
+def test_subset_shares_text_documents_and_reparses_model_backed_ones():
+    store, shard = _shared_store()
+    model_uris = [uri for uri in shard.uris() if uri.startswith("models/")]
+    assert model_uris and len(model_uris) < len(shard)
+    for uri in shard.uris():
+        if uri in model_uris:
+            assert shard.resolve(uri) is not store.resolve(uri)
+            assert serialize(shard.resolve(uri)) == serialize(store.resolve(uri))
+        else:
+            assert shard.resolve(uri) is store.resolve(uri)
+        assert shard.text_of(uri) == store.text_of(uri)
+        assert shard.uri_of(shard.resolve(uri)) == uri
+
+
+def test_subset_index_equals_a_rebuild_and_counts_like_put_text():
+    store, shard = _shared_store()
+    rebuilt = InvertedIndex.rebuild(
+        (uri, shard.resolve(uri).string_value()) for uri in shard.uris()
+    )
+    assert shard.index.snapshot() == rebuilt.snapshot()
+    parsed = DocumentStore()
+    for uri in shard.uris():
+        parsed.put_text(uri, shard.text_of(uri))
+    assert shard.index.maintenance_ops == parsed.index.maintenance_ops == len(shard)
+    assert shard.generation == parsed.generation
+    for phrase in ("alpha", "beta gamma", "京都"):
+        assert shard.search("", phrase) == parsed.search("", phrase)
+
+
+@pytest.mark.parametrize("writer", ["source", "subset"])
+def test_writes_to_a_store_leave_its_subset_or_source_unchanged(writer):
+    store, shard = _shared_store()
+    written, other = (store, shard) if writer == "source" else (shard, store)
+    before = _image(other)
+    text_uri = next(uri for uri in shard.uris() if uri.startswith("docs/"))
+    model_uri = next(uri for uri in shard.uris() if uri.startswith("models/"))
+    written.put_text(text_uri, "<doc>omega rewritten</doc>")
+    written.put_text("docs/fresh.xml", "<doc>alpha fresh</doc>")
+    written.remove(next(uri for uri in shard.uris() if uri.startswith("notes/")))
+    if written is store:
+        store.apply_update(model_uri, 'insert node Document with (label "pad zzyzx pad");')
+        assert store.search("models/", "zzyzx") == [(model_uri, 1)]
+    else:
+        # the subset holds the model's export as plain text: nothing to update
+        with pytest.raises(XQueryDynamicError):
+            shard.apply_update(model_uri, 'insert node Document with (label "x");')
+    assert _image(other) == before
 
 
 def test_search_indexed_equals_brute_force():

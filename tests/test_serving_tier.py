@@ -164,15 +164,11 @@ def _in_process_worker(model):
     """A ShardWorker in this process, plus a ``run`` payload."""
     from repro.awb.xml_io import export_model_text
     from repro.querycalc.via_xquery import XQueryCalculusBackend
-    from repro.serving.worker import ShardWorker, WorkerConfig
+    from repro.serving.worker import ShardWorker, WorkerConfig, replica_backend
 
+    backend = replica_backend(export_model_text(model, indent=False), model.metamodel)
     worker = ShardWorker(
-        WorkerConfig(
-            shard=0,
-            metamodel=model.metamodel,
-            export_text=export_model_text(model, indent=False),
-            generation=model.generation,
-        )
+        WorkerConfig(shard=0, backend=backend, generation=model.generation)
     )
     payload = {
         "key": "all",
@@ -327,9 +323,13 @@ def test_worker_crash_respawns_and_recovers(model):
         svc.close()
 
 
-def test_boot_exports_the_model_once_and_a_respawn_exports_it_again(model, monkeypatch):
-    """Every shard's first boot shares one export; a respawned worker boots
-    from a fresh export of the live model."""
+def test_first_boot_exports_nothing_and_a_respawn_exports_the_live_model(
+    model, monkeypatch
+):
+    """Every shard's first boot forks with the front end's backend, so
+    nothing is exported; a respawned worker boots from one export of the
+    live model and answers as native does."""
+    from repro.querycalc.native import run_query
     from repro.serving import pool
 
     exports = []
@@ -341,13 +341,52 @@ def test_boot_exports_the_model_once_and_a_respawn_exports_it_again(model, monke
 
     monkeypatch.setattr(pool, "export_model_text", counting_export)
     with QueryService(model, mode="process", workers=3) as svc:
-        assert exports == [model.generation]
+        assert exports == []
         victim = svc._pool.handles[0]
         victim.process.kill()
         victim.process.join(timeout=5.0)
         with pytest.raises(RuntimeError, match="died mid-request"):
             victim.request("stats", {})
-        assert victim.restarts == 1 and len(exports) == 2
+        assert victim.restarts == 1 and exports == [model.generation]
+        rng = random.Random(11)
+        for query in (random_calculus_query(rng, model) for _ in range(8)):
+            plan = svc._plan(query)
+            reply = victim.request(
+                "run", {"key": plan.key, "source": plan.source, "remaining": None}
+            )
+            assert reply["ids"] == [node.id for node in run_query(query, model)]
+
+
+@pytest.mark.parametrize("tier", ["query", "search"])
+def test_workers_boot_without_parsing(model, tier, monkeypatch):
+    """Forked workers adopt what the parent already built: with the model
+    import and the XML parser both raising (children inherit the patch),
+    every worker still boots and answers like the reference path."""
+    from bench.workloads import SearchRW
+    from repro.collections import DocumentStore, SearchService
+    from repro.collections import store as store_module
+    from repro.querycalc.native import run_query
+    from repro.serving import worker
+
+    def refuse_to_parse():
+        monkeypatch.setattr(worker, "import_model_text", _broken("a worker imported a model"))
+        monkeypatch.setattr(store_module, "parse_document", _broken("a worker parsed XML"))
+
+    if tier == "query":
+        rng = random.Random(3)
+        refuse_to_parse()
+        with QueryService(model, mode="process", workers=2) as svc:
+            for query in (random_calculus_query(rng, model) for _ in range(50)):
+                assert ids(svc.run(query)) == [node.id for node in run_query(query, model)]
+        return
+    search = SearchRW(1, smoke=True)
+    store = DocumentStore()
+    for uri, text in search.texts:
+        store.put_text(uri, text)
+    refuse_to_parse()
+    with SearchService(store, shards=2, mode="process") as svc:
+        for request in search.warm:
+            assert svc.run(request).text == svc.evaluate_fresh(request, use_index=False)
 
 
 def test_each_query_is_one_worker_round_trip(model):
