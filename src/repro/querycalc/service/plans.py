@@ -1,20 +1,17 @@
-"""Plan normalization, the plan cache, and the one way to run a plan.
+"""Plan normalization and the plan cache.
 
 A *plan* is everything the service needs to execute one calculus query
 repeatedly without re-doing per-query work: the generated XQuery source
-and, in thread mode, its :class:`~repro.xquery.api.CompiledQuery`
-(parsed, linted, optimized and lowered to the algebra).
+and the dependency set its cached answers carry.  Compiling the source
+is a shard worker's job (:class:`~repro.serving.worker.ShardWorker`, in
+both service modes), through its engine's compile LRU.
 
 Plans are keyed by the *normalized query text* — a canonical rendering of
 the calculus AST — so two structurally identical queries parsed from
-different XML files share one compiled plan.  Results are keyed by the
-generated source: spellings that normalize differently but generate the
-same XQuery (``sort_by=None`` and the label property, say) share one
-cached answer.
-
-:func:`run_compiled` evaluates a compiled plan for both halves of the
-serving path, the thread-mode front end and the process-mode shard
-worker, so the algebra→treewalk degradation is written once.
+different XML files share one plan.  Results are keyed by the generated
+source: spellings that normalize differently but generate the same
+XQuery (``sort_by=None`` and the label property, say) share one cached
+answer.
 """
 
 from __future__ import annotations
@@ -22,12 +19,9 @@ from __future__ import annotations
 import threading
 from collections import OrderedDict
 from dataclasses import dataclass
-from typing import Callable, Dict, Optional, Sequence, Tuple
+from typing import Callable, Dict, Optional
 
-from ...xquery import TraceLog
-from ...xquery.errors import XQueryError, XQueryTimeoutError
 from ..ast import FilterProperty, FilterType, Follow, Query
-from .errors import Deadline
 
 
 def normalize_query(query: Query) -> str:
@@ -76,8 +70,6 @@ class QueryPlan:
     query: object
     #: generated XQuery source.
     source: Optional[str] = None
-    #: compiled query, ready to ``run()`` (thread mode only).
-    compiled: Optional[object] = None
     #: the plan's :class:`~repro.querycalc.service.deps.DependencySet`,
     #: derived at build time — what its cached answers can depend on.
     deps: Optional[object] = None
@@ -87,63 +79,6 @@ class QueryPlan:
         """The result-cache key: the generated source, which both modes know
         when the plan is built (equal source, equal plan), else the key."""
         return self.source if self.source is not None else self.key
-
-
-def run_compiled(
-    compiled,
-    variables: Dict[str, object],
-    deadline: Optional[Deadline],
-    statistics,
-    algebra_cache=None,
-    before: Optional[Callable[[str], None]] = None,
-) -> Tuple[Sequence, Tuple[str, ...]]:
-    """Run *compiled* on its engine's backend; return (result, traces).
-
-    Spec errors (timeouts included) surface as they are.  An *internal*
-    error from the algebra is retried once on the treewalk reference
-    backend — graceful degradation: correctness from the reference
-    interpreter beats failing the request.  If the retry fails too, the
-    original error surfaces, unless the budget ran out during the retry
-    (then it is a timeout).
-
-    ``before(backend)`` runs ahead of each attempt: the service hooks its
-    fault injector there, and both callers count a fallback when the
-    attempt's backend is not ``compiled.config.backend``.  ``statistics``
-    and ``algebra_cache`` only steer the algebra.
-    """
-    primary = compiled.config.backend
-
-    def attempt(backend: str) -> Tuple[Sequence, Tuple[str, ...]]:
-        if before is not None:
-            before(backend)
-        if deadline is not None:
-            deadline.check("evaluate")
-        trace = TraceLog()
-        result = compiled.run(
-            variables=variables,
-            trace=trace,
-            backend=backend,
-            deadline=deadline.at if deadline is not None else None,
-            statistics=statistics,
-            algebra_cache=algebra_cache,
-        )
-        if deadline is not None:
-            deadline.check("materialize")
-        return result, tuple(trace.messages)
-
-    try:
-        return attempt(primary)
-    except XQueryError:
-        raise
-    except Exception as first:
-        if primary == "treewalk":
-            raise  # already on the reference backend: nothing to degrade to
-        try:
-            return attempt("treewalk")
-        except XQueryTimeoutError:
-            raise  # the budget ran out during the retry: that is a timeout
-        except Exception:
-            raise first
 
 
 class PlanCache:

@@ -4,8 +4,8 @@ This is the architectural answer to E6 *and* the robustness answer to the
 paper's error-handling chapter.  The caching story (PR 3) keeps four
 layers warm between requests:
 
-1. a **plan cache**: normalized calculus text → generated XQuery source →
-   compiled closure program (the engine's own compile LRU backs this up);
+1. a **plan cache**: normalized calculus text → generated XQuery source
+   (a shard worker compiles it through its engine's compile LRU);
 2. an **incremental model export**: mutations dirty individual subtrees,
    so the XML document the queries scan is patched, not rebuilt;
 3. a **result cache** keyed by (generated source, export generation):
@@ -30,8 +30,8 @@ of an unhandled exception:
   hanging a worker;
 * **graceful degradation** — an *internal* (non-spec) error from the
   algebra backend is retried once on the treewalk reference backend
-  before surfacing (:func:`~repro.querycalc.service.plans.run_compiled`,
-  shared with the shard worker), and counted in ``metrics()["fallbacks"]``;
+  before surfacing (in :meth:`~repro.serving.worker.ShardWorker.run`),
+  and counted in ``metrics()["fallbacks"]``;
 * **fault injection** — a :class:`~repro.querycalc.service.faults.FaultInjector`
   can fail or stall any pipeline site, which is how the chaos suite and
   the E16 benchmark exercise all of the above.
@@ -43,10 +43,20 @@ code runs — and, now, what happens when it fails.
 The read loop is :class:`FrontEnd`, which the search tier's
 :class:`~repro.collections.service.SearchService` extends too: both front
 ends serve reads under one rule and count them in one shape.
+
+A plan runs one way in both modes: :meth:`QueryService._execute` sends
+it as one ``{key, source, remaining}`` payload to a
+:class:`~repro.serving.worker.ShardWorker`, which compiles it, runs it
+over its backend's export with a shared-scan cache per export
+generation, and turns the result into node ids.  Thread mode holds one
+such worker in-process, over the service's own backend, engine and fault
+injector; process mode sends the payload to the worker process the
+plan's key routes to.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 import os
 import threading
@@ -55,7 +65,6 @@ from concurrent.futures import ThreadPoolExecutor
 from typing import Dict, Iterable, List, Optional, Tuple
 
 from ...awb.model import Model
-from ...xdm import ElementNode
 from ...xquery import EngineConfig, XQueryEngine
 from ..ast import Query
 from ..native import QueryRuntimeError
@@ -63,7 +72,7 @@ from ..via_xquery import XQueryCalculusBackend
 from .deps import derive_dependencies, patch_result
 from .errors import Deadline, QueryError, QueryOverloadError, classify_error
 from .faults import FaultInjector
-from .plans import PlanCache, QueryPlan, normalize_query, run_compiled
+from .plans import PlanCache, QueryPlan, normalize_query
 from .results import BatchItem, ResultCache
 
 #: the service's execution modes: a thread pool in this process (threads
@@ -263,14 +272,10 @@ class QueryService(FrontEnd):
         self.faults = fault_injector
         # the algebra backend is the default cold path: set-at-a-time plans
         # with hash joins, falling back to the closure compiler per subtree
-        # (and to the treewalk wholesale, via run_compiled's retry, on any
-        # internal error).
+        # (and to the treewalk wholesale, via the shard worker's retry, on
+        # any internal error).
         self.engine = engine or XQueryEngine(EngineConfig(backend="algebra"))
         self._backend = XQueryCalculusBackend(model, engine=self.engine)
-        #: batch-level common-subexpression cache for the algebra backend,
-        #: replaced whenever the export generation moves.
-        self._algebra_cache = None
-        self._algebra_cache_generation: Optional[int] = None
         self._plans = PlanCache(maxsize=plan_cache_size)
         self._updates = 0
         self._propagations: Dict[str, int] = {
@@ -279,27 +284,35 @@ class QueryService(FrontEnd):
             "invalidated": 0,
             "skipped": 0,
         }
-        self._export_lock = threading.Lock()
         self._batches = 0
         self._batch_deduped = 0
         self._fallbacks = 0
-        # -- the shared-nothing serving tier (mode="process") --------------
+        # -- where plans run: one worker here, or a pool of processes ------
+        # imported lazily: repro.serving imports this package's errors
+        # module, so a top-level import would be circular.
+        from ...serving.worker import ShardWorker, WorkerConfig
+
+        self._worker = None
         self._pool = None
-        if mode == "process":
-            # imported lazily: repro.serving imports this package's errors
-            # module, so a top-level import would be circular.
+        if mode == "thread":
+            self._worker = ShardWorker(
+                WorkerConfig(
+                    shard=0,
+                    backend=self._backend,
+                    generation=model.generation,
+                    engine=self.engine,
+                    faults=fault_injector,
+                )
+            )
+        else:
             from ...serving.pool import ProcessPool
 
-            with self._export_lock:
+            with self._backend.lock:
                 # the export and its catalog (built together) exist before
                 # the fork, so every worker inherits them instead of
                 # parsing a copy, and the first snapshot builds neither.
                 self._backend.statistics
-            self._pool = ProcessPool(
-                self._backend,
-                shards=workers,
-                plan_cache_size=plan_cache_size,
-            )
+            self._pool = ProcessPool(self._backend, shards=workers)
 
     # -- public API -------------------------------------------------------------
 
@@ -423,7 +436,7 @@ class QueryService(FrontEnd):
         """
         from ...xquery.updates.apply import apply_script
 
-        with self._export_lock:
+        with self._backend.lock:
             old_generation = self.model.generation
             export_generation = self._backend.export_generation
             in_sync = old_generation == export_generation
@@ -503,12 +516,8 @@ class QueryService(FrontEnd):
         source.
         """
         plan = self._plan(query)
-        _, (_, statistics) = self._snapshot()
-        # process-mode plans carry no parent-side compilation; explain is a
-        # diagnostic, so compiling here on demand is fine (the engine's
-        # compile LRU keeps repeats cheap).
-        compiled = plan.compiled or self.engine.compile(plan.source)
-        explanation = compiled.explain(statistics)
+        _, statistics = self._snapshot()
+        explanation = self.engine.compile(plan.source).explain(statistics)
         explanation["plan_key"] = plan.key
         explanation["source"] = plan.source
         if self._pool is not None:
@@ -592,8 +601,10 @@ class QueryService(FrontEnd):
             "plan_misses": plan_stats["misses"],
             # the engine compile LRU (hits/misses/races).
             "compile_cache": self.engine.cache_info(),
+            # the in-process worker's shared scans (thread mode); each
+            # process worker reports its own in serving_stats().
             "algebra_cache": (
-                self._algebra_cache.info() if self._algebra_cache is not None else None
+                self._worker.shared_scans() if self._worker is not None else None
             ),
         }
 
@@ -611,36 +622,25 @@ class QueryService(FrontEnd):
                 self.faults.on_compile(key)
             deps = derive_dependencies(query, self.model.metamodel)
             source = self._backend.compile_to_xquery(query)
-            # the front-end never compiles in process mode: workers own the
-            # compile LRUs.  Either way the source is the result key.
-            compiled = self.engine.compile(source) if self.mode == "thread" else None
-            return QueryPlan(key, query, source=source, compiled=compiled, deps=deps)
+            return QueryPlan(key, query, source=source, deps=deps)
 
         return self._plans.get_or_build(key, build)
 
-    def _snapshot(self, plan: Optional[QueryPlan] = None) -> Tuple[int, tuple]:
-        """``(generation, (export root, statistics catalog))`` for any plan.
-        The catalog is read here, under the export lock: reading it later
-        would patch the export from the reader's thread while an update
-        holds the lock."""
-        with self._export_lock:
+    def _snapshot(self, plan: Optional[QueryPlan] = None) -> Tuple[int, object]:
+        """``(generation, statistics catalog)`` for any plan, read under the
+        backend's lock, which every update holds too."""
+        with self._backend.lock:
             if self.faults is not None:
                 self.faults.on_export()
-            document = self._backend.export
-            generation = self._backend.export_generation
-            if self._algebra_cache_generation != generation:
-                from ...xquery.algebra import SharedEvalCache
-
-                self._algebra_cache = SharedEvalCache()
-                self._algebra_cache_generation = generation
             # the statistics walk rides the (already O(model)) export
             # refresh instead of taxing the first query after a mutation.
             statistics = self._backend.statistics
+            generation = self._backend.export_generation
             if self._pool is not None:
                 # broadcast the new generation to the worker replicas
                 # before any query of this generation is dispatched.
                 self._pool.ensure_generation(generation)
-            return generation, (document.document_element(), statistics)
+            return generation, statistics
 
     def _generation(self, plan: QueryPlan) -> int:
         return self.model.generation
@@ -655,17 +655,17 @@ class QueryService(FrontEnd):
     def _execute(
         self,
         plan: QueryPlan,
-        state: tuple,
+        state: object,
         deadline: Optional[Deadline] = None,
     ) -> Tuple[List[str], Tuple[str, ...]]:
         """Evaluate one plan, returning (node ids, trace messages).
 
-        Process mode sends it whole to the worker its key routes to.  Thread
-        mode runs the compiled plan against the snapshot's ``(root,
-        statistics)`` through :func:`~repro.querycalc.service.plans.run_compiled`,
-        which degrades an internal algebra error to the treewalk once; each
-        attempt passes the fault injector, and a treewalk attempt counts as
-        a fallback.
+        Both modes send one ``{key, source, remaining}`` payload to a
+        shard worker's ``run``.  Process mode sends it to the worker its
+        key routes to, after one fault hook for the dispatch; thread mode
+        calls the in-process worker directly, which hooks the fault
+        injector ahead of each attempt.  A run that fell back to the
+        treewalk counts in ``metrics()["fallbacks"]``.
         """
         start_id = plan.query.start.node_id
         if start_id is not None and start_id not in self.model.nodes:
@@ -674,7 +674,9 @@ class QueryService(FrontEnd):
             # the differential fuzzer) — the service must agree even when
             # it evaluates the cached plan itself.
             raise QueryRuntimeError(f"start node {start_id!r} is not in the model")
-        if self._pool is not None:
+        if self._pool is None:
+            run = self._worker.run
+        else:
             from ...serving.partition import route_query
 
             route = route_query(plan.key, self._pool.shards)
@@ -683,31 +685,23 @@ class QueryService(FrontEnd):
                 self.faults.on_evaluate(plan.key, deadline, backend="process")
             if deadline is not None:
                 deadline.check("dispatch")
-            remaining = deadline.remaining() if deadline is not None else None
-            return self._pool.execute(plan, route, remaining)
-        root, statistics = state
-        compiled = plan.compiled
+            run = functools.partial(self._pool.execute, route)
+        payload = {
+            "key": plan.key,
+            "source": plan.source,
+            "remaining": deadline.remaining() if deadline is not None else None,
+        }
+        try:
+            reply = run(payload)
+        except Exception as exc:
+            # an in-process run that fell back and still failed says so on
+            # its error; a worker process's error arrives classified.
+            self._count_fallback(getattr(exc, "fell_back", False))
+            raise
+        self._count_fallback(reply["fallback"])
+        return reply["ids"], tuple(reply["traces"])
 
-        def before(backend: str) -> None:
-            if backend != compiled.config.backend:
-                with self._metrics_lock:
-                    self._fallbacks += 1
-            if self.faults is not None:
-                self.faults.on_evaluate(plan.key, deadline, backend=backend)
-
-        result, traces = run_compiled(
-            compiled,
-            {"model": root},
-            deadline,
-            statistics,
-            self._algebra_cache,
-            before=before,
-        )
-        nodes = self.model.nodes
-        ids: List[str] = []
-        for item in result:
-            if isinstance(item, ElementNode):
-                node_id = item.get_attribute("id")
-                if node_id is not None and node_id in nodes:
-                    ids.append(node_id)
-        return ids, traces
+    def _count_fallback(self, fell_back: bool) -> None:
+        if fell_back:
+            with self._metrics_lock:
+                self._fallbacks += 1

@@ -14,6 +14,7 @@ how a 2004 XQuery engine without join indexes evaluated it.
 
 from __future__ import annotations
 
+import threading
 from typing import List, Optional
 
 from ..awb.metamodel import Metamodel
@@ -38,12 +39,17 @@ class XQueryCalculusBackend:
     subtrees on the next query, instead of rebuilding the whole document.
     A point mutation on a big model therefore costs one subtree export,
     not an O(model) rebuild.
+
+    Whoever shares a backend across threads holds :attr:`lock` around
+    every touch of the export or the catalog: reading either may patch
+    the export, which must not interleave with an update.
     """
 
     def __init__(self, model: Model, engine: Optional[XQueryEngine] = None):
         self.model = model
         self.metamodel: Metamodel = model.metamodel
         self.engine = engine or XQueryEngine()
+        self.lock = threading.Lock()
         self._exporter = IncrementalExporter(model)
         self._statistics = None
         self._stats_cursor = None

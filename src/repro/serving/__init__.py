@@ -3,8 +3,10 @@
 ``QueryService(mode="process", workers=N)`` (see
 :mod:`repro.querycalc.service`) fronts a :class:`ProcessPool` of N worker
 processes, each holding a full model replica and answering whole queries:
-each query runs on one worker.  :class:`~repro.collections.SearchService`
-(see :mod:`repro.collections.service`) runs its document shards on the
+each query runs on one worker.  In thread mode the service runs the same
+:class:`ShardWorker` in-process, so a calculus plan runs one way.
+:class:`~repro.collections.SearchService` (see
+:mod:`repro.collections.service`) runs its document shards on the
 same worker handle, request loop and fan-out in process mode, and on the
 same workers held in-process in thread mode.  This package owns the
 pieces under them:
@@ -14,8 +16,9 @@ pieces under them:
     owns its key) and the search-request router;
 :mod:`repro.serving.worker`
     the worker: the op dispatch and request loop both tiers run, and the
-    calculus worker's adopted replica, per-worker engine + compile LRU
-    and plan evaluation;
+    calculus worker's adopted replica, engine + compile LRU, shared scans
+    per export generation and plan evaluation (compile, run, treewalk
+    retry, ids);
 :mod:`repro.serving.pool`
     the worker handles (a respawning process, or one in-process worker),
     the concurrent scatter, and the calculus pool's replica refresh and

@@ -7,22 +7,25 @@ the calculus tier's :class:`ProcessPool` below and the search tier's
 :class:`~repro.collections.service.SearchService`, whose thread mode
 holds the same workers in-process through :class:`LocalHandle`.
 
-The calculus front-end owns one :class:`ProcessPool`.  Each worker is a
-forked OS process holding a full model replica and its own engine compile
-LRU — shared-nothing, so N workers really do evaluate N different queries
-concurrently instead of time-slicing one GIL.  Each query runs, whole, on
-one worker.  The tier is fork-only: a boot config holds live objects the
+The process-mode calculus front end owns one :class:`ProcessPool`.  Each
+worker is a forked OS process holding a full model replica, its own
+engine compile LRU and its own shared-scan cache per export generation:
+shared-nothing, so N workers really do evaluate N different queries
+concurrently instead of time-slicing one GIL.  Each query runs, whole,
+on one worker, through the same :meth:`ShardWorker.run
+<repro.serving.worker.ShardWorker.run>` the thread-mode front end calls
+in-process.  The tier is fork-only: a boot config holds live objects the
 child inherits (a backend, or a document store whose documents are known
 by ``id()``), which a ``spawn`` child would receive as pickled copies.
 
 Compiled closures don't pickle, so the parent never ships compiled plans.
-A process-mode :class:`~repro.querycalc.service.plans.QueryPlan` carries
-the generated *source*; the one worker its key routes to compiles it on
-first use (its LRU makes every later use a hit).  The source is also the
-plan's result key, in both modes, so the front end knows it before any
-worker answers: a plan rebuilt after the plan cache evicted it still hits
-its cached result, and two calculus spellings that generate one source
-share one entry.  The pool keeps no per-plan state.
+A :class:`~repro.querycalc.service.plans.QueryPlan` carries the generated
+*source*; the one worker its key routes to compiles it on first use (its
+LRU makes every later use a hit).  The source is also the plan's result
+key, in both modes, so the front end knows it before any worker answers:
+a plan rebuilt after the plan cache evicted it still hits its cached
+result, and two calculus spellings that generate one source share one
+entry.  The pool keeps no per-plan state.
 """
 
 from __future__ import annotations
@@ -36,7 +39,6 @@ from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from ..awb.xml_io import export_model_text
 from ..querycalc.service.errors import RemoteQueryError
-from ..querycalc.service.plans import QueryPlan
 from ..querycalc.via_xquery import XQueryCalculusBackend
 from ..xquery.errors import XQueryTimeoutError
 from .partition import Route
@@ -329,7 +331,7 @@ class ProcessPool:
     """N shard workers, each answering whole queries over a full replica.
 
     Callers serialize :meth:`ensure_generation` and :meth:`apply_delta`
-    (the calculus front end calls both under its export lock).  Every
+    (the calculus front end calls both under its backend's lock).  Every
     worker first boots by forking with *backend*, whose export and
     catalog the caller has built, so no worker parses anything.  A
     respawn must not fork the live model, which another thread may be
@@ -345,12 +347,10 @@ class ProcessPool:
         self,
         backend: XQueryCalculusBackend,
         shards: int,
-        plan_cache_size: int = 128,
         request_timeout: float = DEFAULT_REQUEST_TIMEOUT,
     ):
         self.model = backend.model
         self.shards = shards
-        self.plan_cache_size = plan_cache_size
         self.generation = backend.export_generation
         self.refreshes = 0
         self.deltas = 0
@@ -373,12 +373,7 @@ class ProcessPool:
         backend = self._boot_backend or replica_backend(
             export_model_text(self.model, indent=False), self.model.metamodel
         )
-        return WorkerConfig(
-            shard=shard,
-            backend=backend,
-            generation=self.generation,
-            plan_cache_size=self.plan_cache_size,
-        )
+        return WorkerConfig(shard=shard, backend=backend, generation=self.generation)
 
     # -- replica refresh ---------------------------------------------------
 
@@ -433,14 +428,9 @@ class ProcessPool:
 
     # -- execution ---------------------------------------------------------
 
-    def execute(
-        self, plan: QueryPlan, route: Route, remaining: Optional[float]
-    ) -> Tuple[List[str], Tuple[str, ...]]:
-        """Run one plan on the worker *route* names, returning (ordered
-        node ids, traces)."""
-        payload = {"key": plan.key, "source": plan.source, "remaining": remaining}
-        reply = self.handles[route.shard].request("run", payload, remaining)
-        return reply["ids"], tuple(reply["traces"])
+    def execute(self, route: Route, payload: dict) -> dict:
+        """Send one ``run`` payload to the worker *route* names; its reply."""
+        return self.handles[route.shard].request("run", payload, payload["remaining"])
 
     # -- observability / lifecycle ----------------------------------------
 

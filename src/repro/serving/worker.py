@@ -1,19 +1,30 @@
-"""The shard worker: one process, one full model replica.
+"""The shard worker: the one place a calculus plan runs, in both modes.
 
-Each worker adopts an :class:`XQueryCalculusBackend` built in the parent
-(a model, its export and its statistics catalog), owns its own engine
-compile LRU, and evaluates whole calculus plans over its full replica —
-exact single-process semantics.  Workers are forked, so each holds a
-private copy-on-write copy of that backend and parses nothing at boot:
-the first boot forks with the front end's own backend, and a respawn or
-a ``refresh`` builds one from an export of the live model
-(:func:`replica_backend`; faithfully, ``apply_defaults=False``, so
-deleted default-valued properties stay deleted).  The front-end sends
-each plan to one worker (:func:`~repro.serving.partition.route_query`).
+A :class:`ShardWorker` compiles a plan's generated source through its
+engine's compile LRU, evaluates it over its backend's export (the
+algebra, retried once on the treewalk after an internal error) and turns
+the result into node ids.  :class:`~repro.querycalc.service.QueryService`
+sends every plan here as one ``{key, source, remaining}`` payload:
 
-A reply carries the result's node ids in the engine's order and the trace
-messages.  The front end keys its result cache on the plan's generated
-source, which it sent, so nothing else comes back.
+* in **process mode** to the worker process the plan's key routes to
+  (:func:`~repro.serving.partition.route_query`).  Each holds a full
+  model replica: workers are forked, so each adopts a private
+  copy-on-write copy of the front end's backend and parses nothing at
+  boot; a respawn or a ``refresh`` builds one from an export of the live
+  model (:func:`replica_backend`; faithfully, ``apply_defaults=False``,
+  so deleted default-valued properties stay deleted);
+* in **thread mode** to one in-process worker that adopts the front
+  end's own backend, engine and fault injector, called directly from
+  many threads with no handle and no lock, so :meth:`ShardWorker.run`
+  is reentrant.
+
+Either way the worker keeps one shared-scan cache per export generation,
+so plans over one snapshot share their scans and join builds.
+
+A reply carries the result's node ids in the engine's order, the trace
+messages and whether the run fell back to the treewalk.  The front end
+keys its result cache on the plan's generated source, which it sent, so
+nothing else comes back.
 
 :func:`worker_main` is the request loop of every worker process in both
 serving tiers; the search tier's
@@ -36,12 +47,13 @@ from typing import Dict, List, Optional
 from ..awb.metamodel import Metamodel
 from ..awb.xml_io import import_model_text
 from ..querycalc.service.errors import Deadline, classify_error
-from ..querycalc.service.plans import PlanCache, run_compiled
+from ..querycalc.service.faults import FaultInjector
 from ..querycalc.via_xquery import XQueryCalculusBackend
 from ..xquery.updates.apply import apply_script
 from ..xdm import ElementNode
-from ..xquery import EngineConfig, XQueryEngine
-from ..xquery import algebra  # noqa: F401  (the engine and backend load it lazily)
+from ..xquery import EngineConfig, TraceLog, XQueryEngine
+from ..xquery.algebra import SharedEvalCache
+from ..xquery.errors import XQueryError, XQueryTimeoutError
 
 __all__ = ["WorkerConfig", "ShardWorker", "dispatch", "replica_backend", "worker_main"]
 
@@ -62,23 +74,26 @@ class WorkerConfig:
 
     shard: int
     #: the replica: a model, its export and its statistics catalog.  A
-    #: forked worker adopts its own copy-on-write copy.
+    #: forked worker adopts its own copy-on-write copy; the in-process
+    #: worker adopts the front end's.
     backend: XQueryCalculusBackend
     generation: int
-    plan_cache_size: int = 128
+    #: the engine plans compile on; None builds an algebra engine.
+    engine: Optional[XQueryEngine] = None
+    #: hooked ahead of every evaluation attempt (the in-process worker).
+    faults: Optional[FaultInjector] = None
 
 
 class ShardWorker:
-    """The in-process half of one worker: replica, backend, plan cache."""
+    """The in-process half of one worker: replica, engine, shared scans."""
 
     #: the requests :func:`worker_main` dispatches to methods of this class.
     OPS = ("run", "refresh", "delta", "stats")
 
     def __init__(self, config: WorkerConfig):
         self.shard = config.shard
-        self.plan_cache_size = config.plan_cache_size
-        self._plans = PlanCache(maxsize=config.plan_cache_size)
-        self.engine = XQueryEngine(EngineConfig(backend="algebra"))
+        self.engine = config.engine or XQueryEngine(EngineConfig(backend="algebra"))
+        self.faults = config.faults
         self.runs = 0
         self.fallbacks = 0
         self.errors = 0
@@ -91,10 +106,12 @@ class ShardWorker:
         self.backend = backend
         self.model = backend.model
         self.generation = generation
+        #: ``(export generation, SharedEvalCache)``, replaced when it moves.
+        self._shared: Optional[tuple] = None
 
     def refresh(self, payload: Dict) -> Dict[str, int]:
         """Swap in a new export generation (a full replica rebuild)."""
-        # the plan cache and engine survive: generated source depends only
+        # the engine's compile LRU survives: generated source depends only
         # on the metamodel, not the instance data.  Only the replica moves.
         self._adopt(
             replica_backend(payload["export_text"], self.model.metamodel),
@@ -120,40 +137,81 @@ class ShardWorker:
 
     # -- evaluation --------------------------------------------------------
 
+    def _scan_state(self):
+        """``(export root, statistics catalog, shared-scan cache)`` as of
+        now, read under the backend's lock: reading either may patch the
+        export, which must not interleave with an update."""
+        backend = self.backend
+        with backend.lock:
+            root = backend.export.document_element()
+            statistics = backend.statistics
+            generation = backend.export_generation
+            if self._shared is None or self._shared[0] != generation:
+                self._shared = (generation, SharedEvalCache())
+            return root, statistics, self._shared[1]
+
     def run(self, payload: Dict) -> Dict:
-        """Evaluate one plan over the full replica.
+        """Compile, evaluate and turn one plan into ids.
 
         ``payload`` carries: ``key`` (normalized plan key), ``source``
         (the generated XQuery text) and ``remaining`` (seconds of
         wall-clock budget left, or None).
+
+        Spec errors (timeouts included) surface as they are.  An
+        *internal* error from the algebra is retried once on the treewalk
+        reference backend: correctness from the reference interpreter
+        beats failing the request.  If the retry fails too, the original
+        error surfaces, unless the budget ran out during the retry (then
+        it is a timeout); either way it carries ``fell_back = True``.
         """
         self.runs += 1
-        deadline = (
-            Deadline.after(payload["remaining"])
-            if payload.get("remaining") is not None
-            else None
-        )
-        compiled = self._plans.get_or_build(
-            payload["key"], lambda: self.engine.compile(payload["source"])
-        )
+        key = payload["key"]
+        remaining = payload.get("remaining")
+        deadline = Deadline.after(remaining) if remaining is not None else None
+        compiled = self.engine.compile(payload["source"])
+        root, statistics, shared = self._scan_state()
+        primary = compiled.config.backend
 
-        def before(backend: str) -> None:
-            if backend != compiled.config.backend:
-                self.fallbacks += 1
+        def attempt(backend: str) -> Dict:
+            if self.faults is not None:
+                self.faults.on_evaluate(key, deadline, backend=backend)
+            if deadline is not None:
+                deadline.check("evaluate")
+            trace = TraceLog()
+            result = compiled.run(
+                variables={"model": root},
+                trace=trace,
+                backend=backend,
+                deadline=deadline.at if deadline is not None else None,
+                statistics=statistics,
+                algebra_cache=shared,
+            )
+            if deadline is not None:
+                deadline.check("materialize")
+            return {
+                "ids": self._ids(result),
+                "traces": tuple(trace.messages),
+                "fallback": backend != primary,
+                "shard": self.shard,
+                "generation": self.generation,
+            }
 
-        result, traces = run_compiled(
-            compiled,
-            {"model": self.backend.export.document_element()},
-            deadline,
-            self.backend.statistics,
-            before=before,
-        )
-        return {
-            "ids": self._ids(result),
-            "traces": traces,
-            "shard": self.shard,
-            "generation": self.generation,
-        }
+        try:
+            return attempt(primary)
+        except XQueryError:
+            raise
+        except Exception as first:
+            if primary == "treewalk":
+                raise  # already on the reference backend: nothing to degrade to
+            self.fallbacks += 1
+            try:
+                return attempt("treewalk")
+            except XQueryTimeoutError as late:
+                error = late  # the budget ran out during the retry
+            except Exception:
+                error = first
+            error.fell_back = True
+            raise error
 
     @staticmethod
     def _ids(result) -> List[str]:
@@ -166,6 +224,12 @@ class ShardWorker:
                     ids.append(node_id)
         return ids
 
+    def shared_scans(self) -> Optional[Dict[str, int]]:
+        """The current generation's shared-scan counters (None before the
+        first run)."""
+        shared = self._shared
+        return shared[1].info() if shared is not None else None
+
     def stats(self, payload: Optional[Dict] = None) -> Dict[str, object]:
         return {
             "shard": self.shard,
@@ -174,8 +238,8 @@ class ShardWorker:
             "fallbacks": self.fallbacks,
             "errors": self.errors,
             "deltas": self.deltas,
-            "plans": self._plans.stats(),
             "compile_cache": self.engine.cache_info(),
+            "algebra_cache": self.shared_scans(),
             "export": self.backend.export_stats(),
         }
 

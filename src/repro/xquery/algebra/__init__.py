@@ -31,7 +31,6 @@ from .executor import ExecState, SharedEvalCache, execute_plan
 from .lowering import Lowerer
 from .optimize import annotate_occurrences, optimize_plan
 from .plans import EvalPlan, Plan
-from .signature import module_signature
 from .stats import DEFAULT_STATS, StatisticsCatalog
 
 __all__ = [
@@ -39,7 +38,6 @@ __all__ = [
     "SharedEvalCache",
     "StatisticsCatalog",
     "DEFAULT_STATS",
-    "module_signature",
 ]
 
 

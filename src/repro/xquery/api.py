@@ -78,7 +78,6 @@ class CompiledQuery:
             )
         self._algebra: Optional["AlgebraProgram"] = None
         self._algebra_lock = threading.Lock()
-        self._plan_signature: Optional[str] = None
 
     def _run_lint(self) -> None:
         import warnings
@@ -116,25 +115,6 @@ class CompiledQuery:
                             self.module, self.functions, self.config
                         )
         return self._algebra
-
-    @property
-    def plan_signature(self) -> str:
-        """A structural key for this query's module, stable across reparses.
-
-        Position information (line/column) is excluded, so two textually
-        different sources with identical structure share a signature.
-
-        Computed once per query; the module is immutable after parse, so
-        the signature never changes. (A racing second computation yields
-        the same string, so no lock is needed.)
-        """
-        signature = self._plan_signature
-        if signature is None:
-            from .algebra import module_signature
-
-            signature = module_signature(self.module)
-            self._plan_signature = signature
-        return signature
 
     def explain(self, statistics=None) -> dict:
         """The optimized algebraic plan as a dict (text + JSON-ready tree).

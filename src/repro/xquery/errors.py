@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import contextlib
 import sys
-from typing import List, Optional
+from typing import Optional
 
 
 class XQueryError(Exception):
@@ -102,20 +102,6 @@ ERROR_CODES = {
     "FODC0002": "error retrieving resource (fn:doc)",
     "XQDY_TIMEOUT": "the query exceeded its wall-clock deadline",
 }
-
-
-class ErrorListForHumans:
-    """Accumulates static errors so a whole module can be diagnosed at once."""
-
-    def __init__(self) -> None:
-        self.errors: List[XQueryError] = []
-
-    def add(self, error: XQueryError) -> None:
-        self.errors.append(error)
-
-    def raise_if_any(self) -> None:
-        if self.errors:
-            raise self.errors[0]
 
 
 @contextlib.contextmanager

@@ -19,7 +19,6 @@ from repro.xquery.algebra import (
     DEFAULT_STATS,
     SharedEvalCache,
     StatisticsCatalog,
-    module_signature,
 )
 
 DOC = parse_document(
@@ -222,29 +221,6 @@ class TestSharedEvalCache:
         assert query.run(variables={"model": root}) == query.run(
             variables={"model": root}
         )
-
-
-# -- structural signatures ----------------------------------------------------
-
-
-class TestPlanSignature:
-    def test_signature_ignores_positions(self):
-        spread = JOIN_QUERY.replace("\n", "\n\n   ")
-        assert (
-            compile_algebra(JOIN_QUERY).plan_signature
-            == compile_algebra(spread).plan_signature
-        )
-
-    def test_signature_sees_structure(self):
-        changed = JOIN_QUERY.replace('"uses"', '"runs"')
-        assert (
-            compile_algebra(JOIN_QUERY).plan_signature
-            != compile_algebra(changed).plan_signature
-        )
-
-    def test_signature_matches_module_signature(self):
-        query = compile_algebra(JOIN_QUERY)
-        assert query.plan_signature == module_signature(query.module)
 
 
 # -- the service and CLI surfaces --------------------------------------------

@@ -151,7 +151,7 @@ def test_each_cold_plan_optimizes_once(monkeypatch):
     model, queries = fixture_queries(60)
     service = QueryService(model)
     for index, query in enumerate(queries, start=1):
-        compiled = service._plan(query).compiled
+        compiled = service.engine.compile(service._plan(query).source)
         program = compiled.algebra
         assert len(calls) == index - 1, "lowering optimized"
         service.run(query)

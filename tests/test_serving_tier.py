@@ -209,6 +209,59 @@ def test_worker_surfaces_the_algebra_error_when_both_backends_fail(
     assert worker.stats()["fallbacks"] == 1
 
 
+def _type_queries(model):
+    """One all-nodes type filter per node type: distinct generated sources."""
+    names = sorted({n.type_name for n in model.nodes.values()})
+    return [Query(Start(all_nodes=True), [FilterType(type=name)], Collect()) for name in names]
+
+
+def test_process_mode_metrics_count_worker_fallbacks(model, monkeypatch):
+    from repro.querycalc.native import run_query
+    from repro.xquery.algebra import AlgebraProgram
+
+    # patched before the workers fork, so every worker inherits it
+    monkeypatch.setattr(AlgebraProgram, "run", _broken("algebra broken"))
+    queries = _type_queries(model)
+    with QueryService(model, mode="process", workers=2) as svc:
+        for query in queries:
+            assert ids(svc.run(query)) == [node.id for node in run_query(query, model)]
+        assert svc.metrics()["executed"] == len(queries)
+        assert svc.metrics()["fallbacks"] == len(queries)
+
+
+def test_thread_mode_stall_does_not_block_a_sibling_read(model):
+    """The in-process worker adds no lock: a read stalled inside its run
+    leaves a concurrent read of another plan free to finish."""
+    stalled, sibling = _type_queries(model)[:2]
+    injector = FaultInjector()
+    injector.poison(f"type({stalled.steps[0].type!r})", kind="timeout")
+    svc = QueryService(model, fault_injector=injector)
+    svc.run(all_nodes_query())  # export and catalog built outside the race
+    outcome = {}
+
+    def stall():
+        try:
+            svc.run(stalled, timeout=2.0)
+        except Exception as exc:
+            outcome["error"] = classify_error(exc)
+
+    reader = threading.Thread(target=stall)
+    reader.start()
+    try:
+        waited = time.monotonic() + 2.0
+        while not injector.injected and time.monotonic() < waited:
+            time.sleep(0.005)
+        assert injector.injected, "the stalled read never reached its run"
+        started = time.monotonic()
+        served = svc.run(sibling)
+        elapsed = time.monotonic() - started
+    finally:
+        reader.join()
+    assert elapsed < 1.0
+    assert ids(served) == ids(QueryService(model).run(sibling))
+    assert outcome["error"].kind == "timeout"
+
+
 def test_refresh_on_generation_bump(model):
     svc = QueryService(model, mode="process", workers=2)
     try:
@@ -310,8 +363,7 @@ def test_worker_crash_respawns_and_recovers(model):
         # worker, and the tier recovers
         fresh = next(
             query
-            for name in sorted({n.type_name for n in model.nodes.values()})
-            for query in [Query(Start(all_nodes=True), [FilterType(type=name)], Collect())]
+            for query in _type_queries(model)
             if bucket(normalize_query(query), 2) == 0
         )
         with pytest.raises(RuntimeError, match="died mid-request"):

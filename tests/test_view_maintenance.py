@@ -414,8 +414,9 @@ class TestStoreRaceRegression:
     def test_reads_touch_the_export_only_under_the_export_lock(self, model):
         """A mutation lands between a read's snapshot and its execution.  A
         read that then refreshed the export (say, for its statistics
-        catalog) outside the export lock could patch it concurrently with
-        an update holding that lock; the read uses its snapshot's catalog."""
+        catalog) outside the backend's lock could patch it concurrently
+        with an update holding that lock; the in-process worker reads the
+        export and catalog under it too."""
         query = scan("User")
         with QueryService(model) as service:
             exporter = service._backend._exporter
@@ -423,7 +424,7 @@ class TestStoreRaceRegression:
             unlocked = []
 
             def checked_export():
-                if not service._export_lock.locked():
+                if not service._backend.lock.locked():
                     unlocked.append(True)
                 return export()
 
