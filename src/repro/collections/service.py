@@ -176,7 +176,6 @@ class SearchService(FrontEnd):
         store: DocumentStore,
         shards: int = 1,
         mode: str = "thread",
-        backend: str = "algebra",
         result_cache_size: int = 512,
     ):
         if mode not in ("thread", "process"):
@@ -185,8 +184,7 @@ class SearchService(FrontEnd):
         self.store = store
         self.shards = max(1, shards)
         self.mode = mode
-        self.backend = backend
-        self.engine = XQueryEngine(EngineConfig(backend=backend))
+        self.engine = XQueryEngine(EngineConfig(backend="algebra"))
         #: serializes writers, and is held across a write's replication; a
         #: read snapshots its scope generation under it.
         self._write_lock = threading.Lock()
@@ -214,9 +212,7 @@ class SearchService(FrontEnd):
         shares the authoritative store's parsed documents and postings."""
         with self._authoritative_lock:
             uris = [uri for uri in self.store.uris() if bucket(uri, self.shards) == shard]
-            return CollectionWorkerConfig(
-                shard=shard, store=self.store.subset(uris), backend=self.backend
-            )
+            return CollectionWorkerConfig(shard=shard, store=self.store.subset(uris))
 
     # -- reads -------------------------------------------------------------
 
@@ -256,16 +252,16 @@ class SearchService(FrontEnd):
     def _plan(self, request: SearchRequest) -> QueryPlan:
         return QueryPlan(request.key(), request)
 
-    def _snapshot(self, plan: QueryPlan) -> Tuple[int, None]:
+    def _snapshot(self, plan: QueryPlan) -> int:
         """The scope generation, read under the writer lock: a read never
         keys on a write whose replication is still in flight."""
         with self._write_lock:
-            return self.scope_generation(plan.query), None
+            return self.scope_generation(plan.query)
 
     def _generation(self, plan: QueryPlan) -> int:
         return self.scope_generation(plan.query)
 
-    def _execute(self, plan: QueryPlan, state, deadline) -> Tuple[str, tuple]:
+    def _execute(self, plan: QueryPlan, deadline) -> Tuple[str, tuple]:
         """One round trip to the owner shard, or a scatter plus merge."""
         request = plan.query
         route = route_request(request, self.shards)

@@ -98,7 +98,6 @@ class CollectionWorkerConfig:
     #: collection the tier knows, so a shard holding no member of one
     #: still answers ``()`` instead of FODC0002.
     store: DocumentStore
-    backend: str = "algebra"
 
 
 class CollectionWorker:
@@ -110,7 +109,7 @@ class CollectionWorker:
     def __init__(self, config: CollectionWorkerConfig):
         self.shard = config.shard
         self.store = config.store
-        self.engine = XQueryEngine(EngineConfig(backend=config.backend))
+        self.engine = XQueryEngine(EngineConfig(backend="algebra"))
         self.runs = 0
         self.writes = 0
         self.errors = 0

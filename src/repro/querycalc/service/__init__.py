@@ -14,7 +14,7 @@ from .errors import (
     classify_error,
 )
 from .faults import FaultConfig, FaultInjector, InjectedFault
-from .plans import PlanCache, QueryPlan, normalize_query
+from .plans import QueryPlan, normalize_query
 from .results import BatchItem, ResultCache
 from .service import SERVICE_MODES, QueryService, percentile
 
@@ -26,7 +26,6 @@ __all__ = [
     "FaultConfig",
     "FaultInjector",
     "InjectedFault",
-    "PlanCache",
     "QueryError",
     "QueryOverloadError",
     "QueryPlan",

@@ -1,4 +1,4 @@
-"""Plan normalization and the plan cache.
+"""Plan normalization and the plan record the service caches.
 
 A *plan* is everything the service needs to execute one calculus query
 repeatedly without re-doing per-query work: the generated XQuery source
@@ -8,7 +8,8 @@ both service modes), through its engine's compile LRU.
 
 Plans are keyed by the *normalized query text* — a canonical rendering of
 the calculus AST — so two structurally identical queries parsed from
-different XML files share one plan.  Results are keyed by the generated
+different XML files share one plan; the service's plan cache is a plain
+:class:`~repro.lru.LRU` over that key.  Results are keyed by the generated
 source: spellings that normalize differently but generate the same
 XQuery (``sort_by=None`` and the label property, say) share one cached
 answer.
@@ -16,10 +17,8 @@ answer.
 
 from __future__ import annotations
 
-import threading
-from collections import OrderedDict
 from dataclasses import dataclass
-from typing import Callable, Dict, Optional
+from typing import Optional
 
 from ..ast import FilterProperty, FilterType, Follow, Query
 
@@ -80,51 +79,3 @@ class QueryPlan:
         when the plan is built (equal source, equal plan), else the key."""
         return self.source if self.source is not None else self.key
 
-
-class PlanCache:
-    """A small thread-safe LRU of :class:`QueryPlan` keyed by normalized text."""
-
-    def __init__(self, maxsize: int = 128):
-        self.maxsize = maxsize
-        self._plans: "OrderedDict[str, QueryPlan]" = OrderedDict()
-        self._lock = threading.Lock()
-        self.hits = 0
-        self.misses = 0
-
-    def get_or_build(self, key: str, build: Callable[[], QueryPlan]) -> QueryPlan:
-        with self._lock:
-            plan = self._plans.get(key)
-            if plan is not None:
-                self.hits += 1
-                self._plans.move_to_end(key)
-                return plan
-        # build outside the lock (compilation can be slow and is pure);
-        # a concurrent duplicate build resolves in favour of the first.
-        plan = build()
-        with self._lock:
-            existing = self._plans.get(key)
-            if existing is not None:
-                self.hits += 1
-                self._plans.move_to_end(key)
-                return existing
-            self.misses += 1
-            if self.maxsize > 0:
-                self._plans[key] = plan
-                while len(self._plans) > self.maxsize:
-                    self._plans.popitem(last=False)
-        return plan
-
-    def clear(self) -> None:
-        with self._lock:
-            self._plans.clear()
-            self.hits = 0
-            self.misses = 0
-
-    def stats(self) -> Dict[str, int]:
-        with self._lock:
-            return {
-                "hits": self.hits,
-                "misses": self.misses,
-                "currsize": len(self._plans),
-                "maxsize": self.maxsize,
-            }

@@ -7,9 +7,10 @@ serving metadata a robust client needs — the structured
 whether the answer came from cache, and the ``fn:trace`` messages the
 evaluation emitted.
 
-:class:`ResultCache` is the result cache of both serving front-ends.  It
-keys an opaque value on ``(request key, generation)`` and hands out
-shallow copies, so a caller can never mutate an entry.  The calculus
+:class:`ResultCache` is the result cache of both serving front-ends, an
+:class:`~repro.lru.LRU` (lock, eviction and counters).  It keys an opaque
+value on ``(request key, generation)`` and hands out shallow copies, so a
+caller can never mutate an entry.  The calculus
 service stores node *ids* (not live node objects) under ``(plan key,
 export generation)``: ids survive being handed between threads, and
 mapping back through ``model.nodes`` on every hit means a hit can never
@@ -32,19 +33,15 @@ evicted with its entry, so the cache's size bounds it too.
 from __future__ import annotations
 
 import copy
-import threading
-from collections import OrderedDict
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
+from ...lru import LRU
 from .errors import QueryError
 
 ResultKey = Tuple[str, int]
 
 #: what the cache returns per key: (value, trace messages).
 CachedResult = Tuple[object, Tuple[str, ...]]
-
-#: what it stores: the result plus its dependency set (``None`` = unknown).
-_Entry = Tuple[object, Tuple[str, ...], Optional[object]]
 
 
 class BatchItem(List["ModelNode"]):  # noqa: F821 - forward ref, avoids an import cycle
@@ -84,32 +81,26 @@ class BatchItem(List["ModelNode"]):  # noqa: F821 - forward ref, avoids an impor
         return f"<BatchItem {len(self)} node(s) from {origin}>"
 
 
-class ResultCache:
-    """A thread-safe LRU of (value, traces, dependency set) keyed by
-    (request key, generation)."""
+class ResultCache(LRU):
+    """The LRU of (value, traces, dependency set) keyed by (request key,
+    generation), handing out copies and carrying entries across updates."""
 
     def __init__(self, maxsize: int = 512):
-        self.maxsize = maxsize
-        self._results: "OrderedDict[ResultKey, _Entry]" = OrderedDict()
-        self._lock = threading.Lock()
-        self.hits = 0
-        self.misses = 0
+        super().__init__(maxsize)
 
     def get(self, key: ResultKey, deps=None) -> Optional[CachedResult]:
         """The cached (value, traces), merging the hitting plan's *deps*
         into the entry when two spellings share it."""
         with self._lock:
-            entry = self._results.get(key)
+            entry = self._hit(key)
             if entry is None:
                 self.misses += 1
                 return None
-            self.hits += 1
-            self._results.move_to_end(key)
             value, traces, held = entry
             if deps is not None and held is not None:
                 merged = held.merge(deps)
                 if merged is not held:
-                    self._results[key] = (value, traces, merged)
+                    self._entries[key] = (value, traces, merged)
             return copy.copy(value), traces
 
     def put(
@@ -122,17 +113,12 @@ class ResultCache:
         """Store a result with the dependency set of the plan that computed
         it, merged with the set of an entry already stored under *key*
         (an unknown set on either side stays unknown)."""
-        if self.maxsize <= 0:
-            return
         with self._lock:
-            existing = self._results.get(key)
+            existing = self._entries.get(key)
             if existing is not None:
                 held = existing[2]
                 deps = None if held is None or deps is None else held.merge(deps)
-            self._results[key] = (copy.copy(value), tuple(traces), deps)
-            self._results.move_to_end(key)
-            while len(self._results) > self.maxsize:
-                self._results.popitem(last=False)
+            self._store(key, (copy.copy(value), tuple(traces), deps))
 
     def propagate(
         self,
@@ -153,37 +139,18 @@ class ResultCache:
         """
         kept = patched = invalidated = 0
         with self._lock:
-            for key in [k for k in self._results if k[1] == old_generation]:
+            entries = self._entries
+            for key in [k for k in entries if k[1] == old_generation]:
                 request_key = key[0]
-                value, traces, deps = self._results.pop(key)
+                value, traces, deps = entries.pop(key)
                 action, new_value = decide(deps, value)
                 if action == "keep":
-                    self._results[(request_key, new_generation)] = (value, traces, deps)
+                    entries[(request_key, new_generation)] = (value, traces, deps)
                     kept += 1
                 elif action == "patch":
-                    self._results[(request_key, new_generation)] = (
-                        new_value,
-                        traces,
-                        deps,
-                    )
+                    entries[(request_key, new_generation)] = (new_value, traces, deps)
                     patched += 1
                 else:
                     invalidated += 1
-            while len(self._results) > self.maxsize:
-                self._results.popitem(last=False)
+            self._evict()
         return {"kept": kept, "patched": patched, "invalidated": invalidated}
-
-    def clear(self) -> None:
-        with self._lock:
-            self._results.clear()
-            self.hits = 0
-            self.misses = 0
-
-    def stats(self) -> Dict[str, int]:
-        with self._lock:
-            return {
-                "hits": self.hits,
-                "misses": self.misses,
-                "currsize": len(self._results),
-                "maxsize": self.maxsize,
-            }

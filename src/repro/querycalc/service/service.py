@@ -5,7 +5,9 @@ paper's error-handling chapter.  The caching story (PR 3) keeps four
 layers warm between requests:
 
 1. a **plan cache**: normalized calculus text → generated XQuery source
-   (a shard worker compiles it through its engine's compile LRU);
+   (a shard worker compiles it through its engine's compile LRU).  Every
+   cache here is one :class:`~repro.lru.LRU`, so a plan built by two
+   racing threads counts as two misses and one race, never a hit;
 2. an **incremental model export**: mutations dirty individual subtrees,
    so the XML document the queries scan is patched, not rebuilt;
 3. a **result cache** keyed by (generated source, export generation):
@@ -65,6 +67,7 @@ from concurrent.futures import ThreadPoolExecutor
 from typing import Dict, Iterable, List, Optional, Tuple
 
 from ...awb.model import Model
+from ...lru import LRU
 from ...xquery import EngineConfig, XQueryEngine
 from ..ast import Query
 from ..native import QueryRuntimeError
@@ -72,7 +75,7 @@ from ..via_xquery import XQueryCalculusBackend
 from .deps import derive_dependencies, patch_result
 from .errors import Deadline, QueryError, QueryOverloadError, classify_error
 from .faults import FaultInjector
-from .plans import PlanCache, QueryPlan, normalize_query
+from .plans import QueryPlan, normalize_query
 from .results import BatchItem, ResultCache
 
 #: the service's execution modes: a thread pool in this process (threads
@@ -102,9 +105,9 @@ class FrontEnd:
     """The read loop both serving front ends share, with its counters.
 
     A subclass supplies four steps: ``_plan(request)``, the
-    :class:`QueryPlan` the result cache keys on; ``_snapshot(plan)``,
-    ``(generation, state)`` read under the subclass's writer lock;
-    ``_execute(plan, state, deadline)``, ``(value, traces)``; and
+    :class:`QueryPlan` the result cache keys on; ``_snapshot(plan)``, the
+    generation read under the subclass's writer lock;
+    ``_execute(plan, deadline)``, ``(value, traces)``; and
     ``_generation(plan)``, the generation now.  ``max_pending`` bounds
     executions in flight (``None`` admits all).
     """
@@ -142,14 +145,14 @@ class FrontEnd:
             plan = self._plan(request)
             key = plan.key
             while True:
-                generation, state = self._snapshot(plan)
+                generation = self._snapshot(plan)
                 cached = self._results.get((plan.cache_key, generation), plan.deps)
                 if cached is not None:
                     return cached[0], cached[1], True, generation
                 executed += 1
                 admitted = self._admit()
                 try:
-                    value, traces = self._execute(plan, state, deadline)
+                    value, traces = self._execute(plan, deadline)
                 finally:
                     if admitted:
                         self._admission.release()
@@ -276,7 +279,7 @@ class QueryService(FrontEnd):
         # any internal error).
         self.engine = engine or XQueryEngine(EngineConfig(backend="algebra"))
         self._backend = XQueryCalculusBackend(model, engine=self.engine)
-        self._plans = PlanCache(maxsize=plan_cache_size)
+        self._plans = LRU(plan_cache_size)
         self._updates = 0
         self._propagations: Dict[str, int] = {
             "kept": 0,
@@ -516,7 +519,8 @@ class QueryService(FrontEnd):
         source.
         """
         plan = self._plan(query)
-        _, statistics = self._snapshot()
+        with self._backend.lock:
+            statistics = self._backend.statistics
         explanation = self.engine.compile(plan.source).explain(statistics)
         explanation["plan_key"] = plan.key
         explanation["source"] = plan.source
@@ -626,21 +630,21 @@ class QueryService(FrontEnd):
 
         return self._plans.get_or_build(key, build)
 
-    def _snapshot(self, plan: Optional[QueryPlan] = None) -> Tuple[int, object]:
-        """``(generation, statistics catalog)`` for any plan, read under the
-        backend's lock, which every update holds too."""
+    def _snapshot(self, plan: Optional[QueryPlan] = None) -> int:
+        """The export generation for any plan, read under the backend's
+        lock, which every update holds too."""
         with self._backend.lock:
             if self.faults is not None:
                 self.faults.on_export()
             # the statistics walk rides the (already O(model)) export
             # refresh instead of taxing the first query after a mutation.
-            statistics = self._backend.statistics
+            self._backend.statistics
             generation = self._backend.export_generation
             if self._pool is not None:
                 # broadcast the new generation to the worker replicas
                 # before any query of this generation is dispatched.
                 self._pool.ensure_generation(generation)
-            return generation, statistics
+            return generation
 
     def _generation(self, plan: QueryPlan) -> int:
         return self.model.generation
@@ -653,10 +657,7 @@ class QueryService(FrontEnd):
         return BatchItem(live, served_from_cache=cached, traces=traces)
 
     def _execute(
-        self,
-        plan: QueryPlan,
-        state: object,
-        deadline: Optional[Deadline] = None,
+        self, plan: QueryPlan, deadline: Optional[Deadline] = None
     ) -> Tuple[List[str], Tuple[str, ...]]:
         """Evaluate one plan, returning (node ids, trace messages).
 

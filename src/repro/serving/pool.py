@@ -122,15 +122,10 @@ class WorkerHandle:
     the next request boots one before it sends.
     """
 
-    def __init__(
-        self,
-        shard: int,
-        make_worker: Callable,
-        make_config: Callable[[], object],
-        request_timeout: float = DEFAULT_REQUEST_TIMEOUT,
-    ):
+    def __init__(self, shard: int, make_worker: Callable, make_config: Callable[[], object]):
         self.shard = shard
-        self.request_timeout = request_timeout
+        #: the wait for a request that sets no deadline of its own.
+        self.request_timeout = DEFAULT_REQUEST_TIMEOUT
         self._make_worker = make_worker
         self._make_config = make_config
         self._lock = threading.Lock()
@@ -343,12 +338,7 @@ class ProcessPool:
     either way.
     """
 
-    def __init__(
-        self,
-        backend: XQueryCalculusBackend,
-        shards: int,
-        request_timeout: float = DEFAULT_REQUEST_TIMEOUT,
-    ):
+    def __init__(self, backend: XQueryCalculusBackend, shards: int):
         self.model = backend.model
         self.shards = shards
         self.generation = backend.export_generation
@@ -359,10 +349,7 @@ class ProcessPool:
         self._boot_backend: Optional[XQueryCalculusBackend] = backend
         self.handles = boot_workers(
             lambda shard: WorkerHandle(
-                shard,
-                ShardWorker,
-                functools.partial(self._worker_config, shard),
-                request_timeout,
+                shard, ShardWorker, functools.partial(self._worker_config, shard)
             ),
             shards,
         )

@@ -19,7 +19,9 @@ sends every plan here as one ``{key, source, remaining}`` payload:
   is reentrant.
 
 Either way the worker keeps one shared-scan cache per export generation,
-so plans over one snapshot share their scans and join builds.
+an unbounded :class:`~repro.lru.LRU`, so plans over one snapshot share
+their scans and join builds; ``stats()["algebra_cache"]`` reports its
+``{hits, misses, races, currsize, maxsize}``.
 
 A reply carries the result's node ids in the engine's order, the trace
 messages and whether the run fell back to the treewalk.  The front end
@@ -46,13 +48,13 @@ from typing import Dict, List, Optional
 
 from ..awb.metamodel import Metamodel
 from ..awb.xml_io import import_model_text
+from ..lru import LRU
 from ..querycalc.service.errors import Deadline, classify_error
 from ..querycalc.service.faults import FaultInjector
 from ..querycalc.via_xquery import XQueryCalculusBackend
 from ..xquery.updates.apply import apply_script
 from ..xdm import ElementNode
 from ..xquery import EngineConfig, TraceLog, XQueryEngine
-from ..xquery.algebra import SharedEvalCache
 from ..xquery.errors import XQueryError, XQueryTimeoutError
 
 __all__ = ["WorkerConfig", "ShardWorker", "dispatch", "replica_backend", "worker_main"]
@@ -106,7 +108,8 @@ class ShardWorker:
         self.backend = backend
         self.model = backend.model
         self.generation = generation
-        #: ``(export generation, SharedEvalCache)``, replaced when it moves.
+        #: ``(export generation, unbounded LRU of shared scans)``, replaced
+        #: when the generation moves.
         self._shared: Optional[tuple] = None
 
     def refresh(self, payload: Dict) -> Dict[str, int]:
@@ -147,7 +150,7 @@ class ShardWorker:
             statistics = backend.statistics
             generation = backend.export_generation
             if self._shared is None or self._shared[0] != generation:
-                self._shared = (generation, SharedEvalCache())
+                self._shared = (generation, LRU(None))
             return root, statistics, self._shared[1]
 
     def run(self, payload: Dict) -> Dict:
@@ -228,7 +231,7 @@ class ShardWorker:
         """The current generation's shared-scan counters (None before the
         first run)."""
         shared = self._shared
-        return shared[1].info() if shared is not None else None
+        return shared[1].stats() if shared is not None else None
 
     def stats(self, payload: Optional[Dict] = None) -> Dict[str, object]:
         return {

@@ -23,11 +23,12 @@ import json
 import threading
 from typing import Dict, Optional, Tuple
 
+from ...lru import LRU
 from .. import ast
 from ..compiler import Compiler, Thunk
 from ..context import DynamicContext, EngineConfig
 from ..errors import extended_stack
-from .executor import ExecState, SharedEvalCache, execute_plan
+from .executor import ExecState, execute_plan
 from .lowering import Lowerer
 from .optimize import annotate_occurrences, optimize_plan
 from .plans import EvalPlan, Plan
@@ -35,7 +36,6 @@ from .stats import DEFAULT_STATS, StatisticsCatalog
 
 __all__ = [
     "AlgebraProgram",
-    "SharedEvalCache",
     "StatisticsCatalog",
     "DEFAULT_STATS",
 ]
@@ -147,7 +147,7 @@ class AlgebraProgram:
         self,
         ctx: DynamicContext,
         statistics: Optional[StatisticsCatalog] = None,
-        shared_cache: Optional[SharedEvalCache] = None,
+        shared_cache: Optional[LRU] = None,
     ):
         if self.trivial:
             # the whole body fell back: run its closure with no

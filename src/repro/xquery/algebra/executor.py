@@ -14,8 +14,8 @@ sources, each individually proven equivalent:
 * **hash joins** — a correlated ``[@attr eq $v/@id]`` predicate probes a
   hash table built once per distinct base instead of rescanning per tuple;
 * **memoization** — loop-invariant sources, join build sides, and (across
-  a batch, via :class:`SharedEvalCache`) whole closed scans are computed
-  once.
+  queries over one export generation, via a shared :class:`~repro.lru.LRU`)
+  whole closed scans are computed once.
 
 Anything the lowering could not prove safe sits in an ``EvalPlan`` leaf and
 runs on the program's closure compiler with the exact same dynamic context.
@@ -23,9 +23,9 @@ runs on the program's closure compiler with the exact same dynamic context.
 
 from __future__ import annotations
 
-import threading
 from typing import Dict, List, Optional, Tuple
 
+from ...lru import LRU
 from ...xdm import (
     ElementNode,
     UntypedAtomic,
@@ -73,7 +73,7 @@ from .plans import (
     WhereOp,
 )
 
-__all__ = ["SharedEvalCache", "ExecState", "execute_plan"]
+__all__ = ["ExecState", "execute_plan"]
 
 _MISSING = object()
 _UNSET = object()
@@ -83,52 +83,19 @@ _UNSET = object()
 _STAYS_ORDERED = ("child", "attribute", "self")
 
 
-class SharedEvalCache:
-    """Cross-query scan/join-build cache for ``run_batch`` CSE.
-
-    Keys embed the (closed, pure) scan's ``scan_key``, a tuple built from
-    its compiled steps (plus the hashed attribute, for a join build), and
-    the identities of its base nodes, so two queries sharing a subplan over
-    the same document share the work.  The service resets the cache
-    whenever the export generation moves.
-    """
-
-    def __init__(self):
-        self._entries: Dict[tuple, object] = {}
-        self._lock = threading.Lock()
-        self.hits = 0
-        self.misses = 0
-
-    def get(self, key: tuple):
-        with self._lock:
-            value = self._entries.get(key, _MISSING)
-            if value is _MISSING:
-                self.misses += 1
-                return _MISSING
-            self.hits += 1
-            return value
-
-    def put(self, key: tuple, value) -> None:
-        with self._lock:
-            self._entries.setdefault(key, value)
-
-    def info(self) -> dict:
-        with self._lock:
-            return {
-                "entries": len(self._entries),
-                "hits": self.hits,
-                "misses": self.misses,
-            }
-
-
 class ExecState:
     """Per-run executor state: fallback closures, memos, the shared cache."""
 
     __slots__ = ("thunk", "shared", "join_builds", "scans", "roots", "probes")
 
-    def __init__(self, thunk, shared: Optional[SharedEvalCache] = None):
+    def __init__(self, thunk, shared: Optional[LRU] = None):
         #: ``AlgebraProgram.thunk``: AST expression -> its compiled closure.
         self.thunk = thunk
+        #: the cross-query scan/join-build cache: keys are a closed, pure
+        #: scan's ``scan_key`` (plus the hashed attribute, for a join build)
+        #: and its base nodes' identities, so queries sharing a subplan over
+        #: one document share the work.  A shard worker keeps one per export
+        #: generation; it is read only after the per-run memos below miss.
         self.shared = shared
         #: (op identity, base node ids) -> _JoinBuild
         self.join_builds: Dict[tuple, "_JoinBuild"] = {}
@@ -450,7 +417,7 @@ def _exec_path(plan: PathPlan, ctx, bindings, state):
         if shared is not None:
             shared_key = ("scan", plan.scan_key, local_key[1])
             value = shared.get(shared_key)
-            if value is not _MISSING:
+            if value is not None:
                 state.scans[local_key] = value
                 return value
         result, _, _ = _run_steps(
@@ -654,7 +621,7 @@ def _join_build(op: ForJoinOp, ctx, tuple_bindings, state) -> _JoinBuild:
     if shared is not None and scan.cacheable:
         shared_key = ("join", scan.scan_key, op.build_attr, key[1])
         cached = shared.get(shared_key)
-        if cached is not _MISSING:
+        if cached is not None:
             state.join_builds[key] = cached
             return cached
     inner = scan.steps[:-1]

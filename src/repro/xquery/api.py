@@ -20,10 +20,10 @@ from __future__ import annotations
 
 import threading
 import time
-from collections import OrderedDict
 from dataclasses import fields
 from typing import Dict, List, Optional, Tuple
 
+from ..lru import LRU
 from ..xdm import DocumentNode, Node, Sequence, is_node, sequence
 from ..xmlio import serialize
 from .ast import FunctionDecl, Module
@@ -168,8 +168,8 @@ class CompiledQuery:
         ``statistics`` and ``algebra_cache`` only affect
         ``backend="algebra"``: the former is a
         :class:`~repro.xquery.algebra.StatisticsCatalog` steering the cost
-        pass, the latter a :class:`~repro.xquery.algebra.SharedEvalCache`
-        sharing scan/join work across queries over the same document.
+        pass, the latter a :class:`~repro.lru.LRU` sharing scan/join work
+        across queries over the same document.
         """
         backend = backend if backend is not None else self.config.backend
         if backend not in BACKENDS:
@@ -252,11 +252,11 @@ class XQueryEngine:
     """Compiles and evaluates XQuery programs under one configuration.
 
     Repeated compilations of identical source are served from a bounded
-    LRU cache (size ``config.compile_cache_size``; ``0`` disables it).
-    The cache key includes every config field, so an engine whose config
-    is mutated between calls never serves a stale compilation.  The cache
-    (lookup, insert, eviction, counters) is guarded by a lock, so one
-    engine can be shared by the query service's worker threads.
+    :class:`~repro.lru.LRU` (size ``config.compile_cache_size``; ``0``
+    disables it), so one engine can be shared by the query service's
+    worker threads.  The cache key includes every config field, so an
+    engine whose config is mutated between calls never serves a stale
+    compilation.
     """
 
     def __init__(self, config: Optional[EngineConfig] = None, **flags):
@@ -265,13 +265,7 @@ class XQueryEngine:
         elif flags:
             raise TypeError("pass either a config object or keyword flags, not both")
         self.config = config
-        self._cache: "OrderedDict[tuple, CompiledQuery]" = OrderedDict()
-        self._cache_lock = threading.RLock()
-        self.cache_hits = 0
-        self.cache_misses = 0
-        #: threads that compiled but lost the insert race: counted as
-        #: misses (the compile work really happened) and tallied here.
-        self.cache_races = 0
+        self._cache = LRU(config.compile_cache_size)
 
     def _cache_key(self, source: str) -> tuple:
         return (source,) + tuple(
@@ -280,50 +274,21 @@ class XQueryEngine:
 
     def compile(self, source: str, use_cache: bool = True) -> CompiledQuery:
         """Parse, validate, and (per config) optimize a query."""
-        if not use_cache or self.config.compile_cache_size <= 0:
+        # the bound follows a config mutated between calls, as the key does.
+        self._cache.maxsize = self.config.compile_cache_size
+        if not use_cache or self._cache.maxsize <= 0:
             return CompiledQuery(parse_query(source), self.config)
-        key = self._cache_key(source)
-        with self._cache_lock:
-            cached = self._cache.get(key)
-            if cached is not None:
-                self.cache_hits += 1
-                self._cache.move_to_end(key)
-                return cached
-        # parse/compile outside the lock: compilation is pure, and a rare
-        # duplicate compile beats serializing every miss behind one lock.
-        query = CompiledQuery(parse_query(source), self.config)
-        with self._cache_lock:
-            existing = self._cache.get(key)
-            if existing is not None:
-                # we lost the insert race after doing a full compile: that
-                # is real compile work, so it counts as a miss, not a hit.
-                self.cache_misses += 1
-                self.cache_races += 1
-                self._cache.move_to_end(key)
-                return existing
-            self.cache_misses += 1
-            self._cache[key] = query
-            while len(self._cache) > self.config.compile_cache_size:
-                self._cache.popitem(last=False)
-        return query
+        return self._cache.get_or_build(
+            self._cache_key(source),
+            lambda: CompiledQuery(parse_query(source), self.config),
+        )
 
     def cache_info(self) -> Dict[str, int]:
-        """Hit/miss/size counters, in the shape ``functools.lru_cache`` uses."""
-        with self._cache_lock:
-            return {
-                "hits": self.cache_hits,
-                "misses": self.cache_misses,
-                "races": self.cache_races,
-                "currsize": len(self._cache),
-                "maxsize": self.config.compile_cache_size,
-            }
+        """Hit/miss/race/size counters (:meth:`repro.lru.LRU.stats`)."""
+        return self._cache.stats()
 
     def cache_clear(self) -> None:
-        with self._cache_lock:
-            self._cache.clear()
-            self.cache_hits = 0
-            self.cache_misses = 0
-            self.cache_races = 0
+        self._cache.clear()
 
     def evaluate(
         self,

@@ -12,14 +12,11 @@ import json
 import pytest
 
 from repro.querycalc import QueryService, parse_query_xml
+from repro.lru import LRU
 from repro.workloads import make_it_model
 from repro.xmlio import parse_document
 from repro.xquery import EngineConfig, XQueryEngine
-from repro.xquery.algebra import (
-    DEFAULT_STATS,
-    SharedEvalCache,
-    StatisticsCatalog,
-)
+from repro.xquery.algebra import DEFAULT_STATS, StatisticsCatalog
 
 DOC = parse_document(
     """<awb-model>
@@ -207,13 +204,13 @@ class TestSharedEvalCache:
     def test_join_builds_are_shared_across_runs(self):
         query = compile_algebra(JOIN_QUERY)
         root = DOC.document_element()
-        cache = SharedEvalCache()
+        cache = LRU(None)
         first = query.run(variables={"model": root}, algebra_cache=cache)
-        after_first = cache.info()
-        assert after_first["entries"] > 0
+        after_first = cache.stats()
+        assert after_first["currsize"] > 0
         second = query.run(variables={"model": root}, algebra_cache=cache)
         assert second == first
-        assert cache.info()["hits"] > after_first["hits"]
+        assert cache.stats()["hits"] > after_first["hits"]
 
     def test_runs_without_a_cache_are_isolated(self):
         query = compile_algebra(JOIN_QUERY)

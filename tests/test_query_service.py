@@ -1,8 +1,11 @@
 """The query service: caching, invalidation, batching, metrics, CLI."""
 
+import threading
+
 import pytest
 
 from repro.awb import export_model_text
+from repro.lru import LRU
 from repro.querycalc import (
     QueryService,
     XQueryCalculusBackend,
@@ -10,7 +13,7 @@ from repro.querycalc import (
     parse_query_xml,
     run_query,
 )
-from repro.querycalc.service import PlanCache, QueryPlan, ResultCache
+from repro.querycalc.service import QueryPlan, ResultCache
 from repro.querycalc.service import percentile
 from repro.workloads import make_it_model
 
@@ -200,7 +203,7 @@ class TestMetricsAndStats:
 
 class TestPlanAndResultCacheUnits:
     def test_plan_cache_lru_eviction(self):
-        cache = PlanCache(maxsize=2)
+        cache = LRU(maxsize=2)
         for key in ("a", "b", "c"):
             cache.get_or_build(key, lambda k=key: QueryPlan(k, None))
         stats = cache.stats()
@@ -209,6 +212,53 @@ class TestPlanAndResultCacheUnits:
         # "a" was evicted; rebuilding it is a miss again
         cache.get_or_build("a", lambda: QueryPlan("a", None))
         assert cache.stats()["misses"] == 4
+
+    def test_lru_unbounded_never_evicts_and_zero_sized_stores_nothing(self):
+        unbounded = LRU(maxsize=None)
+        for key in range(1000):
+            unbounded.put(key, str(key))
+        assert unbounded.get(0) == "0"
+        assert unbounded.stats() == {
+            "hits": 1, "misses": 0, "races": 0, "currsize": 1000, "maxsize": None,
+        }
+        empty = LRU(maxsize=0)
+        empty.put("a", 1)
+        assert empty.get("a") is None
+        assert empty.get_or_build("b", lambda: 2) == 2
+        assert empty.get_or_build("b", lambda: 3) == 3
+        assert empty.stats() == {
+            "hits": 0, "misses": 3, "races": 0, "currsize": 0, "maxsize": 0,
+        }
+
+    def test_plan_cache_counts_a_lost_build_as_a_miss(self, model, monkeypatch):
+        """Two threads building one fresh plan both did codegen: the loser
+        is a miss and a race, never a hit."""
+        service = QueryService(model, mode="thread")
+        codegen = XQueryCalculusBackend.compile_to_xquery
+        both_building = threading.Barrier(2, timeout=10)
+
+        def racing_codegen(backend, query):
+            both_building.wait()
+            return codegen(backend, query)
+
+        monkeypatch.setattr(XQueryCalculusBackend, "compile_to_xquery", racing_codegen)
+        query = parse_query_xml(LIKES_USES)
+        answers = [None, None]
+
+        def read(slot):
+            answers[slot] = ids(service.run(query))
+
+        threads = [threading.Thread(target=read, args=(slot,)) for slot in (0, 1)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join()
+        expected = ids(run_query(query, model))
+        assert answers == [expected, expected]
+        plans = service.cache_stats()["plans"]
+        counted = {name: plans.get(name) for name in ("hits", "misses", "races")}
+        assert counted == {"hits": 0, "misses": 2, "races": 1}
+        assert plans["currsize"] == 1
 
     def test_result_cache_generation_keys_do_not_collide(self):
         cache = ResultCache(maxsize=8)

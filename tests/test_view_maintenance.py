@@ -155,7 +155,7 @@ class TestSharedEntries:
         cache.put(("sig", 1), ["N1"], deps=deps)
         cache.get(("sig", 1), twin)
         cache.put(("sig", 1), ["N1"], deps=twin)
-        assert cache._results[("sig", 1)][2] is deps
+        assert cache._entries[("sig", 1)][2] is deps
         merged = deps.merge(derive_dependencies(follow(), model.metamodel))
         assert merged is not deps and not merged.patchable
         assert merged.merge(deps) is merged

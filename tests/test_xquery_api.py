@@ -164,9 +164,9 @@ class TestCompileCache:
         engine.compile("3")  # evicts "2"
         assert engine.compile("1") is a
         assert engine.cache_info()["currsize"] == 2
-        before = engine.cache_misses
+        before = engine.cache_info()["misses"]
         engine.compile("2")  # was evicted: a fresh miss
-        assert engine.cache_misses == before + 1
+        assert engine.cache_info()["misses"] == before + 1
 
     def test_cache_disabled_by_size_zero(self):
         engine = XQueryEngine(compile_cache_size=0)
