@@ -47,9 +47,12 @@ def test_a02_compile_caching_ablation(benchmark):
     """A2: the engine's LRU compile cache vs recompiling per query.
 
     The cached engine's `evaluate` goes through `XQueryEngine.compile`,
-    which is the same code path the docgen runner and the calculus backend
-    use, so the hit/miss counters in the table are the cache's own numbers
-    rather than a re-timing estimate.
+    which is the same code path the docgen runner and the standalone
+    calculus backend (`XQueryCalculusBackend.run`) use, so the hit/miss
+    counters in the table are the cache's own numbers rather than a
+    re-timing estimate.  The query service is not on this path: its shard
+    workers compile each served plan uncached, because the service caches
+    the plan's answer instead.
     """
     source = (
         "declare function local:f($n) { if ($n le 0) then 0 "

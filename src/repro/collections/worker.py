@@ -4,10 +4,12 @@
 shard.  Each worker takes its shard's
 :class:`~repro.collections.store.DocumentStore` ready-made, a subset of
 the authoritative store that shares its parsed documents and postings,
-and owns its own engine (plan LRU included).  A process worker is
-forked, so it holds a private copy-on-write copy and parses nothing at
-boot.  In process mode it runs in the calculus tier's request loop,
-:func:`repro.serving.worker.worker_main`, behind the same
+and owns its own algebra engine.  A request program is compiled for its
+run and dropped with it (the engine's compile LRU is bypassed): the
+front end caches the answer under the request key and scope generation.
+A process worker is forked, so it holds a private copy-on-write copy and
+parses nothing at boot.  In process mode it runs in the calculus tier's
+request loop, :func:`repro.serving.worker.worker_main`, behind the same
 :class:`~repro.serving.pool.WorkerHandle`: the parent sends ``(op,
 req_id, payload)`` and the worker answers ``("ok", req_id, result)`` or
 ``("err", req_id, QueryError)``.  In thread mode a
@@ -125,7 +127,8 @@ class CollectionWorker:
         result for a single-shard answer), ``key`` (cache/diagnostic key).
         """
         self.runs += 1
-        compiled = self.engine.compile(payload["source"])
+        # uncached: the front end caches the answer, not the program.
+        compiled = self.engine.compile(payload["source"], use_cache=False)
         result = compiled.run(
             collections=self.store, statistics=self._statistics
         )

@@ -16,7 +16,8 @@ Python side only:
 from __future__ import annotations
 
 import os
-from typing import Dict, List, Optional
+from functools import partial
+from typing import Callable, Dict, List, Optional
 
 from ...awb.model import Model
 from ...awb.xml_io import export_metamodel, export_model
@@ -128,10 +129,11 @@ class XQueryDocumentGenerator:
             self._metamodel_xml = export_metamodel(self.model.metamodel)
         return self._metamodel_xml
 
-    def _compiled_query(self, key: str, source: str):
+    def _compiled_query(self, key: str, read_source: Callable[[], str]):
+        """The program compiled for *key*; its source is read on a miss only."""
         compiled = self._compiled.get(key)
         if compiled is None:
-            compiled = self.engine.compile(source)
+            compiled = self.engine.compile(read_source())
             self._compiled[key] = compiled
         return compiled
 
@@ -146,7 +148,7 @@ class XQueryDocumentGenerator:
 
         # Phase 1: generate the whole document (with INTERNAL-DATA).
         main_program = self._compiled_query(
-            f"main-{self.error_regime}", assemble_main_program(self.error_regime)
+            f"main-{self.error_regime}", partial(assemble_main_program, self.error_regime)
         )
         phase1 = main_program.run(
             variables={
@@ -167,7 +169,7 @@ class XQueryDocumentGenerator:
             ("phase3_toc", "phase_toc.xq", False),
             ("phase4_replace", "phase_replace.xq", False),
         ):
-            program = self._compiled_query(module, read_module(module))
+            program = self._compiled_query(module, partial(read_module, module))
             variables = {"doc": current}
             if extra:
                 variables["model"] = self.model_xml
@@ -177,7 +179,9 @@ class XQueryDocumentGenerator:
             measure(phase_name, current)
 
         # Phase 5: strip INTERNAL-DATA and assemble the output streams.
-        strip_program = self._compiled_query("phase_strip.xq", read_module("phase_strip.xq"))
+        strip_program = self._compiled_query(
+            "phase_strip.xq", partial(read_module, "phase_strip.xq")
+        )
         streams_result = strip_program.run(variables={"doc": current}, trace=trace)
         streams = _single_element(streams_result, "output-streams")
         measure("phase5_strip", streams)

@@ -2,8 +2,9 @@
 
 Every cache on the request path is an :class:`LRU`: the query service's
 plan cache, the result cache (:class:`~repro.querycalc.service.results.ResultCache`
-subclasses it), the engine's compile cache and a shard worker's
-shared-scan cache.  Each reports one shape, :meth:`LRU.stats`:
+subclasses it) and a shard worker's shared-scan cache.  The engine's
+compile cache is one too; served plans bypass it, and ``explain``,
+docgen and library callers use it.  Each reports one shape, :meth:`LRU.stats`:
 ``{hits, misses, races, currsize, maxsize}``.
 
 The race rule: :meth:`LRU.get_or_build` builds outside the lock, so two

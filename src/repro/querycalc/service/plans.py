@@ -4,7 +4,8 @@ A *plan* is everything the service needs to execute one calculus query
 repeatedly without re-doing per-query work: the generated XQuery source
 and the dependency set its cached answers carry.  Compiling the source
 is a shard worker's job (:class:`~repro.serving.worker.ShardWorker`, in
-both service modes), through its engine's compile LRU.
+both service modes), once per run: the program is dropped with the run,
+so the plan (its source) and the answer are what the service caches.
 
 Plans are keyed by the *normalized query text* — a canonical rendering of
 the calculus AST — so two structurally identical queries parsed from

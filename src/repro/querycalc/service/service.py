@@ -5,9 +5,9 @@ paper's error-handling chapter.  The caching story (PR 3) keeps four
 layers warm between requests:
 
 1. a **plan cache**: normalized calculus text → generated XQuery source
-   (a shard worker compiles it through its engine's compile LRU).  Every
-   cache here is one :class:`~repro.lru.LRU`, so a plan built by two
-   racing threads counts as two misses and one race, never a hit;
+   (a shard worker compiles it for each run and keeps no program).
+   Every cache here is one :class:`~repro.lru.LRU`, so a plan built by
+   two racing threads counts as two misses and one race, never a hit;
 2. an **incremental model export**: mutations dirty individual subtrees,
    so the XML document the queries scan is patched, not rebuilt;
 3. a **result cache** keyed by (generated source, export generation):
@@ -603,7 +603,8 @@ class QueryService(FrontEnd):
             "propagations": propagations,
             "plan_hits": plan_stats["hits"],
             "plan_misses": plan_stats["misses"],
-            # the engine compile LRU (hits/misses/races).
+            # the engine compile LRU (hits/misses/races), which served
+            # plans bypass; explain and other engine callers fill it.
             "compile_cache": self.engine.cache_info(),
             # the in-process worker's shared scans (thread mode); each
             # process worker reports its own in serving_stats().

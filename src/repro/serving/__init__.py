@@ -16,33 +16,32 @@ pieces under them:
     owns its key) and the search-request router;
 :mod:`repro.serving.worker`
     the worker: the op dispatch and request loop both tiers run, and the
-    calculus worker's adopted replica, engine + compile LRU, shared scans
-    per export generation and plan evaluation (compile, run, treewalk
-    retry, ids);
+    calculus worker's adopted replica, engine, shared scans per export
+    generation and plan evaluation (compile, run, treewalk retry, ids).
+    A served plan's compiled program lives for its run only: the front
+    ends cache plans and answers, and nothing here caches programs;
 :mod:`repro.serving.pool`
     the worker handles (a respawning process, or one in-process worker),
     the concurrent scatter, and the calculus pool's replica refresh and
-    one-request execution;
+    one-request execution.  It loads :mod:`multiprocessing`, so the
+    package does not import it: a thread-mode ``QueryService`` loads only
+    ``partition`` and ``worker``, and process mode and the search tier
+    import ``repro.serving.pool`` themselves, before any fork;
 :mod:`repro.serving.loadgen`
     the load-generator harness (``python -m repro.serving.loadgen``)
     reporting sustained QPS, p50/p95/p99 latency, and shed rate.
 """
 
 from .partition import Route, bucket, route_query, route_request
-from .pool import LocalHandle, ProcessPool, WorkerHandle, scatter
 from .worker import ShardWorker, WorkerConfig, dispatch, worker_main
 
 __all__ = [
-    "LocalHandle",
-    "ProcessPool",
     "Route",
     "ShardWorker",
     "WorkerConfig",
-    "WorkerHandle",
     "bucket",
     "dispatch",
     "route_query",
     "route_request",
-    "scatter",
     "worker_main",
 ]

@@ -5,8 +5,10 @@ holds the full model replica (the calculus follows relations any number
 of hops, so a slice would need every other slice anyway), so splitting a
 query's start set across workers would buy no data locality, only
 coordination.  :func:`route_query` sends a plan to the worker that owns
-its plan key, so each plan compiles on one worker, and that worker's
-answer is exact single-process semantics.
+its plan key, so a plan rerun because its answer left the result cache
+lands on the worker whose shared-scan cache for the export generation
+already holds its scans and join builds.  That worker's answer is exact
+single-process semantics.
 
 The hash is CRC32, not Python's ``hash()``: worker processes must agree
 on ownership with the front-end across interpreter boundaries, and
@@ -49,7 +51,9 @@ class Route:
 
 def route_query(key: str, shards: int) -> Route:
     """Route one calculus plan, by its normalized plan *key*, to the one
-    worker that evaluates it over its full replica."""
+    worker that evaluates it over its full replica.  Owning plans by key
+    is for shared-scan locality: a rerun within one export generation
+    finds the plan's scans and join builds in that worker's cache."""
     return Route("single", bucket(key, shards), f"plan-key-owner crc32(key) % {shards}")
 
 

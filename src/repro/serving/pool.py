@@ -9,7 +9,7 @@ holds the same workers in-process through :class:`LocalHandle`.
 
 The process-mode calculus front end owns one :class:`ProcessPool`.  Each
 worker is a forked OS process holding a full model replica, its own
-engine compile LRU and its own shared-scan cache per export generation:
+engine and its own shared-scan cache per export generation:
 shared-nothing, so N workers really do evaluate N different queries
 concurrently instead of time-slicing one GIL.  Each query runs, whole,
 on one worker, through the same :meth:`ShardWorker.run
@@ -20,9 +20,10 @@ by ``id()``), which a ``spawn`` child would receive as pickled copies.
 
 Compiled closures don't pickle, so the parent never ships compiled plans.
 A :class:`~repro.querycalc.service.plans.QueryPlan` carries the generated
-*source*; the one worker its key routes to compiles it on first use (its
-LRU makes every later use a hit).  The source is also the plan's result
-key, in both modes, so the front end knows it before any worker answers:
+*source*; the one worker its key routes to compiles it for each run and
+drops the program with it (the answer is what the front end caches).
+The source is also the plan's result key, in both modes, so the front
+end knows it before any worker answers:
 a plan rebuilt after the plan cache evicted it still hits its cached
 result, and two calculus spellings that generate one source share one
 entry.  The pool keeps no per-plan state.

@@ -1,10 +1,13 @@
 """The shard worker: the one place a calculus plan runs, in both modes.
 
-A :class:`ShardWorker` compiles a plan's generated source through its
-engine's compile LRU, evaluates it over its backend's export (the
-algebra, retried once on the treewalk after an internal error) and turns
-the result into node ids.  :class:`~repro.querycalc.service.QueryService`
-sends every plan here as one ``{key, source, remaining}`` payload:
+A :class:`ShardWorker` compiles a plan's generated source, evaluates it
+over its backend's export (the algebra, retried once on the treewalk
+after an internal error) and turns the result into node ids.  The
+compiled program is dropped with the run: the front end caches the plan
+(its source) and the answer, so the engine's compile LRU is bypassed and
+a served plan leaves no compiled program behind.
+:class:`~repro.querycalc.service.QueryService` sends every plan here as
+one ``{key, source, remaining}`` payload:
 
 * in **process mode** to the worker process the plan's key routes to
   (:func:`~repro.serving.partition.route_query`).  Each holds a full
@@ -80,7 +83,8 @@ class WorkerConfig:
     #: worker adopts the front end's.
     backend: XQueryCalculusBackend
     generation: int
-    #: the engine plans compile on; None builds an algebra engine.
+    #: the engine plans compile on (bypassing its compile LRU); None
+    #: builds an algebra engine.
     engine: Optional[XQueryEngine] = None
     #: hooked ahead of every evaluation attempt (the in-process worker).
     faults: Optional[FaultInjector] = None
@@ -114,8 +118,6 @@ class ShardWorker:
 
     def refresh(self, payload: Dict) -> Dict[str, int]:
         """Swap in a new export generation (a full replica rebuild)."""
-        # the engine's compile LRU survives: generated source depends only
-        # on the metamodel, not the instance data.  Only the replica moves.
         self._adopt(
             replica_backend(payload["export_text"], self.model.metamodel),
             payload["generation"],
@@ -171,7 +173,9 @@ class ShardWorker:
         key = payload["key"]
         remaining = payload.get("remaining")
         deadline = Deadline.after(remaining) if remaining is not None else None
-        compiled = self.engine.compile(payload["source"])
+        # uncached: the front end caches the answer, so a kept program
+        # would only serve a rerun after a write or an evicted answer.
+        compiled = self.engine.compile(payload["source"], use_cache=False)
         root, statistics, shared = self._scan_state()
         primary = compiled.config.backend
 

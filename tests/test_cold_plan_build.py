@@ -8,7 +8,8 @@ type pass and no closure compiler on the run path.
 * **no type pass** — with ``TypeAnalyzer`` raising, calculus plans in both
   modes and the search warm set still run, and ``explain`` afterwards
   still annotates occurrences.
-* **one optimize** — each cold plan calls ``optimize_plan`` exactly once.
+* **one optimize** — each cold run lowers one program and calls
+  ``optimize_plan`` on it exactly once.
 * **no closure compiler** — no plan in the 2,016-query ``calc_cold`` pool
   builds a :class:`~repro.xquery.compiler.Compiler`.
 * **shaped property filters** — ``PropertyFilterPred`` against the generic
@@ -138,31 +139,54 @@ def test_plans_run_without_the_type_pass(monkeypatch, mode):
 
 
 def test_each_cold_plan_optimizes_once(monkeypatch):
+    """Each cold ``service.run`` lowers one program and optimizes it once.
+    The shard worker drops the program with the run, so the plan is
+    captured as it lowers rather than read back from a cache."""
     import repro.xquery.algebra as algebra
 
     calls = []
+    lowered = []  # (program, optimizations before it lowered)
     optimize_plan = algebra.optimize_plan
+    lower = algebra.AlgebraProgram.__init__
 
     def counting(plan, stats=None):
         calls.append(plan)
         return optimize_plan(plan, stats)
 
+    def capturing(self, *args, **kwargs):
+        lower(self, *args, **kwargs)
+        lowered.append((self, len(calls)))
+
     monkeypatch.setattr(algebra, "optimize_plan", counting)
+    monkeypatch.setattr(algebra.AlgebraProgram, "__init__", capturing)
     model, queries = fixture_queries(60)
     service = QueryService(model)
-    for index, query in enumerate(queries, start=1):
-        compiled = service.engine.compile(service._plan(query).source)
-        program = compiled.algebra
-        assert len(calls) == index - 1, "lowering optimized"
+
+    def run_cold(query):
+        optimized, programs = len(calls), len(lowered)
         service.run(query)
-        assert len(calls) == index
+        assert len(lowered) == programs + 1
+        program, before = lowered[-1]
+        assert before == optimized, "lowering optimized"
+        assert len(calls) == optimized + 1
         assert calls[-1] is program.plan
-    # a warm run or an explain against the same catalog reuses the plan
-    service.invalidate()
+
+    for query in queries:
+        run_cold(query)
+    # a warm run is a result-cache hit: nothing lowers or optimizes
     for query in queries[:10]:
         service.run(query)
+    assert len(calls) == len(lowered) == len(queries)
+    # a rerun after invalidation compiles afresh and optimizes once
+    service.invalidate()
+    for query in queries[:10]:
+        run_cold(query)
+    # explain compiles through the engine's LRU: a repeat reuses its plan
+    for query in queries[:10]:
         service.explain(query)
-    assert len(calls) == len(queries)
+        optimized = len(calls)
+        service.explain(query)
+        assert len(calls) == optimized
 
 
 # -- no closure compiler -------------------------------------------------------

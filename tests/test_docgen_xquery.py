@@ -42,6 +42,26 @@ class TestProgramAssembly:
             module = parse_query(read_module(name))
             assert module.body is not None, name
 
+    def test_modules_are_read_once_per_generator(self, model, monkeypatch):
+        """The first ``generate`` reads the nine module files it compiles;
+        a later one finds every program compiled and reads none."""
+        from repro.docgen.xquery_impl import runner
+
+        reads = []
+        read_module = runner.read_module
+
+        def counting(name):
+            reads.append(name)
+            return read_module(name)
+
+        monkeypatch.setattr(runner, "read_module", counting)
+        generator = XQueryDocumentGenerator(model)
+        generator.generate("<html><label/></html>")
+        assert len(reads) == 9 and len(set(reads)) == 9
+        reads.clear()
+        generator.generate("<html><for nodes='all.User'><label/></for></html>")
+        assert reads == []
+
 
 class TestGeneration:
     def test_passthrough(self, generator):

@@ -186,7 +186,8 @@ class TestMetricsAndStats:
         stats = service.cache_stats()
         assert stats["plans"]["misses"] == 1
         assert stats["results"]["misses"] == 1
-        assert stats["compile"]["currsize"] == 1
+        # the shard worker compiles a served plan uncached
+        assert stats["compile"]["currsize"] == 0
         assert stats["export"]["full_exports"] == 1
 
     def test_incremental_export_is_subtree_only_after_point_mutation(
