@@ -130,7 +130,7 @@ def run_mix_cell(docs, ops=MIX_OPS, seed=22, shards=2, parity_every=1):
                 words = " ".join(rng.choice(FT_WORDS) for _ in range(8))
                 service.put_text(f"hot/w{writes % 6}.xml", f"<doc>{words}</doc>")
                 # incremental maintenance: O(1) documents per write
-                # (the shard workers keep their own indexes).
+                # (each worker patches its own replica's index).
                 assert store.index.maintenance_ops - ops_before <= 2
                 writes += 1
             else:

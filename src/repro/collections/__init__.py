@@ -17,14 +17,16 @@ Layout:
   map with per-collection generations and index maintenance hooked into
   the update pipeline;
 * :mod:`.service` — :class:`SearchService`: the request-level front-end
-  with a result cache keyed on collection generation, thread- or
-  process-sharded execution, and scatter/gather merge;
-* :mod:`.worker` — the shard worker's replica and ops, in both modes.
+  with a result cache keyed on collection generation, one worker per
+  read and every write fanned out to every worker, in threads or
+  processes;
+* :mod:`.worker` — the worker's whole-store replica and ops, in both
+  modes.
 
 Both modes run on the calculus serving tier's substrate rather than a
-copy of it: documents partition by :func:`repro.serving.partition.bucket`
-of their uri and route through
-:func:`repro.serving.partition.route_request`, and workers run behind
+copy of it: every worker holds the whole store, a read routes whole to
+one worker through :func:`repro.serving.partition.route_query` (the
+calculus tier's router), and workers run behind
 :class:`repro.serving.pool.WorkerHandle` (boot, respawn) in
 :func:`repro.serving.worker.worker_main` (the request loop), or
 in-process behind :class:`repro.serving.pool.LocalHandle` in thread mode.

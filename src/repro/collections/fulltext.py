@@ -3,11 +3,11 @@
 The index is the eXist-db shape: token → document → sorted positions
 (token ordinals, not character offsets), so a multi-token phrase is an
 adjacency join over position lists.  Scoring is deliberately the dumbest
-thing that is *deterministic and shard-independent*: the number of phrase
+thing that is *deterministic and document-local*: the number of phrase
 occurrences in the document.  No idf, no length normalization — a
-collection-frequency score would make a shard's partial result depend on
-the other shards' contents and break both the scatter/gather merge and
-the indexed-vs-brute-force byte-identity the oracle pins.
+collection-frequency score would make a document's score depend on the
+rest of the corpus and break the indexed-vs-brute-force byte-identity
+the oracle pins.
 
 Everything the index answers is also answerable by :func:`count_phrase`
 over the raw text; the differential oracle and E22 hold the two paths to

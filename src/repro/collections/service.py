@@ -1,4 +1,4 @@
-"""The search front-end: requests, routing, caching, scatter/gather.
+"""The search front-end: requests, routing, caching and write fan-out.
 
 A :class:`SearchRequest` is the service's little language — ``doc``
 fetches, ``collection`` listings, ``search`` hit lists, and ``kwic``
@@ -7,13 +7,11 @@ the collection builtins (mirroring how the calculus service compiles
 queries to XQuery).  The engine is the only evaluator; the service adds
 the serving-tier concerns:
 
-* **routing with proofs** — uri-addressed ``doc`` requests go to the
-  crc32 owner shard, ``collection``/``search``/``kwic`` scatter, and
-  every decision carries its reason
-  (:func:`repro.serving.partition.route_request`);
-* **scatter/gather** — per-shard partials are merge-sorted by
-  ``(score desc, uri asc)``, the same key the per-shard ``ft:search``
-  ordered by, so sharded bytes equal unsharded bytes;
+* **one worker per read** — every worker holds the whole store, so a
+  request goes, whole, to the worker that owns its key
+  (:func:`repro.serving.partition.route_query`, the calculus tier's
+  router), and that worker's serialized answer is the answer: the same
+  bytes a one-store run gives, with nothing to merge;
 * **the calculus service's read loop** — :class:`SearchService` extends
   :class:`~repro.querycalc.service.service.FrontEnd`, keyed on
   ``(request key, generation of the touched scope)``, where a ``doc``
@@ -21,13 +19,16 @@ the serving-tier concerns:
   A read whose scope generation moved while it executed runs again, and
   a write under ``docs/a/`` leaves cached answers about ``notes/`` warm,
   which keeps the E22 95/5 read/write mix warm without a sweep;
-* **one shard path** — each shard is a
+* **writes reach every replica** — a write applies to the authoritative
+  store, then fans out to every worker concurrently
+  (:func:`repro.serving.pool.scatter`);
+* **one worker path** — each worker is a
   :class:`~repro.collections.worker.CollectionWorker` reached through the
-  serving tier's handles (:mod:`repro.serving.pool`), and scatters fan
-  out concurrently in both modes.  ``mode="process"`` runs the workers as
-  real processes: failures cross back as structured ``RemoteQueryError``
-  (``FODC0002`` included), and a dead or hung worker is respawned from
-  the authoritative store.  ``mode="thread"`` holds them in-process.
+  serving tier's handles (:mod:`repro.serving.pool`).  ``mode="process"``
+  runs the workers as real processes: failures cross back as structured
+  ``RemoteQueryError`` (``FODC0002`` included), and a dead or hung worker
+  is respawned from the authoritative store.  ``mode="thread"`` holds
+  them in-process.
 """
 
 from __future__ import annotations
@@ -36,21 +37,16 @@ import threading
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from functools import partial
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, Optional, Tuple
 
 from ..querycalc.service.plans import QueryPlan
 from ..querycalc.service.service import FrontEnd
-from ..serving.partition import Route, bucket, route_request
+from ..serving.partition import Route, route_query
 from ..serving.pool import LocalHandle, WorkerHandle, boot_workers, scatter, worker_stats
 from ..xquery import EngineConfig, XQueryEngine, serialize_result
 from .kwic import CHARS_KWIC
-from .store import DocumentStore, collection_prefixes, normalize_collection
-from .worker import (
-    CollectionWorker,
-    CollectionWorkerConfig,
-    fulltext_catalog,
-    merge_rows,
-)
+from .store import DocumentStore, normalize_collection
+from .worker import CollectionWorker, CollectionWorkerConfig, fulltext_catalog
 
 __all__ = ["SearchRequest", "SearchResult", "SearchService"]
 
@@ -94,9 +90,8 @@ class SearchRequest:
     def source(self) -> str:
         """The XQuery program this request compiles to.
 
-        Hit elements carry ``uri`` and ``score`` attributes so the
-        scatter merge can re-sort partials by the exact key the
-        per-shard ``ft:search`` ordered by.
+        Hit elements carry ``uri`` and ``score`` attributes, in the
+        ``(score desc, uri asc)`` order ``ft:search`` returns.
         """
         if self.kind == "doc":
             return f"fn:doc({_lit(self.uri)})"
@@ -161,12 +156,12 @@ class _WorkerHandle(WorkerHandle):
 class SearchService(FrontEnd):
     """Request-level front-end over one authoritative DocumentStore.
 
-    Each shard is a :class:`CollectionWorker` holding the documents whose
-    uri buckets to it.  ``mode="process"`` runs each in a real worker
+    Each of the ``shards`` workers is a :class:`CollectionWorker` holding
+    the whole store.  ``mode="process"`` runs each in a real worker
     process; ``mode="thread"`` holds each in-process behind a
     :class:`~repro.serving.pool.LocalHandle`.  Either way the
     authoritative store takes every write first — single-writer,
-    shared-nothing readers — and replicas see the write as a
+    shared-nothing readers — and every replica sees the write as a
     per-document index patch, never a rebuild.  Reads run the shared
     :class:`FrontEnd` loop with no deadline, admission bound or faults.
     """
@@ -189,30 +184,36 @@ class SearchService(FrontEnd):
         #: read snapshots its scope generation under it.
         self._write_lock = threading.Lock()
         #: guards the authoritative store itself: its mutations,
-        #: ``evaluate_fresh`` and the boot config a worker (re)starts from.
+        #: ``evaluate_fresh`` and the replica a worker respawns from.
         #: It cannot be the writer lock, which is held across replication:
         #: a reader respawning a worker needs a boot config while a writer
         #: waits on that worker's handle.
         self._authoritative_lock = threading.Lock()
         #: completed writes; counted under the writer lock.
         self._writes = 0
+        #: the first boot forks every process worker with the store itself:
+        #: no other thread exists yet to mutate it.
+        self._boot_store: Optional[DocumentStore] = store if mode == "process" else None
         handle = _WorkerHandle if mode == "process" else LocalHandle
         self._workers = boot_workers(
             lambda shard: handle(shard, CollectionWorker, partial(self._worker_config, shard)),
             self.shards,
         )
-        self._scatter_pool = ThreadPoolExecutor(
-            max_workers=self.shards, thread_name_prefix="search-scatter"
+        self._boot_store = None
+        self._replicate_pool = ThreadPoolExecutor(
+            max_workers=self.shards, thread_name_prefix="search-replicate"
         )
 
     def _worker_config(self, shard: int) -> CollectionWorkerConfig:
-        """Shard *shard*'s boot config, read from the authoritative store at
-        first boot and again at every respawn, so a replacement worker
-        comes back with every write and registered collection.  Its store
-        shares the authoritative store's parsed documents and postings."""
+        """Worker *shard*'s boot config.  A process worker's first boot
+        forks with the authoritative store; a respawn, and every
+        thread-mode worker, gets a replica of it built under its lock, so
+        a replacement worker comes back with every write.  A replica
+        shares the store's parsed documents and postings."""
+        if self._boot_store is not None:
+            return CollectionWorkerConfig(shard=shard, store=self._boot_store)
         with self._authoritative_lock:
-            uris = [uri for uri in self.store.uris() if bucket(uri, self.shards) == shard]
-            return CollectionWorkerConfig(shard=shard, store=self.store.subset(uris))
+            return CollectionWorkerConfig(shard=shard, store=self.store.replica())
 
     # -- reads -------------------------------------------------------------
 
@@ -229,10 +230,10 @@ class SearchService(FrontEnd):
 
     def run(self, request: SearchRequest) -> SearchResult:
         """Answer one request through the shared read loop: a read that a
-        write to its scope overlapped runs again.  Shards execute outside
+        write to its scope overlapped runs again.  Workers execute outside
         every service lock."""
         text, _, cached, generation = self._serve(request)
-        return SearchResult(text, cached, route_request(request, self.shards), generation)
+        return SearchResult(text, cached, route_query(request.key(), self.shards), generation)
 
     @property
     def metrics(self) -> Dict[str, int]:
@@ -245,7 +246,8 @@ class SearchService(FrontEnd):
             "executed": reads["executed"],
             "errors": reads["errors"],
             "single": reads["routes"].get("single", 0),
-            "scatter": reads["routes"].get("scatter", 0),
+            # every read goes to one worker; bench/workloads.py reads the key.
+            "scatter": 0,
             "writes": self._writes,
         }
 
@@ -262,27 +264,16 @@ class SearchService(FrontEnd):
         return self.scope_generation(plan.query)
 
     def _execute(self, plan: QueryPlan, deadline) -> Tuple[str, tuple]:
-        """One round trip to the owner shard, or a scatter plus merge."""
-        request = plan.query
-        route = route_request(request, self.shards)
+        """One round trip to the worker that owns the request's key."""
+        route = route_query(plan.key, self.shards)
         self._route(route.kind)
-        payload = {
-            "source": request.source(),
-            "structured": route.kind == "scatter",
-            "key": plan.key,
-        }
-        if route.kind == "single":
-            return self._workers[route.shard].request("run", payload)["text"], ()
-        replies = scatter(
-            self._scatter_pool,
-            [partial(worker.request, "run", payload) for worker in self._workers],
-        )
-        return merge_rows([reply["rows"] for reply in replies], limit=request.limit), ()
+        payload = {"source": plan.query.source(), "key": plan.key}
+        return self._workers[route.shard].request("run", payload)["text"], ()
 
     def evaluate_fresh(
         self, request: SearchRequest, use_index: Optional[bool] = None
     ) -> str:
-        """Bypass cache and shards: one unsharded run over the live store.
+        """Bypass cache and workers: one run over the live store.
 
         ``use_index=False`` is the brute-force parity reference the
         oracle and E22 compare every served byte against.
@@ -311,7 +302,7 @@ class SearchService(FrontEnd):
         with self._write_lock:
             with self._authoritative_lock:
                 self.store.remove(uri)
-            self._workers[bucket(uri, self.shards)].request("delete", {"uri": uri})
+            self._replicate("delete", {"uri": uri})
             self._writes += 1
 
     def apply_update(self, uri: str, script: str):
@@ -327,40 +318,25 @@ class SearchService(FrontEnd):
     def _put(self, uri: str, write):
         """Apply *write* to the authoritative store, then replicate *uri*."""
         with self._write_lock:
-            # the collection prefixes this write is about to create
-            known = self.store._collection_gens
-            new_prefixes = [prefix for prefix in collection_prefixes(uri) if prefix not in known]
             with self._authoritative_lock:
                 result = write()
-            self._replicate_put(uri, new_prefixes)
+            self._replicate_put(uri)
             self._writes += 1
             return result
 
-    def _replicate_put(self, uri: str, new_prefixes: List[str]) -> None:
-        """Patch the owner replica; tell *every* replica about new prefixes.
+    def _replicate_put(self, uri: str) -> None:
+        """Send *uri*'s stored text to every replica."""
+        self._replicate("put", {"uri": uri, "text": self.store.text_of(uri)})
 
-        Only the owner shard holds the document, but a collection created
-        by this write must become *known* tier-wide, or scatter requests
-        over it would raise FODC0002 from every non-owner shard.  Every
-        replica is asked even when one fails: a process worker whose
-        request failed was respawned from the authoritative store, which
-        already holds the write.
-        """
-        owner = bucket(uri, self.shards)
-        calls = [
-            partial(
-                self._workers[owner].request,
-                "put",
-                {"uri": uri, "text": self.store.text_of(uri)},
-            )
-        ]
-        if new_prefixes:
-            calls += [
-                partial(worker.request, "register", {"collections": new_prefixes})
-                for shard, worker in enumerate(self._workers)
-                if shard != owner
-            ]
-        scatter(self._scatter_pool, calls)
+    def _replicate(self, op: str, payload: dict) -> None:
+        """Send one write to every worker.  Every replica is asked even
+        when one fails: a process worker whose request failed was
+        respawned from the authoritative store, which already holds the
+        write."""
+        scatter(
+            self._replicate_pool,
+            [partial(worker.request, op, payload) for worker in self._workers],
+        )
 
     # -- lifecycle ---------------------------------------------------------
 
@@ -382,7 +358,7 @@ class SearchService(FrontEnd):
     def close(self) -> None:
         """Stop the workers once no write is in flight; safe to call twice."""
         with self._write_lock:
-            self._scatter_pool.shutdown(wait=False)
+            self._replicate_pool.shutdown(wait=False)
             for worker in self._workers:
                 worker.close()
 

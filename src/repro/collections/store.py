@@ -8,7 +8,7 @@ belongs to every ancestor collection, and ``""`` names the whole store.
 Three document flavors coexist:
 
 * plain XDM documents (``put_text``) — parsed once, the raw source kept
-  for persistence and for replicating writes to shard workers;
+  for persistence and for replicating writes to the serving workers;
 * AWB model exports (``put_model``) — backed by a live
   :class:`~repro.awb.Model` plus the update pipeline's
   :class:`~repro.awb.xml_io.IncrementalExporter`, so an update script
@@ -361,28 +361,28 @@ class DocumentStore:
             "doc_frequency": DocumentFrequencyView(self.index),
         }
 
-    # -- sharding ----------------------------------------------------------
+    # -- replication -------------------------------------------------------
 
-    def subset(self, uris: Iterable[str]) -> "DocumentStore":
-        """A new store holding only *uris* (collections stay known).
+    def replica(self) -> "DocumentStore":
+        """A new store holding every document and collection of this one.
 
-        A text document is shared, not re-parsed: the new store installs
+        A text document is shared, not re-parsed: the replica installs
         this store's tree, raw text and postings, none of which any store
         mutates in place.  A model-backed document is parsed afresh from
         its text (as a plain text document), because its exporter patches
         its tree in place.  Every known collection is carried over, so a
-        search over a collection with no member in the new store answers
-        ``()`` instead of FODC0002.
+        collection whose members were all deleted answers ``()`` in the
+        replica too, instead of FODC0002.
         """
-        shard = DocumentStore(use_index=self.use_index)
-        for uri in sorted(uris):
-            text = self.text_of(uri)
+        replica = DocumentStore(use_index=self.use_index)
+        for uri in sorted(self._docs):
+            text = self._texts[uri]
             if uri in self._models:
-                shard.put_text(uri, text)
+                replica.put_text(uri, text)
             else:
-                shard._install(uri, self._docs[uri], text, self.index)
-        shard.register_collections(self._collection_gens)
-        return shard
+                replica._install(uri, self._docs[uri], text, self.index)
+        replica.register_collections(self._collection_gens)
+        return replica
 
     def texts(self) -> List[Tuple[str, str]]:
         """``(uri, raw xml)`` pairs, in uri order."""
@@ -394,9 +394,9 @@ class DocumentStore:
     def register_collections(self, prefixes: Iterable[str]) -> None:
         """Make *prefixes* known (empty, generation 0) without a write.
 
-        The serving tier broadcasts this after a write that creates a new
-        collection, so every shard replica answers ``()`` for it instead
-        of FODC0002 — only the owner shard actually holds the document.
+        :meth:`open` carries a saved store's known collections over with
+        this, and :meth:`replica` its source's, so an emptied collection
+        answers ``()`` instead of FODC0002.
         """
         for prefix in prefixes:
             self._collection_gens.setdefault(prefix, 0)

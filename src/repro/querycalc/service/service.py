@@ -186,7 +186,7 @@ class FrontEnd:
         return True
 
     def _route(self, kind: str) -> None:
-        """Count one execution routed as *kind* (``single``/``scatter``)."""
+        """Count one execution routed as *kind* (always ``single``)."""
         with self._metrics_lock:
             self._routes[kind] = self._routes.get(kind, 0) + 1
 

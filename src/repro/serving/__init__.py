@@ -6,14 +6,14 @@ processes, each holding a full model replica and answering whole queries:
 each query runs on one worker.  In thread mode the service runs the same
 :class:`ShardWorker` in-process, so a calculus plan runs one way.
 :class:`~repro.collections.SearchService` (see
-:mod:`repro.collections.service`) runs its document shards on the
-same worker handle, request loop and fan-out in process mode, and on the
-same workers held in-process in thread mode.  This package owns the
+:mod:`repro.collections.service`) runs its workers, each over the whole
+document store, on the same worker handle, request loop and router in
+process mode, and holds the same workers in-process in thread mode.  This package owns the
 pieces under them:
 
 :mod:`repro.serving.partition`
-    the CRC32 bucket, the calculus router (a plan goes to the worker that
-    owns its key) and the search-request router;
+    the CRC32 bucket and the one router (a calculus plan or a search
+    request goes to the worker that owns its key);
 :mod:`repro.serving.worker`
     the worker: the op dispatch and request loop both tiers run, and the
     calculus worker's adopted replica, engine, shared scans per export
@@ -22,7 +22,7 @@ pieces under them:
     ends cache plans and answers, and nothing here caches programs;
 :mod:`repro.serving.pool`
     the worker handles (a respawning process, or one in-process worker),
-    the concurrent scatter, and the calculus pool's replica refresh and
+    the concurrent write fan-out (``scatter``), and the calculus pool's replica refresh and
     one-request execution.  It loads :mod:`multiprocessing`, so the
     package does not import it: a thread-mode ``QueryService`` loads only
     ``partition`` and ``worker``, and process mode and the search tier
@@ -32,7 +32,7 @@ pieces under them:
     reporting sustained QPS, p50/p95/p99 latency, and shed rate.
 """
 
-from .partition import Route, bucket, route_query, route_request
+from .partition import Route, bucket, route_query
 from .worker import ShardWorker, WorkerConfig, dispatch, worker_main
 
 __all__ = [
@@ -42,6 +42,5 @@ __all__ = [
     "bucket",
     "dispatch",
     "route_query",
-    "route_request",
     "worker_main",
 ]

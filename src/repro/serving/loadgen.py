@@ -256,9 +256,9 @@ def run_search_load(
 
 def search_parity_sweep(service, seed: int, count: int = 24) -> int:
     """Post-burst gate for the search tier: whatever state the burst left
-    the shards and caches in, every served answer must be byte-identical
-    to an unsharded brute-force (index-off) evaluation over the live
-    authoritative store."""
+    the workers and caches in, every served answer must be byte-identical
+    to a brute-force (index-off) evaluation over the live authoritative
+    store."""
     rng = random.Random(seed + 7)
     uris = service.store.uris()
     collections = list(service.store.known_collections())

@@ -1,11 +1,14 @@
 """The process pool: worker lifecycle, fan-out and the calculus pool.
 
 :class:`WorkerHandle` (boot, request, respawn), :func:`boot_workers`
-(start every shard, then wait for each), :func:`scatter` (the concurrent
-fan-out) and :func:`worker_stats` serve both serving tiers:
+(start every shard, then wait for each) and :func:`worker_stats` serve
+both serving tiers:
 the calculus tier's :class:`ProcessPool` below and the search tier's
 :class:`~repro.collections.service.SearchService`, whose thread mode
-holds the same workers in-process through :class:`LocalHandle`.
+holds the same workers in-process through :class:`LocalHandle`.  Every
+search worker holds the whole store, so a read goes to one worker and a
+write goes to all of them through :func:`scatter`, the search tier's
+write fan-out.
 
 The process-mode calculus front end owns one :class:`ProcessPool`.  Each
 worker is a forked OS process holding a full model replica, its own
@@ -288,11 +291,11 @@ def boot_workers(make_handle: Callable[[int], object], shards: int) -> list:
 def scatter(executor: ThreadPoolExecutor, calls: Sequence[Callable]) -> list:
     """Run every call concurrently on *executor*; results in call order.
 
-    Every call is drained before a failure surfaces (the siblings' pipes
-    must be quiet again before the next request), then the first failure
-    in call order is re-raised.  A single call runs on the calling thread:
-    there is nothing to overlap it with, and a write's one replica update
-    must not queue behind reads that hold the pool's threads.
+    The search tier fans each write out to every replica with it.  Every
+    call is drained before a failure surfaces (the siblings' pipes must
+    be quiet again before the next request), then the first failure in
+    call order is re-raised.  A single call runs on the calling thread:
+    there is nothing to overlap it with.
     """
     if len(calls) == 1:
         return [calls[0]()]

@@ -291,7 +291,7 @@ def _collection_draw(
     tier, so replicas patch incrementally and generation-keyed cache
     entries go cold — then compares either a generated program (all
     backends, indexed vs scan) or a structured request (direct engine vs
-    service cold/warm vs sharded scatter/gather).  The RNG draws are
+    service cold/warm vs a multi-worker service over whole-store replicas).  The RNG draws are
     identical with and without ``serving``: when the process/thread tiers
     are absent, the same generated request still runs as its source
     program under the four-way program oracle.

@@ -518,12 +518,13 @@ class CollectionOracle:
 
     ``serving=True`` adds the request-level facet: a
     :class:`~repro.collections.SearchRequest` is answered by the direct
-    engine (indexed and scan), a one-shard :class:`SearchService` cold and
+    engine (indexed and scan), a one-worker :class:`SearchService` cold and
     warm (the warm hit must replay the cold text from the generation-keyed
-    cache), and a sharded thread-tier service whose scatter/gather merge
-    must be byte-identical to the unsharded answer.  The one-shard service
-    fronts ``store`` itself and the sharded one a copy of it, so every
-    write must go through :meth:`put_text` / :meth:`delete` to reach both.
+    cache), and a thread-tier service with ``shards`` workers, each over a
+    whole-store replica, whose answers must be byte-identical to the
+    one-worker answer.  The one-worker service fronts ``store`` itself and
+    the other a replica of it, so every write must go through
+    :meth:`put_text` / :meth:`delete` to reach both.
     """
 
     def __init__(
@@ -543,10 +544,8 @@ class CollectionOracle:
             from ..collections import SearchService
 
             self.single = SearchService(store, shards=1, mode="thread")
-            self.sharded = SearchService(
-                store.subset(store.uris()), shards=shards, mode="thread"
-            )
-            self.services = [self.single, self.sharded]
+            self.replicated = SearchService(store.replica(), shards=shards, mode="thread")
+            self.services = [self.single, self.replicated]
 
     def put_text(self, uri: str, text: str) -> None:
         """Write one document through every service (or the bare store)."""
@@ -606,7 +605,7 @@ class CollectionOracle:
             "direct-indexed": self._direct(request, use_index=True),
             "direct-scan": self._direct(request, use_index=False),
         }
-        for name, service in (("service", self.single), ("sharded", self.sharded)):
+        for name, service in (("service", self.single), ("replicated", self.replicated)):
             outcomes[f"{name}-cold"] = self._service(service, request)
             outcomes[f"{name}-warm"] = self._service(service, request)
         return outcomes

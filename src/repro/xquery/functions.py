@@ -762,10 +762,9 @@ def _ft_search(ctx, args, expr) -> Sequence:
 def _ft_score(ctx, args, expr) -> Sequence:
     """Phrase occurrence count in a node's string value (or a stored uri).
 
-    Purely document-local (no idf), so the score a shard computes equals
-    the score the unsharded engine computes — the property scatter/gather
-    and the indexed/brute parity both rely on.  A stored document is
-    counted by the store (from its postings when indexed).
+    Purely document-local (no idf), so the score depends on the document
+    alone — the property the indexed/brute parity relies on.  A stored
+    document is counted by the store (from its postings when indexed).
     """
     from ..collections.fulltext import count_phrase
 

@@ -1,5 +1,6 @@
-"""The search service tier: routing proofs, generation-keyed cache,
-scatter/gather byte-identity, and structured errors across the pipe.
+"""The search service tier: one worker per read, generation-keyed cache,
+byte-identity with the brute-force path, writes reaching every replica,
+and structured errors across the pipe.
 
 The cache invariant under test: keys carry the *collection generation*
 (document generation for uri-addressed reads), so a write to ``docs/``
@@ -11,7 +12,7 @@ import pytest
 
 from repro.collections import DocumentStore, SearchRequest, SearchService
 from repro.querycalc.service.errors import RemoteQueryError, classify_error
-from repro.serving.partition import bucket, route_request
+from repro.serving.partition import bucket
 from repro.testing.models import random_document_store
 from repro.xquery.errors import XQueryDynamicError
 
@@ -31,27 +32,37 @@ NOTES = SearchRequest(kind="search", collection="notes/", phrase="beta gamma")
 
 # -- routing proofs ------------------------------------------------------------
 
+KINDS = [
+    SearchRequest(kind="doc", uri="docs/d0.xml"),
+    SearchRequest(kind="collection", collection="notes/"),
+    SEARCH,
+    SearchRequest(kind="kwic", collection="docs/", phrase="beta", width=12),
+]
+
 
 def test_route_proofs():
-    doc = SearchRequest(kind="doc", uri="docs/d0.xml")
-    one = route_request(doc, 1)
-    assert (one.kind, one.shard, one.reason) == ("single", 0, "one-shard-tier")
-    many = route_request(doc, 4)
-    assert many.kind == "single"
-    assert many.shard == bucket("docs/d0.xml", 4)
-    assert "crc32" in many.reason and "% 4" in many.reason
-    scatter = route_request(SEARCH, 4)
-    assert scatter.kind == "scatter"
-    assert "search-over-collection" in scatter.reason
+    """Every request kind goes, whole, to the worker that owns its key:
+    the calculus tier's one rule."""
+    for shards in (1, 4):
+        with SearchService(make_store(), shards=shards, mode="thread") as service:
+            for request in KINDS:
+                route = service.run(request).route
+                assert (route.kind, route.shard) == ("single", bucket(request.key(), shards))
+                assert route.reason == f"plan-key-owner crc32(key) % {shards}"
+            assert service.metrics["single"] == len(KINDS)
+            assert service.metrics["scatter"] == 0
 
 
 def test_doc_requests_prove_single_shard():
     with SearchService(make_store(), shards=3, mode="thread") as service:
         result = service.run(SearchRequest(kind="doc", uri="docs/d0.xml"))
         assert result.route.kind == "single"
+        assert result.route.shard == bucket("doc:docs/d0.xml", 3)
+        assert result.route.reason.startswith("plan-key-owner")
         assert service.metrics["single"] == 1 and service.metrics["scatter"] == 0
-        service.run(SEARCH)
-        assert service.metrics["scatter"] == 1
+        searched = service.run(SEARCH)
+        assert searched.route.shard == bucket(SEARCH.key(), 3)
+        assert service.metrics["single"] == 2 and service.metrics["scatter"] == 0
 
 
 # -- the generation-keyed result cache -----------------------------------------
@@ -92,7 +103,7 @@ def test_doc_request_keys_on_document_generation():
         assert not fresh.cached and "rewritten" in fresh.text
 
 
-# -- scatter/gather byte-identity ----------------------------------------------
+# -- byte-identity with the brute-force path ----------------------------------
 
 
 @pytest.mark.parametrize("mode", ["thread", "process"])
@@ -123,7 +134,7 @@ def test_writes_reach_replicas_incrementally(mode):
         after = service.run(SEARCH)
         assert not after.cached
         assert after.text != before
-        # the new top-scoring document leads the merged ranking.
+        # the new top-scoring document leads the ranking.
         assert after.text.index("docs/zz.xml") < after.text.index("docs/d0.xml")
         assert after.text == service.evaluate_fresh(SEARCH, use_index=False)
         service.delete("docs/zz.xml")
@@ -220,14 +231,14 @@ def test_search_loadgen_smoke():
         assert search_parity_sweep(service, 99, count=8) == 0
 
 
-# -- new collections propagate tier-wide ---------------------------------------
+# -- every write reaches every replica ----------------------------------------
 
 
 @pytest.mark.parametrize("mode", ["thread", "process"])
 def test_write_creating_new_collection_is_visible_on_every_shard(mode):
-    """A write that *creates* a collection must register its prefix on all
-    replicas, not just the owner shard — otherwise every scattered read
-    over the new collection raises FODC0002 from the non-owner shards."""
+    """A write that *creates* a collection reaches every replica, so a
+    read over the new collection answers it, whichever worker it routes
+    to, instead of FODC0002."""
     with SearchService(make_store(), shards=2, mode=mode) as service:
         service.put_text("brand/sub/new.xml", "<doc>alpha fresh</doc>")
         for request in [
@@ -236,9 +247,79 @@ def test_write_creating_new_collection_is_visible_on_every_shard(mode):
             SearchRequest(kind="kwic", collection="brand/sub/", phrase="fresh"),
         ]:
             served = service.run(request)
-            assert served.route.kind == "scatter"
             assert "brand/sub/new.xml" in served.text
             assert served.text == service.evaluate_fresh(request, use_index=False)
+
+
+@pytest.mark.parametrize("mode", ["thread", "process"])
+def test_every_worker_answers_every_request(mode):
+    """After random puts and deletes, an update script, a write creating a
+    collection and the delete of a collection's last member, every worker
+    holds the whole store and answers every request kind exactly as an
+    index-off evaluation of the authoritative store does."""
+    import random
+
+    from repro.testing.models import random_phrase
+
+    rng = random.Random(31)
+    store = random_document_store(13, docs=10)
+    model_uri = next(uri for uri in store.uris() if uri.startswith("models/"))
+    with SearchService(store, shards=3, mode=mode) as service:
+        for step in range(16):
+            uri = f"{rng.choice(['docs/', 'notes/'])}w{rng.randrange(6)}.xml"
+            if uri in service.store and rng.random() < 0.4:
+                service.delete(uri)
+            else:
+                words = " ".join(random_phrase(rng) for _ in range(3))
+                service.put_text(uri, f"<doc>{words} s{step}</doc>")
+        service.apply_update(model_uri, 'insert node Document with (label "pad zzyzx pad");')
+        service.put_text("brand/sub/new.xml", "<doc>alpha fresh</doc>")
+        service.put_text("lone/only.xml", "<doc>alpha alone</doc>")
+        service.delete("lone/only.xml")
+        requests = [
+            SearchRequest(kind="doc", uri=model_uri),
+            SearchRequest(kind="doc", uri="brand/sub/new.xml"),
+            SearchRequest(kind="collection", collection="brand/"),
+            SearchRequest(kind="collection", collection="lone/"),
+            SearchRequest(kind="collection", collection="", limit=5),
+            SearchRequest(kind="search", collection="", phrase="alpha"),
+            SearchRequest(kind="search", collection="models/", phrase="zzyzx"),
+            SearchRequest(kind="search", collection="lone/", phrase="alpha"),
+            SearchRequest(kind="kwic", collection="docs/", phrase="beta", width=12),
+        ] + [
+            SearchRequest(kind="doc", uri=uri)
+            for uri in service.store.uris()
+            if uri.startswith(("docs/w", "notes/w"))
+        ]
+        for request in requests:
+            expected = service.evaluate_fresh(request, use_index=False)
+            payload = {"source": request.source(), "key": request.key()}
+            for handle in service._workers:
+                answer = handle.request("run", payload)["text"]
+                assert answer == expected, (mode, handle.shard, request.key())
+        for handle in service._workers:
+            documents = handle.request("stats", {})["store"]["documents"]
+            assert documents == len(service.store), (mode, handle.shard)
+
+
+def test_a_read_makes_one_round_trip(monkeypatch):
+    """A cold read of any kind is one ``_WorkerHandle.request``: no
+    scatter over the workers and no merge."""
+    from repro.collections import service as search_service
+
+    calls = []
+    original = search_service._WorkerHandle.request
+
+    def counted(self, op, payload, timeout=None):
+        calls.append(op)
+        return original(self, op, payload, timeout)
+
+    monkeypatch.setattr(search_service._WorkerHandle, "request", counted)
+    with SearchService(make_store(), shards=2, mode="process") as service:
+        for request in KINDS:
+            calls.clear()
+            assert not service.run(request).cached
+            assert calls == ["run"], request.kind
 
 
 # -- a dead worker is respawned from the authoritative store -----------------
@@ -319,16 +400,15 @@ def test_read_overlapping_a_write_to_its_scope_runs_again(scope):
     post-write answer.  A write to notes/ cannot change its answer, so the
     same overlap serves and caches its one execution."""
     import threading
+    import time
 
     with SearchService(make_store(), shards=2, mode="thread") as service:
-        # a write uri owned by shard 1, so it does not wait on shard 0's
-        # handle, where the reader is blocked.
-        write_uri = next(
-            f"{scope}w{i}.xml" for i in range(64)
-            if bucket(f"{scope}w{i}.xml", 2) == 1
-        )
+        write_uri = f"{scope}w0.xml"
+        # the reader blocks inside the worker its key routes to, holding
+        # that handle; the write waits on it, so it runs on its own thread.
+        handle = service._workers[bucket(SEARCH.key(), 2)]
         started, release = threading.Event(), threading.Event()
-        worker = service._workers[0].worker
+        worker = handle.worker
         original = worker.run
         first = threading.Event()
 
@@ -342,14 +422,24 @@ def test_read_overlapping_a_write_to_its_scope_runs_again(scope):
         worker.run = slow
         raced = []
         reader = threading.Thread(target=lambda: raced.append(service.run(SEARCH)))
+        writer = threading.Thread(
+            target=service.put_text, args=(write_uri, "<doc>alpha beta unrelated</doc>")
+        )
         reader.start()
         try:
             assert started.wait(5.0)
-            service.put_text(write_uri, "<doc>alpha beta unrelated</doc>")
+            writer.start()
+            # release the reader once the authoritative store holds the write
+            deadline = time.monotonic() + 5.0
+            while write_uri not in service.store and time.monotonic() < deadline:
+                time.sleep(0.001)
+            assert write_uri in service.store
         finally:
             release.set()
             reader.join(5.0)
-        assert not reader.is_alive()
+            if writer.ident is not None:
+                writer.join(5.0)
+        assert not reader.is_alive() and not writer.is_alive()
         served = raced[0]
         assert not served.cached
         assert service.metrics["executed"] == (2 if scope == "docs/" else 1)

@@ -131,13 +131,16 @@ def test_open_with_unparseable_file_is_fodc0002(tmp_path):
 
 
 def test_subset_keeps_collections_known():
+    """A store's replica knows every collection the store knows, including
+    one whose members were all deleted: it answers ``()``, not FODC0002,
+    so a worker booted from the replica never flickers an error."""
     store = make_store()
-    shard = store.subset(["docs/a.xml"])
-    assert shard.uris() == ["docs/a.xml"]
-    # a collection with no members on this shard answers empty, not
-    # FODC0002 — scatter must not flicker errors on partial shards.
-    assert shard.collection_uris("notes/") == []
-    assert shard.search("notes/", "delta") == []
+    store.remove("notes/c.xml")
+    replica = store.replica()
+    assert replica.uris() == store.uris() == ["docs/a.xml", "docs/deep/b.xml"]
+    assert replica.known_collections() == store.known_collections()
+    assert replica.collection_uris("notes/") == []
+    assert replica.search("notes/", "delta") == []
 
 
 def _image(store):
@@ -151,13 +154,15 @@ def _image(store):
 
 
 def _shared_store():
+    """A store and its whole-store replica (the ``subset`` in the test
+    names below is that replica)."""
     store = random_document_store(5, docs=10)
-    uris = [uri for uri in store.uris() if uri != "docs/d0.xml"]
-    return store, store.subset(uris)
+    return store, store.replica()
 
 
 def test_subset_shares_text_documents_and_reparses_model_backed_ones():
     store, shard = _shared_store()
+    assert shard.uris() == store.uris()
     model_uris = [uri for uri in shard.uris() if uri.startswith("models/")]
     assert model_uris and len(model_uris) < len(shard)
     for uri in shard.uris():
@@ -199,7 +204,7 @@ def test_writes_to_a_store_leave_its_subset_or_source_unchanged(writer):
         store.apply_update(model_uri, 'insert node Document with (label "pad zzyzx pad");')
         assert store.search("models/", "zzyzx") == [(model_uri, 1)]
     else:
-        # the subset holds the model's export as plain text: nothing to update
+        # the replica holds the model's export as plain text: nothing to update
         with pytest.raises(XQueryDynamicError):
             shard.apply_update(model_uri, 'insert node Document with (label "x");')
     assert _image(other) == before

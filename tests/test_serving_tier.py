@@ -480,7 +480,8 @@ def test_each_query_is_one_worker_round_trip(model):
 
 
 def _tier_under_test(model, tier, shards=2):
-    """(service, its worker handles, serve(), reference()) for one tier."""
+    """(service, its worker handles, serve(), reference(), the served
+    request's routing key) for one tier."""
     if tier == "query":
         svc = QueryService(model, mode="process", workers=shards)
         twin = QueryService(model)
@@ -490,6 +491,7 @@ def _tier_under_test(model, tier, shards=2):
             svc._pool.handles,
             lambda: ids(svc.run(query)),
             lambda: ids(twin.run(query)),
+            normalize_query(query),
         )
     from repro.collections import SearchRequest, SearchService
 
@@ -502,6 +504,7 @@ def _tier_under_test(model, tier, shards=2):
         svc._workers,
         lambda: svc.run(request).text,
         lambda: svc.evaluate_fresh(request, use_index=False),
+        request.key(),
     )
 
 
@@ -509,10 +512,11 @@ def _tier_under_test(model, tier, shards=2):
 def test_hung_worker_times_out_and_is_respawned(model, tier):
     """Both tiers share one worker handle: a worker that stops answering
     fails the request with a structured XQDY_TIMEOUT and is replaced, and
-    the replacement answers like the reference path."""
-    svc, handles, serve, reference = _tier_under_test(model, tier)
+    the replacement answers like the reference path.  The victim is the
+    worker the request's key routes to, by the one rule both tiers use."""
+    svc, handles, serve, reference, key = _tier_under_test(model, tier)
     with svc:
-        victim = handles[0]
+        victim = handles[bucket(key, 2)]
         hung = victim.process
         os.kill(hung.pid, signal.SIGSTOP)
         victim.request_timeout = 0.5
@@ -534,7 +538,7 @@ def test_request_after_a_failed_respawn_boots_a_fresh_worker(model, tier):
     """A respawn whose boot fails leaves its handle with no worker.  The
     next request boots one before it sends, instead of failing on the
     missing pipe for good."""
-    svc, handles, serve, reference = _tier_under_test(model, tier, shards=1)
+    svc, handles, serve, reference, _ = _tier_under_test(model, tier, shards=1)
     with svc:
         victim = handles[0]
         make_config = victim._make_config
