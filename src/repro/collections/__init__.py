@@ -24,12 +24,14 @@ Layout:
   modes.
 
 Both modes run on the calculus serving tier's substrate rather than a
-copy of it: every worker holds the whole store, a read routes whole to
-one worker through :func:`repro.serving.partition.route_query` (the
-calculus tier's router), and workers run behind
-:class:`repro.serving.pool.WorkerHandle` (boot, respawn) in
-:func:`repro.serving.worker.worker_main` (the request loop), or
-in-process behind :class:`repro.serving.pool.LocalHandle` in thread mode.
+copy of it: the workers sit in one :class:`repro.serving.pool.ProcessPool`
+(boot, read, write broadcast, stats, close), every worker holds the
+whole store, a read routes whole to one worker through
+:func:`repro.serving.partition.route_query` (the calculus tier's
+router), and workers run behind :class:`repro.serving.pool.WorkerHandle`
+(respawn) in :func:`repro.serving.worker.worker_main` (the request
+loop), or in-process behind :class:`repro.serving.pool.LocalHandle` in
+thread mode.
 """
 
 from __future__ import annotations

@@ -20,21 +20,20 @@ the serving-tier concerns:
   a write under ``docs/a/`` leaves cached answers about ``notes/`` warm,
   which keeps the E22 95/5 read/write mix warm without a sweep;
 * **writes reach every replica** — a write applies to the authoritative
-  store, then fans out to every worker concurrently
-  (:func:`repro.serving.pool.scatter`);
-* **one worker path** — each worker is a
-  :class:`~repro.collections.worker.CollectionWorker` reached through the
-  serving tier's handles (:mod:`repro.serving.pool`).  ``mode="process"``
-  runs the workers as real processes: failures cross back as structured
-  ``RemoteQueryError`` (``FODC0002`` included), and a dead or hung worker
-  is respawned from the authoritative store.  ``mode="thread"`` holds
-  them in-process.
+  store, then goes to every worker concurrently
+  (:meth:`repro.serving.pool.ProcessPool.broadcast`);
+* **one worker pool** — each worker is a
+  :class:`~repro.collections.worker.CollectionWorker` in the
+  :class:`~repro.serving.pool.ProcessPool` the calculus tier holds too.
+  ``mode="process"`` runs the workers as real processes: failures cross
+  back as structured ``RemoteQueryError`` (``FODC0002`` included), and a
+  dead or hung worker is respawned from the authoritative store.
+  ``mode="thread"`` holds them in-process.
 """
 
 from __future__ import annotations
 
 import threading
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from functools import partial
 from typing import Dict, Optional, Tuple
@@ -42,7 +41,7 @@ from typing import Dict, Optional, Tuple
 from ..querycalc.service.plans import QueryPlan
 from ..querycalc.service.service import FrontEnd
 from ..serving.partition import Route, route_query
-from ..serving.pool import LocalHandle, WorkerHandle, boot_workers, scatter, worker_stats
+from ..serving.pool import LocalHandle, ProcessPool, WorkerHandle
 from ..xquery import EngineConfig, XQueryEngine, serialize_result
 from .kwic import CHARS_KWIC
 from .store import DocumentStore, normalize_collection
@@ -75,6 +74,9 @@ class SearchRequest:
             raise ValueError(
                 f"unknown request kind {self.kind!r}; expected one of {REQUEST_KINDS}"
             )
+        for name in ("limit", "width"):
+            if getattr(self, name) < 0:
+                raise ValueError(f"{name} must be >= 0, not {getattr(self, name)}")
 
     def key(self) -> str:
         """The normalized cache/diagnostic key."""
@@ -159,10 +161,10 @@ class SearchService(FrontEnd):
     Each of the ``shards`` workers is a :class:`CollectionWorker` holding
     the whole store.  ``mode="process"`` runs each in a real worker
     process; ``mode="thread"`` holds each in-process behind a
-    :class:`~repro.serving.pool.LocalHandle`.  Either way the
-    authoritative store takes every write first — single-writer,
-    shared-nothing readers — and every replica sees the write as a
-    per-document index patch, never a rebuild.  Reads run the shared
+    :class:`~repro.serving.pool.LocalHandle`.  ``shards=0`` means one.
+    Either way the authoritative store takes every write first —
+    single-writer, shared-nothing readers — and every replica sees the
+    write as a per-document index patch, never a rebuild.  Reads run the shared
     :class:`FrontEnd` loop with no deadline, admission bound or faults.
     """
 
@@ -175,6 +177,8 @@ class SearchService(FrontEnd):
     ):
         if mode not in ("thread", "process"):
             raise ValueError(f"mode must be 'thread' or 'process', not {mode!r}")
+        if shards < 0:
+            raise ValueError(f"shards must be >= 0, not {shards}")
         super().__init__(result_cache_size)
         self.store = store
         self.shards = max(1, shards)
@@ -191,29 +195,23 @@ class SearchService(FrontEnd):
         self._authoritative_lock = threading.Lock()
         #: completed writes; counted under the writer lock.
         self._writes = 0
-        #: the first boot forks every process worker with the store itself:
-        #: no other thread exists yet to mutate it.
-        self._boot_store: Optional[DocumentStore] = store if mode == "process" else None
-        handle = _WorkerHandle if mode == "process" else LocalHandle
-        self._workers = boot_workers(
-            lambda shard: handle(shard, CollectionWorker, partial(self._worker_config, shard)),
-            self.shards,
-        )
-        self._boot_store = None
-        self._replicate_pool = ThreadPoolExecutor(
-            max_workers=self.shards, thread_name_prefix="search-replicate"
+        # A process worker's first boot forks with the authoritative store
+        # itself: no other thread exists yet to mutate it.  A respawn, and
+        # every thread-mode worker, gets a replica built under its lock, so
+        # a replacement worker comes back with every write; a replica
+        # shares the store's parsed documents and postings.
+        self._pool = ProcessPool(
+            _WorkerHandle if mode == "process" else LocalHandle,
+            CollectionWorker,
+            CollectionWorkerConfig,
+            self._replica,
+            shards=self.shards,
+            boot=store if mode == "process" else None,
         )
 
-    def _worker_config(self, shard: int) -> CollectionWorkerConfig:
-        """Worker *shard*'s boot config.  A process worker's first boot
-        forks with the authoritative store; a respawn, and every
-        thread-mode worker, gets a replica of it built under its lock, so
-        a replacement worker comes back with every write.  A replica
-        shares the store's parsed documents and postings."""
-        if self._boot_store is not None:
-            return CollectionWorkerConfig(shard=shard, store=self._boot_store)
+    def _replica(self) -> DocumentStore:
         with self._authoritative_lock:
-            return CollectionWorkerConfig(shard=shard, store=self.store.replica())
+            return self.store.replica()
 
     # -- reads -------------------------------------------------------------
 
@@ -268,7 +266,7 @@ class SearchService(FrontEnd):
         route = route_query(plan.key, self.shards)
         self._route(route.kind)
         payload = {"source": plan.query.source(), "key": plan.key}
-        return self._workers[route.shard].request("run", payload)["text"], ()
+        return self._pool.execute(route, payload)["text"], ()
 
     def evaluate_fresh(
         self, request: SearchRequest, use_index: Optional[bool] = None
@@ -293,6 +291,9 @@ class SearchService(FrontEnd):
     # -- writes ------------------------------------------------------------
     # Each holds the writer lock until every replica has applied it (or was
     # respawned from the authoritative store), and counts only on success.
+    # Every replica is asked even when one fails: a process worker whose
+    # request failed was respawned from the authoritative store, which
+    # already holds the write.
 
     def put_text(self, uri: str, text: str) -> None:
         """Write one document; replicas patch that document only."""
@@ -302,7 +303,7 @@ class SearchService(FrontEnd):
         with self._write_lock:
             with self._authoritative_lock:
                 self.store.remove(uri)
-            self._replicate("delete", {"uri": uri})
+            self._pool.broadcast("delete", {"uri": uri})
             self._writes += 1
 
     def apply_update(self, uri: str, script: str):
@@ -326,23 +327,12 @@ class SearchService(FrontEnd):
 
     def _replicate_put(self, uri: str) -> None:
         """Send *uri*'s stored text to every replica."""
-        self._replicate("put", {"uri": uri, "text": self.store.text_of(uri)})
-
-    def _replicate(self, op: str, payload: dict) -> None:
-        """Send one write to every worker.  Every replica is asked even
-        when one fails: a process worker whose request failed was
-        respawned from the authoritative store, which already holds the
-        write."""
-        scatter(
-            self._replicate_pool,
-            [partial(worker.request, op, payload) for worker in self._workers],
-        )
+        self._pool.broadcast("put", {"uri": uri, "text": self.store.text_of(uri)})
 
     # -- lifecycle ---------------------------------------------------------
 
     def stats(self) -> Dict[str, object]:
         """``metrics``, the shared read shape (``reads``), caches and workers."""
-        workers = worker_stats(self._workers)
         return {
             "metrics": self.metrics,
             "reads": self._read_metrics(),
@@ -351,19 +341,11 @@ class SearchService(FrontEnd):
             "result_cache": self._results.stats()["currsize"],
             "store": self.store.stats(),
             "compile_cache": self.engine.cache_info(),
-            "workers": workers,
-            "restarts": sum(worker["restarts"] for worker in workers),
+            "workers": self._pool.stats(),
+            "restarts": self._pool.restarts,
         }
 
     def close(self) -> None:
         """Stop the workers once no write is in flight; safe to call twice."""
         with self._write_lock:
-            self._replicate_pool.shutdown(wait=False)
-            for worker in self._workers:
-                worker.close()
-
-    def __enter__(self) -> "SearchService":
-        return self
-
-    def __exit__(self, *exc_info) -> None:
-        self.close()
+            self._pool.close()

@@ -1,20 +1,21 @@
 """The collection worker: one replica of the whole document store.
 
-:class:`~repro.collections.service.SearchService` builds one of these per
-worker.  Each takes a :class:`~repro.collections.store.DocumentStore`
-holding every document, ready-made, and owns its own algebra engine.  A
-read goes, whole, to one worker, which answers the serialized result: the
-same bytes a one-store run gives, with nothing to merge.  A request
-program is compiled for its run and dropped with it (the engine's compile
-LRU is bypassed): the front end caches the answer under the request key
-and scope generation.  A process worker is forked, so it holds a private
-copy-on-write copy of its store and parses nothing at boot.  In process
-mode it runs in the calculus tier's request loop,
-:func:`repro.serving.worker.worker_main`, behind the same
-:class:`~repro.serving.pool.WorkerHandle`: the parent sends ``(op,
-req_id, payload)`` and the worker answers ``("ok", req_id, result)`` or
-``("err", req_id, QueryError)``.  In thread mode a
-:class:`~repro.serving.pool.LocalHandle` calls the same ops in-process.
+:class:`~repro.collections.service.SearchService` holds one of these per
+shard in its :class:`~repro.serving.pool.ProcessPool`.  Each takes a
+:class:`~repro.collections.store.DocumentStore` holding every document,
+ready-made, and owns its own algebra engine.  A read goes, whole, to one
+worker, which answers the serialized result: the same bytes a one-store
+run gives, with nothing to merge.  A request program is compiled for its
+run and dropped with it (the engine's compile LRU is bypassed): the
+front end caches the answer under the request key and scope generation.
+A process worker is forked, so it holds a private copy-on-write copy of
+its store and parses nothing at boot.  In process mode it runs in the
+calculus tier's request loop, :func:`repro.serving.worker.worker_main`,
+behind the same :class:`~repro.serving.pool.WorkerHandle` in the same
+pool: the parent sends ``(op, req_id, payload)`` and the worker answers
+``("ok", req_id, result)`` or ``("err", req_id, QueryError)``.  In
+thread mode a :class:`~repro.serving.pool.LocalHandle` calls the same
+ops in-process.
 
 Failures cross the pipe *classified*: a missing or unparseable document
 raises ``FODC0002`` inside the worker, :func:`classify_error` wraps it

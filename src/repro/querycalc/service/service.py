@@ -53,12 +53,14 @@ over its backend's export with a shared-scan cache per export
 generation, and turns the result into node ids.  Thread mode holds one
 such worker in-process, over the service's own backend, engine and fault
 injector; process mode sends the payload to the worker process the
-plan's key routes to.
+plan's key routes to, through the
+:class:`~repro.serving.pool.ProcessPool` the search front end holds too.
+The service keeps only the calculus bookkeeping: the generation the
+replicas hold, and how often they were refreshed or replayed a delta.
 """
 
 from __future__ import annotations
 
-import functools
 import math
 import os
 import threading
@@ -67,6 +69,7 @@ from concurrent.futures import ThreadPoolExecutor
 from typing import Dict, Iterable, List, Optional, Tuple
 
 from ...awb.model import Model
+from ...awb.xml_io import export_model_text
 from ...lru import LRU
 from ...xquery import EngineConfig, XQueryEngine
 from ..ast import Query
@@ -109,7 +112,8 @@ class FrontEnd:
     generation read under the subclass's writer lock;
     ``_execute(plan, deadline)``, ``(value, traces)``; and
     ``_generation(plan)``, the generation now.  ``max_pending`` bounds
-    executions in flight (``None`` admits all).
+    executions in flight (``None`` admits all).  A subclass also supplies
+    ``close()``, which leaving a ``with`` block calls.
     """
 
     def __init__(self, result_cache_size: int, max_pending: Optional[int] = None):
@@ -127,6 +131,12 @@ class FrontEnd:
             if max_pending is not None
             else None
         )
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc_info) -> None:
+        self.close()
 
     def _serve(self, request, deadline: Optional[Deadline] = None):
         """Plan, then snapshot → result cache → admit → execute, and return
@@ -259,6 +269,8 @@ class QueryService(FrontEnd):
     ):
         if mode not in SERVICE_MODES:
             raise ValueError(f"mode must be one of {SERVICE_MODES}, not {mode!r}")
+        if workers < 0:
+            raise ValueError(f"workers must be >= 0, not {workers}")
         if workers == 0:
             # "as many as the machine has": meaningful parallelism in
             # process mode; in thread mode extra workers only widen the
@@ -293,10 +305,16 @@ class QueryService(FrontEnd):
         # -- where plans run: one worker here, or a pool of processes ------
         # imported lazily: repro.serving imports this package's errors
         # module, so a top-level import would be circular.
-        from ...serving.worker import ShardWorker, WorkerConfig
+        from ...serving.worker import ShardWorker, WorkerConfig, replica_backend
 
         self._worker = None
         self._pool = None
+        #: the export generation every pool replica holds (-1 after a
+        #: failed delta, so the next snapshot refreshes them all), and how
+        #: often the replicas were rebuilt or replayed a delta.
+        self._pool_generation = -1
+        self._refreshes = 0
+        self._deltas = 0
         if mode == "thread":
             self._worker = ShardWorker(
                 WorkerConfig(
@@ -308,14 +326,31 @@ class QueryService(FrontEnd):
                 )
             )
         else:
-            from ...serving.pool import ProcessPool
+            from ...serving.pool import ProcessPool, WorkerHandle
 
             with self._backend.lock:
                 # the export and its catalog (built together) exist before
                 # the fork, so every worker inherits them instead of
                 # parsing a copy, and the first snapshot builds neither.
                 self._backend.statistics
-            self._pool = ProcessPool(self._backend, shards=workers)
+                self._pool_generation = self._backend.export_generation
+            # a respawn must not fork the live model, which another thread
+            # may be halfway through updating: it boots from an export of
+            # it, so it may boot one update ahead of the pool generation.
+            # Replaying that update's delta then fails (its ids exist) or
+            # changes nothing, and the read runs again either way.
+            self._pool = ProcessPool(
+                WorkerHandle,
+                ShardWorker,
+                lambda shard, backend: WorkerConfig(
+                    shard=shard, backend=backend, generation=self._pool_generation
+                ),
+                lambda: replica_backend(
+                    export_model_text(model, indent=False), model.metamodel
+                ),
+                shards=workers,
+                boot=self._backend,
+            )
 
     # -- public API -------------------------------------------------------------
 
@@ -481,13 +516,12 @@ class QueryService(FrontEnd):
                 # updates keep propagating instead of being mistaken for
                 # foreign mutations and falling into the skip path.
                 self._backend.export
-                if self._pool is not None:
-                    self._pool.apply_delta(
-                        result.text,
-                        base_generation=export_generation,
-                        new_generation=new_generation,
-                        in_sync=in_sync,
-                    )
+                if (
+                    self._pool is not None
+                    and in_sync
+                    and self._pool_generation == export_generation
+                ):
+                    self._replay(result.text, new_generation)
             with self._metrics_lock:
                 self._updates += 1
                 for key in ("kept", "patched", "invalidated", "skipped"):
@@ -500,6 +534,20 @@ class QueryService(FrontEnd):
                 "diagnostics": [d.to_json() for d in result.diagnostics],
                 "script": result.text,
             }
+
+    def _replay(self, script_text: str, generation: int) -> None:
+        """Broadcast one resolved update script: each replica replays it,
+        O(delta) against a refresh's O(model).  The caller checks that the
+        replicas stand where the primary stood before the script.  A failed
+        replay anywhere leaves them mixed, so the pool generation is
+        poisoned and the next snapshot refreshes them all."""
+        try:
+            self._pool.broadcast("delta", {"script": script_text, "generation": generation})
+        except Exception:
+            self._pool_generation = -1
+            return
+        self._pool_generation = generation
+        self._deltas += 1
 
     def invalidate(self) -> None:
         """Drop cached results and force a full re-export.
@@ -545,19 +593,24 @@ class QueryService(FrontEnd):
         if self._pool is not None:
             self._pool.close()
 
-    def __enter__(self) -> "QueryService":
-        return self
-
-    def __exit__(self, *exc_info) -> None:
-        self.close()
-
     # -- observability ----------------------------------------------------------
 
     def serving_stats(self) -> Optional[Dict[str, object]]:
         """Synchronous per-worker counters (process mode; worker round-trips)."""
         if self._pool is None:
             return None
-        return self._pool.stats()
+        workers = self._pool.stats()
+        return {
+            "mode": "process",
+            "shards": self._pool.shards,
+            "generation": self._pool_generation,
+            "refreshes": self._refreshes,
+            "deltas": self._deltas,
+            "workers": workers,
+            "runs": sum(w.get("runs", 0) for w in workers),
+            "fallbacks": sum(w.get("fallbacks", 0) for w in workers),
+            "restarts": self._pool.restarts,
+        }
 
     def cache_stats(self) -> Dict[str, Dict[str, int]]:
         """Per-layer cache counters: plans, results, engine compile, export."""
@@ -584,10 +637,10 @@ class QueryService(FrontEnd):
             # round-trip; see :meth:`serving_stats`.
             serving = {
                 "shards": self._pool.shards,
-                "generation": self._pool.generation,
-                "refreshes": self._pool.refreshes,
-                "deltas": self._pool.deltas,
-                "restarts": sum(h.restarts for h in self._pool.handles),
+                "generation": self._pool_generation,
+                "refreshes": self._refreshes,
+                "deltas": self._deltas,
+                "restarts": self._pool.restarts,
                 "routes": reads["routes"],
                 "shed": reads["shed"],
                 "max_pending": self.max_pending,
@@ -641,10 +694,18 @@ class QueryService(FrontEnd):
             # refresh instead of taxing the first query after a mutation.
             self._backend.statistics
             generation = self._backend.export_generation
-            if self._pool is not None:
-                # broadcast the new generation to the worker replicas
-                # before any query of this generation is dispatched.
-                self._pool.ensure_generation(generation)
+            if self._pool is not None and generation != self._pool_generation:
+                # rebuild the worker replicas at the new generation before
+                # any query of it is dispatched.
+                self._pool.broadcast(
+                    "refresh",
+                    {
+                        "export_text": export_model_text(self.model, indent=False),
+                        "generation": generation,
+                    },
+                )
+                self._pool_generation = generation
+                self._refreshes += 1
             return generation
 
     def _generation(self, plan: QueryPlan) -> int:
@@ -687,7 +748,9 @@ class QueryService(FrontEnd):
                 self.faults.on_evaluate(plan.key, deadline, backend="process")
             if deadline is not None:
                 deadline.check("dispatch")
-            run = functools.partial(self._pool.execute, route)
+
+            def run(payload):
+                return self._pool.execute(route, payload, payload["remaining"])
         payload = {
             "key": plan.key,
             "source": plan.source,

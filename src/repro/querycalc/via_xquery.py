@@ -101,7 +101,7 @@ class XQueryCalculusBackend:
                 else None
             )
             if delta is not None:
-                self._statistics.apply_delta(delta, generation)
+                self._statistics.maintain(delta, generation)
                 self.stats_deltas += 1
             else:
                 self._statistics = StatisticsCatalog.from_root(

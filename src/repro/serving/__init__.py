@@ -1,15 +1,16 @@
 """The shared-nothing serving tier: worker processes behind the services.
 
+Both front ends hold one :class:`~repro.serving.pool.ProcessPool`.
 ``QueryService(mode="process", workers=N)`` (see
-:mod:`repro.querycalc.service`) fronts a :class:`ProcessPool` of N worker
-processes, each holding a full model replica and answering whole queries:
-each query runs on one worker.  In thread mode the service runs the same
-:class:`ShardWorker` in-process, so a calculus plan runs one way.
-:class:`~repro.collections.SearchService` (see
-:mod:`repro.collections.service`) runs its workers, each over the whole
-document store, on the same worker handle, request loop and router in
-process mode, and holds the same workers in-process in thread mode.  This package owns the
-pieces under them:
+:mod:`repro.querycalc.service`) holds a pool of N worker processes, each
+holding a full model replica and answering whole queries: each query
+runs on one worker.  In thread mode the service runs the same
+:class:`ShardWorker` in-process, with no pool, so a calculus plan runs
+one way.  :class:`~repro.collections.SearchService` (see
+:mod:`repro.collections.service`) holds a pool of workers, each over the
+whole document store: worker processes in process mode, the same
+workers in-process in thread mode.  This package owns the pieces under
+them:
 
 :mod:`repro.serving.partition`
     the CRC32 bucket and the one router (a calculus plan or a search
@@ -21,9 +22,10 @@ pieces under them:
     A served plan's compiled program lives for its run only: the front
     ends cache plans and answers, and nothing here caches programs;
 :mod:`repro.serving.pool`
-    the worker handles (a respawning process, or one in-process worker),
-    the concurrent write fan-out (``scatter``), and the calculus pool's replica refresh and
-    one-request execution.  It loads :mod:`multiprocessing`, so the
+    the one pool (concurrent boot, one-request ``execute``, the
+    ``broadcast`` every write goes through, ``stats``, ``close``) and its
+    worker handles (a respawning process, or one in-process worker).  It
+    loads :mod:`multiprocessing`, so the
     package does not import it: a thread-mode ``QueryService`` loads only
     ``partition`` and ``worker``, and process mode and the search tier
     import ``repro.serving.pool`` themselves, before any fork;

@@ -1,25 +1,26 @@
-"""The process pool: worker lifecycle, fan-out and the calculus pool.
+"""The worker pool both serving tiers hold: boot, routing, broadcast, close.
 
-:class:`WorkerHandle` (boot, request, respawn), :func:`boot_workers`
-(start every shard, then wait for each) and :func:`worker_stats` serve
-both serving tiers:
-the calculus tier's :class:`ProcessPool` below and the search tier's
-:class:`~repro.collections.service.SearchService`, whose thread mode
-holds the same workers in-process through :class:`LocalHandle`.  Every
-search worker holds the whole store, so a read goes to one worker and a
-write goes to all of them through :func:`scatter`, the search tier's
-write fan-out.
+Each front end holds one :class:`ProcessPool`: the process-mode calculus
+:class:`~repro.querycalc.service.QueryService` over
+:class:`~repro.serving.worker.ShardWorker` processes, and the search
+tier's :class:`~repro.collections.service.SearchService` over
+:class:`~repro.collections.worker.CollectionWorker` replicas in either
+mode.  Both tiers follow three rules, and the pool codes them once:
 
-The process-mode calculus front end owns one :class:`ProcessPool`.  Each
-worker is a forked OS process holding a full model replica, its own
-engine and its own shared-scan cache per export generation:
-shared-nothing, so N workers really do evaluate N different queries
-concurrently instead of time-slicing one GIL.  Each query runs, whole,
-on one worker, through the same :meth:`ShardWorker.run
-<repro.serving.worker.ShardWorker.run>` the thread-mode front end calls
-in-process.  The tier is fork-only: a boot config holds live objects the
-child inherits (a backend, or a document store whose documents are known
-by ``id()``), which a ``spawn`` child would receive as pickled copies.
+* every worker holds a full replica: its first boot forks with the front
+  end's live state, and a respawn boots from a replica built from it;
+* a read goes whole to the worker its key routes to
+  (:meth:`ProcessPool.execute`);
+* a write goes to every worker (:meth:`ProcessPool.broadcast`).
+
+A worker is held through a handle: :class:`WorkerHandle` (a forked
+process that is respawned when it dies or hangs) or :class:`LocalHandle`
+(one worker in this process, which the search tier's thread mode uses).
+Process workers are shared-nothing, so N workers really do evaluate N
+different requests concurrently instead of time-slicing one GIL.  The
+tier is fork-only: a boot config holds live objects the child inherits
+(a backend, or a document store whose documents are known by ``id()``),
+which a ``spawn`` child would receive as pickled copies.
 
 Compiled closures don't pickle, so the parent never ships compiled plans.
 A :class:`~repro.querycalc.service.plans.QueryPlan` carries the generated
@@ -39,23 +40,18 @@ import multiprocessing
 import threading
 from concurrent.futures import ThreadPoolExecutor
 from itertools import count
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, Optional, Tuple
 
-from ..awb.xml_io import export_model_text
 from ..querycalc.service.errors import RemoteQueryError
-from ..querycalc.via_xquery import XQueryCalculusBackend
 from ..xquery.errors import XQueryTimeoutError
 from .partition import Route
-from .worker import ShardWorker, WorkerConfig, dispatch, replica_backend, worker_main
+from .worker import dispatch, worker_main
 
 __all__ = [
     "LocalHandle",
     "ProcessPool",
     "WorkerHandle",
-    "boot_workers",
     "merge_partials",
-    "scatter",
-    "worker_stats",
 ]
 
 #: hard ceiling on one worker round-trip when no query deadline is set.
@@ -114,16 +110,17 @@ class WorkerHandle:
     the state at first boot.
 
     Booting is two steps: the constructor (and :meth:`start`) forks the
-    worker, and :meth:`wait` takes its boot reply.  An owner starts every
-    handle before waiting on any (:func:`boot_workers`), so its workers
-    boot at the same time; a respawn is start + wait on one handle.
+    worker, and :meth:`wait` takes its boot reply.  A
+    :class:`ProcessPool` starts every handle before waiting on any, so its
+    workers boot at the same time; a respawn is start + wait on one handle.
 
     A lock is held across each send+recv pair, so the pipe never carries
     interleaved conversations.  A request that misses its deadline kills
     and respawns the worker (the pipe would otherwise hold a stale reply),
     surfacing as ``XQDY_TIMEOUT``; a worker that died mid-request is
     respawned too.  A respawn that failed to boot leaves no worker, and
-    the next request boots one before it sends.
+    the next request boots one before it sends.  A closed handle forks
+    nothing: its requests raise.
     """
 
     def __init__(self, shard: int, make_worker: Callable, make_config: Callable[[], object]):
@@ -137,6 +134,7 @@ class WorkerHandle:
         self.restarts = 0
         self.process = None
         self.conn = None
+        self._closed = False
         self.start()
 
     def start(self) -> None:
@@ -168,6 +166,8 @@ class WorkerHandle:
             raise
 
     def _respawn(self) -> None:
+        if self._closed:
+            raise RuntimeError(f"worker {self.shard} is closed")
         self.restarts += 1
         self.kill()
         self.start()
@@ -226,6 +226,8 @@ class WorkerHandle:
         return body
 
     def close(self) -> None:
+        """Stop the worker for good; a later request raises."""
+        self._closed = True
         if self.conn is not None:
             try:
                 self.conn.send(("shutdown", -1, {}))
@@ -254,7 +256,9 @@ class LocalHandle:
         self.worker = make_worker(make_config())
         self._lock = threading.Lock()
 
-    def request(self, op: str, payload: dict):
+    def request(self, op: str, payload: dict, timeout: Optional[float] = None):
+        """One op on the worker.  *timeout* matches
+        :meth:`WorkerHandle.request` and is unused: nothing is respawned."""
         with self._lock:
             return dispatch(self.worker, op, payload)
 
@@ -267,185 +271,121 @@ class LocalHandle:
     kill = close
 
 
-def boot_workers(make_handle: Callable[[int], object], shards: int) -> list:
-    """Start ``make_handle(shard)`` for every shard, then wait for each.
+class ProcessPool:
+    """One worker per shard, each over a full replica, behind one handle class.
 
-    Every worker is forked before any boot reply is read, so the workers
-    boot concurrently and the tier is up after about one boot.  If any
+    Both serving tiers hold one.  ``handle`` is the handle class
+    (:class:`WorkerHandle`, a subclass of it, or :class:`LocalHandle`),
+    and each handle builds its worker with ``make_worker(make_config(shard,
+    state))``.  The first boot's state is *boot*, which every forked worker
+    inherits as it stands, so the caller builds it before any other thread
+    can change it.  Every later boot (a respawn, or every boot when *boot*
+    is None) gets a fresh ``replica()``.  A respawn runs on whichever
+    thread found its worker gone, a broadcast thread included, so neither
+    ``replica`` nor ``make_config`` may take a lock that a broadcasting
+    caller holds.
+
+    Every shard is forked before any boot reply is read, so the workers
+    boot concurrently and the pool is up after about one boot.  If any
     start or boot fails, every handle made so far is killed before the
     failure propagates: no sibling outlives it.
     """
-    handles = []
-    try:
-        for shard in range(shards):
-            handles.append(make_handle(shard))
-        for handle in handles:
-            handle.wait()
-    except BaseException:
-        for handle in handles:
-            handle.kill()
-        raise
-    return handles
 
-
-def scatter(executor: ThreadPoolExecutor, calls: Sequence[Callable]) -> list:
-    """Run every call concurrently on *executor*; results in call order.
-
-    The search tier fans each write out to every replica with it.  Every
-    call is drained before a failure surfaces (the siblings' pipes must
-    be quiet again before the next request), then the first failure in
-    call order is re-raised.  A single call runs on the calling thread:
-    there is nothing to overlap it with.
-    """
-    if len(calls) == 1:
-        return [calls[0]()]
-    futures = [executor.submit(call) for call in calls]
-    results = []
-    failure: Optional[BaseException] = None
-    for future in futures:
-        try:
-            results.append(future.result())
-        except BaseException as exc:  # keep draining: siblings must finish
-            if failure is None:
-                failure = exc
-    if failure is not None:
-        raise failure
-    return results
-
-
-def worker_stats(handles: Sequence[WorkerHandle]) -> List[Dict[str, object]]:
-    """Each worker's own counters plus its handle's restart count."""
-    workers = []
-    for handle in handles:
-        try:
-            entry = handle.request("stats", {})
-        except Exception as exc:
-            entry = {"shard": handle.shard, "error": str(exc)}
-        entry["restarts"] = handle.restarts
-        workers.append(entry)
-    return workers
-
-
-class ProcessPool:
-    """N shard workers, each answering whole queries over a full replica.
-
-    Callers serialize :meth:`ensure_generation` and :meth:`apply_delta`
-    (the calculus front end calls both under its backend's lock).  Every
-    worker first boots by forking with *backend*, whose export and
-    catalog the caller has built, so no worker parses anything.  A
-    respawn must not fork the live model, which another thread may be
-    halfway through updating: it boots from a backend built from an
-    export of the live model, so it may boot one step ahead of
-    :attr:`generation`: replaying that update's delta then fails (its ids
-    already exist, and the pool refreshes) or changes nothing.  The front
-    end sees the model generation move under the read and runs it again
-    either way.
-    """
-
-    def __init__(self, backend: XQueryCalculusBackend, shards: int):
-        self.model = backend.model
-        self.shards = shards
-        self.generation = backend.export_generation
-        self.refreshes = 0
-        self.deltas = 0
-        #: the first boot forks every shard with the caller's backend; a
-        #: respawn builds one from the live model.
-        self._boot_backend: Optional[XQueryCalculusBackend] = backend
-        self.handles = boot_workers(
-            lambda shard: WorkerHandle(
-                shard, ShardWorker, functools.partial(self._worker_config, shard)
-            ),
-            shards,
-        )
-        self._boot_backend = None
-        self._closed = False
-
-    def _worker_config(self, shard: int) -> WorkerConfig:
-        backend = self._boot_backend or replica_backend(
-            export_model_text(self.model, indent=False), self.model.metamodel
-        )
-        return WorkerConfig(shard=shard, backend=backend, generation=self.generation)
-
-    # -- replica refresh ---------------------------------------------------
-
-    def ensure_generation(self, generation: int) -> None:
-        """Broadcast a replica refresh if the model moved past the pool."""
-        if generation == self.generation:
-            return
-        payload = {
-            "export_text": export_model_text(self.model, indent=False),
-            "generation": generation,
-        }
-        for handle in self.handles:
-            handle.request("refresh", dict(payload))
-        self.generation = generation
-        self.refreshes += 1
-
-    def apply_delta(
+    def __init__(
         self,
-        script_text: str,
-        base_generation: int,
-        new_generation: int,
-        in_sync: bool = True,
-    ) -> bool:
-        """Broadcast one resolved update script instead of a full re-export.
-
-        Workers replay the script against their live replicas (O(delta)
-        per worker, versus the O(model) serialize + reparse of
-        :meth:`ensure_generation`).  Preconditions for soundness: the pool
-        must currently be at *base_generation* and the caller's model must
-        have been in sync with its export when the script was applied —
-        otherwise the replicas would replay the delta on top of state the
-        primary never had.  When the preconditions fail, or any worker's
-        replay fails, the pool falls back to the full-refresh path: the
-        next :meth:`ensure_generation` rebuilds every replica.
-
-        Returns True when the delta path was used.
-        """
-        if not in_sync or self.generation != base_generation:
-            return False
-        payload = {"script": script_text, "generation": new_generation}
+        handle: Callable,
+        make_worker: Callable,
+        make_config: Callable[[int, object], object],
+        replica: Callable[[], object],
+        shards: int,
+        boot: Optional[object] = None,
+    ):
+        self.shards = shards
+        self._make_config = make_config
+        self._replica = replica
+        self._boot = boot
+        self._closed = False
+        self._broadcaster = ThreadPoolExecutor(
+            max_workers=shards, thread_name_prefix="pool-broadcast"
+        )
+        self.handles: list = []
         try:
-            for handle in self.handles:
-                handle.request("delta", dict(payload))
-        except Exception:
-            # a partial broadcast leaves the replicas mixed: poison the
-            # pool generation so the next snapshot refreshes them all.
-            self.generation = -1
-            return False
-        self.generation = new_generation
-        self.deltas += 1
-        return True
+            for shard in range(shards):
+                self.handles.append(
+                    handle(shard, make_worker, functools.partial(self._config, shard))
+                )
+            for worker in self.handles:
+                worker.wait()
+        except BaseException:
+            for worker in self.handles:
+                worker.kill()
+            raise
+        self._boot = None
 
-    # -- execution ---------------------------------------------------------
+    def _config(self, shard: int):
+        state = self._boot if self._boot is not None else self._replica()
+        return self._make_config(shard, state)
 
-    def execute(self, route: Route, payload: dict) -> dict:
+    # -- requests ----------------------------------------------------------
+
+    def execute(self, route: Route, payload: dict, timeout: Optional[float] = None):
         """Send one ``run`` payload to the worker *route* names; its reply."""
-        return self.handles[route.shard].request("run", payload, payload["remaining"])
+        return self.handles[route.shard].request("run", payload, timeout)
+
+    def broadcast(self, op: str, payload: dict) -> list:
+        """Send one request to every worker concurrently; replies in shard
+        order.
+
+        Every worker is asked and drained before a failure surfaces (each
+        pipe must be quiet again before its next request), then the first
+        failure in shard order is re-raised.  A lone worker is asked on the
+        calling thread: there is nothing to overlap it with.
+        """
+        if len(self.handles) == 1:
+            return [self.handles[0].request(op, payload)]
+        futures = [
+            self._broadcaster.submit(worker.request, op, payload)
+            for worker in self.handles
+        ]
+        replies = []
+        failure: Optional[BaseException] = None
+        for future in futures:
+            try:
+                replies.append(future.result())
+            except BaseException as exc:  # keep draining: siblings must finish
+                if failure is None:
+                    failure = exc
+        if failure is not None:
+            raise failure
+        return replies
 
     # -- observability / lifecycle ----------------------------------------
 
-    def stats(self) -> Dict[str, object]:
-        """Synchronous per-worker counters plus pool-level aggregates."""
-        workers = worker_stats(self.handles)
-        return {
-            "mode": "process",
-            "shards": self.shards,
-            "generation": self.generation,
-            "refreshes": self.refreshes,
-            "deltas": self.deltas,
-            "workers": workers,
-            "runs": sum(w.get("runs", 0) for w in workers),
-            "fallbacks": sum(w.get("fallbacks", 0) for w in workers),
-            "restarts": sum(h.restarts for h in self.handles),
-        }
+    def stats(self) -> List[Dict[str, object]]:
+        """Each worker's own counters plus its handle's restart count."""
+        workers = []
+        for worker in self.handles:
+            try:
+                entry = worker.request("stats", {})
+            except Exception as exc:
+                entry = {"shard": worker.shard, "error": str(exc)}
+            entry["restarts"] = worker.restarts
+            workers.append(entry)
+        return workers
+
+    @property
+    def restarts(self) -> int:
+        """Respawns across every worker."""
+        return sum(worker.restarts for worker in self.handles)
 
     def close(self) -> None:
+        """Stop every worker; safe to call twice."""
         if self._closed:
             return
         self._closed = True
-        for handle in self.handles:
-            handle.close()
+        self._broadcaster.shutdown(wait=False)
+        for worker in self.handles:
+            worker.close()
 
     def __del__(self):  # best-effort: daemon workers die with the parent anyway
         try:

@@ -253,8 +253,9 @@ class ShardWorker:
 
 def dispatch(worker, op: str, payload):
     """Run one request op on *worker*: the method its op names, which takes
-    the payload dict.  Both handle kinds serve requests through this, the
-    process loop below and the in-process
+    the payload dict.  Both handle kinds a
+    :class:`~repro.serving.pool.ProcessPool` holds serve requests through
+    this: the process loop below and the in-process
     :class:`~repro.serving.pool.LocalHandle`."""
     try:
         if op not in worker.OPS:

@@ -82,7 +82,7 @@ class StatisticsCatalog:
         #: None when no document store feeds this catalog.
         self.fulltext: Optional[Dict[str, object]] = None
         # exact underlying state the derived estimates are computed from —
-        # persisted (not discarded after the walk) so apply_delta can
+        # persisted (not discarded after the walk) so maintain() can
         # add/subtract subtree contributions instead of re-walking.
         #: element name -> total element children across all instances
         self._child_totals: Dict[str, int] = {}
@@ -224,7 +224,7 @@ class StatisticsCatalog:
         else:
             self.schema = None
 
-    def apply_delta(self, pairs, generation: Optional[int] = None) -> None:
+    def maintain(self, pairs, generation: Optional[int] = None) -> None:
         """Maintain the catalog across subtree replacements.
 
         *pairs* is the incremental exporter's delta log: ``(old_element,

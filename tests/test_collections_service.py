@@ -192,6 +192,10 @@ def test_unknown_collection_crosses_the_pipe_too():
 def test_request_validation():
     with pytest.raises(ValueError):
         SearchRequest(kind="bogus")
+    for field in ("limit", "width"):
+        with pytest.raises(ValueError, match=field):
+            SearchRequest(kind="kwic", collection="docs/", phrase="alpha", **{field: -1})
+    assert SearchRequest(kind="collection", limit=0).source().startswith("for $d in fn:collection")
     assert 'ft:search' in SEARCH.source()
     assert SEARCH.key() != NOTES.key()
 
@@ -294,10 +298,10 @@ def test_every_worker_answers_every_request(mode):
         for request in requests:
             expected = service.evaluate_fresh(request, use_index=False)
             payload = {"source": request.source(), "key": request.key()}
-            for handle in service._workers:
+            for handle in service._pool.handles:
                 answer = handle.request("run", payload)["text"]
                 assert answer == expected, (mode, handle.shard, request.key())
-        for handle in service._workers:
+        for handle in service._pool.handles:
             documents = handle.request("stats", {})["store"]["documents"]
             assert documents == len(service.store), (mode, handle.shard)
 
@@ -332,7 +336,7 @@ def test_write_after_owner_worker_dies_respawns_it_with_the_write():
     equals an index-off evaluation of that store."""
     uri = "brand/sub/new.xml"
     with SearchService(make_store(), shards=2, mode="process") as service:
-        victim = service._workers[bucket(uri, 2)]
+        victim = service._pool.handles[bucket(uri, 2)]
         victim.process.kill()
         victim.process.join(timeout=5.0)
         try:
@@ -368,7 +372,7 @@ def test_reads_execute_outside_the_service_lock():
 
     with SearchService(make_store(), shards=2, mode="thread") as service:
         started, release = threading.Event(), threading.Event()
-        worker = service._workers[0].worker
+        worker = service._pool.handles[0].worker
         original = worker.run
 
         def slow(payload):
@@ -406,7 +410,7 @@ def test_read_overlapping_a_write_to_its_scope_runs_again(scope):
         write_uri = f"{scope}w0.xml"
         # the reader blocks inside the worker its key routes to, holding
         # that handle; the write waits on it, so it runs on its own thread.
-        handle = service._workers[bucket(SEARCH.key(), 2)]
+        handle = service._pool.handles[bucket(SEARCH.key(), 2)]
         started, release = threading.Event(), threading.Event()
         worker = handle.worker
         original = worker.run
@@ -469,7 +473,7 @@ def test_read_waits_for_a_write_in_flight():
 
         service._replicate_put = held_replicate
         reached = threading.Event()
-        for handle in service._workers:
+        for handle in service._pool.handles:
             original = handle.worker.run
 
             def run(payload, original=original):

@@ -59,6 +59,25 @@ def test_workers_zero_resolves_to_cpu_count(model):
     assert svc.workers == (os.cpu_count() or 1)
 
 
+@pytest.mark.parametrize("tier", ["query", "search"])
+def test_a_negative_worker_count_is_rejected(model, tier):
+    """Below zero is a caller error naming the parameter; zero keeps its
+    meaning (one per core for the calculus tier, one for the search tier)."""
+    from functools import partial
+
+    from repro.collections import SearchService
+
+    if tier == "query":
+        name, build = "workers", partial(QueryService, model, mode="process")
+    else:
+        name, build = "shards", partial(SearchService, random_document_store(41, docs=4))
+    with pytest.raises(ValueError, match=name):
+        build(**{name: -1})
+    if tier == "search":
+        with build(shards=0) as svc:
+            assert svc.shards == 1 and len(svc._pool.handles) == 1
+
+
 # -- execution parity with the thread service --------------------------------
 
 
@@ -382,16 +401,16 @@ def test_first_boot_exports_nothing_and_a_respawn_exports_the_live_model(
     nothing is exported; a respawned worker boots from one export of the
     live model and answers as native does."""
     from repro.querycalc.native import run_query
-    from repro.serving import pool
+    from repro.querycalc.service import service as query_service
 
     exports = []
-    export = pool.export_model_text
+    export = query_service.export_model_text
 
     def counting_export(*args, **kwargs):
         exports.append(args[0].generation)
         return export(*args, **kwargs)
 
-    monkeypatch.setattr(pool, "export_model_text", counting_export)
+    monkeypatch.setattr(query_service, "export_model_text", counting_export)
     with QueryService(model, mode="process", workers=3) as svc:
         assert exports == []
         victim = svc._pool.handles[0]
@@ -501,7 +520,7 @@ def _tier_under_test(model, tier, shards=2):
     request = SearchRequest(kind="search", collection="", phrase="alpha")
     return (
         svc,
-        svc._workers,
+        svc._pool.handles,
         lambda: svc.run(request).text,
         lambda: svc.evaluate_fresh(request, use_index=False),
         request.key(),
@@ -559,15 +578,28 @@ def test_request_after_a_failed_respawn_boots_a_fresh_worker(model, tier):
         assert victim.restarts == 2 and victim.process.is_alive()
 
 
+@pytest.mark.parametrize("tier", ["query", "search"])
+def test_a_closed_service_forks_no_worker(model, tier):
+    """After ``close()`` a read fails with a closed worker instead of
+    booting a new one: no child process outlives the close."""
+    svc, handles, serve, _, _ = _tier_under_test(model, tier)
+    others = set(multiprocessing.active_children()) - {h.process for h in handles}
+    svc.close()
+    with pytest.raises(RuntimeError, match="is closed"):
+        serve()
+    assert set(multiprocessing.active_children()) - others == set()
+    assert all(handle.process is None for handle in handles)
+
+
 def _tier_booting_with(model, tier, monkeypatch, before_boot):
     """A constructor for a 2-shard process tier of *tier* whose workers
     run ``before_boot(config)`` at the start of their boot."""
     from repro.collections import SearchService
     from repro.collections import service as search_service
-    from repro.serving import pool
+    from repro.serving import worker
 
     if tier == "query":
-        module, name = pool, "ShardWorker"
+        module, name = worker, "ShardWorker"
         build = lambda: QueryService(model, mode="process", workers=2)
     else:
         module, name = search_service, "CollectionWorker"

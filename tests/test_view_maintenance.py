@@ -551,6 +551,35 @@ class TestProcessModeDeltas:
             for worker in service.serving_stats()["workers"]:
                 assert worker["deltas"] == 1
 
+    def test_a_failed_replay_still_reaches_every_worker(self, model, monkeypatch):
+        """One worker failing its replay leaves every other worker asked;
+        the next query refreshes every replica and answers as native."""
+        from repro.serving.worker import ShardWorker
+
+        replay = ShardWorker.delta
+
+        def delta_failing_on_shard_0(worker, payload):
+            if worker.shard == 0:
+                raise RuntimeError("shard 0 cannot replay")
+            return replay(worker, payload)
+
+        # patched before the workers fork, so every worker inherits it
+        monkeypatch.setattr(ShardWorker, "delta", delta_failing_on_shard_0)
+        query = scan("User")
+        with QueryService(model, mode="process", workers=3) as service:
+            service.run(query)
+            service.apply_update('insert node User with (label "aaa-shard", birthYear 1999)')
+            serving = service.serving_stats()
+            assert [worker["deltas"] for worker in serving["workers"]] == [0, 1, 1]
+            assert serving["generation"] == -1 and serving["deltas"] == 0
+            refreshes = serving["refreshes"]
+            assert [n.id for n in service.run(query)] == native_ids(query, model)
+            serving = service.serving_stats()
+            assert serving["refreshes"] == refreshes + 1
+            assert serving["generation"] == model.generation
+            for worker in serving["workers"]:
+                assert worker["generation"] == model.generation
+
     def test_foreign_mutation_falls_back_to_full_refresh(self, model):
         query = scan("User")
         with QueryService(model, mode="process", workers=2) as service:
