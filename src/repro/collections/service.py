@@ -291,6 +291,7 @@ class SearchService(FrontEnd):
     # -- writes ------------------------------------------------------------
     # Each holds the writer lock until every replica has applied it (or was
     # respawned from the authoritative store), and counts only on success.
+    # A closed service refuses a write before the store sees it.
     # Every replica is asked even when one fails: a process worker whose
     # request failed was respawned from the authoritative store, which
     # already holds the write.
@@ -301,6 +302,7 @@ class SearchService(FrontEnd):
 
     def delete(self, uri: str) -> None:
         with self._write_lock:
+            self._pool.check_open()
             with self._authoritative_lock:
                 self.store.remove(uri)
             self._pool.broadcast("delete", {"uri": uri})
@@ -319,6 +321,7 @@ class SearchService(FrontEnd):
     def _put(self, uri: str, write):
         """Apply *write* to the authoritative store, then replicate *uri*."""
         with self._write_lock:
+            self._pool.check_open()
             with self._authoritative_lock:
                 result = write()
             self._replicate_put(uri)

@@ -150,11 +150,6 @@ class DocumentStore:
         self._install(uri, document, text)
         return document
 
-    def put_document(self, uri: str, document: DocumentNode, text: Optional[str] = None) -> None:
-        """Store an already-built document tree under *uri*."""
-        self._models.pop(uri, None)
-        self._install(uri, document, text if text is not None else serialize(document))
-
     def put_model(self, uri: str, model: Model) -> DocumentNode:
         """Store a live AWB model's export under *uri*.
 
@@ -301,9 +296,6 @@ class DocumentStore:
 
     def collection(self, collection: str = "") -> List[Tuple[str, DocumentNode]]:
         return [(uri, self._docs[uri]) for uri in self.collection_uris(collection)]
-
-    def collections(self) -> List[str]:
-        return sorted(self._collection_gens)
 
     def collection_generation(self, collection: str = "") -> int:
         prefix = normalize_collection(collection)

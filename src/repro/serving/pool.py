@@ -328,8 +328,14 @@ class ProcessPool:
 
     # -- requests ----------------------------------------------------------
 
+    def check_open(self) -> None:
+        """Raise once :meth:`close` has run: a closed pool touches no handle."""
+        if self._closed:
+            raise RuntimeError("worker pool is closed")
+
     def execute(self, route: Route, payload: dict, timeout: Optional[float] = None):
         """Send one ``run`` payload to the worker *route* names; its reply."""
+        self.check_open()
         return self.handles[route.shard].request("run", payload, timeout)
 
     def broadcast(self, op: str, payload: dict) -> list:
@@ -341,6 +347,7 @@ class ProcessPool:
         failure in shard order is re-raised.  A lone worker is asked on the
         calling thread: there is nothing to overlap it with.
         """
+        self.check_open()
         if len(self.handles) == 1:
             return [self.handles[0].request(op, payload)]
         futures = [

@@ -8,7 +8,8 @@ the production backend, ``EngineConfig(backend="algebra")``:
 * :mod:`.lowering` turns the parsed AST into a small logical algebra
   (index scans, twig hash joins, select/project, order-by, FLWOR tuple
   sources), leaving anything outside the fragment to the closure
-  compiler (:mod:`repro.xquery.compiler`);
+  compiler (:mod:`repro.xquery.compiler`), which compiles the forms
+  measured hot and hands every other form to the treewalk;
 * :mod:`.optimize` is the rewrite/cost pass, fed by a
   :class:`~.stats.StatisticsCatalog` collected at export time;
 * :mod:`.executor` interprets plans set-at-a-time, producing bit-identical

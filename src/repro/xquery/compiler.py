@@ -8,12 +8,22 @@ closures (``Callable[[DynamicContext], Sequence]``): all dispatch
 decisions, node-test shapes, and function resolutions are taken while
 compiling, so running an expression is just calling plain closures.
 
-Semantics are *bit-for-bit* the treewalk's — same quirks, same error codes,
-same evaluation order — which is asserted by ``tests/test_backend_parity.py``
-rather than by sharing the interpreter loop.  To keep drift impossible the
-compiler reuses every evaluator helper that does not itself recurse through
-``evaluate`` (``construct_element``, ``_test_matches``, ``_OrderKey``, …);
-only the recursion itself is replaced by closures.
+Only the forms measured hot have a closure: paths, FLWOR, variables,
+function calls, comparisons, conditionals, quantifiers, try/catch and the
+element, attribute and text constructors.  Every other form (ranges, unary
+minus, set operators, typeswitch, cast/castable/treat, comment and
+document constructors) has no entry in ``_COMPILE`` and runs on the
+treewalk itself, as do ``xs:`` constructor calls and calls to unknown
+functions.  Both share one ``DynamicContext``, so a handed-over
+subtree keeps the focus, scope, recursion depth, deadline and error
+locations of the closure around it.
+
+The compiled forms are *bit-for-bit* the treewalk's — same quirks, same
+error codes, same evaluation order — which ``tests/test_backend_parity.py``
+asserts, including at the boundary between the two.  To keep drift
+impossible the compiler reuses every evaluator helper that does not itself
+recurse through ``evaluate`` (``construct_element``, ``_test_matches``,
+``_OrderKey``, …); only the recursion itself is replaced by closures.
 
 Child and attribute axis steps with a name test additionally use the lazy
 name indexes on :class:`~repro.xdm.nodes.ElementNode`, turning the docgen
@@ -27,9 +37,6 @@ from typing import Callable, Dict, List, Optional, Tuple
 from ..xdm import (
     AttributeNode,
     Node,
-    CastError,
-    CommentNode,
-    DocumentNode,
     ElementNode,
     ComparisonTypeError,
     ProcessingInstructionNode,
@@ -37,7 +44,6 @@ from ..xdm import (
     TextNode,
     UntypedAtomic,
     atomize,
-    cast_atomic,
     general_compare,
     sort_document_order,
     string_value_of_atomic,
@@ -53,14 +59,14 @@ from .evaluator import (
     _error,
     _is_numeric_predicate,
     _node_comparison,
-    _singleton_integer,
     _test_matches,
     _enclosed_items,
     construct_element,
     ebv,
+    evaluate,
 )
 from .functions import lookup_builtin
-from .operators import arithmetic, negate, set_operation
+from .operators import arithmetic
 
 #: A compiled expression: call it with a dynamic context, get a sequence.
 Thunk = Callable[[DynamicContext], Sequence]
@@ -210,13 +216,9 @@ class Compiler:
     def compile(self, expr: ast.Expr) -> Thunk:
         method = _COMPILE.get(type(expr))
         if method is None:
-            # Parity: the treewalk only errors when such a node is evaluated.
-            message = f"cannot evaluate {type(expr).__name__}"
-
-            def run(ctx: DynamicContext) -> Sequence:
-                raise XQueryDynamicError(message)
-
-            return run
+            # a cold form runs on the treewalk, which also raises for a
+            # form no evaluator knows.
+            return lambda ctx: evaluate(expr, ctx)
         return method(self, expr)
 
     def _compile_predicates(self, predicates: List[ast.Expr]) -> List[_Applier]:
@@ -243,9 +245,7 @@ class Compiler:
             fast = self._name_comparison_applier(predicate)
         if fast is not None:
             return fast
-        if self._statically_boolean(predicate) or isinstance(
-            predicate, (ast.BooleanOp, ast.Comparison)
-        ):
+        if isinstance(predicate, (ast.BooleanOp, ast.Comparison)):
             # always [], [True] or [False]: never a numeric predicate, and
             # its EBV is the item itself.  (A node-style comparison also
             # yields only booleans/empties, so it is included.)
@@ -501,19 +501,6 @@ class Compiler:
 
         return run
 
-    def _range(self, expr: ast.RangeExpr) -> Thunk:
-        start_thunk = self.compile(expr.start)
-        end_thunk = self.compile(expr.end)
-
-        def run(ctx: DynamicContext) -> Sequence:
-            start = _singleton_integer(start_thunk(ctx), expr, ctx)
-            end = _singleton_integer(end_thunk(ctx), expr, ctx)
-            if start is None or end is None or start > end:
-                return []
-            return list(range(start, end + 1))
-
-        return run
-
     def _arithmetic(self, expr: ast.Arithmetic) -> Thunk:
         left_thunk = self.compile(expr.left)
         right_thunk = self.compile(expr.right)
@@ -524,17 +511,6 @@ class Compiler:
             right = right_thunk(ctx)
             try:
                 return arithmetic(op, left, right)
-            except XQueryTypeError as exc:
-                raise _error(expr, ctx, exc.bare_message, exc.code) from exc
-
-        return run
-
-    def _unary(self, expr: ast.Unary) -> Thunk:
-        operand_thunk = self.compile(expr.operand)
-
-        def run(ctx: DynamicContext) -> Sequence:
-            try:
-                return negate(operand_thunk(ctx))
             except XQueryTypeError as exc:
                 raise _error(expr, ctx, exc.bare_message, exc.code) from exc
 
@@ -582,29 +558,6 @@ class Compiler:
             return _node_comparison(expr, left, right, ctx)
 
         return run
-
-    def _statically_boolean(self, expr: ast.Expr) -> bool:
-        """Does *expr* always produce ``[]``, ``[True]`` or ``[False]``?
-
-        For such shapes the effective boolean value is just the item (or
-        False when empty), so EBV consumers skip the generic ``ebv`` path.
-        """
-        if isinstance(
-            expr, (ast.BooleanOp, ast.Quantified, ast.InstanceOf, ast.CastableAs)
-        ):
-            return True
-        if isinstance(expr, ast.Comparison):
-            return expr.style in ("general", "value")
-        if isinstance(expr, ast.FunctionCall):
-            name = expr.name
-            if name.startswith("fn:"):
-                name = name[3:]
-            return (
-                name in _BOOLEAN_BUILTINS
-                and (name, len(expr.args)) not in self.functions
-                and lookup_builtin(name, len(expr.args)) is not None
-            )
-        return False
 
     def _compile_ebv(
         self, expr: ast.Expr, error_expr: Optional[ast.Expr] = None
@@ -676,12 +629,6 @@ class Compiler:
         fast = getattr(thunk, "ebv", None)
         if fast is not None:
             return fast
-        if self._statically_boolean(expr):
-            def test(ctx: DynamicContext) -> bool:
-                result = thunk(ctx)
-                return result[0] if result else False
-
-            return test
 
         def test(ctx: DynamicContext) -> bool:
             return ebv(thunk(ctx), error_expr, ctx)
@@ -695,21 +642,6 @@ class Compiler:
             return [test(ctx)]
 
         run.ebv = test
-        return run
-
-    def _set_op(self, expr: ast.SetOp) -> Thunk:
-        left_thunk = self.compile(expr.left)
-        right_thunk = self.compile(expr.right)
-        op = expr.op
-
-        def run(ctx: DynamicContext) -> Sequence:
-            left = left_thunk(ctx)
-            right = right_thunk(ctx)
-            try:
-                return set_operation(op, left, right)
-            except XQueryTypeError as exc:
-                raise _error(expr, ctx, exc.bare_message, exc.code) from exc
-
         return run
 
     # -- paths --------------------------------------------------------------
@@ -994,26 +926,6 @@ class Compiler:
 
         return run
 
-    def _typeswitch(self, expr: ast.Typeswitch) -> Thunk:
-        operand_thunk = self.compile(expr.operand)
-        cases = tuple(
-            (case.sequence_type, case.var, self.compile(case.result))
-            for case in expr.cases
-        )
-        default_var = expr.default_var
-        default_thunk = self.compile(expr.default)
-
-        def run(ctx: DynamicContext) -> Sequence:
-            value = operand_thunk(ctx)
-            for sequence_type, var, result_thunk in cases:
-                if sequence_type.matches(value):
-                    scope = ctx.with_variables({var: value}) if var else ctx
-                    return result_thunk(scope)
-            scope = ctx.with_variables({default_var: value}) if default_var else ctx
-            return default_thunk(scope)
-
-        return run
-
     def _if(self, expr: ast.IfExpr) -> Thunk:
         condition_test = self._compile_ebv(expr.condition)
         then_thunk = self.compile(expr.then_branch)
@@ -1033,7 +945,8 @@ class Compiler:
         if name.startswith("fn:"):
             name = name[3:]
         if name.startswith("xs:"):
-            return self._constructor_function(expr, name)
+            # constructor functions are cold: the treewalk casts.
+            return lambda ctx: evaluate(expr, ctx)
 
         local_name = name.split(":", 1)[1] if name.startswith("local:") else name
         key = (local_name, len(expr.args))
@@ -1043,14 +956,8 @@ class Compiler:
 
         builtin = lookup_builtin(name, len(expr.args))
         if builtin is None:
-            message = (
-                f"unknown function {expr.name}() with {len(expr.args)} argument(s)"
-            )
-
-            def run(ctx: DynamicContext) -> Sequence:
-                raise _error(expr, ctx, message, "XPST0017")
-
-            return run
+            # the treewalk raises XPST0017 when the call is evaluated.
+            return lambda ctx: evaluate(expr, ctx)
         arg_thunks = tuple(self.compile(arg) for arg in expr.args)
 
         def run(ctx: DynamicContext) -> Sequence:
@@ -1061,28 +968,6 @@ class Compiler:
             run.ebv = lambda ctx: builtin(
                 ctx, [thunk(ctx) for thunk in arg_thunks], expr
             )[0]
-        return run
-
-    def _constructor_function(self, expr: ast.FunctionCall, name: str) -> Thunk:
-        if len(expr.args) != 1:
-
-            def run(ctx: DynamicContext) -> Sequence:
-                raise _error(expr, ctx, f"{name} expects one argument", "XPST0017")
-
-            return run
-        arg_thunk = self.compile(expr.args[0])
-
-        def run(ctx: DynamicContext) -> Sequence:
-            value = atomize(arg_thunk(ctx))
-            if not value:
-                return []
-            if len(value) > 1:
-                raise _error(expr, ctx, f"{name} requires a singleton", "XPTY0004")
-            try:
-                return [cast_atomic(value[0], name)]
-            except CastError as exc:
-                raise _error(expr, ctx, str(exc), "FORG0001") from exc
-
         return run
 
     def _user_function_call(
@@ -1153,62 +1038,6 @@ class Compiler:
         run.ebv = lambda ctx: sequence_type.matches(operand_thunk(ctx))
         return run
 
-    def _cast(self, expr: ast.CastAs) -> Thunk:
-        operand_thunk = self.compile(expr.operand)
-        type_name = expr.type_name
-        allow_empty = expr.allow_empty
-
-        def run(ctx: DynamicContext) -> Sequence:
-            value = atomize(operand_thunk(ctx))
-            if not value:
-                if allow_empty:
-                    return []
-                raise _error(expr, ctx, "cast of an empty sequence", "XPTY0004")
-            if len(value) > 1:
-                raise _error(expr, ctx, "cast requires a singleton", "XPTY0004")
-            try:
-                return [cast_atomic(value[0], type_name)]
-            except CastError as exc:
-                raise _error(expr, ctx, str(exc), "FORG0001") from exc
-
-        return run
-
-    def _castable(self, expr: ast.CastableAs) -> Thunk:
-        operand_thunk = self.compile(expr.operand)
-        type_name = expr.type_name
-        allow_empty = expr.allow_empty
-
-        def run(ctx: DynamicContext) -> Sequence:
-            value = atomize(operand_thunk(ctx))
-            if not value:
-                return [allow_empty]
-            if len(value) > 1:
-                return [False]
-            try:
-                cast_atomic(value[0], type_name)
-                return [True]
-            except CastError:
-                return [False]
-
-        return run
-
-    def _treat(self, expr: ast.TreatAs) -> Thunk:
-        operand_thunk = self.compile(expr.operand)
-        sequence_type = expr.sequence_type
-
-        def run(ctx: DynamicContext) -> Sequence:
-            value = operand_thunk(ctx)
-            if not sequence_type.matches(value):
-                raise _error(
-                    expr,
-                    ctx,
-                    f"treat as: value does not match {sequence_type!r}",
-                    "XPDY0050",
-                )
-            return value
-
-        return run
-
     # -- constructors -----------------------------------------------------------
 
     def _direct_element(self, expr: ast.DirectElement) -> Thunk:
@@ -1230,9 +1059,6 @@ class Compiler:
             if isinstance(part, ast.DirectText):
                 text = part.text
                 part_thunks.append(lambda ctx, text=text: [TextNode(text)])
-            elif isinstance(part, ast.DirectComment):
-                text = part.text
-                part_thunks.append(lambda ctx, text=text: [CommentNode(text)])
             elif isinstance(part, ast.DirectPI):
                 target, text = part.target, part.text
                 part_thunks.append(
@@ -1271,10 +1097,6 @@ class Compiler:
             ]
 
         return run
-
-    def _direct_comment(self, expr: ast.DirectComment) -> Thunk:
-        text = expr.text
-        return lambda ctx: [CommentNode(text)]
 
     def _name_thunk(self, expr) -> Callable[[DynamicContext], str]:
         if expr.name is not None:
@@ -1326,37 +1148,6 @@ class Compiler:
 
         return run
 
-    def _computed_comment(self, expr: ast.ComputedComment) -> Thunk:
-        content_thunk = self.compile(expr.content) if expr.content is not None else None
-
-        def run(ctx: DynamicContext) -> Sequence:
-            content = atomize(content_thunk(ctx)) if content_thunk is not None else []
-            return [CommentNode(" ".join(string_value_of_atomic(item) for item in content))]
-
-        return run
-
-    def _computed_document(self, expr: ast.ComputedDocument) -> Thunk:
-        content_thunk = self.compile(expr.content) if expr.content is not None else None
-
-        def run(ctx: DynamicContext) -> Sequence:
-            content = content_thunk(ctx) if content_thunk is not None else []
-            document = DocumentNode()
-            for item in content:
-                if isinstance(item, AttributeNode):
-                    raise _error(
-                        expr,
-                        ctx,
-                        "a document node cannot contain attribute nodes",
-                        "XPTY0004",
-                    )
-                if isinstance(item, Node):
-                    document.append(item.copy())
-                else:
-                    document.append(TextNode(string_value_of_atomic(item)))
-            return [document]
-
-        return run
-
 
 def _attribute_value_text(parts: tuple, ctx: DynamicContext) -> str:
     pieces: List[str] = []
@@ -1380,30 +1171,20 @@ _COMPILE = {
     ast.VarRef: Compiler._var,
     ast.ContextItem: Compiler._context_item,
     ast.SequenceExpr: Compiler._sequence,
-    ast.RangeExpr: Compiler._range,
     ast.Arithmetic: Compiler._arithmetic,
-    ast.Unary: Compiler._unary,
     ast.Comparison: Compiler._comparison,
     ast.BooleanOp: Compiler._boolean_op,
-    ast.SetOp: Compiler._set_op,
     ast.AxisStep: Compiler._axis_step,
     ast.FilterExpr: Compiler._filter,
     ast.PathExpr: Compiler._path,
     ast.FLWOR: Compiler._flwor,
     ast.Quantified: Compiler._quantified,
     ast.IfExpr: Compiler._if,
-    ast.Typeswitch: Compiler._typeswitch,
     ast.TryCatch: Compiler._try_catch,
     ast.FunctionCall: Compiler._function_call,
     ast.InstanceOf: Compiler._instance_of,
-    ast.CastAs: Compiler._cast,
-    ast.CastableAs: Compiler._castable,
-    ast.TreatAs: Compiler._treat,
     ast.DirectElement: Compiler._direct_element,
-    ast.DirectComment: Compiler._direct_comment,
     ast.ComputedElement: Compiler._computed_element,
     ast.ComputedAttribute: Compiler._computed_attribute,
     ast.ComputedText: Compiler._computed_text,
-    ast.ComputedComment: Compiler._computed_comment,
-    ast.ComputedDocument: Compiler._computed_document,
 }

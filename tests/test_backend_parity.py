@@ -1,11 +1,13 @@
 """Differential parity: the algebra backend must match the treewalk exactly.
 
-Neither the algebra's plan executor (:mod:`repro.xquery.algebra`) nor the
-closure compiler it falls back on (:mod:`repro.xquery.compiler`) shares
-the treewalk's interpreter loop, so their fidelity to the period-accurate
+The algebra's plan executor (:mod:`repro.xquery.algebra`) does not share
+the treewalk's interpreter loop, and the closure compiler it falls back on
+(:mod:`repro.xquery.compiler`) compiles the forms measured hot and hands
+every other form to the treewalk.  Their fidelity to the period-accurate
 quirks is asserted *here*, by running the same programs under both
 backends and comparing serialized results, trace output, and error
-codes.  The corpus mirrors the benchmark suite: the e01 sequence-indexing
+codes; the boundary rows nest a handed-over form inside each compiled
+form that reuses a focus or scope, and compare error locations too.  The corpus mirrors the benchmark suite: the e01 sequence-indexing
 rows, the e02 attribute-folding programs under every duplicate-attribute
 mode, the error regimes (spec codes and Galax diagnostics), the
 trace-optimizer deletion bug, and the real docgen/querycalc workloads end
@@ -32,7 +34,8 @@ from repro.testing.oracle import (
 from repro.workloads import make_it_model, system_context_template
 from repro.xmlio import serialize
 from repro.xquery import EngineConfig, XQueryEngine
-from repro.xquery.api import BACKENDS
+from repro.xquery.api import BACKENDS, serialize_result
+from repro.xquery.errors import XQueryError
 
 
 def assert_parity(source, config=None, **run_kwargs):
@@ -214,6 +217,88 @@ def test_recursion_limit_parity():
     assert ok[0] == "ok"
     failed = assert_parity(source, EngineConfig(max_recursion_depth=10))
     assert failed[0] == "error" and failed[2] == "FOER0000"
+
+
+# -- the boundary between compiled closures and the treewalk ------------------
+# The closure compiler compiles the forms that run hot and hands every other
+# form to the treewalk.  Each row nests a handed-over form (cast, castable,
+# treat, typeswitch) inside a compiled form that reuses one mutable focus or
+# scope: a predicate applier, a FLWOR's order by, a quantifier, a recursive
+# user function.  A user-function body is always a closure-compiler
+# fallback, so wrapping a row in one makes the compiled form really run.
+
+BOUNDARY_SOURCES = [
+    "(1 to 6)[(. cast as xs:integer) mod 2 = 0]",
+    "<r><a n='1'/><a n='x'/><a n='3'/></r>/a[@n castable as xs:integer]/@n/string()",
+    "for $x in (3, 1, 2) order by $x treat as xs:integer descending return $x",
+    "for $x in (3, 'a') order by $x treat as xs:integer return $x",  # XPDY0050
+    "some $x in ('a', '1') satisfies ($x castable as xs:integer)",
+    "every $x in ('2', 'b') satisfies ($x castable as xs:integer)",
+]
+
+CAST_ERROR_ROW = "for $i in (1, 'x') return $i cast as xs:integer"  # FORG0001
+
+TYPESWITCH_RECURSION = (
+    "declare function local:f($n, $stop) {{ typeswitch ($n) "
+    "case xs:integer return if ($n = $stop) then $n else local:f($n + 1, $stop) "
+    "default return 0 }}; local:f(0, {stop})"
+)
+
+
+def _in_function(source):
+    return f"declare function local:body() {{ {source} }}; local:body()"
+
+
+def _located_outcome(query, backend):
+    """``run_outcome`` plus the error's line and column."""
+    try:
+        return ("ok", serialize_result(query.run(backend=backend)))
+    except XQueryError as error:
+        return (
+            "error",
+            type(error).__name__,
+            error.code,
+            error.bare_message,
+            error.line,
+            error.column,
+        )
+
+
+def assert_located_parity(source, config=None):
+    """Same outcome, error location included, on every backend; and the
+    algebra ran the body through the closure compiler."""
+    query = XQueryEngine(config or EngineConfig()).compile(source)
+    outcomes = {backend: _located_outcome(query, backend) for backend in BACKENDS}
+    for backend in BACKENDS:
+        assert outcomes[backend] == outcomes["treewalk"], (backend, source)
+    assert query.algebra._compiler is not None, source
+    return outcomes["treewalk"]
+
+
+@pytest.mark.parametrize("source", BOUNDARY_SOURCES)
+def test_treewalk_form_inside_compiled_form_parity(source):
+    assert_located_parity(_in_function(source))
+
+
+@pytest.mark.parametrize("galax", [False, True], ids=["spec", "galax"])
+def test_treewalk_cast_error_inside_compiled_flwor_parity(galax):
+    config = EngineConfig(galax_diagnostics=galax)
+    result = assert_located_parity(_in_function(CAST_ERROR_ROW), config)
+    assert result[2] == "FORG0001", result
+    assert (result[4] is None) == galax, result
+
+
+def test_typeswitch_recursion_limit_parity():
+    """A recursive function whose body is a typeswitch stops at the same
+    depth, with the same message and location, on both backends."""
+    config = EngineConfig(max_recursion_depth=30)
+    outcomes = [
+        assert_located_parity(TYPESWITCH_RECURSION.format(stop=stop), config)
+        for stop in range(27, 32)
+    ]
+    assert outcomes[0] == ("ok", "27")
+    assert outcomes[-1][:3] == ("error", "XQueryDynamicError", "FOER0000")
+    assert outcomes[-1][4] is not None
 
 
 # -- trace semantics and the trace-deletion optimizer bug ---------------------

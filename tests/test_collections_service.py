@@ -326,6 +326,24 @@ def test_a_read_makes_one_round_trip(monkeypatch):
             assert calls == ["run"], request.kind
 
 
+@pytest.mark.parametrize("mode", ["thread", "process"])
+def test_a_closed_service_refuses_reads_and_writes(mode):
+    """After ``close()`` an uncached read, a write and a delete each raise
+    the pool's one error, and no write reaches the authoritative store."""
+    service = SearchService(make_store(), shards=2, mode=mode)
+    service.run(SEARCH)
+    service.close()
+    texts = service.store.texts()
+    with pytest.raises(RuntimeError, match="is closed"):
+        service.run(NOTES)
+    with pytest.raises(RuntimeError, match="is closed"):
+        service.put_text("docs/late.xml", "<doc>late</doc>")
+    with pytest.raises(RuntimeError, match="is closed"):
+        service.delete("docs/d0.xml")
+    assert service.store.texts() == texts
+    assert service.metrics["writes"] == 0
+
+
 # -- a dead worker is respawned from the authoritative store -----------------
 
 
