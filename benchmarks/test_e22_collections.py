@@ -99,7 +99,7 @@ def run_speed_cell(docs, seed=22):
     }
 
 
-def run_mix_cell(docs, ops=MIX_OPS, seed=22, shards=2, parity_every=1):
+def run_mix_cell(docs, ops=MIX_OPS, seed=22, parity_every=1):
     """The 95/5 read/write mix through the service; returns the cell dict.
 
     Writes land under ``hot/`` only; the read panel spans the stable
@@ -119,7 +119,7 @@ def run_mix_cell(docs, ops=MIX_OPS, seed=22, shards=2, parity_every=1):
         SearchRequest(kind="search", collection="notes/", phrase="delta omega"),
         SearchRequest(kind="search", collection="wiki/", phrase=RARE_WORDS[0]),
     ]
-    with SearchService(store, shards=shards, mode="thread") as service:
+    with SearchService(store, mode="thread") as service:
         for request in panel:  # prime: the cold first pass is not the metric
             service.run(request)
         reads = hits = writes = 0
@@ -129,8 +129,7 @@ def run_mix_cell(docs, ops=MIX_OPS, seed=22, shards=2, parity_every=1):
                 ops_before = store.index.maintenance_ops
                 words = " ".join(rng.choice(FT_WORDS) for _ in range(8))
                 service.put_text(f"hot/w{writes % 6}.xml", f"<doc>{words}</doc>")
-                # incremental maintenance: O(1) documents per write
-                # (each worker patches its own replica's index).
+                # incremental maintenance: O(1) documents per write.
                 assert store.index.maintenance_ops - ops_before <= 2
                 writes += 1
             else:

@@ -17,21 +17,21 @@ Layout:
   map with per-collection generations and index maintenance hooked into
   the update pipeline;
 * :mod:`.service` — :class:`SearchService`: the request-level front-end
-  with a result cache keyed on collection generation, one worker per
-  read and every write fanned out to every worker, in threads or
-  processes;
-* :mod:`.worker` — the worker's whole-store replica and ops, in both
-  modes.
+  with a result cache keyed on collection generation and one worker per
+  read: in thread mode one in-process worker over the live store, in
+  process mode worker processes that every write is fanned out to;
+* :mod:`.worker` — the worker: where a request program compiles, runs
+  and serializes, in both modes.
 
-Both modes run on the calculus serving tier's substrate rather than a
-copy of it: the workers sit in one :class:`repro.serving.pool.ProcessPool`
-(boot, read, write broadcast, stats, close), every worker holds the
-whole store, a read routes whole to one worker through
-:func:`repro.serving.partition.route_query` (the calculus tier's
-router), and workers run behind :class:`repro.serving.pool.WorkerHandle`
-(respawn) in :func:`repro.serving.worker.worker_main` (the request
-loop), or in-process behind :class:`repro.serving.pool.LocalHandle` in
-thread mode.
+Both modes follow the calculus serving tier's mode rule rather than a
+copy of it.  Thread mode runs one in-process worker over the
+authoritative store, with no pool.  Process mode runs the workers in one
+:class:`repro.serving.pool.ProcessPool` (boot, read, write broadcast,
+stats, close): every worker holds the whole store, a read routes whole
+to one worker through :func:`repro.serving.partition.route_query` (the
+calculus tier's router), and workers run behind
+:class:`repro.serving.pool.WorkerHandle` (respawn) in
+:func:`repro.serving.worker.worker_main` (the request loop).
 """
 
 from __future__ import annotations

@@ -19,16 +19,16 @@ the serving-tier concerns:
   A read whose scope generation moved while it executed runs again, and
   a write under ``docs/a/`` leaves cached answers about ``notes/`` warm,
   which keeps the E22 95/5 read/write mix warm without a sweep;
-* **writes reach every replica** — a write applies to the authoritative
-  store, then goes to every worker concurrently
-  (:meth:`repro.serving.pool.ProcessPool.broadcast`);
-* **one worker pool** — each worker is a
-  :class:`~repro.collections.worker.CollectionWorker` in the
-  :class:`~repro.serving.pool.ProcessPool` the calculus tier holds too.
-  ``mode="process"`` runs the workers as real processes: failures cross
+* **one mode rule, the calculus tier's** — ``mode="thread"`` runs one
+  :class:`~repro.collections.worker.CollectionWorker` in-process over the
+  authoritative store, with no pool, and a write applies once, to that
+  store.  ``mode="process"`` runs ``shards`` workers as real processes in
+  a :class:`~repro.serving.pool.ProcessPool`, the pool the calculus tier
+  holds too: a write applies to the authoritative store, then goes to
+  every worker concurrently
+  (:meth:`~repro.serving.pool.ProcessPool.broadcast`); failures cross
   back as structured ``RemoteQueryError`` (``FODC0002`` included), and a
   dead or hung worker is respawned from the authoritative store.
-  ``mode="thread"`` holds them in-process.
 """
 
 from __future__ import annotations
@@ -41,7 +41,7 @@ from typing import Dict, Optional, Tuple
 from ..querycalc.service.plans import QueryPlan
 from ..querycalc.service.service import FrontEnd
 from ..serving.partition import Route, route_query
-from ..serving.pool import LocalHandle, ProcessPool, WorkerHandle
+from ..serving.pool import ProcessPool, WorkerHandle
 from ..xquery import EngineConfig, XQueryEngine, serialize_result
 from .kwic import CHARS_KWIC
 from .store import DocumentStore, normalize_collection
@@ -158,14 +158,14 @@ class _WorkerHandle(WorkerHandle):
 class SearchService(FrontEnd):
     """Request-level front-end over one authoritative DocumentStore.
 
-    Each of the ``shards`` workers is a :class:`CollectionWorker` holding
-    the whole store.  ``mode="process"`` runs each in a real worker
-    process; ``mode="thread"`` holds each in-process behind a
-    :class:`~repro.serving.pool.LocalHandle`.  ``shards=0`` means one.
-    Either way the authoritative store takes every write first —
-    single-writer, shared-nothing readers — and every replica sees the
-    write as a per-document index patch, never a rebuild.  Reads run the shared
-    :class:`FrontEnd` loop with no deadline, admission bound or faults.
+    ``mode="thread"`` holds one :class:`CollectionWorker` over the
+    authoritative store and no pool; ``shards`` must then be 1 (or 0,
+    which means one).  ``mode="process"`` runs ``shards`` workers, each a
+    :class:`CollectionWorker` process holding the whole store.  Either
+    way the authoritative store takes every write first, and a process
+    worker sees the write as a per-document index patch, never a rebuild.
+    Reads run the shared :class:`FrontEnd` loop with no deadline,
+    admission bound or faults.
     """
 
     def __init__(
@@ -179,6 +179,11 @@ class SearchService(FrontEnd):
             raise ValueError(f"mode must be 'thread' or 'process', not {mode!r}")
         if shards < 0:
             raise ValueError(f"shards must be >= 0, not {shards}")
+        if mode == "thread" and shards > 1:
+            raise ValueError(
+                f"shards must be 1 in thread mode, not {shards}: "
+                "use mode='process' for more workers"
+            )
         super().__init__(result_cache_size)
         self.store = store
         self.shards = max(1, shards)
@@ -188,25 +193,33 @@ class SearchService(FrontEnd):
         #: read snapshots its scope generation under it.
         self._write_lock = threading.Lock()
         #: guards the authoritative store itself: its mutations,
-        #: ``evaluate_fresh`` and the replica a worker respawns from.
-        #: It cannot be the writer lock, which is held across replication:
-        #: a reader respawning a worker needs a boot config while a writer
-        #: waits on that worker's handle.
+        #: ``evaluate_fresh``, the thread-mode worker's runs and the replica
+        #: a process worker respawns from.  It cannot be the writer lock,
+        #: which is held across replication: a reader respawning a worker
+        #: needs a boot config while a writer waits on that worker's handle.
         self._authoritative_lock = threading.Lock()
         #: completed writes; counted under the writer lock.
         self._writes = 0
-        # A process worker's first boot forks with the authoritative store
-        # itself: no other thread exists yet to mutate it.  A respawn, and
-        # every thread-mode worker, gets a replica built under its lock, so
-        # a replacement worker comes back with every write; a replica
-        # shares the store's parsed documents and postings.
+        self._closed = False
+        self._worker: Optional[CollectionWorker] = None
+        self._pool: Optional[ProcessPool] = None
+        if mode == "thread":
+            self._worker = CollectionWorker(
+                CollectionWorkerConfig(0, store, self.engine.config)
+            )
+            return
+        # A worker's first boot forks with the authoritative store itself:
+        # no other thread exists yet to mutate it.  A respawn gets a
+        # replica built under its lock, so a replacement worker comes back
+        # with every write; a replica shares the store's parsed documents
+        # and postings.
         self._pool = ProcessPool(
-            _WorkerHandle if mode == "process" else LocalHandle,
+            _WorkerHandle,
             CollectionWorker,
-            CollectionWorkerConfig,
+            lambda shard, state: CollectionWorkerConfig(shard, state, self.engine.config),
             self._replica,
             shards=self.shards,
-            boot=store if mode == "process" else None,
+            boot=store,
         )
 
     def _replica(self) -> DocumentStore:
@@ -228,8 +241,9 @@ class SearchService(FrontEnd):
 
     def run(self, request: SearchRequest) -> SearchResult:
         """Answer one request through the shared read loop: a read that a
-        write to its scope overlapped runs again.  Workers execute outside
-        every service lock."""
+        write to its scope overlapped runs again.  No read holds the
+        writer lock while it executes: a process worker runs outside every
+        service lock, and the thread-mode worker under the store's lock."""
         text, _, cached, generation = self._serve(request)
         return SearchResult(text, cached, route_query(request.key(), self.shards), generation)
 
@@ -262,11 +276,16 @@ class SearchService(FrontEnd):
         return self.scope_generation(plan.query)
 
     def _execute(self, plan: QueryPlan, deadline) -> Tuple[str, tuple]:
-        """One round trip to the worker that owns the request's key."""
+        """One run on the worker that owns the request's key: the
+        in-process worker under the store's lock, or one round trip."""
+        self._check_open()
         route = route_query(plan.key, self.shards)
         self._route(route.kind)
         payload = {"source": plan.query.source(), "key": plan.key}
-        return self._pool.execute(route, payload)["text"], ()
+        if self._pool is not None:
+            return self._pool.execute(route, payload)["text"], ()
+        with self._authoritative_lock:
+            return self._worker.run(payload)["text"], ()
 
     def evaluate_fresh(
         self, request: SearchRequest, use_index: Optional[bool] = None
@@ -289,30 +308,31 @@ class SearchService(FrontEnd):
             return serialize_result(result)
 
     # -- writes ------------------------------------------------------------
-    # Each holds the writer lock until every replica has applied it (or was
-    # respawned from the authoritative store), and counts only on success.
-    # A closed service refuses a write before the store sees it.
-    # Every replica is asked even when one fails: a process worker whose
+    # Each holds the writer lock until every process worker has applied it
+    # (or was respawned from the authoritative store), and counts only on
+    # success.  A closed service refuses a write before the store sees it.
+    # Every worker is asked even when one fails: a process worker whose
     # request failed was respawned from the authoritative store, which
     # already holds the write.
 
     def put_text(self, uri: str, text: str) -> None:
-        """Write one document; replicas patch that document only."""
+        """Write one document; process workers patch that document only."""
         self._put(uri, partial(self.store.put_text, uri, text))
 
     def delete(self, uri: str) -> None:
         with self._write_lock:
-            self._pool.check_open()
+            self._check_open()
             with self._authoritative_lock:
                 self.store.remove(uri)
-            self._pool.broadcast("delete", {"uri": uri})
+            if self._pool is not None:
+                self._pool.broadcast("delete", {"uri": uri})
             self._writes += 1
 
     def apply_update(self, uri: str, script: str):
         """Run an update-language script against a model-backed document.
 
         The authoritative store applies it through the incremental
-        update/export pipeline; replicas replay the *result* (the
+        update/export pipeline; process workers replay the *result* (the
         patched document text), so their index maintenance is the same
         per-document patch.
         """
@@ -321,21 +341,31 @@ class SearchService(FrontEnd):
     def _put(self, uri: str, write):
         """Apply *write* to the authoritative store, then replicate *uri*."""
         with self._write_lock:
-            self._pool.check_open()
+            self._check_open()
             with self._authoritative_lock:
                 result = write()
-            self._replicate_put(uri)
+            if self._pool is not None:
+                self._replicate_put(uri)
             self._writes += 1
             return result
 
     def _replicate_put(self, uri: str) -> None:
-        """Send *uri*'s stored text to every replica."""
+        """Send *uri*'s stored text to every process worker."""
         self._pool.broadcast("put", {"uri": uri, "text": self.store.text_of(uri)})
+
+    def _check_open(self) -> None:
+        if self._closed:
+            raise RuntimeError("search service is closed")
 
     # -- lifecycle ---------------------------------------------------------
 
     def stats(self) -> Dict[str, object]:
         """``metrics``, the shared read shape (``reads``), caches and workers."""
+        if self._pool is not None:
+            workers, restarts = self._pool.stats(), self._pool.restarts
+        else:
+            with self._authoritative_lock:
+                workers, restarts = [dict(self._worker.stats(), restarts=0)], 0
         return {
             "metrics": self.metrics,
             "reads": self._read_metrics(),
@@ -344,11 +374,13 @@ class SearchService(FrontEnd):
             "result_cache": self._results.stats()["currsize"],
             "store": self.store.stats(),
             "compile_cache": self.engine.cache_info(),
-            "workers": self._pool.stats(),
-            "restarts": self._pool.restarts,
+            "workers": workers,
+            "restarts": restarts,
         }
 
     def close(self) -> None:
-        """Stop the workers once no write is in flight; safe to call twice."""
+        """Stop serving once no write is in flight; safe to call twice."""
         with self._write_lock:
-            self._pool.close()
+            self._closed = True
+            if self._pool is not None:
+                self._pool.close()

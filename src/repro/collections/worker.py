@@ -1,21 +1,18 @@
-"""The collection worker: one replica of the whole document store.
+"""The collection worker: the one place a search request runs, in both modes.
 
-:class:`~repro.collections.service.SearchService` holds one of these per
-shard in its :class:`~repro.serving.pool.ProcessPool`.  Each takes a
-:class:`~repro.collections.store.DocumentStore` holding every document,
-ready-made, and owns its own algebra engine.  A read goes, whole, to one
-worker, which answers the serialized result: the same bytes a one-store
-run gives, with nothing to merge.  A request program is compiled for its
-run and dropped with it (the engine's compile LRU is bypassed): the
-front end caches the answer under the request key and scope generation.
-A process worker is forked, so it holds a private copy-on-write copy of
-its store and parses nothing at boot.  In process mode it runs in the
-calculus tier's request loop, :func:`repro.serving.worker.worker_main`,
-behind the same :class:`~repro.serving.pool.WorkerHandle` in the same
-pool: the parent sends ``(op, req_id, payload)`` and the worker answers
-``("ok", req_id, result)`` or ``("err", req_id, QueryError)``.  In
-thread mode a :class:`~repro.serving.pool.LocalHandle` calls the same
-ops in-process.
+:meth:`CollectionWorker.run` compiles a request program on the worker's
+own engine (the front end's :class:`~repro.xquery.EngineConfig` with no
+compile cache), runs it over the worker's whole
+:class:`~repro.collections.store.DocumentStore` and serializes the
+answer, which the front end caches under the request key and scope
+generation.  The worker rebuilds its full-text catalog when its store's
+generation has moved.  :class:`~repro.collections.service.SearchService`
+holds one worker over its authoritative store in thread mode, and in
+process mode one forked worker per shard of its
+:class:`~repro.serving.pool.ProcessPool`, each over a copy-on-write copy
+of that store (a respawn boots from :meth:`DocumentStore.replica`), in
+the calculus tier's request loop,
+:func:`repro.serving.worker.worker_main`.
 
 Failures cross the pipe *classified*: a missing or unparseable document
 raises ``FODC0002`` inside the worker, :func:`classify_error` wraps it
@@ -25,9 +22,9 @@ advertises ``kind="dynamic"`` / ``code="FODC0002"`` — the error taxonomy
 does not degrade at the process boundary.
 
 Ops: ``run`` (evaluate one request program), ``put`` / ``delete``
-(replica maintenance, which every write sends to every worker; the index
-patch is per-document, never a rebuild), ``stats``, and the loop's own
-``shutdown``.
+(replica maintenance, which every write sends to every process worker;
+the index patch is per-document, never a rebuild), ``stats``, and the
+loop's own ``shutdown``.
 """
 
 from __future__ import annotations
@@ -35,7 +32,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
 
-from ..xquery import EngineConfig, XQueryEngine, serialize_result
+from ..serving.worker import worker_engine
+from ..xquery import EngineConfig, serialize_result
 from ..xquery.algebra import StatisticsCatalog
 from .store import DocumentStore
 
@@ -71,18 +69,21 @@ def merge_rows(
 
 @dataclass
 class CollectionWorkerConfig:
-    """Everything a worker needs to build its replica."""
+    """Everything a worker needs to hold its store."""
 
     shard: int
-    #: every document and collection: at first boot the authoritative
-    #: store itself, which a forked worker inherits, otherwise
-    #: :meth:`DocumentStore.replica`, which shares its parsed trees and
-    #: postings.
+    #: every document and collection: the authoritative store itself in
+    #: thread mode and at a process worker's first boot (the forked child
+    #: inherits it), otherwise :meth:`DocumentStore.replica`, which shares
+    #: its parsed trees and postings.
     store: DocumentStore
+    #: the front end's engine configuration, which the worker's own
+    #: uncached engine copies.
+    engine: EngineConfig
 
 
 class CollectionWorker:
-    """The in-process half of one worker: a whole-store replica + engine."""
+    """One worker: a whole store, an engine, and the store's catalog."""
 
     #: the requests the request loop dispatches to methods of this class.
     OPS = ("run", "put", "delete", "stats")
@@ -90,40 +91,43 @@ class CollectionWorker:
     def __init__(self, config: CollectionWorkerConfig):
         self.shard = config.shard
         self.store = config.store
-        self.engine = XQueryEngine(EngineConfig(backend="algebra"))
+        self.engine = worker_engine(config.engine)
         self.runs = 0
         self.writes = 0
         self.errors = 0
-        self._statistics = fulltext_catalog(self.store)
+        #: ``(store generation, full-text catalog)``, rebuilt when the
+        #: store's generation moves.
+        self._statistics: Optional[tuple] = None
 
     # -- evaluation --------------------------------------------------------
 
     def run(self, payload: Dict) -> Dict:
-        """Evaluate one request program over the replica.
+        """Compile, evaluate and serialize one request program.
 
         ``payload``: ``source`` (the XQuery text) and ``key`` (the
         cache/diagnostic key); the reply holds the serialized result.
         """
         self.runs += 1
-        # uncached: the front end caches the answer, not the program.
-        compiled = self.engine.compile(payload["source"], use_cache=False)
-        result = compiled.run(
-            collections=self.store, statistics=self._statistics
-        )
+        compiled = self.engine.compile(payload["source"])
+        result = compiled.run(collections=self.store, statistics=self._catalog())
         return {"text": serialize_result(result), "shard": self.shard}
 
-    # -- replica maintenance ----------------------------------------------
+    def _catalog(self) -> StatisticsCatalog:
+        generation = self.store.generation
+        if self._statistics is None or self._statistics[0] != generation:
+            self._statistics = (generation, fulltext_catalog(self.store))
+        return self._statistics[1]
+
+    # -- replica maintenance (process workers) ----------------------------
 
     def put(self, payload: Dict) -> Dict:
         self.store.put_text(payload["uri"], payload["text"])
         self.writes += 1
-        self._statistics = fulltext_catalog(self.store)
         return {"documents": len(self.store)}
 
     def delete(self, payload: Dict) -> Dict:
         self.store.remove(payload["uri"])
         self.writes += 1
-        self._statistics = fulltext_catalog(self.store)
         return {"documents": len(self.store)}
 
     def stats(self, payload: Optional[Dict] = None) -> Dict[str, object]:

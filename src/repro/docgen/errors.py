@@ -41,7 +41,3 @@ class GenTrouble(Exception):
             label = getattr(self.focus, "label", None) or getattr(self.focus, "id", "?")
             parts.append(f"with focus on {label!r}")
         return ", ".join(parts)
-
-    @property
-    def focus_id(self) -> Optional[str]:
-        return getattr(self.focus, "id", None)

@@ -50,11 +50,13 @@ A plan runs one way in both modes: :meth:`QueryService._execute` sends
 it as one ``{key, source, remaining}`` payload to a
 :class:`~repro.serving.worker.ShardWorker`, which compiles it, runs it
 over its backend's export with a shared-scan cache per export
-generation, and turns the result into node ids.  Thread mode holds one
-such worker in-process, over the service's own backend, engine and fault
-injector; process mode sends the payload to the worker process the
-plan's key routes to, through the
-:class:`~repro.serving.pool.ProcessPool` the search front end holds too.
+generation, and turns the result into node ids.  Every worker compiles
+on an uncached engine of its own, built from the service engine's
+configuration.  Thread mode holds one such worker in-process, over the
+service's own backend and fault injector; process mode sends the
+payload to the worker process the plan's key routes to, through the
+:class:`~repro.serving.pool.ProcessPool` the search front end holds in
+process mode too.
 The service keeps only the calculus bookkeeping: the generation the
 replicas hold, and how often they were refreshed or replayed a delta.
 """
@@ -321,7 +323,7 @@ class QueryService(FrontEnd):
                     shard=0,
                     backend=self._backend,
                     generation=model.generation,
-                    engine=self.engine,
+                    engine=self.engine.config,
                     faults=fault_injector,
                 )
             )
@@ -343,7 +345,10 @@ class QueryService(FrontEnd):
                 WorkerHandle,
                 ShardWorker,
                 lambda shard, backend: WorkerConfig(
-                    shard=shard, backend=backend, generation=self._pool_generation
+                    shard=shard,
+                    backend=backend,
+                    generation=self._pool_generation,
+                    engine=self.engine.config,
                 ),
                 lambda: replica_backend(
                     export_model_text(model, indent=False), model.metamodel
@@ -657,7 +662,7 @@ class QueryService(FrontEnd):
             "plan_hits": plan_stats["hits"],
             "plan_misses": plan_stats["misses"],
             # the engine compile LRU (hits/misses/races), which served
-            # plans bypass; explain and other engine callers fill it.
+            # plans never touch: workers compile on engines of their own.
             "compile_cache": self.engine.cache_info(),
             # the in-process worker's shared scans (thread mode); each
             # process worker reports its own in serving_stats().

@@ -342,7 +342,9 @@ def main(argv: Optional[List[str]] = None) -> int:
         from ..testing.models import random_document_store
 
         store = random_document_store(args.seed, docs=args.docs)
-        service = SearchService(store, shards=max(1, args.workers), mode=args.mode)
+        # thread mode runs one in-process worker over the live store
+        shards = args.workers if args.mode == "process" else 1
+        service = SearchService(store, shards=shards, mode=args.mode)
     else:
         model = random_model(args.seed, size=args.model_size)
         service = QueryService(

@@ -1,11 +1,13 @@
-"""The worker pool both serving tiers hold: boot, routing, broadcast, close.
+"""The worker pool both serving tiers hold in process mode.
 
-Each front end holds one :class:`ProcessPool`: the process-mode calculus
+A process-mode front end holds one :class:`ProcessPool`: the calculus
 :class:`~repro.querycalc.service.QueryService` over
 :class:`~repro.serving.worker.ShardWorker` processes, and the search
 tier's :class:`~repro.collections.service.SearchService` over
-:class:`~repro.collections.worker.CollectionWorker` replicas in either
-mode.  Both tiers follow three rules, and the pool codes them once:
+:class:`~repro.collections.worker.CollectionWorker` processes.  In thread
+mode neither front end holds a pool: each runs one worker in-process
+over its own live state.  Both tiers follow three rules, and the pool
+codes them once:
 
 * every worker holds a full replica: its first boot forks with the front
   end's live state, and a respawn boots from a replica built from it;
@@ -13,14 +15,13 @@ mode.  Both tiers follow three rules, and the pool codes them once:
   (:meth:`ProcessPool.execute`);
 * a write goes to every worker (:meth:`ProcessPool.broadcast`).
 
-A worker is held through a handle: :class:`WorkerHandle` (a forked
-process that is respawned when it dies or hangs) or :class:`LocalHandle`
-(one worker in this process, which the search tier's thread mode uses).
-Process workers are shared-nothing, so N workers really do evaluate N
-different requests concurrently instead of time-slicing one GIL.  The
-tier is fork-only: a boot config holds live objects the child inherits
-(a backend, or a document store whose documents are known by ``id()``),
-which a ``spawn`` child would receive as pickled copies.
+A worker is held through a :class:`WorkerHandle`: a forked process that
+is respawned when it dies or hangs.  Process workers are shared-nothing,
+so N workers really do evaluate N different requests concurrently
+instead of time-slicing one GIL.  The tier is fork-only: a boot config
+holds live objects the child inherits (a backend, or a document store
+whose documents are known by ``id()``), which a ``spawn`` child would
+receive as pickled copies.
 
 Compiled closures don't pickle, so the parent never ships compiled plans.
 A :class:`~repro.querycalc.service.plans.QueryPlan` carries the generated
@@ -45,10 +46,9 @@ from typing import Callable, Dict, List, Optional, Tuple
 from ..querycalc.service.errors import RemoteQueryError
 from ..xquery.errors import XQueryTimeoutError
 from .partition import Route
-from .worker import dispatch, worker_main
+from .worker import worker_main
 
 __all__ = [
-    "LocalHandle",
     "ProcessPool",
     "WorkerHandle",
     "merge_partials",
@@ -239,48 +239,15 @@ class WorkerHandle:
         self.kill()
 
 
-class LocalHandle:
-    """One worker in this process, behind :class:`WorkerHandle`'s
-    ``request(op, payload)`` interface.
-
-    ``make_config()`` builds the worker once; each request runs under one
-    lock through :func:`~repro.serving.worker.dispatch`, the same dispatch
-    the process loop uses, and a failure raises the worker's own exception.
-    Nothing crosses a pipe and nothing is respawned.
-    """
-
-    restarts = 0
-
-    def __init__(self, shard: int, make_worker: Callable, make_config: Callable[[], object]):
-        self.shard = shard
-        self.worker = make_worker(make_config())
-        self._lock = threading.Lock()
-
-    def request(self, op: str, payload: dict, timeout: Optional[float] = None):
-        """One op on the worker.  *timeout* matches
-        :meth:`WorkerHandle.request` and is unused: nothing is respawned."""
-        with self._lock:
-            return dispatch(self.worker, op, payload)
-
-    def wait(self) -> None:
-        """The worker was built in the constructor: nothing to wait for."""
-
-    def close(self) -> None:
-        pass
-
-    kill = close
-
-
 class ProcessPool:
-    """One worker per shard, each over a full replica, behind one handle class.
+    """One worker process per shard, each over a full replica.
 
-    Both serving tiers hold one.  ``handle`` is the handle class
-    (:class:`WorkerHandle`, a subclass of it, or :class:`LocalHandle`),
-    and each handle builds its worker with ``make_worker(make_config(shard,
-    state))``.  The first boot's state is *boot*, which every forked worker
-    inherits as it stands, so the caller builds it before any other thread
-    can change it.  Every later boot (a respawn, or every boot when *boot*
-    is None) gets a fresh ``replica()``.  A respawn runs on whichever
+    Both serving tiers hold one in process mode.  ``handle`` is
+    :class:`WorkerHandle` or a subclass of it, and each handle builds its
+    worker with ``make_worker(make_config(shard, state))``.  The first
+    boot's state is *boot*, which every forked worker inherits as it
+    stands, so the caller builds it before any other thread can change
+    it.  A respawn gets a fresh ``replica()``.  It runs on whichever
     thread found its worker gone, a broadcast thread included, so neither
     ``replica`` nor ``make_config`` may take a lock that a broadcasting
     caller holds.
@@ -298,7 +265,7 @@ class ProcessPool:
         make_config: Callable[[int, object], object],
         replica: Callable[[], object],
         shards: int,
-        boot: Optional[object] = None,
+        boot: object,
     ):
         self.shards = shards
         self._make_config = make_config

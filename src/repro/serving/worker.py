@@ -4,8 +4,10 @@ A :class:`ShardWorker` compiles a plan's generated source, evaluates it
 over its backend's export (the algebra, retried once on the treewalk
 after an internal error) and turns the result into node ids.  The
 compiled program is dropped with the run: the front end caches the plan
-(its source) and the answer, so the engine's compile LRU is bypassed and
-a served plan leaves no compiled program behind.
+(its source) and the answer, so every worker compiles on an engine of
+its own, built from the front end's :class:`~repro.xquery.EngineConfig`
+with no compile cache, and a served plan leaves no compiled program
+behind.
 :class:`~repro.querycalc.service.QueryService` sends every plan here as
 one ``{key, source, remaining}`` payload:
 
@@ -17,7 +19,7 @@ one ``{key, source, remaining}`` payload:
   model (:func:`replica_backend`; faithfully, ``apply_defaults=False``,
   so deleted default-valued properties stay deleted);
 * in **thread mode** to one in-process worker that adopts the front
-  end's own backend, engine and fault injector, called directly from
+  end's own backend and fault injector, called directly from
   many threads with no handle and no lock, so :meth:`ShardWorker.run`
   is reentrant.
 
@@ -33,9 +35,7 @@ nothing else comes back.
 
 :func:`worker_main` is the request loop of every worker process in both
 serving tiers; the search tier's
-:class:`~repro.collections.worker.CollectionWorker` runs in it too.  It
-serves each op through :func:`dispatch`, which the in-process handle
-calls directly.
+:class:`~repro.collections.worker.CollectionWorker` runs in it too.
 
 The serving tier is fork-only: a boot config holds live objects (a
 backend here, a document store in the search tier) that the child
@@ -46,7 +46,7 @@ lock the parent held at fork time.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Dict, List, Optional
 
 from ..awb.metamodel import Metamodel
@@ -60,7 +60,7 @@ from ..xdm import ElementNode
 from ..xquery import EngineConfig, TraceLog, XQueryEngine
 from ..xquery.errors import XQueryError, XQueryTimeoutError
 
-__all__ = ["WorkerConfig", "ShardWorker", "dispatch", "replica_backend", "worker_main"]
+__all__ = ["WorkerConfig", "ShardWorker", "replica_backend", "worker_main"]
 
 
 def replica_backend(export_text: str, metamodel: Metamodel) -> XQueryCalculusBackend:
@@ -73,6 +73,12 @@ def replica_backend(export_text: str, metamodel: Metamodel) -> XQueryCalculusBac
     return backend
 
 
+def worker_engine(config: EngineConfig) -> XQueryEngine:
+    """A worker's own engine: *config* with no compile cache, since the
+    front end caches answers, not programs."""
+    return XQueryEngine(replace(config, compile_cache_size=0))
+
+
 @dataclass
 class WorkerConfig:
     """Everything a worker needs to hold its replica."""
@@ -83,9 +89,9 @@ class WorkerConfig:
     #: worker adopts the front end's.
     backend: XQueryCalculusBackend
     generation: int
-    #: the engine plans compile on (bypassing its compile LRU); None
-    #: builds an algebra engine.
-    engine: Optional[XQueryEngine] = None
+    #: the front end's engine configuration, which the worker's own
+    #: uncached engine copies.
+    engine: EngineConfig
     #: hooked ahead of every evaluation attempt (the in-process worker).
     faults: Optional[FaultInjector] = None
 
@@ -98,7 +104,7 @@ class ShardWorker:
 
     def __init__(self, config: WorkerConfig):
         self.shard = config.shard
-        self.engine = config.engine or XQueryEngine(EngineConfig(backend="algebra"))
+        self.engine = worker_engine(config.engine)
         self.faults = config.faults
         self.runs = 0
         self.fallbacks = 0
@@ -173,9 +179,7 @@ class ShardWorker:
         key = payload["key"]
         remaining = payload.get("remaining")
         deadline = Deadline.after(remaining) if remaining is not None else None
-        # uncached: the front end caches the answer, so a kept program
-        # would only serve a rerun after a write or an evicted answer.
-        compiled = self.engine.compile(payload["source"], use_cache=False)
+        compiled = self.engine.compile(payload["source"])
         root, statistics, shared = self._scan_state()
         primary = compiled.config.backend
 
@@ -251,32 +255,18 @@ class ShardWorker:
         }
 
 
-def dispatch(worker, op: str, payload):
-    """Run one request op on *worker*: the method its op names, which takes
-    the payload dict.  Both handle kinds a
-    :class:`~repro.serving.pool.ProcessPool` holds serve requests through
-    this: the process loop below and the in-process
-    :class:`~repro.serving.pool.LocalHandle`."""
-    try:
-        if op not in worker.OPS:
-            raise ValueError(f"unknown worker op {op!r}")
-        return getattr(worker, op)(payload)
-    except Exception:
-        worker.errors += 1
-        raise
-
-
 def worker_main(conn, make_worker, config) -> None:
     """A worker process's entry point: the request loop over one Pipe end.
 
     Both serving tiers run this loop: ``make_worker(config)`` builds a
     :class:`ShardWorker` or a
     :class:`~repro.collections.worker.CollectionWorker`, and each request
-    goes through :func:`dispatch`.
+    runs the worker method its op names, which takes the payload dict.
 
     Protocol: the parent sends ``(op, req_id, payload)`` tuples and the
     worker replies ``("ok", req_id, result)`` or ``("err", req_id,
     QueryError)``; ``op`` is one of the worker's ``OPS`` or ``shutdown``.
+    A failed op counts in the worker's ``errors``.
     """
     try:
         worker = make_worker(config)
@@ -294,8 +284,11 @@ def worker_main(conn, make_worker, config) -> None:
             conn.send(("ok", req_id, {}))
             break
         try:
-            conn.send(("ok", req_id, dispatch(worker, op, payload)))
+            if op not in worker.OPS:
+                raise ValueError(f"unknown worker op {op!r}")
+            conn.send(("ok", req_id, getattr(worker, op)(payload)))
         except Exception as exc:
+            worker.errors += 1
             key = payload.get("key") if isinstance(payload, dict) else None
             try:
                 conn.send(("err", req_id, classify_error(exc, key)))

@@ -255,10 +255,3 @@ def random_phrase(rng: random.Random, max_tokens: int = 3) -> str:
     """A 1..``max_tokens``-word phrase over the full-text vocabulary."""
     count = rng.randrange(1, max_tokens + 1)
     return " ".join(rng.choice(FT_WORDS) for _ in range(count))
-
-
-def describe_query(query: Query) -> str:
-    """Human-readable one-liner (the normalized plan text)."""
-    from ..querycalc.service.plans import normalize_query
-
-    return normalize_query(query)

@@ -518,13 +518,15 @@ class CollectionOracle:
 
     ``serving=True`` adds the request-level facet: a
     :class:`~repro.collections.SearchRequest` is answered by the direct
-    engine (indexed and scan), a one-worker :class:`SearchService` cold and
-    warm (the warm hit must replay the cold text from the generation-keyed
-    cache), and a thread-tier service with ``shards`` workers, each over a
-    whole-store replica, whose answers must be byte-identical to the
-    one-worker answer.  The one-worker service fronts ``store`` itself and
+    engine (indexed and scan), a thread-mode :class:`SearchService` cold
+    and warm (the warm hit must replay the cold text from the
+    generation-keyed cache), and a process-mode service with ``shards``
+    worker processes, each over the whole store, whose answers must be
+    byte-identical to the thread-mode answer, errors classified across the
+    pipe included.  The thread-mode service fronts ``store`` itself and
     the other a replica of it, so every write must go through
-    :meth:`put_text` / :meth:`delete` to reach both.
+    :meth:`put_text` / :meth:`delete` to reach both, and the process-mode
+    one replicates it to its workers.
     """
 
     def __init__(
@@ -544,7 +546,7 @@ class CollectionOracle:
             from ..collections import SearchService
 
             self.single = SearchService(store, shards=1, mode="thread")
-            self.replicated = SearchService(store.replica(), shards=shards, mode="thread")
+            self.replicated = SearchService(store.replica(), shards=shards, mode="process")
             self.services = [self.single, self.replicated]
 
     def put_text(self, uri: str, text: str) -> None:
@@ -639,10 +641,14 @@ class CollectionOracle:
 
     @staticmethod
     def _service(service, request) -> tuple:
+        from ..querycalc.service.errors import classify_error
+
         try:
             result = service.run(request)
         except Exception as error:  # noqa: BLE001 - classified below
-            return ("error", type(error).__name__)
+            # a worker process's error arrives as a RemoteQueryError
+            # carrying the original exception class.
+            return ("error", classify_error(error).exception)
         return ("ok", result.text, result.cached)
 
 

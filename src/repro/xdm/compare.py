@@ -184,10 +184,6 @@ def _comparable_children(node: Node) -> List[Node]:
     ]
 
 
-def node_sort_key(node: Node) -> tuple:
-    return node.order_key()
-
-
 def nodes_before(left: Node, right: Node) -> Optional[bool]:
     """Document-order ``<<`` on two nodes; None if in different trees."""
     left_key = left.order_key()

@@ -272,11 +272,11 @@ class XQueryEngine:
             (f.name, getattr(self.config, f.name)) for f in fields(self.config)
         )
 
-    def compile(self, source: str, use_cache: bool = True) -> CompiledQuery:
+    def compile(self, source: str) -> CompiledQuery:
         """Parse, validate, and (per config) optimize a query."""
         # the bound follows a config mutated between calls, as the key does.
         self._cache.maxsize = self.config.compile_cache_size
-        if not use_cache or self._cache.maxsize <= 0:
+        if self._cache.maxsize <= 0:
             return CompiledQuery(parse_query(source), self.config)
         return self._cache.get_or_build(
             self._cache_key(source),

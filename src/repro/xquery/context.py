@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Dict, List, Optional, Tuple
 
 from ..xdm import DocumentNode, Sequence
@@ -102,15 +102,6 @@ class TraceLog:
 
     def clear(self) -> None:
         self.messages.clear()
-
-
-@dataclass
-class StaticContext:
-    """Compile-time knowledge: declared functions and global variables."""
-
-    functions: Dict[Tuple[str, int], FunctionDecl] = field(default_factory=dict)
-    variable_names: List[str] = field(default_factory=list)
-    namespaces: Dict[str, str] = field(default_factory=dict)
 
 
 class DynamicContext:

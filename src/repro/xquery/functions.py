@@ -89,12 +89,6 @@ def _string_of(value: Sequence, what: str) -> str:
     return string_value_of_atomic(item)
 
 
-def _optional_string(args: List[Sequence], index: int, default: str = "") -> str:
-    if index >= len(args):
-        return default
-    return _string_of(args[index], f"argument {index + 1}")
-
-
 def _numeric(value: Sequence, what: str) -> Optional[object]:
     atoms = atomize(value)
     if not atoms:

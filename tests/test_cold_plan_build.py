@@ -119,7 +119,7 @@ def test_plans_run_without_the_type_pass(monkeypatch, mode):
         # the treewalk retry instead
         stats = service.metrics() if mode == "thread" else service.serving_stats()
         assert stats["fallbacks"] == 0
-        searcher = SearchService(store, shards=2, mode=mode)
+        searcher = SearchService(store, shards=2 if mode == "process" else 1, mode=mode)
         try:
             for request in search.warm:
                 assert searcher.run(request).text == searcher.evaluate_fresh(

@@ -43,8 +43,8 @@ KINDS = [
 def test_route_proofs():
     """Every request kind goes, whole, to the worker that owns its key:
     the calculus tier's one rule."""
-    for shards in (1, 4):
-        with SearchService(make_store(), shards=shards, mode="thread") as service:
+    for mode, shards in (("thread", 1), ("process", 4)):
+        with SearchService(make_store(), shards=shards, mode=mode) as service:
             for request in KINDS:
                 route = service.run(request).route
                 assert (route.kind, route.shard) == ("single", bucket(request.key(), shards))
@@ -54,7 +54,7 @@ def test_route_proofs():
 
 
 def test_doc_requests_prove_single_shard():
-    with SearchService(make_store(), shards=3, mode="thread") as service:
+    with SearchService(make_store(), shards=3, mode="process") as service:
         result = service.run(SearchRequest(kind="doc", uri="docs/d0.xml"))
         assert result.route.kind == "single"
         assert result.route.shard == bucket("doc:docs/d0.xml", 3)
@@ -109,6 +109,7 @@ def test_doc_request_keys_on_document_generation():
 @pytest.mark.parametrize("mode", ["thread", "process"])
 @pytest.mark.parametrize("shards", [1, 3])
 def test_sharded_answers_are_byte_identical_to_brute_force(mode, shards):
+    shards = shards if mode == "process" else 1
     store = random_document_store(41, docs=12)
     requests = [
         SearchRequest(kind="search", collection="", phrase="alpha"),
@@ -128,7 +129,7 @@ def test_sharded_answers_are_byte_identical_to_brute_force(mode, shards):
 @pytest.mark.parametrize("mode", ["thread", "process"])
 def test_writes_reach_replicas_incrementally(mode):
     store = make_store()
-    with SearchService(store, shards=2, mode=mode) as service:
+    with SearchService(store, shards=2 if mode == "process" else 1, mode=mode) as service:
         before = service.run(SEARCH).text
         service.put_text("docs/zz.xml", "<doc>alpha beta alpha beta alpha beta</doc>")
         after = service.run(SEARCH)
@@ -213,7 +214,7 @@ def test_ampersands_and_quotes_in_literals_ask_the_store_what_they_say():
     store.put_text("docs/b&c.xml", '<doc>AT&amp;T said &quot;hi&quot; &amp;amp; AT T</doc>')
     store.put_text('docs/q"d.xml', "<doc>at t amp say hi</doc>")
     store.put_text("docs/plain.xml", "<doc>nothing here</doc>")
-    with SearchService(store, shards=2) as service:
+    with SearchService(store, shards=2, mode="process") as service:
         for uri in store.uris():
             served = service.run(SearchRequest(kind="doc", uri=uri)).text
             assert served == serialize(store.resolve(uri)), uri
@@ -227,12 +228,13 @@ def test_ampersands_and_quotes_in_literals_ask_the_store_what_they_say():
 def test_search_loadgen_smoke():
     from repro.serving.loadgen import run_search_load, search_parity_sweep
 
-    store = random_document_store(99, docs=16)
-    with SearchService(store, shards=2, mode="thread") as service:
-        report = run_search_load(service, clients=4, duration=0.5, seed=99)
-        assert report["requests"] > 0
-        assert report["availability"] == 1.0
-        assert search_parity_sweep(service, 99, count=8) == 0
+    for mode, shards in (("thread", 1), ("process", 2)):
+        store = random_document_store(99, docs=16)
+        with SearchService(store, shards=shards, mode=mode) as service:
+            report = run_search_load(service, clients=4, duration=0.5, seed=99)
+            assert report["requests"] > 0
+            assert report["availability"] == 1.0
+            assert search_parity_sweep(service, 99, count=8) == 0
 
 
 # -- every write reaches every replica ----------------------------------------
@@ -243,7 +245,7 @@ def test_write_creating_new_collection_is_visible_on_every_shard(mode):
     """A write that *creates* a collection reaches every replica, so a
     read over the new collection answers it, whichever worker it routes
     to, instead of FODC0002."""
-    with SearchService(make_store(), shards=2, mode=mode) as service:
+    with SearchService(make_store(), shards=2 if mode == "process" else 1, mode=mode) as service:
         service.put_text("brand/sub/new.xml", "<doc>alpha fresh</doc>")
         for request in [
             SearchRequest(kind="search", collection="brand/", phrase="alpha"),
@@ -268,7 +270,7 @@ def test_every_worker_answers_every_request(mode):
     rng = random.Random(31)
     store = random_document_store(13, docs=10)
     model_uri = next(uri for uri in store.uris() if uri.startswith("models/"))
-    with SearchService(store, shards=3, mode=mode) as service:
+    with SearchService(store, shards=3 if mode == "process" else 1, mode=mode) as service:
         for step in range(16):
             uri = f"{rng.choice(['docs/', 'notes/'])}w{rng.randrange(6)}.xml"
             if uri in service.store and rng.random() < 0.4:
@@ -295,15 +297,19 @@ def test_every_worker_answers_every_request(mode):
             for uri in service.store.uris()
             if uri.startswith(("docs/w", "notes/w"))
         ]
+        if mode == "process":
+            workers = [handle.request for handle in service._pool.handles]
+        else:
+            workers = [lambda op, payload: getattr(service._worker, op)(payload)]
         for request in requests:
             expected = service.evaluate_fresh(request, use_index=False)
             payload = {"source": request.source(), "key": request.key()}
-            for handle in service._pool.handles:
-                answer = handle.request("run", payload)["text"]
-                assert answer == expected, (mode, handle.shard, request.key())
-        for handle in service._pool.handles:
-            documents = handle.request("stats", {})["store"]["documents"]
-            assert documents == len(service.store), (mode, handle.shard)
+            for shard, ask in enumerate(workers):
+                answer = ask("run", payload)["text"]
+                assert answer == expected, (mode, shard, request.key())
+        for shard, ask in enumerate(workers):
+            documents = ask("stats", {})["store"]["documents"]
+            assert documents == len(service.store), (mode, shard)
 
 
 def test_a_read_makes_one_round_trip(monkeypatch):
@@ -329,8 +335,8 @@ def test_a_read_makes_one_round_trip(monkeypatch):
 @pytest.mark.parametrize("mode", ["thread", "process"])
 def test_a_closed_service_refuses_reads_and_writes(mode):
     """After ``close()`` an uncached read, a write and a delete each raise
-    the pool's one error, and no write reaches the authoritative store."""
-    service = SearchService(make_store(), shards=2, mode=mode)
+    the service's one error, and no write reaches the authoritative store."""
+    service = SearchService(make_store(), shards=2 if mode == "process" else 1, mode=mode)
     service.run(SEARCH)
     service.close()
     texts = service.store.texts()
@@ -342,6 +348,37 @@ def test_a_closed_service_refuses_reads_and_writes(mode):
         service.delete("docs/d0.xml")
     assert service.store.texts() == texts
     assert service.metrics["writes"] == 0
+
+
+def test_thread_mode_runs_one_worker_over_the_live_store(monkeypatch):
+    """Thread mode builds no pool and no replica: with both refusing, a
+    service still boots, reads and writes, and its one worker answers
+    from the authoritative store."""
+    from repro.collections import service as search_service
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("thread mode built a replica or a pool")
+
+    monkeypatch.setattr(DocumentStore, "replica", refuse)
+    monkeypatch.setattr(search_service.ProcessPool, "__init__", refuse)
+    store = make_store()
+    with SearchService(store, mode="thread") as service:
+        assert service._pool is None and service._worker.store is store
+        before = service.run(SEARCH).text
+        service.put_text("docs/zz.xml", "<doc>alpha beta alpha beta</doc>")
+        after = service.run(SEARCH)
+        assert not after.cached and "docs/zz.xml" in after.text
+        assert after.text == service.evaluate_fresh(SEARCH, use_index=False)
+        service.delete("docs/zz.xml")
+        assert service.run(SEARCH).text == before
+        assert service.stats()["workers"][0]["runs"] == 3
+
+
+def test_thread_mode_rejects_more_than_one_worker():
+    """More workers than one in thread mode is a caller error naming the
+    parameter: thread mode runs one in-process worker."""
+    with pytest.raises(ValueError, match="shards"):
+        SearchService(make_store(), shards=2, mode="thread")
 
 
 # -- a dead worker is respawned from the authoritative store -----------------
@@ -382,15 +419,15 @@ def test_write_after_owner_worker_dies_respawns_it_with_the_write():
 
 
 def test_reads_execute_outside_the_service_lock():
-    """While one read is deep in evaluation, the writer lock and the
-    shared metrics lock must be free: the read holds its shard's handle,
-    not the service — the shared-nothing-readers property the load harness
-    measures."""
+    """While one read is deep in evaluation on the in-process worker, the
+    writer lock and the shared metrics lock must be free: the read holds
+    only the store's lock, so a writer can take its turn and a reader can
+    snapshot and count."""
     import threading
 
-    with SearchService(make_store(), shards=2, mode="thread") as service:
+    with SearchService(make_store(), mode="thread") as service:
         started, release = threading.Event(), threading.Event()
-        worker = service._pool.handles[0].worker
+        worker = service._worker
         original = worker.run
 
         def slow(payload):
@@ -424,24 +461,22 @@ def test_read_overlapping_a_write_to_its_scope_runs_again(scope):
     import threading
     import time
 
-    with SearchService(make_store(), shards=2, mode="thread") as service:
+    with SearchService(make_store(), shards=2, mode="process") as service:
         write_uri = f"{scope}w0.xml"
-        # the reader blocks inside the worker its key routes to, holding
-        # that handle; the write waits on it, so it runs on its own thread.
-        handle = service._pool.handles[bucket(SEARCH.key(), 2)]
+        # the reader blocks in the pool after taking its snapshot, before
+        # it reaches a worker; the write runs on its own thread meanwhile.
         started, release = threading.Event(), threading.Event()
-        worker = handle.worker
-        original = worker.run
+        original = service._pool.execute
         first = threading.Event()
 
-        def slow(payload):
+        def slow(route, payload, timeout=None):
             if not first.is_set():
                 first.set()
                 started.set()
                 assert release.wait(5.0)
-            return original(payload)
+            return original(route, payload, timeout)
 
-        worker.run = slow
+        service._pool.execute = slow
         raced = []
         reader = threading.Thread(target=lambda: raced.append(service.run(SEARCH)))
         writer = threading.Thread(
@@ -479,7 +514,7 @@ def test_read_waits_for_a_write_in_flight():
 
     uri = "docs/d0.xml"
     doc = SearchRequest(kind="doc", uri=uri)
-    with SearchService(make_store(), shards=2, mode="thread") as service:
+    with SearchService(make_store(), shards=2, mode="process") as service:
         service.run(doc)
         stored, replicate_now = threading.Event(), threading.Event()
         replicate = service._replicate_put
@@ -491,14 +526,13 @@ def test_read_waits_for_a_write_in_flight():
 
         service._replicate_put = held_replicate
         reached = threading.Event()
-        for handle in service._pool.handles:
-            original = handle.worker.run
+        execute = service._pool.execute
 
-            def run(payload, original=original):
-                reached.set()
-                return original(payload)
+        def counted(route, payload, timeout=None):
+            reached.set()
+            return execute(route, payload, timeout)
 
-            handle.worker.run = run
+        service._pool.execute = counted
         writer = threading.Thread(
             target=service.put_text, args=(uri, "<doc>rewritten</doc>")
         )
@@ -545,7 +579,8 @@ def test_concurrent_reads_and_writes(mode):
     previous = sys.getswitchinterval()
     sys.setswitchinterval(1e-4)
     try:
-        with SearchService(make_store(), shards=2, mode=mode) as service:
+        shards = 2 if mode == "process" else 1
+        with SearchService(make_store(), shards=shards, mode=mode) as service:
             stop_at = time.monotonic() + 1.0
 
             def reader(offset):

@@ -72,7 +72,7 @@ class TestEngineThreadSafety:
                 return super().compile(expr)
 
         monkeypatch.setattr(algebra, "Compiler", CountingCompiler)
-        engine = XQueryEngine(EngineConfig(backend="algebra"))
+        engine = XQueryEngine(EngineConfig(backend="algebra", compile_cache_size=0))
         expected = serialize_result(XQueryEngine().compile(source).run())
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)  # switch threads often: widen the race
@@ -80,7 +80,7 @@ class TestEngineThreadSafety:
             for _ in range(5):
                 built.clear()
                 compiles.clear()
-                compiled = engine.compile(source, use_cache=False)
+                compiled = engine.compile(source)
                 barrier = threading.Barrier(THREADS)
 
                 def first_run():

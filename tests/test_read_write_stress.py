@@ -162,7 +162,7 @@ def test_search_service_reads_are_no_older_than_the_last_write(mode):
     counter = re.compile(r"w(\d+) «?count»? (\d+)")
     newest = [{} for _ in range(READERS)]
 
-    with SearchService(store, shards=2, mode=mode) as service:
+    with SearchService(store, shards=2 if mode == "process" else 1, mode=mode) as service:
 
         def reader(index, count):
             request = requests[(index + count) % len(requests)]

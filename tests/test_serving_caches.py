@@ -55,7 +55,7 @@ def test_served_search_requests_leave_no_compiled_program_behind(mode):
     store = DocumentStore()
     for uri, text in workload.texts:
         store.put_text(uri, text)
-    with SearchService(store, shards=2, mode=mode) as service:
+    with SearchService(store, shards=2 if mode == "process" else 1, mode=mode) as service:
         for request in workload.warm:
             assert service.run(request).text == service.evaluate_fresh(
                 request, use_index=False

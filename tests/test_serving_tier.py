@@ -70,7 +70,9 @@ def test_a_negative_worker_count_is_rejected(model, tier):
     if tier == "query":
         name, build = "workers", partial(QueryService, model, mode="process")
     else:
-        name, build = "shards", partial(SearchService, random_document_store(41, docs=4))
+        name, build = "shards", partial(
+            SearchService, random_document_store(41, docs=4), mode="process"
+        )
     with pytest.raises(ValueError, match=name):
         build(**{name: -1})
     if tier == "search":
@@ -184,10 +186,16 @@ def _in_process_worker(model):
     from repro.awb.xml_io import export_model_text
     from repro.querycalc.via_xquery import XQueryCalculusBackend
     from repro.serving.worker import ShardWorker, WorkerConfig, replica_backend
+    from repro.xquery import EngineConfig
 
     backend = replica_backend(export_model_text(model, indent=False), model.metamodel)
     worker = ShardWorker(
-        WorkerConfig(shard=0, backend=backend, generation=model.generation)
+        WorkerConfig(
+            shard=0,
+            backend=backend,
+            generation=model.generation,
+            engine=EngineConfig(backend="algebra"),
+        )
     )
     payload = {
         "key": "all",

@@ -176,12 +176,6 @@ class TestCompileCache:
             "hits": 0, "misses": 0, "races": 0, "currsize": 0, "maxsize": 0,
         }
 
-    def test_use_cache_false_bypasses(self):
-        engine = XQueryEngine()
-        cached = engine.compile("1")
-        assert engine.compile("1", use_cache=False) is not cached
-        assert engine.cache_info()["hits"] == 0
-
     def test_config_mutation_invalidates(self):
         engine = XQueryEngine()
         optimized = engine.compile("1 + 2")
