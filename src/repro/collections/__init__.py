@@ -23,13 +23,13 @@ Layout:
 * :mod:`.worker` — the worker: where a request program compiles, runs
   and serializes, in both modes.
 
-Both modes follow the calculus serving tier's mode rule rather than a
-copy of it.  Thread mode runs one in-process worker over the
-authoritative store, with no pool.  Process mode runs the workers in one
-:class:`repro.serving.pool.ProcessPool` (boot, read, write broadcast,
-stats, close): every worker holds the whole store, a read routes whole
-to one worker through :func:`repro.serving.partition.route_query` (the
-calculus tier's router), and workers run behind
+The read loop, mode rule and closed rule live in the front end both tiers
+extend, :class:`repro.serving.frontend.FrontEnd`.  Thread mode runs one
+in-process worker over the authoritative store, with no pool.  Process
+mode runs the workers in one :class:`repro.serving.pool.ProcessPool`
+(boot, read, write broadcast, stats, close): every worker holds the
+whole store, a read routes whole to one worker through
+:func:`repro.serving.partition.route_query`, and workers run behind
 :class:`repro.serving.pool.WorkerHandle` (respawn) in
 :func:`repro.serving.worker.worker_main` (the request loop).
 """

@@ -12,20 +12,19 @@ the serving-tier concerns:
   (:func:`repro.serving.partition.route_query`, the calculus tier's
   router), and that worker's serialized answer is the answer: the same
   bytes a one-store run gives, with nothing to merge;
-* **the calculus service's read loop** — :class:`SearchService` extends
-  :class:`~repro.querycalc.service.service.FrontEnd`, keyed on
-  ``(request key, generation of the touched scope)``, where a ``doc``
-  request's scope is its document and anything else's is its collection.
-  A read whose scope generation moved while it executed runs again, and
-  a write under ``docs/a/`` leaves cached answers about ``notes/`` warm,
-  which keeps the E22 95/5 read/write mix warm without a sweep;
-* **one mode rule, the calculus tier's** — ``mode="thread"`` runs one
+* **the shared front end** — :class:`SearchService` extends
+  :class:`~repro.serving.frontend.FrontEnd`, where the read loop, mode
+  rule, execute step (``timeout``; ``shards * 4`` in flight in process
+  mode) and closed rule live, keyed on ``(request key, generation of the
+  touched scope)``: a ``doc`` request's scope is its document, anything
+  else's its collection.  A read whose scope generation moved while it
+  executed runs again, and a write under ``docs/a/`` leaves cached
+  answers about ``notes/`` warm (the E22 95/5 mix stays warm);
+* **writes** — ``mode="thread"`` runs one
   :class:`~repro.collections.worker.CollectionWorker` in-process over the
-  authoritative store, with no pool, and a write applies once, to that
-  store.  ``mode="process"`` runs ``shards`` workers as real processes in
-  a :class:`~repro.serving.pool.ProcessPool`, the pool the calculus tier
-  holds too: a write applies to the authoritative store, then goes to
-  every worker concurrently
+  authoritative store, under its lock, and a write applies once, to that
+  store.  In ``mode="process"`` a write applies to the authoritative
+  store, then goes to every worker concurrently
   (:meth:`~repro.serving.pool.ProcessPool.broadcast`); failures cross
   back as structured ``RemoteQueryError`` (``FODC0002`` included), and a
   dead or hung worker is respawned from the authoritative store.
@@ -38,10 +37,9 @@ from dataclasses import dataclass
 from functools import partial
 from typing import Dict, Optional, Tuple
 
-from ..querycalc.service.plans import QueryPlan
-from ..querycalc.service.service import FrontEnd
+from ..serving.frontend import FrontEnd, QueryPlan
 from ..serving.partition import Route, route_query
-from ..serving.pool import ProcessPool, WorkerHandle
+from ..serving.pool import WorkerHandle
 from ..xquery import EngineConfig, XQueryEngine, serialize_result
 from .kwic import CHARS_KWIC
 from .store import DocumentStore, normalize_collection
@@ -164,8 +162,8 @@ class SearchService(FrontEnd):
     :class:`CollectionWorker` process holding the whole store.  Either
     way the authoritative store takes every write first, and a process
     worker sees the write as a per-document index patch, never a rebuild.
-    Reads run the shared :class:`FrontEnd` loop with no deadline,
-    admission bound or faults.
+    Reads take the :class:`FrontEnd` policy: a ``timeout`` per read, and
+    in process mode a bound of ``shards * 4`` executions in flight.
     """
 
     def __init__(
@@ -175,8 +173,6 @@ class SearchService(FrontEnd):
         mode: str = "thread",
         result_cache_size: int = 512,
     ):
-        if mode not in ("thread", "process"):
-            raise ValueError(f"mode must be 'thread' or 'process', not {mode!r}")
         if shards < 0:
             raise ValueError(f"shards must be >= 0, not {shards}")
         if mode == "thread" and shards > 1:
@@ -184,10 +180,9 @@ class SearchService(FrontEnd):
                 f"shards must be 1 in thread mode, not {shards}: "
                 "use mode='process' for more workers"
             )
-        super().__init__(result_cache_size)
+        shards = max(1, shards)
+        super().__init__(mode, shards, result_cache_size)
         self.store = store
-        self.shards = max(1, shards)
-        self.mode = mode
         self.engine = XQueryEngine(EngineConfig(backend="algebra"))
         #: serializes writers, and is held across a write's replication; a
         #: read snapshots its scope generation under it.
@@ -200,26 +195,18 @@ class SearchService(FrontEnd):
         self._authoritative_lock = threading.Lock()
         #: completed writes; counted under the writer lock.
         self._writes = 0
-        self._closed = False
-        self._worker: Optional[CollectionWorker] = None
-        self._pool: Optional[ProcessPool] = None
-        if mode == "thread":
-            self._worker = CollectionWorker(
-                CollectionWorkerConfig(0, store, self.engine.config)
-            )
-            return
-        # A worker's first boot forks with the authoritative store itself:
-        # no other thread exists yet to mutate it.  A respawn gets a
-        # replica built under its lock, so a replacement worker comes back
-        # with every write; a replica shares the store's parsed documents
-        # and postings.
-        self._pool = ProcessPool(
-            _WorkerHandle,
+        # A process worker's first boot forks with the store itself (no
+        # other thread exists yet); a respawn gets a replica built under its
+        # lock, which shares the store's parsed documents and postings.
+        self._start(
             CollectionWorker,
             lambda shard, state: CollectionWorkerConfig(shard, state, self.engine.config),
+            store,
             self._replica,
-            shards=self.shards,
-            boot=store,
+            shards=shards,
+            write_lock=self._write_lock,
+            handle=_WorkerHandle,
+            lock=self._authoritative_lock,
         )
 
     def _replica(self) -> DocumentStore:
@@ -239,12 +226,13 @@ class SearchService(FrontEnd):
             return self.store.document_generation(request.uri)
         return self.store.collection_generation(request.collection)
 
-    def run(self, request: SearchRequest) -> SearchResult:
+    def run(self, request: SearchRequest, timeout: Optional[float] = None) -> SearchResult:
         """Answer one request through the shared read loop: a read that a
-        write to its scope overlapped runs again.  No read holds the
+        write to its scope overlapped runs again, and a read that outlives
+        *timeout* seconds fails with ``XQDY_TIMEOUT``.  No read holds the
         writer lock while it executes: a process worker runs outside every
         service lock, and the thread-mode worker under the store's lock."""
-        text, _, cached, generation = self._serve(request)
+        text, _, cached, generation = self._serve(request, self._deadline(timeout))
         return SearchResult(text, cached, route_query(request.key(), self.shards), generation)
 
     @property
@@ -275,17 +263,13 @@ class SearchService(FrontEnd):
     def _generation(self, plan: QueryPlan) -> int:
         return self.scope_generation(plan.query)
 
-    def _execute(self, plan: QueryPlan, deadline) -> Tuple[str, tuple]:
-        """One run on the worker that owns the request's key: the
-        in-process worker under the store's lock, or one round trip."""
-        self._check_open()
-        route = route_query(plan.key, self.shards)
-        self._route(route.kind)
-        payload = {"source": plan.query.source(), "key": plan.key}
-        if self._pool is not None:
-            return self._pool.execute(route, payload)["text"], ()
-        with self._authoritative_lock:
-            return self._worker.run(payload)["text"], ()
+    @staticmethod
+    def _payload(plan: QueryPlan) -> Dict[str, str]:
+        return {"source": plan.query.source(), "key": plan.key}
+
+    @staticmethod
+    def _decode(reply: Dict) -> Tuple[str, tuple]:
+        return reply["text"], ()
 
     def evaluate_fresh(
         self, request: SearchRequest, use_index: Optional[bool] = None
@@ -353,10 +337,6 @@ class SearchService(FrontEnd):
         """Send *uri*'s stored text to every process worker."""
         self._pool.broadcast("put", {"uri": uri, "text": self.store.text_of(uri)})
 
-    def _check_open(self) -> None:
-        if self._closed:
-            raise RuntimeError("search service is closed")
-
     # -- lifecycle ---------------------------------------------------------
 
     def stats(self) -> Dict[str, object]:
@@ -377,10 +357,3 @@ class SearchService(FrontEnd):
             "workers": workers,
             "restarts": restarts,
         }
-
-    def close(self) -> None:
-        """Stop serving once no write is in flight; safe to call twice."""
-        with self._write_lock:
-            self._closed = True
-            if self._pool is not None:
-                self._pool.close()

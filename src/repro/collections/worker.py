@@ -11,13 +11,13 @@ holds one worker over its authoritative store in thread mode, and in
 process mode one forked worker per shard of its
 :class:`~repro.serving.pool.ProcessPool`, each over a copy-on-write copy
 of that store (a respawn boots from :meth:`DocumentStore.replica`), in
-the calculus tier's request loop,
+the serving tier's request loop,
 :func:`repro.serving.worker.worker_main`.
 
 Failures cross the pipe *classified*: a missing or unparseable document
-raises ``FODC0002`` inside the worker, :func:`classify_error` wraps it
-into a structured :class:`~repro.querycalc.service.errors.QueryError`,
-and the front-end re-raises it as a ``RemoteQueryError`` that still
+raises ``FODC0002`` inside the worker, the request loop wraps it into the
+serving tier's structured error, and the front-end re-raises it as a
+``RemoteQueryError`` that still
 advertises ``kind="dynamic"`` / ``code="FODC0002"`` — the error taxonomy
 does not degrade at the process boundary.
 
@@ -104,12 +104,14 @@ class CollectionWorker:
     def run(self, payload: Dict) -> Dict:
         """Compile, evaluate and serialize one request program.
 
-        ``payload``: ``source`` (the XQuery text) and ``key`` (the
-        cache/diagnostic key); the reply holds the serialized result.
+        ``payload``: ``source`` (the XQuery text), ``key`` and ``remaining``
+        (the budget left, or None); the reply holds the serialized result.
         """
         self.runs += 1
         compiled = self.engine.compile(payload["source"])
-        result = compiled.run(collections=self.store, statistics=self._catalog())
+        result = compiled.run(
+            collections=self.store, statistics=self._catalog(), timeout=payload.get("remaining")
+        )
         return {"text": serialize_result(result), "shard": self.shard}
 
     def _catalog(self) -> StatisticsCatalog:

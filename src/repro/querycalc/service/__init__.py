@@ -14,25 +14,22 @@ from .errors import (
     classify_error,
 )
 from .faults import FaultConfig, FaultInjector, InjectedFault
-from .plans import QueryPlan, normalize_query
+from .plans import normalize_query
 from .results import BatchItem, ResultCache
-from .service import SERVICE_MODES, QueryService, percentile
+from .service import QueryService
 
 __all__ = [
     "BatchItem",
     "Deadline",
     "ERROR_KINDS",
-    "SERVICE_MODES",
     "FaultConfig",
     "FaultInjector",
     "InjectedFault",
     "QueryError",
     "QueryOverloadError",
-    "QueryPlan",
     "QueryService",
     "RemoteQueryError",
     "ResultCache",
     "classify_error",
     "normalize_query",
-    "percentile",
 ]

@@ -1,11 +1,13 @@
-"""Plan normalization and the plan record the service caches.
+"""Plan normalization: the key the calculus service caches plans under.
 
-A *plan* is everything the service needs to execute one calculus query
-repeatedly without re-doing per-query work: the generated XQuery source
-and the dependency set its cached answers carry.  Compiling the source
-is a shard worker's job (:class:`~repro.serving.worker.ShardWorker`, in
-both service modes), once per run: the program is dropped with the run,
-so the plan (its source) and the answer are what the service caches.
+A *plan* (:class:`~repro.serving.frontend.QueryPlan`, the record both
+serving front ends cache) is everything the service needs to execute one
+calculus query repeatedly without re-doing per-query work: the generated
+XQuery source and the dependency set its cached answers carry.  Compiling
+the source is a shard worker's job
+(:class:`~repro.serving.worker.ShardWorker`, in both service modes), once
+per run: the program is dropped with the run, so the plan (its source)
+and the answer are what the service caches.
 
 Plans are keyed by the *normalized query text* — a canonical rendering of
 the calculus AST — so two structurally identical queries parsed from
@@ -17,9 +19,6 @@ answer.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass
-from typing import Optional
 
 from ..ast import FilterProperty, FilterType, Follow, Query
 
@@ -59,24 +58,4 @@ def normalize_query(query: Query) -> str:
         # a traced query generates different XQuery, so it is a distinct plan
         parts.append(f"trace({query.trace!r})")
     return "|".join(parts)
-
-
-@dataclass
-class QueryPlan:
-    """An executable plan for one calculus query or search request."""
-
-    key: str
-    #: the calculus :class:`Query`, or the search tier's ``SearchRequest``.
-    query: object
-    #: generated XQuery source.
-    source: Optional[str] = None
-    #: the plan's :class:`~repro.querycalc.service.deps.DependencySet`,
-    #: derived at build time — what its cached answers can depend on.
-    deps: Optional[object] = None
-
-    @property
-    def cache_key(self) -> str:
-        """The result-cache key: the generated source, which both modes know
-        when the plan is built (equal source, equal plan), else the key."""
-        return self.source if self.source is not None else self.key
 

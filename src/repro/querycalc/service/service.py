@@ -42,204 +42,40 @@ Engine semantics are untouched: a cold miss runs exactly the code E6
 measures, quirks and all.  The service only decides *how often* that
 code runs — and, now, what happens when it fails.
 
-The read loop is :class:`FrontEnd`, which the search tier's
-:class:`~repro.collections.service.SearchService` extends too: both front
-ends serve reads under one rule and count them in one shape.
-
-A plan runs one way in both modes: :meth:`QueryService._execute` sends
-it as one ``{key, source, remaining}`` payload to a
-:class:`~repro.serving.worker.ShardWorker`, which compiles it, runs it
-over its backend's export with a shared-scan cache per export
-generation, and turns the result into node ids.  Every worker compiles
-on an uncached engine of its own, built from the service engine's
-configuration.  Thread mode holds one such worker in-process, over the
-service's own backend and fault injector; process mode sends the
-payload to the worker process the plan's key routes to, through the
-:class:`~repro.serving.pool.ProcessPool` the search front end holds in
-process mode too.
-The service keeps only the calculus bookkeeping: the generation the
-replicas hold, and how often they were refreshed or replayed a delta.
+The read loop lives in :class:`~repro.serving.frontend.FrontEnd`, which
+this service and the search tier's
+:class:`~repro.collections.service.SearchService` extend, with the mode
+rule, the execute step and ``close``.  It sends this service's ``{key,
+source}`` payload, with the budget left, to a
+:class:`~repro.serving.worker.ShardWorker`, which compiles it on an
+uncached engine of its own, runs it over its backend's export with a
+shared-scan cache per export generation, and turns the result into node
+ids: one in-process worker over the service's own backend and fault
+injector in thread mode, a pool of them in process mode.  The service
+keeps the calculus parts: plans, payload, writes and cache maintenance,
+the generation the replicas hold, and their refresh and delta counts.
 """
 
 from __future__ import annotations
 
-import math
 import os
-import threading
-import time
 from concurrent.futures import ThreadPoolExecutor
 from typing import Dict, Iterable, List, Optional, Tuple
 
 from ...awb.model import Model
 from ...awb.xml_io import export_model_text
 from ...lru import LRU
+from ...serving.frontend import FrontEnd, QueryPlan
+from ...serving.partition import route_query
 from ...xquery import EngineConfig, XQueryEngine
 from ..ast import Query
 from ..native import QueryRuntimeError
 from ..via_xquery import XQueryCalculusBackend
 from .deps import derive_dependencies, patch_result
-from .errors import Deadline, QueryError, QueryOverloadError, classify_error
+from .errors import Deadline, QueryError, classify_error
 from .faults import FaultInjector
-from .plans import QueryPlan, normalize_query
-from .results import BatchItem, ResultCache
-
-#: the service's execution modes: a thread pool in this process (threads
-#: only help via dedup+caching — the GIL serializes evaluation), or a
-#: shared-nothing pool of worker processes (see :mod:`repro.serving`).
-SERVICE_MODES = ("thread", "process")
-
-#: Latency samples kept for the p50/p95 metrics (oldest evicted first).
-MAX_LATENCY_SAMPLES = 2048
-
-
-def percentile(samples: List[float], fraction: float) -> float:
-    """Standard ceil-based nearest-rank percentile (1-indexed rank).
-
-    The previous ``round()``-based formula suffered banker's rounding:
-    p50 of five samples landed on the 2nd value instead of the median.
-    """
-    if not samples:
-        return 0.0
-    ordered = sorted(samples)
-    rank = math.ceil(fraction * len(ordered))
-    rank = min(len(ordered), max(1, rank))
-    return ordered[rank - 1]
-
-
-class FrontEnd:
-    """The read loop both serving front ends share, with its counters.
-
-    A subclass supplies four steps: ``_plan(request)``, the
-    :class:`QueryPlan` the result cache keys on; ``_snapshot(plan)``, the
-    generation read under the subclass's writer lock;
-    ``_execute(plan, deadline)``, ``(value, traces)``; and
-    ``_generation(plan)``, the generation now.  ``max_pending`` bounds
-    executions in flight (``None`` admits all).  A subclass also supplies
-    ``close()``, which leaving a ``with`` block calls.
-    """
-
-    def __init__(self, result_cache_size: int, max_pending: Optional[int] = None):
-        self._results = ResultCache(maxsize=result_cache_size)
-        self._metrics_lock = threading.Lock()
-        self._latencies: List[float] = []
-        self._queries = 0
-        self._executed = 0
-        self._errors_by_kind: Dict[str, int] = {}
-        self._shed = 0
-        self._routes: Dict[str, int] = {}
-        self.max_pending = max_pending
-        self._admission = (
-            threading.BoundedSemaphore(max_pending)
-            if max_pending is not None
-            else None
-        )
-
-    def __enter__(self):
-        return self
-
-    def __exit__(self, *exc_info) -> None:
-        self.close()
-
-    def _serve(self, request, deadline: Optional[Deadline] = None):
-        """Plan, then snapshot → result cache → admit → execute, and return
-        ``(value, traces, cached, generation)``; recorded either way.
-
-        A write that lands mid-read may reach a worker before the read, so
-        a result is cached and returned only if the generation is still the
-        snapshot's.  Otherwise the read runs again, once the next snapshot
-        has waited out the write.  Deadline checks bound the loop.
-        """
-        started = time.perf_counter()
-        key: Optional[str] = None
-        executed = 0
-        errors: Tuple[QueryError, ...] = ()
-        try:
-            plan = self._plan(request)
-            key = plan.key
-            while True:
-                generation = self._snapshot(plan)
-                cached = self._results.get((plan.cache_key, generation), plan.deps)
-                if cached is not None:
-                    return cached[0], cached[1], True, generation
-                executed += 1
-                admitted = self._admit()
-                try:
-                    value, traces = self._execute(plan, deadline)
-                finally:
-                    if admitted:
-                        self._admission.release()
-                if self._generation(plan) == generation:
-                    self._results.put(
-                        (plan.cache_key, generation), value, traces, plan.deps
-                    )
-                    return value, traces, False, generation
-        except Exception as exc:
-            errors = (classify_error(exc, key),)
-            raise
-        finally:
-            self._record(1, executed, time.perf_counter() - started, errors)
-
-    def _admit(self) -> bool:
-        """Reserve an execution slot, or shed with ``XQDY_OVERLOAD``.
-
-        Returns False when admission control is off (``max_pending=None``);
-        cache hits never reach this point, so a saturated tier still
-        answers everything it has already computed.
-        """
-        if self._admission is None:
-            return False
-        if not self._admission.acquire(blocking=False):
-            with self._metrics_lock:
-                self._shed += 1
-            raise QueryOverloadError(
-                f"serving tier saturated: {self.max_pending} requests "
-                "already in flight"
-            )
-        return True
-
-    def _route(self, kind: str) -> None:
-        """Count one execution routed as *kind* (always ``single``)."""
-        with self._metrics_lock:
-            self._routes[kind] = self._routes.get(kind, 0) + 1
-
-    def _record(
-        self,
-        queries: int,
-        executed: int,
-        elapsed: Optional[float],
-        errors: Iterable[QueryError] = (),
-    ) -> None:
-        """Count *queries*; ``elapsed=None`` records no latency sample."""
-        with self._metrics_lock:
-            self._queries += queries
-            self._executed += executed
-            if elapsed is not None:
-                self._latencies.append(elapsed)
-                if len(self._latencies) > MAX_LATENCY_SAMPLES:
-                    del self._latencies[: len(self._latencies) - MAX_LATENCY_SAMPLES]
-            for error in errors:
-                self._errors_by_kind[error.kind] = self._errors_by_kind.get(error.kind, 0) + 1
-
-    def _read_metrics(self) -> Dict[str, object]:
-        """The read counters, result-cache hits and latency percentiles."""
-        with self._metrics_lock:
-            latencies = list(self._latencies)
-            by_kind = dict(self._errors_by_kind)
-            reads: Dict[str, object] = {
-                "queries": self._queries,
-                "executed": self._executed,
-                "errors": sum(by_kind.values()),
-                "timeouts": by_kind.get("timeout", 0),
-                "errors_by_kind": by_kind,
-                "shed": self._shed,
-                "routes": dict(self._routes),
-            }
-        results = self._results.stats()
-        reads["hits"] = results["hits"]
-        reads["misses"] = results["misses"]
-        for name, fraction in (("p50_ms", 0.50), ("p95_ms", 0.95), ("p99_ms", 0.99)):
-            reads[name] = percentile(latencies, fraction) * 1000.0
-        return reads
+from .plans import normalize_query
+from .results import BatchItem
 
 
 class QueryService(FrontEnd):
@@ -269,24 +105,16 @@ class QueryService(FrontEnd):
         mode: str = "thread",
         max_pending: Optional[int] = None,
     ):
-        if mode not in SERVICE_MODES:
-            raise ValueError(f"mode must be one of {SERVICE_MODES}, not {mode!r}")
         if workers < 0:
             raise ValueError(f"workers must be >= 0, not {workers}")
-        if workers == 0:
-            # "as many as the machine has": meaningful parallelism in
-            # process mode; in thread mode extra workers only widen the
-            # dedup window (the GIL serializes actual evaluation — use
-            # mode="process" for real scaling).
-            workers = os.cpu_count() or 1
-        if max_pending is None and mode == "process":
-            max_pending = workers * 4
-        super().__init__(result_cache_size, max_pending)
+        # 0 is one per core: real parallelism in process mode; in thread mode
+        # it only widens run_batch's dedup window (the GIL serializes).
+        workers = workers or os.cpu_count() or 1
+        super().__init__(
+            mode, workers, result_cache_size, max_pending, default_timeout, fault_injector
+        )
         self.model = model
         self.workers = workers
-        self.mode = mode
-        self.default_timeout = default_timeout
-        self.faults = fault_injector
         # the algebra backend is the default cold path: set-at-a-time plans
         # with hash joins, falling back to the closure compiler per subtree
         # (and to the treewalk wholesale, via the shard worker's retry, on
@@ -303,59 +131,40 @@ class QueryService(FrontEnd):
         }
         self._batches = 0
         self._batch_deduped = 0
-        self._fallbacks = 0
-        # -- where plans run: one worker here, or a pool of processes ------
-        # imported lazily: repro.serving imports this package's errors
-        # module, so a top-level import would be circular.
-        from ...serving.worker import ShardWorker, WorkerConfig, replica_backend
-
-        self._worker = None
-        self._pool = None
         #: the export generation every pool replica holds (-1 after a
         #: failed delta, so the next snapshot refreshes them all), and how
-        #: often the replicas were rebuilt or replayed a delta.
-        self._pool_generation = -1
+        #: often the replicas were rebuilt or replayed a delta.  The
+        #: in-process worker adopts the live backend at the model's.
+        self._pool_generation = model.generation
         self._refreshes = 0
         self._deltas = 0
-        if mode == "thread":
-            self._worker = ShardWorker(
-                WorkerConfig(
-                    shard=0,
-                    backend=self._backend,
-                    generation=model.generation,
-                    engine=self.engine.config,
-                    faults=fault_injector,
-                )
-            )
-        else:
-            from ...serving.pool import ProcessPool, WorkerHandle
-
+        if mode == "process":
             with self._backend.lock:
                 # the export and its catalog (built together) exist before
                 # the fork, so every worker inherits them instead of
                 # parsing a copy, and the first snapshot builds neither.
                 self._backend.statistics
                 self._pool_generation = self._backend.export_generation
-            # a respawn must not fork the live model, which another thread
-            # may be halfway through updating: it boots from an export of
-            # it, so it may boot one update ahead of the pool generation.
-            # Replaying that update's delta then fails (its ids exist) or
-            # changes nothing, and the read runs again either way.
-            self._pool = ProcessPool(
-                WorkerHandle,
-                ShardWorker,
-                lambda shard, backend: WorkerConfig(
-                    shard=shard,
-                    backend=backend,
-                    generation=self._pool_generation,
-                    engine=self.engine.config,
-                ),
-                lambda: replica_backend(
-                    export_model_text(model, indent=False), model.metamodel
-                ),
-                shards=workers,
-                boot=self._backend,
-            )
+        # imported here: repro.serving's worker module imports this package.
+        from ...serving import worker
+
+        # the in-process worker hooks faults itself; the front end hooks a
+        # process-mode dispatch.  A respawn must not fork the live model,
+        # which another thread may be halfway through updating: it boots
+        # from an export, so it may boot one update ahead of the pool
+        # generation.  Replaying that update's delta then fails (its ids
+        # exist) or changes nothing, and the read runs again either way.
+        faults = fault_injector if mode == "thread" else None
+        self._start(
+            worker.ShardWorker,
+            lambda shard, backend: worker.WorkerConfig(
+                shard, backend, self._pool_generation, self.engine.config, faults
+            ),
+            self._backend,
+            lambda: worker.replica_backend(export_model_text(model, indent=False), model.metamodel),
+            shards=workers,
+            write_lock=self._backend.lock,
+        )
 
     # -- public API -------------------------------------------------------------
 
@@ -392,6 +201,7 @@ class QueryService(FrontEnd):
         that would start after it expires fail fast with kind
         ``timeout``.
         """
+        self._check_open()
         queries = list(queries)
         if not queries:
             return []
@@ -480,6 +290,7 @@ class QueryService(FrontEnd):
         from ...xquery.updates.apply import apply_script
 
         with self._backend.lock:
+            self._check_open()
             old_generation = self.model.generation
             export_generation = self._backend.export_generation
             in_sync = old_generation == export_generation
@@ -578,25 +389,13 @@ class QueryService(FrontEnd):
         explanation["plan_key"] = plan.key
         explanation["source"] = plan.source
         if self._pool is not None:
-            from ...serving.partition import route_query
-
-            route = route_query(plan.key, self._pool.shards)
+            route = route_query(plan.key, self.shards)
             explanation["route"] = {
                 "kind": route.kind,
                 "shard": route.shard,
                 "reason": route.reason,
             }
         return explanation
-
-    def close(self) -> None:
-        """Shut down the worker-process pool (no-op in thread mode).
-
-        Thread-mode services need no teardown; process-mode services own
-        real OS processes, and tests/benchmarks that create many services
-        should close them (or use the service as a context manager).
-        """
-        if self._pool is not None:
-            self._pool.close()
 
     # -- observability ----------------------------------------------------------
 
@@ -607,7 +406,7 @@ class QueryService(FrontEnd):
         workers = self._pool.stats()
         return {
             "mode": "process",
-            "shards": self._pool.shards,
+            "shards": self.shards,
             "generation": self._pool_generation,
             "refreshes": self._refreshes,
             "deltas": self._deltas,
@@ -632,7 +431,6 @@ class QueryService(FrontEnd):
         with self._metrics_lock:
             batches = self._batches
             deduped = self._batch_deduped
-            fallbacks = self._fallbacks
             updates = self._updates
             propagations = dict(self._propagations)
         plan_stats = self._plans.stats()
@@ -641,7 +439,7 @@ class QueryService(FrontEnd):
             # pool-level counters only — per-worker counters require a
             # round-trip; see :meth:`serving_stats`.
             serving = {
-                "shards": self._pool.shards,
+                "shards": self.shards,
                 "generation": self._pool_generation,
                 "refreshes": self._refreshes,
                 "deltas": self._deltas,
@@ -656,7 +454,6 @@ class QueryService(FrontEnd):
             "serving": serving,
             "batches": batches,
             "batch_deduped": deduped,
-            "fallbacks": fallbacks,
             "updates": updates,
             "propagations": propagations,
             "plan_hits": plan_stats["hits"],
@@ -672,10 +469,6 @@ class QueryService(FrontEnd):
         }
 
     # -- internals --------------------------------------------------------------
-
-    def _deadline(self, timeout: Optional[float]) -> Optional[Deadline]:
-        timeout = timeout if timeout is not None else self.default_timeout
-        return Deadline.after(timeout) if timeout is not None else None
 
     def _plan(self, query: Query) -> QueryPlan:
         key = normalize_query(query)
@@ -723,18 +516,9 @@ class QueryService(FrontEnd):
         live = [nodes[node_id] for node_id in ids if node_id in nodes]
         return BatchItem(live, served_from_cache=cached, traces=traces)
 
-    def _execute(
-        self, plan: QueryPlan, deadline: Optional[Deadline] = None
-    ) -> Tuple[List[str], Tuple[str, ...]]:
-        """Evaluate one plan, returning (node ids, trace messages).
-
-        Both modes send one ``{key, source, remaining}`` payload to a
-        shard worker's ``run``.  Process mode sends it to the worker its
-        key routes to, after one fault hook for the dispatch; thread mode
-        calls the in-process worker directly, which hooks the fault
-        injector ahead of each attempt.  A run that fell back to the
-        treewalk counts in ``metrics()["fallbacks"]``.
-        """
+    def _payload(self, plan: QueryPlan) -> Dict[str, object]:
+        """The shard worker's ``{key, source}``; a dangling start id fails
+        here, before any worker runs."""
         start_id = plan.query.start.node_id
         if start_id is not None and start_id not in self.model.nodes:
             # both engine backends treat a dangling start id as a caller
@@ -742,36 +526,8 @@ class QueryService(FrontEnd):
             # the differential fuzzer) — the service must agree even when
             # it evaluates the cached plan itself.
             raise QueryRuntimeError(f"start node {start_id!r} is not in the model")
-        if self._pool is None:
-            run = self._worker.run
-        else:
-            from ...serving.partition import route_query
+        return {"key": plan.key, "source": plan.source}
 
-            route = route_query(plan.key, self._pool.shards)
-            self._route(route.kind)
-            if self.faults is not None:
-                self.faults.on_evaluate(plan.key, deadline, backend="process")
-            if deadline is not None:
-                deadline.check("dispatch")
-
-            def run(payload):
-                return self._pool.execute(route, payload, payload["remaining"])
-        payload = {
-            "key": plan.key,
-            "source": plan.source,
-            "remaining": deadline.remaining() if deadline is not None else None,
-        }
-        try:
-            reply = run(payload)
-        except Exception as exc:
-            # an in-process run that fell back and still failed says so on
-            # its error; a worker process's error arrives classified.
-            self._count_fallback(getattr(exc, "fell_back", False))
-            raise
-        self._count_fallback(reply["fallback"])
+    @staticmethod
+    def _decode(reply: Dict) -> Tuple[List[str], Tuple[str, ...]]:
         return reply["ids"], tuple(reply["traces"])
-
-    def _count_fallback(self, fell_back: bool) -> None:
-        if fell_back:
-            with self._metrics_lock:
-                self._fallbacks += 1

@@ -1,17 +1,13 @@
-"""The shared-nothing serving tier: worker processes behind the services.
+"""The shared-nothing serving tier: the front end and the workers behind it.
 
-Both front ends follow one mode rule.  In thread mode a front end runs
-one worker in-process over its own live state, with no pool:
-``QueryService`` (see :mod:`repro.querycalc.service`) runs a
-:class:`ShardWorker` over its backend, and
-:class:`~repro.collections.SearchService` (see
-:mod:`repro.collections.service`) runs a
-:class:`~repro.collections.worker.CollectionWorker` over its
-authoritative store.  In process mode each holds one
+``QueryService`` and :class:`~repro.collections.SearchService` both
+extend :class:`~repro.serving.frontend.FrontEnd`: one worker in-process in thread mode, or a
 :class:`~repro.serving.pool.ProcessPool` of N worker processes, each over
-a full replica and answering whole requests: each request runs on one
-worker.  This package owns the pieces under them:
+a full replica and answering whole requests.  This package owns:
 
+:mod:`repro.serving.frontend`
+    the front end, where the read loop lives, with the mode rule, the
+    execute step, admission, the closed rule and the read counters;
 :mod:`repro.serving.partition`
     the CRC32 bucket and the one router (a calculus plan or a search
     request goes to the worker that owns its key);
@@ -24,23 +20,20 @@ worker.  This package owns the pieces under them:
 :mod:`repro.serving.pool`
     the one pool (concurrent boot, one-request ``execute``, the
     ``broadcast`` every write goes through, ``stats``, ``close``) and its
-    respawning worker handle.  It loads :mod:`multiprocessing`, so the
-    package does not import it: a thread-mode ``QueryService`` loads only
-    ``partition`` and ``worker``, and process mode and the search tier
+    respawning worker handle.  It loads :mod:`multiprocessing`: a
+    thread-mode ``QueryService`` loads only ``frontend``, ``partition`` and
+    ``worker``, and the front end in process mode and the search tier
     import ``repro.serving.pool`` themselves, before any fork;
 :mod:`repro.serving.loadgen`
     the load-generator harness (``python -m repro.serving.loadgen``)
     reporting sustained QPS, p50/p95/p99 latency, and shed rate.
+
+The package imports none of these itself, so importing the calculus
+service without running it (docgen does) loads only ``frontend`` and
+``partition``.
 """
 
-from .partition import Route, bucket, route_query
-from .worker import ShardWorker, WorkerConfig, worker_main
+# The calculus package first: its service module extends ``FrontEnd``, and
+# ``frontend`` imports the calculus error taxonomy and result cache.
+from .. import querycalc  # noqa: F401
 
-__all__ = [
-    "Route",
-    "ShardWorker",
-    "WorkerConfig",
-    "bucket",
-    "route_query",
-    "worker_main",
-]

@@ -38,9 +38,10 @@ import threading
 import time
 from typing import Callable, Dict, List, Optional
 
-from ..querycalc.service import QueryService, percentile
+from ..querycalc.service import QueryService
 from ..querycalc.service.errors import QueryOverloadError, classify_error
 from ..testing.models import random_calculus_query, random_model, random_phrase
+from .frontend import percentile
 
 __all__ = ["run_load", "main"]
 

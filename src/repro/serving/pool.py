@@ -1,6 +1,7 @@
 """The worker pool both serving tiers hold in process mode.
 
-A process-mode front end holds one :class:`ProcessPool`: the calculus
+A process-mode :class:`~repro.serving.frontend.FrontEnd` builds one
+:class:`ProcessPool`: the calculus
 :class:`~repro.querycalc.service.QueryService` over
 :class:`~repro.serving.worker.ShardWorker` processes, and the search
 tier's :class:`~repro.collections.service.SearchService` over
@@ -24,7 +25,7 @@ whose documents are known by ``id()``), which a ``spawn`` child would
 receive as pickled copies.
 
 Compiled closures don't pickle, so the parent never ships compiled plans.
-A :class:`~repro.querycalc.service.plans.QueryPlan` carries the generated
+A :class:`~repro.serving.frontend.QueryPlan` carries the generated
 *source*; the one worker its key routes to compiles it for each run and
 drops the program with it (the answer is what the front end caches).
 The source is also the plan's result key, in both modes, so the front
@@ -294,15 +295,10 @@ class ProcessPool:
         return self._make_config(shard, state)
 
     # -- requests ----------------------------------------------------------
-
-    def check_open(self) -> None:
-        """Raise once :meth:`close` has run: a closed pool touches no handle."""
-        if self._closed:
-            raise RuntimeError("worker pool is closed")
+    # The front end refuses requests once closed; a closed handle forks nothing.
 
     def execute(self, route: Route, payload: dict, timeout: Optional[float] = None):
         """Send one ``run`` payload to the worker *route* names; its reply."""
-        self.check_open()
         return self.handles[route.shard].request("run", payload, timeout)
 
     def broadcast(self, op: str, payload: dict) -> list:
@@ -314,7 +310,6 @@ class ProcessPool:
         failure in shard order is re-raised.  A lone worker is asked on the
         calling thread: there is nothing to overlap it with.
         """
-        self.check_open()
         if len(self.handles) == 1:
             return [self.handles[0].request(op, payload)]
         futures = [

@@ -354,13 +354,13 @@ def test_thread_mode_runs_one_worker_over_the_live_store(monkeypatch):
     """Thread mode builds no pool and no replica: with both refusing, a
     service still boots, reads and writes, and its one worker answers
     from the authoritative store."""
-    from repro.collections import service as search_service
+    from repro.serving import pool
 
     def refuse(*args, **kwargs):
         raise AssertionError("thread mode built a replica or a pool")
 
     monkeypatch.setattr(DocumentStore, "replica", refuse)
-    monkeypatch.setattr(search_service.ProcessPool, "__init__", refuse)
+    monkeypatch.setattr(pool.ProcessPool, "__init__", refuse)
     store = make_store()
     with SearchService(store, mode="thread") as service:
         assert service._pool is None and service._worker.store is store

@@ -13,8 +13,8 @@ from repro.querycalc import (
     parse_query_xml,
     run_query,
 )
-from repro.querycalc.service import QueryPlan, ResultCache
-from repro.querycalc.service import percentile
+from repro.querycalc.service import ResultCache
+from repro.serving.frontend import QueryPlan, percentile
 from repro.workloads import make_it_model
 
 LIKES_USES = """

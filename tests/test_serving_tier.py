@@ -586,17 +586,141 @@ def test_request_after_a_failed_respawn_boots_a_fresh_worker(model, tier):
         assert victim.restarts == 2 and victim.process.is_alive()
 
 
+def _write_and_state(svc, tier):
+    """(one write to *svc*, the state that write would change)."""
+    if tier == "query":
+        script = 'insert node Server with (label "late");'
+        return (
+            lambda: svc.apply_update(script),
+            lambda: (svc.model.generation, sorted(svc.model.nodes)),
+        )
+    return lambda: svc.put_text("docs/late.xml", "<doc>late</doc>"), svc.store.texts
+
+
 @pytest.mark.parametrize("tier", ["query", "search"])
-def test_a_closed_service_forks_no_worker(model, tier):
+def test_a_closed_service_forks_no_worker(tier):
     """After ``close()`` a read fails with a closed worker instead of
-    booting a new one: no child process outlives the close."""
-    svc, handles, serve, _, _ = _tier_under_test(model, tier)
+    booting a new one: no child process outlives the close.  A write
+    fails too, before it touches the model or the store."""
+    svc, handles, serve, _, _ = _tier_under_test(random_model(101, size=36), tier)
     others = set(multiprocessing.active_children()) - {h.process for h in handles}
     svc.close()
     with pytest.raises(RuntimeError, match="is closed"):
         serve()
     assert set(multiprocessing.active_children()) - others == set()
     assert all(handle.process is None for handle in handles)
+    write, state = _write_and_state(svc, tier)
+    before = state()
+    with pytest.raises(RuntimeError, match="is closed"):
+        write()
+    assert state() == before
+
+
+@pytest.mark.parametrize("tier", ["query", "search"])
+def test_a_closed_thread_mode_service_refuses_reads_and_writes(tier):
+    """Thread mode has no pool to refuse: the front end's closed check
+    refuses a read (a warm one too), a batch and a write, and the write
+    leaves the model or store as it was."""
+    from repro.collections import SearchRequest, SearchService
+
+    if tier == "query":
+        svc = QueryService(random_model(101, size=36))
+        query = all_nodes_query()
+        reads = [lambda: svc.run(query), lambda: svc.run_batch([query])]
+    else:
+        svc = SearchService(random_document_store(41, docs=12))
+        request = SearchRequest(kind="search", collection="", phrase="alpha")
+        reads = [lambda: svc.run(request)]
+    reads[0]()
+    svc.close()
+    write, state = _write_and_state(svc, tier)
+    before = state()
+    for call in reads + [write]:
+        with pytest.raises(RuntimeError, match="is closed"):
+            call()
+    assert state() == before
+
+
+# -- the search tier takes the calculus tier's read policy ----------------------
+
+
+def _stalling_search(monkeypatch, seconds):
+    """Make every ``ft:search`` stall *seconds* inside the engine's run;
+    patched before a process tier forks, so its workers stall too."""
+    from repro.collections import DocumentStore
+
+    search = DocumentStore.search
+
+    def stalled(self, *args, **kwargs):
+        time.sleep(seconds)
+        return search(self, *args, **kwargs)
+
+    monkeypatch.setattr(DocumentStore, "search", stalled)
+
+
+@pytest.mark.parametrize("mode", ["thread", "process"])
+def test_search_read_stalled_past_its_timeout_fails_as_a_timeout(mode, monkeypatch):
+    """``SearchService.run`` takes ``QueryService.run``'s ``timeout``: the
+    worker hands the deadline to the engine, a read that outlives it fails
+    with a structured ``XQDY_TIMEOUT``, and the next read is answered."""
+    from repro.collections import SearchRequest, SearchService
+
+    _stalling_search(monkeypatch, 0.3)
+    request = SearchRequest(kind="search", collection="", phrase="alpha")
+    with SearchService(random_document_store(41, docs=12), mode=mode) as svc:
+        with pytest.raises(Exception) as caught:
+            svc.run(request, timeout=0.05)
+        error = classify_error(caught.value)
+        assert (error.kind, error.code) == ("timeout", "XQDY_TIMEOUT")
+        assert svc.run(request).text == svc.evaluate_fresh(request, use_index=False)
+        assert svc.stats()["reads"]["timeouts"] == 1
+
+
+def test_process_search_sheds_past_its_default_bound(monkeypatch):
+    """A process-mode search tier admits ``shards * 4`` executions, the
+    calculus tier's default bound: more concurrent misses than that shed
+    with ``XQDY_OVERLOAD``, and once they drain the bound admits again."""
+    from repro.collections import SearchRequest, SearchService
+
+    _stalling_search(monkeypatch, 0.2)
+    requests = [
+        SearchRequest(kind="search", collection="", phrase="alpha", limit=limit)
+        for limit in range(1, 13)
+    ]
+    with SearchService(random_document_store(41, docs=12), mode="process") as svc:
+        assert svc.max_pending == 4
+        outcomes = []
+        start = threading.Barrier(8)
+
+        def read(request):
+            start.wait(timeout=10.0)
+            try:
+                svc.run(request)
+                outcomes.append("ok")
+            except QueryOverloadError as exc:
+                assert exc.code == "XQDY_OVERLOAD"
+                outcomes.append("shed")
+
+        threads = [threading.Thread(target=read, args=(r,)) for r in requests[:8]]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=30.0)
+            assert not thread.is_alive()
+        assert "shed" in outcomes and "ok" in outcomes
+        reads = svc.stats()["reads"]
+        assert reads["shed"] == outcomes.count("shed")
+        assert reads["errors_by_kind"] == {"overload": outcomes.count("shed")}
+        outcomes.clear()
+        start = threading.Barrier(4)
+        threads = [threading.Thread(target=read, args=(r,)) for r in requests[8:]]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=30.0)
+            assert not thread.is_alive()
+        assert outcomes == ["ok"] * 4
+        assert svc.stats()["reads"]["shed"] == reads["shed"]
 
 
 def _tier_booting_with(model, tier, monkeypatch, before_boot):

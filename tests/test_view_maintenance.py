@@ -25,7 +25,7 @@ from repro.querycalc.ast import (
 from repro.querycalc.native import run_query
 from repro.querycalc.service import QueryService, ResultCache
 from repro.querycalc.service.deps import derive_dependencies
-from repro.querycalc.service.service import MAX_LATENCY_SAMPLES
+from repro.serving.frontend import MAX_LATENCY_SAMPLES
 from repro.testing.models import random_model
 from repro.workloads import make_it_model
 from repro.xquery.updates import apply_script
