@@ -101,7 +101,7 @@ class AlgebraProgram:
         """
         if self._occurrences is None:
             # lazy: the analysis package import chain reaches back here.
-            from ..analysis.cardinality import iter_scoped, module_environments
+            from ..analysis.cardinality import iter_scoped, module_units
             from ..analysis.types import TypeAnalyzer, occurrence_indicator
 
             targets = set()
@@ -119,11 +119,8 @@ class AlgebraProgram:
                             targets.add(id(sub))
                 stack.extend(child for child in plan.children() if child is not None)
             analyzer = TypeAnalyzer(self.module)
-            body_env, function_envs = module_environments(self.module, analyzer)
             occurrences: Dict[int, str] = {}
-            units = [(f.body, function_envs[id(f)]) for f in self.module.functions]
-            units.append((self.module.body, body_env))
-            for root, env in units:
+            for _owner, root, env in module_units(self.module, analyzer):
                 for expr, scope in iter_scoped(root, env, analyzer):
                     if id(expr) in targets and id(expr) not in occurrences:
                         occurrences[id(expr)] = occurrence_indicator(

@@ -7,10 +7,12 @@ unchecked error values, positional-predicate surprises, attribute folding),
 plus ordinary hygiene (dead code, shadowing, name/arity resolution).
 
 Layers: :mod:`.diagnostics` (the finding model), :mod:`.cardinality`
-(occurrence inference — the empty/one/many lattice), :mod:`.schema`
-(document schemas from the AWB export conventions), :mod:`.types`
-(whole-program item-type + occurrence inference, the typed mode the
-paper skipped), :mod:`.rules` (XQL001–XQL012 and the registry),
+(the empty/one/many occurrence lattice and the one scope rule,
+``scopes``, that every pass and rule reads binder scopes from),
+:mod:`.schema` (document schemas from the AWB export conventions),
+:mod:`.types` (``TypeAnalyzer``, the one analyzer: occurrence, attribute
+and item-type inference, the typed mode the paper skipped, and the
+whole-module pass), :mod:`.rules` (XQL001–XQL012 and the registry),
 :mod:`.driver` (entry points), and :mod:`.corpus` (linting the repo's
 own .xq sources against a baseline).
 """
@@ -23,7 +25,6 @@ from .cardinality import (
     STAR,
     Binding,
     Card,
-    CardinalityAnalyzer,
 )
 from .schema import (
     AttributeSchema,
@@ -67,7 +68,6 @@ __all__ = [
     "BASELINE_PATH",
     "Binding",
     "Card",
-    "CardinalityAnalyzer",
     "CorpusUnit",
     "Diagnostic",
     "DocumentSchema",

@@ -1,9 +1,9 @@
-"""Occurrence (cardinality) inference over the XQuery AST.
+"""Occurrence (cardinality) intervals and the analyzer's one scope rule.
 
 The paper's E1 table shows why this matters: ``($x, $y, $z)[2]`` answers
 "what is item 2?" differently depending on how each part flattens, and
 Galax reported the resulting surprises as ``Index out of bounds, without
-any information of where``.  This pass infers, for every expression, a
+any information of where``.  The analyzer infers, for every expression, a
 conservative interval of how many items it can produce — the
 empty / exactly-one / zero-or-more lattice the rules build on.
 
@@ -12,15 +12,14 @@ The familiar lattice points are the constants ``EMPTY`` (0,0), ``ONE``
 (1,1), ``OPT`` (0,1), ``STAR`` (0,∞), and ``PLUS`` (1,∞); exact finite
 lengths such as (3,3) fall out of concatenation for free.
 
-Alongside pure cardinality, the pass tracks whether an expression may
-construct *attribute nodes* — the ingredient of the paper's E2 folding
-surprises (an attribute node in element content silently becomes an
-attribute of the parent, or a runtime error when it arrives too late).
+:func:`scopes` is the one place the lexical scope of XQuery's binders is
+coded: every inference, the scoped walk (:func:`iter_scoped`) and the
+shadowing rule read the environment a child expression runs in from it.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Dict, Iterator, Optional, Tuple
 
 from .. import ast
@@ -66,6 +65,15 @@ def concat(a: Card, b: Card) -> Card:
     return Card(lo, None if hi > _HI_CAP else hi)
 
 
+def multiply(a: Card, b: Card) -> Card:
+    """Cardinality of *b* items produced once per each of *a* tuples."""
+    lo = min(a.lo * b.lo, _HI_CAP)
+    if a.hi is None or b.hi is None:
+        return Card(lo, None)
+    hi = a.hi * b.hi
+    return Card(lo, None if hi > _HI_CAP else hi)
+
+
 def join(a: Card, b: Card) -> Card:
     """Least upper bound: either branch may be taken."""
     if a.hi is None or b.hi is None:
@@ -96,311 +104,37 @@ class Binding:
     card: Card = STAR
     may_be_attribute: bool = False
     attribute_name: Optional[str] = None  # when provably one named attribute
-    #: abstract item type (``analysis.types.AbstractItem``) when the typed
-    #: analyzer produced this binding; plain occurrence passes leave it None.
+    #: abstract item type (``analysis.types.AbstractItem``); None = any item.
     item: Optional[object] = None
-
-    def with_item(self, item) -> "Binding":
-        return replace(self, item=item)
 
 
 Env = Dict[str, Binding]
 
-#: builtins that return exactly one item regardless of input.
-_ALWAYS_ONE = {
-    "true", "false", "not", "boolean", "count", "empty", "exists",
-    "position", "last", "deep-equal", "string", "string-length", "concat",
-    "string-join", "normalize-space", "upper-case", "lower-case",
-    "translate", "contains", "starts-with", "ends-with", "matches",
-    "replace", "codepoints-to-string", "number", "sum", "name",
-    "local-name", "exactly-one", "doc", "doc-available", "substring",
-    "substring-before", "substring-after",
-}
 
-#: builtins that return at most one item.
-_AT_MOST_ONE = {
-    "abs", "floor", "ceiling", "round", "avg", "min", "max", "node-name",
-    "root", "zero-or-one",
-}
+@dataclass(frozen=True)
+class Binder:
+    """One variable binding site, as :func:`scopes` reports it."""
+
+    kind: str  # for, let, some, every, case, default or catch
+    name: str
+    line: int
+    column: int
 
 
-class CardinalityAnalyzer:
-    """Infers occurrence intervals bottom-up, given an environment."""
-
-    def __init__(self, module: ast.Module):
-        self.module = module
-        self.functions: Dict[Tuple[str, int], ast.FunctionDecl] = {}
-        for declaration in module.functions:
-            local = declaration.name.split(":")[-1]
-            self.functions[(local, declaration.arity)] = declaration
-
-    # -- cardinality -------------------------------------------------------
-
-    def card(self, expr, env: Env) -> Card:
-        if expr is None:
+def range_card(expr: ast.RangeExpr) -> Card:
+    """Exact when both ends of ``m to n`` are integer literals."""
+    start, end = expr.start, expr.end
+    if (
+        isinstance(start, ast.Literal)
+        and isinstance(end, ast.Literal)
+        and isinstance(start.value, int)
+        and isinstance(end.value, int)
+    ):
+        n = end.value - start.value + 1
+        if n <= 0:
             return EMPTY
-        if isinstance(expr, (ast.Literal, ast.ContextItem)):
-            return ONE
-        if isinstance(expr, ast.EmptySequence):
-            return EMPTY
-        if isinstance(expr, ast.VarRef):
-            binding = env.get(expr.name)
-            return binding.card if binding is not None else STAR
-        if isinstance(expr, ast.SequenceExpr):
-            total = EMPTY
-            for item in expr.items:
-                total = concat(total, self.card(item, env))
-            return total
-        if isinstance(expr, ast.RangeExpr):
-            return self._range_card(expr)
-        if isinstance(expr, (ast.Arithmetic, ast.Unary)):
-            return self._empty_propagating(expr, env)
-        if isinstance(expr, ast.Comparison):
-            if expr.style == "general":
-                return ONE
-            return self._empty_propagating(expr, env)
-        if isinstance(expr, (ast.BooleanOp, ast.Quantified, ast.InstanceOf,
-                             ast.CastableAs)):
-            return ONE
-        if isinstance(expr, ast.CastAs):
-            return OPT if expr.allow_empty else ONE
-        if isinstance(expr, ast.TreatAs):
-            return from_sequence_type(expr.sequence_type)
-        if isinstance(expr, ast.SetOp):
-            return STAR
-        if isinstance(expr, ast.AxisStep):
-            return STAR
-        if isinstance(expr, ast.FilterExpr):
-            return self._filter_card(expr, env)
-        if isinstance(expr, ast.PathExpr):
-            if expr.anchor is None and not expr.steps and expr.first is not None:
-                return self.card(expr.first, env)
-            return STAR
-        if isinstance(expr, ast.IfExpr):
-            return join(
-                self.card(expr.then_branch, env),
-                self.card(expr.else_branch, env) if expr.else_branch else EMPTY,
-            )
-        if isinstance(expr, ast.Typeswitch):
-            result = None
-            for case in expr.cases:
-                card = self.card(case.result, env)
-                result = card if result is None else join(result, card)
-            default = self.card(expr.default, env)
-            return default if result is None else join(result, default)
-        if isinstance(expr, ast.TryCatch):
-            return join(self.card(expr.body, env), self.card(expr.handler, env))
-        if isinstance(expr, ast.FLWOR):
-            return self._flwor_card(expr, env)
-        if isinstance(expr, ast.FunctionCall):
-            return self._call_card(expr, env)
-        if isinstance(expr, ast.ComputedText):
-            # ``text { () }`` is the one constructor that maps empty content
-            # to the empty sequence, not an empty node (fuzz-found).
-            if expr.content is None:
-                return EMPTY
-            content = self.card(expr.content, env)
-            return ONE if content.lo >= 1 else OPT
-        if isinstance(expr, (ast.DirectElement, ast.DirectComment, ast.DirectPI,
-                             ast.ComputedElement, ast.ComputedAttribute,
-                             ast.ComputedComment, ast.ComputedDocument)):
-            return ONE
-        return STAR
-
-    def _range_card(self, expr: ast.RangeExpr) -> Card:
-        start, end = expr.start, expr.end
-        if (
-            isinstance(start, ast.Literal)
-            and isinstance(end, ast.Literal)
-            and isinstance(start.value, int)
-            and isinstance(end.value, int)
-        ):
-            n = end.value - start.value + 1
-            if n <= 0:
-                return EMPTY
-            return Card(min(n, _HI_CAP), None if n > _HI_CAP else n)
-        return STAR
-
-    def _empty_propagating(self, expr, env: Env) -> Card:
-        """Ops that yield one item unless an operand is the empty sequence."""
-        operands = (
-            [expr.operand]
-            if isinstance(expr, ast.Unary)
-            else [expr.left, expr.right]
-        )
-        lo = 1
-        for operand in operands:
-            if self.card(operand, env).can_be_empty:
-                lo = 0
-        return Card(lo, 1)
-
-    def _filter_card(self, expr: ast.FilterExpr, env: Env) -> Card:
-        base = self.card(expr.base, env)
-        for predicate in expr.predicates:
-            if positional_index(predicate) is not None:
-                base = Card(0, 0 if base.hi == 0 else 1)
-            else:
-                base = Card(0, base.hi)
-        return base
-
-    def _flwor_card(self, expr: ast.FLWOR, env: Env) -> Card:
-        inner = dict(env)
-        repetitions = ONE
-        filtered = False
-        for clause in expr.clauses:
-            if isinstance(clause, ast.ForClause):
-                source = self.card(clause.source, inner)
-                repetitions = _multiply(repetitions, source)
-                inner[clause.var] = Binding(card=ONE)
-                if clause.position_var:
-                    inner[clause.position_var] = Binding(card=ONE)
-            elif isinstance(clause, ast.LetClause):
-                inner[clause.var] = self.binding_of(clause.value, inner)
-            elif isinstance(clause, ast.WhereClause):
-                filtered = True
-        result = self.card(expr.result, inner)
-        total = _multiply(repetitions, result)
-        if filtered:
-            total = Card(0, total.hi)
-        return total
-
-    def _call_card(self, expr: ast.FunctionCall, env: Env) -> Card:
-        """Mirrors ``_eval_function_call``'s resolution order exactly.
-
-        Two soundness lessons the fuzz oracle taught this function: a
-        declared user function shadows a same-named builtin at *any* call
-        spelling (the runtime keys ``ctx.functions`` by local name), so
-        the builtin result tables only apply when no declaration matches;
-        and ``xs:`` constructors map empty to empty, so their result is
-        optional unless the argument is provably non-empty.
-        """
-        name = expr.name
-        if name.startswith("fn:"):
-            name = name[3:]
-        if name.startswith("xs:"):
-            if len(expr.args) == 1:
-                argument = self.card(expr.args[0], env)
-                return ONE if argument.lo >= 1 else OPT
-            return ONE  # arity error at runtime; card is for success paths
-        local = name.split(":", 1)[1] if name.startswith("local:") else name
-        if local == "trace" and expr.args and (local, len(expr.args)) not in self.functions:
-            # fn:trace returns its last argument verbatim.
-            return self.card(expr.args[-1], env)
-        declaration = self.functions.get((local, len(expr.args)))
-        if declaration is not None:
-            if declaration.return_type is not None:
-                return from_sequence_type(declaration.return_type)
-            return STAR
-        if local in _ALWAYS_ONE:
-            return ONE
-        if local in _AT_MOST_ONE:
-            return OPT
-        if local == "one-or-more":
-            return PLUS
-        return STAR
-
-    # -- attribute-node inference (for the E2 rules) -----------------------
-
-    def may_construct_attribute(self, expr, env: Env) -> bool:
-        """True if *expr* can evaluate to one or more attribute nodes.
-
-        Deliberately narrow — only shapes the analyzer can prove, so the
-        E2 rule never cries wolf on ordinary element content.
-        """
-        if isinstance(expr, ast.ComputedAttribute):
-            return True
-        if isinstance(expr, ast.VarRef):
-            binding = env.get(expr.name)
-            return binding is not None and binding.may_be_attribute
-        if isinstance(expr, ast.SequenceExpr):
-            return any(self.may_construct_attribute(item, env) for item in expr.items)
-        if isinstance(expr, ast.IfExpr):
-            return self.may_construct_attribute(
-                expr.then_branch, env
-            ) or self.may_construct_attribute(expr.else_branch, env)
-        if isinstance(expr, ast.FLWOR):
-            inner = dict(env)
-            for clause in expr.clauses:
-                if isinstance(clause, ast.LetClause):
-                    inner[clause.var] = self.binding_of(clause.value, inner)
-                elif isinstance(clause, ast.ForClause):
-                    inner[clause.var] = Binding(
-                        card=ONE,
-                        may_be_attribute=self.may_construct_attribute(
-                            clause.source, inner
-                        ),
-                    )
-            return self.may_construct_attribute(expr.result, inner)
-        if isinstance(expr, ast.PathExpr):
-            return self._path_ends_in_attribute(expr)
-        return False
-
-    @staticmethod
-    def _path_ends_in_attribute(expr: ast.PathExpr) -> bool:
-        last = expr.steps[-1][1] if expr.steps else expr.first
-        return isinstance(last, ast.AxisStep) and last.axis == "attribute"
-
-    def static_attribute_name(self, expr, env: Env) -> Optional[str]:
-        """The attribute's name, when *expr* is provably one named attribute."""
-        if isinstance(expr, ast.ComputedAttribute) and expr.name is not None:
-            return expr.name
-        if isinstance(expr, ast.VarRef):
-            binding = env.get(expr.name)
-            return binding.attribute_name if binding is not None else None
-        return None
-
-    def binding_of(self, expr, env: Env) -> Binding:
-        """The :class:`Binding` a ``let``-style binding of *expr* produces."""
-        return Binding(
-            card=self.card(expr, env),
-            may_be_attribute=self.may_construct_attribute(expr, env),
-            attribute_name=self.static_attribute_name(expr, env),
-        )
-
-    # -- binding hooks -----------------------------------------------------
-    # One method per binder shape.  ``iter_scoped`` and
-    # ``module_environments`` call these instead of constructing Bindings
-    # inline, so the typed analyzer can enrich every environment with item
-    # types by overriding here — no second traversal.
-
-    def for_binding(self, source, env: Env) -> Binding:
-        """Binding of a ``for $x in source`` variable."""
-        return Binding(
-            card=ONE,
-            may_be_attribute=self.may_construct_attribute(source, env),
-        )
-
-    def quantifier_binding(self, source, env: Env) -> Binding:
-        """Binding of a ``some/every $x in source`` variable."""
-        return Binding(card=ONE)
-
-    def position_binding(self) -> Binding:
-        """Binding of an ``at $pos`` positional variable."""
-        return Binding(card=ONE)
-
-    def case_binding(self, sequence_type) -> Binding:
-        """Binding of a typeswitch ``case $x as T`` variable."""
-        return Binding(card=from_sequence_type(sequence_type))
-
-    def default_case_binding(self, operand, env: Env) -> Binding:
-        """Binding of a typeswitch ``default $x`` variable."""
-        return Binding(card=STAR)
-
-    def catch_binding(self) -> Binding:
-        """Binding of a ``try/catch $err`` variable (the ``<error>`` element)."""
-        return Binding(card=ONE)
-
-    def param_binding(self, param: ast.Param) -> Binding:
-        """Binding of a function parameter, from its declared type."""
-        return Binding(card=from_sequence_type(param.declared_type))
-
-    def global_binding(self, declaration: ast.VariableDecl, env: Env) -> Binding:
-        """Binding of a global ``declare variable``."""
-        if declaration.declared_type is not None:
-            return Binding(card=from_sequence_type(declaration.declared_type))
-        if declaration.value is not None:
-            return self.binding_of(declaration.value, env)
-        return Binding(card=STAR)
+        return Card(min(n, _HI_CAP), None if n > _HI_CAP else n)
+    return STAR
 
 
 def positional_index(predicate) -> Optional[int]:
@@ -421,88 +155,92 @@ def positional_index(predicate) -> Optional[int]:
     return None
 
 
-def _multiply(a: Card, b: Card) -> Card:
-    lo = min(a.lo * b.lo, _HI_CAP)
-    if a.hi is None or b.hi is None:
-        return Card(lo, None)
-    hi = a.hi * b.hi
-    return Card(lo, None if hi > _HI_CAP else hi)
+# -- the scope rule -------------------------------------------------------------
 
 
-# -- scoped traversal ---------------------------------------------------------
+def _bind(env: Env, name: str, binding: Binding) -> Env:
+    inner = dict(env)
+    inner[name] = binding
+    return inner
 
 
-def iter_scoped(root, env: Env, analyzer: CardinalityAnalyzer) -> Iterator[Tuple[object, Env]]:
-    """Yield ``(expr, env)`` for every expression under *root*, with the
-    environment that is in scope at that expression.
+def scopes(expr, env: Env, analyzer) -> Iterator[Tuple[object, Env]]:
+    """Yield ``(child, env)`` for each child of *expr*, in evaluation order,
+    with the environment the child runs in.
 
-    The environment maps variable names to :class:`Binding`; ``let``
-    bindings carry inferred cardinality and attribute-ness, ``for`` and
-    quantifier bindings are exactly-one items.
+    Each variable *expr* binds comes just before the children that see it,
+    as ``(Binder, env)`` with the environment it is bound in; the
+    analyzer's binding hooks give its :class:`Binding`.  The binders are
+    for/at/let clauses, some/every, typeswitch case and default variables
+    and the catch variable.
     """
+    if isinstance(expr, ast.FLWOR):
+        for clause in expr.clauses:
+            if isinstance(clause, ast.ForClause):
+                yield clause.source, env
+                yield Binder("for", clause.var, clause.line, clause.column), env
+                env = _bind(env, clause.var, analyzer.for_binding(clause.source, env))
+                if clause.position_var:
+                    yield Binder("for", clause.position_var, clause.line, clause.column), env
+                    env = _bind(env, clause.position_var, analyzer.position_binding())
+            elif isinstance(clause, ast.LetClause):
+                yield clause.value, env
+                yield Binder("let", clause.var, clause.line, clause.column), env
+                env = _bind(env, clause.var, analyzer.binding_of(clause.value, env))
+            elif isinstance(clause, ast.WhereClause):
+                yield clause.condition, env
+            elif isinstance(clause, ast.OrderByClause):
+                for spec in clause.specs:
+                    yield spec.key, env
+        yield expr.result, env
+    elif isinstance(expr, ast.Quantified):
+        for var, source in expr.bindings:
+            yield source, env
+            yield Binder(expr.quantifier, var, source.line, source.column), env
+            env = _bind(env, var, analyzer.quantifier_binding(source, env))
+        yield expr.satisfies, env
+    elif isinstance(expr, ast.Typeswitch):
+        yield expr.operand, env
+        for case in expr.cases:
+            inner = env
+            if case.var:
+                yield Binder("case", case.var, expr.line, expr.column), env
+                inner = _bind(env, case.var, analyzer.case_binding(case.sequence_type))
+            yield case.result, inner
+        inner = env
+        if expr.default_var:
+            yield Binder("default", expr.default_var, expr.line, expr.column), env
+            inner = _bind(
+                env, expr.default_var, analyzer.default_case_binding(expr.operand, env)
+            )
+        yield expr.default, inner
+    elif isinstance(expr, ast.TryCatch):
+        yield expr.body, env
+        inner = env
+        if expr.catch_var:
+            yield Binder("catch", expr.catch_var, expr.line, expr.column), env
+            inner = _bind(env, expr.catch_var, analyzer.catch_binding())
+        yield expr.handler, inner
+    else:
+        for child in ast.children_of(expr):
+            yield child, env
+
+
+def iter_scoped(root, env: Env, analyzer) -> Iterator[Tuple[object, Env]]:
+    """Yield ``(expr, env)`` for every expression under *root*, with the
+    environment that is in scope at that expression (see :func:`scopes`)."""
     if root is None:
         return
     yield root, env
-    if isinstance(root, ast.FLWOR):
-        inner = dict(env)
-        for clause in root.clauses:
-            if isinstance(clause, ast.ForClause):
-                yield from iter_scoped(clause.source, inner, analyzer)
-                inner = dict(inner)
-                inner[clause.var] = analyzer.for_binding(clause.source, inner)
-                if clause.position_var:
-                    inner[clause.position_var] = analyzer.position_binding()
-            elif isinstance(clause, ast.LetClause):
-                yield from iter_scoped(clause.value, inner, analyzer)
-                inner = dict(inner)
-                inner[clause.var] = analyzer.binding_of(clause.value, inner)
-            elif isinstance(clause, ast.WhereClause):
-                yield from iter_scoped(clause.condition, inner, analyzer)
-            elif isinstance(clause, ast.OrderByClause):
-                for spec in clause.specs:
-                    yield from iter_scoped(spec.key, inner, analyzer)
-        yield from iter_scoped(root.result, inner, analyzer)
-        return
-    if isinstance(root, ast.Quantified):
-        inner = dict(env)
-        for var, source in root.bindings:
-            yield from iter_scoped(source, inner, analyzer)
-            inner = dict(inner)
-            inner[var] = analyzer.quantifier_binding(source, inner)
-        yield from iter_scoped(root.satisfies, inner, analyzer)
-        return
-    if isinstance(root, ast.Typeswitch):
-        yield from iter_scoped(root.operand, env, analyzer)
-        for case in root.cases:
-            inner = env
-            if case.var:
-                inner = dict(env)
-                inner[case.var] = analyzer.case_binding(case.sequence_type)
-            yield from iter_scoped(case.result, inner, analyzer)
-        inner = env
-        if root.default_var:
-            inner = dict(env)
-            inner[root.default_var] = analyzer.default_case_binding(
-                root.operand, env
-            )
-        yield from iter_scoped(root.default, inner, analyzer)
-        return
-    if isinstance(root, ast.TryCatch):
-        yield from iter_scoped(root.body, env, analyzer)
-        inner = env
-        if root.catch_var:
-            inner = dict(env)
-            inner[root.catch_var] = analyzer.catch_binding()
-        yield from iter_scoped(root.handler, inner, analyzer)
-        return
-    for child in ast.children_of(root):
-        yield from iter_scoped(child, env, analyzer)
+    for child, scope in scopes(root, env, analyzer):
+        if not isinstance(child, Binder):
+            yield from iter_scoped(child, scope, analyzer)
 
 
-def module_environments(module: ast.Module, analyzer: CardinalityAnalyzer):
+def module_environments(module: ast.Module, analyzer):
     """Initial environments: one for the module body (globals), and one
     per function (globals + parameters).  Returned as
-    ``(body_env, {function_decl: env})``."""
+    ``(body_env, {id(function_decl): env})``."""
     globals_env: Env = {}
     for declaration in module.variables:
         globals_env[declaration.name] = analyzer.global_binding(
@@ -515,3 +253,23 @@ def module_environments(module: ast.Module, analyzer: CardinalityAnalyzer):
             env[param.name] = analyzer.param_binding(param)
         function_envs[id(function)] = env
     return globals_env, function_envs
+
+
+def module_units(module: ast.Module, analyzer) -> Iterator[Tuple[str, object, Env]]:
+    """Yield ``(owner, root, env)`` per function body, global initializer
+    and module body, in that order.
+
+    A function body sees every global and its parameters, and the module
+    body every global.  A global initializer sees only the globals
+    declared before it, as ``CompiledQuery._bind_globals`` binds them.
+    """
+    body_env, function_envs = module_environments(module, analyzer)
+    for function in module.functions:
+        yield function.name, function.body, function_envs[id(function)]
+    earlier: Env = {}
+    for declaration in module.variables:
+        if declaration.value is not None:
+            yield f"${declaration.name}", declaration.value, dict(earlier)
+        earlier[declaration.name] = body_env[declaration.name]
+    if module.body is not None:
+        yield "<body>", module.body, body_env

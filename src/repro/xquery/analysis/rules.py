@@ -39,12 +39,7 @@ from typing import Callable, Dict, Iterable, Iterator, List, Optional, Set, Tupl
 from .. import ast
 from ..optimizer import clause_variables, contains_trace, free_variables, has_side_effects
 from ...xdm import ItemType
-from .cardinality import (
-    Env,
-    iter_scoped,
-    module_environments,
-    positional_index,
-)
+from .cardinality import Binder, Env, positional_index, scopes
 from .diagnostics import Diagnostic
 from .schema import awb_export_schema
 from .types import ModuleTypeAnalysis, TypeAnalyzer
@@ -77,10 +72,11 @@ def rule(code: str, slug: str, summary: str, paper: str):
 class ModuleAnalysis:
     """Shared per-module facts the rules draw on.
 
-    Built once per :func:`analyze_module` call: cardinality analyzer,
-    initial environments, the fallible-function fixpoint, and the
-    checker-function set.  ``has_body`` is False for library modules
-    (prolog only, body synthesized) — some rules relax there.
+    Built once per :func:`analyze_module` call: the analyzer, the typed
+    pass whose scoped walk every rule reads, the fallible-function
+    fixpoint, and the checker-function set.  ``has_body`` is False for
+    library modules (prolog only, body synthesized) — some rules relax
+    there.
     """
 
     def __init__(self, module: ast.Module, config=None, has_body: Optional[bool] = None):
@@ -91,7 +87,6 @@ class ModuleAnalysis:
         if getattr(config, "lint_schema", "awb") != "off":
             schema = awb_export_schema()
         self.analyzer = TypeAnalyzer(module, schema=schema)
-        self.body_env, self._function_envs = module_environments(module, self.analyzer)
         self._fallible: Optional[Set[str]] = None
         self._constructors: Optional[Set[str]] = None
         self._checkers: Optional[Set[str]] = None
@@ -106,21 +101,14 @@ class ModuleAnalysis:
 
     # -- traversal helpers --------------------------------------------------
 
-    def units(self) -> Iterator[Tuple[str, object, Env]]:
-        """Yield ``(owner, root_expr, initial_env)`` per function and body."""
-        for function in self.module.functions:
-            yield function.name, function.body, self._function_envs[id(function)]
-        for declaration in self.module.variables:
-            if declaration.value is not None:
-                yield f"${declaration.name}", declaration.value, self.body_env
-        if self.module.body is not None:
-            yield "<body>", self.module.body, self.body_env
+    def units(self) -> List[Tuple[str, object, Env]]:
+        """``(owner, root_expr, initial_env)`` per function, global
+        initializer and body (see :func:`~.cardinality.module_units`)."""
+        return self.types.units
 
-    def scoped(self) -> Iterator[Tuple[str, object, Env]]:
-        """Yield ``(owner, expr, env)`` for every expression in the module."""
-        for owner, root, env in self.units():
-            for expr, scope in iter_scoped(root, env, self.analyzer):
-                yield owner, expr, scope
+    def scoped(self) -> List[Tuple[str, object, Env]]:
+        """``(owner, expr, env)`` for every expression in the module."""
+        return self.types.scoped
 
     # -- the error-as-value convention (XQL002 machinery) -------------------
 
@@ -745,72 +733,6 @@ def _const_bool(expr) -> Optional[bool]:
 )
 def check_shadowing(analysis: ModuleAnalysis) -> Iterator[Diagnostic]:
     global_names = {declaration.name for declaration in analysis.module.variables}
-
-    def walk(owner: str, expr, scope: Set[str]) -> Iterator[Diagnostic]:
-        if expr is None or not isinstance(expr, ast.Expr):
-            return
-        if isinstance(expr, ast.FLWOR):
-            inner = set(scope)
-            for clause in expr.clauses:
-                if isinstance(clause, ast.ForClause):
-                    yield from walk(owner, clause.source, inner)
-                    for name, line, column in (
-                        (clause.var, clause.line, clause.column),
-                        (clause.position_var, clause.line, clause.column),
-                    ):
-                        if name and name in inner:
-                            yield _shadow(owner, "for", name, line, column)
-                        if name:
-                            inner.add(name)
-                elif isinstance(clause, ast.LetClause):
-                    yield from walk(owner, clause.value, inner)
-                    if clause.var in inner:
-                        yield _shadow(owner, "let", clause.var, clause.line, clause.column)
-                    inner.add(clause.var)
-                elif isinstance(clause, ast.WhereClause):
-                    yield from walk(owner, clause.condition, inner)
-                elif isinstance(clause, ast.OrderByClause):
-                    for spec in clause.specs:
-                        yield from walk(owner, spec.key, inner)
-            yield from walk(owner, expr.result, inner)
-            return
-        if isinstance(expr, ast.Quantified):
-            inner = set(scope)
-            for name, source in expr.bindings:
-                yield from walk(owner, source, inner)
-                if name in inner:
-                    yield _shadow(owner, expr.quantifier, name, source.line, source.column)
-                inner.add(name)
-            yield from walk(owner, expr.satisfies, inner)
-            return
-        if isinstance(expr, ast.Typeswitch):
-            yield from walk(owner, expr.operand, scope)
-            for case in expr.cases:
-                inner = set(scope)
-                if case.var:
-                    if case.var in inner:
-                        yield _shadow(owner, "case", case.var, expr.line, expr.column)
-                    inner.add(case.var)
-                yield from walk(owner, case.result, inner)
-            inner = set(scope)
-            if expr.default_var:
-                if expr.default_var in inner:
-                    yield _shadow(owner, "default", expr.default_var, expr.line, expr.column)
-                inner.add(expr.default_var)
-            yield from walk(owner, expr.default, inner)
-            return
-        if isinstance(expr, ast.TryCatch):
-            yield from walk(owner, expr.body, scope)
-            inner = set(scope)
-            if expr.catch_var:
-                if expr.catch_var in inner:
-                    yield _shadow(owner, "catch", expr.catch_var, expr.line, expr.column)
-                inner.add(expr.catch_var)
-            yield from walk(owner, expr.handler, inner)
-            return
-        for child in ast.children_of(expr):
-            yield from walk(owner, child, scope)
-
     for function in analysis.module.functions:
         scope = set(global_names)
         for param in function.params:
@@ -827,9 +749,10 @@ def check_shadowing(analysis: ModuleAnalysis) -> Iterator[Diagnostic]:
                     rule="shadowed-variable",
                 )
             scope.add(param.name)
-        yield from walk(function.name, function.body, scope)
-    if analysis.module.body is not None:
-        yield from walk("<body>", analysis.module.body, set(global_names))
+    for owner, expr, env in analysis.scoped():
+        for site, scope in scopes(expr, env, analysis.analyzer):
+            if isinstance(site, Binder) and site.name in scope:
+                yield _shadow(owner, site.kind, site.name, site.line, site.column)
 
 
 def _shadow(owner: str, kind: str, name: str, line: int, column: int) -> Diagnostic:

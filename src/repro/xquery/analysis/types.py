@@ -10,6 +10,12 @@ rendered as ``empty | 1 | ? | + | *``), optionally evaluated against a
 :class:`~.schema.DocumentSchema` describing what the queried document can
 contain.
 
+One class, :class:`TypeAnalyzer`, infers every fact a variable binding
+carries: the occurrence, the item type, and whether the expression may
+construct *attribute nodes* — the ingredient of the paper's E2 folding
+surprises (an attribute node in element content silently becomes an
+attribute of the parent, or a runtime error when it arrives too late).
+
 Three consumers:
 
 * the lint rules — XQL007/XQL008 (name resolution, re-homed from the old
@@ -36,19 +42,28 @@ from typing import Dict, List, Optional, Set, Tuple
 
 from .. import ast
 from ..functions import lookup_builtin
-from ...xdm import UntypedAtomic, atomic_type_name, is_atomic, is_node
+from ...xdm import atomic_type_name, is_atomic, is_node
 from ...xdm.types import ATOMIC_HIERARCHY, ItemType, atomic_type_derives_from
 from .cardinality import (
+    Binder,
+    Binding,
     Card,
-    CardinalityAnalyzer,
     EMPTY,
     Env,
     ONE,
+    OPT,
+    PLUS,
     STAR,
+    concat,
     from_sequence_type,
+    iter_scoped,
     join as card_join,
     module_environments,
+    module_units,
+    multiply,
     positional_index,
+    range_card,
+    scopes,
 )
 from .schema import DocumentSchema
 
@@ -293,6 +308,23 @@ class TypeFinding:
 
 # -- builtin result types -----------------------------------------------------
 
+#: builtins that return exactly one item regardless of input.
+_ALWAYS_ONE = {
+    "true", "false", "not", "boolean", "count", "empty", "exists",
+    "position", "last", "deep-equal", "string", "string-length", "concat",
+    "string-join", "normalize-space", "upper-case", "lower-case",
+    "translate", "contains", "starts-with", "ends-with", "matches",
+    "replace", "codepoints-to-string", "number", "sum", "name",
+    "local-name", "exactly-one", "doc", "doc-available", "substring",
+    "substring-before", "substring-after",
+}
+
+#: builtins that return at most one item.
+_AT_MOST_ONE = {
+    "abs", "floor", "ceiling", "round", "avg", "min", "max", "node-name",
+    "root", "zero-or-one",
+}
+
 _CALL_BOOLEAN = {
     "true", "false", "not", "boolean", "empty", "exists", "deep-equal",
     "contains", "starts-with", "ends-with", "matches", "doc-available",
@@ -311,25 +343,224 @@ _CALL_PASSTHROUGH = {"trace", "exactly-one", "zero-or-one", "one-or-more",
                      "reverse", "subsequence", "insert-before", "remove"}
 
 
-class TypeAnalyzer(CardinalityAnalyzer):
-    """Occurrence *and* item-type inference, optionally schema-aware.
+class TypeAnalyzer:
+    """The static analyzer: occurrence, attribute and item-type inference.
 
-    Extends the occurrence analyzer with :meth:`item` /:meth:`infer`; the
-    binding hooks are overridden so environments threaded through
-    ``iter_scoped``/``module_environments`` carry item types too.  The
-    ``schema``, when present, only ever produces findings (via
-    ``_path_info``'s sink) — see the module docstring for why.
+    Infers bottom-up, given an environment, how many items an expression
+    can produce (:meth:`card`), whether it can construct attribute nodes
+    (:meth:`may_construct_attribute`) and its item type (:meth:`item`).
+    Every binder's scope comes from :func:`~.cardinality.scopes`, which
+    builds each :class:`Binding` through the hooks below.  The ``schema``,
+    when present, only ever produces findings (via ``_path_info``'s sink)
+    — see the module docstring for why.
     """
 
     def __init__(self, module: ast.Module, schema: Optional[DocumentSchema] = None):
-        super().__init__(module)
+        self.module = module
         self.schema = schema
+        self.functions: Dict[Tuple[str, int], ast.FunctionDecl] = {}
+        for declaration in module.functions:
+            local = declaration.name.split(":")[-1]
+            self.functions[(local, declaration.arity)] = declaration
 
     def infer(self, expr, env: Env) -> Inferred:
         if isinstance(expr, ast.PathExpr):
             item, card = self._path_info(expr, env, None)
             return Inferred(item, card)
         return Inferred(self.item(expr, env), self.card(expr, env))
+
+    def _returns(self, expr, env: Env):
+        """``(branch, env)`` for each child whose value *expr* returns: a
+        FLWOR's result, every typeswitch branch, a try body and its handler."""
+        for child, scope in scopes(expr, env, self):
+            if isinstance(child, Binder):
+                continue
+            if isinstance(expr, ast.FLWOR) and child is not expr.result:
+                continue
+            if isinstance(expr, ast.Typeswitch) and child is expr.operand:
+                continue
+            yield child, scope
+
+    # -- cardinality -------------------------------------------------------
+
+    def card(self, expr, env: Env) -> Card:
+        if expr is None:
+            return EMPTY
+        if isinstance(expr, (ast.Literal, ast.ContextItem)):
+            return ONE
+        if isinstance(expr, ast.EmptySequence):
+            return EMPTY
+        if isinstance(expr, ast.VarRef):
+            binding = env.get(expr.name)
+            return binding.card if binding is not None else STAR
+        if isinstance(expr, ast.SequenceExpr):
+            total = EMPTY
+            for item in expr.items:
+                total = concat(total, self.card(item, env))
+            return total
+        if isinstance(expr, ast.RangeExpr):
+            return range_card(expr)
+        if isinstance(expr, (ast.Arithmetic, ast.Unary)):
+            return self._empty_propagating(expr, env)
+        if isinstance(expr, ast.Comparison):
+            if expr.style == "general":
+                return ONE
+            return self._empty_propagating(expr, env)
+        if isinstance(expr, (ast.BooleanOp, ast.Quantified, ast.InstanceOf,
+                             ast.CastableAs)):
+            return ONE
+        if isinstance(expr, ast.CastAs):
+            return OPT if expr.allow_empty else ONE
+        if isinstance(expr, ast.TreatAs):
+            return from_sequence_type(expr.sequence_type)
+        if isinstance(expr, ast.SetOp):
+            return STAR
+        if isinstance(expr, ast.AxisStep):
+            return STAR
+        if isinstance(expr, ast.FilterExpr):
+            return self._filter_card(expr, env)
+        if isinstance(expr, ast.PathExpr):
+            if expr.anchor is None and not expr.steps and expr.first is not None:
+                return self.card(expr.first, env)
+            return STAR
+        if isinstance(expr, ast.IfExpr):
+            return card_join(
+                self.card(expr.then_branch, env),
+                self.card(expr.else_branch, env) if expr.else_branch else EMPTY,
+            )
+        if isinstance(expr, (ast.Typeswitch, ast.TryCatch)):
+            result: Optional[Card] = None
+            for branch, scope in self._returns(expr, env):
+                card = self.card(branch, scope)
+                result = card if result is None else card_join(result, card)
+            return result
+        if isinstance(expr, ast.FLWOR):
+            return self._flwor_card(expr, env)
+        if isinstance(expr, ast.FunctionCall):
+            return self._call_card(expr, env)
+        if isinstance(expr, ast.ComputedText):
+            # ``text { () }`` is the one constructor that maps empty content
+            # to the empty sequence, not an empty node (fuzz-found).
+            if expr.content is None:
+                return EMPTY
+            content = self.card(expr.content, env)
+            return ONE if content.lo >= 1 else OPT
+        if isinstance(expr, (ast.DirectElement, ast.DirectComment, ast.DirectPI,
+                             ast.ComputedElement, ast.ComputedAttribute,
+                             ast.ComputedComment, ast.ComputedDocument)):
+            return ONE
+        return STAR
+
+    def _empty_propagating(self, expr, env: Env) -> Card:
+        """Ops that yield one item unless an operand is the empty sequence."""
+        operands = (
+            [expr.operand]
+            if isinstance(expr, ast.Unary)
+            else [expr.left, expr.right]
+        )
+        lo = 1
+        for operand in operands:
+            if self.card(operand, env).can_be_empty:
+                lo = 0
+        return Card(lo, 1)
+
+    def _filter_card(self, expr: ast.FilterExpr, env: Env) -> Card:
+        base = self.card(expr.base, env)
+        for predicate in expr.predicates:
+            if positional_index(predicate) is not None:
+                base = Card(0, 0 if base.hi == 0 else 1)
+            else:
+                base = Card(0, base.hi)
+        return base
+
+    def _flwor_card(self, expr: ast.FLWOR, env: Env) -> Card:
+        """Each for source multiplies the tuples, each tuple returns the
+        result once, and a where clause may drop any tuple."""
+        factors = {id(expr.result)} | {
+            id(clause.source)
+            for clause in expr.clauses
+            if isinstance(clause, ast.ForClause)
+        }
+        total = ONE
+        for child, scope in scopes(expr, env, self):
+            if id(child) in factors:
+                total = multiply(total, self.card(child, scope))
+        if any(isinstance(clause, ast.WhereClause) for clause in expr.clauses):
+            return Card(0, total.hi)
+        return total
+
+    def _call_card(self, expr: ast.FunctionCall, env: Env) -> Card:
+        """Mirrors ``_eval_function_call``'s resolution order exactly.
+
+        Two soundness lessons the fuzz oracle taught this function: a
+        declared user function shadows a same-named builtin at *any* call
+        spelling (the runtime keys ``ctx.functions`` by local name), so
+        the builtin result tables only apply when no declaration matches;
+        and ``xs:`` constructors map empty to empty, so their result is
+        optional unless the argument is provably non-empty.
+        """
+        name = expr.name
+        if name.startswith("fn:"):
+            name = name[3:]
+        if name.startswith("xs:"):
+            if len(expr.args) == 1:
+                argument = self.card(expr.args[0], env)
+                return ONE if argument.lo >= 1 else OPT
+            return ONE  # arity error at runtime; card is for success paths
+        local = name.split(":", 1)[1] if name.startswith("local:") else name
+        if local == "trace" and expr.args and (local, len(expr.args)) not in self.functions:
+            # fn:trace returns its last argument verbatim.
+            return self.card(expr.args[-1], env)
+        declaration = self.functions.get((local, len(expr.args)))
+        if declaration is not None:
+            if declaration.return_type is not None:
+                return from_sequence_type(declaration.return_type)
+            return STAR
+        if local in _ALWAYS_ONE:
+            return ONE
+        if local in _AT_MOST_ONE:
+            return OPT
+        if local == "one-or-more":
+            return PLUS
+        return STAR
+
+    # -- attribute-node inference (for the E2 rules) -----------------------
+
+    def may_construct_attribute(self, expr, env: Env) -> bool:
+        """True if *expr* can evaluate to one or more attribute nodes.
+
+        Deliberately narrow — only shapes the analyzer can prove, so the
+        E2 rule never cries wolf on ordinary element content.
+        """
+        if isinstance(expr, ast.ComputedAttribute):
+            return True
+        if isinstance(expr, ast.VarRef):
+            binding = env.get(expr.name)
+            return binding is not None and binding.may_be_attribute
+        if isinstance(expr, ast.SequenceExpr):
+            return any(self.may_construct_attribute(item, env) for item in expr.items)
+        if isinstance(expr, ast.IfExpr):
+            return self.may_construct_attribute(
+                expr.then_branch, env
+            ) or self.may_construct_attribute(expr.else_branch, env)
+        if isinstance(expr, ast.FLWOR):
+            return any(
+                self.may_construct_attribute(result, scope)
+                for result, scope in self._returns(expr, env)
+            )
+        if isinstance(expr, ast.PathExpr):
+            last = expr.steps[-1][1] if expr.steps else expr.first
+            return isinstance(last, ast.AxisStep) and last.axis == "attribute"
+        return False
+
+    def static_attribute_name(self, expr, env: Env) -> Optional[str]:
+        """The attribute's name, when *expr* is provably one named attribute."""
+        if isinstance(expr, ast.ComputedAttribute) and expr.name is not None:
+            return expr.name
+        if isinstance(expr, ast.VarRef):
+            binding = env.get(expr.name)
+            return binding.attribute_name if binding is not None else None
+        return None
 
     # -- item types --------------------------------------------------------
 
@@ -381,28 +612,12 @@ class TypeAnalyzer(CardinalityAnalyzer):
             if expr.else_branch is None:
                 return then_item
             return join_items(then_item, self.item(expr.else_branch, env))
-        if isinstance(expr, ast.Typeswitch):
-            result: Optional[AbstractItem] = None
-            for case in expr.cases:
-                case_item = self.item(case.result, self._case_env(env, case))
-                result = case_item if result is None else join_items(result, case_item)
-            default_env = env
-            if expr.default_var:
-                default_env = dict(env)
-                default_env[expr.default_var] = self.default_case_binding(
-                    expr.operand, env
-                )
-            default_item = self.item(expr.default, default_env)
-            return default_item if result is None else join_items(result, default_item)
-        if isinstance(expr, ast.TryCatch):
-            body_item = self.item(expr.body, env)
-            handler_env = env
-            if expr.catch_var:
-                handler_env = dict(env)
-                handler_env[expr.catch_var] = self.catch_binding()
-            return join_items(body_item, self.item(expr.handler, handler_env))
-        if isinstance(expr, ast.FLWOR):
-            return self.item(expr.result, self._flwor_env(expr, env))
+        if isinstance(expr, (ast.Typeswitch, ast.TryCatch, ast.FLWOR)):
+            result = None
+            for branch, scope in self._returns(expr, env):
+                branch_item = self.item(branch, scope)
+                result = branch_item if result is None else join_items(result, branch_item)
+            return result
         if isinstance(expr, ast.FunctionCall):
             return self._call_item(expr, env)
         if isinstance(expr, (ast.DirectElement, ast.ComputedElement)):
@@ -475,61 +690,67 @@ class TypeAnalyzer(CardinalityAnalyzer):
             return AbstractItem(kind="document")
         return ANY_ITEM
 
-    def _flwor_env(self, expr: ast.FLWOR, env: Env) -> Env:
-        inner = dict(env)
-        for clause in expr.clauses:
-            if isinstance(clause, ast.ForClause):
-                inner[clause.var] = self.for_binding(clause.source, inner)
-                if clause.position_var:
-                    inner[clause.position_var] = self.position_binding()
-            elif isinstance(clause, ast.LetClause):
-                inner[clause.var] = self.binding_of(clause.value, inner)
-        return inner
+    # -- binding hooks: one per binder shape, called by ``scopes`` ---------
 
-    def _case_env(self, env: Env, case: ast.CaseClause) -> Env:
-        if not case.var:
-            return env
-        inner = dict(env)
-        inner[case.var] = self.case_binding(case.sequence_type)
-        return inner
-
-    # -- binding hooks (override the untyped versions) ---------------------
-
-    def binding_of(self, expr, env: Env):
-        binding = super().binding_of(expr, env)
-        return binding.with_item(self.item(expr, env))
-
-    def for_binding(self, source, env: Env):
-        return super().for_binding(source, env).with_item(self.item(source, env))
-
-    def quantifier_binding(self, source, env: Env):
-        return super().quantifier_binding(source, env).with_item(self.item(source, env))
-
-    def position_binding(self):
-        return super().position_binding().with_item(INTEGER)
-
-    def case_binding(self, sequence_type):
-        item = _from_item_type(sequence_type.item_type if sequence_type else None)
-        return super().case_binding(sequence_type).with_item(item)
-
-    def catch_binding(self):
-        return super().catch_binding().with_item(
-            AbstractItem(kind="element", name="error")
+    def binding_of(self, expr, env: Env) -> Binding:
+        """The :class:`Binding` a ``let``-style binding of *expr* produces."""
+        return Binding(
+            card=self.card(expr, env),
+            may_be_attribute=self.may_construct_attribute(expr, env),
+            attribute_name=self.static_attribute_name(expr, env),
+            item=self.item(expr, env),
         )
 
-    def param_binding(self, param):
-        item = _from_item_type(
-            param.declared_type.item_type if param.declared_type else None
+    def for_binding(self, source, env: Env) -> Binding:
+        """Binding of a ``for $x in source`` variable."""
+        return Binding(
+            card=ONE,
+            may_be_attribute=self.may_construct_attribute(source, env),
+            item=self.item(source, env),
         )
-        return super().param_binding(param).with_item(item)
 
-    def global_binding(self, declaration, env: Env):
-        binding = super().global_binding(declaration, env)
-        if declaration.declared_type is not None:
-            return binding.with_item(_from_item_type(declaration.declared_type.item_type))
+    def quantifier_binding(self, source, env: Env) -> Binding:
+        """Binding of a ``some/every $x in source`` variable."""
+        return Binding(card=ONE, item=self.item(source, env))
+
+    def position_binding(self) -> Binding:
+        """Binding of an ``at $pos`` positional variable."""
+        return Binding(card=ONE, item=INTEGER)
+
+    def case_binding(self, sequence_type) -> Binding:
+        """Binding of a typeswitch ``case $x as T`` variable."""
+        return Binding(
+            card=from_sequence_type(sequence_type),
+            item=_from_item_type(sequence_type.item_type if sequence_type else None),
+        )
+
+    def default_case_binding(self, operand, env: Env) -> Binding:
+        """Binding of a typeswitch ``default $x`` variable."""
+        return Binding(card=STAR)
+
+    def catch_binding(self) -> Binding:
+        """Binding of a ``try/catch $err`` variable (the ``<error>`` element)."""
+        return Binding(card=ONE, item=AbstractItem(kind="element", name="error"))
+
+    def param_binding(self, param: ast.Param) -> Binding:
+        """Binding of a function parameter, from its declared type."""
+        declared = param.declared_type
+        return Binding(
+            card=from_sequence_type(declared),
+            item=_from_item_type(declared.item_type if declared else None),
+        )
+
+    def global_binding(self, declaration: ast.VariableDecl, env: Env) -> Binding:
+        """Binding of a global ``declare variable``."""
+        declared = declaration.declared_type
+        if declared is not None:
+            return Binding(
+                card=from_sequence_type(declared),
+                item=_from_item_type(declared.item_type),
+            )
         if declaration.value is not None:
-            return binding.with_item(self.item(declaration.value, env))
-        return binding
+            return self.binding_of(declaration.value, env)
+        return Binding(card=STAR)
 
     # -- paths against the schema ------------------------------------------
 
@@ -795,10 +1016,11 @@ def _attr_comparison(expr) -> Optional[Tuple[str, List[str]]]:
 class ModuleTypeAnalysis:
     """One pass over a module: scope checking, typed findings, body type.
 
-    Replicates the old ``statictype`` scope semantics exactly — function
-    bodies see all globals plus parameters, a global declaration's value
-    sees only *previously declared* globals, the body sees all globals —
-    while also threading typed environments for the XQL010-012 checks.
+    Walks every unit :func:`~.cardinality.module_units` gives — function
+    bodies see all globals plus parameters, a global initializer only the
+    globals declared before it, the body all globals — with
+    :func:`~.cardinality.iter_scoped`, and keeps that walk as ``scoped``
+    for the lint rules.
     """
 
     def __init__(
@@ -820,27 +1042,18 @@ class ModuleTypeAnalysis:
         #: inferred type of the module body, if there is one.
         self.body_type: Optional[Inferred] = None
         self._functions = _declared_functions(module)
-        self._run()
+        #: ``(owner, root, env)`` per unit, and ``(owner, expr, env)`` for
+        #: every expression in them.
+        self.units = list(module_units(module, analyzer))
+        self.scoped: List[Tuple[str, object, Env]] = []
+        for owner, root, env in self.units:
+            for expr, scope in iter_scoped(root, env, analyzer):
+                self.scoped.append((owner, expr, scope))
+                self._check(expr, scope)
+            if root is module.body:
+                self.body_type = analyzer.infer(root, env)
 
-    def _run(self) -> None:
-        analyzer = self.analyzer
-        body_env, function_envs = module_environments(self.module, analyzer)
-        for function in self.module.functions:
-            self._walk(function.body, function_envs[id(function)])
-        env: Env = {}
-        for declaration in self.module.variables:
-            if declaration.value is not None:
-                self._walk(declaration.value, dict(env))
-            env[declaration.name] = body_env[declaration.name]
-        if self.module.body is not None:
-            self._walk(self.module.body, dict(body_env))
-            self.body_type = analyzer.infer(self.module.body, body_env)
-
-    # -- traversal ---------------------------------------------------------
-
-    def _walk(self, expr, env: Env) -> None:
-        if expr is None:
-            return
+    def _check(self, expr, env: Env) -> None:
         analyzer = self.analyzer
         if isinstance(expr, ast.VarRef):
             if expr.name not in env:
@@ -852,82 +1065,19 @@ class ModuleTypeAnalysis:
                         expr.column,
                     )
                 )
-            return
-        if isinstance(expr, ast.FunctionCall):
+        elif isinstance(expr, ast.FunctionCall):
             self._check_call(expr)
-            for arg in expr.args:
-                self._walk(arg, env)
-            return
-        if isinstance(expr, (ast.Arithmetic, ast.Unary, ast.Comparison)):
+        elif isinstance(expr, (ast.Arithmetic, ast.Unary, ast.Comparison)):
             self._check_operators(expr, env)
-            for child in ast.children_of(expr):
-                self._walk(child, env)
-            return
-        if isinstance(expr, ast.PathExpr):
+        elif isinstance(expr, ast.PathExpr):
             analyzer._path_info(expr, env, self.findings)
-            for child in ast.children_of(expr):
-                self._walk(child, env)
-            return
-        if isinstance(expr, ast.FilterExpr):
+        elif isinstance(expr, ast.FilterExpr):
             base_item = analyzer.item(expr.base, env)
             if base_item.kind == "element" and base_item.schema_element:
                 for predicate in expr.predicates:
                     analyzer._check_predicate(
                         base_item.schema_element, predicate, self.findings
                     )
-            for child in ast.children_of(expr):
-                self._walk(child, env)
-            return
-        if isinstance(expr, ast.FLWOR):
-            inner = dict(env)
-            for clause in expr.clauses:
-                if isinstance(clause, ast.ForClause):
-                    self._walk(clause.source, inner)
-                    inner = dict(inner)
-                    inner[clause.var] = analyzer.for_binding(clause.source, inner)
-                    if clause.position_var:
-                        inner[clause.position_var] = analyzer.position_binding()
-                elif isinstance(clause, ast.LetClause):
-                    self._walk(clause.value, inner)
-                    inner = dict(inner)
-                    inner[clause.var] = analyzer.binding_of(clause.value, inner)
-                elif isinstance(clause, ast.WhereClause):
-                    self._walk(clause.condition, inner)
-                elif isinstance(clause, ast.OrderByClause):
-                    for spec in clause.specs:
-                        self._walk(spec.key, inner)
-            self._walk(expr.result, inner)
-            return
-        if isinstance(expr, ast.Quantified):
-            inner = dict(env)
-            for var, source in expr.bindings:
-                self._walk(source, inner)
-                inner = dict(inner)
-                inner[var] = analyzer.quantifier_binding(source, inner)
-            self._walk(expr.satisfies, inner)
-            return
-        if isinstance(expr, ast.Typeswitch):
-            self._walk(expr.operand, env)
-            for case in expr.cases:
-                self._walk(case.result, analyzer._case_env(env, case))
-            inner = env
-            if expr.default_var:
-                inner = dict(env)
-                inner[expr.default_var] = analyzer.default_case_binding(
-                    expr.operand, env
-                )
-            self._walk(expr.default, inner)
-            return
-        if isinstance(expr, ast.TryCatch):
-            self._walk(expr.body, env)
-            inner = env
-            if expr.catch_var:
-                inner = dict(env)
-                inner[expr.catch_var] = analyzer.catch_binding()
-            self._walk(expr.handler, inner)
-            return
-        for child in ast.children_of(expr):
-            self._walk(child, env)
 
     # -- checks ------------------------------------------------------------
 
@@ -1094,6 +1244,3 @@ def annotation_pressure(module: ast.Module) -> Dict[str, object]:
         "pressure": (len(reached) / len(annotated)) if annotated else 0.0,
     }
 
-
-# referenced for re-export stability; silences linters on unused imports
-_ = (UntypedAtomic, EMPTY, card_join, from_sequence_type)

@@ -9,7 +9,7 @@ from repro.xquery.analysis import (
     STAR,
     Binding,
     Card,
-    CardinalityAnalyzer,
+    TypeAnalyzer,
 )
 from repro.xquery.analysis.cardinality import (
     concat,
@@ -23,7 +23,7 @@ from repro.xdm import ItemType, SequenceType
 
 def card_of(source, env=None):
     module = parse_query(source)
-    analyzer = CardinalityAnalyzer(module)
+    analyzer = TypeAnalyzer(module)
     body_env, _ = module_environments(module, analyzer)
     if env:
         body_env.update(env)
@@ -100,7 +100,7 @@ class TestExpressionCards:
 
     def test_unknown_variable_is_star(self):
         module = parse_query("declare variable $v external; $v")
-        analyzer = CardinalityAnalyzer(module)
+        analyzer = TypeAnalyzer(module)
         env, _ = module_environments(module, analyzer)
         assert analyzer.card(module.body, env) == STAR
 
@@ -131,24 +131,24 @@ class TestPositionalIndex:
 class TestAttributeTracking:
     def test_computed_attribute_is_tracked(self):
         module = parse_query("attribute x { 1 }")
-        analyzer = CardinalityAnalyzer(module)
+        analyzer = TypeAnalyzer(module)
         assert analyzer.may_construct_attribute(module.body, {})
         assert analyzer.static_attribute_name(module.body, {}) == "x"
 
     def test_let_bound_attribute_is_tracked(self):
         module = parse_query("let $a := attribute x { 1 } return $a")
-        analyzer = CardinalityAnalyzer(module)
+        analyzer = TypeAnalyzer(module)
         binding = analyzer.binding_of(module.body.clauses[0].value, {})
         assert binding.may_be_attribute
         assert binding.attribute_name == "x"
 
     def test_element_is_not_an_attribute(self):
         module = parse_query("<a/>")
-        analyzer = CardinalityAnalyzer(module)
+        analyzer = TypeAnalyzer(module)
         assert not analyzer.may_construct_attribute(module.body, {})
 
     def test_attribute_axis_path_is_tracked(self):
         module = parse_query("declare variable $d external; $d/attribute::x")
-        analyzer = CardinalityAnalyzer(module)
+        analyzer = TypeAnalyzer(module)
         env = {"d": Binding()}
         assert analyzer.may_construct_attribute(module.body, env)

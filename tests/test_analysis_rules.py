@@ -203,6 +203,14 @@ class TestAttributeFolding:
         assert any(d.severity == "error" for d in diagnostics)
 
 
+    def test_positional_variable_is_not_an_outer_attribute(self):
+        # `at $p` rebinds $p to an integer; the output is <e>1 2</e>.
+        source = (
+            "let $p := attribute a {1} return "
+            "<e>{ for $x at $p in (7, 8) return $p }</e>"
+        )
+        assert "XQL004" not in codes(source)
+
 class TestDeadCode:
     def test_unused_function(self):
         assert "XQL005" in codes(
@@ -264,6 +272,20 @@ class TestShadowing:
         )
         assert "XQL006" not in codes(source)
 
+
+    def test_initializer_binder_shadows_only_earlier_globals(self):
+        source = (
+            "declare variable $a := 1;"
+            "declare variable $b := for $a in (1,2) return $a; $b"
+        )
+        (diagnostic,) = [d for d in analyze_source(source) if d.code == "XQL006"]
+        assert diagnostic.message.startswith("in $b: for binding $a")
+        # an initializer sees only the globals declared before it
+        later = (
+            "declare variable $b := for $a in (1,2) return $a;"
+            "declare variable $a := 1; ($b, $a)"
+        )
+        assert "XQL006" not in codes(later)
 
 class TestRehomedChecks:
     def test_undefined_variable_is_xql007(self):

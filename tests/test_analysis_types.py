@@ -101,6 +101,32 @@ def test_descendant_attribute_step_is_unbounded():
     assert occurrence_indicator(inferred.card) == "*"
 
 
+# -- binders seen through the one scope rule -----------------------------------
+
+#: a typeswitch case variable shadowing an empty outer one: ``[1]`` selects 1.
+CASE_VARIABLE = (
+    "let $v := () return "
+    "(typeswitch (1) case $v as xs:integer return $v default return ())[1]"
+)
+#: a catch variable shadowing an empty outer one: the handler returns <error>.
+CATCH_VARIABLE = (
+    "let $v := () return try { let $d := error() return () } catch $v { $v }"
+)
+
+
+@pytest.mark.parametrize("source", [CASE_VARIABLE, CATCH_VARIABLE])
+def test_typeswitch_and_catch_variables_are_bound_for_occurrence(source):
+    result = XQueryEngine().compile(source).run()
+    assert len(result) == 1
+    inferred = infer(source)
+    assert inferred.describe() != "empty-sequence()"
+    assert check_sequence(inferred, result) is None
+
+
+def test_case_variable_is_no_false_positional_error():
+    assert "XQL003" not in codes(CASE_VARIABLE)
+
+
 # -- check_sequence (the soundness oracle's admission check) ------------------
 
 
