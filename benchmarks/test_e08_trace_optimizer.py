@@ -1,8 +1,9 @@
 """E8 — debugging: the trace-eating optimizer and error() bisection.
 
 * the 2004 Galax behaviour: a trace in a dead ``let`` silently vanishes
-  under optimization; the insinuated form survives; the fixed optimizer
-  keeps both;
+  under optimization, and so does one a helper function prints; the
+  insinuated form survives; the fixed optimizer keeps all three, since
+  its side-effect test follows user-function calls;
 * the cost of the paper's only earlier workflow — binary search by
   ``error()`` probes, each costing a full program run.
 """
@@ -16,6 +17,9 @@ from repro.xquery.debug import ErrorBisector, make_probe_runner
 
 DEAD_TRACE = "let $x := 6 * 7 let $dummy := trace('x=', $x) return $x"
 LIVE_TRACE = "let $x := trace('x=', 6 * 7) return $x"
+HELPER_TRACE = (
+    'declare function local:f() { trace("probe", 1) }; let $x := local:f() return 2'
+)
 
 
 def traced_run(engine, source):
@@ -35,28 +39,27 @@ def test_e08_trace_visibility_matrix(benchmark):
             ),
             "no optimizer": XQueryEngine(EngineConfig(optimize=False)),
         }
-        rows = []
-        for name, engine in engines.items():
-            _, dead_messages = traced_run(engine, DEAD_TRACE)
-            _, live_messages = traced_run(engine, LIVE_TRACE)
-            rows.append(
-                (
-                    name,
-                    "lost" if not dead_messages else "printed",
-                    "lost" if not live_messages else "printed",
-                )
+        return [
+            (name,)
+            + tuple(
+                "printed" if traced_run(engine, source)[1] else "lost"
+                for source in (DEAD_TRACE, LIVE_TRACE, HELPER_TRACE)
             )
-        return rows
+            for name, engine in engines.items()
+        ]
 
     rows = benchmark.pedantic(measure, rounds=3, iterations=1)
     record_result(
         "e08_trace_matrix.txt",
-        format_table(["engine", "trace in dead let", "insinuated trace"], rows),
+        format_table(
+            ["engine", "trace in dead let", "insinuated trace", "trace in helper"],
+            rows,
+        ),
     )
-    matrix = {row[0]: (row[1], row[2]) for row in rows}
-    assert matrix["galax 2004 (buggy dce)"] == ("lost", "printed")
-    assert matrix["fixed optimizer"] == ("printed", "printed")
-    assert matrix["no optimizer"] == ("printed", "printed")
+    matrix = {row[0]: row[1:] for row in rows}
+    assert matrix["galax 2004 (buggy dce)"] == ("lost", "printed", "lost")
+    assert matrix["fixed optimizer"] == ("printed", "printed", "printed")
+    assert matrix["no optimizer"] == ("printed", "printed", "printed")
 
 
 def make_pipeline_program(total, bug_at):

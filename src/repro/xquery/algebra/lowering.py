@@ -19,8 +19,10 @@ was rejected):
   functions (whose recursion-depth accounting would otherwise leak between
   cache hits);
 * a hash join's probe expression must be focus-free (no ``.``, no
-  ``position()``/``last()``) and side-effect free, so evaluating it once
-  per tuple instead of once per candidate item is unobservable;
+  ``position()``/``last()``) and reach neither ``fn:trace`` nor
+  ``fn:error``, through user-function calls too, so evaluating it once
+  per tuple instead of once per candidate item is unobservable; a
+  loop-invariant ``for`` source is hoisted under the same effect rule;
 * ``where`` clauses are never pushed across ``for`` clauses: XQuery's
   ordered, error-strict semantics make tuple order observable through
   ``fn:error``/``fn:trace``, which is exactly the "lopsided" constraint the
@@ -36,7 +38,7 @@ from typing import Dict, List, Optional, Set, Tuple
 from ...xdm import number_value
 from .. import ast
 from ..context import EngineConfig
-from ..optimizer import free_variables, has_side_effects
+from ..optimizer import Effects, free_variables
 from .plans import (
     AttrExistsPred,
     AttrMembershipPred,
@@ -93,6 +95,7 @@ class Lowerer:
     ):
         self.functions = functions
         self.config = config
+        self.effects = Effects(functions)
         self._inline_stack: List[ast.FunctionDecl] = []
 
     # -- entry points -----------------------------------------------------
@@ -350,19 +353,13 @@ class Lowerer:
 
     def _lower_for(self, clause: ast.ForClause, bound: Set[str]):
         source_plan = self.lower(clause.source)
-        if not bound:
-            # the first clause: its source runs once per execution anyway,
-            # and there is nothing to join against (see ForOp.invariant).
-            return ForOp(clause, source_plan, None)
         if isinstance(source_plan, PathPlan):
             join = self._try_join(clause, source_plan, bound)
             if join is not None:
                 return join
-        invariant = (
-            not (free_variables(clause.source) & bound)
-            and not has_side_effects(clause.source, False)
-        )
-        return ForOp(clause, source_plan, invariant)
+        # the first clause (nothing bound yet) observes no tuple variable
+        observes = bound and free_variables(clause.source) & bound
+        return ForOp(clause, source_plan, not observes and not self.effects.of(clause.source))
 
     # -- join detection ---------------------------------------------------
 
@@ -442,7 +439,7 @@ class Lowerer:
 
     def _probe_is_safe(self, probe: ast.Expr) -> bool:
         """The probe may be evaluated once per tuple instead of per item."""
-        if has_side_effects(probe, False):
+        if self.effects.of(probe):
             return False
         safe = [True]
 

@@ -21,7 +21,6 @@ from typing import List, Optional, Tuple
 
 from ...xdm import ElementNode, number_value, value_compare
 from .. import ast
-from ..optimizer import has_side_effects
 
 __all__ = [
     "Plan",
@@ -607,18 +606,14 @@ class ForOp(TupleOp):
     """Tuple source: ``for $var [at $pos] in source``.
 
     ``invariant`` marks sources that cannot observe the tuple variables
-    bound so far (and are side-effect free); the executor evaluates those
-    once per FLWOR execution instead of once per tuple.  It is None for a
-    FLWOR's first clause, where nothing is bound yet: that source runs once
-    per execution whatever the flag says, so lowering skips the walks that
-    decide it, and only the explain label applies the side-effect rule.
+    bound so far and reach neither ``fn:trace`` nor ``fn:error``, through
+    user-function calls too (:class:`~..optimizer.Effects`); the executor
+    evaluates those once per FLWOR execution instead of once per tuple.
     """
 
     __slots__ = ("clause", "var", "position_var", "source", "invariant")
 
-    def __init__(
-        self, clause: ast.ForClause, source: Plan, invariant: Optional[bool]
-    ):
+    def __init__(self, clause: ast.ForClause, source: Plan, invariant: bool):
         super().__init__()
         self.clause = clause
         self.var = clause.var
@@ -627,10 +622,7 @@ class ForOp(TupleOp):
         self.invariant = invariant
 
     def label(self) -> str:
-        invariant = self.invariant
-        if invariant is None:
-            invariant = not has_side_effects(self.clause.source, False)
-        note = " invariant" if invariant else ""
+        note = " invariant" if self.invariant else ""
         return f"For ${self.var}{note}"
 
     def plans(self) -> List[Plan]:

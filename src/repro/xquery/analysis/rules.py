@@ -34,10 +34,11 @@ Each rule encodes one footgun the paper hit in 2004:
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Callable, Dict, Iterable, Iterator, List, Optional, Set, Tuple
 
 from .. import ast
-from ..optimizer import clause_variables, contains_trace, free_variables, has_side_effects
+from ..optimizer import DeadLet, dead_lets, free_variables
 from ...xdm import ItemType
 from .cardinality import Binder, Env, positional_index, scopes
 from .diagnostics import Diagnostic
@@ -91,6 +92,11 @@ class ModuleAnalysis:
         self._constructors: Optional[Set[str]] = None
         self._checkers: Optional[Set[str]] = None
         self._types: Optional[ModuleTypeAnalysis] = None
+
+    @cached_property
+    def dead_lets(self) -> Dict[int, DeadLet]:
+        """The 2004 dead-code pass's decision, which XQL001 and XQL005 report."""
+        return dead_lets(self.module, trace_is_dead_code=True, functions=self.analyzer.functions)
 
     @property
     def types(self) -> ModuleTypeAnalysis:
@@ -268,21 +274,10 @@ def _result_roots(expr) -> List[object]:
     return [expr]
 
 
-def _flwor_downstream_names(flwor: ast.FLWOR, index: int) -> Set[str]:
-    """Free variables referenced after clause *index* — exactly the
-    optimizer's liveness computation, shared so XQL001 predicts it."""
-    downstream = free_variables(flwor.result)
-    for later in flwor.clauses[index + 1 :]:
-        downstream |= clause_variables(later)
-    return downstream
-
-
 def _iter_flwors(analysis: ModuleAnalysis) -> Iterator[Tuple[str, ast.FLWOR]]:
-    for owner, root, _env in analysis.units():
-        found: List[ast.FLWOR] = []
-        ast.walk(root, lambda n: found.append(n) if isinstance(n, ast.FLWOR) else None)
-        for flwor in found:
-            yield owner, flwor
+    for owner, expr, _env in analysis.scoped():
+        if isinstance(expr, ast.FLWOR):
+            yield owner, expr
 
 
 # ---------------------------------------------------------------------------
@@ -306,16 +301,10 @@ def check_dead_trace(analysis: ModuleAnalysis) -> Iterator[Diagnostic]:
     ):
         severity = "error"  # this engine *will* eat the probe
     for owner, flwor in _iter_flwors(analysis):
-        for index, clause in enumerate(flwor.clauses):
-            if not isinstance(clause, ast.LetClause):
-                continue
-            if not contains_trace(clause.value):
-                continue
-            if clause.var in _flwor_downstream_names(flwor, index):
-                continue
-            # the buggy optimizer keeps the let only for error(); with
-            # trace demoted to dead code, this binding is gone.
-            if has_side_effects(clause.value, trace_is_dead_code=True):
+        for clause in flwor.clauses:
+            fate = analysis.dead_lets.get(id(clause))
+            # the 2004 pass deletes the binding and the trace it reaches
+            if fate is None or fate.kept or not fate.traced:
                 continue
             yield Diagnostic(
                 code="XQL001",
@@ -636,14 +625,10 @@ def check_dead_code(analysis: ModuleAnalysis) -> Iterator[Diagnostic]:
             )
     # unused let bindings (the optimizer removes them without a word)
     for owner, flwor in _iter_flwors(analysis):
-        for index, clause in enumerate(flwor.clauses):
-            if not isinstance(clause, ast.LetClause):
-                continue
-            if clause.var in _flwor_downstream_names(flwor, index):
-                continue
-            if contains_trace(clause.value):
-                continue  # XQL001's territory
-            survives = has_side_effects(clause.value, trace_is_dead_code=True)
+        for clause in flwor.clauses:
+            fate = analysis.dead_lets.get(id(clause))
+            if fate is None or fate.traced:
+                continue  # live, or XQL001's territory
             yield Diagnostic(
                 code="XQL005",
                 severity="info",
@@ -651,7 +636,7 @@ def check_dead_code(analysis: ModuleAnalysis) -> Iterator[Diagnostic]:
                     f"in {owner}: let ${clause.var} is never used"
                     + (
                         " (kept only for its error() side effect)"
-                        if survives
+                        if fate.kept
                         else "; the optimizer removes it silently"
                     )
                 ),
@@ -703,12 +688,9 @@ def _const_bool(expr) -> Optional[bool]:
     """The statically known truth value of a condition, if any.
 
     XQuery has no boolean literals — ``true()``/``false()`` are function
-    calls — so this looks through both shapes (the Literal form appears
-    after constant folding).
+    calls, which this recognizes.
     """
     expr = _unwrap_parens(expr)
-    if isinstance(expr, ast.Literal) and isinstance(expr.value, bool):
-        return expr.value
     if isinstance(expr, ast.FunctionCall) and not expr.args:
         local = expr.name.split(":")[-1]
         if local == "true":

@@ -358,10 +358,7 @@ class TypeAnalyzer:
     def __init__(self, module: ast.Module, schema: Optional[DocumentSchema] = None):
         self.module = module
         self.schema = schema
-        self.functions: Dict[Tuple[str, int], ast.FunctionDecl] = {}
-        for declaration in module.functions:
-            local = declaration.name.split(":")[-1]
-            self.functions[(local, declaration.arity)] = declaration
+        self.functions = ast.function_table(module)
 
     def infer(self, expr, env: Env) -> Inferred:
         if isinstance(expr, ast.PathExpr):
@@ -1041,7 +1038,6 @@ class ModuleTypeAnalysis:
         self.findings: List[TypeFinding] = []
         #: inferred type of the module body, if there is one.
         self.body_type: Optional[Inferred] = None
-        self._functions = _declared_functions(module)
         #: ``(owner, root, env)`` per unit, and ``(owner, expr, env)`` for
         #: every expression in them.
         self.units = list(module_units(module, analyzer))
@@ -1097,7 +1093,7 @@ class ModuleTypeAnalysis:
                 )
             return
         local = name[len("local:"):] if name.startswith("local:") else name
-        if (local, len(expr.args)) in self._functions:
+        if (local, len(expr.args)) in self.analyzer.functions:
             return
         if lookup_builtin(name, len(expr.args)) is not None:
             return
@@ -1155,16 +1151,6 @@ def _value_group(item: AbstractItem) -> Optional[str]:
     if item.atomic == "xs:boolean":
         return "boolean"
     return None  # untypedAtomic casts to either side; stay quiet
-
-
-def _declared_functions(module: ast.Module) -> Dict[Tuple[str, int], ast.FunctionDecl]:
-    functions: Dict[Tuple[str, int], ast.FunctionDecl] = {}
-    for declaration in module.functions:
-        name = declaration.name
-        if name.startswith("local:"):
-            name = name[len("local:"):]
-        functions[(name, declaration.arity)] = declaration
-    return functions
 
 
 def check_module(module: ast.Module) -> List[StaticIssue]:

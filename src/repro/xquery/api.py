@@ -21,12 +21,12 @@ from __future__ import annotations
 import threading
 import time
 from dataclasses import fields
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Optional
 
 from ..lru import LRU
 from ..xdm import DocumentNode, Node, Sequence, is_node, sequence
 from ..xmlio import serialize
-from .ast import FunctionDecl, Module
+from .ast import Module, function_table
 from .context import BACKENDS, DynamicContext, EngineConfig, TraceLog
 from .errors import XQueryStaticError, extended_stack
 from .evaluator import evaluate
@@ -40,21 +40,17 @@ class CompiledQuery:
     def __init__(self, module: Module, config: EngineConfig):
         self.module = module
         self.config = config
-        self.functions: Dict[Tuple[str, int], FunctionDecl] = {}
-        for declaration in module.functions:
-            name = declaration.name
-            if name.startswith("local:"):
-                name = name[len("local:") :]
-            key = (name, declaration.arity)
-            if key in self.functions:
-                raise XQueryStaticError(
-                    f"duplicate declaration of function {declaration.name}()"
-                    f" with arity {declaration.arity}",
-                    code="XQST0034",
-                    line=declaration.line,
-                    column=declaration.column,
-                )
-            self.functions[key] = declaration
+        self.functions = function_table(module)
+        if len(self.functions) < len(module.functions):
+            kept = {id(declaration) for declaration in self.functions.values()}
+            duplicate = next(d for d in module.functions if id(d) not in kept)
+            raise XQueryStaticError(
+                f"duplicate declaration of function {duplicate.name}()"
+                f" with arity {duplicate.arity}",
+                code="XQST0034",
+                line=duplicate.line,
+                column=duplicate.column,
+            )
         seen_variables = set()
         for variable in module.variables:
             if variable.name in seen_variables:

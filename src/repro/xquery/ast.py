@@ -10,7 +10,7 @@ reproduce the 2004 debugging experience).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import List, Optional, Tuple
+from typing import Dict, List, Optional, Tuple
 
 from ..xdm import SequenceType
 
@@ -392,6 +392,20 @@ class Module:
     source: str = ""
 
 
+def function_table(module: Module) -> Dict[Tuple[str, int], FunctionDecl]:
+    """The module's declared functions keyed as the runtime resolves a
+    call: by name with a ``local:`` prefix stripped, and arity.  The first
+    of two same-keyed declarations wins (the engine rejects the second
+    with XQST0034)."""
+    table: Dict[Tuple[str, int], FunctionDecl] = {}
+    for declaration in module.functions:
+        name = declaration.name
+        if name.startswith("local:"):
+            name = name[len("local:") :]
+        table.setdefault((name, declaration.arity), declaration)
+    return table
+
+
 def walk(expr, visit) -> None:
     """Depth-first walk calling ``visit`` on every Expr node."""
     if expr is None:
@@ -425,14 +439,7 @@ def children_of(expr) -> List[object]:
     if isinstance(expr, FLWOR):
         children = []
         for clause in expr.clauses:
-            if isinstance(clause, ForClause):
-                children.append(clause.source)
-            elif isinstance(clause, LetClause):
-                children.append(clause.value)
-            elif isinstance(clause, WhereClause):
-                children.append(clause.condition)
-            elif isinstance(clause, OrderByClause):
-                children.extend(spec.key for spec in clause.specs)
+            children.extend(clause_exprs(clause))
         children.append(expr.result)
         return children
     if isinstance(expr, Quantified):
@@ -467,3 +474,14 @@ def children_of(expr) -> List[object]:
     if isinstance(expr, (InstanceOf, CastAs, CastableAs, TreatAs)):
         return [expr.operand]
     return []
+
+
+def clause_exprs(clause) -> List[Expr]:
+    """The expressions of one FLWOR clause, in evaluation order."""
+    if isinstance(clause, ForClause):
+        return [clause.source]
+    if isinstance(clause, LetClause):
+        return [clause.value]
+    if isinstance(clause, WhereClause):
+        return [clause.condition]
+    return [spec.key for spec in clause.specs]

@@ -8,13 +8,15 @@ optimizes away — along with the call to trace."
 The dead-``let`` elimination pass here reproduces that behaviour when
 ``trace_is_dead_code=True`` (the 2004 state); with the flag off, ``trace``
 and ``error`` count as side effects and survive, modelling the fixed
-compiler the paper says shipped "in the next version".
+compiler the paper says shipped "in the next version".  Effects follow
+calls to declared user functions, so a ``trace`` inside a helper survives
+too.
 
 Passes:
 
-* constant folding of arithmetic, comparisons, boolean operators, and
-  ``if`` with a constant condition;
-* dead-``let`` elimination in FLWOR expressions;
+* constant folding of arithmetic;
+* dead-``let`` elimination in FLWOR expressions, as :func:`dead_lets`
+  decides it (the linter's XQL001/XQL005 report from the same decision);
 * flattening of nested sequence expressions.
 """
 
@@ -22,7 +24,7 @@ from __future__ import annotations
 
 from dataclasses import replace
 from decimal import Decimal
-from typing import Dict, List, Set, Tuple
+from typing import Dict, FrozenSet, List, NamedTuple, Optional, Set, Tuple
 
 from . import ast
 from .errors import XQueryError
@@ -47,7 +49,7 @@ class OptimizerStats:
 
 def optimize_module(module: ast.Module, trace_is_dead_code: bool = False) -> OptimizerStats:
     """Optimize a module in place; returns statistics about the rewrites."""
-    optimizer = _Optimizer(trace_is_dead_code)
+    optimizer = _Optimizer(module, trace_is_dead_code)
     for function in module.functions:
         function.body = optimizer.rewrite(function.body)
     for variable in module.variables:
@@ -61,10 +63,8 @@ def optimize_module(module: ast.Module, trace_is_dead_code: bool = False) -> Opt
 def free_variables(expr) -> Set[str]:
     """Over-approximate the set of variable names referenced in *expr*.
 
-    Used by dead-code elimination: a ``let`` binding survives if its name
-    *might* be referenced downstream.  (Shadowing makes this an
-    over-approximation; over-approximating keeps more code, which is the
-    safe direction.)
+    Shadowing makes this an over-approximation; over-approximating keeps
+    more code, which is the safe direction.
     """
     names: Set[str] = set()
 
@@ -76,55 +76,134 @@ def free_variables(expr) -> Set[str]:
     return names
 
 
-def clause_variables(clause, variables=free_variables) -> Set[str]:
-    """The variable names a FLWOR clause's expressions reference, as
-    *variables* finds them in each."""
-    if isinstance(clause, ast.ForClause):
-        return variables(clause.source)
-    if isinstance(clause, ast.LetClause):
-        return variables(clause.value)
-    if isinstance(clause, ast.WhereClause):
-        return variables(clause.condition)
-    names: Set[str] = set()
-    for spec in clause.specs:
-        names |= variables(spec.key)
-    return names
+class Effects:
+    """Which of ``fn:trace`` and ``fn:error`` evaluating an expression can
+    reach: the one effect analysis of the dead-``let`` pass, the linter and
+    the algebra's hoists.
 
-
-def has_side_effects(expr, trace_is_dead_code: bool) -> bool:
-    """True if evaluating *expr* could do something observable.
-
-    ``fn:error`` always counts.  ``fn:trace`` counts only when the
-    optimizer is *not* in its buggy mode — the whole point of the bug is
-    that trace's output was not considered observable.
+    A call reaches what the runtime would run: a declared user function in
+    *functions* (:func:`~.ast.function_table`) first, else the builtin.  A
+    user call reaches what every declaration reachable from it through
+    calls reaches, so recursion is safe; each body is walked once per
+    instance.  The values of the ``let`` clauses whose ids are in *skip*
+    never run.
     """
-    impure = {"error"}
-    if not trace_is_dead_code:
-        impure.add("trace")
 
-    found = []
+    def __init__(self, functions: Dict[Tuple[str, int], ast.FunctionDecl], skip=frozenset()):
+        self.functions = functions
+        self.skip = skip
+        self._bodies: Dict[int, Tuple[Set[str], List[ast.FunctionDecl]]] = {}
 
-    def visit(node) -> None:
-        if isinstance(node, ast.FunctionCall):
-            name = node.name[3:] if node.name.startswith("fn:") else node.name
-            if name in impure:
-                found.append(name)
+    def of(self, expr) -> FrozenSet[str]:
+        found, pending = self._direct(expr)
+        seen: Set[int] = set()
+        while pending:
+            declaration = pending.pop()
+            if id(declaration) in seen:
+                continue
+            seen.add(id(declaration))
+            body = self._bodies.get(id(declaration))
+            if body is None:
+                body = self._bodies[id(declaration)] = self._direct(declaration.body)
+            found |= body[0]
+            pending.extend(body[1])
+        return frozenset(found)
 
-    ast.walk(expr, visit)
-    return bool(found)
+    def _direct(self, expr) -> Tuple[Set[str], List[ast.FunctionDecl]]:
+        """The effects *expr* reaches itself, and the declarations it calls."""
+        found: Set[str] = set()
+        calls: List[ast.FunctionDecl] = []
+        pending = [expr]
+        while pending:
+            node = pending.pop()
+            if isinstance(node, ast.FunctionCall):
+                name = node.name[3:] if node.name.startswith("fn:") else node.name
+                local = name[len("local:") :] if name.startswith("local:") else name
+                declaration = self.functions.get((local, len(node.args)))
+                if declaration is not None:
+                    calls.append(declaration)
+                elif name in ("trace", "error"):
+                    found.add(name)
+                pending.extend(node.args)
+            elif isinstance(node, ast.FLWOR) and self.skip:
+                pending.append(node.result)
+                for clause in node.clauses:
+                    if id(clause) not in self.skip:
+                        pending.extend(ast.clause_exprs(clause))
+            elif type(node) not in _LEAVES:
+                pending.extend(ast.children_of(node))
+        return found, calls
 
 
-def contains_trace(expr) -> bool:
-    found = []
+class DeadLet(NamedTuple):
+    """A ``let`` nothing reads: *kept* for an effect the mode counts as
+    observable, or deleted; *traced* if its value reaches ``fn:trace``."""
 
-    def visit(node) -> None:
-        if isinstance(node, ast.FunctionCall):
-            name = node.name[3:] if node.name.startswith("fn:") else node.name
-            if name == "trace":
-                found.append(name)
+    kept: bool
+    traced: bool
 
-    ast.walk(expr, visit)
-    return bool(found)
+
+def dead_lets(module: ast.Module, trace_is_dead_code=False, functions=None) -> Dict[int, DeadLet]:
+    """The dead ``let`` clauses of *module*, by ``id`` of the clause; a let
+    not in the map is live.  The tree is not changed.
+
+    The one dead-code rule: :func:`optimize_module` applies it, and the
+    linter's XQL001 and XQL005 report from it.  It works bottom-up.  A
+    let is dead when neither its FLWOR's result nor a later clause reads
+    its variable, where a nested FLWOR reads only what its live clauses
+    and result read.  A dead let is kept when its value can reach
+    ``fn:error``, or ``fn:trace`` unless *trace_is_dead_code* (the 2004
+    Galax bug) demotes trace to dead code.  Both follow user-function calls.
+    """
+    functions = ast.function_table(module) if functions is None else functions
+    effects = Effects(functions)
+    observable = {"error"} if trace_is_dead_code else {"trace", "error"}
+    dead: Dict[int, ast.LetClause] = {}
+    kept: Set[int] = set()
+
+    def read(expr, names: Set[str]) -> None:
+        """Add the names *expr* reads once its dead lets are gone."""
+        pending = [expr]
+        while pending:
+            node = pending.pop()
+            if isinstance(node, ast.VarRef):
+                names.add(node.name)
+            elif isinstance(node, ast.FLWOR):
+                names |= flwor_reads(node)
+            elif type(node) not in _LEAVES:
+                pending.extend(ast.children_of(node))
+
+    def flwor_reads(flwor: ast.FLWOR) -> Set[str]:
+        # from the last clause: `downstream` holds the names the result and
+        # every later clause read, a dead let's too, so a dead let keeps
+        # alive the lets its value reads; `used` holds those of what stays.
+        used: Set[str] = set()
+        read(flwor.result, used)
+        downstream = set(used)
+        for clause in reversed(flwor.clauses):
+            names: Set[str] = set()
+            for expr in ast.clause_exprs(clause):
+                read(expr, names)
+            if isinstance(clause, ast.LetClause) and clause.var not in downstream:
+                dead[id(clause)] = clause
+                if effects.of(clause.value) & observable:
+                    kept.add(id(clause))
+                    used |= names
+            else:
+                used |= names
+            downstream |= names
+        return used
+
+    for root in [f.body for f in module.functions] + [v.value for v in module.variables]:
+        read(root, set())
+    read(module.body, set())
+    # whether a deleted value reached a trace is read off what survives:
+    # a trace inside a let deleted before it was not deleted twice.
+    surviving = Effects(functions, frozenset(dead.keys() - kept))
+    return {
+        key: DeadLet(key in kept, "trace" in surviving.of(clause.value))
+        for key, clause in dead.items()
+    }
 
 
 #: expressions with no subexpressions: no pass rewrites them.
@@ -134,27 +213,15 @@ _LEAVES = frozenset(
 
 
 class _Optimizer:
-    def __init__(self, trace_is_dead_code: bool):
+    def __init__(self, module: ast.Module, trace_is_dead_code: bool):
+        self.module = module
         self.trace_is_dead_code = trace_is_dead_code
         self.stats = OptimizerStats()
-        #: the names each FLWOR uses once its dead lets are gone, by id; the
-        #: FLWOR is kept beside them, so no other node takes over the id.
-        self._flwor_names: Dict[int, Tuple[ast.FLWOR, Set[str]]] = {}
-
-    def _variables(self, expr) -> Set[str]:
-        """``free_variables(expr)``, reading each FLWOR this pass has
-        already reduced from its record instead of walking it again."""
-        names: Set[str] = set()
-        pending = [expr]
-        while pending:
-            node = pending.pop()
-            if isinstance(node, ast.VarRef):
-                names.add(node.name)
-            elif isinstance(node, ast.FLWOR) and id(node) in self._flwor_names:
-                names |= self._flwor_names[id(node)][1]
-                continue
-            pending.extend(ast.children_of(node))
-        return names
+        #: the decision :meth:`_eliminate_dead_lets` applies, taken at the
+        #: first FLWOR with a ``let`` on the partly folded tree.  No other
+        #: rewrite adds or drops a ``VarRef``, a call or a ``let``, so it
+        #: holds for the whole pass.
+        self._dead: Optional[Dict[int, DeadLet]] = None
 
     # -- driver -----------------------------------------------------------
 
@@ -164,10 +231,6 @@ class _Optimizer:
         expr = self._rewrite_children(expr)
         if isinstance(expr, ast.Arithmetic):
             return self._fold_arithmetic(expr)
-        if isinstance(expr, ast.BooleanOp):
-            return self._fold_boolean(expr)
-        if isinstance(expr, ast.IfExpr):
-            return self._fold_if(expr)
         if isinstance(expr, ast.FLWOR):
             return self._eliminate_dead_lets(expr)
         if isinstance(expr, ast.SequenceExpr):
@@ -245,19 +308,11 @@ class _Optimizer:
 
     # -- passes -----------------------------------------------------------
 
-    @staticmethod
-    def _literal_value(expr):
-        if isinstance(expr, ast.Literal):
-            return [expr.value]
-        return None
-
     def _fold_arithmetic(self, expr: ast.Arithmetic):
-        left = self._literal_value(expr.left)
-        right = self._literal_value(expr.right)
-        if left is None or right is None:
+        if not (isinstance(expr.left, ast.Literal) and isinstance(expr.right, ast.Literal)):
             return expr
         try:
-            result = arithmetic(expr.op, left, right)
+            result = arithmetic(expr.op, [expr.left.value], [expr.right.value])
         except XQueryError:
             return expr  # leave runtime errors to runtime
         if len(result) != 1 or isinstance(result[0], Decimal):
@@ -265,61 +320,27 @@ class _Optimizer:
         self.stats.folded_constants += 1
         return ast.Literal(value=result[0], line=expr.line, column=expr.column)
 
-    def _fold_boolean(self, expr: ast.BooleanOp):
-        left = self._literal_value(expr.left)
-        if left is None or len(left) != 1 or not isinstance(left[0], bool):
-            return expr
-        self.stats.folded_constants += 1
-        if expr.op == "and":
-            if not left[0]:
-                return ast.Literal(value=False, line=expr.line, column=expr.column)
-            return expr.right
-        if left[0]:
-            return ast.Literal(value=True, line=expr.line, column=expr.column)
-        return expr.right
-
-    def _fold_if(self, expr: ast.IfExpr):
-        condition = self._literal_value(expr.condition)
-        if condition is None or len(condition) != 1 or not isinstance(condition[0], bool):
-            return expr
-        self.stats.folded_constants += 1
-        return expr.then_branch if condition[0] else expr.else_branch
-
     def _eliminate_dead_lets(self, expr: ast.FLWOR):
-        """Remove ``let`` clauses whose variable is never used downstream.
+        """Remove the ``let`` clauses :func:`dead_lets` deletes.
 
         This is the pass that ate the paper's ``let $dummy := trace(...)``
         probes when ``trace_is_dead_code`` is on.
         """
-        clauses = expr.clauses
-        if not any(isinstance(clause, ast.LetClause) for clause in clauses):
+        if not any(isinstance(clause, ast.LetClause) for clause in expr.clauses):
             return expr
-        # one walk over the clauses from the last: `downstream` holds the
-        # names the result and every later clause use.  Those are the
-        # original clauses, so a let found dead still keeps alive the lets
-        # its value reads.  `used` collects the names of what stays.
-        used = self._variables(expr.result)
-        downstream = set(used)
+        if self._dead is None:
+            self._dead = dead_lets(self.module, self.trace_is_dead_code)
         kept: List[object] = []
-        for index in range(len(clauses) - 1, -1, -1):
-            clause = clauses[index]
-            names = clause_variables(clause, self._variables)
-            if (
-                isinstance(clause, ast.LetClause)
-                and clause.var not in downstream
-                and not has_side_effects(clause.value, self.trace_is_dead_code)
-            ):
-                self.stats.dead_lets_removed += 1
-                if contains_trace(clause.value):
-                    self.stats.traces_removed += 1
-            else:
+        for clause in expr.clauses:
+            fate = self._dead.get(id(clause))
+            if fate is None or fate.kept:
                 kept.append(clause)
-                used |= names
-            downstream |= names
-        kept.reverse()
+                continue
+            self.stats.dead_lets_removed += 1
+            if fate.traced:
+                self.stats.traces_removed += 1
         expr.clauses = kept
-        self._flwor_names[id(expr)] = (expr, used)
-        if not expr.clauses:
+        if not kept:
             return expr.result
         return expr
 

@@ -1,7 +1,9 @@
 """Positive and negative cases for every xqlint rule (XQL000–XQL009)."""
 
 from repro.xquery import EngineConfig, parse_query
-from repro.xquery.analysis import analyze_module, analyze_source
+from repro.xquery.analysis import analyze_module, analyze_source, parse_for_lint
+from repro.xquery.errors import XQueryError
+from repro.xquery.optimizer import optimize_module
 
 
 def codes(source, **kwargs):
@@ -65,6 +67,40 @@ class TestDeadTrace:
         # error() is a real side effect: the optimizer keeps the binding
         source = 'let $x := 1 let $d := (trace("t", 1), error("boom")) return $x'
         assert "XQL001" not in codes(source)
+
+    def test_fires_when_the_only_reader_is_itself_deleted(self):
+        # the inner let $c is dead, so nothing that survives reads $a
+        source = 'let $a := trace("x", 1) let $b := (let $c := $a return 5) return $b'
+        (diagnostic,) = [d for d in analyze_source(source) if d.code == "XQL001"]
+        assert "$a" in diagnostic.message
+
+    def test_fires_for_a_trace_reached_through_a_call(self):
+        source = (
+            'declare function local:log($m) { trace($m, 1) }; '
+            'let $d := local:log("x") return 1'
+        )
+        assert [d.code for d in analyze_source(source) if d.code.startswith("XQL00")] == [
+            "XQL001"
+        ]
+
+    def test_counts_exactly_the_traces_the_dead_code_pass_deletes(self):
+        # over the parser-parity corpus (docgen, examples, fuzz pins,
+        # generated, calculus and search programs), one warning per trace
+        # the 2004 pass reports deleting
+        from test_xquery_parser_parity import corpus
+
+        warned = removed = 0
+        for source in corpus():
+            try:
+                module, has_body = parse_for_lint(source)
+            except XQueryError:
+                continue
+            found = analyze_module(module, has_body=has_body, select=["XQL001"])
+            stats = optimize_module(module, trace_is_dead_code=True)
+            assert len(found) == stats.traces_removed, source
+            warned += len(found)
+            removed += stats.traces_removed
+        assert warned == removed == 5
 
 
 ERROR_CONVENTION_PRELUDE = """

@@ -311,6 +311,30 @@ def test_trace_parity():
     assert result[2] == ("probe 9", "live 1")
 
 
+TRACING_HELPER = 'declare function local:f($i) { trace("p", string($i)) }; '
+
+
+def test_trace_behind_a_call_in_an_inner_for_source_parity():
+    # a source that reaches trace through a call is not hoisted out of the
+    # tuple loop: the trace prints once per outer tuple, as in the treewalk.
+    source = TRACING_HELPER + "for $a in (1,2,3) for $b in local:f(7) return $b"
+    result = assert_parity(source, EngineConfig(optimize=False))
+    assert result[2] == ("p 7",) * 3
+
+
+def test_trace_behind_a_call_in_a_join_probe_parity():
+    # a probe that reaches trace through a call is no hash-join key; the
+    # inline form of the same probe already read 6 traces on both backends.
+    from repro.xmlio import parse_document
+
+    doc = parse_document('<r><x id="1"/><x id="2"/><x id="3"/></r>')
+    loop = "for $a in (1,2) for $n in $d//x[@id eq {}] return string($n/@id)"
+    for probe in ("local:f($a)", 'trace("p", string($a))'):
+        source = "declare variable $d external; " + TRACING_HELPER + loop.format(probe)
+        result = assert_parity(source, variables={"d": doc})
+        assert result[1:] == ("1 2", ("p 1",) * 3 + ("p 2",) * 3)
+
+
 def test_trace_deletion_parity():
     # the buggy dead-code pass deletes the dead let's trace identically
     # under both backends (it runs on the shared AST, but parity proves the

@@ -1,7 +1,11 @@
 """Optimizer tests, including the trace-eating dead-code bug."""
 
+import pytest
+
 from repro.xquery import EngineConfig, TraceLog, XQueryEngine, parse_query
-from repro.xquery.optimizer import free_variables, has_side_effects, optimize_module
+from repro.xquery.ast import function_table
+from repro.xquery.errors import XQueryError
+from repro.xquery.optimizer import DeadLet, Effects, dead_lets, free_variables, optimize_module
 from repro.xquery.parser import parse_expression
 
 
@@ -124,7 +128,55 @@ class TestAnalyses:
         assert free_variables(expr) == {"i", "src", "other"}
 
     def test_side_effects_detection(self):
-        assert has_side_effects(parse_expression("error('x')"), False)
-        assert has_side_effects(parse_expression("trace('x', 1)"), False)
-        assert not has_side_effects(parse_expression("trace('x', 1)"), True)
-        assert not has_side_effects(parse_expression("1 + count($x)"), False)
+        effects = Effects({})
+        assert effects.of(parse_expression("error('x')")) == {"error"}
+        assert effects.of(parse_expression("trace('x', 1)")) == {"trace"}
+        assert not effects.of(parse_expression("1 + count($x)"))
+        # the buggy mode does not count trace as a side effect: the let goes
+        module = parse_query("let $d := trace('x', 1) return 2")
+        assert list(dead_lets(module, trace_is_dead_code=True).values()) == [
+            DeadLet(kept=False, traced=True)
+        ]
+        assert list(dead_lets(module).values()) == [DeadLet(kept=True, traced=True)]
+
+    def test_effects_follow_user_function_calls(self):
+        module = parse_query(
+            "declare function local:f($n) { if ($n) then local:g() else 1 };"
+            " declare function local:g() { local:f(trace('t', 0)) };"
+            " declare function local:h() { fn:error() }; 1"
+        )
+        effects = Effects(function_table(module))
+        assert effects.of(parse_expression("local:f(1)")) == {"trace"}
+        assert effects.of(parse_expression("local:h()")) == {"error"}
+        # an undeclared call is the builtin's, or no effect at all
+        assert not effects.of(parse_expression("local:trace('x', 1)"))
+
+
+class TestEffectsThroughCalls:
+    """The default optimizer keeps effects a helper function reaches."""
+
+    TRACE = 'declare function local:f() { trace("probe", 1) }; let $x := local:f() return 2'
+    ERROR = 'declare function local:g() { error("boom") }; let $x := local:g() return 2'
+    LOG = 'declare function local:log($m) { trace($m, 1) }; let $d := local:log("x") return 1'
+
+    def test_default_config_keeps_a_trace_behind_a_call(self):
+        for config in (EngineConfig(), EngineConfig(optimize=False)):
+            trace = TraceLog()
+            assert XQueryEngine(config).evaluate(self.TRACE, trace=trace) == [2]
+            assert trace.messages == ["probe 1"]
+
+    def test_default_config_keeps_an_error_behind_a_call(self):
+        with pytest.raises(XQueryError) as raised:
+            XQueryEngine(EngineConfig()).evaluate(self.ERROR)
+        assert raised.value.code == "FOER0000"
+
+    def test_buggy_pass_counts_the_trace_it_deletes_through_a_call(self):
+        stats = optimize_module(parse_query(self.LOG), trace_is_dead_code=True)
+        assert (stats.dead_lets_removed, stats.traces_removed) == (1, 1)
+        stats = optimize_module(parse_query(self.LOG))
+        assert (stats.dead_lets_removed, stats.traces_removed) == (0, 0)
+
+    def test_a_trace_deleted_inside_a_deleted_let_counts_once(self):
+        source = "let $x := (let $t := trace('x', 1) return 2) return 3"
+        stats = optimize_module(parse_query(source), trace_is_dead_code=True)
+        assert (stats.dead_lets_removed, stats.traces_removed) == (2, 1)
