@@ -41,7 +41,7 @@ from dataclasses import dataclass
 from typing import Dict, List, Optional, Set, Tuple
 
 from .. import ast
-from ..functions import lookup_builtin
+from ..functions import resolve_call
 from ...xdm import atomic_type_name, is_atomic, is_node
 from ...xdm.types import ATOMIC_HIERARCHY, ItemType, atomic_type_derives_from
 from .cardinality import (
@@ -487,37 +487,31 @@ class TypeAnalyzer:
         return total
 
     def _call_card(self, expr: ast.FunctionCall, env: Env) -> Card:
-        """Mirrors ``_eval_function_call``'s resolution order exactly.
-
-        Two soundness lessons the fuzz oracle taught this function: a
-        declared user function shadows a same-named builtin at *any* call
-        spelling (the runtime keys ``ctx.functions`` by local name), so
-        the builtin result tables only apply when no declaration matches;
-        and ``xs:`` constructors map empty to empty, so their result is
-        optional unless the argument is provably non-empty.
+        """The runtime's resolution (:func:`resolve_call`), then the
+        builtin result tables, which apply only to a call that resolves to
+        a builtin: a declared user function shadows a same-named builtin
+        at *any* call spelling, and an unknown call reads ``*``.  ``xs:``
+        constructors map empty to empty, so their result is optional
+        unless the argument is provably non-empty.
         """
-        name = expr.name
-        if name.startswith("fn:"):
-            name = name[3:]
-        if name.startswith("xs:"):
+        callee = resolve_call(expr, self.functions)
+        if callee.kind == "constructor":
             if len(expr.args) == 1:
                 argument = self.card(expr.args[0], env)
                 return ONE if argument.lo >= 1 else OPT
             return ONE  # arity error at runtime; card is for success paths
-        local = name.split(":", 1)[1] if name.startswith("local:") else name
-        if local == "trace" and expr.args and (local, len(expr.args)) not in self.functions:
+        if callee.kind == "user":
+            declared = callee.declaration.return_type
+            return STAR if declared is None else from_sequence_type(declared)
+        name = callee.name if callee.kind == "builtin" else None
+        if name == "trace":
             # fn:trace returns its last argument verbatim.
             return self.card(expr.args[-1], env)
-        declaration = self.functions.get((local, len(expr.args)))
-        if declaration is not None:
-            if declaration.return_type is not None:
-                return from_sequence_type(declaration.return_type)
-            return STAR
-        if local in _ALWAYS_ONE:
+        if name in _ALWAYS_ONE:
             return ONE
-        if local in _AT_MOST_ONE:
+        if name in _AT_MOST_ONE:
             return OPT
-        if local == "one-or-more":
+        if name == "one-or-more":
             return PLUS
         return STAR
 
@@ -644,46 +638,40 @@ class TypeAnalyzer:
         return INTEGER if all_integer else ANY_ATOMIC
 
     def _call_item(self, expr: ast.FunctionCall, env: Env) -> AbstractItem:
-        name = expr.name
-        if name.startswith("fn:"):
-            name = name[3:]
-        if name.startswith("xs:"):
-            atomic = name if name in ATOMIC_HIERARCHY else None
+        callee = resolve_call(expr, self.functions)
+        if callee.kind == "constructor":
+            atomic = callee.name if callee.name in ATOMIC_HIERARCHY else None
             return AbstractItem(kind="atomic", atomic=atomic)
-        # same prefix handling as the runtime: only "local:" is stripped,
-        # and a matching declaration shadows any same-named builtin.
-        local = name.split(":", 1)[1] if name.startswith("local:") else name
-        declaration = self.functions.get((local, len(expr.args)))
-        if declaration is not None:
-            if declaration.return_type is not None:
-                return _from_item_type(declaration.return_type.item_type)
-            return ANY_ITEM
-        if local in _CALL_BOOLEAN:
+        if callee.kind == "user":
+            declared = callee.declaration.return_type
+            return ANY_ITEM if declared is None else _from_item_type(declared.item_type)
+        name = callee.name if callee.kind == "builtin" else None
+        if name in _CALL_BOOLEAN:
             return BOOLEAN
-        if local in _CALL_INTEGER:
+        if name in _CALL_INTEGER:
             return INTEGER
-        if local in _CALL_STRING:
+        if name in _CALL_STRING:
             return STRING
-        if local in _CALL_DOUBLE:
+        if name in _CALL_DOUBLE:
             return DOUBLE
-        if local in _CALL_ATOMIC:
+        if name in _CALL_ATOMIC:
             return ANY_ATOMIC
-        if local == "trace" and expr.args:
+        if name == "trace":
             # fn:trace returns its *last* argument (the value; earlier
             # arguments are labels) — a fuzz-found soundness bug when this
             # used args[0] like the other passthroughs.
             return self.item(expr.args[-1], env)
-        if local == "insert-before" and len(expr.args) == 3:
+        if name == "insert-before":
             # the result interleaves the target (args[0]) and the inserted
             # items (args[2]); drawing from args[0] alone was unsound.
             return join_items(
                 self.item(expr.args[0], env), self.item(expr.args[2], env)
             )
-        if local in _CALL_PASSTHROUGH and expr.args:
+        if name in _CALL_PASSTHROUGH:
             return self.item(expr.args[0], env)
-        if local == "root":
+        if name == "root":
             return ANY_NODE
-        if local == "doc":
+        if name == "doc":
             return AbstractItem(kind="document")
         return ANY_ITEM
 
@@ -1078,33 +1066,14 @@ class ModuleTypeAnalysis:
     # -- checks ------------------------------------------------------------
 
     def _check_call(self, expr: ast.FunctionCall) -> None:
-        name = expr.name
-        if name.startswith("fn:"):
-            name = name[3:]
-        if name.startswith("xs:"):
-            if len(expr.args) != 1:
-                self.issues.append(
-                    StaticIssue(
-                        "XPST0017",
-                        f"{name} expects exactly one argument",
-                        expr.line,
-                        expr.column,
-                    )
-                )
+        callee = resolve_call(expr, self.analyzer.functions)
+        if callee.kind == "constructor" and len(expr.args) != 1:
+            message = f"{callee.name} expects exactly one argument"
+        elif callee.kind == "unknown":
+            message = f"unknown function {expr.name}() with {len(expr.args)} argument(s)"
+        else:
             return
-        local = name[len("local:"):] if name.startswith("local:") else name
-        if (local, len(expr.args)) in self.analyzer.functions:
-            return
-        if lookup_builtin(name, len(expr.args)) is not None:
-            return
-        self.issues.append(
-            StaticIssue(
-                "XPST0017",
-                f"unknown function {expr.name}() with {len(expr.args)} argument(s)",
-                expr.line,
-                expr.column,
-            )
-        )
+        self.issues.append(StaticIssue("XPST0017", message, expr.line, expr.column))
 
     def _check_operators(self, expr, env: Env) -> None:
         """XQL011: comparisons/arithmetic that can only raise XPTY0004."""

@@ -399,9 +399,7 @@ def function_table(module: Module) -> Dict[Tuple[str, int], FunctionDecl]:
     with XQST0034)."""
     table: Dict[Tuple[str, int], FunctionDecl] = {}
     for declaration in module.functions:
-        name = declaration.name
-        if name.startswith("local:"):
-            name = name[len("local:") :]
+        name = declaration.name.removeprefix("local:")
         table.setdefault((name, declaration.arity), declaration)
     return table
 

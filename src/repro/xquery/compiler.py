@@ -65,7 +65,7 @@ from .evaluator import (
     ebv,
     evaluate,
 )
-from .functions import lookup_builtin
+from .functions import resolve_call
 from .operators import arithmetic
 
 #: A compiled expression: call it with a dynamic context, get a sequence.
@@ -381,19 +381,10 @@ class Compiler:
 
     def _is_builtin_name_call(self, expr: ast.Expr) -> bool:
         """``name()`` or ``name(.)``, resolving to the builtin (unshadowed)."""
-        if not isinstance(expr, ast.FunctionCall):
-            return False
-        fname = expr.name
-        if fname.startswith("fn:"):
-            fname = fname[3:]
-        if fname != "name":
-            return False
-        if expr.args and not (
-            len(expr.args) == 1 and isinstance(expr.args[0], ast.ContextItem)
-        ):
-            return False
-        return (fname, len(expr.args)) not in self.functions and (
-            lookup_builtin(fname, len(expr.args)) is not None
+        return (
+            isinstance(expr, ast.FunctionCall)
+            and all(isinstance(arg, ast.ContextItem) for arg in expr.args)
+            and resolve_call(expr, self.functions).is_builtin("name")
         )
 
     def _name_comparison_applier(self, predicate: ast.Expr) -> Optional[_Applier]:
@@ -941,30 +932,22 @@ class Compiler:
     # -- functions -----------------------------------------------------------
 
     def _function_call(self, expr: ast.FunctionCall) -> Thunk:
-        name = expr.name
-        if name.startswith("fn:"):
-            name = name[3:]
-        if name.startswith("xs:"):
-            # constructor functions are cold: the treewalk casts.
+        callee = resolve_call(expr, self.functions)
+        if callee.kind == "user":
+            key = (callee.name, len(expr.args))  # the function_table key
+            return self._user_function_call(expr, key, callee.declaration)
+        if callee.kind != "builtin":
+            # constructor functions are cold: the treewalk casts; it also
+            # raises XPST0017 for an unknown call when it is evaluated.
             return lambda ctx: evaluate(expr, ctx)
-
-        local_name = name.split(":", 1)[1] if name.startswith("local:") else name
-        key = (local_name, len(expr.args))
-        declaration = self.functions.get(key)
-        if declaration is not None:
-            return self._user_function_call(expr, key, declaration)
-
-        builtin = lookup_builtin(name, len(expr.args))
-        if builtin is None:
-            # the treewalk raises XPST0017 when the call is evaluated.
-            return lambda ctx: evaluate(expr, ctx)
+        builtin = callee.builtin
         arg_thunks = tuple(self.compile(arg) for arg in expr.args)
 
         def run(ctx: DynamicContext) -> Sequence:
             args = [thunk(ctx) for thunk in arg_thunks]
             return builtin(ctx, args, expr)
 
-        if name in _BOOLEAN_BUILTINS:
+        if callee.name in _BOOLEAN_BUILTINS:
             run.ebv = lambda ctx: builtin(
                 ctx, [thunk(ctx) for thunk in arg_thunks], expr
             )[0]

@@ -40,6 +40,7 @@ from .errors import (
     XQueryDynamicError,
     XQueryTypeError,
 )
+from .functions import resolve_call
 from .operators import arithmetic, negate, set_operation
 
 
@@ -590,40 +591,32 @@ def _eval_if(expr: ast.IfExpr, ctx: DynamicContext) -> Sequence:
 
 
 def _eval_function_call(expr: ast.FunctionCall, ctx: DynamicContext) -> Sequence:
-    from .functions import lookup_builtin  # deferred: functions imports evaluator
-
-    name = expr.name
-    if name.startswith("fn:"):
-        name = name[3:]
-    # constructor functions: xs:integer("3") etc.
-    if name.startswith("xs:"):
-        if len(expr.args) != 1:
-            raise _error(expr, ctx, f"{name} expects one argument", "XPST0017")
-        value = atomize(evaluate(expr.args[0], ctx))
-        if not value:
-            return []
-        if len(value) > 1:
-            raise _error(expr, ctx, f"{name} requires a singleton", "XPTY0004")
-        try:
-            return [cast_atomic(value[0], name)]
-        except CastError as exc:
-            raise _error(expr, ctx, str(exc), "FORG0001") from exc
-
-    local_name = name.split(":", 1)[1] if name.startswith("local:") else name
-    declaration = ctx.functions.get((local_name, len(expr.args)))
-    if declaration is not None:
-        return _call_user_function(declaration, expr, ctx)
-
-    builtin = lookup_builtin(name, len(expr.args))
-    if builtin is None:
+    callee = resolve_call(expr, ctx.functions)
+    if callee.kind == "builtin":
+        args = [evaluate(arg, ctx) for arg in expr.args]
+        return callee.builtin(ctx, args, expr)
+    if callee.kind == "user":
+        return _call_user_function(callee.declaration, expr, ctx)
+    if callee.kind == "unknown":
         raise _error(
             expr,
             ctx,
             f"unknown function {expr.name}() with {len(expr.args)} argument(s)",
             "XPST0017",
         )
-    args = [evaluate(arg, ctx) for arg in expr.args]
-    return builtin(ctx, args, expr)
+    # constructor functions: xs:integer("3") etc.
+    name = callee.name
+    if len(expr.args) != 1:
+        raise _error(expr, ctx, f"{name} expects one argument", "XPST0017")
+    value = atomize(evaluate(expr.args[0], ctx))
+    if not value:
+        return []
+    if len(value) > 1:
+        raise _error(expr, ctx, f"{name} requires a singleton", "XPTY0004")
+    try:
+        return [cast_atomic(value[0], name)]
+    except CastError as exc:
+        raise _error(expr, ctx, str(exc), "FORG0001") from exc
 
 
 def _call_user_function(

@@ -18,10 +18,11 @@ on them:
 
 from __future__ import annotations
 
+import functools
 import math
 import re
 from decimal import Decimal
-from typing import Callable, Dict, List, Optional, Tuple
+from typing import Callable, Dict, List, NamedTuple, Optional, Tuple
 
 from ..xdm import (
     Node,
@@ -36,6 +37,7 @@ from ..xdm import (
     value_compare,
 )
 from ..xdm.compare import ComparisonTypeError
+from .ast import FunctionCall, FunctionDecl
 from .errors import XQueryDynamicError, XQueryTypeError, XQueryUserError
 from .operators import _promote_pair
 
@@ -69,6 +71,41 @@ def lookup_builtin(name: str, arity: int) -> Optional[Callable]:
     if variadic is not None and arity >= variadic[0]:
         return variadic[1]
     return None
+
+
+class Callee(NamedTuple):
+    """What a call names: ``kind`` is ``constructor`` (``xs:``), ``user``
+    (``name`` keyed as :func:`~.ast.function_table` keys it, ``local:``
+    stripped), ``builtin`` (``name`` as the registry holds it, ``local:``
+    kept) or ``unknown`` (XPST0017 when it runs)."""
+
+    kind: str
+    name: str
+    declaration: Optional[FunctionDecl] = None
+    builtin: Optional[Callable] = None
+
+    def is_builtin(self, *names: str) -> bool:
+        return self.kind == "builtin" and self.name in names
+
+
+def resolve_call(
+    expr: FunctionCall, functions: Dict[Tuple[str, int], FunctionDecl]
+) -> Callee:
+    """The one call-resolution rule, which every evaluator and analysis
+    asks.  ``fn:`` is dropped first; an ``xs:`` name is a constructor at
+    any arity; a declaration in *functions* shadows a same-named builtin."""
+    name = expr.name.removeprefix("fn:")
+    if name.startswith("xs:"):
+        return Callee("constructor", name)
+    arity = len(expr.args)
+    local = name.removeprefix("local:")
+    declaration = functions.get((local, arity))
+    if declaration is not None:
+        return Callee("user", local, declaration)
+    builtin = lookup_builtin(name, arity)
+    if builtin is not None:
+        return Callee("builtin", name, builtin=builtin)
+    return Callee("unknown", name)
 
 
 def builtin_names() -> List[str]:
@@ -760,8 +797,6 @@ def _ft_score(ctx, args, expr) -> Sequence:
     alone — the property the indexed/brute parity relies on.  A stored
     document is counted by the store (from its postings when indexed).
     """
-    from ..collections.fulltext import count_phrase
-
     phrase = _string_of(args[1], "ft:score")
     if not args[0]:
         return [0]
@@ -773,17 +808,27 @@ def _ft_score(ctx, args, expr) -> Sequence:
         store = _collection_store(ctx, "ft:score")
         item = store.resolve(string_value_of_atomic(item))
     if store is None:
+        from ..collections.fulltext import count_phrase
+
         return [count_phrase(item.string_value(), phrase)]
     return [store.score(item, phrase)]
+
+
+@functools.cache
+def _kwic():
+    # bound on first use (repro.collections loads serving, querycalc, then
+    # this package); the module, not its functions, so a patch is seen.
+    from ..collections import kwic
+
+    return kwic
 
 
 @builtin("ft:kwic", 2, 3)
 def _ft_kwic(ctx, args, expr) -> Sequence:
     """KWIC snippets (``before«match»after``), one per occurrence."""
-    from ..collections.kwic import CHARS_KWIC, kwic_snippets
-
+    kwic = _kwic()
     phrase = _string_of(args[1], "ft:kwic")
-    width = CHARS_KWIC
+    width = kwic.CHARS_KWIC
     if len(args) == 3:
         number = _numeric(args[2], "ft:kwic")
         if number is not None:
@@ -798,7 +843,7 @@ def _ft_kwic(ctx, args, expr) -> Sequence:
     else:
         store = _collection_store(ctx, "ft:kwic")
         text = store.resolve(string_value_of_atomic(item)).string_value()
-    return list(kwic_snippets(text, phrase, width))
+    return list(kwic.kwic_snippets(text, phrase, width))
 
 
 @builtin("ft:uri", 1)

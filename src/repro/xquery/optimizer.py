@@ -28,6 +28,7 @@ from typing import Dict, FrozenSet, List, NamedTuple, Optional, Set, Tuple
 
 from . import ast
 from .errors import XQueryError
+from .functions import resolve_call
 from .operators import arithmetic
 
 
@@ -81,8 +82,8 @@ class Effects:
     reach: the one effect analysis of the dead-``let`` pass, the linter and
     the algebra's hoists.
 
-    A call reaches what the runtime would run: a declared user function in
-    *functions* (:func:`~.ast.function_table`) first, else the builtin.  A
+    A call reaches what :func:`~.functions.resolve_call` says it names over
+    *functions*; a call to no user function counts by name, at any arity.  A
     user call reaches what every declaration reachable from it through
     calls reaches, so recursion is safe; each body is walked once per
     instance.  The values of the ``let`` clauses whose ids are in *skip*
@@ -117,13 +118,11 @@ class Effects:
         while pending:
             node = pending.pop()
             if isinstance(node, ast.FunctionCall):
-                name = node.name[3:] if node.name.startswith("fn:") else node.name
-                local = name[len("local:") :] if name.startswith("local:") else name
-                declaration = self.functions.get((local, len(node.args)))
-                if declaration is not None:
-                    calls.append(declaration)
-                elif name in ("trace", "error"):
-                    found.add(name)
+                callee = resolve_call(node, self.functions)
+                if callee.declaration is not None:
+                    calls.append(callee.declaration)
+                elif callee.name in ("trace", "error"):
+                    found.add(callee.name)
                 pending.extend(node.args)
             elif isinstance(node, ast.FLWOR) and self.skip:
                 pending.append(node.result)
