@@ -201,7 +201,8 @@ def run_campaign(
         stats.by_kind[kind] = stats.by_kind.get(kind, 0) + 1
         if kind == "xquery":
             config = _random_config(rng)
-            program = generator.program()
+            # one draw in ten is the correlated shape lowering hash-joins
+            program = generator.join_program() if rng.random() < 0.1 else generator.program()
             source = program.render()
             outcomes = xquery_outcomes(source, config, timeout=PROGRAM_TIMEOUT)
             _count_outcome(stats, outcomes)

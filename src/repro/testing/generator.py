@@ -25,8 +25,9 @@ from typing import Dict, Iterator, List, Optional, Sequence, Tuple, Union
 
 #: bumped whenever the grammar changes shape enough that a recorded
 #: (seed, version) pair would regenerate a different program.  Stored in
-#: corpus provenance headers.
-GENERATOR_VERSION = 2
+#: corpus provenance headers.  Version 3 added :meth:`ProgramGenerator.join_program`,
+#: which a fuzz campaign draws for a share of its xquery programs.
+GENERATOR_VERSION = 3
 
 Part = Union[str, "GenExpr"]
 
@@ -154,6 +155,7 @@ class ProgramGenerator:
         "flwor-where",
         "flwor-order",
         "flwor-at",
+        "flwor-join",
         "let",
         "quantified",
         "predicate",
@@ -237,6 +239,14 @@ class ProgramGenerator:
         Top-level parts render one per line, so shrunk reproducers measure
         naturally in lines.
         """
+        return self._declared(lambda env: self._expr(env, self.max_fuel))
+
+    def join_program(self) -> GenExpr:
+        """A complete program whose body is the ``flwor-join`` shape, after
+        the declarations its probe may call."""
+        return self._declared(lambda env: self._flwor_join())
+
+    def _declared(self, body_of) -> GenExpr:
         self._functions = []
         self._trace_counter = 0
         env: List[_Binding] = []
@@ -244,7 +254,7 @@ class ProgramGenerator:
         for _ in range(self.rng.randrange(3)):
             parts.append(self._declaration(env))
             parts.append("\n")
-        body = self._expr(env, self.max_fuel)
+        body = body_of(env)
         parts.append(body)
         return GenExpr("program", parts, flavor=body.flavor)
 
@@ -938,6 +948,34 @@ class ProgramGenerator:
             parts.append(f" order by ${name}{direction}")
         parts += [" return ", self._expr(inner_env, fuel - 3), ")"]
         return GenExpr("flwor", parts, flavor="sequence")
+
+    def _flwor_join(self) -> GenExpr:
+        """``for $x in T/a for $y in T/b[@x (eq|=) P]`` over one tree: the
+        correlated shape lowering turns into a hash join when the probe
+        ``P`` may run once per tuple.  ``P`` is plain, reads the focus,
+        traces, or calls a declared function."""
+        self._hit("flwor-join")
+        tree, x, y = self._fresh("t"), self._fresh("i"), self._fresh("i")
+        pure = [
+            f"${x}/@x",
+            f"string(${x}/@x)",
+            f"(${x}/@x, @x)",
+            f"concat(${x}/@x, string())",
+        ]
+        calls = [f'trace(${x}/@x, "j")'] + [f"{name}(${x}/@x)" for name, _ in self._functions]
+        probe = self.rng.choice(pure + calls)
+        op = self.rng.choice(("eq", "="))
+        return GenExpr(
+            "flwor-join",
+            [
+                f"(let ${tree} := {self._tree_literal(0)} "
+                f"for ${x} in ${tree}/a for ${y} in ${tree}/b[@x {op} {probe}] "
+                f"return concat(${x}, '-', ${y}))"
+            ],
+            flavor="sequence",
+            pure=probe in pure,
+            creates_nodes=True,
+        )
 
     # -- nodes, constructors, paths -------------------------------------------
 

@@ -18,11 +18,12 @@ was rejected):
   compiled fast predicates — closed, pure, and unable to call user
   functions (whose recursion-depth accounting would otherwise leak between
   cache hits);
-* a hash join's probe expression must be focus-free (no ``.``, no
-  ``position()``/``last()``) and reach neither ``fn:trace`` nor
-  ``fn:error``, through user-function calls too, so evaluating it once
-  per tuple instead of once per candidate item is unobservable; a
-  loop-invariant ``for`` source is hoisted under the same effect rule;
+* a hash join's probe runs once per tuple instead of once per candidate
+  item, so :class:`~..optimizer.Effects`, the one evaluate-once rule, must
+  find nothing in it: no read of the focus and no ``fn:trace`` or
+  ``fn:error``, through user-function calls too.  A ``for`` source that
+  observes no tuple variable is hoisted under the same rule, except that
+  it may read the focus, which one FLWOR evaluation does not change;
 * ``where`` clauses are never pushed across ``for`` clauses: XQuery's
   ordered, error-strict semantics make tuple order observable through
   ``fn:error``/``fn:trace``, which is exactly the "lopsided" constraint the
@@ -175,7 +176,7 @@ class Lowerer:
             if isinstance(value, int) and not isinstance(value, bool):
                 return PositionalPred(pred, "eq", value)
             return None
-        if self._is_focus_call(pred, "last"):
+        if self._builtin_args(pred, "last", 0) is not None:
             return PositionalPred(pred, "last", 0)
         if not isinstance(pred, ast.Comparison):
             return None
@@ -188,9 +189,9 @@ class Lowerer:
             return None
         op = ops[pred.op]
         left, right = pred.left, pred.right
-        if self._is_focus_call(left, "position"):
+        if self._builtin_args(left, "position", 0) is not None:
             literal = right
-        elif self._is_focus_call(right, "position"):
+        elif self._builtin_args(right, "position", 0) is not None:
             literal, op = left, _POSITIONAL_SWAP[op]
         else:
             return None
@@ -201,16 +202,6 @@ class Lowerer:
         ):
             return PositionalPred(pred, op, literal.value)
         return None
-
-    def _is_focus_call(self, expr: ast.Expr, *names: str) -> bool:
-        """True if *expr* calls the ``position``/``last`` builtin in *names*."""
-        # a user declaration shadows the builtin; then it is not focus-bound
-        # but may recurse, so the fast path stands down either way.
-        return (
-            isinstance(expr, ast.FunctionCall)
-            and not expr.args
-            and resolve_call(expr, self.functions).is_builtin(*names)
-        )
 
     def _attr_comparison_pred(self, pred: ast.Comparison) -> Optional[PredPlan]:
         for attr_side, value_side in ((pred.left, pred.right), (pred.right, pred.left)):
@@ -353,9 +344,11 @@ class Lowerer:
             join = self._try_join(clause, source_plan, bound)
             if join is not None:
                 return join
-        # the first clause (nothing bound yet) observes no tuple variable
+        # the first clause (nothing bound yet) observes no tuple variable,
+        # and the focus is the same for every tuple of one evaluation
         observes = bound and free_variables(clause.source) & bound
-        return ForOp(clause, source_plan, not observes and not self.effects.of(clause.source))
+        invariant = not observes and not (self.effects.of(clause.source) - {"focus"})
+        return ForOp(clause, source_plan, invariant)
 
     # -- join detection ---------------------------------------------------
 
@@ -366,7 +359,8 @@ class Lowerer:
 
         The scan up to the join predicate must be memoizable (fast
         predicates only, element-producing last step) and the probe must be
-        correlated with the tuple stream, focus-free, and pure.
+        correlated with the tuple stream and safe to evaluate once per
+        tuple: :class:`~..optimizer.Effects` finds nothing in it.
         """
         if not bound or not scan.steps:
             return None
@@ -428,21 +422,10 @@ class Lowerer:
                 continue
             if not (free_variables(probe) & bound):
                 continue
-            if not self._probe_is_safe(probe):
+            if self.effects.of(probe):
                 continue
             return attr, probe, style
         return None
-
-    def _probe_is_safe(self, probe: ast.Expr) -> bool:
-        """The probe may be evaluated once per tuple instead of per item."""
-        if self.effects.of(probe):
-            return False
-        nodes: List[ast.Expr] = []
-        ast.walk(probe, nodes.append)
-        return not any(
-            isinstance(node, ast.ContextItem) or self._is_focus_call(node, "position", "last")
-            for node in nodes
-        )
 
     # -- function calls ---------------------------------------------------
 

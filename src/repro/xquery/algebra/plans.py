@@ -606,9 +606,10 @@ class ForOp(TupleOp):
     """Tuple source: ``for $var [at $pos] in source``.
 
     ``invariant`` marks sources that cannot observe the tuple variables
-    bound so far and reach neither ``fn:trace`` nor ``fn:error``, through
-    user-function calls too (:class:`~..optimizer.Effects`); the executor
-    evaluates those once per FLWOR execution instead of once per tuple.
+    bound so far and in which :class:`~..optimizer.Effects` finds nothing
+    but a read of the focus, which is fixed for one FLWOR execution; the
+    executor evaluates those once per FLWOR execution instead of once per
+    tuple.
     """
 
     __slots__ = ("clause", "var", "position_var", "source", "invariant")

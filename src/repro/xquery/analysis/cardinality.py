@@ -23,6 +23,7 @@ from dataclasses import dataclass
 from typing import Dict, Iterator, Optional, Tuple
 
 from .. import ast
+from ..functions import resolve_call
 from ...xdm import SequenceType
 
 #: intervals wider than this saturate to "unbounded".
@@ -137,17 +138,17 @@ def range_card(expr: ast.RangeExpr) -> Card:
     return STAR
 
 
-def positional_index(predicate) -> Optional[int]:
+def positional_index(predicate, functions) -> Optional[int]:
     """N when *predicate* is the positional filter ``[N]`` (or
-    ``[position() = N]`` / ``[position() eq N]``), else None."""
+    ``[position() = N]`` / ``[position() eq N]``, with ``position`` the
+    builtin over *functions*), else None."""
     if isinstance(predicate, ast.Literal) and isinstance(predicate.value, int):
         return predicate.value
     if (
         isinstance(predicate, ast.Comparison)
         and predicate.op in ("=", "eq")
         and isinstance(predicate.left, ast.FunctionCall)
-        and predicate.left.name.split(":")[-1] == "position"
-        and not predicate.left.args
+        and resolve_call(predicate.left, functions).is_builtin("position")
         and isinstance(predicate.right, ast.Literal)
         and isinstance(predicate.right.value, int)
     ):

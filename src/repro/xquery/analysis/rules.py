@@ -38,12 +38,16 @@ from functools import cached_property
 from typing import Callable, Dict, Iterable, Iterator, List, Optional, Set, Tuple
 
 from .. import ast
+from ..functions import resolve_call
 from ..optimizer import DeadLet, dead_lets, free_variables
 from ...xdm import ItemType
 from .cardinality import Binder, Env, positional_index, scopes
 from .diagnostics import Diagnostic
 from .schema import awb_export_schema
 from .types import ModuleTypeAnalysis, TypeAnalyzer
+
+#: a declared function as :func:`~..ast.function_table` keys it.
+Key = Tuple[str, int]
 
 
 @dataclass(frozen=True)
@@ -88,9 +92,9 @@ class ModuleAnalysis:
         if getattr(config, "lint_schema", "awb") != "off":
             schema = awb_export_schema()
         self.analyzer = TypeAnalyzer(module, schema=schema)
-        self._fallible: Optional[Set[str]] = None
-        self._constructors: Optional[Set[str]] = None
-        self._checkers: Optional[Set[str]] = None
+        self._fallible: Optional[Set[Key]] = None
+        self._constructors: Optional[Set[Key]] = None
+        self._checkers: Optional[Set[Key]] = None
         self._types: Optional[ModuleTypeAnalysis] = None
 
     @cached_property
@@ -118,16 +122,18 @@ class ModuleAnalysis:
 
     # -- the error-as-value convention (XQL002 machinery) -------------------
 
-    @staticmethod
-    def _local(name: str) -> str:
-        return name.split(":")[-1]
+    def called(self, call: ast.FunctionCall) -> Optional[Key]:
+        """The :func:`~..ast.function_table` key of the declaration *call*
+        names, if :func:`~..functions.resolve_call` says it names one."""
+        callee = resolve_call(call, self.analyzer.functions)
+        return None if callee.declaration is None else (callee.name, len(call.args))
 
-    def checker_functions(self) -> Set[str]:
+    def checker_functions(self) -> Set[Key]:
         """Functions that *test* for an error value (``local:is-error``):
         their body applies ``instance of element(error)`` to a parameter."""
         if self._checkers is None:
-            checkers: Set[str] = set()
-            for function in self.module.functions:
+            checkers: Set[Key] = set()
+            for key, function in self.analyzer.functions.items():
                 params = {p.name for p in function.params}
                 found: List[bool] = []
 
@@ -146,7 +152,7 @@ class ModuleAnalysis:
 
                 ast.walk(function.body, visit)
                 if found:
-                    checkers.add(self._local(function.name))
+                    checkers.add(key)
             self._checkers = checkers
         return self._checkers
 
@@ -163,8 +169,8 @@ class ModuleAnalysis:
         ast.walk(expr, visit)
         return bool(found)
 
-    def fallible_functions(self) -> Tuple[Set[str], Set[str]]:
-        """``(fallible, constructors)`` by local name.
+    def fallible_functions(self) -> Tuple[Set[Key], Set[Key]]:
+        """``(fallible, constructors)`` by :func:`~..ast.function_table` key.
 
         *Constructors* always return an error element (``local:mk-error``);
         calling one is intentional construction, never flagged.  *Fallible*
@@ -172,37 +178,36 @@ class ModuleAnalysis:
         an unguarded call to another fallible function (fixpoint).
         """
         if self._fallible is None:
-            constructors: Set[str] = set()
-            fallible: Set[str] = set()
-            for function in self.module.functions:
+            constructors: Set[Key] = set()
+            fallible: Set[Key] = set()
+            for key, function in self.analyzer.functions.items():
                 body = _unwrap_parens(function.body)
                 if (
                     isinstance(body, (ast.DirectElement, ast.ComputedElement))
                     and body.name == "error"
                 ):
-                    constructors.add(self._local(function.name))
+                    constructors.add(key)
                 if self._constructs_error_element(function.body):
-                    fallible.add(self._local(function.name))
+                    fallible.add(key)
             changed = True
             while changed:
                 changed = False
-                for function in self.module.functions:
-                    local = self._local(function.name)
-                    if local in fallible:
+                for key, function in self.analyzer.functions.items():
+                    if key in fallible:
                         continue
                     # tail-position propagation spreads fallibility too, so
                     # the fixpoint does NOT exempt tail calls.
                     if self._unguarded_calls(
                         function.body, fallible | constructors, exempt_tail=False
                     ):
-                        fallible.add(local)
+                        fallible.add(key)
                         changed = True
             self._fallible = fallible
             self._constructors = constructors
         return self._fallible, self._constructors
 
     def _unguarded_calls(
-        self, root, fallible: Set[str], exempt_tail: bool = True
+        self, root, fallible: Set[Key], exempt_tail: bool = True
     ) -> List[ast.FunctionCall]:
         """Calls to *fallible* functions in *root* whose result is never
         passed through a checker (``local:is-error``).
@@ -220,9 +225,10 @@ class ModuleAnalysis:
 
         def visit(node) -> None:
             if isinstance(node, ast.FunctionCall):
-                if self._local(node.name) in fallible:
+                key = self.called(node)
+                if key in fallible:
                     calls.append(node)
-                if self._local(node.name) in checkers:
+                if key in checkers:
                     for arg in node.args:
                         if isinstance(arg, ast.VarRef):
                             checked_vars.add(arg.name)
@@ -387,7 +393,7 @@ def check_positional_predicates(analysis: ModuleAnalysis) -> Iterator[Diagnostic
             continue
         base_card = analysis.analyzer.card(expr.base, env)
         for predicate in expr.predicates:
-            n = positional_index(predicate)
+            n = positional_index(predicate, analysis.analyzer.functions)
             if n is None:
                 continue
             if n < 1:
@@ -586,16 +592,16 @@ def check_dead_code(analysis: ModuleAnalysis) -> Iterator[Diagnostic]:
     module = analysis.module
     # unused user functions (only meaningful when a body exists to reach them)
     if analysis.has_body:
-        called: Set[str] = set()
+        called: Set[Optional[Key]] = set()
 
         def note_call(node) -> None:
             if isinstance(node, ast.FunctionCall):
-                called.add(node.name.split(":")[-1])
+                called.add(analysis.called(node))
 
         for _owner, root, _env in analysis.units():
             ast.walk(root, note_call)
-        for function in module.functions:
-            if function.name.split(":")[-1] not in called:
+        for key, function in analysis.analyzer.functions.items():
+            if key not in called:
                 yield Diagnostic(
                     code="XQL005",
                     severity="warning",
@@ -647,7 +653,7 @@ def check_dead_code(analysis: ModuleAnalysis) -> Iterator[Diagnostic]:
     # unreachable branches
     for owner, expr, _env in analysis.scoped():
         if isinstance(expr, ast.IfExpr):
-            condition = _const_bool(expr.condition)
+            condition = _const_bool(expr.condition, analysis.analyzer.functions)
             if condition is not None:
                 dead = expr.else_branch if condition else expr.then_branch
                 which = "else" if condition else "then"
@@ -669,7 +675,7 @@ def check_dead_code(analysis: ModuleAnalysis) -> Iterator[Diagnostic]:
             for clause in expr.clauses:
                 if (
                     isinstance(clause, ast.WhereClause)
-                    and _const_bool(clause.condition) is False
+                    and _const_bool(clause.condition, analysis.analyzer.functions) is False
                 ):
                     yield Diagnostic(
                         code="XQL005",
@@ -684,19 +690,18 @@ def check_dead_code(analysis: ModuleAnalysis) -> Iterator[Diagnostic]:
                     )
 
 
-def _const_bool(expr) -> Optional[bool]:
+def _const_bool(expr, functions) -> Optional[bool]:
     """The statically known truth value of a condition, if any.
 
     XQuery has no boolean literals — ``true()``/``false()`` are function
-    calls, which this recognizes.
+    calls to the builtins, which this recognizes; a declaration of the same
+    name shadows them.
     """
     expr = _unwrap_parens(expr)
-    if isinstance(expr, ast.FunctionCall) and not expr.args:
-        local = expr.name.split(":")[-1]
-        if local == "true":
-            return True
-        if local == "false":
-            return False
+    if isinstance(expr, ast.FunctionCall):
+        callee = resolve_call(expr, functions)
+        if callee.is_builtin("true", "false"):
+            return callee.name == "true"
     return None
 
 

@@ -464,7 +464,7 @@ class TypeAnalyzer:
     def _filter_card(self, expr: ast.FilterExpr, env: Env) -> Card:
         base = self.card(expr.base, env)
         for predicate in expr.predicates:
-            if positional_index(predicate) is not None:
+            if positional_index(predicate, self.functions) is not None:
                 base = Card(0, 0 if base.hi == 0 else 1)
             else:
                 base = Card(0, base.hi)
@@ -856,7 +856,7 @@ class TypeAnalyzer:
                 item = base_item if base_item.kind in _NODE_KINDS else ANY_NODE
         for predicate in step.predicates:
             self._check_predicate(item.schema_element, predicate, sink)
-            if positional_index(predicate) is not None:
+            if positional_index(predicate, self.functions) is not None:
                 card = Card(0, 0 if card.hi == 0 else 1)
             else:
                 card = Card(0, card.hi)
@@ -1145,21 +1145,22 @@ def infer_body_type(
 # -- call graphs and annotation pressure (moved from statictype) --------------
 
 
-def call_graph(module: ast.Module) -> Dict[str, Set[str]]:
-    """User-function call graph: declared name → called user-function names."""
-    declared = {f.name.split(":")[-1] for f in module.functions}
-    graph: Dict[str, Set[str]] = {name: set() for name in declared}
-    for function in module.functions:
-        callee_names: Set[str] = set()
+def call_graph(module: ast.Module) -> Dict[Tuple[str, int], Set[Tuple[str, int]]]:
+    """User-function call graph over :func:`~..ast.function_table` keys:
+    declaration → the declarations its body calls, as
+    :func:`~..functions.resolve_call` resolves each call."""
+    functions = ast.function_table(module)
+    graph: Dict[Tuple[str, int], Set[Tuple[str, int]]] = {}
+    for key, function in functions.items():
+        callees = graph[key] = set()
 
-        def visit(node) -> None:
+        def visit(node, callees=callees) -> None:
             if isinstance(node, ast.FunctionCall):
-                local = node.name.split(":")[-1]
-                if local in declared:
-                    callee_names.add(local)
+                callee = resolve_call(node, functions)
+                if callee.declaration is not None:
+                    callees.add((callee.name, len(node.args)))
 
         ast.walk(function.body, visit)
-        graph[function.name.split(":")[-1]] = callee_names
     return graph
 
 
@@ -1172,24 +1173,24 @@ def annotation_pressure(module: ast.Module) -> Dict[str, object]:
     Returns counts and the ratio of dragged-in functions to annotated ones.
     """
     annotated = {
-        f.name.split(":")[-1]
-        for f in module.functions
+        key
+        for key, f in ast.function_table(module).items()
         if f.return_type is not None or any(p.declared_type for p in f.params)
     }
     graph = call_graph(module)
-    undirected: Dict[str, Set[str]] = {name: set() for name in graph}
+    undirected: Dict[Tuple[str, int], Set[Tuple[str, int]]] = {key: set() for key in graph}
     for caller, callees in graph.items():
         for callee in callees:
             undirected[caller].add(callee)
             undirected.setdefault(callee, set()).add(caller)
-    reached: Set[str] = set()
+    reached: Set[Tuple[str, int]] = set()
     frontier = list(annotated)
     while frontier:
-        name = frontier.pop()
-        if name in reached:
+        key = frontier.pop()
+        if key in reached:
             continue
-        reached.add(name)
-        frontier.extend(undirected.get(name, ()))
+        reached.add(key)
+        frontier.extend(undirected.get(key, ()))
     dragged_in = reached - annotated
     return {
         "functions": len(graph),

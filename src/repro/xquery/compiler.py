@@ -67,6 +67,7 @@ from .evaluator import (
 )
 from .functions import resolve_call
 from .operators import arithmetic
+from .optimizer import Effects
 
 #: A compiled expression: call it with a dynamic context, get a sequence.
 Thunk = Callable[[DynamicContext], Sequence]
@@ -89,36 +90,6 @@ def _select_position(items: Sequence, position: float) -> Sequence:
     if float(index) == position and 1 <= index <= len(items):
         return [items[index - 1]]
     return []
-
-
-def _hoistable(expr: ast.Expr) -> bool:
-    """Can *expr* be evaluated once per predicate application?
-
-    True only for pure, focus-independent expressions that neither
-    construct nodes nor have side effects, so evaluating them once instead
-    of once per candidate is unobservable: literals, variable references,
-    ``fn:string`` of such, and short variable-rooted paths of
-    predicate-free child/attribute steps (which return *existing* nodes).
-    """
-    if isinstance(expr, (ast.Literal, ast.VarRef)):
-        return True
-    if isinstance(expr, ast.FunctionCall):
-        return expr.name in ("string", "fn:string") and len(expr.args) == 1 and (
-            _hoistable(expr.args[0])
-        )
-    if isinstance(expr, ast.PathExpr):
-        return (
-            expr.anchor is None
-            and isinstance(expr.first, ast.VarRef)
-            and all(
-                isinstance(step, ast.AxisStep)
-                and step.axis in ("child", "attribute")
-                and step.test.kind in ("name", "wildcard")
-                and not step.predicates
-                for _, step in expr.steps
-            )
-        )
-    return False
 
 
 #: Axes whose scan of ONE context node is already duplicate-free and in
@@ -202,6 +173,8 @@ class Compiler:
     ):
         self.functions = functions
         self.config = config
+        #: which right sides the predicate fast paths may evaluate once.
+        self.effects = Effects(functions)
         #: user-function bodies, compiled on their first call: recursion
         #: needs no ordering, and a fallback that calls none compiles none.
         self.function_bodies: Dict[Tuple[str, int], Thunk] = {}
@@ -292,24 +265,20 @@ class Compiler:
         return applier
 
     def _attribute_comparison_applier(self, predicate: ast.Expr) -> Optional[_Applier]:
-        """The fast path for ``[@name eq <hoistable>]`` value comparisons.
+        """The fast path for ``[@name eq <right>]`` value comparisons.
 
         This is the shape the docgen/querycalc sources hammer
         (``node[@id eq string($id)]``, ``edge[@source eq $n/@id]``): the
-        attribute lookup uses the element's name index, and the pure right
-        side is evaluated once per application instead of once per
+        attribute lookup uses the element's name index, and a right side in
+        which :class:`~.optimizer.Effects`, the one evaluate-once rule, finds
+        nothing is evaluated once per application instead of once per
         candidate.  Error behaviour is order-preserving with the treewalk:
-        an atomic candidate raises XPTY0019 before the right side is
-        looked at, the right side is first evaluated when the first
-        candidate is inspected, empty sides skip before the singleton
-        check, and singleton/comparability violations carry the same
-        XPTY0004 messages.
+        an atomic candidate raises XPTY0019 before the right side is looked
+        at, the right side is first evaluated when the first candidate is
+        inspected, empty sides skip before the singleton check, and
+        singleton/comparability violations carry the same XPTY0004 messages.
         """
-        if not (
-            isinstance(predicate, ast.Comparison)
-            and predicate.style == "value"
-            and _hoistable(predicate.right)
-        ):
+        if not (isinstance(predicate, ast.Comparison) and predicate.style == "value"):
             return None
         left_expr = predicate.left
         # ``@name`` appears both as a bare step and as a one-step relative
@@ -326,6 +295,7 @@ class Compiler:
             and left_expr.axis == "attribute"
             and left_expr.test.kind == "name"
             and not left_expr.predicates
+            and not self.effects.of(predicate.right)
         ):
             return None
         attr_name = left_expr.test.name
@@ -388,7 +358,8 @@ class Compiler:
         )
 
     def _name_comparison_applier(self, predicate: ast.Expr) -> Optional[_Applier]:
-        """The fast path for ``[name(.) eq <hoistable>]`` predicates.
+        """The fast path for ``[name(.) eq <right>]`` predicates, under the
+        right-side rule of :meth:`_attribute_comparison_applier`.
 
         ``local:child-element-named`` and ``local:required-attr`` in the
         docgen sources select by node name this way for every directive.
@@ -401,7 +372,7 @@ class Compiler:
             isinstance(predicate, ast.Comparison)
             and predicate.style == "value"
             and self._is_builtin_name_call(predicate.left)
-            and _hoistable(predicate.right)
+            and not self.effects.of(predicate.right)
         ):
             return None
         op = predicate.op

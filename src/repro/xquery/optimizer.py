@@ -28,7 +28,7 @@ from typing import Dict, FrozenSet, List, NamedTuple, Optional, Set, Tuple
 
 from . import ast
 from .errors import XQueryError
-from .functions import resolve_call
+from .functions import lookup_builtin, resolve_call
 from .operators import arithmetic
 
 
@@ -77,10 +77,16 @@ def free_variables(expr) -> Set[str]:
     return names
 
 
+#: from which child on a node's children run under a focus of their own: an
+#: axis step's predicates, and all but the first part of a path or a filter.
+_OWN_FOCUS = {ast.AxisStep: 0, ast.PathExpr: 1, ast.FilterExpr: 1}
+
+
 class Effects:
     """Which of ``fn:trace`` and ``fn:error`` evaluating an expression can
-    reach: the one effect analysis of the dead-``let`` pass, the linter and
-    the algebra's hoists.
+    reach, and ``"focus"`` if it reads the focus it runs under: the one
+    effect analysis of the dead-``let`` pass and the linter, and the one
+    evaluate-once rule of the algebra and the closure compiler.
 
     A call reaches what :func:`~.functions.resolve_call` says it names over
     *functions*; a call to no user function counts by name, at any arity.  A
@@ -88,6 +94,11 @@ class Effects:
     calls reaches, so recursion is safe; each body is walked once per
     instance.  The values of the ``let`` clauses whose ids are in *skip*
     never run.
+
+    The focus is read by ``.``, a relative step, a path anchored at ``/``
+    or ``//``, ``position()``, ``last()`` and a zero-argument builtin that
+    also has a one-argument form (``string()``, ``name()``, ...); predicates,
+    later path steps and user-function bodies set their own.
     """
 
     def __init__(self, functions: Dict[Tuple[str, int], ast.FunctionDecl], skip=frozenset()):
@@ -96,7 +107,7 @@ class Effects:
         self._bodies: Dict[int, Tuple[Set[str], List[ast.FunctionDecl]]] = {}
 
     def of(self, expr) -> FrozenSet[str]:
-        found, pending = self._direct(expr)
+        found, pending = self._direct(expr, True)
         seen: Set[int] = set()
         while pending:
             declaration = pending.pop()
@@ -105,32 +116,54 @@ class Effects:
             seen.add(id(declaration))
             body = self._bodies.get(id(declaration))
             if body is None:
-                body = self._bodies[id(declaration)] = self._direct(declaration.body)
+                body = self._bodies[id(declaration)] = self._direct(declaration.body, False)
             found |= body[0]
             pending.extend(body[1])
         return frozenset(found)
 
-    def _direct(self, expr) -> Tuple[Set[str], List[ast.FunctionDecl]]:
-        """The effects *expr* reaches itself, and the declarations it calls."""
+    def _direct(self, expr, focus: bool) -> Tuple[Set[str], List[ast.FunctionDecl]]:
+        """The effects *expr* reaches itself, and the declarations it calls;
+        *focus* says whether *expr* runs under the focus asked about."""
         found: Set[str] = set()
         calls: List[ast.FunctionDecl] = []
-        pending = [expr]
-        while pending:
-            node = pending.pop()
-            if isinstance(node, ast.FunctionCall):
-                callee = resolve_call(node, self.functions)
-                if callee.declaration is not None:
-                    calls.append(callee.declaration)
-                elif callee.name in ("trace", "error"):
-                    found.add(callee.name)
-                pending.extend(node.args)
-            elif isinstance(node, ast.FLWOR) and self.skip:
-                pending.append(node.result)
-                for clause in node.clauses:
-                    if id(clause) not in self.skip:
-                        pending.extend(ast.clause_exprs(clause))
-            elif type(node) not in _LEAVES:
-                pending.extend(ast.children_of(node))
+        # nodes under the focus asked about, then nodes under a focus of their
+        # own (the first pass only adds to the second)
+        focused, pending = ([expr], []) if focus else ([], [expr])
+        for outer, stack in ((True, focused), (False, pending)):
+            while stack:
+                node = stack.pop()
+                kind = type(node)
+                if outer and (
+                    kind in (ast.ContextItem, ast.AxisStep)
+                    or kind is ast.PathExpr and node.anchor
+                ):
+                    found.add("focus")
+                if kind in _LEAVES:
+                    continue
+                if isinstance(node, ast.FunctionCall):
+                    children = node.args
+                    callee = resolve_call(node, self.functions)
+                    if callee.declaration is not None:
+                        calls.append(callee.declaration)
+                    elif callee.name in ("trace", "error"):
+                        found.add(callee.name)
+                    elif outer and callee.kind == "builtin" and not node.args and (
+                        callee.name in ("position", "last") or lookup_builtin(callee.name, 1)
+                    ):
+                        found.add("focus")
+                elif isinstance(node, ast.FLWOR) and self.skip:
+                    children = [node.result]
+                    for clause in node.clauses:
+                        if id(clause) not in self.skip:
+                            children.extend(ast.clause_exprs(clause))
+                else:
+                    children = ast.children_of(node)
+                if outer:
+                    own = _OWN_FOCUS.get(kind, len(children))
+                    focused.extend(children[:own])
+                    pending.extend(children[own:])
+                else:
+                    pending.extend(children)
         return found, calls
 
 

@@ -117,15 +117,15 @@ class TestPositionalIndex:
     def test_literal_integer(self):
         module = parse_query("(1,2)[2]")
         predicate = module.body.predicates[0]
-        assert positional_index(predicate) == 2
+        assert positional_index(predicate, {}) == 2
 
     def test_position_eq(self):
         module = parse_query("(1,2)[position() = 2]")
-        assert positional_index(module.body.predicates[0]) == 2
+        assert positional_index(module.body.predicates[0], {}) == 2
 
     def test_boolean_predicate_is_not_positional(self):
         module = parse_query("(1,2)[. gt 1]")
-        assert positional_index(module.body.predicates[0]) is None
+        assert positional_index(module.body.predicates[0], {}) is None
 
 
 class TestAttributeTracking:

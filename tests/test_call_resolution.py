@@ -13,7 +13,13 @@ same everywhere:
 
 It also pins the analyzer fix: an undeclared ``local:`` call is unknown,
 not the builtin of the same local name, so it draws XQL008 and nothing
-else.
+else; and a declared ``local:true``, ``local:position`` or second arity is
+the user's function to every lint rule and to the type pass.
+
+Whether an expression may run once instead of once per item is decided
+by ``Effects`` alone: a hash-join probe or a closure-compiler predicate
+right side is evaluated once only when ``Effects.of`` finds nothing in it,
+neither ``fn:trace``/``fn:error`` nor a read of the focus.
 """
 
 import builtins
@@ -26,6 +32,7 @@ from repro.xquery import EngineConfig, TraceLog, XQueryEngine, analyze_source
 from repro.xquery import ast
 from repro.xquery.analysis.types import check_module, infer_body_type
 from repro.xquery.api import BACKENDS
+from repro.xquery.compiler import Compiler
 from repro.xquery.errors import XQueryError
 from repro.xquery.functions import resolve_call
 from repro.xquery.optimizer import Effects
@@ -39,17 +46,29 @@ DECLARED_NAME = (
     'declare function local:name($n) { "z" };\n'
 )
 DECLARED_POSITION = "declare function local:position() { 1 };\n"
+DECLARED_STRING = (
+    'declare function local:string($v) { let $t := trace($v, "p") return concat($v, "") };\n'
+)
 
 PAIRS = '<r><a k="1"/><a k="2"/><b k="1"/><b k="2"/><b k="2"/></r>'
 
 
-def probe(condition):
+def probe(condition, op="eq"):
     """A FLWOR whose second ``for`` joins on *condition* when it may."""
     return (
         f"let $d := {PAIRS}\n"
         "for $x in $d/a\n"
-        f"for $y in $d/b[@k eq {condition}]\n"
+        f"for $y in $d/b[@k {op} {condition}]\n"
         "return string($y/@k)"
+    )
+
+
+def hoist(prolog=""):
+    """A predicate the closure compiler (under a constructor) may run with
+    its right side evaluated once."""
+    return (
+        f'{prolog}let $d := <r><a id="1"/><a id="2"/><a id="3"/></r> let $k := "2"\n'
+        "return <o>{ $d/a[@id eq string($k)] }</o>"
     )
 
 
@@ -126,15 +145,126 @@ def test_the_resolver_names_the_callee(label, source, kind):
     assert resolve_call(_last_call(module), ast.function_table(module)).kind == kind
 
 
+#: probes that read the focus, which ``Effects`` reports.
+FOCUS_PROBES = [
+    ("max over the focus", probe("max(($x/@k, @k))")),
+    ("a relative step", probe("($x/@k, @k)", "=")),
+    ("a rooted path", probe("($x/@k, /r/a[2]/@k)", "=")),
+    ("name()", probe("concat($x/@k, substring(name(), 9))")),
+    ("string()", probe("concat($x/@k, substring(string(), 9))")),
+]
+
+
 def test_probes_with_a_focus_call_do_not_join():
-    for source, joins in (
+    for source, joins in [
+        (probe("$x/@k"), True),
         (probe("string($x/@k)"), True),
         (probe("string($x/@k + position() - 1)"), False),
         (probe("string($x/@k + last() - 3)"), False),
         (DECLARED_POSITION + probe("string($x/@k + position() - 1)"), True),
-    ):
+    ] + [(source, False) for _, source in FOCUS_PROBES]:
         text = XQueryEngine(EngineConfig(backend="algebra")).compile(source).explain()["text"]
         assert ("HashJoin" in text) == joins, source
+
+
+# -- one evaluate-once rule -----------------------------------------------
+
+#: (label, source): values, error codes and traces agree on both backends.
+EVALUATE_ONCE = FOCUS_PROBES + [
+    ("string shadowed by a tracing helper", hoist(DECLARED_STRING)),
+    # controls
+    ("a plain probe", probe("$x/@k")),
+    ("string of a plain probe", probe("string($x/@k)")),
+    ("string", hoist()),
+]
+
+
+@pytest.mark.parametrize("label,source", EVALUATE_ONCE, ids=[row[0] for row in EVALUATE_ONCE])
+def test_evaluate_once_rows_agree_on_both_backends(label, source):
+    outcomes = xquery_outcomes(source)
+    for backend in BACKENDS:
+        assert outcomes[backend] == outcomes["treewalk"], (backend, label)
+
+
+def test_a_shadowed_string_traces_once_per_candidate_on_both_backends():
+    query = XQueryEngine().compile(hoist(DECLARED_STRING))
+    for backend in BACKENDS:
+        trace = TraceLog()
+        query.run(backend=backend, trace=trace)
+        assert trace.messages == ["2 p"] * 3, backend
+
+
+@pytest.mark.parametrize(
+    "prolog,fast", [("", True), (DECLARED_STRING, False)], ids=["string", "string shadowed"]
+)
+def test_the_compiler_fast_path_asks_effects(prolog, fast):
+    module = parse_query(hoist(prolog))
+    nodes = []
+    ast.walk(module.body, nodes.append)
+    (comparison,) = [node for node in nodes if isinstance(node, ast.Comparison)]
+    compiler = Compiler(ast.function_table(module), EngineConfig())
+    assert (compiler._attribute_comparison_applier(comparison) is not None) == fast
+
+
+@pytest.mark.parametrize(
+    "source,focus",
+    [
+        (".", True),
+        ("@k", True),
+        ("a/b", True),
+        ("/r", True),
+        ("//a", True),
+        ("position()", True),
+        ("fn:last()", True),
+        ("string()", True),
+        ("name()", True),
+        ("number()", True),
+        ("concat($x, normalize-space())", True),
+        ("$x/@k", False),
+        ("$x/string()", False),
+        ("$x[. = 1]", False),
+        ("$x/a[position() = last()]", False),
+        ("string($x)", False),
+        ("true()", False),
+        ("local:f()", False),
+        (DECLARED_NAME + "name()", False),
+    ],
+)
+def test_effects_report_a_read_of_the_focus(source, focus):
+    module = parse_query("declare function local:f() { string() };\n" + source)
+    effects = Effects(ast.function_table(module)).of(module.body)
+    assert ("focus" in effects) == focus, effects
+
+
+# -- the analyzer resolves calls as the runtime does -----------------------
+
+
+def test_a_declared_true_is_no_constant_condition():
+    source = "declare function local:true() { false() };\nif (local:true()) then 1 else 2"
+    assert XQueryEngine().evaluate(source) == [2]
+    assert not [finding for finding in analyze_source(source) if finding.code == "XQL005"]
+    assert [finding.code for finding in analyze_source("if (true()) then 1 else 2")] == ["XQL005"]
+
+
+def test_every_unused_arity_is_flagged():
+    source = (
+        "declare function local:f($x) { $x };\n"
+        "declare function local:f($x, $y) { $y };\n"
+        "local:f(1)"
+    )
+    unused = [
+        (finding.line, finding.message)
+        for finding in analyze_source(source)
+        if finding.code == "XQL005"
+    ]
+    assert unused == [(2, "function local:f() is never called")]
+
+
+def test_a_declared_position_is_no_positional_filter():
+    source = "declare function local:position() { 2 };\n(10, 20, 30)[local:position() = 2]"
+    assert XQueryEngine().evaluate(source) == [10, 20, 30]
+    assert infer_body_type(parse_query(source)).describe() == "xs:integer*"
+    assert infer_body_type(parse_query("(10, 20, 30)[position() = 2]")).describe() == "xs:integer?"
 
 
 # -- the analyzer reads an unknown call as item()* ---------------------------

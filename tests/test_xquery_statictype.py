@@ -63,9 +63,9 @@ class TestMetastasis:
 
     def test_call_graph(self):
         graph = call_graph(parse_query(self.MODULE))
-        assert graph["a"] == {"b"}
-        assert graph["b"] == {"c"}
-        assert graph["island"] == set()
+        assert graph[("a", 1)] == {("b", 1)}
+        assert graph[("b", 1)] == {("c", 1)}
+        assert graph[("island", 1)] == set()
 
     def test_pressure_drags_in_connected_functions(self):
         # annotating `a` drags in b and c (they exchange values with it),
