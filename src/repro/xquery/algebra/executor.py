@@ -5,12 +5,15 @@ evaluator — same values, same document-order normalization, same errors at
 the same locations, same ``fn:trace`` output.  It gets its speed from four
 sources, each individually proven equivalent:
 
-* **index scans** — ``child::name`` and ``@name`` steps read the
-  ``ElementNode`` name indexes instead of filtering all children;
-* **sort elision** — the per-step ``sort_document_order`` is skipped when
-  the step provably preserves document order (forward axis over an ordered,
-  non-nested context), which is the common case for the chains the calculus
-  compiler emits;
+* **index scans** — every axis step runs through the closure compiler's
+  :func:`~repro.xquery.compiler.run_path_step`, whose candidate scan reads
+  the ``ElementNode`` name indexes for ``child::name`` and ``@name``
+  instead of filtering all children;
+* **sort elision** — that function's one rule,
+  :func:`~repro.xquery.compiler.step_order`, skips the per-step
+  ``sort_document_order`` when the step provably preserves document order
+  (a forward axis over one node, or over ordered, non-nested nodes), which
+  is the common case for the chains the calculus compiler emits;
 * **hash joins** — a correlated ``[@attr eq $v/@id]`` predicate probes a
   hash table built once per distinct base instead of rescanning per tuple;
 * **memoization** — loop-invariant sources, join build sides, and (across
@@ -34,15 +37,14 @@ from ...xdm import (
     sort_document_order,
 )
 from .. import ast
+from ..compiler import expand_descendants, run_path_step
 from ..context import DynamicContext
 from ..evaluator import (
-    _apply_predicates,
-    _axis_candidates,
     _error,
     _is_numeric_predicate,
     _OrderKey,
-    _test_matches,
     ebv,
+    undefined_variable,
 )
 from ..errors import XQueryTypeError
 from .plans import (
@@ -77,11 +79,6 @@ __all__ = ["ExecState", "execute_plan"]
 
 _MISSING = object()
 _UNSET = object()
-
-#: axes whose candidate list for a single context node is already in
-#: document order with no duplicates.
-_STAYS_ORDERED = ("child", "attribute", "self")
-
 
 class ExecState:
     """Per-run executor state: fallback closures, memos, the shared cache."""
@@ -133,16 +130,7 @@ def _exec_var(plan: VarPlan, ctx, bindings, state):
     try:
         return ctx.variables[plan.name]
     except KeyError:
-        # mirror _eval_var exactly, including the famous galax message.
-        from ..errors import XQueryDynamicError
-
-        if ctx.config.galax_diagnostics:
-            raise XQueryDynamicError(
-                "Internal_Error: Variable '$glx:dot' not found.", code="XPDY0002"
-            ) from None
-        raise _error(
-            plan.expr, ctx, f"undefined variable ${plan.name}", "XPST0008"
-        ) from None
+        raise undefined_variable(plan.expr, ctx) from None
 
 
 def _exec_sequence(plan: SequencePlan, ctx, bindings, state):
@@ -304,104 +292,30 @@ def _path_base(plan: PathPlan, ctx, bindings, state):
             )
         current = [ctx.item.root()]
         if plan.anchor == "//":
-            current, _, _ = _expand_descendants(current, True, True)
-            return current, True, False
+            return expand_descendants(current, True, True), True, False
         return current, True, True
     if plan.base is None:
-        return ([ctx.item] if ctx.item is not None else [None]), True, True
+        return [ctx.item], True, True
     current = execute_plan(plan.base, ctx, bindings, state)
     if len(current) <= 1:
         return current, True, True
     return current, False, False
 
 
-def _expand_descendants(nodes, ordered, non_nested):
-    """``//`` — descendant-or-self expansion with the reference's error."""
-    if ordered and non_nested:
-        expanded = []
-        for node in nodes:
-            if not is_node(node):
-                raise XQueryTypeError("'//' applied to a non-node", code="XPTY0019")
-            expanded.extend(node.descendants_or_self())
-        return expanded, True, False
-    expanded = []
-    for node in nodes:
-        if not is_node(node):
-            raise XQueryTypeError("'//' applied to a non-node", code="XPTY0019")
-        expanded.extend(node.descendants_or_self())
-    return sort_document_order(expanded), True, False
-
-
-def _step_candidates(step: StepPlan, node):
-    """Candidates for one context node — name-index fast paths first."""
-    test = step.test
-    if step.axis == "child" and test.kind == "name":
-        index = getattr(node, "children_by_name", None)
-        if index is not None:
-            return index(test.name)
-    elif step.axis == "attribute" and test.kind == "name":
-        index = getattr(node, "attributes_by_name", None)
-        if index is not None:
-            return index(test.name)
-    return [
-        candidate
-        for candidate in _axis_candidates(node, step.axis)
-        if _test_matches(test, candidate, step.axis)
-    ]
+def _pred_filter(step: StepPlan, bindings, state):
+    """The step's compiled predicates as ``run_path_step``'s filter."""
+    predicates = step.predicates
+    if not predicates:
+        return None
+    return lambda items, ctx: _apply_pred_plans(items, predicates, ctx, bindings, state)
 
 
 def _run_steps(current, ordered, non_nested, steps, ctx, bindings, state):
     for step in steps:
-        current, ordered, non_nested = _run_one_step(
-            current, ordered, non_nested, step, ctx, bindings, state
+        current, ordered, non_nested = run_path_step(
+            step, current, ordered, non_nested, ctx, _pred_filter(step, bindings, state)
         )
     return current, ordered, non_nested
-
-
-def _run_one_step(current, ordered, non_nested, step: StepPlan, ctx, bindings, state):
-    ctx.check_deadline()
-    if step.separator == "//":
-        current, ordered, non_nested = _expand_descendants(current, ordered, non_nested)
-    results: list = []
-    single = len(current) == 1
-    for item in current:
-        if not is_node(item):
-            if item is None:
-                raise _error(
-                    step.expr, ctx, "context item is absent in a path step", "XPDY0002"
-                )
-            raise _error(
-                step.expr, ctx, "a path step was applied to an atomic value", "XPTY0019"
-            )
-        candidates = _step_candidates(step, item)
-        if step.predicates:
-            candidates = _apply_pred_plans(candidates, step.predicates, ctx, bindings, state)
-        results.extend(candidates)
-    ordered, non_nested, needs_sort = _order_after(
-        step.axis, ordered, non_nested, single
-    )
-    if needs_sort and results:
-        results = sort_document_order(results)
-    return results, ordered, non_nested
-
-
-def _order_after(axis, ordered, non_nested, single):
-    """Track whether a step's concatenated result is still sorted+distinct.
-
-    Children/attributes of ordered, non-nested context nodes land in
-    document order with no duplicates (disjoint subtrees are contiguous),
-    so the reference's per-step ``sort_document_order`` is the identity and
-    may be skipped.  Anything unprovable sorts, exactly as the reference
-    does.
-    """
-    if ordered and non_nested:
-        if axis in _STAYS_ORDERED:
-            return True, True, False
-        if axis in ("descendant", "descendant-or-self"):
-            return True, False, False
-        if axis == "following-sibling" and single:
-            return True, True, False
-    return True, False, True
 
 
 def _exec_path(plan: PathPlan, ctx, bindings, state):
@@ -624,31 +538,16 @@ def _join_build(op: ForJoinOp, ctx, tuple_bindings, state) -> _JoinBuild:
         if cached is not None:
             state.join_builds[key] = cached
             return cached
-    inner = scan.steps[:-1]
-    last = scan.steps[-1]
     current, ordered, non_nested = _run_steps(
-        base, ordered, non_nested, inner, ctx, tuple_bindings, state
+        base, ordered, non_nested, scan.steps[:-1], ctx, tuple_bindings, state
     )
-    ctx.check_deadline()
-    if last.separator == "//":
-        current, ordered, non_nested = _expand_descendants(current, ordered, non_nested)
-    groups = []
-    single = len(current) == 1
-    for item in current:
-        if not is_node(item):
-            if item is None:
-                raise _error(
-                    last.expr, ctx, "context item is absent in a path step", "XPDY0002"
-                )
-            raise _error(
-                last.expr, ctx, "a path step was applied to an atomic value", "XPTY0019"
-            )
-        candidates = _step_candidates(last, item)
-        if last.predicates:
-            candidates = _apply_pred_plans(candidates, last.predicates, ctx, {}, state)
-        groups.append(list(candidates))
-    ordered, non_nested, needs_sort = _order_after(last.axis, ordered, non_nested, single)
-    build = _JoinBuild(groups, ordered=not needs_sort)
+    # the last step's groups stay apart; its predicates are closed.
+    last = scan.steps[-1]
+    groups: list = []
+    _, ordered, _ = run_path_step(
+        last, current, ordered, non_nested, ctx, _pred_filter(last, {}, state), groups
+    )
+    build = _JoinBuild(groups, ordered)
     state.join_builds[key] = build
     if shared_key is not None:
         shared.put(shared_key, build)

@@ -21,6 +21,7 @@ from typing import List, Optional, Tuple
 
 from ...xdm import ElementNode, number_value, value_compare
 from .. import ast
+from ..compiler import PathStep
 
 __all__ = [
     "Plan",
@@ -452,14 +453,15 @@ class SetOpPlan(Plan):
         return [self.left, self.right]
 
 
-class StepPlan:
-    """One axis step of a scan: axis + node test + compiled predicates.
+class StepPlan(PathStep):
+    """One axis step of a scan: the :class:`~repro.xquery.compiler.PathStep`
+    the executor runs through ``run_path_step``, plus compiled predicates.
 
     ``closed`` means every predicate is a compiled fast predicate with no
     free variables — the precondition for memoizing the scan's result.
     """
 
-    __slots__ = ("expr", "separator", "axis", "test", "predicates", "closed")
+    __slots__ = ("separator", "predicates", "closed")
 
     def __init__(
         self,
@@ -468,10 +470,8 @@ class StepPlan:
         predicates: List[PredPlan],
         closed: bool,
     ):
-        self.expr = expr
+        super().__init__(expr, separator)
         self.separator = separator  # "/" or "//"
-        self.axis = expr.axis
-        self.test = expr.test
         self.predicates = predicates
         self.closed = closed
 

@@ -25,9 +25,13 @@ impossible the compiler reuses every evaluator helper that does not itself
 recurse through ``evaluate`` (``construct_element``, ``_test_matches``,
 ``_OrderKey``, …); only the recursion itself is replaced by closures.
 
-Child and attribute axis steps with a name test additionally use the lazy
-name indexes on :class:`~repro.xdm.nodes.ElementNode`, turning the docgen
-templates' hammered axes from O(children) scans into dict hits.
+Every axis step, here and in the algebra executor, runs through one
+function, :func:`run_path_step`: one candidate scan (:func:`axis_scan`;
+child and attribute name-steps read the lazy name indexes on
+:class:`~repro.xdm.nodes.ElementNode`, turning the docgen templates'
+hammered axes from O(children) scans into dict hits), one ``//``
+expansion, one pair of non-node errors, and one rule for when the
+document-order sort may be skipped (:func:`step_order`).
 """
 
 from __future__ import annotations
@@ -55,7 +59,6 @@ from .errors import XQueryDynamicError, XQueryTypeError
 from .evaluator import (
     _OrderKey,
     _axis_candidates,
-    _descendant_or_self_nodes,
     _error,
     _is_numeric_predicate,
     _node_comparison,
@@ -64,6 +67,7 @@ from .evaluator import (
     construct_element,
     ebv,
     evaluate,
+    undefined_variable,
 )
 from .functions import resolve_call
 from .operators import arithmetic
@@ -92,21 +96,87 @@ def _select_position(items: Sequence, position: float) -> Sequence:
     return []
 
 
-#: Axes whose scan of ONE context node is already duplicate-free and in
-#: document order, so the normalizing sort is the identity and is skipped.
-#: (``parent`` qualifies because it yields at most one node; the remaining
-#: reverse axes yield reverse document order and must still be sorted.)
-_ORDERED_AXES = frozenset(
-    (
-        "child",
-        "attribute",
-        "self",
-        "descendant",
-        "descendant-or-self",
-        "following-sibling",
-        "parent",
-    )
-)
+# -- the fast axis step: the closure compiler's and the algebra executor's ----
+
+#: Axes whose scan of ordered, non-nested context nodes concatenates to
+#: ordered, non-nested nodes (disjoint subtrees stay contiguous).
+_DISJOINT_AXES = frozenset(("child", "attribute", "self"))
+#: Axes whose scan of ordered, non-nested context nodes concatenates to
+#: ordered nodes that may nest.
+_DESCENDANT_AXES = frozenset(("descendant", "descendant-or-self"))
+#: Axes that stay ordered and non-nested for ONE context node only
+#: (``parent`` yields at most one node).
+_ONE_NODE_AXES = frozenset(("following-sibling", "parent"))
+
+
+def step_order(axis: str, single: bool, ordered: bool, non_nested: bool):
+    """``(ordered, non_nested)`` of a step's concatenated, unsorted scan.
+
+    *single* says the context is one node; *ordered* and *non_nested* say
+    the context nodes are in document order without duplicates and none
+    contains another.  An ordered scan skips ``sort_document_order``,
+    which would be the identity; anything unproven is ``(False, False)``
+    and sorts, exactly as the reference does.
+    """
+    if single or (ordered and non_nested):
+        if axis in _DISJOINT_AXES or (single and axis in _ONE_NODE_AXES):
+            return True, True
+        if axis in _DESCENDANT_AXES:
+            return True, False
+    return False, False
+
+
+#: The element name index that answers ``child::name`` or ``attribute::name``.
+_NAME_INDEXES = {
+    "child": ElementNode.children_by_name,
+    "attribute": ElementNode.attributes_by_name,
+}
+
+
+class PathStep:
+    """One axis step as the fast engines run it: the step, its axis and node
+    test, whether a ``//`` precedes it, and the name index, if any, that
+    answers it over an element."""
+
+    __slots__ = ("expr", "axis", "test", "expand", "index")
+
+    def __init__(self, expr: ast.AxisStep, separator: str = "/"):
+        self.expr = expr
+        self.axis = expr.axis
+        self.test = expr.test
+        self.expand = separator == "//"
+        self.index = _NAME_INDEXES.get(expr.axis) if expr.test.kind == "name" else None
+
+
+def axis_scan(step: PathStep, node: Node) -> List[Node]:
+    """The candidates of one axis step for one context node, as a new list
+    in the axis's order.
+
+    A name index is copied, so an internal index list never reaches a
+    result; without one, the axis is walked and each node tested as the
+    treewalk does.
+    """
+    if step.index is not None and isinstance(node, ElementNode):
+        return list(step.index(node, step.test.name))
+    axis = step.axis
+    return [n for n in _axis_candidates(node, axis) if _test_matches(step.test, n, axis)]
+
+
+def expand_descendants(nodes: Sequence, ordered: bool, non_nested: bool) -> Sequence:
+    """``//``: every node's descendant-or-self nodes, in document order.
+
+    The concatenation is already ordered for one node or for ordered,
+    non-nested nodes; otherwise it is sorted.  Either way the result is
+    ordered and may nest.
+    """
+    expanded: Sequence = []
+    for node in nodes:
+        if not isinstance(node, Node):
+            raise XQueryTypeError("'//' applied to a non-node", code="XPTY0019")
+        expanded.extend(node.descendants_or_self())
+    if len(nodes) > 1 and not (ordered and non_nested):
+        return sort_document_order(expanded)
+    return expanded
 
 
 def _raise_non_node_step(expr: ast.Expr, ctx: DynamicContext, item: object):
@@ -115,25 +185,63 @@ def _raise_non_node_step(expr: ast.Expr, ctx: DynamicContext, item: object):
     raise _error(expr, ctx, "a path step was applied to an atomic value", "XPTY0019")
 
 
-def _apply_step(thunk: Thunk, context_items: Sequence, ctx: DynamicContext) -> Sequence:
-    """Compiled twin of the evaluator's ``_apply_step`` (non-initial case)."""
-    # predicate-free axis steps expose their candidate scan directly: no
-    # focus contexts are needed, and axis scans only ever produce nodes so
-    # the node/atomic mixing check cannot fire.
-    candidates = getattr(thunk, "candidates", None)
-    if candidates is not None:
-        if len(context_items) == 1:
-            item = context_items[0]
-            if not isinstance(item, Node):
-                _raise_non_node_step(thunk.step_expr, ctx, item)
-            found = candidates(item)
-            return found if thunk.ordered else sort_document_order(found)
+def run_path_step(
+    step: PathStep,
+    current: Sequence,
+    ordered: bool,
+    non_nested: bool,
+    ctx: DynamicContext,
+    keep: Optional[_Applier] = None,
+    groups: Optional[List[Sequence]] = None,
+):
+    """Run one axis step over the context items *current*.
+
+    Checks the deadline, expands a preceding ``//``, raises XPDY0002 or
+    XPTY0019 for a context item that is not a node, scans and filters each
+    item's candidates (*keep* is the caller's predicate filter,
+    ``(items, ctx) -> items``), and sorts the concatenation unless
+    :func:`step_order` proves it ordered.  Returns ``(results, ordered,
+    non_nested)``.  With *groups*, each item's filtered candidates are
+    appended to it instead, nothing is concatenated or sorted, and the
+    returned ``ordered`` says whether the groups' concatenation is ordered.
+    """
+    if ctx.deadline is not None:
+        ctx.check_deadline()
+    if step.expand:
+        current = expand_descendants(current, ordered, non_nested)
+        ordered, non_nested = True, False
+    ordered, non_nested = step_order(step.axis, len(current) == 1, ordered, non_nested)
+    if len(current) == 1 and groups is None:
+        item = current[0]
+        if not isinstance(item, Node):
+            _raise_non_node_step(step.expr, ctx, item)
+        results = axis_scan(step, item)
+        if keep is not None:
+            results = keep(results, ctx)
+    else:
         results = []
-        for item in context_items:
+        for item in current:
             if not isinstance(item, Node):
-                _raise_non_node_step(thunk.step_expr, ctx, item)
-            results.extend(candidates(item))
-        return sort_document_order(results)
+                _raise_non_node_step(step.expr, ctx, item)
+            found = axis_scan(step, item)
+            if keep is not None:
+                found = keep(found, ctx)
+            if groups is None:
+                results.extend(found)
+            else:
+                groups.append(found)
+    if not ordered and len(results) > 1:
+        results = sort_document_order(results)
+    if groups is None:
+        ordered = True
+    return results, ordered, non_nested
+
+
+def _apply_step(thunk: Thunk, context_items: Sequence, ctx: DynamicContext) -> Sequence:
+    """Compiled twin of the evaluator's ``_apply_step`` for a step that is
+    not an axis step, such as ``$x/string()``."""
+    if ctx.deadline is not None:
+        ctx.check_deadline()
     size = len(context_items)
     results: Sequence = []
     saw_node = False
@@ -156,8 +264,6 @@ def _apply_step(thunk: Thunk, context_items: Sequence, ctx: DynamicContext) -> S
             "a path step produced both nodes and atomic values", code="XPTY0018"
         )
     if saw_node:
-        if size == 1 and getattr(thunk, "ordered", False):
-            return results
         return sort_document_order(results)
     return results
 
@@ -433,14 +539,7 @@ class Compiler:
             try:
                 return ctx.variables[name]
             except KeyError:
-                if ctx.config.galax_diagnostics:
-                    raise XQueryDynamicError(
-                        "Internal_Error: Variable '$glx:dot' not found.",
-                        code="XPDY0002",
-                    ) from None
-                raise _error(
-                    expr, ctx, f"undefined variable ${name}", "XPST0008"
-                ) from None
+                raise undefined_variable(expr, ctx) from None
 
         return run
 
@@ -608,65 +707,23 @@ class Compiler:
 
     # -- paths --------------------------------------------------------------
 
-    def _candidate_selector(self, expr: ast.AxisStep) -> Callable:
-        """Choose the candidate scan once, at compile time.
+    def _path_step(self, expr: ast.AxisStep, separator: str = "/"):
+        """The :class:`PathStep` and predicate filter ``run_path_step`` takes."""
+        appliers = self._compile_predicates(expr.predicates)
+        if len(appliers) > 1:
 
-        The hot shapes — ``child::name`` and ``attribute::name`` — read the
-        element's lazy name indexes (copied so the internal lists never
-        leak); everything else falls back to the generic axis walk the
-        treewalk uses.
-        """
-        axis = expr.axis
-        test = expr.test
-        if axis == "child" and test.kind == "name":
-            name = test.name
+            def keep(items: Sequence, ctx: DynamicContext) -> Sequence:
+                for applier in appliers:
+                    items = applier(items, ctx)
+                return items
 
-            def candidates(node):
-                if isinstance(node, ElementNode):
-                    return list(node.children_by_name(name))
-                return [
-                    child
-                    for child in node.children
-                    if isinstance(child, ElementNode) and child.name == name
-                ]
-
-            return candidates
-        if axis == "attribute" and test.kind == "name":
-            name = test.name
-
-            def candidates(node):
-                if isinstance(node, ElementNode):
-                    return list(node.attributes_by_name(name))
-                return [a for a in node.attributes if a.name == name]
-
-            return candidates
-
-        def candidates(node):
-            return [
-                n for n in _axis_candidates(node, axis) if _test_matches(test, n, axis)
-            ]
-
-        return candidates
+        else:
+            keep = appliers[0] if appliers else None
+        return PathStep(expr, separator), keep
 
     def _axis_step(self, expr: ast.AxisStep) -> Thunk:
-        candidates = self._candidate_selector(expr)
-        appliers = self._compile_predicates(expr.predicates)
-
-        def run(ctx: DynamicContext) -> Sequence:
-            item = ctx.item
-            if not isinstance(item, Node):
-                _raise_non_node_step(expr, ctx, item)
-            items = candidates(item)
-            for applier in appliers:
-                items = applier(items, ctx)
-            return items
-
-        # metadata _apply_step uses for its fast paths
-        run.step_expr = expr
-        run.ordered = expr.axis in _ORDERED_AXES
-        if not appliers:
-            run.candidates = candidates
-        return run
+        step, keep = self._path_step(expr)
+        return lambda ctx: run_path_step(step, [ctx.item], True, True, ctx, keep)[0]
 
     def _filter(self, expr: ast.FilterExpr) -> Thunk:
         base_thunk = self.compile(expr.base)
@@ -682,63 +739,52 @@ class Compiler:
 
     def _path(self, expr: ast.PathExpr) -> Thunk:
         anchor = expr.anchor
-        first_thunk = self.compile(expr.first) if expr.first is not None else None
-        first_is_axis = isinstance(expr.first, ast.AxisStep)
-        # per step, the _apply_step metadata is looked up once at compile
-        # time so the hot loop below branches straight to the fast path.
+        pairs = list(expr.steps)
+        lead: Optional[Thunk] = None
+        if anchor is not None:
+            # from the root, "/" or "//" separates the first step
+            if expr.first is not None:
+                pairs.insert(0, (anchor, expr.first))
+        elif isinstance(expr.first, ast.AxisStep):
+            pairs.insert(0, ("/", expr.first))
+        else:
+            lead = self.compile(expr.first)
+        # (PathStep, filter, _, _) for an axis step; (None, None, whether
+        # "//" precedes it, its thunk) for any other step.
         steps = tuple(
-            (
-                separator == "//",
-                thunk,
-                getattr(thunk, "candidates", None),
-                getattr(thunk, "ordered", False),
-                step,
-            )
-            for separator, step, thunk in (
-                (separator, step, self.compile(step))
-                for separator, step in expr.steps
-            )
+            (*self._path_step(step, separator), False, None)
+            if isinstance(step, ast.AxisStep)
+            else (None, None, separator == "//", self.compile(step))
+            for separator, step in pairs
         )
 
         def run(ctx: DynamicContext) -> Sequence:
-            if anchor in ("/", "//"):
+            if anchor is not None:
                 if not isinstance(ctx.item, Node):
                     raise _error(
                         expr, ctx, "'/' requires a node as the context item", "XPDY0002"
                     )
                 current: Sequence = [ctx.item.root()]
-                if anchor == "//":
-                    current = _descendant_or_self_nodes(current)
-                if first_thunk is not None:
-                    current = _apply_step(first_thunk, current, ctx)
-            elif first_is_axis:
-                current = _apply_step(
-                    first_thunk, [ctx.item] if ctx.item is not None else [None], ctx
-                )
+                ordered = non_nested = True
+            elif lead is None:
+                # an absent context item stays: the first step raises XPDY0002
+                current = [ctx.item]
+                ordered = non_nested = True
             else:
                 # The leading expression of a relative path is evaluated once
                 # in the outer focus, exactly as the treewalk does.
-                current = first_thunk(ctx)
-            for expand, step_thunk, candidates, ordered, step_expr in steps:
-                if ctx.deadline is not None:
-                    ctx.check_deadline()
+                current = lead(ctx)
+                ordered = non_nested = len(current) <= 1
+            for path_step, keep, expand, thunk in steps:
+                if path_step is not None:
+                    current, ordered, non_nested = run_path_step(
+                        path_step, current, ordered, non_nested, ctx, keep
+                    )
+                    continue
                 if expand:
-                    current = _descendant_or_self_nodes(current)
-                if candidates is None:
-                    current = _apply_step(step_thunk, current, ctx)
-                elif len(current) == 1:
-                    item = current[0]
-                    if not isinstance(item, Node):
-                        _raise_non_node_step(step_expr, ctx, item)
-                    found = candidates(item)
-                    current = found if ordered else sort_document_order(found)
-                else:
-                    results: Sequence = []
-                    for item in current:
-                        if not isinstance(item, Node):
-                            _raise_non_node_step(step_expr, ctx, item)
-                        results.extend(candidates(item))
-                    current = sort_document_order(results)
+                    current = expand_descendants(current, ordered, non_nested)
+                current = _apply_step(thunk, current, ctx)
+                ordered = non_nested = False
             return current
 
         return run

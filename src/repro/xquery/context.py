@@ -34,6 +34,10 @@ class EngineConfig:
         the paper's tracing vanish).
     ``max_recursion_depth``
         Guard for runaway recursive user functions.
+    ``type_check_calls``
+        Check user-function arguments and results against their declared
+        types (XPTY0004 on a mismatch).  False is the paper's "untyped
+        mode": declared types are ignored at run time.
     ``backend``
         Which execution backend ``CompiledQuery.run`` uses by default:
         ``"treewalk"`` (the period-accurate reference interpreter) or
@@ -74,6 +78,11 @@ class EngineConfig:
     lint_schema: str = "awb"
 
     def __post_init__(self) -> None:
+        if self.duplicate_attribute_mode not in ("last", "first", "keep", "error"):
+            raise ValueError(
+                "duplicate_attribute_mode must be 'last', 'first', 'keep', or "
+                f"'error', not {self.duplicate_attribute_mode!r}"
+            )
         if self.backend not in BACKENDS:
             raise ValueError(
                 f"backend must be one of {BACKENDS}, not {self.backend!r}"

@@ -79,19 +79,22 @@ def _eval_empty(expr: ast.EmptySequence, ctx: DynamicContext) -> Sequence:
     return []
 
 
+def undefined_variable(expr: ast.VarRef, ctx: DynamicContext) -> XQueryDynamicError:
+    """The error every evaluator raises for a variable no scope binds."""
+    if ctx.config.galax_diagnostics:
+        # The paper quotes this exact message (for *any* missing variable,
+        # including the missing-$ mistake).
+        return XQueryDynamicError(
+            "Internal_Error: Variable '$glx:dot' not found.", code="XPDY0002"
+        )
+    return _error(expr, ctx, f"undefined variable ${expr.name}", "XPST0008")
+
+
 def _eval_var(expr: ast.VarRef, ctx: DynamicContext) -> Sequence:
     try:
         return ctx.variables[expr.name]
     except KeyError:
-        if ctx.config.galax_diagnostics:
-            # The paper quotes this exact message (for *any* missing
-            # variable, including the missing-$ mistake).
-            raise XQueryDynamicError(
-                "Internal_Error: Variable '$glx:dot' not found.", code="XPDY0002"
-            ) from None
-        raise _error(
-            expr, ctx, f"undefined variable ${expr.name}", "XPST0008"
-        ) from None
+        raise undefined_variable(expr, ctx) from None
 
 
 def _eval_context_item(expr: ast.ContextItem, ctx: DynamicContext) -> Sequence:

@@ -205,10 +205,25 @@ def test_error_parity(source):
     assert result[0] == "error", source
 
 
-@pytest.mark.parametrize("source", ["$missing", "$glx"])
-def test_galax_diagnostics_parity(source):
-    result = assert_parity(source, EngineConfig(galax_diagnostics=True))
+#: each row names where the algebra meets the missing variable: a VarPlan,
+#: or the closure compiler's variable inside a typed function it compiles.
+GALAX_MISSING_VARIABLES = [
+    pytest.param("$missing", "Var($missing)", id="$missing"),
+    pytest.param("$glx", "Var($glx)", id="$glx"),
+    pytest.param(
+        "declare function local:f($x as xs:integer) { $missing }; local:f(1)",
+        "[typed signature]",
+        id="compiled",
+    ),
+]
+
+
+@pytest.mark.parametrize("source, reached", GALAX_MISSING_VARIABLES)
+def test_galax_diagnostics_parity(source, reached):
+    config = EngineConfig(galax_diagnostics=True)
+    result = assert_parity(source, config)
     assert result[3] == "Internal_Error: Variable '$glx:dot' not found."
+    assert reached in XQueryEngine(config).compile(source).explain()["text"]
 
 
 def test_recursion_limit_parity():

@@ -33,6 +33,14 @@ class TestEngineConstruction:
         with pytest.raises(TypeError):
             XQueryEngine(EngineConfig(), optimize=False)
 
+    def test_unknown_duplicate_attribute_mode_rejected_at_config_time(self):
+        # fuzz corpus headers reach this field through EngineConfig(**config):
+        # a misspelt mode fails instead of quietly behaving as "last".
+        with pytest.raises(ValueError, match="'last', 'first', 'keep', or 'error', not 'frist'"):
+            EngineConfig(duplicate_attribute_mode="frist")
+        for mode in ("last", "first", "keep", "error"):
+            assert EngineConfig(duplicate_attribute_mode=mode).duplicate_attribute_mode == mode
+
 
 class TestCompiledQueries:
     def test_compile_once_run_many(self):
