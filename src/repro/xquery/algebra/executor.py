@@ -20,13 +20,19 @@ sources, each individually proven equivalent:
   queries over one export generation, via a shared :class:`~repro.lru.LRU`)
   whole closed scans are computed once.
 
+A FLWOR's tuple stream runs through the closure compiler's
+:func:`~repro.xquery.compiler.run_flwor`, the one FLWOR rule both fast
+engines share; the executor passes ``execute_plan`` with explicit bindings
+and its own ``for`` sources (the invariant-source memo and the hash-join
+probe).
+
 Anything the lowering could not prove safe sits in an ``EvalPlan`` leaf and
 runs on the program's closure compiler with the exact same dynamic context.
 """
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, Optional, Tuple
 
 from ...lru import LRU
 from ...xdm import (
@@ -37,12 +43,11 @@ from ...xdm import (
     sort_document_order,
 )
 from .. import ast
-from ..compiler import expand_descendants, run_path_step
+from ..compiler import expand_descendants, run_flwor, run_path_step
 from ..context import DynamicContext
 from ..evaluator import (
     _error,
     _is_numeric_predicate,
-    _OrderKey,
     ebv,
     undefined_variable,
 )
@@ -62,7 +67,6 @@ from .plans import (
     InlineCallPlan,
     LetOp,
     LiteralPlan,
-    OrderOp,
     PathPlan,
     Plan,
     PositionalPred,
@@ -78,7 +82,6 @@ from .plans import (
 __all__ = ["ExecState", "execute_plan"]
 
 _MISSING = object()
-_UNSET = object()
 
 class ExecState:
     """Per-run executor state: fallback closures, memos, the shared cache."""
@@ -109,6 +112,7 @@ class ExecState:
 
 def execute_plan(plan: Plan, ctx: DynamicContext, bindings: dict, state: ExecState):
     return _EXEC[type(plan)](plan, ctx, bindings, state)
+
 
 
 # -- leaves ------------------------------------------------------------------
@@ -354,90 +358,45 @@ def _exec_filter(plan: FilterPlan, ctx, bindings, state):
 
 
 def _exec_flwor(plan: FLWORPlan, ctx, bindings, state):
-    tuples: List[dict] = [dict(bindings)]
-    invariants: Dict[int, list] = {}
-    check_deadline = ctx.deadline is not None  # checked per tuple, per clause
+    def run(part):
+        # the part on one tuple's bindings (dispatched here: no execute_plan frame)
+        executor = _EXEC[type(part)]
+        return lambda tuple_bindings: executor(part, ctx, tuple_bindings, state)
+
+    clauses = []
     for op in plan.ops:
-        ctx.check_deadline()
-        if isinstance(op, ForOp):
-            tuples = _expand_for_op(op, tuples, ctx, state, invariants)
-        elif isinstance(op, ForJoinOp):
-            tuples = _expand_join_op(op, tuples, ctx, state)
+        if isinstance(op, ForJoinOp):
+            clauses.append(("for", op.var, op.position_var, _join_source(op, ctx, state)))
+        elif isinstance(op, ForOp):
+            source = _invariant(run(op.source)) if op.invariant else run(op.source)
+            clauses.append(("for", op.var, op.position_var, source))
         elif isinstance(op, LetOp):
-            for tuple_bindings in tuples:
-                if check_deadline:
-                    ctx.check_deadline()
-                value = execute_plan(op.value, ctx, tuple_bindings, state)
-                declared = op.declared_type
-                if declared is not None and not declared.matches(value):
-                    raise _error(
-                        op.flwor,
-                        ctx,
-                        f"let ${op.var} value does not match "
-                        f"declared type {declared!r}",
-                        "XPTY0004",
-                    )
-                tuple_bindings[op.var] = value
+            clauses.append(("let", op.var, op.declared_type, run(op.value)))
         elif isinstance(op, WhereOp):
-            kept = []
-            for tuple_bindings in tuples:
-                if check_deadline:
-                    ctx.check_deadline()
-                value = execute_plan(op.condition, ctx, tuple_bindings, state)
-                if ebv(value, op.condition_expr, ctx):
-                    kept.append(tuple_bindings)
-            tuples = kept
-        elif isinstance(op, OrderOp):
-            tuples = _order_tuples_op(op, tuples, ctx, state)
-    result: list = []
-    result_plan = plan.result
-    for tuple_bindings in tuples:
-        if check_deadline:
-            ctx.check_deadline()
-        result.extend(execute_plan(result_plan, ctx, tuple_bindings, state))
-    return result
-
-
-def _expand_for_op(op: ForOp, tuples, ctx, state, invariants):
-    expanded = []
-    check_deadline = ctx.deadline is not None
-    var, position_var = op.var, op.position_var
-    source = invariants.get(id(op), _UNSET) if op.invariant else _UNSET
-    for tuple_bindings in tuples:
-        if check_deadline:
-            ctx.check_deadline()
-        if op.invariant:
-            if source is _UNSET:
-                source = execute_plan(op.source, ctx, tuple_bindings, state)
-                invariants[id(op)] = source
+            clauses.append(("where", _where_test(op, ctx, state)))
         else:
-            source = execute_plan(op.source, ctx, tuple_bindings, state)
-        for position, item in enumerate(source, start=1):
-            new_bindings = dict(tuple_bindings)
-            new_bindings[var] = [item]
-            if position_var is not None:
-                new_bindings[position_var] = [position]
-            expanded.append(new_bindings)
-    return expanded
+            specs = tuple((run(key), descending, least) for key, descending, least in op.specs)
+            clauses.append(("order", specs))
+    return run_flwor(plan.expr, clauses, run(plan.result), bindings, False, ctx)
 
 
-def _order_tuples_op(op: OrderOp, tuples, ctx, state):
-    decorated = []
-    check_deadline = ctx.deadline is not None
-    for index, tuple_bindings in enumerate(tuples):
-        if check_deadline:
-            ctx.check_deadline()
-        keys = tuple(
-            _OrderKey(
-                execute_plan(key_plan, ctx, tuple_bindings, state),
-                descending,
-                empty_least,
-            )
-            for key_plan, descending, empty_least in op.specs
-        )
-        decorated.append((keys, index, tuple_bindings))
-    decorated.sort(key=lambda entry: (entry[0], entry[1]))
-    return [tuple_bindings for _, _, tuple_bindings in decorated]
+def _invariant(source):
+    """*source* evaluated once per FLWOR execution, at its first tuple."""
+    memo: list = []
+
+    def once(tuple_bindings):
+        if not memo:
+            memo.append(source(tuple_bindings))
+        return memo[0]
+
+    return once
+
+
+def _where_test(op: WhereOp, ctx, state):
+    condition, condition_expr = op.condition, op.condition_expr
+    return lambda tuple_bindings: ebv(
+        execute_plan(condition, ctx, tuple_bindings, state), condition_expr, ctx
+    )
 
 
 # -- hash joins --------------------------------------------------------------
@@ -554,12 +513,10 @@ def _join_build(op: ForJoinOp, ctx, tuple_bindings, state) -> _JoinBuild:
     return build
 
 
-def _expand_join_op(op: ForJoinOp, tuples, ctx, state):
-    expanded = []
-    check_deadline = ctx.deadline is not None
-    var, position_var = op.var, op.position_var
+def _join_source(op: ForJoinOp, ctx, state):
+    """A join's ``for`` source: each tuple's matches from the hash build."""
     # Resolve the probe shape and residual memoability once per op, so the
-    # per-tuple loop can answer a repeated single-key probe with one dict
+    # per-tuple probe can answer a repeated single-key probe with one dict
     # hit instead of re-entering _probe_join (which re-derives both).
     cached = op.fast_probe
     if cached is None or cached[0] is not op.probe_expr:
@@ -585,9 +542,9 @@ def _expand_join_op(op: ForJoinOp, tuples, ctx, state):
     builds = state.join_builds
     last_root_id = None
     last_build = None
-    for tuple_bindings in tuples:
-        if check_deadline:
-            ctx.check_deadline()
+
+    def matches_of(tuple_bindings):
+        nonlocal last_root_id, last_build
         build = None
         if base_var is not None:
             value = tuple_bindings.get(base_var)
@@ -614,7 +571,6 @@ def _expand_join_op(op: ForJoinOp, tuples, ctx, state):
             build = _join_build(op, ctx, tuple_bindings, state)
             if base_var is not None:
                 last_root_id, last_build = None, None
-        matches = None
         if memoable:
             value = tuple_bindings.get(shape[0])
             if (
@@ -625,15 +581,11 @@ def _expand_join_op(op: ForJoinOp, tuples, ctx, state):
                 attributes = value[0].attributes_by_name(shape[1])
                 if len(attributes) == 1:
                     matches = probes.get((op_id, id(build), attributes[0].value))
-        if matches is None:
-            matches = _probe_join(op, build, ctx, tuple_bindings, state)
-        for position, item in enumerate(matches, start=1):
-            new_bindings = dict(tuple_bindings)
-            new_bindings[var] = [item]
-            if position_var is not None:
-                new_bindings[position_var] = [position]
-            expanded.append(new_bindings)
-    return expanded
+                    if matches is not None:
+                        return matches
+        return _probe_join(op, build, ctx, tuple_bindings, state)
+
+    return matches_of
 
 
 def _probe_shape(expr) -> Optional[Tuple[str, str]]:

@@ -310,7 +310,7 @@ class Lowerer:
                 if clause.position_var is not None:
                     bound.add(clause.position_var)
             elif isinstance(clause, ast.LetClause):
-                ops.append(LetOp(clause, expr, self.lower(clause.value)))
+                ops.append(LetOp(clause, self.lower(clause.value)))
                 bound.add(clause.var)
             elif isinstance(clause, ast.WhereClause):
                 ops.append(WhereOp(clause.condition, self.lower(clause.condition)))

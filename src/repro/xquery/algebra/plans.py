@@ -696,12 +696,11 @@ class ForJoinOp(TupleOp):
 
 
 class LetOp(TupleOp):
-    __slots__ = ("clause", "flwor", "var", "value", "declared_type")
+    __slots__ = ("clause", "var", "value", "declared_type")
 
-    def __init__(self, clause: ast.LetClause, flwor: ast.FLWOR, value: Plan):
+    def __init__(self, clause: ast.LetClause, value: Plan):
         super().__init__()
         self.clause = clause
-        self.flwor = flwor
         self.var = clause.var
         self.value = value
         self.declared_type = clause.declared_type

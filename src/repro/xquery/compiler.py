@@ -32,10 +32,18 @@ child and attribute name-steps read the lazy name indexes on
 hammered axes from O(children) scans into dict hits), one ``//``
 expansion, one pair of non-node errors, and one rule for when the
 document-order sort may be skipped (:func:`step_order`).
+
+Likewise every FLWOR, here and in the algebra executor, runs through one
+function, :func:`run_flwor`: one tuple stream (``for`` with ``at``
+positions, ``let`` and its declared-type error, ``where``, ``order by``
+over ``_OrderKey``, the ``return`` concatenation, and a deadline check per
+clause and per tuple).  Each caller passes only how one part runs against
+one tuple's bindings.
 """
 
 from __future__ import annotations
 
+from functools import partial
 from typing import Callable, Dict, List, Optional, Tuple
 
 from ..xdm import (
@@ -265,6 +273,101 @@ def _apply_step(thunk: Thunk, context_items: Sequence, ctx: DynamicContext) -> S
         )
     if saw_node:
         return sort_document_order(results)
+    return results
+
+
+# -- the fast FLWOR: the closure compiler's and the algebra executor's -------
+
+
+def run_flwor(
+    expr: ast.FLWOR,
+    clauses: List[tuple],
+    result: Callable,
+    bindings: Dict[str, Sequence],
+    scoped: bool,
+    ctx: DynamicContext,
+) -> Sequence:
+    """Run one FLWOR's tuple stream, clause by clause, as the treewalk does.
+
+    *clauses* are the FLWOR's clauses in order: ``("for", var,
+    position_var, source)``, ``("let", var, declared_type, value)``,
+    ``("where", test)`` and ``("order", ((key, descending, empty_least),
+    ...))``.  Each part, like *result*, is the caller's own callable for one
+    tuple: with *scoped* it takes ``ctx.with_variables(bindings)`` (the
+    closure compiler's thunks and tests), otherwise the tuple's bindings
+    (the algebra executor's plans); ``test`` gives a ``where`` condition's
+    effective boolean value, every other part a sequence.
+
+    *ctx* comes last, so the compiler's thunk is a ``partial`` of the rest.
+    The stream starts from one copy of *bindings*.  With a deadline set, it
+    is checked before each clause and each tuple.  A ``let`` value that does
+    not match its declared type raises XPTY0004 at *expr*, and ``order by``
+    is a stable sort over :class:`~repro.xquery.evaluator._OrderKey`.
+    """
+    check_deadline = ctx.deadline is not None
+    scope = ctx.with_variables if scoped else None
+    tuples: List[Dict[str, Sequence]] = [dict(bindings)]
+    for clause in clauses:
+        if check_deadline:
+            ctx.check_deadline()
+        kind = clause[0]
+        if kind == "for":
+            _, var, position_var, source = clause
+            expanded = []
+            for tuple_bindings in tuples:
+                if check_deadline:
+                    ctx.check_deadline()
+                items = source(tuple_bindings if scope is None else scope(tuple_bindings))
+                for position, item in enumerate(items, start=1):
+                    new_bindings = dict(tuple_bindings)
+                    new_bindings[var] = [item]
+                    if position_var is not None:
+                        new_bindings[position_var] = [position]
+                    expanded.append(new_bindings)
+            tuples = expanded
+        elif kind == "let":
+            _, var, declared_type, value_of = clause
+            for tuple_bindings in tuples:
+                if check_deadline:
+                    ctx.check_deadline()
+                value = value_of(tuple_bindings if scope is None else scope(tuple_bindings))
+                if declared_type is not None and not declared_type.matches(value):
+                    raise _error(
+                        expr,
+                        ctx,
+                        f"let ${var} value does not match "
+                        f"declared type {declared_type!r}",
+                        "XPTY0004",
+                    )
+                tuple_bindings[var] = value
+        elif kind == "where":
+            test = clause[1]
+            kept = []
+            for tuple_bindings in tuples:
+                if check_deadline:
+                    ctx.check_deadline()
+                if test(tuple_bindings if scope is None else scope(tuple_bindings)):
+                    kept.append(tuple_bindings)
+            tuples = kept
+        else:  # order
+            specs = clause[1]
+            decorated = []
+            for index, tuple_bindings in enumerate(tuples):
+                if check_deadline:
+                    ctx.check_deadline()
+                on = tuple_bindings if scope is None else scope(tuple_bindings)
+                keys = tuple(
+                    _OrderKey(key(on), descending, empty_least)
+                    for key, descending, empty_least in specs
+                )
+                decorated.append((keys, index, tuple_bindings))
+            decorated.sort(key=lambda entry: (entry[0], entry[1]))
+            tuples = [tuple_bindings for _, _, tuple_bindings in decorated]
+    results: Sequence = []
+    for tuple_bindings in tuples:
+        if check_deadline:
+            ctx.check_deadline()
+        results.extend(result(tuple_bindings if scope is None else scope(tuple_bindings)))
     return results
 
 
@@ -812,84 +915,8 @@ class Compiler:
                     for spec in clause.specs
                 )
                 compiled_clauses.append(("order", specs))
-        result_thunk = self.compile(expr.result)
-
-        def run(ctx: DynamicContext) -> Sequence:
-            check_deadline = ctx.deadline is not None
-            tuples: List[Dict[str, Sequence]] = [dict()]
-            for compiled in compiled_clauses:
-                if check_deadline:
-                    ctx.check_deadline()
-                kind = compiled[0]
-                if kind == "for":
-                    _, var, position_var, source_thunk = compiled
-                    expanded = []
-                    for bindings in tuples:
-                        if check_deadline:
-                            ctx.check_deadline()
-                        scope = ctx.with_variables(bindings)
-                        source = source_thunk(scope)
-                        for position, item in enumerate(source, start=1):
-                            new_bindings = dict(bindings)
-                            new_bindings[var] = [item]
-                            if position_var is not None:
-                                new_bindings[position_var] = [position]
-                            expanded.append(new_bindings)
-                    tuples = expanded
-                elif kind == "let":
-                    _, var, declared_type, value_thunk = compiled
-                    for bindings in tuples:
-                        if check_deadline:
-                            ctx.check_deadline()
-                        scope = ctx.with_variables(bindings)
-                        value = value_thunk(scope)
-                        if declared_type is not None and not declared_type.matches(value):
-                            raise _error(
-                                expr,
-                                ctx,
-                                f"let ${var} value does not match "
-                                f"declared type {declared_type!r}",
-                                "XPTY0004",
-                            )
-                        bindings[var] = value
-                elif kind == "where":
-                    _, condition_test = compiled
-                    if check_deadline:
-                        kept = []
-                        for bindings in tuples:
-                            ctx.check_deadline()
-                            if condition_test(ctx.with_variables(bindings)):
-                                kept.append(bindings)
-                        tuples = kept
-                    else:
-                        tuples = [
-                            bindings
-                            for bindings in tuples
-                            if condition_test(ctx.with_variables(bindings))
-                        ]
-                else:  # order
-                    _, specs = compiled
-                    decorated = []
-                    for index, bindings in enumerate(tuples):
-                        if check_deadline:
-                            ctx.check_deadline()
-                        scope = ctx.with_variables(bindings)
-                        keys = tuple(
-                            _OrderKey(key_thunk(scope), descending, empty_least)
-                            for key_thunk, descending, empty_least in specs
-                        )
-                        decorated.append((keys, index, bindings))
-                    decorated.sort(key=lambda entry: (entry[0], entry[1]))
-                    tuples = [bindings for _, _, bindings in decorated]
-            result: Sequence = []
-            for bindings in tuples:
-                if check_deadline:
-                    ctx.check_deadline()
-                scope = ctx.with_variables(bindings)
-                result.extend(result_thunk(scope))
-            return result
-
-        return run
+        # called with the context: run_flwor itself, no frame in between
+        return partial(run_flwor, expr, compiled_clauses, self.compile(expr.result), {}, True)
 
     def _quantified(self, expr: ast.Quantified) -> Thunk:
         bindings = tuple((var, self.compile(source)) for var, source in expr.bindings)

@@ -465,50 +465,68 @@ def _expand_for(
 
 
 class _OrderKey:
-    """A sort key for ``order by``: handles empty and cross-type ordering."""
+    """A sort key for ``order by``, ordered as XQuery 1.0 §3.8.3 says.
 
-    __slots__ = ("empty", "value", "descending", "empty_least")
+    Two values compare by the ``lt`` rule (``value_compare``), so a pair
+    ``lt`` rejects, such as a boolean and a number, raises XPTY0004; an
+    untyped key compares as a string.  ``()`` and NaN sit apart from the
+    values, NaN equal to NaN: with ``empty least`` ``()`` < NaN < values,
+    with ``empty greatest`` values < NaN < ``()``.  ``descending`` reverses
+    the order.
+    """
+
+    __slots__ = ("rank", "value", "descending")
 
     def __init__(self, value: Sequence, descending: bool, empty_least: bool):
         atoms = atomize(value)
         if len(atoms) > 1:
             raise XQueryTypeError("order by key must be a singleton or empty")
-        self.empty = not atoms
         self.descending = descending
-        self.empty_least = empty_least
-        if self.empty:
-            self.value = None
-        else:
-            atom = atoms[0]
-            if isinstance(atom, UntypedAtomic):
-                atom = atom.value
-            if isinstance(atom, Decimal):
-                atom = float(atom)
-            self.value = atom
+        self.value = None
+        if not atoms:
+            self.rank = 0 if empty_least else 2
+            return
+        atom = atoms[0]
+        if isinstance(atom, float) and atom != atom:  # NaN
+            self.rank = 1
+            return
+        self.value = atom.value if isinstance(atom, UntypedAtomic) else atom
+        self.rank = 2 if empty_least else 0
+
+    def _compare(self, other: "_OrderKey") -> int:
+        """-1, 0 or 1 as *self* sorts before, with or after *other*, ascending."""
+        if self.rank != other.rank:
+            return -1 if self.rank < other.rank else 1
+        left, right = self.value, other.value
+        if left is None:  # both () or both NaN
+            return 0
+        try:
+            if type(left) is not type(right):
+                # a mixed pair takes the lt rule (to Python, a bool is an int)
+                if value_compare("lt", left, right):
+                    return -1
+                return 1 if value_compare("gt", left, right) else 0
+        except ComparisonTypeError as exc:
+            raise XQueryTypeError(
+                f"order by: cannot compare {type(left).__name__} "
+                f"with {type(right).__name__}"
+            ) from exc
+        return -1 if left < right else (1 if right < left else 0)
+
+    # the sort calls these once per comparison: same-typed values (the
+    # common case) take Python's own order without _compare.
 
     def __lt__(self, other: "_OrderKey") -> bool:
-        if self.empty or other.empty:
-            if self.empty and other.empty:
-                return False
-            # "empty least" puts () first ascending; descending flips below.
-            self_first = self.empty == self.empty_least
-            result = self_first if self.empty else not (other.empty == other.empty_least)
-            return result != self.descending
-        try:
-            result = self.value < other.value
-        except TypeError as exc:
-            raise XQueryTypeError(
-                f"order by: cannot compare {type(self.value).__name__} "
-                f"with {type(other.value).__name__}"
-            ) from exc
-        return result != self.descending
+        left, right = self.value, other.value
+        if self.rank != other.rank or type(left) is not type(right) or left is None:
+            order = self._compare(other)
+            return order > 0 if self.descending else order < 0
+        return right < left if self.descending else left < right
 
-    def __eq__(self, other: object) -> bool:
-        return (
-            isinstance(other, _OrderKey)
-            and self.empty == other.empty
-            and self.value == other.value
-        )
+    def __eq__(self, other: "_OrderKey") -> bool:
+        if type(self.value) is type(other.value):
+            return self.rank == other.rank and self.value == other.value
+        return self._compare(other) == 0
 
 
 def _order_tuples(

@@ -28,16 +28,41 @@ FAST_QUERY = "for $i in 1 to 10 return $i * $i"
 
 BACKENDS = ("treewalk", "algebra")
 
+#: clause -> a FLWOR whose per-tuple work sits in that clause: the first
+#: for clause expands at once, so only a per-tuple check stops the rest.
+CLAUSE_QUERIES = {
+    "for": "for $i in (1 to 20000) for $j in (sum(1 to 100) + $i) mod 7 return $j",
+    "let": "for $i in (1 to 20000) let $j := (sum(1 to 100) + $i) mod 7 return $j",
+    "where": "for $i in (1 to 20000) where sum(1 to 100) mod 7 = $i mod 7 return $i",
+    "order": "for $i in (1 to 20000) order by (sum(1 to 100) + $i) mod 7 return $i",
+    "return": "for $i in (1 to 20000) return (sum(1 to 100) + $i) mod 7",
+}
 
-@pytest.fixture(params=BACKENDS)
-def engine(request):
+TYPED_FUNCTION = "declare function local:f() as item()* {{ {body} }}; local:f()"
+
+
+def _collector_paused():
     # the bounds time the engine's deadline checks, not the collector: a
     # gen-2 pass over a full test session's heap (triggered by these
     # queries' tuple dicts) can alone outlast a 50 ms budget.
     gc.collect()
     gc.disable()
+
+
+@pytest.fixture(params=BACKENDS)
+def engine(request):
+    _collector_paused()
     try:
         yield XQueryEngine(EngineConfig(backend=request.param))
+    finally:
+        gc.enable()
+
+
+@pytest.fixture(params=("treewalk", "executor", "compiler"))
+def form(request):
+    _collector_paused()
+    try:
+        yield request.param
     finally:
         gc.enable()
 
@@ -96,12 +121,20 @@ class TestTimeouts:
         with pytest.raises(XQueryTimeoutError):
             compiled.run(timeout=0.02)
 
-    def test_where_clause_checks_the_deadline_per_tuple(self, engine):
-        # the for clause expands at once and its where clause is all the
-        # work, so only a per-tuple check inside the where clause stops it.
-        compiled = engine.compile(
-            "for $i in (1 to 20000) where sum(1 to 100) mod 7 = $i mod 7 return $i"
-        )
+    @pytest.mark.parametrize("clause", list(CLAUSE_QUERIES))
+    def test_each_clause_checks_the_deadline_per_tuple(self, form, clause):
+        # each clause's per-tuple work is all the work, so only a per-tuple
+        # check inside that clause stops it: on the treewalk, the executor
+        # and the closure compiler (a FLWOR inside a typed function, which
+        # the algebra hands to the compiler whole).
+        backend = "treewalk" if form == "treewalk" else "algebra"
+        source = CLAUSE_QUERIES[clause]
+        if form == "compiler":
+            source = TYPED_FUNCTION.format(body=source)
+        compiled = XQueryEngine(EngineConfig(backend=backend)).compile(source)
+        # explain builds the plan first, so no clause starts past the budget
+        plan = compiled.explain()["text"]
+        assert ("[typed signature]" in plan) == (form == "compiler")
         started = time.monotonic()
         with pytest.raises(XQueryTimeoutError):
             compiled.run(timeout=0.05)
