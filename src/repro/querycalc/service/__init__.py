@@ -5,6 +5,7 @@ See :mod:`repro.querycalc.service.service` for the architecture story,
 :mod:`repro.querycalc.service.faults` for the chaos-testing harness.
 """
 
+from ...lazy import lazy_exports
 from .errors import (
     ERROR_KINDS,
     Deadline,
@@ -16,7 +17,11 @@ from .errors import (
 from .faults import FaultConfig, FaultInjector, InjectedFault
 from .plans import normalize_query
 from .results import BatchItem, ResultCache
-from .service import QueryService
+
+# the service itself loads on first use: the serving tier imports the error
+# taxonomy and the result cache from here, and ``service`` imports the
+# serving tier.
+__getattr__, __dir__ = lazy_exports(__name__, {"QueryService": ".service"})
 
 __all__ = [
     "BatchItem",

@@ -59,12 +59,12 @@ the generation the replicas hold, and their refresh and delta counts.
 from __future__ import annotations
 
 import os
-from concurrent.futures import ThreadPoolExecutor
 from typing import Dict, Iterable, List, Optional, Tuple
 
 from ...awb.model import Model
 from ...awb.xml_io import export_model_text
 from ...lru import LRU
+from ...serving import worker
 from ...serving.frontend import FrontEnd, QueryPlan
 from ...serving.partition import route_query
 from ...xquery import EngineConfig, XQueryEngine
@@ -145,9 +145,6 @@ class QueryService(FrontEnd):
                 # parsing a copy, and the first snapshot builds neither.
                 self._backend.statistics
                 self._pool_generation = self._backend.export_generation
-        # imported here: repro.serving's worker module imports this package.
-        from ...serving import worker
-
         # the in-process worker hooks faults itself; the front end hooks a
         # process-mode dispatch.  A respawn must not fork the live model,
         # which another thread may be halfway through updating: it boots
@@ -240,6 +237,10 @@ class QueryService(FrontEnd):
         if workers <= 1 or len(jobs) <= 1:
             served = [serve(job) for job in jobs]
         else:
+            # the batch API is its only user: thread-mode serving otherwise
+            # never loads concurrent.futures (nor the logging it imports).
+            from concurrent.futures import ThreadPoolExecutor
+
             with ThreadPoolExecutor(max_workers=min(workers, len(jobs))) as pool:
                 served = list(pool.map(serve, jobs))
         outcomes = dict(zip(distinct, served))

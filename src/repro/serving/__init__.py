@@ -28,12 +28,8 @@ a full replica and answering whole requests.  This package owns:
     the load-generator harness (``python -m repro.serving.loadgen``)
     reporting sustained QPS, p50/p95/p99 latency, and shed rate.
 
-The package imports none of these itself, so importing the calculus
-service without running it (docgen does) loads only ``frontend`` and
-``partition``.
+The package imports none of these itself.  The calculus package loads
+the service that needs them on first use (``repro.querycalc.QueryService``),
+so docgen, which runs only the native calculus, loads none of this tier;
+``tests/test_serving_caches.py`` lists what each entry point must not load.
 """
-
-# The calculus package first: its service module extends ``FrontEnd``, and
-# ``frontend`` imports the calculus error taxonomy and result cache.
-from .. import querycalc  # noqa: F401
-

@@ -28,31 +28,35 @@ someone thought to write.  This package generates the rest:
   (``python -m repro.testing.fuzz --seed N --budget K --shrink``).
 """
 
-from .generator import GENERATOR_VERSION, GenExpr, ProgramGenerator
-from .metamorphic import METAMORPHIC_RULES, metamorphic_pair
-from .models import random_calculus_query, random_model
-from .oracle import (
-    ALLOWLIST,
-    CalculusOracle,
-    Divergence,
-    ServingOracle,
-    assert_calculus_parity,
-    compare_xquery,
-    run_outcome,
-    xquery_outcomes,
+from ..lazy import lazy_exports
+
+# every name loads its own module on first use: the benchmark's calculus
+# workloads need only ``models``, and an eager ``fuzz`` would shadow
+# ``python -m repro.testing.fuzz`` (CPython warns when runpy finds the
+# module already in sys.modules).
+__getattr__, __dir__ = lazy_exports(
+    __name__,
+    {
+        **dict.fromkeys(("GENERATOR_VERSION", "GenExpr", "ProgramGenerator"), ".generator"),
+        **dict.fromkeys(("METAMORPHIC_RULES", "metamorphic_pair"), ".metamorphic"),
+        **dict.fromkeys(("random_calculus_query", "random_model"), ".models"),
+        **dict.fromkeys(
+            (
+                "ALLOWLIST",
+                "CalculusOracle",
+                "Divergence",
+                "ServingOracle",
+                "assert_calculus_parity",
+                "compare_xquery",
+                "run_outcome",
+                "xquery_outcomes",
+            ),
+            ".oracle",
+        ),
+        **dict.fromkeys(("shrink_program", "shrink_text"), ".shrinker"),
+        **dict.fromkeys(("CampaignStats", "run_campaign"), ".fuzz"),
+    },
 )
-from .shrinker import shrink_program, shrink_text
-
-
-def __getattr__(name: str):
-    # lazy: importing these eagerly would shadow ``python -m
-    # repro.testing.fuzz`` (the module would exist in sys.modules before
-    # runpy executes it, which CPython warns about).
-    if name in ("CampaignStats", "run_campaign"):
-        from . import fuzz
-
-        return getattr(fuzz, name)
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 __all__ = [
     "ALLOWLIST",

@@ -14,7 +14,7 @@ Public entry points:
   runs it at compile time.
 """
 
-from .analysis import Diagnostic, LintWarning, analyze_module, analyze_source
+from ..lazy import lazy_exports
 from .api import CompiledQuery, XQueryEngine, serialize_result
 from .context import DynamicContext, EngineConfig, TraceLog
 from .errors import (
@@ -29,6 +29,15 @@ from .errors import (
 from .functions import builtin_names
 from .optimizer import OptimizerStats, optimize_module
 from .parser import parse_expression, parse_query
+
+# the analyzer loads when a caller first asks for it: the engine runs it
+# only under ``lint != "off"`` (``CompiledQuery._run_lint``).
+__getattr__, __dir__ = lazy_exports(
+    __name__,
+    dict.fromkeys(
+        ("Diagnostic", "LintWarning", "analyze_module", "analyze_source"), ".analysis"
+    ),
+)
 
 __all__ = [
     "CompiledQuery",

@@ -100,7 +100,8 @@ class AlgebraProgram:
         only for the handful of AST nodes the plan tree points at.
         """
         if self._occurrences is None:
-            # lazy: the analysis package import chain reaches back here.
+            # imported here: only explain reads occurrences, so a plan that
+            # only runs never loads the type pass.
             from ..analysis.cardinality import iter_scoped, module_units
             from ..analysis.types import TypeAnalyzer, occurrence_indicator
 

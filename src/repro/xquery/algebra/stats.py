@@ -35,6 +35,7 @@ from __future__ import annotations
 from typing import Dict, Optional, Tuple
 
 from ...xdm import DocumentNode, ElementNode, Node
+from ..analysis.schema import awb_export_schema
 
 __all__ = ["StatisticsCatalog", "DEFAULT_STATS"]
 
@@ -208,11 +209,6 @@ class StatisticsCatalog:
                 self.attr_domains[key] = frozenset(values)
 
     def _check_schema(self) -> None:
-        # analysis.schema imports from xdm only, but the analysis
-        # package __init__ pulls in the lint stack (which imports this
-        # module back) — import lazily to stay acyclic.
-        from ..analysis.schema import awb_export_schema
-
         candidate = awb_export_schema()
         if candidate.admits_observations(
             self.element_counts,

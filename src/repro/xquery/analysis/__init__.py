@@ -17,50 +17,61 @@ whole-module pass), :mod:`.rules` (XQL001–XQL012 and the registry),
 own .xq sources against a baseline).
 """
 
-from .cardinality import (
-    EMPTY,
-    ONE,
-    OPT,
-    PLUS,
-    STAR,
-    Binding,
-    Card,
+from ...lazy import lazy_exports
+
+# each name loads its own layer on first use: the engine's update checker
+# and the statistics catalog need only ``diagnostics`` and ``schema``, and
+# neither should pay for the analyzer.
+__getattr__, __dir__ = lazy_exports(
+    __name__,
+    {
+        **dict.fromkeys(
+            ("EMPTY", "ONE", "OPT", "PLUS", "STAR", "Binding", "Card"), ".cardinality"
+        ),
+        **dict.fromkeys(
+            ("AttributeSchema", "DocumentSchema", "ElementSchema", "awb_export_schema"),
+            ".schema",
+        ),
+        **dict.fromkeys(
+            (
+                "AbstractItem",
+                "Inferred",
+                "ModuleTypeAnalysis",
+                "TypeAnalyzer",
+                "TypeFinding",
+                "check_sequence",
+                "infer_body_type",
+                "occurrence_indicator",
+            ),
+            ".types",
+        ),
+        **dict.fromkeys(
+            (
+                "BASELINE_PATH",
+                "CorpusUnit",
+                "corpus_units",
+                "diff_against_baseline",
+                "format_baseline",
+                "lint_corpus",
+                "lint_unit",
+                "load_baseline",
+            ),
+            ".corpus",
+        ),
+        **dict.fromkeys(
+            (
+                "SEVERITIES",
+                "Diagnostic",
+                "LintWarning",
+                "severity_at_least",
+                "sort_diagnostics",
+            ),
+            ".diagnostics",
+        ),
+        **dict.fromkeys(("analyze_module", "analyze_source", "parse_for_lint"), ".driver"),
+        **dict.fromkeys(("RULES", "ModuleAnalysis", "Rule", "rule_catalog"), ".rules"),
+    },
 )
-from .schema import (
-    AttributeSchema,
-    DocumentSchema,
-    ElementSchema,
-    awb_export_schema,
-)
-from .types import (
-    AbstractItem,
-    Inferred,
-    ModuleTypeAnalysis,
-    TypeAnalyzer,
-    TypeFinding,
-    check_sequence,
-    infer_body_type,
-    occurrence_indicator,
-)
-from .corpus import (
-    BASELINE_PATH,
-    CorpusUnit,
-    corpus_units,
-    diff_against_baseline,
-    format_baseline,
-    lint_corpus,
-    lint_unit,
-    load_baseline,
-)
-from .diagnostics import (
-    SEVERITIES,
-    Diagnostic,
-    LintWarning,
-    severity_at_least,
-    sort_diagnostics,
-)
-from .driver import analyze_module, analyze_source, parse_for_lint
-from .rules import RULES, ModuleAnalysis, Rule, rule_catalog
 
 __all__ = [
     "AbstractItem",

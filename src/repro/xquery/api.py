@@ -120,7 +120,8 @@ class CompiledQuery:
         library module).
         """
         explanation = self.algebra.explain(statistics)
-        # deferred: the analysis package's import chain reaches back here.
+        # imported here: only explain reads the static type, and it is off
+        # the run path.
         from .analysis.types import infer_body_type
 
         inferred = infer_body_type(self.module)
