@@ -12,8 +12,8 @@ path.  The matrix runs the same three-hop workload as E6/E15 at the same
 scales, comparing per-backend cold times against the native reference:
 
 * ``treewalk``  — the reference evaluator, nested loops (the E6 story);
-* ``algebra``   — set-at-a-time hash-join plans over the statistics
-  catalog collected at export time (the service default cold path).
+* ``algebra``   — set-at-a-time hash-join plans, fixed at lowering (the
+  service default cold path).
 
 THE headline (and the CI gate): algebra cold is within 10x of native at
 n=101 — against a treewalk cold measured in the *thousands* of x.

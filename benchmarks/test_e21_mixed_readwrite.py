@@ -210,9 +210,9 @@ def test_e21_mixed_readwrite():
         )
         + "\n\nevery read parity-checked against cold native re-execution\n"
         + (
-            f"statistics maintenance (thread): "
-            f"{thread['export']['stats_deltas']} deltas, "
-            f"{thread['export']['stats_rebuilds']} rebuilds"
+            f"export maintenance (thread): "
+            f"{thread['export']['subtree_exports']} subtree exports, "
+            f"{thread['export']['full_exports']} full exports"
         )
     )
     record_result("e21_mixed_readwrite.txt", text)

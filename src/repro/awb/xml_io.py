@@ -24,7 +24,7 @@ schema drift — AWB stored them as strings internally but exported XML).
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, Optional, Tuple
 
 from ..xdm import AttributeNode, DocumentNode, ElementNode, Node, TextNode
 from ..xmlio import parse_document, parse_element, serialize
@@ -127,12 +127,6 @@ def _value_type(value: object) -> str:
     return "string"
 
 
-#: subtree-delta log entries retained past this many pairs start a new
-#: epoch instead (consumers fall back to one full walk) — the log exists
-#: to make *small* deltas cheap, not to replay unbounded history.
-_DELTA_LOG_CAP = 1024
-
-
 class IncrementalExporter:
     """Maintains a live XML export of a model under mutation.
 
@@ -168,14 +162,6 @@ class IncrementalExporter:
         self.generation = -1
         self.full_exports = 0
         self.subtree_exports = 0
-        # the subtree-delta log: ``(old_element, new_element)`` pairs (None
-        # for pure inserts/removals) in application order, all direct
-        # children of the root.  Export-time consumers — the statistics
-        # catalog — subtract the old subtree and add the new one instead of
-        # re-walking the document.  A full rebuild starts a new epoch;
-        # cursors from an older epoch answer None.
-        self._delta_log: List[Tuple[Optional[ElementNode], Optional[ElementNode]]] = []
-        self._delta_epoch = 0
         model.add_listener(self._observe)
 
     # -- event intake -----------------------------------------------------------
@@ -229,39 +215,6 @@ class IncrementalExporter:
             "generation": self.generation,
         }
 
-    # -- subtree-delta log -------------------------------------------------------
-
-    def delta_cursor(self) -> Tuple[int, int]:
-        """An opaque position in the subtree-delta log.
-
-        Take one after reading the export, and pass it to
-        :meth:`delta_since` later to get exactly the subtree replacements
-        applied in between.
-        """
-        return (self._delta_epoch, len(self._delta_log))
-
-    def delta_since(
-        self, cursor: Optional[Tuple[int, int]]
-    ) -> Optional[List[Tuple[Optional[ElementNode], Optional[ElementNode]]]]:
-        """The ``(old, new)`` subtree pairs applied since *cursor*.
-
-        Returns ``None`` when the log does not cover the span — a full
-        rebuild happened, the log was truncated at its cap, or the cursor
-        is from an older epoch — and the caller must re-derive whatever it
-        maintains from the document itself.
-        """
-        if cursor is None:
-            return None
-        epoch, start = cursor
-        if epoch != self._delta_epoch or start > len(self._delta_log):
-            return None
-        return self._delta_log[start:]
-
-    def _delta_break(self) -> None:
-        """Invalidate every outstanding delta cursor (rebuild/cap/rename)."""
-        self._delta_epoch += 1
-        self._delta_log.clear()
-
     def _clear_pending(self) -> None:
         self._dirty_nodes.clear()
         self._dirty_relations.clear()
@@ -279,26 +232,20 @@ class IncrementalExporter:
         )
         self._needs_full = False
         self.full_exports += 1
-        self._delta_break()
         self._clear_pending()
 
     def _apply_pending(self) -> None:
         root = self._document.document_element()
         if root.get_attribute("name") != self.model.name:
-            # a root-attribute change is not a subtree pair: break the log
-            # so delta consumers re-derive from the document once.
             root.set_attribute("name", self.model.name)
-            self._delta_break()
         for node_id in self._removed_nodes:
             element = self._node_elements.pop(node_id, None)
             if element is not None:
                 root.remove(element)
-                self._delta_log.append((element, None))
         for relation_id in self._removed_relations:
             element = self._relation_elements.pop(relation_id, None)
             if element is not None:
                 root.remove(element)
-                self._delta_log.append((element, None))
         for node_id in self._dirty_nodes:
             node = self.model.nodes.get(node_id)
             if node is None:
@@ -311,7 +258,6 @@ class IncrementalExporter:
                 # new nodes go at the end of the node block (before the
                 # first relation element), mirroring dict-append order.
                 root.insert(len(self._node_elements), fresh)
-            self._delta_log.append((old, fresh))
             self._node_elements[node_id] = fresh
             self.subtree_exports += 1
         for relation_id in self._dirty_relations:
@@ -324,11 +270,8 @@ class IncrementalExporter:
                 root.replace_child(old, [fresh])
             else:
                 root.append(fresh)
-            self._delta_log.append((old, fresh))
             self._relation_elements[relation_id] = fresh
             self.subtree_exports += 1
-        if len(self._delta_log) > _DELTA_LOG_CAP:
-            self._delta_break()
         self._clear_pending()
 
 

@@ -17,11 +17,9 @@ byte-identical results.
 from __future__ import annotations
 
 import re
-from collections.abc import Mapping
-from typing import Dict, Iterable, Iterator, List, Tuple
+from typing import Dict, Iterable, List, Tuple
 
 __all__ = [
-    "DocumentFrequencyView",
     "InvertedIndex",
     "count_phrase",
     "phrase_positions",
@@ -71,36 +69,6 @@ def phrase_positions(tokens: List[str], phrase_tokens: List[str]) -> List[int]:
 def count_phrase(text: str, phrase: str) -> int:
     """Occurrences of *phrase* in *text* — the index-free reference path."""
     return len(phrase_positions(tokens_of(text), tokens_of(phrase)))
-
-
-class DocumentFrequencyView(Mapping):
-    """A live ``token → document frequency`` mapping over an index.
-
-    df is ``len(postings[token])``, which add/remove already keep exact —
-    this view exposes it without materializing the vocabulary, so a
-    statistics refresh after a write stays O(changed document) instead of
-    O(corpus vocabulary).
-    """
-
-    __slots__ = ("_index",)
-
-    def __init__(self, index: "InvertedIndex") -> None:
-        self._index = index
-
-    def __getitem__(self, token: str) -> int:
-        entry = self._index._postings.get(token)
-        if entry is None:
-            raise KeyError(token)
-        return len(entry)
-
-    def __contains__(self, token: object) -> bool:
-        return token in self._index._postings
-
-    def __iter__(self) -> Iterator[str]:
-        return iter(self._index._postings)
-
-    def __len__(self) -> int:
-        return len(self._index._postings)
 
 
 class InvertedIndex:
@@ -235,6 +203,10 @@ class InvertedIndex:
     def document_frequency(self, token: str) -> int:
         entry = self._postings.get(token.casefold())
         return len(entry) if entry is not None else 0
+
+    def document_frequencies(self) -> Dict[str, int]:
+        """Every token → the number of documents containing it."""
+        return {token: len(entry) for token, entry in self._postings.items()}
 
     @property
     def doc_count(self) -> int:

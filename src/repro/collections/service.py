@@ -43,7 +43,7 @@ from ..serving.pool import WorkerHandle
 from ..xquery import EngineConfig, XQueryEngine, serialize_result
 from .kwic import CHARS_KWIC
 from .store import DocumentStore, normalize_collection
-from .worker import CollectionWorker, CollectionWorkerConfig, fulltext_catalog
+from .worker import CollectionWorker, CollectionWorkerConfig
 
 __all__ = ["SearchRequest", "SearchResult", "SearchService"]
 
@@ -285,7 +285,7 @@ class SearchService(FrontEnd):
                 self.store.use_index = use_index
             try:
                 result = self.engine.compile(request.source()).run(
-                    collections=self.store, statistics=fulltext_catalog(self.store)
+                    collections=self.store
                 )
             finally:
                 self.store.use_index = previous

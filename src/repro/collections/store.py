@@ -41,7 +41,7 @@ from ..xdm import DocumentNode
 from ..xmlio import parse_document, serialize
 from ..xquery.errors import XQueryDynamicError
 from ..xquery.updates.apply import apply_script
-from .fulltext import DocumentFrequencyView, InvertedIndex, count_phrase
+from .fulltext import InvertedIndex, count_phrase
 
 __all__ = [
     "DocumentStore",
@@ -125,9 +125,6 @@ class DocumentStore:
         self._uri_by_doc: Dict[int, str] = {}
         #: collection prefix → generation of the last write under it.
         self._collection_gens: Dict[str, int] = {"": 0}
-        #: collection prefix → live member count, maintained per write so
-        #: statistics never rescan the corpus.
-        self._collection_counts: Dict[str, int] = {"": 0}
         #: document URI → generation of its last write (or delete).
         self._uri_gens: Dict[str, int] = {}
 
@@ -191,10 +188,6 @@ class DocumentStore:
         self._models.pop(uri, None)
         self._uri_by_doc.pop(id(document), None)
         self.index.remove(uri)
-        for prefix in collection_prefixes(uri):
-            self._collection_counts[prefix] = max(
-                0, self._collection_counts.get(prefix, 0) - 1
-            )
         self._bump(uri)
 
     def _install(
@@ -210,11 +203,6 @@ class DocumentStore:
         previous = self._docs.get(uri)
         if previous is not None:
             self._uri_by_doc.pop(id(previous), None)
-        else:
-            for prefix in collection_prefixes(uri):
-                self._collection_counts[prefix] = (
-                    self._collection_counts.get(prefix, 0) + 1
-                )
         self._docs[uri] = document
         self._texts[uri] = text
         self._uri_by_doc[id(document)] = uri
@@ -339,18 +327,22 @@ class DocumentStore:
         return count_phrase(node.string_value(), phrase)
 
     def fulltext_stats(self) -> Dict[str, object]:
-        """Catalog food for the algebra's ``FullTextScan`` selectivity.
+        """Catalog food for ``explain``'s ``FullTextScan`` estimate,
+        counted now: ``total_docs``, ``collection_docs`` (every known
+        collection → its member count) and ``doc_frequency`` (token →
+        documents containing it).
 
         Document frequencies come from the index even when ``use_index``
-        is off — the estimate steers the plan display and cost model, not
-        the result.  Both ``collection_docs`` and ``doc_frequency`` are
-        *live views* over incrementally-maintained state, so refreshing a
-        catalog after a write is O(1), not O(corpus vocabulary).
+        is off — the estimate only feeds the plan display, not the result.
         """
+        members = dict.fromkeys(self._collection_gens, 0)
+        for uri in self._docs:
+            for prefix in collection_prefixes(uri):
+                members[prefix] += 1
         return {
             "total_docs": len(self._docs),
-            "collection_docs": self._collection_counts,
-            "doc_frequency": DocumentFrequencyView(self.index),
+            "collection_docs": members,
+            "doc_frequency": self.index.document_frequencies(),
         }
 
     # -- replication -------------------------------------------------------
@@ -392,7 +384,6 @@ class DocumentStore:
         """
         for prefix in prefixes:
             self._collection_gens.setdefault(prefix, 0)
-            self._collection_counts.setdefault(prefix, 0)
 
     # -- persistence -------------------------------------------------------
 

@@ -5,8 +5,7 @@ own engine (the front end's :class:`~repro.xquery.EngineConfig` with no
 compile cache), runs it over the worker's whole
 :class:`~repro.collections.store.DocumentStore` and serializes the
 answer, which the front end caches under the request key and scope
-generation.  The worker rebuilds its full-text catalog when its store's
-generation has moved.  :class:`~repro.collections.service.SearchService`
+generation.  :class:`~repro.collections.service.SearchService`
 holds one worker over its authoritative store in thread mode, and in
 process mode one forked worker per shard of its
 :class:`~repro.serving.pool.ProcessPool`, each over a copy-on-write copy
@@ -34,22 +33,13 @@ from typing import Dict, List, Optional, Tuple
 
 from ..serving.worker import worker_engine
 from ..xquery import EngineConfig, serialize_result
-from ..xquery.algebra import StatisticsCatalog
 from .store import DocumentStore
 
 __all__ = [
     "CollectionWorker",
     "CollectionWorkerConfig",
-    "fulltext_catalog",
     "merge_rows",
 ]
-
-
-def fulltext_catalog(store: DocumentStore) -> StatisticsCatalog:
-    """A statistics catalog carrying *store*'s full-text estimates."""
-    catalog = StatisticsCatalog()
-    catalog.set_fulltext(store.fulltext_stats())
-    return catalog
 
 
 # No caller in src/; kept because bench/layers.py names it as a trace target.
@@ -83,7 +73,7 @@ class CollectionWorkerConfig:
 
 
 class CollectionWorker:
-    """One worker: a whole store, an engine, and the store's catalog."""
+    """One worker: a whole store and an engine."""
 
     #: the requests the request loop dispatches to methods of this class.
     OPS = ("run", "put", "delete", "stats")
@@ -95,9 +85,6 @@ class CollectionWorker:
         self.runs = 0
         self.writes = 0
         self.errors = 0
-        #: ``(store generation, full-text catalog)``, rebuilt when the
-        #: store's generation moves.
-        self._statistics: Optional[tuple] = None
 
     # -- evaluation --------------------------------------------------------
 
@@ -109,16 +96,8 @@ class CollectionWorker:
         """
         self.runs += 1
         compiled = self.engine.compile(payload["source"])
-        result = compiled.run(
-            collections=self.store, statistics=self._catalog(), timeout=payload.get("remaining")
-        )
+        result = compiled.run(collections=self.store, timeout=payload.get("remaining"))
         return {"text": serialize_result(result), "shard": self.shard}
-
-    def _catalog(self) -> StatisticsCatalog:
-        generation = self.store.generation
-        if self._statistics is None or self._statistics[0] != generation:
-            self._statistics = (generation, fulltext_catalog(self.store))
-        return self._statistics[1]
 
     # -- replica maintenance (process workers) ----------------------------
 

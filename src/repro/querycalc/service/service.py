@@ -140,10 +140,10 @@ class QueryService(FrontEnd):
         self._deltas = 0
         if mode == "process":
             with self._backend.lock:
-                # the export and its catalog (built together) exist before
-                # the fork, so every worker inherits them instead of
-                # parsing a copy, and the first snapshot builds neither.
-                self._backend.statistics
+                # the export exists before the fork, so every worker
+                # inherits it instead of parsing a copy, and the first
+                # snapshot does not build it.
+                self._backend.export
                 self._pool_generation = self._backend.export_generation
         # the in-process worker hooks faults itself; the front end hooks a
         # process-mode dispatch.  A respawn must not fork the live model,
@@ -379,13 +379,19 @@ class QueryService(FrontEnd):
     def explain(self, query: Query) -> Dict[str, object]:
         """The optimized plan for one query, as text and a JSON-ready tree.
 
-        This is the algebra backend's plan (with cardinalities estimated
-        from the current export's statistics catalog) plus the generated
-        source.
+        This is the algebra backend's plan, with cardinalities estimated
+        from a statistics catalog collected now over the current export,
+        plus the generated source.  The catalog feeds the estimates alone:
+        the plan that runs is the one lowering fixed.
         """
+        from ...xquery.algebra.stats import StatisticsCatalog
+
         plan = self._plan(query)
         with self._backend.lock:
-            statistics = self._backend.statistics
+            statistics = StatisticsCatalog.from_root(
+                self._backend.export.document_element(),
+                self._backend.export_generation,
+            )
         explanation = self.engine.compile(plan.source).explain(statistics)
         explanation["plan_key"] = plan.key
         explanation["source"] = plan.source
@@ -489,9 +495,8 @@ class QueryService(FrontEnd):
         with self._backend.lock:
             if self.faults is not None:
                 self.faults.on_export()
-            # the statistics walk rides the (already O(model)) export
-            # refresh instead of taxing the first query after a mutation.
-            self._backend.statistics
+            # bring the export up to date before reading its generation.
+            self._backend.export
             generation = self._backend.export_generation
             if self._pool is not None and generation != self._pool_generation:
                 # rebuild the worker replicas at the new generation before

@@ -41,8 +41,8 @@ class XQueryCalculusBackend:
     not an O(model) rebuild.
 
     Whoever shares a backend across threads holds :attr:`lock` around
-    every touch of the export or the catalog: reading either may patch
-    the export, which must not interleave with an update.
+    every read of the export: reading it may patch it, which must not
+    interleave with an update.
     """
 
     def __init__(self, model: Model, engine: Optional[XQueryEngine] = None):
@@ -51,10 +51,6 @@ class XQueryCalculusBackend:
         self.engine = engine or XQueryEngine()
         self.lock = threading.Lock()
         self._exporter = IncrementalExporter(model)
-        self._statistics = None
-        self._stats_cursor = None
-        self.stats_rebuilds = 0
-        self.stats_deltas = 0
 
     def invalidate_export(self) -> None:
         """Force a full re-export on next use (normally unnecessary: the
@@ -71,45 +67,12 @@ class XQueryCalculusBackend:
         return self._exporter.generation
 
     def export_stats(self) -> dict:
-        """Full-vs-subtree export counters from the incremental exporter."""
+        """Full-vs-subtree export counters from the incremental exporter,
+        plus ``stats_deltas``, always 0, which ``bench/workloads.py``
+        still reads."""
         stats = self._exporter.stats()
-        stats["stats_rebuilds"] = self.stats_rebuilds
-        stats["stats_deltas"] = self.stats_deltas
+        stats["stats_deltas"] = 0
         return stats
-
-    @property
-    def statistics(self):
-        """The export's :class:`~repro.xquery.algebra.StatisticsCatalog`.
-
-        Collected in one walk over the current export document on first
-        use; when the export generation moves, the catalog is *maintained*
-        from the exporter's subtree-delta log (subtract the old subtree,
-        add the new one) rather than recollected — a point mutation costs
-        O(subtree), not O(document).  Falls back to a full walk when the
-        log does not cover the span (a full export rebuild happened).
-        Either way, the catalog the algebra cost pass reads is always the
-        current generation's.
-        """
-        from ..xquery.algebra import StatisticsCatalog
-
-        document = self._exporter.export()
-        generation = self._exporter.generation
-        if self._statistics is None or self._statistics.generation != generation:
-            delta = (
-                self._exporter.delta_since(self._stats_cursor)
-                if self._statistics is not None
-                else None
-            )
-            if delta is not None:
-                self._statistics.maintain(delta, generation)
-                self.stats_deltas += 1
-            else:
-                self._statistics = StatisticsCatalog.from_root(
-                    document.document_element(), generation
-                )
-                self.stats_rebuilds += 1
-        self._stats_cursor = self._exporter.delta_cursor()
-        return self._statistics
 
     def compile_to_xquery(self, query: Query) -> str:
         """Translate a calculus query into XQuery source text."""
@@ -132,9 +95,7 @@ class XQueryCalculusBackend:
             raise QueryRuntimeError(f"start node {start_id!r} is not in the model")
         source = self.compile_to_xquery(query)
         root = self.export.document_element()
-        result = self.engine.compile(source).run(
-            variables={"model": root}, statistics=self.statistics
-        )
+        result = self.engine.compile(source).run(variables={"model": root})
         nodes: List[ModelNode] = []
         for item in result:
             if not isinstance(item, ElementNode):

@@ -41,7 +41,9 @@ The serving tier is fork-only: a boot config holds live objects (a
 backend here, a document store in the search tier) that the child
 inherits rather than unpickles.  The module pre-imports every dependency
 at top level, so a lazily-imported module cannot deadlock on an import
-lock the parent held at fork time.
+lock the parent held at fork time.  That includes the algebra run path
+(the package loads its lowering and executor and the closure compiler),
+which the engine otherwise loads only when a plan first runs.
 """
 
 from __future__ import annotations
@@ -58,6 +60,7 @@ from ..querycalc.via_xquery import XQueryCalculusBackend
 from ..xquery.updates.apply import apply_script
 from ..xdm import ElementNode
 from ..xquery import EngineConfig, TraceLog, XQueryEngine
+from ..xquery import algebra  # noqa: F401  (the run path, imported before the fork)
 from ..xquery.errors import XQueryError, XQueryTimeoutError
 
 __all__ = ["WorkerConfig", "ShardWorker", "replica_backend", "worker_main"]
@@ -65,11 +68,11 @@ __all__ = ["WorkerConfig", "ShardWorker", "replica_backend", "worker_main"]
 
 def replica_backend(export_text: str, metamodel: Metamodel) -> XQueryCalculusBackend:
     """A backend over a faithful import of *export_text*, with its export
-    and statistics catalog built, so no query on it pays for either."""
+    built, so no query on it pays for one."""
     backend = XQueryCalculusBackend(
         import_model_text(export_text, metamodel, apply_defaults=False)
     )
-    backend.statistics
+    backend.export
     return backend
 
 
@@ -84,7 +87,7 @@ class WorkerConfig:
     """Everything a worker needs to hold its replica."""
 
     shard: int
-    #: the replica: a model, its export and its statistics catalog.  A
+    #: the replica: a model and its export.  A
     #: forked worker adopts its own copy-on-write copy; the in-process
     #: worker adopts the front end's.
     backend: XQueryCalculusBackend
@@ -149,17 +152,16 @@ class ShardWorker:
     # -- evaluation --------------------------------------------------------
 
     def _scan_state(self):
-        """``(export root, statistics catalog, shared-scan cache)`` as of
-        now, read under the backend's lock: reading either may patch the
-        export, which must not interleave with an update."""
+        """``(export root, shared-scan cache)`` as of now, read under the
+        backend's lock: reading the export may patch it, which must not
+        interleave with an update."""
         backend = self.backend
         with backend.lock:
             root = backend.export.document_element()
-            statistics = backend.statistics
             generation = backend.export_generation
             if self._shared is None or self._shared[0] != generation:
                 self._shared = (generation, LRU(None))
-            return root, statistics, self._shared[1]
+            return root, self._shared[1]
 
     def run(self, payload: Dict) -> Dict:
         """Compile, evaluate and turn one plan into ids.
@@ -180,7 +182,7 @@ class ShardWorker:
         remaining = payload.get("remaining")
         deadline = Deadline.after(remaining) if remaining is not None else None
         compiled = self.engine.compile(payload["source"])
-        root, statistics, shared = self._scan_state()
+        root, shared = self._scan_state()
         primary = compiled.config.backend
 
         def attempt(backend: str) -> Dict:
@@ -194,7 +196,6 @@ class ShardWorker:
                 trace=trace,
                 backend=backend,
                 deadline=deadline.at if deadline is not None else None,
-                statistics=statistics,
                 algebra_cache=shared,
             )
             if deadline is not None:

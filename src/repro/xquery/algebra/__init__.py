@@ -10,8 +10,9 @@ the production backend, ``EngineConfig(backend="algebra")``:
   sources), leaving anything outside the fragment to the closure
   compiler (:mod:`repro.xquery.compiler`), which compiles the forms
   measured hot and hands every other form to the treewalk;
-* :mod:`.optimize` is the rewrite/cost pass, fed by a
-  :class:`~.stats.StatisticsCatalog` collected at export time;
+* :mod:`.optimize` is ``explain``'s estimate pass, fed by a
+  :class:`~.stats.StatisticsCatalog` collected on demand; the plan that
+  runs is fixed at lowering and never reads statistics;
 * :mod:`.executor` interprets plans set-at-a-time, producing bit-identical
   XDM sequences (the differential fuzzer enforces this);
 * :class:`AlgebraProgram` packages the three, and the closure compiler,
@@ -22,8 +23,9 @@ from __future__ import annotations
 
 import json
 import threading
-from typing import Dict, Optional, Tuple
+from typing import TYPE_CHECKING, Dict, Optional, Tuple
 
+from ...lazy import lazy_exports
 from ...lru import LRU
 from .. import ast
 from ..compiler import Compiler, Thunk
@@ -31,9 +33,10 @@ from ..context import DynamicContext, EngineConfig
 from ..errors import extended_stack
 from .executor import ExecState, execute_plan
 from .lowering import Lowerer
-from .optimize import annotate_occurrences, optimize_plan
 from .plans import EvalPlan, Plan
-from .stats import DEFAULT_STATS, StatisticsCatalog
+
+if TYPE_CHECKING:
+    from .stats import StatisticsCatalog
 
 __all__ = [
     "AlgebraProgram",
@@ -41,17 +44,20 @@ __all__ = [
     "DEFAULT_STATS",
 ]
 
+# only explain reads statistics, so a plan that only runs never loads them.
+__getattr__, __dir__ = lazy_exports(
+    __name__, {"StatisticsCatalog": ".stats", "DEFAULT_STATS": ".stats"}
+)
+
 
 class AlgebraProgram:
     """A module lowered to a logical plan, ready for repeated execution.
 
     Built once per compiled query (lazily, under the query's lock) and
-    reused across runs.  Construction only lowers: the first run (or
-    explain) optimizes against the statistics catalog it brings, and a run
-    bringing a different catalog re-optimizes.  Every optimizer decision is
-    semantics-preserving, so executions racing a re-optimization stay
-    correct.  The static-type pass never runs on this path; only
-    :meth:`explain` computes occurrences, for its ``[occ=...]`` marks.
+    reused across runs.  Construction lowers, and the plan it lowers to is
+    the plan every run executes.  Neither statistics nor the static-type
+    pass run on this path: :meth:`explain` alone estimates rows against a
+    catalog and computes occurrences, for its ``[occ=...]`` marks.
     """
 
     def __init__(
@@ -66,8 +72,7 @@ class AlgebraProgram:
         self.plan: Plan = Lowerer(functions, config).lower(module.body)
         #: whole-body fallback: nothing in the query lowered to algebra.
         self.trivial = isinstance(self.plan, EvalPlan)
-        self._optimize_lock = threading.RLock()
-        self._optimized_for: Optional[StatisticsCatalog] = None
+        self._explain_lock = threading.Lock()
         self._occurrences: Optional[Dict[int, str]] = None
         self._compiler: Optional[Compiler] = None
         self._thunks: Dict[int, Thunk] = {}
@@ -78,8 +83,8 @@ class AlgebraProgram:
     def thunk(self, expr: ast.Expr) -> Thunk:
         """The closure for *expr*, the fallback's one evaluator, compiled on
         first use.  Keyed on the expression (a node of ``self.module``, so
-        its id is stable), not the plan node: the optimizer rebuilds
-        predicates and swaps join probes."""
+        its id is stable), not the plan node: the executor wraps a join key
+        in a predicate of its own."""
         thunk = self._thunks.get(id(expr))
         if thunk is None:
             with self._compile_lock:
@@ -90,7 +95,7 @@ class AlgebraProgram:
                     thunk = self._thunks[id(expr)] = self._compiler.compile(expr)
         return thunk
 
-    # -- optimization -----------------------------------------------------
+    # -- occurrences, for explain ----------------------------------------
 
     def occurrence_map(self) -> Dict[int, str]:
         """``id(ast expr) → occurrence`` for the exprs this plan references.
@@ -130,52 +135,40 @@ class AlgebraProgram:
             self._occurrences = occurrences
         return self._occurrences
 
-    def optimize_for(self, statistics: Optional[StatisticsCatalog]) -> Plan:
-        """(Re)run the cost pass if *statistics* changed since last time."""
-        catalog = statistics or DEFAULT_STATS
-        if self._optimized_for is not catalog:
-            with self._optimize_lock:
-                if self._optimized_for is not catalog:
-                    optimize_plan(self.plan, catalog)
-                    self._optimized_for = catalog
-        return self.plan
-
     # -- execution --------------------------------------------------------
 
-    def run(
-        self,
-        ctx: DynamicContext,
-        statistics: Optional[StatisticsCatalog] = None,
-        shared_cache: Optional[LRU] = None,
-    ):
+    def run(self, ctx: DynamicContext, shared_cache: Optional[LRU] = None):
         if self.trivial:
             # the whole body fell back: run its closure with no
             # plan-interpretation overhead at all.
             return self.thunk(self.module.body)(ctx)
-        plan = self.optimize_for(statistics)
-        return execute_plan(plan, ctx, {}, ExecState(self.thunk, shared_cache))
+        return execute_plan(self.plan, ctx, {}, ExecState(self.thunk, shared_cache))
 
     # -- explain ----------------------------------------------------------
 
-    def explain(self, statistics: Optional[StatisticsCatalog] = None) -> dict:
-        """The optimized plan as text and JSON, with estimated rows and the
-        static-type pass's occurrences."""
+    def explain(self, statistics: Optional["StatisticsCatalog"] = None) -> dict:
+        """The plan as text and JSON, with rows estimated against
+        *statistics* (``DEFAULT_STATS`` if None) and the static-type pass's
+        occurrences."""
+        from .optimize import annotate_occurrences, estimate_plan
+
         with extended_stack():
             occurrences = self.occurrence_map()
-        # one lock across optimize, annotate and render: a run re-optimizing
-        # for another catalog meanwhile would clear the marks mid-render.
-        with self._optimize_lock:
-            plan = self.optimize_for(statistics)
-            annotate_occurrences(plan, occurrences)
+        # the marks live on the shared plan: one lock across estimate,
+        # annotate and render keeps a concurrent explain over another
+        # catalog from rewriting them mid-render.  Runs never read them.
+        with self._explain_lock:
+            estimate_plan(self.plan, statistics)
+            annotate_occurrences(self.plan, occurrences)
             return {
                 "backend": "algebra",
                 "fallback": self.trivial,
-                "text": "\n".join(plan.render()),
-                "plan": plan.to_dict(),
+                "text": "\n".join(self.plan.render()),
+                "plan": self.plan.to_dict(),
             }
 
-    def explain_text(self, statistics: Optional[StatisticsCatalog] = None) -> str:
+    def explain_text(self, statistics: Optional["StatisticsCatalog"] = None) -> str:
         return self.explain(statistics)["text"]
 
-    def explain_json(self, statistics: Optional[StatisticsCatalog] = None) -> str:
+    def explain_json(self, statistics: Optional["StatisticsCatalog"] = None) -> str:
         return json.dumps(self.explain(statistics), indent=2, sort_keys=True)

@@ -32,7 +32,7 @@ runs on the program's closure compiler with the exact same dynamic context.
 
 from __future__ import annotations
 
-from typing import Dict, Optional, Tuple
+from typing import Dict, Optional
 
 from ...lru import LRU
 from ...xdm import (
@@ -42,7 +42,6 @@ from ...xdm import (
     is_node,
     sort_document_order,
 )
-from .. import ast
 from ..compiler import expand_descendants, run_flwor, run_path_step
 from ..context import DynamicContext
 from ..evaluator import (
@@ -169,7 +168,7 @@ def _exec_full_text_scan(plan: FullTextScanPlan, ctx, bindings, state):
     # a pure pass-through to the ft:search builtin: the store behind the
     # dynamic context picks indexed postings or the brute-force document
     # scan, and both are pinned byte-identical.  The operator exists for
-    # the optimizer's catalog-backed estimate and the explain output.
+    # explain's catalog-backed estimate.
     args = [execute_plan(arg, ctx, bindings, state) for arg in plan.args]
     return plan.builtin(ctx, args, plan.expr)
 
@@ -220,10 +219,6 @@ def _apply_pred_plans(items, predicates, ctx, bindings, state):
     for pred in predicates:
         if not items:
             return items
-        if pred.skipped:
-            # the optimizer proved (against the catalog's verified schema)
-            # that this predicate keeps every input — don't evaluate it.
-            continue
         if isinstance(pred, PositionalPred):
             items = pred.apply(items)
             continue
@@ -443,32 +438,13 @@ class _JoinBuild:
         return built
 
 
-def _scan_base_shape(scan: PathPlan) -> Optional[str]:
-    """The variable name when *scan* is based on exactly ``root($var)`` —
-    the anchor shape of every scan the calculus compiler emits."""
-    base = scan.base
-    if (
-        scan.anchor is None
-        and isinstance(base, BuiltinCallPlan)
-        and base.name == "root"
-        and len(base.args) == 1
-        and isinstance(base.args[0], VarPlan)
-    ):
-        return base.args[0].name
-    return None
-
-
 def _join_build(op: ForJoinOp, ctx, tuple_bindings, state) -> _JoinBuild:
     scan = op.scan
-    cached = op.fast_base
-    if cached is None or cached[0] is not scan.base:
-        cached = (scan.base, _scan_base_shape(scan))
-        op.fast_base = cached
     base = None
-    if cached[1] is not None:
+    if op.base_var is not None:
         # root($var) over a singleton element binding: fn:root is pure per
         # node, so the per-tuple base resolution collapses to a memo probe.
-        value = tuple_bindings.get(cached[1])
+        value = tuple_bindings.get(op.base_var)
         if (
             isinstance(value, list)
             and len(value) == 1
@@ -515,29 +491,19 @@ def _join_build(op: ForJoinOp, ctx, tuple_bindings, state) -> _JoinBuild:
 
 def _join_source(op: ForJoinOp, ctx, state):
     """A join's ``for`` source: each tuple's matches from the hash build."""
-    # Resolve the probe shape and residual memoability once per op, so the
-    # per-tuple probe can answer a repeated single-key probe with one dict
-    # hit instead of re-entering _probe_join (which re-derives both).
-    cached = op.fast_probe
-    if cached is None or cached[0] is not op.probe_expr:
-        cached = (op.probe_expr, _probe_shape(op.probe_expr))
-        op.fast_probe = cached
-    shape = cached[1]
+    # Resolve residual memoability once per op, so the per-tuple probe can
+    # answer a repeated single-key probe with one dict hit instead of
+    # re-entering _probe_join (which re-derives it).
+    shape = op.probe_shape
     memoable = shape is not None and not any(
         type(pred) is GenericPred for pred in op.residual
     )
     probes = state.probes
     op_id = id(op)
-    # Resolve the root($var) base shape once per op as well: consecutive
-    # tuples almost always bind nodes under the same document root, so the
-    # per-tuple build resolution collapses to one memo probe and an id
-    # compare against the previous tuple's root.
-    scan = op.scan
-    base_cached = op.fast_base
-    if base_cached is None or base_cached[0] is not scan.base:
-        base_cached = (scan.base, _scan_base_shape(scan))
-        op.fast_base = base_cached
-    base_var = base_cached[1]
+    # Consecutive tuples almost always bind nodes under the same document
+    # root, so a root($var) build resolution collapses to one memo probe
+    # and an id compare against the previous tuple's root.
+    base_var = op.base_var
     roots = state.roots
     builds = state.join_builds
     last_root_id = None
@@ -588,44 +554,18 @@ def _join_source(op: ForJoinOp, ctx, state):
     return matches_of
 
 
-def _probe_shape(expr) -> Optional[Tuple[str, str]]:
-    """``(var, attr)`` when *expr* is exactly ``$var/@attr`` — the shape of
-    every probe the calculus compiler generates."""
-    if (
-        isinstance(expr, ast.PathExpr)
-        and expr.anchor is None
-        and isinstance(expr.first, ast.VarRef)
-        and len(expr.steps) == 1
-    ):
-        separator, step = expr.steps[0]
-        if (
-            separator == "/"
-            and isinstance(step, ast.AxisStep)
-            and step.axis == "attribute"
-            and not step.predicates
-            and step.test.kind == "name"
-            and step.test.name is not None
-        ):
-            return expr.first.name, step.test.name
-    return None
-
-
 def _probe_join(op: ForJoinOp, build: _JoinBuild, ctx, tuple_bindings, state):
     if build.total == 0:
         # the reference never evaluates the probe when there is nothing to
         # compare it against, so neither may we.
         return []
-    cached = op.fast_probe
-    if cached is None or cached[0] is not op.probe_expr:
-        cached = (op.probe_expr, _probe_shape(op.probe_expr))
-        op.fast_probe = cached
     keys = None
-    if cached[1] is not None:
+    if op.probe_shape is not None:
         # a tuple variable holding one element: read the attribute directly
         # (the untyped-atomic values the evaluator's attribute step would
         # atomize to, minus the wrapper objects) instead of paying a context
         # clone + path walk + document-order sort per tuple.
-        var_name, attr_name = cached[1]
+        var_name, attr_name = op.probe_shape
         value = tuple_bindings.get(var_name)
         if (
             isinstance(value, list)

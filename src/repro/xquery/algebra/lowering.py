@@ -11,6 +11,12 @@ observation-equivalent, *including errors and ``fn:trace`` output*: the
 differential fuzzer treats any drift as a bug, mirroring how the paper
 treats Galax's optimizer bugs.
 
+The plan that runs is fixed here: no statistics steer it.  Within each
+step, runs of compiled attribute filters are ordered by one fixed rule
+(:func:`_ordered`), and a join hashes on the first equi-predicate it
+finds.  Statistics only feed the estimates ``explain`` prints
+(:mod:`.optimize`).
+
 Safety gates worth naming (each one is a place a faster-but-wrong rewrite
 was rejected):
 
@@ -76,7 +82,8 @@ __all__ = ["Lowerer", "RESULT_VAR"]
 #: ``#`` cannot appear in a parsed variable name, so it never collides.
 RESULT_VAR = "#result"
 
-_FAST_PREDS = (AttrMembershipPred, AttrValueEqPred, AttrExistsPred, PositionalPred)
+_ORDERED_PREDS = (AttrMembershipPred, AttrValueEqPred, AttrExistsPred)
+_FAST_PREDS = _ORDERED_PREDS + (PositionalPred,)
 
 _POSITIONAL_VALUE_OPS = {"eq": "eq", "le": "le", "lt": "lt", "ge": "ge", "gt": "gt"}
 _POSITIONAL_GENERAL_OPS = {"=": "eq", "<=": "le", "<": "lt", ">=": "ge", ">": "gt"}
@@ -137,7 +144,7 @@ class Lowerer:
             if not isinstance(step, ast.AxisStep):
                 # e.g. $x/data(.) — outside the algebra's path fragment.
                 return EvalPlan(expr, "non-axis path step")
-            predicates = [self._compile_pred(p) for p in step.predicates]
+            predicates = _ordered([self._compile_pred(p) for p in step.predicates])
             closed = all(isinstance(p, _FAST_PREDS) for p in predicates)
             steps.append(StepPlan(step, separator, predicates, closed))
         if not steps and base is not None:
@@ -391,17 +398,7 @@ class Lowerer:
             build_scan.cacheable = all(s.closed for s in build_scan.steps)
             if build_scan.cacheable:
                 build_scan.scan_key = tuple(s.key() for s in build_scan.steps)
-            op = ForJoinOp(clause, build_scan, attr, probe, style, residual, pred.expr)
-            # sibling equi-predicates directly after the chosen one are
-            # interchangeable join keys; the optimizer picks by selectivity.
-            for sibling in last.predicates[index + 1 :]:
-                if not isinstance(sibling, GenericPred):
-                    break
-                other = self._join_condition(sibling.expr, bound)
-                if other is None:
-                    break
-                op.candidates.append((other[0], other[1], other[2], sibling.expr))
-            return op
+            return ForJoinOp(clause, build_scan, attr, probe, style, residual, pred.expr)
         return None
 
     def _join_condition(
@@ -442,7 +439,7 @@ class Lowerer:
                 return StringFnPlan(expr, arg)
         if name == "ft:search" and len(expr.args) in (1, 2):
             # the indexed full-text scan: same builtin, surfaced as a scan
-            # operator so the optimizer can estimate hits from the
+            # operator so explain can estimate hits from the
             # collection catalog (df of the rarest phrase token).
             args = [self.lower(arg) for arg in expr.args]
             literals = [_string_literal(arg) for arg in expr.args]
@@ -481,6 +478,30 @@ class Lowerer:
 
 
 # -- shape helpers -------------------------------------------------------
+
+
+def _prior(pred: PredPlan) -> float:
+    """The fixed selectivity prior a compiled attribute filter sorts by."""
+    if isinstance(pred, AttrValueEqPred):
+        return 0.1
+    if isinstance(pred, AttrMembershipPred):
+        return min(1.0, 0.1 * max(len(pred.values), 1))
+    return 0.8  # AttrExistsPred
+
+
+def _ordered(predicates: List[PredPlan]) -> List[PredPlan]:
+    """*predicates* with each run of compiled attribute filters sorted most
+    selective first by :func:`_prior` (stably).  Filters in a run are pure
+    and position-free, so they commute; a positional or generic predicate
+    ends a run, since positions renumber between predicates."""
+    run_start = 0
+    for index in range(len(predicates) + 1):
+        if index < len(predicates) and isinstance(predicates[index], _ORDERED_PREDS):
+            continue
+        if index - run_start > 1:
+            predicates[run_start:index] = sorted(predicates[run_start:index], key=_prior)
+        run_start = index + 1
+    return predicates
 
 
 def _attr_step_name(expr: ast.Expr) -> Optional[str]:

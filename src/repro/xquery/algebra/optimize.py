@@ -1,45 +1,19 @@
-"""Rewrite/cost pass over lowered plans, driven by the statistics catalog.
+"""The estimate pass ``explain`` runs over a lowered plan.
 
-Every decision made here is semantics-preserving by construction, so the
-pass is free to be wrong about costs without ever being wrong about
-results:
+The plan that runs is fixed at lowering (:mod:`.lowering` orders
+predicates by one fixed rule and picks the join key), so nothing here
+changes what executes.  Given a :class:`~.stats.StatisticsCatalog`, the
+pass fills what ``--explain`` prints:
 
-* **predicate ordering** — within a maximal run of *pure, position-free*
-  compiled attribute predicates on one step, filters commute; the most
-  selective one goes first.  Runs never extend across a positional or
-  generic predicate (positions renumber between predicates, so those are
-  sequence points).
-* **join-key choice** — when a scan carries several interchangeable
-  equi-join predicates, hash on the attribute with the most distinct
-  values; the others demote to residual filters (commuting, as above).
-* **cardinality annotation** — every plan node gets an ``est_rows`` for
-  ``--explain``; the estimates come straight from the export-time catalog
-  (per-name counts, fan-out, attribute selectivity).
-
-Positional short-circuiting itself is compiled during lowering
-(:class:`~.plans.PositionalPred` slices instead of iterating); this pass
-only accounts for it in the estimates.
-
-Two more decisions lean on the export's schema and statistics:
-
-* **occurrence marks** — proven-dead schema paths surface in ``--explain``
-  as ``occ=empty`` with 0 estimated rows, and a join on a proven key as
-  ``occ=?``.  The static-type pass's occurrences are display-only, so
-  they are not an input here: ``explain`` computes them and
-  :func:`annotate_occurrences` fills the marks this pass left empty.
-* **schema-licensed pruning** — a catalog that carries a ``schema``
-  (attached by ``StatisticsCatalog.from_root`` only after verifying the
-  walked document conforms) warrants that schema's facts for the
-  document the query runs against.  Under that warrant, an existence
-  check on a required attribute of a schema-anchored step keeps every
-  input, so it is marked ``skipped`` and the executor never evaluates
-  it.  This is the one decision here that leans on more than costs; the
-  warrant is scoped to the catalog's export generation, re-optimizing
-  under a schema-less catalog resets every ``skipped`` flag, and the
-  differential fuzzer holds the backend to bit-identical results as
-  always.  Join-key singletons, by contrast, are pure statistics
-  (``present == count == distinct`` on this generation) and only shape
-  estimates and key choice.
+* **cardinality estimates** — every plan node gets an ``est_rows`` from
+  the catalog (per-name counts, fan-out, attribute selectivity);
+  positional predicates count as the slices lowering compiled them to;
+* **occurrence marks** — when the catalog carries the export's schema, a
+  provably dead path surfaces as ``occ=empty`` with 0 estimated rows, and
+  a join hashing on a proven key (``present == count == distinct``) as
+  ``occ=?``.  The static-type pass's occurrences are display-only too:
+  ``explain`` computes them and :func:`annotate_occurrences` fills the
+  marks this pass left empty.
 """
 
 from __future__ import annotations
@@ -73,22 +47,21 @@ from .plans import (
 )
 from .stats import DEFAULT_STATS, StatisticsCatalog
 
-__all__ = ["annotate_occurrences", "optimize_plan"]
-
-_REORDERABLE = (AttrMembershipPred, AttrValueEqPred, AttrExistsPred)
+__all__ = ["annotate_occurrences", "estimate_plan"]
 
 
-def optimize_plan(plan: Plan, stats: Optional[StatisticsCatalog] = None) -> Plan:
-    """Annotate and (safely) reorder *plan* in place; returns it."""
-    _Optimizer(stats or DEFAULT_STATS).visit(plan, None)
+def estimate_plan(plan: Plan, stats: Optional[StatisticsCatalog] = None) -> Plan:
+    """Fill *plan*'s ``est_rows`` and schema ``occ`` marks; returns it."""
+    _Estimator(stats or DEFAULT_STATS).visit(plan, None)
     return plan
 
 
 def annotate_occurrences(plan: Plan, occurrences: Dict[int, str]) -> None:
-    """Fill the ``[occ=...]`` marks of an optimized *plan* from the static
+    """Fill the ``[occ=...]`` marks of an estimated *plan* from the static
     type pass: *occurrences* maps ``id(ast expr)`` to an occurrence
-    indicator.  A mark the optimizer set itself stands; a ``for``/``let``
-    operator always takes its bound expression's occurrence."""
+    indicator.  A mark the estimate pass set itself stands; a
+    ``for``/``let`` operator always takes its bound expression's
+    occurrence."""
     stack = [plan]
     while stack:
         node = stack.pop()
@@ -104,7 +77,7 @@ def annotate_occurrences(plan: Plan, occurrences: Dict[int, str]) -> None:
         stack.extend(child for child in node.children() if child is not None)
 
 
-class _Optimizer:
+class _Estimator:
     def __init__(self, stats: StatisticsCatalog):
         self.stats = stats
         self.schema = stats.schema
@@ -115,7 +88,7 @@ class _Optimizer:
         """Annotate *plan*, returning its estimated output cardinality."""
         plan.occ = None  # re-derived below; stale marks must not survive
         if isinstance(plan, PathPlan):
-            rows = self._visit_path(plan)
+            rows, _ = self._visit_path(plan)
         elif isinstance(plan, FilterPlan):
             rows = self.visit(plan.base, input_rows)
             rows = self._apply_pred_estimates(plan.predicates, None, rows)
@@ -146,9 +119,7 @@ class _Optimizer:
             for arg in plan.args:
                 self.visit(arg, input_rows)
             rows = self.visit(plan.body, input_rows)
-        elif isinstance(plan, VarPlan):
-            rows = 1.0
-        elif isinstance(plan, EvalPlan):
+        elif isinstance(plan, (VarPlan, EvalPlan)):
             rows = 1.0
         else:  # LiteralPlan and friends
             rows = float(len(getattr(plan, "values", [0])))
@@ -157,11 +128,7 @@ class _Optimizer:
 
     # -- scans ------------------------------------------------------------
 
-    def _visit_path(self, plan: PathPlan) -> float:
-        rows, _ = self._visit_path_anchored(plan)
-        return rows
-
-    def _visit_path_anchored(self, plan: PathPlan) -> Tuple[float, Optional[str]]:
+    def _visit_path(self, plan: PathPlan) -> Tuple[float, Optional[str]]:
         """Annotate a scan, threading the schema-anchored element name.
 
         A path *anchors* to the catalog's schema at a child step that
@@ -170,9 +137,7 @@ class _Optimizer:
         provably dead tail zeroes the estimate and marks ``occ=empty``.
         """
         plan.occ = None
-        if plan.anchor is not None:
-            rows = 1.0
-        elif plan.base is not None:
+        if plan.anchor is None and plan.base is not None:
             rows = self.visit(plan.base, None)
         else:
             rows = 1.0
@@ -228,44 +193,23 @@ class _Optimizer:
             rows = input_rows
         else:
             rows = input_rows * 2.0
-        self._order_predicates(step, name)
         rows = self._apply_pred_estimates(
             step.predicates, name, rows, anchored=next_anchor
         )
         return rows, next_anchor, dead
-
-    def _order_predicates(self, step: StepPlan, element: Optional[str]) -> None:
-        """Most-selective-first within runs of commuting attribute filters."""
-        predicates = step.predicates
-        run_start = 0
-        for index in range(len(predicates) + 1):
-            at_end = index == len(predicates)
-            if not at_end and isinstance(predicates[index], _REORDERABLE):
-                continue
-            run = predicates[run_start:index]
-            if len(run) > 1:
-                for pred in run:
-                    pred.selectivity = self._pred_selectivity(pred, element)
-                run.sort(key=lambda pred: pred.selectivity)
-                predicates[run_start:index] = run
-            run_start = index + 1
 
     def _apply_pred_estimates(
         self, predicates, element, rows: float, anchored: Optional[str] = None
     ) -> float:
         schema = self.schema if anchored is not None else None
         for pred in predicates:
-            pred.skipped = False  # every pass re-proves (or loses) the skip
             if isinstance(pred, PositionalPred):
                 rows = 1.0 if pred.op in ("eq", "last") else min(rows, float(pred.k))
                 continue
-            pred.selectivity = self._pred_selectivity(pred, element)
             if schema is not None and isinstance(pred, AttrExistsPred):
                 if schema.attribute_required(anchored, pred.name):
                     # every <anchored> the exporter writes carries the
-                    # attribute: the check keeps all its input.  Skip it.
-                    pred.skipped = True
-                    pred.selectivity = 1.0
+                    # attribute: the check keeps all its input.
                     continue
             if schema is not None and isinstance(
                 pred, (AttrValueEqPred, AttrMembershipPred)
@@ -290,16 +234,11 @@ class _Optimizer:
             ):
                 rows = min(rows, 1.0)
                 continue
-            rows *= pred.selectivity
+            rows *= self._pred_selectivity(pred, element)
         return rows
 
     def _is_unique_key(self, element: str, attribute: str) -> bool:
-        """Every *element* carries *attribute*, all values distinct — a key.
-
-        A pure statistics fact about the walked document (no schema
-        needed), so it may tighten estimates and steer join-key choice on
-        any catalog.
-        """
+        """Every *element* carries *attribute*, all values distinct — a key."""
         stats = self.stats
         count = stats.element_counts.get(element)
         if not count:
@@ -335,8 +274,7 @@ class _Optimizer:
         for op in plan.ops:
             op.occ = None
             if isinstance(op, ForJoinOp):
-                self._choose_join_key(op)
-                scan_rows, scan_anchor = self._visit_path_anchored(op.scan)
+                scan_rows, scan_anchor = self._visit_path(op.scan)
                 op.scan.est_rows = scan_rows
                 element = (
                     op.scan.steps[-1].test.name
@@ -367,49 +305,3 @@ class _Optimizer:
             op.est_rows = tuples
         result_rows = self.visit(plan.result, tuples)
         return tuples * max(result_rows, 0.0) if plan.ops else result_rows
-
-    def _choose_join_key(self, op: ForJoinOp) -> None:
-        """Hash on the best attribute among interchangeable keys.
-
-        Proven-unique keys (every element carries the attribute, all
-        values distinct) beat everything — a singleton build side means at
-        most one match per probe; among non-keys, most distinct wins.
-        """
-        if not op.candidates:
-            return
-        element = (
-            op.scan.steps[-1].test.name
-            if op.scan.steps and op.scan.steps[-1].test.kind == "name"
-            else None
-        )
-        best_attr, best_probe, best_style, best_expr = (
-            op.build_attr,
-            op.probe_expr,
-            op.style,
-            op.join_expr,
-        )
-
-        def score_of(attr: str) -> tuple:
-            unique = element is not None and self._is_unique_key(element, attr)
-            return (unique, self.stats.attr_distinct_count(element, attr))
-
-        best_score = score_of(best_attr)
-        for attr, probe, style, expr in op.candidates:
-            score = score_of(attr)
-            if score > best_score:
-                best_attr, best_probe, best_style, best_expr = attr, probe, style, expr
-                best_score = score
-        if best_expr is op.join_expr:
-            return
-        # demote the old key to a residual filter in the slot the new key
-        # vacates; both are pure and position-free, so filters commute.
-        for index, pred in enumerate(op.residual):
-            if isinstance(pred, GenericPred) and pred.expr is best_expr:
-                op.residual[index] = GenericPred(op.join_expr)
-                break
-        op.build_attr, op.probe_expr, op.style, op.join_expr = (
-            best_attr,
-            best_probe,
-            best_style,
-            best_expr,
-        )

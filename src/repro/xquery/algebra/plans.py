@@ -9,10 +9,10 @@ what keeps the backend *exactly* faithful to the reference semantics —
 the plan layer only specializes shapes it can prove equivalent, and the
 differential fuzzer holds it to that.
 
-Plan nodes are declarative: lowering builds them, ``optimize`` annotates
-and reorders them, and :mod:`.executor` interprets them.  Every node knows
-how to render itself for ``--explain`` (text and JSON) including the
-optimizer's estimated cardinalities.
+Plan nodes are declarative: lowering builds them, fixed from then on, and
+:mod:`.executor` interprets them.  Every node knows how to render itself
+for ``--explain`` (text and JSON), including the estimated cardinalities
+and occurrence marks :mod:`.optimize` fills in for explain alone.
 """
 
 from __future__ import annotations
@@ -59,16 +59,10 @@ __all__ = [
 class PredPlan:
     """Base class for compiled predicates; ``expr`` is the original AST."""
 
-    __slots__ = ("expr", "selectivity", "skipped")
+    __slots__ = ("expr",)
 
     def __init__(self, expr: ast.Expr):
         self.expr = expr
-        self.selectivity = 0.5  # refined by the optimizer
-        #: the optimizer proved this predicate keeps every input (e.g. an
-        #: existence check on a schema-required attribute) — the executor
-        #: does not evaluate it.  Reset at the start of every optimize pass
-        #: so re-optimizing under a different catalog stays correct.
-        self.skipped = False
 
     def describe(self) -> str:
         return type(self).__name__
@@ -262,7 +256,7 @@ class Plan:
     def __init__(self):
         self.est_rows: Optional[float] = None
         #: inferred occurrence indicator (``empty | 1 | ? | + | *``) set by
-        #: the optimizer from the static-type pass; display-only.
+        #: explain's estimate pass and the static-type pass; display-only.
         self.occ: Optional[str] = None
 
     # explain -------------------------------------------------------------
@@ -400,7 +394,7 @@ class FullTextScanPlan(Plan):
 
     Execution is a pure pass-through to the builtin (the store decides
     indexed postings vs the brute-force document scan), but surfacing the
-    call as an operator gives the optimizer a catalog-backed cardinality
+    call as an operator gives explain a catalog-backed cardinality
     — ``min(document frequency)`` over the phrase tokens, clamped by the
     collection size — and gives ``--explain`` an honest scan node instead
     of an opaque builtin call.  ``collection``/``phrase`` hold the
@@ -488,10 +482,7 @@ class StepPlan(PathStep):
 
     def describe(self) -> str:
         test = self.test.name if self.test.name is not None else self.test.kind + "()"
-        preds = "".join(
-            f"[pruned: {p.describe()}]" if p.skipped else f"[{p.describe()}]"
-            for p in self.predicates
-        )
+        preds = "".join(f"[{p.describe()}]" for p in self.predicates)
         prefix = "//" if self.separator == "//" else "/"
         axis = "" if self.axis == "child" else f"{self.axis}::"
         if self.axis == "attribute":
@@ -651,9 +642,8 @@ class ForJoinOp(TupleOp):
         "style",
         "residual",
         "join_expr",
-        "candidates",
-        "fast_probe",
-        "fast_base",
+        "probe_shape",
+        "base_var",
     )
 
     def __init__(
@@ -676,15 +666,12 @@ class ForJoinOp(TupleOp):
         self.style = style  # "value" (eq) or "general" (=)
         self.residual = residual
         self.join_expr = join_expr
-        #: alternative (attr, probe, style, expr) tuples found by lowering;
-        #: the optimizer may switch to the most selective one.
-        self.candidates: List[Tuple[str, ast.Expr, str, ast.Comparison]] = []
-        #: executor cache for the ``$var/@attr`` probe shape (recomputed
-        #: whenever the optimizer swaps ``probe_expr``).
-        self.fast_probe: Optional[tuple] = None
-        #: executor cache for a ``root($var)``-based scan, keyed on the
-        #: base plan's identity so a rewrite invalidates it.
-        self.fast_base: Optional[tuple] = None
+        #: ``(var, attr)`` when the probe is exactly ``$var/@attr``, which
+        #: the executor reads directly instead of evaluating the probe.
+        self.probe_shape = _probe_shape(probe_expr)
+        #: the variable when the scan is based on exactly ``root($var)``,
+        #: which the executor resolves through a per-node memo.
+        self.base_var = _root_var(scan)
 
     def label(self) -> str:
         op = "eq" if self.style == "value" else "="
@@ -693,6 +680,43 @@ class ForJoinOp(TupleOp):
 
     def plans(self) -> List[Plan]:
         return [self.scan]
+
+
+def _probe_shape(expr: ast.Expr) -> Optional[Tuple[str, str]]:
+    """``(var, attr)`` when *expr* is exactly ``$var/@attr`` — the shape of
+    every probe the calculus compiler generates."""
+    if (
+        isinstance(expr, ast.PathExpr)
+        and expr.anchor is None
+        and isinstance(expr.first, ast.VarRef)
+        and len(expr.steps) == 1
+    ):
+        separator, step = expr.steps[0]
+        if (
+            separator == "/"
+            and isinstance(step, ast.AxisStep)
+            and step.axis == "attribute"
+            and not step.predicates
+            and step.test.kind == "name"
+            and step.test.name is not None
+        ):
+            return expr.first.name, step.test.name
+    return None
+
+
+def _root_var(scan: PathPlan) -> Optional[str]:
+    """The variable name when *scan* is based on exactly ``root($var)`` —
+    the anchor shape of every scan the calculus compiler emits."""
+    base = scan.base
+    if (
+        scan.anchor is None
+        and isinstance(base, BuiltinCallPlan)
+        and base.name == "root"
+        and len(base.args) == 1
+        and isinstance(base.args[0], VarPlan)
+    ):
+        return base.args[0].name
+    return None
 
 
 class LetOp(TupleOp):

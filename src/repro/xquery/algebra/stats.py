@@ -1,33 +1,26 @@
-"""Statistics catalog for the cost-based plan optimizer.
+"""Statistics catalog for the estimates ``explain`` prints.
 
-The paper's complaint is that a little language's *implementation* is
-lopsided: a two-line FLWOR join runs in time quadratic in the document.
-Closing that gap set-at-a-time needs cardinality estimates, and the place
-those are cheapest to collect is export time — the AWB backend already
-walks the whole model when it serializes, so a second O(document) pass per
-export generation is noise.
+The plan that runs never reads statistics: lowering fixes it (see
+:mod:`.lowering`).  ``explain`` collects a catalog on demand, in one walk
+over the document it explains against, and :mod:`.optimize` turns it into
+the ``est_rows`` and ``[occ=...]`` marks of the rendered plan.
 
-The catalog stores exactly the three families of statistics the optimizer
-consumes:
+The catalog stores three families of statistics:
 
 * per-name element counts (scan cardinality),
 * child fan-out per element name (step cardinality),
 * attribute selectivity per ``(element, attribute)`` pair — distinct-value
-  counts, which rank candidate equi-join keys and order predicates.
+  counts and presence.
 
 The same walk also records the document's *shape* — parent→child element
 edges and small attribute value domains — and, when the document is an
 AWB export that actually conforms to :func:`~..analysis.schema.awb_export_schema`,
-attaches that schema to the catalog.  A schema-bearing catalog licenses
-the optimizer's semantics-affecting rewrites (pruning provably redundant
-existence checks, singleton join keys); a document that fails conformance
-simply gets ``schema = None`` and the optimizer falls back to pure
-cost decisions.
+attaches that schema to the catalog.  A schema-bearing catalog lets the
+estimates prove a path dead (``occ=empty``); a document that fails
+conformance simply gets ``schema = None``.
 
 When no catalog is available (ad-hoc queries against arbitrary documents)
-``DEFAULT_STATS`` supplies deliberately bland priors; every decision the
-optimizer takes with bare statistics is semantics-preserving, so bad
-estimates cost time, never correctness.
+``DEFAULT_STATS`` supplies deliberately bland priors.
 """
 
 from __future__ import annotations
@@ -39,8 +32,8 @@ from ..analysis.schema import awb_export_schema
 
 __all__ = ["StatisticsCatalog", "DEFAULT_STATS"]
 
-#: value-domain sets larger than this are discarded (open domains carry no
-#: pruning power and would bloat the catalog).
+#: value-domain sets larger than this are discarded (open domains prove
+#: nothing and would bloat the catalog).
 _DOMAIN_CAP = 32
 
 
@@ -57,10 +50,6 @@ class StatisticsCatalog:
         "schema",
         "generation",
         "fulltext",
-        "_child_totals",
-        "_attr_values",
-        "_edge_counts",
-        "_root_name",
     )
 
     def __init__(self, generation: Optional[int] = None):
@@ -82,17 +71,6 @@ class StatisticsCatalog:
         #: collection/full-text statistics (see :meth:`set_fulltext`), or
         #: None when no document store feeds this catalog.
         self.fulltext: Optional[Dict[str, object]] = None
-        # exact underlying state the derived estimates are computed from —
-        # persisted (not discarded after the walk) so maintain() can
-        # add/subtract subtree contributions instead of re-walking.
-        #: element name -> total element children across all instances
-        self._child_totals: Dict[str, int] = {}
-        #: (element name, attribute name) -> attribute value -> count
-        self._attr_values: Dict[Tuple[str, str], Dict[str, int]] = {}
-        #: (parent name, child name) -> occurrence count
-        self._edge_counts: Dict[Tuple[str, str], int] = {}
-        #: the document root's element name (the parent of delta subtrees)
-        self._root_name: Optional[str] = None
 
     @classmethod
     def from_root(
@@ -100,7 +78,6 @@ class StatisticsCatalog:
     ) -> "StatisticsCatalog":
         """Collect statistics from a document (or element subtree) root."""
         catalog = cls(generation=generation)
-        root_names = []
         tops = (
             [child for child in root.children if isinstance(child, ElementNode)]
             if isinstance(root, DocumentNode)
@@ -108,156 +85,48 @@ class StatisticsCatalog:
             if isinstance(root, ElementNode)
             else []
         )
-        for top in tops:
-            root_names.append(top.name)
-            catalog._add_subtree(top)
-        if root_names:
-            catalog._root_name = root_names[0]
-        catalog._refresh_derived()
-        if root_names == ["awb-model"]:
-            catalog._check_schema()
+        #: element name -> total element children across all instances
+        child_totals: Dict[str, int] = {}
+        #: (element name, attribute name) -> attribute value -> count
+        attr_values: Dict[Tuple[str, str], Dict[str, int]] = {}
+        #: (parent name, child name) -> occurrence count
+        edge_counts: Dict[Tuple[str, str], int] = {}
+        stack = tops[::-1]
+        while stack:
+            node = stack.pop()
+            name = node.name
+            catalog.total_elements += 1
+            catalog.element_counts[name] = catalog.element_counts.get(name, 0) + 1
+            element_children = 0
+            for child_name, children in node._child_element_index().items():
+                element_children += len(children)
+                key = (name, child_name)
+                edge_counts[key] = edge_counts.get(key, 0) + len(children)
+                stack.extend(children)
+            child_totals[name] = child_totals.get(name, 0) + element_children
+            for attribute in node.attributes:
+                key = (name, attribute.name)
+                catalog.attr_present[key] = catalog.attr_present.get(key, 0) + 1
+                counts = attr_values.setdefault(key, {})
+                counts[attribute.value] = counts.get(attribute.value, 0) + 1
+        for name, count in catalog.element_counts.items():
+            catalog.child_fanout[name] = child_totals.get(name, 0) / count
+        for key, values in attr_values.items():
+            catalog.attr_distinct[key] = len(values)
+            if len(values) <= _DOMAIN_CAP:
+                catalog.attr_domains[key] = frozenset(values)
+        if [top.name for top in tops] == ["awb-model"]:
+            schema = awb_export_schema()
+            if schema.admits_observations(
+                catalog.element_counts,
+                set(edge_counts),
+                catalog.attr_present,
+                catalog.attr_domains,
+            ):
+                catalog.schema = schema
         return catalog
 
-    # -- exact maintenance --------------------------------------------------
-
-    def _add_subtree(self, element: ElementNode) -> None:
-        """Add one element subtree's contributions, in one O(subtree) walk."""
-        stack = [element]
-        while stack:
-            node = stack.pop()
-            name = node.name
-            self.total_elements += 1
-            self.element_counts[name] = self.element_counts.get(name, 0) + 1
-            # Building the lazy name indexes here primes them for the first
-            # query against this document — the walk already visits every
-            # node, so the executor's cold path never pays for index builds.
-            element_children = 0
-            for child_name, children in node._child_element_index().items():
-                element_children += len(children)
-                key = (name, child_name)
-                self._edge_counts[key] = self._edge_counts.get(key, 0) + len(children)
-                stack.extend(children)
-            self._child_totals[name] = (
-                self._child_totals.get(name, 0) + element_children
-            )
-            node._attribute_index()
-            for attribute in node.attributes:
-                key = (name, attribute.name)
-                self.attr_present[key] = self.attr_present.get(key, 0) + 1
-                counts = self._attr_values.setdefault(key, {})
-                counts[attribute.value] = counts.get(attribute.value, 0) + 1
-
-    def _remove_subtree(self, element: ElementNode) -> None:
-        """Subtract one element subtree's contributions (inverse of add)."""
-        stack = [element]
-        while stack:
-            node = stack.pop()
-            name = node.name
-            self.total_elements -= 1
-            count = self.element_counts.get(name, 0) - 1
-            if count > 0:
-                self.element_counts[name] = count
-            else:
-                self.element_counts.pop(name, None)
-            element_children = 0
-            for child_name, children in node._child_element_index().items():
-                element_children += len(children)
-                key = (name, child_name)
-                left = self._edge_counts.get(key, 0) - len(children)
-                if left > 0:
-                    self._edge_counts[key] = left
-                else:
-                    self._edge_counts.pop(key, None)
-                stack.extend(children)
-            total = self._child_totals.get(name, 0) - element_children
-            if total > 0 or name in self.element_counts:
-                self._child_totals[name] = max(total, 0)
-            else:
-                self._child_totals.pop(name, None)
-            for attribute in node.attributes:
-                key = (name, attribute.name)
-                present = self.attr_present.get(key, 0) - 1
-                if present > 0:
-                    self.attr_present[key] = present
-                else:
-                    self.attr_present.pop(key, None)
-                counts = self._attr_values.get(key)
-                if counts is not None:
-                    left = counts.get(attribute.value, 0) - 1
-                    if left > 0:
-                        counts[attribute.value] = left
-                    else:
-                        counts.pop(attribute.value, None)
-                    if not counts:
-                        self._attr_values.pop(key, None)
-
-    def _refresh_derived(self) -> None:
-        """Recompute the estimate maps from the exact underlying state.
-
-        O(names + attribute keys + small-domain values) — independent of
-        document size, so cheap enough to run after every delta batch.
-        """
-        self.child_fanout = {}
-        for name, count in self.element_counts.items():
-            total = self._child_totals.get(name, 0)
-            self.child_fanout[name] = total / count if count else 0.0
-        self.attr_distinct = {}
-        self.attr_domains = {}
-        for key, values in self._attr_values.items():
-            self.attr_distinct[key] = len(values)
-            if len(values) <= _DOMAIN_CAP:
-                self.attr_domains[key] = frozenset(values)
-
-    def _check_schema(self) -> None:
-        candidate = awb_export_schema()
-        if candidate.admits_observations(
-            self.element_counts,
-            set(self._edge_counts),
-            self.attr_present,
-            self.attr_domains,
-        ):
-            self.schema = candidate
-        else:
-            self.schema = None
-
-    def maintain(self, pairs, generation: Optional[int] = None) -> None:
-        """Maintain the catalog across subtree replacements.
-
-        *pairs* is the incremental exporter's delta log: ``(old_element,
-        new_element)`` tuples (``None`` for pure inserts/removals), every
-        element a direct child of the document root.  Old contributions
-        are subtracted and new ones added exactly, the root's own
-        fan-out/edges move by the net change, the derived estimates are
-        recomputed, and schema conformance is re-checked — so the value
-        domains that check reads stay exact without an O(document)
-        recollection.
-        """
-        for old, new in pairs:
-            if old is not None:
-                self._remove_subtree(old)
-                self._shift_root_edge(old.name, -1)
-            if new is not None:
-                self._add_subtree(new)
-                self._shift_root_edge(new.name, +1)
-        self._refresh_derived()
-        if self._root_name == "awb-model":
-            self._check_schema()
-        if generation is not None:
-            self.generation = generation
-
-    def _shift_root_edge(self, child_name: str, delta: int) -> None:
-        root = self._root_name
-        if root is None:
-            return
-        self._child_totals[root] = self._child_totals.get(root, 0) + delta
-        key = (root, child_name)
-        left = self._edge_counts.get(key, 0) + delta
-        if left > 0:
-            self._edge_counts[key] = left
-        else:
-            self._edge_counts.pop(key, None)
-
-    # -- estimates the optimizer asks for ---------------------------------
+    # -- estimates explain asks for ---------------------------------
 
     def element_count(self, name: Optional[str]) -> int:
         """Estimated number of elements named *name* (any element if None)."""
@@ -282,11 +151,7 @@ class StatisticsCatalog:
         return self.attr_domains.get((element, attribute))
 
     def attr_distinct_count(self, element: Optional[str], attribute: str) -> int:
-        """Distinct values of *attribute* on elements named *element*.
-
-        The join-key ranking: a key with more distinct values builds a
-        sparser hash table, so the optimizer prefers it.
-        """
+        """Distinct values of *attribute* on elements named *element*."""
         if element is not None:
             exact = self.attr_distinct.get((element, attribute))
             if exact is not None:

@@ -20,8 +20,8 @@ own .xq sources against a baseline).
 from ...lazy import lazy_exports
 
 # each name loads its own layer on first use: the engine's update checker
-# and the statistics catalog need only ``diagnostics`` and ``schema``, and
-# neither should pay for the analyzer.
+# and explain's statistics catalog need only ``diagnostics`` and ``schema``,
+# and neither should pay for the analyzer.
 __getattr__, __dir__ = lazy_exports(
     __name__,
     {

@@ -8,19 +8,19 @@ structural attributes (``@id``, ``@type``, ``@source``, ``@target``,
 ``@name``) while stamping ``@type`` on properties only for the non-string
 value types.  Those conventions are a schema in the FLUX sense: a static
 description of every tree the exporter can produce, precise enough to
-prove a path dead (`XQL010`), a predicate vacuous (`XQL012`), or an
-existence check redundant (the optimizer's pruning rewrite).
+prove a path dead (`XQL010`, and ``occ=empty`` in ``explain``) or a
+predicate vacuous (`XQL012`).
 
 Two ways to get one:
 
 * :func:`awb_export_schema` — the static schema derived from the export
   conventions themselves; true of **every** exporter-produced document,
-  past and future, which is what licenses semantics-affecting rewrites.
+  past and future.
 * ``StatisticsCatalog.from_root`` (``algebra/stats.py``) — the catalog
-  walk additionally records parent→child edges and attribute value
-  domains, and attaches the static schema to the catalog only after
-  verifying the walked document actually conforms.  The export pays for
-  one walk; statistics and schema both ride it.
+  walk ``explain`` runs additionally records parent→child edges and
+  attribute value domains, and attaches the static schema to the catalog
+  only after verifying the walked document actually conforms.  Statistics
+  and schema both ride one walk.
 
 Open-world edges are explicit: ``<html-value>`` holds arbitrary markup
 (``children=None``), and ``@type`` on nodes/relations is an *advisory*

@@ -21,8 +21,8 @@ Three consumers:
 * the lint rules — XQL007/XQL008 (name resolution, re-homed from the old
   ``statictype`` module), XQL010 (dead path), XQL011 (statically
   ill-typed comparison/arithmetic), XQL012 (vacuous predicate);
-* the algebra optimizer, which reads the same schema off the statistics
-  catalog to tighten estimates and prune provably redundant predicates;
+* the algebra's explain-time estimate pass, which reads the same schema
+  off the statistics catalog to tighten estimates and mark dead paths;
 * the fuzz harness's type-soundness oracle, which asserts every runtime
   value the differential engines observe inhabits its inferred type.
 

@@ -113,7 +113,10 @@ class CompiledQuery:
         return self._algebra
 
     def explain(self, statistics=None) -> dict:
-        """The optimized algebraic plan as a dict (text + JSON-ready tree).
+        """The algebraic plan as a dict (text + JSON-ready tree), with rows
+        estimated against ``statistics`` (a
+        :class:`~repro.xquery.algebra.StatisticsCatalog`; bland priors if
+        None).  The estimates never change the plan that runs.
 
         Includes ``static_type``: the whole query's inferred item type and
         occurrence from the static-type pass (``None`` for a body-less
@@ -143,7 +146,6 @@ class CompiledQuery:
         backend: Optional[str] = None,
         timeout: Optional[float] = None,
         deadline: Optional[float] = None,
-        statistics=None,
         algebra_cache=None,
         collections=None,
     ) -> Sequence:
@@ -162,11 +164,9 @@ class CompiledQuery:
         backing ``fn:doc``/``fn:collection`` and the ``ft:*`` full-text
         builtins, in every backend.
 
-        ``statistics`` and ``algebra_cache`` only affect
-        ``backend="algebra"``: the former is a
-        :class:`~repro.xquery.algebra.StatisticsCatalog` steering the cost
-        pass, the latter a :class:`~repro.lru.LRU` sharing scan/join work
-        across queries over the same document.
+        ``algebra_cache`` only affects ``backend="algebra"``: a
+        :class:`~repro.lru.LRU` sharing scan/join work across queries over
+        the same document.
         """
         backend = backend if backend is not None else self.config.backend
         if backend not in BACKENDS:
@@ -193,9 +193,7 @@ class CompiledQuery:
             if context_item is not None:
                 ctx = ctx.with_focus(context_item, 1, 1)
             if program is not None:
-                return program.run(
-                    ctx, statistics=statistics, shared_cache=algebra_cache
-                )
+                return program.run(ctx, shared_cache=algebra_cache)
             return evaluate(self.module.body, ctx)
 
     def _bind_globals(

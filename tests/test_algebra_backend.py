@@ -3,11 +3,12 @@
 Result *parity* with the treewalk is enforced wholesale by
 ``tests/test_backend_parity.py`` and the differential fuzzer; this file
 tests the machinery itself — what lowering produces, what the statistics
-catalog measures, which choices the cost pass makes, how the shared scan
-cache behaves across runs, and what ``explain`` reports.
+catalog measures, the fixed predicate order, how the shared scan cache
+behaves across runs, and what ``explain`` reports (and never changes).
 """
 
 import json
+import threading
 
 import pytest
 
@@ -134,46 +135,119 @@ class TestStatisticsCatalog:
         assert snapshot["attr_distinct"]["relation/@source"] == 3
 
 
-# -- the cost pass ------------------------------------------------------------
+# -- the fixed plan and explain's estimates ----------------------------------
+
+#: a join with two interchangeable keys, under a step with two reorderable
+#: filters: a catalog could rank either pair the other way round.
+TWO_KEY_JOIN = (
+    "declare variable $model external; "
+    'for $n in $model/node[@type eq "User"][@id = ("n1", "n2", "s1")] '
+    'let $t := "uses" '
+    "for $r in root($n)/awb-model/relation[@type eq $t][@source eq $n/@id] "
+    "return $r"
+)
+
+
+def skewed_catalog(distincts):
+    """A catalog ranking the relation keys by *distincts* alone."""
+    catalog = StatisticsCatalog()
+    catalog.total_elements = 10
+    catalog.element_counts = {"node": 3, "relation": 3}
+    catalog.attr_distinct = distincts
+    return catalog
 
 
 class TestOptimizer:
     def test_most_selective_predicate_goes_first(self):
-        # @id (3 distinct) beats @type (2 distinct) — written the other way
+        # the fixed priors: @a eq 0.1, membership 0.1 per value, existence
+        # 0.8 — written least selective first, reordered at lowering
         source = (
             "declare variable $model external; "
-            '$model/node[@type eq "User"][@id eq "n1"]'
+            '$model/node[@id][@type = ("User", "Server")][@id eq "n1"][1]'
+            '[@type eq "User"][@id]'
         )
+        program = compile_algebra(source).algebra
+        (step,) = program.plan.steps
+        assert [pred.describe() for pred in step.predicates] == [
+            "@id eq 'n1'",
+            "@type in ('Server', 'User')",
+            "exists(@id)",
+            "position() = 1",  # a sequence point: runs never cross it
+            "@type eq 'User'",
+            "exists(@id)",
+        ]
         catalog = StatisticsCatalog.from_root(DOC.document_element())
-        text = compile_algebra(source).algebra.explain_text(catalog)
-        assert text.index("@id") < text.index("@type")
+        for text in (program.explain_text(), program.explain_text(catalog)):
+            assert text.index("@id eq") < text.index("@type in") < text.index("exists")
 
-    def test_join_key_follows_distinct_counts(self):
-        source = (
-            "declare variable $model external; "
-            "for $n in $model/node "
-            "for $r in root($n)/awb-model/relation"
-            "[@type eq $n/@type][@source eq $n/@id] "
-            "return $r"
-        )
+    def test_explain_never_changes_the_plan_that_runs(self, monkeypatch):
+        from repro.xquery.algebra import executor
 
-        def keyed(distincts):
-            catalog = StatisticsCatalog()
-            catalog.total_elements = 10
-            catalog.element_counts = {"node": 3, "relation": 3}
-            catalog.attr_distinct = distincts
-            text = compile_algebra(source).algebra.explain_text(catalog)
-            (line,) = [l for l in text.splitlines() if "HashJoin" in l]
-            return line
+        executed = []
+        join_source, apply_preds = executor._join_source, executor._apply_pred_plans
 
-        # lowering picked @type (first written); more distinct @source wins
-        line = keyed({("relation", "source"): 100, ("relation", "type"): 2})
-        assert "on @source" in line
-        # the old key survives as a residual (generic) filter
-        assert "generic predicate" in line
-        # and with the counts reversed the original key stays
-        line = keyed({("relation", "source"): 2, ("relation", "type"): 100})
-        assert "on @type" in line
+        def recording_join(op, ctx, state):
+            residual = tuple(pred.describe() for pred in op.residual)
+            executed.append(("join", op.build_attr, residual))
+            return join_source(op, ctx, state)
+
+        def recording_preds(items, predicates, *args):
+            executed.append(tuple(pred.describe() for pred in predicates))
+            return apply_preds(items, predicates, *args)
+
+        monkeypatch.setattr(executor, "_join_source", recording_join)
+        monkeypatch.setattr(executor, "_apply_pred_plans", recording_preds)
+        root = DOC.document_element()
+        query = compile_algebra(TWO_KEY_JOIN)
+        reference = query.run(variables={"model": root}, backend="treewalk")
+        assert [r.get_attribute("id") for r in reference] == ["r1", "r2"]
+
+        def run_once():
+            executed.clear()
+            assert query.run(variables={"model": root}) == reference
+            return set(executed)
+
+        plan = run_once()
+        # lowering hashes on the first key it finds; @source stays a residual
+        assert [entry[1] for entry in plan if entry[0] == "join"] == ["type"]
+        catalogs = [
+            skewed_catalog({("relation", "source"): 100, ("relation", "type"): 2}),
+            skewed_catalog({("relation", "source"): 2, ("relation", "type"): 100}),
+        ]
+        for catalog in catalogs:
+            query.explain(catalog)
+            assert run_once() == plan
+        # runs racing explains over both catalogs
+        failures = []
+
+        def reader():
+            for _ in range(30):
+                if query.run(variables={"model": root}) != reference:
+                    failures.append("results")
+
+        def explainer():
+            for index in range(30):
+                query.explain(catalogs[index % 2])
+
+        threads = [threading.Thread(target=reader) for _ in range(3)]
+        threads.append(threading.Thread(target=explainer))
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join()
+        assert failures == []
+        assert set(executed) == plan
+
+    def test_reoptimizing_for_new_stats_preserves_results(self):
+        # explain is the only pass a catalog reaches; runs after it answer
+        # as before, and as the treewalk does
+        query = compile_algebra(JOIN_QUERY)
+        root = DOC.document_element()
+        baseline = query.run(variables={"model": root})
+        assert baseline == query.run(variables={"model": root}, backend="treewalk")
+        for catalog in (StatisticsCatalog.from_root(root), DEFAULT_STATS):
+            query.explain(catalog)
+            assert query.run(variables={"model": root}) == baseline
 
     def test_estimates_are_annotated_for_explain(self):
         catalog = StatisticsCatalog.from_root(DOC.document_element())
@@ -188,13 +262,6 @@ class TestOptimizer:
 
         estimates = [r for r in rows(plan["plan"]) if r is not None]
         assert estimates, "explain JSON must carry est_rows annotations"
-
-    def test_reoptimizing_for_new_stats_preserves_results(self):
-        query = compile_algebra(JOIN_QUERY)
-        root = DOC.document_element()
-        baseline = query.run(variables={"model": root})
-        catalog = StatisticsCatalog.from_root(root)
-        assert query.run(variables={"model": root}, statistics=catalog) == baseline
 
 
 # -- shared scan/build memoization -------------------------------------------

@@ -1,16 +1,10 @@
-"""Schema-licensed optimizer rewrites: plans change, results don't.
+"""Schema-aware explain: estimates and occurrence marks, never the plan.
 
-PR 7's optimizer additions, exercised end to end:
-
-* **existence-check elimination** — a ``[@id]`` predicate on an element
-  whose schema declares ``@id`` required is marked ``skipped`` and never
-  evaluated; the plan says ``[pruned: ...]`` and the results are
-  bit-identical to the schema-free run;
-* **occurrence annotations** — every plan node carries ``[occ=...]`` from
-  the static-type pass, including the proven-singleton hash-join build;
-* the **warrant contract** — a catalog only carries the schema after
-  verifying it against the walked document, so the pruning is licensed by
-  observation, not by faith.
+A catalog only carries the export schema after verifying it against the
+walked document.  With it, ``explain`` proves dead paths (``occ=empty``,
+0 estimated rows) and singleton joins (``occ=?``); every plan node also
+carries ``[occ=...]`` from the static-type pass.  The plan that runs is
+fixed at lowering, so none of this changes a result.
 """
 
 import pytest
@@ -18,7 +12,7 @@ import pytest
 from repro.awb.xml_io import export_model
 from repro.testing.models import random_model
 from repro.xquery import EngineConfig, XQueryEngine
-from repro.xquery.algebra.stats import DEFAULT_STATS, StatisticsCatalog
+from repro.xquery.algebra.stats import StatisticsCatalog
 from repro.xquery.api import serialize_result
 
 
@@ -31,42 +25,6 @@ def export():
 
 def compile_algebra(source):
     return XQueryEngine(EngineConfig(backend="algebra")).compile(source)
-
-
-EXISTENCE_QUERY = (
-    "declare variable $doc external;\n"
-    "for $n in $doc/awb-model/node[@id] return string($n/@type)"
-)
-
-
-def test_existence_check_pruned_under_schema_catalog(export):
-    root, catalog = export
-    query = compile_algebra(EXISTENCE_QUERY)
-    schema_plan = "\n".join(query.explain(catalog)["text"].splitlines())
-    assert "pruned" in schema_plan, schema_plan
-    bare_plan = query.explain(DEFAULT_STATS)["text"]
-    assert "pruned" not in bare_plan, bare_plan
-
-
-def test_pruned_plan_results_unchanged(export):
-    root, catalog = export
-    query = compile_algebra(EXISTENCE_QUERY)
-    kwargs = {"variables": {"doc": [root]}}
-    pruned = query.run(backend="algebra", statistics=catalog, **kwargs)
-    reference = query.run(backend="treewalk", **kwargs)
-    unpruned = query.run(backend="algebra", statistics=DEFAULT_STATS, **kwargs)
-    assert serialize_result(pruned) == serialize_result(reference)
-    assert serialize_result(unpruned) == serialize_result(reference)
-    assert len(pruned) == 30 + 1  # every node element has @id (plus the SUD)
-
-
-def test_reoptimizing_without_schema_resets_pruning(export):
-    _, catalog = export
-    query = compile_algebra(EXISTENCE_QUERY)
-    assert "pruned" in query.explain(catalog)["text"]
-    # switching to a schema-free catalog must clear every skipped flag:
-    # the warrant was scoped to the verified document.
-    assert "pruned" not in query.explain(DEFAULT_STATS)["text"]
 
 
 def test_dead_path_estimated_empty(export):
@@ -102,9 +60,7 @@ def test_three_hop_join_gets_singleton_occurrence(export):
     # probe is a singleton: the op is annotated [occ=?].
     join_lines = [line for line in text.splitlines() if "HashJoin" in line]
     assert any("[occ=?]" in line for line in join_lines), text
-    joined = query.run(
-        backend="algebra", statistics=catalog, variables={"doc": [root]}
-    )
+    joined = query.run(backend="algebra", variables={"doc": [root]})
     reference = query.run(backend="treewalk", variables={"doc": [root]})
     assert serialize_result(joined) == serialize_result(reference)
 

@@ -1,5 +1,5 @@
-"""A cold calculus plan builds once: one lowering, one optimization, no
-type pass and no closure compiler on the run path.
+"""A cold calculus plan builds once: one lowering, and no estimate pass,
+type pass or closure compiler on the run path.
 
 * **explain pin** — the text and JSON ``explain`` of E18's query and of
   200 ``calc_cold`` fixture plans, ``[occ=...]`` marks included, hashed to
@@ -8,8 +8,8 @@ type pass and no closure compiler on the run path.
 * **no type pass** — with ``TypeAnalyzer`` raising, calculus plans in both
   modes and the search warm set still run, and ``explain`` afterwards
   still annotates occurrences.
-* **one optimize** — each cold run lowers one program and calls
-  ``optimize_plan`` on it exactly once.
+* **no estimate pass** — each cold run lowers one program and never calls
+  ``estimate_plan``; only ``explain`` does, once per call.
 * **no closure compiler** — no plan in the 2,016-query ``calc_cold`` pool
   builds a :class:`~repro.xquery.compiler.Compiler`.
 * **shaped property filters** — ``PropertyFilterPred`` against the generic
@@ -135,58 +135,60 @@ def test_plans_run_without_the_type_pass(monkeypatch, mode):
             assert "[occ=" in service.explain(query)["text"]
 
 
-# -- one optimize per cold plan ------------------------------------------------
+# -- no estimate pass on the run path -------------------------------------------
 
 
-def test_each_cold_plan_optimizes_once(monkeypatch):
-    """Each cold ``service.run`` lowers one program and optimizes it once.
-    The shard worker drops the program with the run, so the plan is
-    captured as it lowers rather than read back from a cache."""
+def test_no_cold_run_calls_the_estimate_pass(monkeypatch):
+    """Each cold ``service.run`` lowers one program and runs the plan
+    lowering fixed: the estimate pass belongs to ``explain`` alone.  The
+    shard worker drops the program with the run, so the plan is captured
+    as it lowers rather than read back from a cache."""
     import repro.xquery.algebra as algebra
+    from repro.xquery.algebra import optimize
 
-    calls = []
-    lowered = []  # (program, optimizations before it lowered)
-    optimize_plan = algebra.optimize_plan
+    estimated = []
+    lowered = []
+    estimate_plan = optimize.estimate_plan
     lower = algebra.AlgebraProgram.__init__
 
     def counting(plan, stats=None):
-        calls.append(plan)
-        return optimize_plan(plan, stats)
+        estimated.append(plan)
+        return estimate_plan(plan, stats)
 
     def capturing(self, *args, **kwargs):
         lower(self, *args, **kwargs)
-        lowered.append((self, len(calls)))
+        lowered.append(self)
 
-    monkeypatch.setattr(algebra, "optimize_plan", counting)
+    monkeypatch.setattr(optimize, "estimate_plan", counting)
     monkeypatch.setattr(algebra.AlgebraProgram, "__init__", capturing)
     model, queries = fixture_queries(60)
     service = QueryService(model)
 
     def run_cold(query):
-        optimized, programs = len(calls), len(lowered)
+        programs = len(lowered)
         service.run(query)
         assert len(lowered) == programs + 1
-        program, before = lowered[-1]
-        assert before == optimized, "lowering optimized"
-        assert len(calls) == optimized + 1
-        assert calls[-1] is program.plan
 
     for query in queries:
         run_cold(query)
-    # a warm run is a result-cache hit: nothing lowers or optimizes
+    # a warm run is a result-cache hit: nothing lowers
     for query in queries[:10]:
         service.run(query)
-    assert len(calls) == len(lowered) == len(queries)
-    # a rerun after invalidation compiles afresh and optimizes once
+    assert len(lowered) == len(queries)
+    # a rerun after invalidation compiles afresh
     service.invalidate()
     for query in queries[:10]:
         run_cold(query)
-    # explain compiles through the engine's LRU: a repeat reuses its plan
+    assert estimated == []
+    # explain compiles through the engine's LRU: a repeat reuses its plan,
+    # and each explain estimates it once
     for query in queries[:10]:
         service.explain(query)
-        optimized = len(calls)
+        programs = len(lowered)
         service.explain(query)
-        assert len(calls) == optimized
+        assert len(lowered) == programs
+        assert estimated[-1] is estimated[-2] is lowered[-1].plan
+    assert len(estimated) == 20
 
 
 # -- no closure compiler -------------------------------------------------------

@@ -264,23 +264,7 @@ def test_traversal_uri_cannot_escape_save_directory(tmp_path):
     store.put_text("docs/manifest.json.xml", "<doc>ok</doc>")
 
 
-# -- incremental statistics ----------------------------------------------------
-
-
-def test_fulltext_stats_are_live_views_not_rebuilds():
-    store = make_store()
-    stats = store.fulltext_stats()
-    assert stats["doc_frequency"].get("alpha", 0) == 1
-    assert stats["collection_docs"]["docs/"] == 2
-    # a later write is visible through the *same* stats payload: the
-    # views are backed by incrementally-maintained state, not a snapshot
-    # materialized per write.
-    store.put_text("docs/new.xml", "<doc>alpha alpha</doc>")
-    assert stats["doc_frequency"].get("alpha", 0) == 2
-    assert stats["collection_docs"]["docs/"] == 3
-    store.remove("docs/a.xml")
-    assert stats["doc_frequency"].get("alpha", 0) == 1
-    assert stats["collection_docs"]["docs/"] == 2
+# -- full-text statistics -------------------------------------------------------
 
 
 def test_collection_counts_match_recount_after_mutations():

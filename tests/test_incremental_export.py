@@ -287,49 +287,3 @@ class TestUpdateScriptDrivenExport:
             if index % 2:
                 assert incremental_text(exporter) == full_text(model)
         assert incremental_text(exporter) == full_text(model)
-
-
-# -- the subtree-delta log feeding statistics maintenance ----------------------
-
-
-class TestDeltaLog:
-    def test_property_write_yields_a_replace_pair(self, model, exporter):
-        cursor = exporter.delta_cursor()
-        node = model.nodes_of_type("User")[0]
-        node.set("label", "patched")
-        exporter.export()
-        [(old, new)] = exporter.delta_since(cursor)
-        assert old.get_attribute("id") == new.get_attribute("id") == node.id
-        assert old is not new
-
-    def test_cursor_taken_midstream_sees_only_the_suffix(self, model, exporter):
-        model.create_node("User", label="first")
-        exporter.export()
-        cursor = exporter.delta_cursor()
-        second = model.create_node("Server", label="second")
-        exporter.export()
-        delta = exporter.delta_since(cursor)
-        assert [pair[1].get_attribute("id") for pair in delta] == [second.id]
-
-    def test_log_cap_overflow_breaks_the_epoch(self, model, exporter):
-        from repro.awb.xml_io import _DELTA_LOG_CAP
-
-        cursor = exporter.delta_cursor()
-        for index in range(_DELTA_LOG_CAP + 10):
-            model.create_node("User", label=f"bulk-{index}")
-        exporter.export()
-        assert exporter.delta_since(cursor) is None
-        assert exporter.delta_since(exporter.delta_cursor()) == []
-
-    def test_model_rename_breaks_the_epoch(self, model, exporter):
-        cursor = exporter.delta_cursor()
-        model.name = "renamed-model"
-        model.create_node("User", label="trigger")
-        exporter.export()
-        assert exporter.delta_since(cursor) is None
-
-    def test_full_rebuild_breaks_the_epoch(self, model, exporter):
-        cursor = exporter.delta_cursor()
-        exporter.invalidate()
-        exporter.export()
-        assert exporter.delta_since(cursor) is None

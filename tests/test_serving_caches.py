@@ -107,6 +107,17 @@ engine = XQueryEngine(EngineConfig(lint="off"))
 assert engine.compile("for $x in (1, 2, 3) where $x > 1 return $x * 2").run() == [4, 6]
 """
 
+ALGEBRA = """
+from repro.xquery import EngineConfig, XQueryEngine
+
+engine = XQueryEngine(EngineConfig(backend="algebra", lint="off"))
+compiled = engine.compile(
+    'for $x in (<a n="1"/>, <a n="2"/>)/self::a[@n eq "2"] return string($x/@n)'
+)
+assert not compiled.algebra.trivial
+assert compiled.run() == ["2"]
+"""
+
 NATIVE = """
 import random
 from repro.querycalc import run_query
@@ -153,6 +164,7 @@ for package in (
     "repro.querycalc.service",
     "repro.testing",
     "repro.xquery",
+    "repro.xquery.algebra",
     "repro.xquery.analysis",
 ):
     module = importlib.import_module(package)
@@ -186,8 +198,8 @@ print(",".join(sorted(
 
 ANALYZER = "repro.xquery.analysis"
 #: all a served read or write needs of the analyzer: the finding model
-#: (update checks) and the export schema (statistics catalogs).
-SERVING_ANALYZER = (ANALYZER, f"{ANALYZER}.diagnostics", f"{ANALYZER}.schema")
+#: (update checks).  The export schema rides only explain's catalog.
+SERVING_ANALYZER = (ANALYZER, f"{ANALYZER}.diagnostics")
 
 
 @pytest.mark.parametrize(
@@ -208,6 +220,12 @@ SERVING_ANALYZER = (ANALYZER, f"{ANALYZER}.diagnostics", f"{ANALYZER}.schema")
             id="xquery-docgen",
         ),
         pytest.param(ENGINE, (ANALYZER,), (), id="engine-lint-off"),
+        pytest.param(
+            ALGEBRA,
+            ("repro.xquery.algebra.stats", "repro.xquery.algebra.optimize", ANALYZER),
+            (),
+            id="engine-algebra-run",
+        ),
         pytest.param(NATIVE, ("repro.xquery",), (), id="native-run-query"),
         pytest.param(
             MODELS,

@@ -451,85 +451,112 @@ class TestStoreRaceRegression:
 
 
 class TestStatisticsMaintenance:
-    """Satellite regression: the statistics catalog follows the export
-    delta instead of being recollected from a full walk — and its value
-    domains (``attribute_domain("node", "type")``) must always reflect the
-    post-mutation document."""
+    """The catalog ``QueryService.explain`` estimates from is collected over
+    the current export on each call, so its counts and value domains
+    (``attribute_domain("node", "type")``) always reflect the post-mutation
+    document."""
 
-    def test_delta_log_cursor_semantics(self, model):
-        from repro.awb import IncrementalExporter
-
-        exporter = IncrementalExporter(model)
-        exporter.export()
-        cursor = exporter.delta_cursor()
-        assert exporter.delta_since(cursor) == []
-        model.create_node("User", label="fresh")
-        exporter.export()
-        delta = exporter.delta_since(cursor)
-        assert delta is not None and len(delta) == 1
-        old, new = delta[0]
-        assert old is None and new.get_attribute("type") == "User"
-        # a full rebuild starts a new epoch: old cursors answer None.
-        exporter.invalidate()
-        exporter.export()
-        assert exporter.delta_since(cursor) is None
-        assert exporter.delta_since(exporter.delta_cursor()) == []
-
-    def test_catalog_delta_parity_with_full_recollection(self, model):
-        from repro.querycalc.via_xquery import XQueryCalculusBackend
+    @pytest.fixture()
+    def explained(self, monkeypatch):
+        """Every catalog ``QueryService.explain`` collects, in order."""
         from repro.xquery.algebra.stats import StatisticsCatalog
 
-        backend = XQueryCalculusBackend(model)
-        backend.statistics  # baseline collection
-        apply_script(
-            'insert node User id SU1 with (label "s", birthYear 1970);'
-            " insert relation likes from SU1 to N2;"
-            ' replace value of N3.label with "patched";'
-            " rename node SU1 as Superuser;"
-            f" delete node {model.nodes_of_type('Program')[0].id}",
-            model,
-        )
-        maintained = backend.statistics
-        fresh = StatisticsCatalog.from_root(
-            backend.export.document_element(), backend.export_generation
-        )
-        assert backend.stats_rebuilds == 1
-        assert backend.stats_deltas == 1
-        assert maintained.total_elements == fresh.total_elements
-        assert maintained.element_counts == fresh.element_counts
-        assert maintained.child_fanout == fresh.child_fanout
-        assert maintained.attr_distinct == fresh.attr_distinct
-        assert maintained.attr_present == fresh.attr_present
-        assert maintained.attr_domains == fresh.attr_domains
-        assert (maintained.schema is None) == (fresh.schema is None)
+        catalogs = []
+        from_root = StatisticsCatalog.from_root
 
-    def test_routing_proof_sees_post_mutation_domain(self, model):
-        """The staleness pin: a type that first appears via an update must
-        be in the maintained ``attribute_domain("node", "type")`` without
-        any full recollection."""
+        def recording(*args):
+            catalogs.append(from_root(*args))
+            return catalogs[-1]
+
+        monkeypatch.setattr(StatisticsCatalog, "from_root", staticmethod(recording))
+        return catalogs
+
+    def test_catalog_delta_parity_with_full_recollection(self, model, explained):
+        from repro.awb.xml_io import export_model
+
         with QueryService(model) as service:
-            service.run(scan("User"))  # forces export + baseline stats
-            backend = service._backend
-            assert backend.stats_rebuilds == 1
+            service.explain(scan("User"))
+            # a write straight to the model, behind the service's back
+            apply_script(
+                'insert node User id SU1 with (label "s", birthYear 1970);'
+                " insert relation likes from SU1 to N2;"
+                ' replace value of N3.label with "patched";'
+                " rename node SU1 as Superuser;"
+                f" delete node {model.nodes_of_type('Program')[0].id}",
+                model,
+            )
+            service.explain(scan("User"))
+        before, after = explained
+        fresh = type(after).from_root(export_model(model))
+        assert after.total_elements != before.total_elements
+        assert after.total_elements == fresh.total_elements
+        assert after.element_counts == fresh.element_counts
+        assert after.child_fanout == fresh.child_fanout
+        assert after.attr_distinct == fresh.attr_distinct
+        assert after.attr_present == fresh.attr_present
+        assert after.attr_domains == fresh.attr_domains
+        assert (after.schema is None) == (fresh.schema is None)
+
+    def test_routing_proof_sees_post_mutation_domain(self, model, explained):
+        """A type that first appears via an update is in the domain of the
+        next explain's catalog."""
+        with QueryService(model) as service:
+            service.run(scan("User"))
+            service.explain(scan("User"))
             assert "Location" not in (
-                backend.statistics.attribute_domain("node", "type") or set()
+                explained[-1].attribute_domain("node", "type") or set()
             )
             service.apply_update('insert node Location with (label "lab")')
-            domain = backend.statistics.attribute_domain("node", "type")
+            service.explain(scan("User"))
+            domain = explained[-1].attribute_domain("node", "type")
             assert domain is not None and "Location" in domain
-            assert backend.stats_rebuilds == 1  # maintained, not recollected
-            assert backend.stats_deltas >= 1
 
-    def test_domain_shrinks_when_last_of_a_type_dies(self, model):
-        from repro.querycalc.via_xquery import XQueryCalculusBackend
+    def test_domain_shrinks_when_last_of_a_type_dies(self, model, explained):
+        with QueryService(model) as service:
+            service.apply_update('insert node Location id L1 with (label "x")')
+            service.explain(scan("User"))
+            assert "Location" in explained[-1].attribute_domain("node", "type")
+            service.apply_update("delete node L1")
+            service.explain(scan("User"))
+            assert "Location" not in explained[-1].attribute_domain("node", "type")
 
-        backend = XQueryCalculusBackend(model)
-        backend.statistics
-        apply_script('insert node Location id L1 with (label "x")', model)
-        assert "Location" in backend.statistics.attribute_domain("node", "type")
-        apply_script("delete node L1", model)
-        assert "Location" not in backend.statistics.attribute_domain("node", "type")
-        assert backend.stats_rebuilds == 1
+
+class TestExplainAfterWrites:
+    """``QueryService.explain`` collects its statistics catalog from the
+    current export on demand, so its estimates follow every write."""
+
+    def test_explain_after_writes_matches_a_fresh_catalog(self):
+        import random
+
+        from bench.workloads import (
+            FIXTURE_SEED,
+            _CalcWrites,
+            calculus_model,
+            distinct_queries,
+        )
+        from repro.xquery import EngineConfig, XQueryEngine
+        from repro.xquery.algebra.stats import StatisticsCatalog
+
+        model = calculus_model()
+        queries = distinct_queries(random.Random(FIXTURE_SEED), model, 40)
+        writes = _CalcWrites(FIXTURE_SEED, list(model.nodes))
+        with QueryService(model) as service:
+            for query in queries:
+                service.run(query)
+                service.explain(query)
+            for _ in range(60):
+                service.apply_update(writes.next())
+            backend = service._backend
+            with backend.lock:
+                catalog = StatisticsCatalog.from_root(
+                    backend.export.document_element(), backend.export_generation
+                )
+            engine = XQueryEngine(EngineConfig(backend="algebra"))
+            for query in queries:
+                served = service.explain(query)
+                fresh = engine.compile(served["source"]).explain(catalog)
+                assert served["text"] == fresh["text"]
+                assert served["plan"] == fresh["plan"]
 
 
 class TestProcessModeDeltas:
