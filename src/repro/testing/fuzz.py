@@ -201,8 +201,15 @@ def run_campaign(
         stats.by_kind[kind] = stats.by_kind.get(kind, 0) + 1
         if kind == "xquery":
             config = _random_config(rng)
-            # one draw in ten is the correlated shape lowering hash-joins
-            program = generator.join_program() if rng.random() < 0.1 else generator.program()
+            # one draw in ten is the correlated shape lowering hash-joins,
+            # and one in ten a step through the predicate rule's shapes
+            roll = rng.random()
+            if roll < 0.1:
+                program = generator.join_program()
+            elif roll < 0.2:
+                program = generator.predicate_program()
+            else:
+                program = generator.program()
             source = program.render()
             outcomes = xquery_outcomes(source, config, timeout=PROGRAM_TIMEOUT)
             _count_outcome(stats, outcomes)

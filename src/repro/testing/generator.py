@@ -25,9 +25,10 @@ from typing import Dict, Iterator, List, Optional, Sequence, Tuple, Union
 
 #: bumped whenever the grammar changes shape enough that a recorded
 #: (seed, version) pair would regenerate a different program.  Stored in
-#: corpus provenance headers.  Version 3 added :meth:`ProgramGenerator.join_program`,
-#: which a fuzz campaign draws for a share of its xquery programs.
-GENERATOR_VERSION = 3
+#: corpus provenance headers.  Version 3 added :meth:`ProgramGenerator.join_program`
+#: and version 4 :meth:`ProgramGenerator.predicate_program`, which a fuzz
+#: campaign draws for a share of its xquery programs.
+GENERATOR_VERSION = 4
 
 Part = Union[str, "GenExpr"]
 
@@ -156,6 +157,7 @@ class ProgramGenerator:
         "flwor-order",
         "flwor-at",
         "flwor-join",
+        "predicate-rule",
         "let",
         "quantified",
         "predicate",
@@ -245,6 +247,12 @@ class ProgramGenerator:
         """A complete program whose body is the ``flwor-join`` shape, after
         the declarations its probe may call."""
         return self._declared(lambda env: self._flwor_join())
+
+    def predicate_program(self) -> GenExpr:
+        """A complete program whose body filters one step over a tree
+        literal through the ``predicate-rule`` shapes, after the
+        declarations a right side may call."""
+        return self._declared(lambda env: self._predicate_step())
 
     def _declared(self, body_of) -> GenExpr:
         self._functions = []
@@ -976,6 +984,51 @@ class ProgramGenerator:
             pure=probe in pure,
             creates_nodes=True,
         )
+
+    def _predicate_step(self) -> GenExpr:
+        """``$t/STEP[P]...``: 1-3 predicates of every shape of the one
+        predicate rule, with plain, traced, failing, focus-reading or
+        declared right sides, over a tree literal's step, that step mixed
+        with atomics, or root elements (one with two ``x`` attributes in
+        ``keep`` mode), at the top level or in an untyped (inlined) or a
+        typed (closure-compiled) function."""
+        self._hit("predicate-rule")
+        rng = self.rng
+        rights = ["'1'", "'a'", "$v", "string(2)", "3", "()", "($v, $v)", "(1 idiv 0)",
+                  'trace($v, "p")', "error()", "string(.)", "name()", "position()"]
+        rights += [f"{name}($v)" for name, _ in self._functions]
+        shapes = (
+            "[{d}]", "[{d}e0]", "[1.5e0]", "[position() {pos} {d}]", "[{d} ge position()]",
+            "[last()]", "[@x eq '{d}']", "['{d}' eq @x]", "[@x = ('{d}', '{e}')]", "[@x]",
+            "[contains(string(property[@name eq 'p']), '{d}')]", "[{left} {vop} {r}]",
+            "[@x {gop} {r}]", "[@x eq '{d}' or c]", "[trace(@x, 't') = '{d}']",
+            "[string(@x)]", "[c]", "[{r}]",
+        )
+        predicates = "".join(
+            rng.choice(shapes).format(
+                d=rng.randrange(4), e=rng.randrange(4), r=rng.choice(rights),
+                pos=rng.choice(("gt", "le", "=", "<")), left=rng.choice(("@x", "name(.)")),
+                vop=rng.choice(("eq", "ne", "lt")), gop=rng.choice(("=", "!=", "<")),
+            )
+            for _ in range(rng.randrange(1, 4))
+        )
+        roll = rng.random()
+        if roll < 0.2:
+            path = f"($t/*, {rng.randrange(4)}, 's'){predicates}"
+        elif roll < 0.4:
+            roots = "(element a { attribute x {'1'}, attribute x {'2'} }, <b x='1'/>, $t/*)"
+            path = f"(let $u := {roots} return $u/self::{rng.choice(('*', 'a'))}{predicates})"
+        else:
+            step = rng.choice(("a", "*", "node()", "*/@x", "b/c", "a/text()"))
+            path = f"$t/{step}{predicates}"
+        tree, value = self._tree_literal(0), f"'{rng.randrange(4)}'"
+        placement = rng.choice(("", "($t, $v)", "($t as node(), $v as xs:string) as item()*"))
+        if not placement:
+            text = f"(let $t := {tree} let $v := {value} return {path})"
+        else:
+            name = f"local:{self._fresh('q')}"
+            text = f"declare function {name}{placement} {{ {path} }};\n{name}({tree}, {value})"
+        return GenExpr("predicate-rule", [text], flavor="sequence", pure=False, creates_nodes=True)
 
     # -- nodes, constructors, paths -------------------------------------------
 

@@ -24,7 +24,9 @@ A FLWOR's tuple stream runs through the closure compiler's
 :func:`~repro.xquery.compiler.run_flwor`, the one FLWOR rule both fast
 engines share; the executor passes ``execute_plan`` with explicit bindings
 and its own ``for`` sources (the invariant-source memo and the hash-join
-probe).
+probe).  Every predicate (a step's, a ``Select``'s, a join residual) runs
+through the one predicate rule, :func:`~repro.xquery.compiler.run_predicates`,
+with the tuple's bindings and ``AlgebraProgram.thunk`` for closures.
 
 Anything the lowering could not prove safe sits in an ``EvalPlan`` leaf and
 runs on the program's closure compiler with the exact same dynamic context.
@@ -32,6 +34,7 @@ runs on the program's closure compiler with the exact same dynamic context.
 
 from __future__ import annotations
 
+from functools import partial
 from typing import Dict, Optional
 
 from ...lru import LRU
@@ -42,19 +45,17 @@ from ...xdm import (
     is_node,
     sort_document_order,
 )
-from ..compiler import expand_descendants, run_flwor, run_path_step
-from ..context import DynamicContext
-from ..evaluator import (
-    _error,
-    _is_numeric_predicate,
-    ebv,
-    undefined_variable,
+from ..compiler import (
+    GenericPred,
+    expand_descendants,
+    run_flwor,
+    run_path_step,
+    run_predicates,
 )
+from ..context import DynamicContext
+from ..evaluator import _error, ebv, undefined_variable
 from ..errors import XQueryTypeError
 from .plans import (
-    AttrExistsPred,
-    AttrMembershipPred,
-    AttrValueEqPred,
     BuiltinCallPlan,
     EvalPlan,
     FilterPlan,
@@ -62,14 +63,11 @@ from .plans import (
     ForJoinOp,
     ForOp,
     FullTextScanPlan,
-    GenericPred,
     InlineCallPlan,
     LetOp,
     LiteralPlan,
     PathPlan,
     Plan,
-    PositionalPred,
-    PropertyFilterPred,
     SequencePlan,
     SetOpPlan,
     StepPlan,
@@ -201,84 +199,6 @@ def _exec_inline_call(plan: InlineCallPlan, ctx, bindings, state):
     return execute_plan(plan.body, scope, {}, state)
 
 
-# -- predicates --------------------------------------------------------------
-
-
-def _generic_keep(state, pred_expr, item, position, size, scope) -> bool:
-    result = state.thunk(pred_expr)(scope.with_focus(item, position, size))
-    if _is_numeric_predicate(result):
-        return float(result[0]) == position
-    return ebv(result, pred_expr, scope)
-
-
-def _apply_pred_plans(items, predicates, ctx, bindings, state):
-    """Apply compiled predicates to one candidate list — `_apply_predicates`
-    with fast paths; positions renumber between predicates, exactly as the
-    reference does."""
-    scope = None
-    for pred in predicates:
-        if not items:
-            return items
-        if isinstance(pred, PositionalPred):
-            items = pred.apply(items)
-            continue
-        if scope is None:
-            scope = ctx.with_variables(bindings) if bindings else ctx
-        size = len(items)
-        kept = []
-        if isinstance(pred, AttrMembershipPred):
-            name, values = pred.name, pred.values
-            for position, item in enumerate(items, start=1):
-                # only elements carry the name index (a per-item getattr
-                # by string was measurably slower on scan-sized lists)
-                if isinstance(item, ElementNode):
-                    matches = item.attributes_by_name(name)
-                    if len(matches) == 1:  # avoid a generator per item
-                        if matches[0].value in values:
-                            kept.append(item)
-                    elif any(a.value in values for a in matches):
-                        kept.append(item)
-                elif _generic_keep(state, pred.expr, item, position, size, scope):
-                    kept.append(item)
-        elif isinstance(pred, AttrValueEqPred):
-            name, value = pred.name, pred.value
-            for position, item in enumerate(items, start=1):
-                if isinstance(item, ElementNode):
-                    matches = item.attributes_by_name(name)
-                    if len(matches) == 1:
-                        if matches[0].value == value:
-                            kept.append(item)
-                    elif matches and _generic_keep(
-                        state, pred.expr, item, position, size, scope
-                    ):  # >1 attrs (keep-mode): the reference path raises
-                        kept.append(item)
-                elif _generic_keep(state, pred.expr, item, position, size, scope):
-                    kept.append(item)
-        elif isinstance(pred, AttrExistsPred):
-            name = pred.name
-            for position, item in enumerate(items, start=1):
-                if isinstance(item, ElementNode):
-                    if item.attributes_by_name(name):
-                        kept.append(item)
-                elif _generic_keep(state, pred.expr, item, position, size, scope):
-                    kept.append(item)
-        elif isinstance(pred, PropertyFilterPred):
-            decide = pred.decide
-            for position, item in enumerate(items, start=1):
-                keep = decide(item)
-                if keep is None:  # a node the shape cannot decide
-                    keep = _generic_keep(state, pred.expr, item, position, size, scope)
-                if keep:
-                    kept.append(item)
-        else:
-            expr = pred.expr
-            for position, item in enumerate(items, start=1):
-                if _generic_keep(state, expr, item, position, size, scope):
-                    kept.append(item)
-        items = kept
-    return items
-
-
 # -- paths -------------------------------------------------------------------
 
 
@@ -302,11 +222,10 @@ def _path_base(plan: PathPlan, ctx, bindings, state):
 
 
 def _pred_filter(step: StepPlan, bindings, state):
-    """The step's compiled predicates as ``run_path_step``'s filter."""
-    predicates = step.predicates
-    if not predicates:
+    """The step's predicates as ``run_path_step``'s filter."""
+    if not step.predicates:
         return None
-    return lambda items, ctx: _apply_pred_plans(items, predicates, ctx, bindings, state)
+    return partial(run_predicates, step.predicates, state.thunk, bindings)
 
 
 def _run_steps(current, ordered, non_nested, steps, ctx, bindings, state):
@@ -346,7 +265,7 @@ def _exec_path(plan: PathPlan, ctx, bindings, state):
 
 def _exec_filter(plan: FilterPlan, ctx, bindings, state):
     items = execute_plan(plan.base, ctx, bindings, state)
-    return _apply_pred_plans(items, plan.predicates, ctx, bindings, state)
+    return run_predicates(plan.predicates, state.thunk, bindings, items, ctx)
 
 
 # -- FLWOR -------------------------------------------------------------------
@@ -495,9 +414,7 @@ def _join_source(op: ForJoinOp, ctx, state):
     # answer a repeated single-key probe with one dict hit instead of
     # re-entering _probe_join (which re-derives it).
     shape = op.probe_shape
-    memoable = shape is not None and not any(
-        type(pred) is GenericPred for pred in op.residual
-    )
+    memoable = shape is not None and all(pred.candidate_only for pred in op.residual)
     probes = state.probes
     op_id = id(op)
     # Consecutive tuples almost always bind nodes under the same document
@@ -615,9 +532,7 @@ def _probe_join(op: ForJoinOp, build: _JoinBuild, ctx, tuple_bindings, state):
     if not hashable:
         return _probe_join_generic(op, build, ctx, tuple_bindings, state)
     memo_key = None
-    if len(keys) == 1 and not any(
-        type(pred) is GenericPred for pred in op.residual
-    ):
+    if len(keys) == 1 and all(pred.candidate_only for pred in op.residual):
         # single-key probes repeat whenever tuples share a join partner;
         # with a tuple-independent residual the match list is a pure
         # function of (op, build, key), so replay it from the memo.
@@ -643,7 +558,7 @@ def _probe_join(op: ForJoinOp, build: _JoinBuild, ctx, tuple_bindings, state):
         else:
             matched = []
         if matched and op.residual:
-            matched = _apply_pred_plans(matched, op.residual, ctx, tuple_bindings, state)
+            matched = run_predicates(op.residual, state.thunk, tuple_bindings, matched, ctx)
         results.extend(matched)
     if not build.ordered:
         results = sort_document_order(results)
@@ -657,7 +572,7 @@ def _probe_join_generic(op: ForJoinOp, build: _JoinBuild, ctx, tuple_bindings, s
     predicates = [GenericPred(op.join_expr)] + list(op.residual)
     results: list = []
     for group in build.groups:
-        results.extend(_apply_pred_plans(group, predicates, ctx, tuple_bindings, state))
+        results.extend(run_predicates(predicates, state.thunk, tuple_bindings, group, ctx))
     if build.ordered:
         return results
     return sort_document_order(results)

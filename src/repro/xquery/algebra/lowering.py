@@ -42,15 +42,22 @@ from __future__ import annotations
 
 from typing import Dict, List, Optional, Set, Tuple
 
-from ...xdm import number_value
 from .. import ast
+from ..compiler import (
+    AttrExistsPred,
+    AttrMembershipPred,
+    AttrValueEqPred,
+    GenericPred,
+    PositionalPred,
+    Predicate,
+    _attr_step_name,
+    _string_literal,
+    classify_predicates,
+)
 from ..context import EngineConfig
 from ..functions import resolve_call
 from ..optimizer import Effects, free_variables
 from .plans import (
-    AttrExistsPred,
-    AttrMembershipPred,
-    AttrValueEqPred,
     BuiltinCallPlan,
     EvalPlan,
     FilterPlan,
@@ -58,16 +65,12 @@ from .plans import (
     ForJoinOp,
     ForOp,
     FullTextScanPlan,
-    GenericPred,
     InlineCallPlan,
     LetOp,
     LiteralPlan,
     OrderOp,
     PathPlan,
     Plan,
-    PositionalPred,
-    PredPlan,
-    PropertyFilterPred,
     SequencePlan,
     SetOpPlan,
     StepPlan,
@@ -84,10 +87,6 @@ RESULT_VAR = "#result"
 
 _ORDERED_PREDS = (AttrMembershipPred, AttrValueEqPred, AttrExistsPred)
 _FAST_PREDS = _ORDERED_PREDS + (PositionalPred,)
-
-_POSITIONAL_VALUE_OPS = {"eq": "eq", "le": "le", "lt": "lt", "ge": "ge", "gt": "gt"}
-_POSITIONAL_GENERAL_OPS = {"=": "eq", "<=": "le", "<": "lt", ">=": "ge", ">": "gt"}
-_POSITIONAL_SWAP = {"eq": "eq", "le": "ge", "lt": "gt", "ge": "le", "gt": "lt"}
 
 
 class Lowerer:
@@ -144,7 +143,11 @@ class Lowerer:
             if not isinstance(step, ast.AxisStep):
                 # e.g. $x/data(.) — outside the algebra's path fragment.
                 return EvalPlan(expr, "non-axis path step")
-            predicates = _ordered([self._compile_pred(p) for p in step.predicates])
+            predicates = classify_predicates(step.predicates, self.functions, self.effects)
+            if self.config.duplicate_attribute_mode != "keep":
+                # an element with two same-name attributes makes `@a eq`
+                # raise, so its filters must run in the order written
+                _ordered(predicates)
             closed = all(isinstance(p, _FAST_PREDS) for p in predicates)
             steps.append(StepPlan(step, separator, predicates, closed))
         if not steps and base is not None:
@@ -159,151 +162,8 @@ class Lowerer:
         return FilterPlan(
             expr,
             self.lower(expr.base),
-            [self._compile_pred(p) for p in expr.predicates],
+            classify_predicates(expr.predicates, self.functions, self.effects),
         )
-
-    # -- predicates -------------------------------------------------------
-
-    def _compile_pred(self, pred: ast.Expr) -> PredPlan:
-        positional = self._positional_pred(pred)
-        if positional is not None:
-            return positional
-        if isinstance(pred, ast.Comparison):
-            compiled = self._attr_comparison_pred(pred)
-            if compiled is not None:
-                return compiled
-        name = _attr_step_name(pred)
-        if name is not None:
-            return AttrExistsPred(pred, name)
-        return self._property_filter_pred(pred) or GenericPred(pred)
-
-    def _positional_pred(self, pred: ast.Expr) -> Optional[PositionalPred]:
-        if isinstance(pred, ast.Literal):
-            value = pred.value
-            if isinstance(value, int) and not isinstance(value, bool):
-                return PositionalPred(pred, "eq", value)
-            return None
-        if self._builtin_args(pred, "last", 0) is not None:
-            return PositionalPred(pred, "last", 0)
-        if not isinstance(pred, ast.Comparison):
-            return None
-        ops = (
-            _POSITIONAL_VALUE_OPS
-            if pred.style == "value"
-            else _POSITIONAL_GENERAL_OPS if pred.style == "general" else None
-        )
-        if ops is None or pred.op not in ops:
-            return None
-        op = ops[pred.op]
-        left, right = pred.left, pred.right
-        if self._builtin_args(left, "position", 0) is not None:
-            literal = right
-        elif self._builtin_args(right, "position", 0) is not None:
-            literal, op = left, _POSITIONAL_SWAP[op]
-        else:
-            return None
-        if (
-            isinstance(literal, ast.Literal)
-            and isinstance(literal.value, int)
-            and not isinstance(literal.value, bool)
-        ):
-            return PositionalPred(pred, op, literal.value)
-        return None
-
-    def _attr_comparison_pred(self, pred: ast.Comparison) -> Optional[PredPlan]:
-        for attr_side, value_side in ((pred.left, pred.right), (pred.right, pred.left)):
-            name = _attr_step_name(attr_side)
-            if name is None:
-                continue
-            if pred.style == "general" and pred.op == "=":
-                values = _string_literals(value_side)
-                if values is not None:
-                    return AttrMembershipPred(pred, name, frozenset(values))
-            if pred.style == "value" and pred.op == "eq":
-                value = _string_literal(value_side)
-                if value is not None:
-                    return AttrValueEqPred(pred, name, value)
-        return None
-
-    def _property_filter_pred(self, pred: ast.Expr) -> Optional[PropertyFilterPred]:
-        """The calculus property filter (see :class:`PropertyFilterPred`),
-        matched node for node against what the calculus compiler emits."""
-        args = self._builtin_args(pred, "contains", 2)
-        if args is not None:
-            name = self._string_of_property(args[0])
-            value = _string_literal(args[1])
-            if name is None or value is None:
-                return None
-            return PropertyFilterPred(pred, name, "contains", value)
-        if not (isinstance(pred, ast.BooleanOp) and pred.op == "and"):
-            return None
-        name = _property_name(pred.left)
-        outer = pred.right
-        if name is None or not isinstance(outer, ast.IfExpr):
-            return None
-        inner = outer.else_branch
-        if not (
-            isinstance(inner, ast.IfExpr)
-            and _is_type_test(outer.condition, name, "=", ("integer", "float"))
-            and _is_type_test(inner.condition, name, "eq", ("boolean",))
-        ):
-            return None
-        # else: string(P) op "value"
-        strings = inner.else_branch
-        op = _value_op(strings)
-        if op is None or self._string_of_property(strings.left) != name:
-            return None
-        value = _string_literal(strings.right)
-        if value is None:
-            return None
-        # then: (string(P) eq "true") op true()|false()
-        boolean = inner.then_branch
-        if _value_op(boolean) != op or _value_op(boolean.left) != "eq":
-            return None
-        if (
-            self._string_of_property(boolean.left.left) != name
-            or _string_literal(boolean.left.right) != "true"
-        ):
-            return None
-        if self._builtin_args(boolean.right, "true", 0) is not None:
-            truth = True
-        elif self._builtin_args(boolean.right, "false", 0) is not None:
-            truth = False
-        else:
-            return None
-        # then: number(string(P)) op number("value"), or false()
-        numeric = outer.then_branch
-        number = None
-        if self._builtin_args(numeric, "false", 0) is None:
-            if _value_op(numeric) != op:
-                return None
-            left = self._builtin_args(numeric.left, "number", 1)
-            right = self._builtin_args(numeric.right, "number", 1)
-            if (
-                left is None
-                or right is None
-                or self._string_of_property(left[0]) != name
-                or _string_literal(right[0]) != value
-            ):
-                return None
-            number = number_value([value])
-        return PropertyFilterPred(pred, name, op, value, number, truth)
-
-    def _builtin_args(self, expr: ast.Expr, name: str, arity: int) -> Optional[list]:
-        """The arguments of a call to builtin ``name#arity`` (not shadowed
-        by a user declaration), else None."""
-        if (
-            isinstance(expr, ast.FunctionCall)
-            and len(expr.args) == arity
-            and resolve_call(expr, self.functions).is_builtin(name)
-        ):
-            return expr.args
-        return None
-
-    def _string_of_property(self, expr: ast.Expr) -> Optional[str]:
-        """The property name if *expr* is ``string(property[@name eq "n"])``."""
-        args = self._builtin_args(expr, "string", 1)
-        return _property_name(args[0]) if args is not None else None
 
     # -- FLWOR ------------------------------------------------------------
 
@@ -477,10 +337,10 @@ class Lowerer:
         return InlineCallPlan(expr, declaration, args, body)
 
 
-# -- shape helpers -------------------------------------------------------
+# -- predicate order -----------------------------------------------------
 
 
-def _prior(pred: PredPlan) -> float:
+def _prior(pred: Predicate) -> float:
     """The fixed selectivity prior a compiled attribute filter sorts by."""
     if isinstance(pred, AttrValueEqPred):
         return 0.1
@@ -489,11 +349,13 @@ def _prior(pred: PredPlan) -> float:
     return 0.8  # AttrExistsPred
 
 
-def _ordered(predicates: List[PredPlan]) -> List[PredPlan]:
+def _ordered(predicates: List[Predicate]) -> List[Predicate]:
     """*predicates* with each run of compiled attribute filters sorted most
     selective first by :func:`_prior` (stably).  Filters in a run are pure
-    and position-free, so they commute; a positional or generic predicate
-    ends a run, since positions renumber between predicates."""
+    and position-free, so they commute unless an element carries two
+    same-name attributes (``keep`` mode, where lowering does not call this);
+    a positional or generic predicate ends a run, since positions renumber
+    between predicates."""
     run_start = 0
     for index in range(len(predicates) + 1):
         if index < len(predicates) and isinstance(predicates[index], _ORDERED_PREDS):
@@ -502,92 +364,3 @@ def _ordered(predicates: List[PredPlan]) -> List[PredPlan]:
             predicates[run_start:index] = sorted(predicates[run_start:index], key=_prior)
         run_start = index + 1
     return predicates
-
-
-def _attr_step_name(expr: ast.Expr) -> Optional[str]:
-    """The attribute name if *expr* is a bare ``@name`` step, else None."""
-    if isinstance(expr, ast.PathExpr):
-        if expr.anchor is not None or expr.steps:
-            return None
-        expr = expr.first
-    if (
-        isinstance(expr, ast.AxisStep)
-        and expr.axis == "attribute"
-        and expr.test.kind == "name"
-        and not expr.predicates
-    ):
-        return expr.test.name
-    return None
-
-
-def _string_literal(expr: ast.Expr) -> Optional[str]:
-    """The string if *expr* is a string literal, else None."""
-    if isinstance(expr, ast.Literal) and isinstance(expr.value, str):
-        return expr.value
-    return None
-
-
-def _value_op(expr: ast.Expr) -> Optional[str]:
-    """The operator if *expr* is a value comparison, else None."""
-    if isinstance(expr, ast.Comparison) and expr.style == "value":
-        return expr.op
-    return None
-
-
-def _property_name(expr: ast.Expr) -> Optional[str]:
-    """The name if *expr* is exactly ``property[@name eq "name"]``."""
-    if isinstance(expr, ast.PathExpr) and expr.anchor is None and not expr.steps:
-        return _property_step_name(expr.first)
-    return None
-
-
-def _property_step_name(step: ast.Expr) -> Optional[str]:
-    """The name if *step* is the axis step ``property[@name eq "name"]``."""
-    if not (
-        isinstance(step, ast.AxisStep)
-        and step.axis == "child"
-        and step.test.kind == "name"
-        and step.test.name == "property"
-        and len(step.predicates) == 1
-    ):
-        return None
-    pred = step.predicates[0]
-    if _value_op(pred) == "eq" and _attr_step_name(pred.left) == "name":
-        return _string_literal(pred.right)
-    return None
-
-
-def _is_type_test(expr: ast.Expr, name: str, op: str, types: Tuple[str, ...]) -> bool:
-    """True if *expr* is ``property[@name eq "name"]/@type op types``: a
-    general ``=`` against a sequence of string literals, or a value ``eq``
-    against one."""
-    if not isinstance(expr, ast.Comparison) or expr.op != op:
-        return False
-    path = expr.left
-    if not (
-        isinstance(path, ast.PathExpr)
-        and path.anchor is None
-        and len(path.steps) == 1
-        and _property_step_name(path.first) == name
-    ):
-        return False
-    separator, step = path.steps[0]
-    if separator != "/" or _attr_step_name(step) != "type":
-        return False
-    if op == "eq":
-        return expr.style == "value" and (_string_literal(expr.right),) == types
-    literals = _string_literals(expr.right)
-    return expr.style == "general" and literals is not None and tuple(literals) == types
-
-
-def _string_literals(expr: ast.Expr) -> Optional[List[str]]:
-    """The literal strings if *expr* is one or a sequence of them."""
-    if isinstance(expr, ast.Literal):
-        value = _string_literal(expr)
-        return [value] if value is not None else None
-    if isinstance(expr, ast.EmptySequence):
-        return []
-    if isinstance(expr, ast.SequenceExpr):
-        values = [_string_literal(item) for item in expr.items]
-        return None if None in values else values
-    return None

@@ -19,9 +19,20 @@ from __future__ import annotations
 
 from typing import List, Optional, Tuple
 
-from ...xdm import ElementNode, number_value, value_compare
 from .. import ast
-from ..compiler import PathStep
+
+# the predicate classes are the one predicate rule's, next to the step's;
+# explain renders them from here.
+from ..compiler import (
+    AttrExistsPred,
+    AttrMembershipPred,
+    AttrValueEqPred,
+    GenericPred,
+    PathStep,
+    PositionalPred,
+    Predicate,
+    PropertyFilterPred,
+)
 
 __all__ = [
     "Plan",
@@ -43,7 +54,7 @@ __all__ = [
     "LetOp",
     "WhereOp",
     "OrderOp",
-    "PredPlan",
+    "Predicate",
     "AttrMembershipPred",
     "AttrValueEqPred",
     "AttrExistsPred",
@@ -51,198 +62,6 @@ __all__ = [
     "GenericPred",
     "PropertyFilterPred",
 ]
-
-
-# -- predicate plans ---------------------------------------------------------
-
-
-class PredPlan:
-    """Base class for compiled predicates; ``expr`` is the original AST."""
-
-    __slots__ = ("expr",)
-
-    def __init__(self, expr: ast.Expr):
-        self.expr = expr
-
-    def describe(self) -> str:
-        return type(self).__name__
-
-
-class AttrMembershipPred(PredPlan):
-    """``[@name = ("a", "b", ...)]`` — general comparison, string literals.
-
-    Untyped attribute values compare to string literals *as strings*, so a
-    frozenset membership test is exact — including the existential sweep
-    over duplicated attributes in ``keep`` quirk mode.
-    """
-
-    __slots__ = ("name", "values")
-
-    def __init__(self, expr: ast.Expr, name: str, values: frozenset):
-        super().__init__(expr)
-        self.name = name
-        self.values = values
-
-    def key(self) -> tuple:
-        return ("in", self.name, self.values)
-
-    def describe(self) -> str:
-        options = ", ".join(repr(v) for v in sorted(self.values))
-        return f"@{self.name} in ({options})"
-
-
-class AttrValueEqPred(PredPlan):
-    """``[@name eq "literal"]`` — value comparison against one string."""
-
-    __slots__ = ("name", "value")
-
-    def __init__(self, expr: ast.Expr, name: str, value: str):
-        super().__init__(expr)
-        self.name = name
-        self.value = value
-
-    def key(self) -> tuple:
-        return ("eq", self.name, self.value)
-
-    def describe(self) -> str:
-        return f"@{self.name} eq {self.value!r}"
-
-
-class AttrExistsPred(PredPlan):
-    """``[@name]`` — keep elements carrying the attribute."""
-
-    __slots__ = ("name",)
-
-    def __init__(self, expr: ast.Expr, name: str):
-        super().__init__(expr)
-        self.name = name
-
-    def key(self) -> tuple:
-        return ("exists", self.name)
-
-    def describe(self) -> str:
-        return f"exists(@{self.name})"
-
-
-class PositionalPred(PredPlan):
-    """A positional predicate compiled to a list slice.
-
-    ``[k]``, ``[position() op k]`` with an integer literal, and
-    ``[last()]`` all short-circuit to O(1) slicing of the candidate list
-    instead of one focus-carrying evaluation per item.
-    """
-
-    __slots__ = ("op", "k")
-
-    def __init__(self, expr: ast.Expr, op: str, k: int):
-        super().__init__(expr)
-        self.op = op  # "eq" | "le" | "lt" | "ge" | "gt" | "last"
-        self.k = k
-
-    def apply(self, items: list) -> list:
-        op, k = self.op, self.k
-        if op == "last":
-            return items[-1:]
-        if op == "eq":
-            return items[k - 1 : k] if k >= 1 else []
-        if op == "le":
-            return items[: max(k, 0)]
-        if op == "lt":
-            return items[: max(k - 1, 0)]
-        if op == "ge":
-            return items[max(k - 1, 0) :] if k >= 1 else list(items)
-        if op == "gt":
-            return items[max(k, 0) :] if k >= 1 else list(items)
-        raise AssertionError(f"unknown positional op {op!r}")
-
-    def key(self) -> tuple:
-        return ("position", self.op, self.k)
-
-    def describe(self) -> str:
-        if self.op == "last":
-            return "position() = last()"
-        if self.op == "eq":
-            return f"position() = {self.k}"
-        symbol = {"le": "<=", "lt": "<", "ge": ">=", "gt": ">"}[self.op]
-        return f"position() {symbol} {self.k}"
-
-
-class GenericPred(PredPlan):
-    """Any other predicate: evaluated per item by the closure compiler."""
-
-    def describe(self) -> str:
-        return f"generic predicate @{self.expr.line}:{self.expr.column}"
-
-
-class PropertyFilterPred(GenericPred):
-    """The calculus property filter, decided without the closure compiler.
-
-    Lowering recognizes exactly the predicate
-    :meth:`~repro.querycalc.via_xquery.XQueryCalculusBackend._compile_filter_property`
-    emits for ``name op value``: ``contains(string(P), value)``, or ``P and
-    (if (P/@type = ("integer", "float")) then NUMERIC else if (P/@type eq
-    "boolean") then BOOLEAN else STRINGS)`` with ``P`` the
-    ``property[@name eq name]`` child.  :meth:`decide` evaluates it per
-    node with the engine's own cast (``number_value``) and comparison
-    (``value_compare``).  It answers None for a node the shape cannot
-    decide (not an element, two ``property`` children of that name, a
-    repeated ``name`` or ``type`` attribute), and the executor asks the
-    generic closure about that node, so errors stay the reference's.
-
-    ``number`` is ``number(value)``, or None when the numeric branch is
-    ``false()`` (a literal that does not parse); ``truth`` is the boolean
-    branch's ``true()``/``false()``.  Explain shows it as the generic
-    predicate it replaces.
-    """
-
-    __slots__ = ("name", "op", "value", "number", "truth")
-
-    def __init__(
-        self,
-        expr: ast.Expr,
-        name: str,
-        op: str,
-        value: str,
-        number: Optional[float] = None,
-        truth: bool = False,
-    ):
-        super().__init__(expr)
-        self.name = name
-        self.op = op  # "eq" | "ne" | "lt" | "le" | "gt" | "ge" | "contains"
-        self.value = value
-        self.number = number
-        self.truth = truth
-
-    def decide(self, item) -> Optional[bool]:
-        if not isinstance(item, ElementNode):
-            return None
-        prop = None
-        for child in item.children_by_name("property"):
-            names = child.attributes_by_name("name")
-            if len(names) > 1:
-                return None
-            if names and names[0].value == self.name:
-                if prop is not None:
-                    return None
-                prop = child
-        op = self.op
-        if prop is None:
-            # string(()) is "", and `P and ...` is false on an empty P.
-            return self.value in "" if op == "contains" else False
-        text = prop.string_value()
-        if op == "contains":
-            return self.value in text  # fn:contains is a substring test
-        types = prop.attributes_by_name("type")
-        if len(types) > 1:
-            return None
-        kind = types[0].value if types else None
-        if kind == "integer" or kind == "float":
-            if self.number is None:
-                return False
-            return value_compare(op, number_value([text]), self.number)
-        if kind == "boolean":
-            return value_compare(op, text == "true", self.truth)
-        return value_compare(op, text, self.value)
 
 
 # -- expression plans --------------------------------------------------------
@@ -449,7 +268,8 @@ class SetOpPlan(Plan):
 
 class StepPlan(PathStep):
     """One axis step of a scan: the :class:`~repro.xquery.compiler.PathStep`
-    the executor runs through ``run_path_step``, plus compiled predicates.
+    the executor runs through ``run_path_step``, plus its classified
+    predicates, which it runs through ``run_predicates``.
 
     ``closed`` means every predicate is a compiled fast predicate with no
     free variables — the precondition for memoizing the scan's result.
@@ -461,7 +281,7 @@ class StepPlan(PathStep):
         self,
         expr: ast.AxisStep,
         separator: str,
-        predicates: List[PredPlan],
+        predicates: List[Predicate],
         closed: bool,
     ):
         super().__init__(expr, separator)
@@ -534,7 +354,7 @@ class FilterPlan(Plan):
 
     __slots__ = ("expr", "base", "predicates")
 
-    def __init__(self, expr: ast.FilterExpr, base: Plan, predicates: List[PredPlan]):
+    def __init__(self, expr: ast.FilterExpr, base: Plan, predicates: List[Predicate]):
         super().__init__()
         self.expr = expr
         self.base = base
@@ -653,7 +473,7 @@ class ForJoinOp(TupleOp):
         build_attr: str,
         probe_expr: ast.Expr,
         style: str,
-        residual: List[PredPlan],
+        residual: List[Predicate],
         join_expr: ast.Comparison,
     ):
         super().__init__()

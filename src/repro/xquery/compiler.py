@@ -39,6 +39,12 @@ positions, ``let`` and its declared-type error, ``where``, ``order by``
 over ``_OrderKey``, the ``return`` concatenation, and a deadline check per
 clause and per tuple).  Each caller passes only how one part runs against
 one tuple's bindings.
+
+And every predicate, here and in the algebra executor, is classified by
+one function, :func:`classify_predicate`, into one :class:`Predicate`
+shape (positional slices, attribute filters, the calculus property
+filter, value comparisons whose right side runs once, the generic loop),
+and filters its candidates through one function, :func:`run_predicates`.
 """
 
 from __future__ import annotations
@@ -57,6 +63,7 @@ from ..xdm import (
     UntypedAtomic,
     atomize,
     general_compare,
+    number_value,
     sort_document_order,
     string_value_of_atomic,
     value_compare,
@@ -85,23 +92,12 @@ from .optimizer import Effects
 Thunk = Callable[[DynamicContext], Sequence]
 
 
-#: A compiled predicate: filters a candidate sequence under a context.
-_Applier = Callable[[Sequence, DynamicContext], Sequence]
-
 #: builtins that always return a singleton boolean (or raise), so their
 #: effective boolean value is just the returned item.  Kept deliberately
 #: small and certain; see the matching functions in ``functions.py``.
 _BOOLEAN_BUILTINS = frozenset(
     ("empty", "exists", "not", "boolean", "true", "false", "contains", "starts-with")
 )
-
-
-def _select_position(items: Sequence, position: float) -> Sequence:
-    """Fast path for a constant numeric predicate like ``[2]``."""
-    index = int(position)
-    if float(index) == position and 1 <= index <= len(items):
-        return [items[index - 1]]
-    return []
 
 
 # -- the fast axis step: the closure compiler's and the algebra executor's ----
@@ -199,7 +195,7 @@ def run_path_step(
     ordered: bool,
     non_nested: bool,
     ctx: DynamicContext,
-    keep: Optional[_Applier] = None,
+    keep: Optional[Callable[[Sequence, DynamicContext], Sequence]] = None,
     groups: Optional[List[Sequence]] = None,
 ):
     """Run one axis step over the context items *current*.
@@ -255,7 +251,7 @@ def _apply_step(thunk: Thunk, context_items: Sequence, ctx: DynamicContext) -> S
     saw_node = False
     saw_atomic = False
     if size:
-        # one mutable focus for the whole scan; see _compile_predicate.
+        # one mutable focus for the whole scan; see GenericPred.filter.
         focus = ctx._clone()
         focus.size = size
         for position, item in enumerate(context_items, start=1):
@@ -274,6 +270,682 @@ def _apply_step(thunk: Thunk, context_items: Sequence, ctx: DynamicContext) -> S
     if saw_node:
         return sort_document_order(results)
     return results
+
+
+# -- the fast predicate: the closure compiler's and the algebra executor's ---
+
+#: Resolves an expression to its closure, compiled on first use: the
+#: algebra's ``AlgebraProgram.thunk`` or the compiler's :meth:`Compiler.thunk`.
+Closure = Callable[[ast.Expr], Thunk]
+
+
+class Predicate:
+    """One classified predicate as the fast engines run it; ``expr`` is the
+    predicate as parsed.  Each shape's ``filter(items, ctx, closure)`` keeps
+    the candidates it selects from one list, as the treewalk's
+    ``_apply_predicates`` does, resolving closures through *closure*;
+    ``describe()`` is its explain text.
+    """
+
+    __slots__ = ("expr",)
+
+    #: whether the predicate decides each candidate from the candidate and
+    #: its position alone: it reads no variable and reaches no ``fn:trace``
+    #: or ``fn:error``.  Such a predicate runs without the tuple's
+    #: variables, and a join probe may replay its matches from a memo.
+    candidate_only = True
+
+    def __init__(self, expr: ast.Expr):
+        self.expr = expr
+
+    def reference_test(self, item, position: int, size: int, ctx, closure) -> bool:
+        """The treewalk's test of one candidate the shape does not decide."""
+        expr = self.expr
+        result = closure(expr)(ctx.with_focus(item, position, size))
+        if _is_numeric_predicate(result):
+            return float(result[0]) == position
+        return ebv(result, expr, ctx)
+
+
+class PositionalPred(Predicate):
+    """``[k]`` and ``[position() op k]`` with an integer literal, and
+    ``[last()]``: a slice of the candidate list, never a per-item test."""
+
+    __slots__ = ("op", "k", "slice")
+
+    def __init__(self, expr: ast.Expr, op: str, k: int):
+        super().__init__(expr)
+        self.op = op  # "eq" | "le" | "lt" | "ge" | "gt" | "last"
+        self.k = k
+        self.slice = _POSITIONAL_SLICES[op](k)
+
+    def filter(self, items, ctx, closure):
+        return items[self.slice]
+
+    def key(self) -> tuple:
+        return ("position", self.op, self.k)
+
+    def describe(self) -> str:
+        if self.op == "last":
+            return "position() = last()"
+        symbol = {"eq": "=", "le": "<=", "lt": "<", "ge": ">=", "gt": ">"}[self.op]
+        return f"position() {symbol} {self.k}"
+
+
+class AttrMembershipPred(Predicate):
+    """``[@name = ("a", "b", ...)]`` — general comparison, string literals.
+
+    Untyped attribute values compare to string literals *as strings*, so a
+    frozenset membership test is exact — including the existential sweep
+    over duplicated attributes in ``keep`` quirk mode.
+    """
+
+    __slots__ = ("name", "values")
+
+    def __init__(self, expr: ast.Expr, name: str, values: frozenset):
+        super().__init__(expr)
+        self.name = name
+        self.values = values
+
+    def filter(self, items, ctx, closure):
+        name, values = self.name, self.values
+        size = len(items)
+        kept = []
+        for position, item in enumerate(items, start=1):
+            # only elements carry the name index (a per-item getattr by
+            # string was measurably slower on scan-sized lists)
+            if isinstance(item, ElementNode):
+                matches = item.attributes_by_name(name)
+                if len(matches) == 1:  # avoid a generator per item
+                    if matches[0].value in values:
+                        kept.append(item)
+                elif any(a.value in values for a in matches):
+                    kept.append(item)
+            elif self.reference_test(item, position, size, ctx, closure):
+                kept.append(item)
+        return kept
+
+    def key(self) -> tuple:
+        return ("in", self.name, self.values)
+
+    def describe(self) -> str:
+        options = ", ".join(repr(v) for v in sorted(self.values))
+        return f"@{self.name} in ({options})"
+
+
+class AttrValueEqPred(Predicate):
+    """``[@name eq "literal"]`` — value comparison against one string."""
+
+    __slots__ = ("name", "value")
+
+    def __init__(self, expr: ast.Expr, name: str, value: str):
+        super().__init__(expr)
+        self.name = name
+        self.value = value
+
+    def filter(self, items, ctx, closure):
+        name, value = self.name, self.value
+        size = len(items)
+        kept = []
+        for position, item in enumerate(items, start=1):
+            if isinstance(item, ElementNode):
+                matches = item.attributes_by_name(name)
+                if len(matches) == 1:
+                    if matches[0].value == value:
+                        kept.append(item)
+                    continue
+                if not matches:
+                    continue
+                # >1 attributes (keep mode): the reference raises
+            if self.reference_test(item, position, size, ctx, closure):
+                kept.append(item)
+        return kept
+
+    def key(self) -> tuple:
+        return ("eq", self.name, self.value)
+
+    def describe(self) -> str:
+        return f"@{self.name} eq {self.value!r}"
+
+
+class AttrExistsPred(Predicate):
+    """``[@name]`` — keep elements carrying the attribute."""
+
+    __slots__ = ("name",)
+
+    def __init__(self, expr: ast.Expr, name: str):
+        super().__init__(expr)
+        self.name = name
+
+    def filter(self, items, ctx, closure):
+        name = self.name
+        size = len(items)
+        kept = []
+        for position, item in enumerate(items, start=1):
+            if isinstance(item, ElementNode):
+                if item.attributes_by_name(name):
+                    kept.append(item)
+            elif self.reference_test(item, position, size, ctx, closure):
+                kept.append(item)
+        return kept
+
+    def key(self) -> tuple:
+        return ("exists", self.name)
+
+    def describe(self) -> str:
+        return f"exists(@{self.name})"
+
+
+class GenericPred(Predicate):
+    """Any other predicate: its closure runs once per candidate, or, when
+    the closure carries its compiled effective boolean value (a boolean
+    operator, a general or value comparison, a boolean builtin: never a
+    number), that test does.  The shapes below subclass it: each decides
+    most candidates itself, and explain shows it as this generic
+    predicate."""
+
+    candidate_only = False
+
+    def describe(self) -> str:
+        return f"generic predicate @{self.expr.line}:{self.expr.column}"
+
+    def filter(self, items, ctx, closure):
+        expr = self.expr
+        thunk = closure(expr)
+        test = getattr(thunk, "ebv", None)
+        # One mutable focus serves every candidate: derived contexts copy
+        # the focus fields at clone time, and evaluation is eager, so
+        # nothing observes the focus after its item's closure returns.
+        focus = ctx._clone()
+        focus.size = len(items)
+        kept = []
+        for position, item in enumerate(items, start=1):
+            focus.item = item
+            focus.position = position
+            if test is not None:
+                if test(focus):
+                    kept.append(item)
+                continue
+            result = thunk(focus)
+            if _is_numeric_predicate(result):
+                if float(result[0]) == position:
+                    kept.append(item)
+            elif ebv(result, expr, ctx):
+                kept.append(item)
+        return kept
+
+
+class FloatPositionPred(GenericPred):
+    """``[k]`` with a ``xs:double`` literal: the candidate at an integral
+    *k*, else none."""
+
+    __slots__ = ()
+    candidate_only = True
+
+    def filter(self, items, ctx, closure):
+        k = self.expr.value
+        if k.is_integer() and 1 <= k <= len(items):
+            return [items[int(k) - 1]]
+        return []
+
+
+class ValueComparePred(GenericPred):
+    """``[@name op R]`` (``name`` is the attribute) or ``[name(.) op R]``
+    (``name`` is None), a value comparison whose right side ``R``
+    :class:`~.optimizer.Effects`, the one evaluate-once rule, finds nothing
+    in: ``R`` runs once per candidate list, not once per candidate.
+
+    These are the shapes the docgen and calculus sources hammer
+    (``node[@id eq string($id)]``, ``edge[@source eq $n/@id]``, and
+    ``local:child-element-named``'s ``*[name(.) eq $name]``).  ``R`` first
+    runs at the first element candidate, after its attribute lookup, as
+    the treewalk orders them; an empty side skips before the singleton
+    check, and an eq/ne against one string-like atom compares strings.  A
+    node that is not an element has no attributes; an atomic candidate gets
+    the treewalk's test.
+    """
+
+    __slots__ = ("name",)
+
+    def __init__(self, expr: ast.Comparison, name: Optional[str]):
+        super().__init__(expr)
+        self.name = name
+
+    def filter(self, items, ctx, closure):
+        expr, name = self.expr, self.name
+        keep_equal = expr.op == "eq"
+        size = len(items)
+        kept = []
+        right = target = None
+        for position, item in enumerate(items, start=1):
+            if not isinstance(item, Node):
+                if self.reference_test(item, position, size, ctx, closure):
+                    kept.append(item)
+                continue
+            if name is None:
+                matches, value = None, item.name or ""  # fn:name of a node
+            else:
+                matches = item.attributes_by_name(name) if isinstance(item, ElementNode) else []
+                value = matches[0].value if len(matches) == 1 else None
+            if right is None:
+                right = atomize(closure(expr.right)(ctx))
+                if len(right) == 1 and expr.op in ("eq", "ne"):
+                    atom = right[0]
+                    atom = atom.value if isinstance(atom, UntypedAtomic) else atom
+                    target = atom if isinstance(atom, str) else None
+            if not right or matches == []:
+                continue
+            if target is not None and value is not None:
+                if (value == target) == keep_equal:
+                    kept.append(item)
+            elif _value_compare(expr, atomize(matches or [value]), right, ctx):
+                kept.append(item)
+        return kept
+
+
+class PropertyFilterPred(GenericPred):
+    """The calculus property filter, decided without the closure compiler.
+
+    The classifier recognizes exactly the predicate
+    :meth:`~repro.querycalc.via_xquery.XQueryCalculusBackend._compile_filter_property`
+    emits for ``name op value``: ``contains(string(P), value)``, or ``P and
+    (if (P/@type = ("integer", "float")) then NUMERIC else if (P/@type eq
+    "boolean") then BOOLEAN else STRINGS)`` with ``P`` the
+    ``property[@name eq name]`` child.  :meth:`decide` evaluates it per
+    node with the engine's own cast (``number_value``) and comparison
+    (``value_compare``).  It answers None for a node the shape cannot
+    decide (not an element, two ``property`` children of that name, a
+    repeated ``name`` or ``type`` attribute), and the filter runs the
+    generic test on that node, so errors stay the reference's.
+
+    ``number`` is ``number(value)``, or None when the numeric branch is
+    ``false()`` (a literal that does not parse); ``truth`` is the boolean
+    branch's ``true()``/``false()``.
+    """
+
+    __slots__ = ("name", "op", "value", "number", "truth")
+    candidate_only = True
+
+    def __init__(
+        self,
+        expr: ast.Expr,
+        name: str,
+        op: str,
+        value: str,
+        number: Optional[float] = None,
+        truth: bool = False,
+    ):
+        super().__init__(expr)
+        self.name = name
+        self.op = op  # "eq" | "ne" | "lt" | "le" | "gt" | "ge" | "contains"
+        self.value = value
+        self.number = number
+        self.truth = truth
+
+    def filter(self, items, ctx, closure):
+        decide = self.decide
+        size = len(items)
+        kept = []
+        for position, item in enumerate(items, start=1):
+            keep = decide(item)
+            if keep is None:
+                keep = self.reference_test(item, position, size, ctx, closure)
+            if keep:
+                kept.append(item)
+        return kept
+
+    def decide(self, item) -> Optional[bool]:
+        if not isinstance(item, ElementNode):
+            return None
+        prop = None
+        for child in item.children_by_name("property"):
+            names = child.attributes_by_name("name")
+            if len(names) > 1:
+                return None
+            if names and names[0].value == self.name:
+                if prop is not None:
+                    return None
+                prop = child
+        op = self.op
+        if prop is None:
+            # string(()) is "", and `P and ...` is false on an empty P.
+            return self.value in "" if op == "contains" else False
+        text = prop.string_value()
+        if op == "contains":
+            return self.value in text  # fn:contains is a substring test
+        types = prop.attributes_by_name("type")
+        if len(types) > 1:
+            return None
+        kind = types[0].value if types else None
+        if kind == "integer" or kind == "float":
+            if self.number is None:
+                return False
+            return value_compare(op, number_value([text]), self.number)
+        if kind == "boolean":
+            return value_compare(op, text == "true", self.truth)
+        return value_compare(op, text, self.value)
+
+
+def _value_compare(expr: ast.Comparison, left: Sequence, right: Sequence, ctx) -> bool:
+    """A value comparison of two non-empty atom lists, raising XPTY0004 at
+    *expr* for a non-singleton or incomparable side, as the treewalk does."""
+    if len(left) > 1 or len(right) > 1:
+        raise _error(
+            expr, ctx, f"value comparison '{expr.op}' requires singleton operands", "XPTY0004"
+        )
+    try:
+        return value_compare(expr.op, left[0], right[0])
+    except ComparisonTypeError as exc:
+        raise _error(expr, ctx, str(exc), "XPTY0004") from exc
+
+
+def run_predicates(
+    predicates: List[Predicate],
+    closure: Closure,
+    bindings: Optional[Dict[str, Sequence]],
+    items: Sequence,
+    ctx: DynamicContext,
+) -> Sequence:
+    """Filter the candidates *items* through *predicates*, in order.
+
+    Positions renumber between predicates, as the treewalk's
+    ``_apply_predicates`` does.  *bindings* are the algebra executor's
+    tuple variables, added to *ctx* only for a predicate that may read them
+    (the closure compiler's context already holds its variables).
+    *items* and *ctx* come last, so a step's filter is a ``partial``.
+    """
+    scope = None if bindings else ctx
+    for predicate in predicates:
+        if not items:
+            break
+        if predicate.candidate_only:
+            items = predicate.filter(items, ctx, closure)
+        else:
+            if scope is None:
+                scope = ctx.with_variables(bindings)
+            items = predicate.filter(items, scope, closure)
+    return items
+
+
+# -- the one predicate classifier ------------------------------------------
+
+#: the candidates ``position() op k`` keeps, as a slice of the list
+_POSITIONAL_SLICES = {
+    "last": lambda k: slice(-1, None),
+    "eq": lambda k: slice(max(k - 1, 0), max(k, 0)),
+    "le": lambda k: slice(0, max(k, 0)),
+    "lt": lambda k: slice(0, max(k - 1, 0)),
+    "ge": lambda k: slice(max(k - 1, 0), None),
+    "gt": lambda k: slice(max(k, 0), None),
+}
+#: the value and general operators ``position() op k`` slices on
+_POSITIONAL_OPS = {"eq": "eq", "le": "le", "lt": "lt", "ge": "ge", "gt": "gt"}
+_POSITIONAL_OPS.update({"=": "eq", "<=": "le", "<": "lt", ">=": "ge", ">": "gt"})
+_POSITIONAL_SWAP = {"eq": "eq", "le": "ge", "lt": "gt", "ge": "le", "gt": "lt"}
+
+
+def classify_predicates(
+    predicates: List[ast.Expr], functions: Dict[Tuple[str, int], ast.FunctionDecl], effects: Effects
+) -> List[Predicate]:
+    """Each predicate as the first shape that matches it (see
+    :func:`classify_predicate`)."""
+    return [classify_predicate(p, functions, effects) for p in predicates]
+
+
+def classify_predicate(
+    pred: ast.Expr, functions: Dict[Tuple[str, int], ast.FunctionDecl], effects: Effects
+) -> Predicate:
+    """The one predicate rule: positional, attribute filters over literals,
+    the calculus property filter, ``@a``/``name(.)`` value comparisons with
+    a right side :class:`~.optimizer.Effects` finds nothing in, and the
+    generic loop, in that order.  Calls are resolved over
+    *functions*, so a shadowed builtin is no shape."""
+    if isinstance(pred, ast.Literal):
+        value = pred.value
+        if isinstance(value, int) and not isinstance(value, bool):
+            return PositionalPred(pred, "eq", value)
+        if isinstance(value, float):
+            return FloatPositionPred(pred)
+    if _builtin_args(pred, "last", 0, functions) is not None:
+        return PositionalPred(pred, "last", 0)
+    if isinstance(pred, ast.Comparison):
+        shaped = _comparison_pred(pred, functions, effects)
+        if shaped is not None:
+            return shaped
+    name = _attr_step_name(pred)
+    if name is not None:
+        return AttrExistsPred(pred, name)
+    shaped = _property_filter(pred, functions)
+    if shaped is not None:
+        return shaped
+    return GenericPred(pred)
+
+
+def _comparison_pred(pred: ast.Comparison, functions, effects) -> Optional[Predicate]:
+    positional = _positional_comparison(pred, functions)
+    if positional is not None:
+        return positional
+    for attr_side, value_side in ((pred.left, pred.right), (pred.right, pred.left)):
+        name = _attr_step_name(attr_side)
+        if name is None:
+            continue
+        if pred.style == "general" and pred.op == "=":
+            values = _string_literals(value_side)
+            if values is not None:
+                return AttrMembershipPred(pred, name, frozenset(values))
+        if pred.style == "value" and pred.op == "eq":
+            value = _string_literal(value_side)
+            if value is not None:
+                return AttrValueEqPred(pred, name, value)
+    if pred.style != "value":
+        return None
+    left = pred.left
+    name = _attr_step_name(left)
+    if name is None and not (
+        isinstance(left, ast.FunctionCall)
+        and all(isinstance(arg, ast.ContextItem) for arg in left.args)
+        and resolve_call(left, functions).is_builtin("name")
+    ):
+        return None
+    if effects.of(pred.right):
+        return None
+    return ValueComparePred(pred, name)
+
+
+def _positional_comparison(pred: ast.Comparison, functions) -> Optional[PositionalPred]:
+    """``position() op k`` or ``k op position()`` with an integer literal."""
+    op = _POSITIONAL_OPS.get(pred.op)
+    if op is None:
+        return None
+    left, right = pred.left, pred.right
+    if _builtin_args(left, "position", 0, functions) is not None:
+        literal = right
+    elif _builtin_args(right, "position", 0, functions) is not None:
+        literal, op = left, _POSITIONAL_SWAP[op]
+    else:
+        return None
+    if (
+        isinstance(literal, ast.Literal)
+        and isinstance(literal.value, int)
+        and not isinstance(literal.value, bool)
+    ):
+        return PositionalPred(pred, op, literal.value)
+    return None
+
+
+def _property_filter(pred: ast.Expr, functions) -> Optional[PropertyFilterPred]:
+    """The calculus property filter (see :class:`PropertyFilterPred`),
+    matched node for node against what the calculus compiler emits."""
+    args = _builtin_args(pred, "contains", 2, functions)
+    if args is not None:
+        name = _string_of_property(args[0], functions)
+        value = _string_literal(args[1])
+        if name is None or value is None:
+            return None
+        return PropertyFilterPred(pred, name, "contains", value)
+    if not (isinstance(pred, ast.BooleanOp) and pred.op == "and"):
+        return None
+    name = _property_name(pred.left)
+    outer = pred.right
+    if name is None or not isinstance(outer, ast.IfExpr):
+        return None
+    inner = outer.else_branch
+    if not (
+        isinstance(inner, ast.IfExpr)
+        and _is_type_test(outer.condition, name, "=", ("integer", "float"))
+        and _is_type_test(inner.condition, name, "eq", ("boolean",))
+    ):
+        return None
+    # else: string(P) op "value"
+    strings = inner.else_branch
+    op = _value_op(strings)
+    if op is None or _string_of_property(strings.left, functions) != name:
+        return None
+    value = _string_literal(strings.right)
+    if value is None:
+        return None
+    # then: (string(P) eq "true") op true()|false()
+    boolean = inner.then_branch
+    if _value_op(boolean) != op or _value_op(boolean.left) != "eq":
+        return None
+    if (
+        _string_of_property(boolean.left.left, functions) != name
+        or _string_literal(boolean.left.right) != "true"
+    ):
+        return None
+    if _builtin_args(boolean.right, "true", 0, functions) is not None:
+        truth = True
+    elif _builtin_args(boolean.right, "false", 0, functions) is not None:
+        truth = False
+    else:
+        return None
+    # then: number(string(P)) op number("value"), or false()
+    numeric = outer.then_branch
+    number = None
+    if _builtin_args(numeric, "false", 0, functions) is None:
+        if _value_op(numeric) != op:
+            return None
+        left = _builtin_args(numeric.left, "number", 1, functions)
+        right = _builtin_args(numeric.right, "number", 1, functions)
+        if (
+            left is None
+            or right is None
+            or _string_of_property(left[0], functions) != name
+            or _string_literal(right[0]) != value
+        ):
+            return None
+        number = number_value([value])
+    return PropertyFilterPred(pred, name, op, value, number, truth)
+
+
+def _builtin_args(expr: ast.Expr, name: str, arity: int, functions) -> Optional[list]:
+    """The arguments of a call to builtin ``name#arity`` (not shadowed by a
+    user declaration), else None."""
+    if (
+        isinstance(expr, ast.FunctionCall)
+        and len(expr.args) == arity
+        and resolve_call(expr, functions).is_builtin(name)
+    ):
+        return expr.args
+    return None
+
+
+def _string_of_property(expr: ast.Expr, functions) -> Optional[str]:
+    """The property name if *expr* is ``string(property[@name eq "n"])``."""
+    args = _builtin_args(expr, "string", 1, functions)
+    return _property_name(args[0]) if args is not None else None
+
+
+def _attr_step_name(expr: ast.Expr) -> Optional[str]:
+    """The attribute name if *expr* is a bare ``@name`` step, else None.
+
+    ``@name`` appears both as a bare step and as a one-step relative path,
+    depending on the production that parsed it."""
+    if isinstance(expr, ast.PathExpr):
+        if expr.anchor is not None or expr.steps:
+            return None
+        expr = expr.first
+    if (
+        isinstance(expr, ast.AxisStep)
+        and expr.axis == "attribute"
+        and expr.test.kind == "name"
+        and not expr.predicates
+    ):
+        return expr.test.name
+    return None
+
+
+def _string_literal(expr: ast.Expr) -> Optional[str]:
+    """The string if *expr* is a string literal, else None."""
+    if isinstance(expr, ast.Literal) and isinstance(expr.value, str):
+        return expr.value
+    return None
+
+
+def _string_literals(expr: ast.Expr) -> Optional[List[str]]:
+    """The literal strings if *expr* is one or a sequence of them."""
+    if isinstance(expr, ast.Literal):
+        value = _string_literal(expr)
+        return [value] if value is not None else None
+    if isinstance(expr, ast.EmptySequence):
+        return []
+    if isinstance(expr, ast.SequenceExpr):
+        values = [_string_literal(item) for item in expr.items]
+        return None if None in values else values
+    return None
+
+
+def _value_op(expr: ast.Expr) -> Optional[str]:
+    """The operator if *expr* is a value comparison, else None."""
+    if isinstance(expr, ast.Comparison) and expr.style == "value":
+        return expr.op
+    return None
+
+
+def _property_name(expr: ast.Expr) -> Optional[str]:
+    """The name if *expr* is exactly ``property[@name eq "name"]``."""
+    if isinstance(expr, ast.PathExpr) and expr.anchor is None and not expr.steps:
+        return _property_step_name(expr.first)
+    return None
+
+
+def _property_step_name(step: ast.Expr) -> Optional[str]:
+    """The name if *step* is the axis step ``property[@name eq "name"]``."""
+    if not (
+        isinstance(step, ast.AxisStep)
+        and step.axis == "child"
+        and step.test.kind == "name"
+        and step.test.name == "property"
+        and len(step.predicates) == 1
+    ):
+        return None
+    pred = step.predicates[0]
+    if _value_op(pred) == "eq" and _attr_step_name(pred.left) == "name":
+        return _string_literal(pred.right)
+    return None
+
+
+def _is_type_test(expr: ast.Expr, name: str, op: str, types: Tuple[str, ...]) -> bool:
+    """True if *expr* is ``property[@name eq "name"]/@type op types``: a
+    general ``=`` against a sequence of string literals, or a value ``eq``
+    against one."""
+    if not isinstance(expr, ast.Comparison) or expr.op != op:
+        return False
+    path = expr.left
+    if not (
+        isinstance(path, ast.PathExpr)
+        and path.anchor is None
+        and len(path.steps) == 1
+        and _property_step_name(path.first) == name
+    ):
+        return False
+    separator, step = path.steps[0]
+    if separator != "/" or _attr_step_name(step) != "type":
+        return False
+    if op == "eq":
+        return expr.style == "value" and (_string_literal(expr.right),) == types
+    literals = _string_literals(expr.right)
+    return expr.style == "general" and literals is not None and tuple(literals) == types
 
 
 # -- the fast FLWOR: the closure compiler's and the algebra executor's -------
@@ -387,6 +1059,8 @@ class Compiler:
         #: user-function bodies, compiled on their first call: recursion
         #: needs no ordering, and a fallback that calls none compiles none.
         self.function_bodies: Dict[Tuple[str, int], Thunk] = {}
+        #: predicate parts by expression id, compiled on first use.
+        self._thunks: Dict[int, Thunk] = {}
 
     def function_body(self, key: Tuple[str, int]) -> Thunk:
         body = self.function_bodies.get(key)
@@ -395,6 +1069,15 @@ class Compiler:
             body = self.function_bodies[key] = self.compile(self.functions[key].body)
         return body
 
+    def thunk(self, expr: ast.Expr) -> Thunk:
+        """The closure of *expr*, compiled once, on first use: the closure
+        resolver this compiler's predicates run with."""
+        thunk = self._thunks.get(id(expr))
+        if thunk is None:
+            # racing first uses compile equal closures; either one may win.
+            thunk = self._thunks[id(expr)] = self.compile(expr)
+        return thunk
+
     def compile(self, expr: ast.Expr) -> Thunk:
         method = _COMPILE.get(type(expr))
         if method is None:
@@ -402,229 +1085,6 @@ class Compiler:
             # form no evaluator knows.
             return lambda ctx: evaluate(expr, ctx)
         return method(self, expr)
-
-    def _compile_predicates(self, predicates: List[ast.Expr]) -> List[_Applier]:
-        return [self._compile_predicate(p) for p in predicates]
-
-    def _compile_predicate(self, predicate: ast.Expr) -> _Applier:
-        """Compile one predicate to an applier ``(items, ctx) -> items``.
-
-        Three shapes, chosen at compile time: a constant numeric predicate
-        like ``[2]`` selects positionally; the docgen-hot shape
-        ``[@name eq <pure expr>]`` compares attribute values without building
-        a focus context per candidate; everything else runs the generic
-        focus-per-item loop the treewalk uses.
-        """
-        if (
-            isinstance(predicate, ast.Literal)
-            and not isinstance(predicate.value, bool)
-            and isinstance(predicate.value, (int, float))
-        ):
-            position = float(predicate.value)
-            return lambda items, ctx: _select_position(items, position)
-        fast = self._attribute_comparison_applier(predicate)
-        if fast is None:
-            fast = self._name_comparison_applier(predicate)
-        if fast is not None:
-            return fast
-        if isinstance(predicate, (ast.BooleanOp, ast.Comparison)):
-            # always [], [True] or [False]: never a numeric predicate, and
-            # its EBV is the item itself.  (A node-style comparison also
-            # yields only booleans/empties, so it is included.)
-            test = self._compile_ebv(predicate)
-
-            def applier(items: Sequence, ctx: DynamicContext) -> Sequence:
-                size = len(items)
-                if not size:
-                    return items
-                focus = ctx._clone()
-                focus.size = size
-                kept = []
-                for position, item in enumerate(items, start=1):
-                    focus.item = item
-                    focus.position = position
-                    if test(focus):
-                        kept.append(item)
-                return kept
-
-            return applier
-        thunk = self.compile(predicate)
-
-        def applier(items: Sequence, ctx: DynamicContext) -> Sequence:
-            size = len(items)
-            if not size:
-                return items
-            # One mutable focus serves every candidate: derived contexts
-            # copy the focus fields at clone time, and evaluation is eager,
-            # so nothing observes the focus after its item's thunk returns.
-            focus = ctx._clone()
-            focus.size = size
-            kept = []
-            for position, item in enumerate(items, start=1):
-                focus.item = item
-                focus.position = position
-                result = thunk(focus)
-                if _is_numeric_predicate(result):
-                    if float(result[0]) == position:
-                        kept.append(item)
-                elif ebv(result, predicate, ctx):
-                    kept.append(item)
-            return kept
-
-        return applier
-
-    def _attribute_comparison_applier(self, predicate: ast.Expr) -> Optional[_Applier]:
-        """The fast path for ``[@name eq <right>]`` value comparisons.
-
-        This is the shape the docgen/querycalc sources hammer
-        (``node[@id eq string($id)]``, ``edge[@source eq $n/@id]``): the
-        attribute lookup uses the element's name index, and a right side in
-        which :class:`~.optimizer.Effects`, the one evaluate-once rule, finds
-        nothing is evaluated once per application instead of once per
-        candidate.  Error behaviour is order-preserving with the treewalk:
-        an atomic candidate raises XPTY0019 before the right side is looked
-        at, the right side is first evaluated when the first candidate is
-        inspected, empty sides skip before the singleton check, and
-        singleton/comparability violations carry the same XPTY0004 messages.
-        """
-        if not (isinstance(predicate, ast.Comparison) and predicate.style == "value"):
-            return None
-        left_expr = predicate.left
-        # ``@name`` appears both as a bare step and as a one-step relative
-        # path, depending on the production that parsed it.
-        if (
-            isinstance(left_expr, ast.PathExpr)
-            and left_expr.anchor is None
-            and not left_expr.steps
-            and isinstance(left_expr.first, ast.AxisStep)
-        ):
-            left_expr = left_expr.first
-        if not (
-            isinstance(left_expr, ast.AxisStep)
-            and left_expr.axis == "attribute"
-            and left_expr.test.kind == "name"
-            and not left_expr.predicates
-            and not self.effects.of(predicate.right)
-        ):
-            return None
-        attr_name = left_expr.test.name
-        op = predicate.op
-        keep_equal = op == "eq"
-        right_thunk = self.compile(predicate.right)
-
-        def applier(items: Sequence, ctx: DynamicContext) -> Sequence:
-            kept = []
-            right_atoms: Optional[Sequence] = None
-            # When the right side is a singleton string(-ish) atom and the
-            # operator is eq/ne, the untyped attribute value compares as a
-            # plain string: skip value_compare (and its promotion ladder)
-            # per candidate entirely.
-            target: Optional[str] = None
-            for item in items:
-                if not isinstance(item, Node):
-                    _raise_non_node_step(left_expr, ctx, item)
-                if isinstance(item, ElementNode):
-                    matches = item.attributes_by_name(attr_name)
-                else:
-                    matches = [a for a in item.attributes if a.name == attr_name]
-                if right_atoms is None:
-                    right_atoms = atomize(right_thunk(ctx))
-                    if len(right_atoms) == 1 and op in ("eq", "ne"):
-                        atom = right_atoms[0]
-                        if isinstance(atom, UntypedAtomic):
-                            target = atom.value
-                        elif isinstance(atom, str):
-                            target = atom
-                if not matches or not right_atoms:
-                    continue
-                if target is not None and len(matches) == 1:
-                    if (matches[0].value == target) == keep_equal:
-                        kept.append(item)
-                    continue
-                left_atoms = atomize(matches)
-                if len(left_atoms) > 1 or len(right_atoms) > 1:
-                    raise _error(
-                        predicate,
-                        ctx,
-                        f"value comparison '{op}' requires singleton operands",
-                        "XPTY0004",
-                    )
-                try:
-                    if value_compare(op, left_atoms[0], right_atoms[0]):
-                        kept.append(item)
-                except ComparisonTypeError as exc:
-                    raise _error(predicate, ctx, str(exc), "XPTY0004") from exc
-            return kept
-
-        return applier
-
-    def _is_builtin_name_call(self, expr: ast.Expr) -> bool:
-        """``name()`` or ``name(.)``, resolving to the builtin (unshadowed)."""
-        return (
-            isinstance(expr, ast.FunctionCall)
-            and all(isinstance(arg, ast.ContextItem) for arg in expr.args)
-            and resolve_call(expr, self.functions).is_builtin("name")
-        )
-
-    def _name_comparison_applier(self, predicate: ast.Expr) -> Optional[_Applier]:
-        """The fast path for ``[name(.) eq <right>]`` predicates, under the
-        right-side rule of :meth:`_attribute_comparison_applier`.
-
-        ``local:child-element-named`` and ``local:required-attr`` in the
-        docgen sources select by node name this way for every directive.
-        ``fn:name`` of a node is its name string (or ``""``), so the whole
-        test collapses to a string comparison per candidate; errors keep
-        the treewalk's order (a non-node candidate raises the builtin's
-        type error before the right side is looked at).
-        """
-        if not (
-            isinstance(predicate, ast.Comparison)
-            and predicate.style == "value"
-            and self._is_builtin_name_call(predicate.left)
-            and not self.effects.of(predicate.right)
-        ):
-            return None
-        op = predicate.op
-        fast_eq = op in ("eq", "ne")
-        keep_equal = op == "eq"
-        right_thunk = self.compile(predicate.right)
-
-        def applier(items: Sequence, ctx: DynamicContext) -> Sequence:
-            kept = []
-            right_atoms: Optional[Sequence] = None
-            target: Optional[str] = None
-            for item in items:
-                if not isinstance(item, Node):
-                    raise XQueryTypeError("name requires a node argument")
-                if right_atoms is None:
-                    right_atoms = atomize(right_thunk(ctx))
-                    if fast_eq and len(right_atoms) == 1:
-                        atom = right_atoms[0]
-                        if isinstance(atom, UntypedAtomic):
-                            target = atom.value
-                        elif isinstance(atom, str):
-                            target = atom
-                if not right_atoms:
-                    continue
-                if target is not None:
-                    if ((item.name or "") == target) == keep_equal:
-                        kept.append(item)
-                    continue
-                if len(right_atoms) > 1:
-                    raise _error(
-                        predicate,
-                        ctx,
-                        f"value comparison '{op}' requires singleton operands",
-                        "XPTY0004",
-                    )
-                try:
-                    if value_compare(op, item.name or "", right_atoms[0]):
-                        kept.append(item)
-                except ComparisonTypeError as exc:
-                    raise _error(predicate, ctx, str(exc), "XPTY0004") from exc
-            return kept
-
-        return applier
 
     # -- simple expressions ------------------------------------------------
 
@@ -681,10 +1141,19 @@ class Compiler:
         return run
 
     def _comparison(self, expr: ast.Comparison) -> Thunk:
+        """A comparison's closure; a general or value comparison's also
+        carries its effective boolean value as ``ebv``, which skips building
+        a singleton list only to take its EBV again."""
         left_thunk = self.compile(expr.left)
         right_thunk = self.compile(expr.right)
         op = expr.op
         if expr.style == "general":
+
+            def test(ctx: DynamicContext) -> bool:
+                try:
+                    return general_compare(op, left_thunk(ctx), right_thunk(ctx))
+                except ComparisonTypeError as exc:
+                    raise _error(expr, ctx, str(exc), "XPTY0004") from exc
 
             def run(ctx: DynamicContext) -> Sequence:
                 left = left_thunk(ctx)
@@ -694,26 +1163,36 @@ class Compiler:
                 except ComparisonTypeError as exc:
                     raise _error(expr, ctx, str(exc), "XPTY0004") from exc
 
+            run.ebv = test
             return run
         if expr.style == "value":
+            fast_eq = op in ("eq", "ne")
+            keep_equal = op == "eq"
+
+            def test(ctx: DynamicContext) -> bool:
+                left_atoms = atomize(left_thunk(ctx))
+                right_atoms = atomize(right_thunk(ctx))
+                if not left_atoms or not right_atoms:
+                    return False  # the comparison's [] has EBV false
+                if fast_eq and len(left_atoms) == 1 and len(right_atoms) == 1:
+                    # Untyped-vs-untyped and untyped-vs-string eq/ne reduce
+                    # to plain string equality under the promotion rules.
+                    left = left_atoms[0]
+                    right = right_atoms[0]
+                    lv = left.value if type(left) is UntypedAtomic else left
+                    rv = right.value if type(right) is UntypedAtomic else right
+                    if type(lv) is str and type(rv) is str:
+                        return (lv == rv) == keep_equal
+                return _value_compare(expr, left_atoms, right_atoms, ctx)
 
             def run(ctx: DynamicContext) -> Sequence:
                 left_atoms = atomize(left_thunk(ctx))
                 right_atoms = atomize(right_thunk(ctx))
                 if not left_atoms or not right_atoms:
                     return []
-                if len(left_atoms) > 1 or len(right_atoms) > 1:
-                    raise _error(
-                        expr,
-                        ctx,
-                        f"value comparison '{op}' requires singleton operands",
-                        "XPTY0004",
-                    )
-                try:
-                    return [value_compare(op, left_atoms[0], right_atoms[0])]
-                except ComparisonTypeError as exc:
-                    raise _error(expr, ctx, str(exc), "XPTY0004") from exc
+                return [_value_compare(expr, left_atoms, right_atoms, ctx)]
 
+            run.ebv = test
             return run
 
         def run(ctx: DynamicContext) -> Sequence:
@@ -743,52 +1222,6 @@ class Compiler:
             if expr.op == "and":
                 return lambda ctx: left_test(ctx) and right_test(ctx)
             return lambda ctx: left_test(ctx) or right_test(ctx)
-        if isinstance(expr, ast.Comparison) and expr.style == "general":
-            left_thunk = self.compile(expr.left)
-            right_thunk = self.compile(expr.right)
-            op = expr.op
-
-            def test(ctx: DynamicContext) -> bool:
-                try:
-                    return general_compare(op, left_thunk(ctx), right_thunk(ctx))
-                except ComparisonTypeError as exc:
-                    raise _error(expr, ctx, str(exc), "XPTY0004") from exc
-
-            return test
-        if isinstance(expr, ast.Comparison) and expr.style == "value":
-            left_thunk = self.compile(expr.left)
-            right_thunk = self.compile(expr.right)
-            op = expr.op
-            fast_eq = op in ("eq", "ne")
-            keep_equal = op == "eq"
-
-            def test(ctx: DynamicContext) -> bool:
-                left_atoms = atomize(left_thunk(ctx))
-                right_atoms = atomize(right_thunk(ctx))
-                if not left_atoms or not right_atoms:
-                    return False  # the comparison's [] has EBV false
-                if len(left_atoms) > 1 or len(right_atoms) > 1:
-                    raise _error(
-                        expr,
-                        ctx,
-                        f"value comparison '{op}' requires singleton operands",
-                        "XPTY0004",
-                    )
-                left = left_atoms[0]
-                right = right_atoms[0]
-                if fast_eq:
-                    # Untyped-vs-untyped and untyped-vs-string eq/ne reduce
-                    # to plain string equality under the promotion rules.
-                    lv = left.value if type(left) is UntypedAtomic else left
-                    rv = right.value if type(right) is UntypedAtomic else right
-                    if type(lv) is str and type(rv) is str:
-                        return (lv == rv) == keep_equal
-                try:
-                    return value_compare(op, left, right)
-                except ComparisonTypeError as exc:
-                    raise _error(expr, ctx, str(exc), "XPTY0004") from exc
-
-            return test
         thunk = self.compile(expr)
         fast = getattr(thunk, "ebv", None)
         if fast is not None:
@@ -810,18 +1243,19 @@ class Compiler:
 
     # -- paths --------------------------------------------------------------
 
+    def _predicates(self, predicates: List[ast.Expr]):
+        """The filter ``(items, ctx) -> items`` of *predicates*: the one
+        predicate rule, :func:`run_predicates`, over the one classifier."""
+        return partial(
+            run_predicates,
+            classify_predicates(predicates, self.functions, self.effects),
+            self.thunk,
+            None,
+        )
+
     def _path_step(self, expr: ast.AxisStep, separator: str = "/"):
         """The :class:`PathStep` and predicate filter ``run_path_step`` takes."""
-        appliers = self._compile_predicates(expr.predicates)
-        if len(appliers) > 1:
-
-            def keep(items: Sequence, ctx: DynamicContext) -> Sequence:
-                for applier in appliers:
-                    items = applier(items, ctx)
-                return items
-
-        else:
-            keep = appliers[0] if appliers else None
+        keep = self._predicates(expr.predicates) if expr.predicates else None
         return PathStep(expr, separator), keep
 
     def _axis_step(self, expr: ast.AxisStep) -> Thunk:
@@ -830,15 +1264,8 @@ class Compiler:
 
     def _filter(self, expr: ast.FilterExpr) -> Thunk:
         base_thunk = self.compile(expr.base)
-        appliers = self._compile_predicates(expr.predicates)
-
-        def run(ctx: DynamicContext) -> Sequence:
-            items = base_thunk(ctx)
-            for applier in appliers:
-                items = applier(items, ctx)
-            return items
-
-        return run
+        keep = self._predicates(expr.predicates)
+        return lambda ctx: keep(base_thunk(ctx), ctx)
 
     def _path(self, expr: ast.PathExpr) -> Thunk:
         anchor = expr.anchor

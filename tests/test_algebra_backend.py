@@ -184,19 +184,19 @@ class TestOptimizer:
         from repro.xquery.algebra import executor
 
         executed = []
-        join_source, apply_preds = executor._join_source, executor._apply_pred_plans
+        join_source, run_predicates = executor._join_source, executor.run_predicates
 
         def recording_join(op, ctx, state):
             residual = tuple(pred.describe() for pred in op.residual)
             executed.append(("join", op.build_attr, residual))
             return join_source(op, ctx, state)
 
-        def recording_preds(items, predicates, *args):
+        def recording_preds(predicates, *args):
             executed.append(tuple(pred.describe() for pred in predicates))
-            return apply_preds(items, predicates, *args)
+            return run_predicates(predicates, *args)
 
         monkeypatch.setattr(executor, "_join_source", recording_join)
-        monkeypatch.setattr(executor, "_apply_pred_plans", recording_preds)
+        monkeypatch.setattr(executor, "run_predicates", recording_preds)
         root = DOC.document_element()
         query = compile_algebra(TWO_KEY_JOIN)
         reference = query.run(variables={"model": root}, backend="treewalk")

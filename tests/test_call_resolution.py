@@ -32,7 +32,7 @@ from repro.xquery import EngineConfig, TraceLog, XQueryEngine, analyze_source
 from repro.xquery import ast
 from repro.xquery.analysis.types import check_module, infer_body_type
 from repro.xquery.api import BACKENDS
-from repro.xquery.compiler import Compiler
+from repro.xquery.compiler import ValueComparePred, classify_predicate
 from repro.xquery.errors import XQueryError
 from repro.xquery.functions import resolve_call
 from repro.xquery.optimizer import Effects
@@ -202,8 +202,9 @@ def test_the_compiler_fast_path_asks_effects(prolog, fast):
     nodes = []
     ast.walk(module.body, nodes.append)
     (comparison,) = [node for node in nodes if isinstance(node, ast.Comparison)]
-    compiler = Compiler(ast.function_table(module), EngineConfig())
-    assert (compiler._attribute_comparison_applier(comparison) is not None) == fast
+    functions = ast.function_table(module)
+    shape = classify_predicate(comparison, functions, Effects(functions))
+    assert isinstance(shape, ValueComparePred) == fast
 
 
 @pytest.mark.parametrize(

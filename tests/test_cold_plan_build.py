@@ -309,7 +309,7 @@ def _predicates(program):
 
 
 def test_shaped_property_filter_matches_the_generic_closure(monkeypatch):
-    from repro.xquery.algebra.lowering import Lowerer
+    from repro.xquery import compiler
 
     nodes = _shape_nodes()
     engine = XQueryEngine(EngineConfig(backend="algebra", compile_cache_size=0))
@@ -321,7 +321,7 @@ def test_shaped_property_filter_matches_the_generic_closure(monkeypatch):
             assert _predicates(shaped.algebra) == ["PropertyFilterPred"]
             generic = engine.compile(source)
             with monkeypatch.context() as patch:
-                patch.setattr(Lowerer, "_property_filter_pred", lambda self, pred: None)
+                patch.setattr(compiler, "_property_filter", lambda pred, functions: None)
                 assert _predicates(generic.algebra) == ["GenericPred"]
             pred = shaped.algebra.plan.body.predicates[0]
             for shape, node in nodes.items():

@@ -53,13 +53,16 @@ def test_generator_coverage_fills_up():
     generator = ProgramGenerator(random.Random(3), coverage=coverage)
     for _ in range(400):
         generator.program()
-    # the correlated join shape lowering hash-joins has its own entry point
+    # the correlated join shape lowering hash-joins and the predicate
+    # rule's shapes have entry points of their own
     generator.join_program()
+    generator.predicate_program()
     hit = sum(1 for name in ProgramGenerator.PRODUCTIONS if coverage.get(name))
     assert hit >= 0.9 * len(ProgramGenerator.PRODUCTIONS), sorted(
         name for name in ProgramGenerator.PRODUCTIONS if not coverage.get(name)
     )
     assert coverage.get("flwor-join")
+    assert coverage.get("predicate-rule")
 
 
 def test_genexpr_structural_operations():
