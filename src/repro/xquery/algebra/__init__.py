@@ -74,26 +74,25 @@ class AlgebraProgram:
         self.trivial = isinstance(self.plan, EvalPlan)
         self._explain_lock = threading.Lock()
         self._occurrences: Optional[Dict[int, str]] = None
+        #: built on the first closure a run asks for: most calculus plans
+        #: never ask.
         self._compiler: Optional[Compiler] = None
-        self._thunks: Dict[int, Thunk] = {}
-        self._compile_lock = threading.Lock()
+        self._compiler_lock = threading.Lock()
 
     # -- the fallback evaluator -------------------------------------------
 
     def thunk(self, expr: ast.Expr) -> Thunk:
-        """The closure for *expr*, the fallback's one evaluator, compiled on
-        first use.  Keyed on the expression (a node of ``self.module``, so
-        its id is stable), not the plan node: the executor wraps a join key
-        in a predicate of its own."""
-        thunk = self._thunks.get(id(expr))
-        if thunk is None:
-            with self._compile_lock:
-                thunk = self._thunks.get(id(expr))
-                if thunk is None:
-                    if self._compiler is None:
-                        self._compiler = Compiler(self.functions, self.config)
-                    thunk = self._thunks[id(expr)] = self._compiler.compile(expr)
-        return thunk
+        """The closure for *expr*, the fallback's one evaluator, from the
+        compiler's one memo (:meth:`Compiler.thunk`).  Keyed on the
+        expression, not the plan node: the executor wraps a join key in a
+        predicate of its own."""
+        compiler = self._compiler
+        if compiler is None:
+            with self._compiler_lock:
+                if self._compiler is None:
+                    self._compiler = Compiler(self.functions, self.config)
+            compiler = self._compiler
+        return compiler.thunk(expr)
 
     # -- occurrences, for explain ----------------------------------------
 

@@ -18,7 +18,9 @@ sources, each individually proven equivalent:
   hash table built once per distinct base instead of rescanning per tuple;
 * **memoization** — loop-invariant sources, join build sides, and (across
   queries over one export generation, via a shared :class:`~repro.lru.LRU`)
-  whole closed scans are computed once.
+  whole closed scans are computed once, each keyed on the base nodes
+  themselves, so a constructed node freed during a run cannot pass its
+  id, and its memo entry, to a later node.
 
 A FLWOR's tuple stream runs through the closure compiler's
 :func:`~repro.xquery.compiler.run_flwor`, the one FLWOR rule both fast
@@ -26,7 +28,14 @@ engines share; the executor passes ``execute_plan`` with explicit bindings
 and its own ``for`` sources (the invariant-source memo and the hash-join
 probe).  Every predicate (a step's, a ``Select``'s, a join residual) runs
 through the one predicate rule, :func:`~repro.xquery.compiler.run_predicates`,
-with the tuple's bindings and ``AlgebraProgram.thunk`` for closures.
+with the tuple's bindings and ``AlgebraProgram.thunk`` for closures.  A
+scan and a join build start through the one path rule,
+:func:`~repro.xquery.compiler.start_path`, and run their steps through
+:func:`~repro.xquery.compiler.run_steps`; the executor adds only its
+memos around them.  An inlined call enters through the one call rule,
+:func:`~repro.xquery.compiler.call_user_function`, with its plans as the
+argument and body runners and no type checks (lowering inlines only
+signatures that need none).
 
 Anything the lowering could not prove safe sits in an ``EvalPlan`` leaf and
 runs on the program's closure compiler with the exact same dynamic context.
@@ -40,6 +49,7 @@ from typing import Dict, Optional
 from ...lru import LRU
 from ...xdm import (
     ElementNode,
+    Node,
     UntypedAtomic,
     atomize,
     is_node,
@@ -47,10 +57,12 @@ from ...xdm import (
 )
 from ..compiler import (
     GenericPred,
-    expand_descendants,
+    call_user_function,
     run_flwor,
     run_path_step,
     run_predicates,
+    run_steps,
+    start_path,
 )
 from ..context import DynamicContext
 from ..evaluator import _error, ebv, undefined_variable
@@ -70,7 +82,6 @@ from .plans import (
     Plan,
     SequencePlan,
     SetOpPlan,
-    StepPlan,
     StringFnPlan,
     VarPlan,
     WhereOp,
@@ -81,7 +92,12 @@ __all__ = ["ExecState", "execute_plan"]
 _MISSING = object()
 
 class ExecState:
-    """Per-run executor state: fallback closures, memos, the shared cache."""
+    """Per-run executor state: fallback closures, memos, the shared cache.
+
+    Every memo keyed on nodes holds the nodes themselves, not their ids:
+    an entry pins what it was computed for, so a node built and freed
+    during the run cannot hand its id, and its entry, to a later node.
+    """
 
     __slots__ = ("thunk", "shared", "join_builds", "scans", "roots", "probes")
 
@@ -90,20 +106,20 @@ class ExecState:
         self.thunk = thunk
         #: the cross-query scan/join-build cache: keys are a closed, pure
         #: scan's ``scan_key`` (plus the hashed attribute, for a join build)
-        #: and its base nodes' identities, so queries sharing a subplan over
-        #: one document share the work.  A shard worker keeps one per export
+        #: and its base nodes, so queries sharing a subplan over one
+        #: document share the work.  A shard worker keeps one per export
         #: generation; it is read only after the per-run memos below miss.
         self.shared = shared
-        #: (op identity, base node ids) -> _JoinBuild
+        #: (op identity, base nodes) -> _JoinBuild
         self.join_builds: Dict[tuple, "_JoinBuild"] = {}
-        #: (plan identity, base node ids) -> result list
+        #: (plan identity, base nodes) -> result list
         self.scans: Dict[tuple, list] = {}
-        #: id(node) -> (node, [root]): fn:root is pure per node, and join
-        #: scans anchored on root($n) re-resolve it once per tuple — the
-        #: node reference in the value pins the id against reuse.
-        self.roots: Dict[int, tuple] = {}
+        #: node -> [fn:root(node)]: fn:root is pure per node, and join
+        #: scans anchored on root($n) re-resolve it once per tuple.
+        self.roots: Dict[Node, list] = {}
         #: (op identity, build identity, probe key) -> match list, for
-        #: single-key probes whose residual is tuple-independent.
+        #: single-key probes whose residual is tuple-independent; the
+        #: build lives in ``join_builds`` for the whole run.
         self.probes: Dict[tuple, list] = {}
 
 
@@ -141,34 +157,30 @@ def _exec_sequence(plan: SequencePlan, ctx, bindings, state):
     return result
 
 
-def _exec_string_fn(plan: StringFnPlan, ctx, bindings, state):
-    from ..functions import _string_of
-
-    return [_string_of(execute_plan(plan.arg, ctx, bindings, state), "string")]
-
-
 def _exec_builtin_call(plan: BuiltinCallPlan, ctx, bindings, state):
     # args in order, then the builtin with the evaluator's exact calling
     # convention; the builtin reads focus/trace/config from ctx itself.
+    # ``StringFnPlan`` and ``FullTextScanPlan`` run here too: they differ
+    # only in what explain shows and estimates.
     args = [execute_plan(arg, ctx, bindings, state) for arg in plan.args]
-    if plan.name == "root" and len(args) == 1 and len(args[0]) == 1:
-        node = args[0][0]
-        cached = state.roots.get(id(node))
-        if cached is not None and cached[0] is node:
-            return list(cached[1])
-        result = plan.builtin(ctx, args, plan.expr)
-        state.roots[id(node)] = (node, result)
-        return list(result)
+    if plan.name == "root" and len(args) == 1 and len(args[0]) == 1 and is_node(args[0][0]):
+        return list(_root_of(args[0][0], state))
     return plan.builtin(ctx, args, plan.expr)
 
 
-def _exec_full_text_scan(plan: FullTextScanPlan, ctx, bindings, state):
-    # a pure pass-through to the ft:search builtin: the store behind the
-    # dynamic context picks indexed postings or the brute-force document
-    # scan, and both are pinned byte-identical.  The operator exists for
-    # explain's catalog-backed estimate.
-    args = [execute_plan(arg, ctx, bindings, state) for arg in plan.args]
-    return plan.builtin(ctx, args, plan.expr)
+def _root_of(node, state) -> list:
+    """``[fn:root(node)]``, memoized for the run."""
+    root = state.roots.get(node)
+    if root is None:
+        root = state.roots[node] = [node.root()]
+    return root
+
+
+def _one_element(value) -> Optional[ElementNode]:
+    """The element a tuple binding holds, when it holds exactly one."""
+    if isinstance(value, list) and len(value) == 1 and isinstance(value[0], ElementNode):
+        return value[0]
+    return None
 
 
 def _exec_set_op(plan: SetOpPlan, ctx, bindings, state):
@@ -183,83 +195,51 @@ def _exec_set_op(plan: SetOpPlan, ctx, bindings, state):
 
 
 def _exec_inline_call(plan: InlineCallPlan, ctx, bindings, state):
-    declaration = plan.declaration
-    if ctx.depth >= ctx.config.max_recursion_depth:
-        raise _error(
-            plan.expr,
-            ctx,
-            f"recursion depth limit exceeded calling {declaration.name}()",
-            "FOER0000",
-        )
-    ctx.check_deadline()
-    frame: Dict[str, list] = {}
-    for param, arg in zip(declaration.params, plan.args):
-        frame[param.name] = execute_plan(arg, ctx, bindings, state)
-    scope = ctx.function_scope(frame)
-    return execute_plan(plan.body, scope, {}, state)
+    # lowering inlines only calls whose signature needs no type check
+    body = partial(_run, plan.body, {}, state)
+    return call_user_function(
+        plan.expr,
+        plan.declaration,
+        [partial(_run, arg, bindings, state) for arg in plan.args],
+        lambda: body,
+        False,
+        ctx,
+    )
+
+
+def _run(plan: Plan, bindings, state, ctx):
+    """*plan* on *ctx*: a plan as a callable on the context."""
+    return _EXEC[type(plan)](plan, ctx, bindings, state)
 
 
 # -- paths -------------------------------------------------------------------
 
 
-def _path_base(plan: PathPlan, ctx, bindings, state):
-    """Resolve a path's base items plus (ordered, non_nested) flags."""
-    if plan.anchor is not None:
-        if not is_node(ctx.item):
-            raise _error(
-                plan.expr, ctx, "'/' requires a node as the context item", "XPDY0002"
-            )
-        current = [ctx.item.root()]
-        if plan.anchor == "//":
-            return expand_descendants(current, True, True), True, False
-        return current, True, True
-    if plan.base is None:
-        return [ctx.item], True, True
-    current = execute_plan(plan.base, ctx, bindings, state)
-    if len(current) <= 1:
-        return current, True, True
-    return current, False, False
-
-
-def _pred_filter(step: StepPlan, bindings, state):
-    """The step's predicates as ``run_path_step``'s filter."""
-    if not step.predicates:
-        return None
-    return partial(run_predicates, step.predicates, state.thunk, bindings)
-
-
-def _run_steps(current, ordered, non_nested, steps, ctx, bindings, state):
-    for step in steps:
-        current, ordered, non_nested = run_path_step(
-            step, current, ordered, non_nested, ctx, _pred_filter(step, bindings, state)
-        )
-    return current, ordered, non_nested
+def _start(plan: PathPlan, ctx, bindings, state):
+    """The path's ``start_path``, with its lead run as a plan."""
+    lead = None if plan.base is None else execute_plan(plan.base, ctx, bindings, state)
+    return start_path(plan.expr, lead, ctx)
 
 
 def _exec_path(plan: PathPlan, ctx, bindings, state):
-    current, ordered, non_nested = _path_base(plan, ctx, bindings, state)
-    if not plan.steps:
-        return current
-    if plan.cacheable:
-        local_key = (id(plan), tuple(map(id, current)))
-        cached = state.scans.get(local_key)
-        if cached is not None:
-            return cached
-        shared = state.shared
-        if shared is not None:
-            shared_key = ("scan", plan.scan_key, local_key[1])
-            value = shared.get(shared_key)
-            if value is not None:
-                state.scans[local_key] = value
-                return value
-        result, _, _ = _run_steps(
-            current, ordered, non_nested, plan.steps, ctx, bindings, state
-        )
-        if shared is not None:
-            shared.put(shared_key, result)
-        state.scans[local_key] = result
-        return result
-    result, _, _ = _run_steps(current, ordered, non_nested, plan.steps, ctx, bindings, state)
+    start = _start(plan, ctx, bindings, state)
+    if not plan.cacheable:
+        return run_steps(plan.steps, state.thunk, bindings, start, ctx)[0]
+    local_key = (id(plan), tuple(start[0]))
+    cached = state.scans.get(local_key)
+    if cached is not None:
+        return cached
+    shared = state.shared
+    if shared is not None:
+        shared_key = ("scan", plan.scan_key, local_key[1])
+        value = shared.get(shared_key)
+        if value is not None:
+            state.scans[local_key] = value
+            return value
+    result = run_steps(plan.steps, state.thunk, bindings, start, ctx)[0]
+    if shared is not None:
+        shared.put(shared_key, result)
+    state.scans[local_key] = result
     return result
 
 
@@ -359,28 +339,14 @@ class _JoinBuild:
 
 def _join_build(op: ForJoinOp, ctx, tuple_bindings, state) -> _JoinBuild:
     scan = op.scan
-    base = None
-    if op.base_var is not None:
+    element = None if op.base_var is None else _one_element(tuple_bindings.get(op.base_var))
+    if element is not None:
         # root($var) over a singleton element binding: fn:root is pure per
         # node, so the per-tuple base resolution collapses to a memo probe.
-        value = tuple_bindings.get(op.base_var)
-        if (
-            isinstance(value, list)
-            and len(value) == 1
-            and isinstance(value[0], ElementNode)
-        ):
-            node = value[0]
-            memo = state.roots.get(id(node))
-            if memo is not None and memo[0] is node:
-                base = memo[1]
-            else:
-                base = [node.root()]
-                state.roots[id(node)] = (node, base)
-    if base is not None:
-        ordered = non_nested = True
+        start = (_root_of(element, state), True, True)
     else:
-        base, ordered, non_nested = _path_base(scan, ctx, tuple_bindings, state)
-    key = (id(op), tuple(map(id, base)))
+        start = _start(scan, ctx, tuple_bindings, state)
+    key = (id(op), tuple(start[0]))
     build = state.join_builds.get(key)
     if build is not None:
         return build
@@ -392,14 +358,13 @@ def _join_build(op: ForJoinOp, ctx, tuple_bindings, state) -> _JoinBuild:
         if cached is not None:
             state.join_builds[key] = cached
             return cached
-    current, ordered, non_nested = _run_steps(
-        base, ordered, non_nested, scan.steps[:-1], ctx, tuple_bindings, state
+    current, ordered, non_nested = run_steps(
+        scan.steps[:-1], state.thunk, tuple_bindings, start, ctx
     )
     # the last step's groups stay apart; its predicates are closed.
-    last = scan.steps[-1]
     groups: list = []
     _, ordered, _ = run_path_step(
-        last, current, ordered, non_nested, ctx, _pred_filter(last, {}, state), groups
+        scan.steps[-1], state.thunk, {}, current, ordered, non_nested, ctx, groups
     )
     build = _JoinBuild(groups, ordered)
     state.join_builds[key] = build
@@ -419,49 +384,33 @@ def _join_source(op: ForJoinOp, ctx, state):
     op_id = id(op)
     # Consecutive tuples almost always bind nodes under the same document
     # root, so a root($var) build resolution collapses to one memo probe
-    # and an id compare against the previous tuple's root.
+    # and an identity compare against the previous tuple's root.
     base_var = op.base_var
-    roots = state.roots
     builds = state.join_builds
-    last_root_id = None
+    last_root = None
     last_build = None
 
     def matches_of(tuple_bindings):
-        nonlocal last_root_id, last_build
+        nonlocal last_root, last_build
         build = None
         if base_var is not None:
-            value = tuple_bindings.get(base_var)
-            if (
-                isinstance(value, list)
-                and len(value) == 1
-                and isinstance(value[0], ElementNode)
-            ):
-                node = value[0]
-                memo = roots.get(id(node))
-                if memo is not None and memo[0] is node:
-                    root_id = id(memo[1][0])
-                else:
-                    base = [node.root()]
-                    roots[id(node)] = (node, base)
-                    root_id = id(base[0])
-                if root_id == last_root_id:
+            element = _one_element(tuple_bindings.get(base_var))
+            if element is not None:
+                root = _root_of(element, state)[0]
+                if root is last_root:
                     build = last_build
                 else:
-                    build = builds.get((op_id, (root_id,)))
+                    build = builds.get((op_id, (root,)))
                     if build is not None:
-                        last_root_id, last_build = root_id, build
+                        last_root, last_build = root, build
         if build is None:
             build = _join_build(op, ctx, tuple_bindings, state)
             if base_var is not None:
-                last_root_id, last_build = None, None
+                last_root, last_build = None, None
         if memoable:
-            value = tuple_bindings.get(shape[0])
-            if (
-                isinstance(value, list)
-                and len(value) == 1
-                and isinstance(value[0], ElementNode)
-            ):
-                attributes = value[0].attributes_by_name(shape[1])
+            element = _one_element(tuple_bindings.get(shape[0]))
+            if element is not None:
+                attributes = element.attributes_by_name(shape[1])
                 if len(attributes) == 1:
                     matches = probes.get((op_id, id(build), attributes[0].value))
                     if matches is not None:
@@ -483,16 +432,9 @@ def _probe_join(op: ForJoinOp, build: _JoinBuild, ctx, tuple_bindings, state):
         # atomize to, minus the wrapper objects) instead of paying a context
         # clone + path walk + document-order sort per tuple.
         var_name, attr_name = op.probe_shape
-        value = tuple_bindings.get(var_name)
-        if (
-            isinstance(value, list)
-            and len(value) == 1
-            and isinstance(value[0], ElementNode)
-        ):
-            keys = [
-                attribute.value
-                for attribute in value[0].attributes_by_name(attr_name)
-            ]
+        element = _one_element(tuple_bindings.get(var_name))
+        if element is not None:
+            keys = [attribute.value for attribute in element.attributes_by_name(attr_name)]
     hashable = True
     if keys is None:
         scope = ctx.with_variables(tuple_bindings) if tuple_bindings else ctx
@@ -583,9 +525,9 @@ _EXEC = {
     LiteralPlan: _exec_literal,
     VarPlan: _exec_var,
     SequencePlan: _exec_sequence,
-    StringFnPlan: _exec_string_fn,
+    StringFnPlan: _exec_builtin_call,
     BuiltinCallPlan: _exec_builtin_call,
-    FullTextScanPlan: _exec_full_text_scan,
+    FullTextScanPlan: _exec_builtin_call,
     SetOpPlan: _exec_set_op,
     InlineCallPlan: _exec_inline_call,
     PathPlan: _exec_path,

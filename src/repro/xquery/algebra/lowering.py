@@ -53,6 +53,7 @@ from ..compiler import (
     _attr_step_name,
     _string_literal,
     classify_predicates,
+    path_pairs,
 )
 from ..context import EngineConfig
 from ..functions import resolve_call
@@ -128,16 +129,8 @@ class Lowerer:
     # -- paths ------------------------------------------------------------
 
     def _lower_path(self, expr: ast.PathExpr) -> Plan:
-        pairs: List[Tuple[str, ast.Expr]] = []
-        base: Optional[Plan] = None
-        if expr.anchor in ("/", "//"):
-            if expr.first is not None:
-                pairs.append(("/", expr.first))
-        elif isinstance(expr.first, ast.AxisStep):
-            pairs.append(("/", expr.first))
-        else:
-            base = self.lower(expr.first)
-        pairs.extend(expr.steps)
+        lead, pairs = path_pairs(expr)
+        base = None if lead is None else self.lower(lead)
         steps: List[StepPlan] = []
         for separator, step in pairs:
             if not isinstance(step, ast.AxisStep):
@@ -296,7 +289,7 @@ class Lowerer:
         if name == "string" and len(expr.args) == 1:
             arg = self.lower(expr.args[0])
             if not isinstance(arg, EvalPlan):
-                return StringFnPlan(expr, arg)
+                return StringFnPlan(expr, name, builtin, [arg])
         if name == "ft:search" and len(expr.args) in (1, 2):
             # the indexed full-text scan: same builtin, surfaced as a scan
             # operator so explain can estimate hits from the

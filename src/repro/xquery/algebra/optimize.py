@@ -101,7 +101,7 @@ class _Estimator:
         elif isinstance(plan, SequencePlan):
             rows = sum(self.visit(item, input_rows) for item in plan.items)
         elif isinstance(plan, StringFnPlan):
-            self.visit(plan.arg, input_rows)
+            self.visit(plan.args[0], input_rows)
             rows = 1.0
         elif isinstance(plan, FullTextScanPlan):
             for arg in plan.args:

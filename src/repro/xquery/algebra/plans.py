@@ -164,23 +164,6 @@ class SequencePlan(Plan):
         return list(self.items)
 
 
-class StringFnPlan(Plan):
-    """``fn:string(expr)`` with exactly one argument — a projection."""
-
-    __slots__ = ("arg", "expr")
-
-    def __init__(self, expr: ast.FunctionCall, arg: Plan):
-        super().__init__()
-        self.expr = expr
-        self.arg = arg
-
-    def label(self) -> str:
-        return "Project:string"
-
-    def children(self) -> List[Plan]:
-        return [self.arg]
-
-
 class BuiltinCallPlan(Plan):
     """A builtin call whose arguments are themselves plans.
 
@@ -189,7 +172,8 @@ class BuiltinCallPlan(Plan):
     the call itself is a pure pass-through — lowering uses this whenever an
     argument lowers to something better than a fallback leaf (the common
     case: the ``trace(...)`` wrapper the calculus compiler emits around an
-    entire query body).
+    entire query body).  Its subclasses run the same way and differ only in
+    what explain shows and estimates.
     """
 
     __slots__ = ("expr", "name", "builtin", "args")
@@ -208,7 +192,16 @@ class BuiltinCallPlan(Plan):
         return list(self.args)
 
 
-class FullTextScanPlan(Plan):
+class StringFnPlan(BuiltinCallPlan):
+    """``fn:string(expr)`` with exactly one argument — a projection."""
+
+    __slots__ = ()
+
+    def label(self) -> str:
+        return "Project:string"
+
+
+class FullTextScanPlan(BuiltinCallPlan):
     """``ft:search($collection, $phrase)`` as a first-class scan operator.
 
     Execution is a pure pass-through to the builtin (the store decides
@@ -221,7 +214,7 @@ class FullTextScanPlan(Plan):
     None.
     """
 
-    __slots__ = ("expr", "name", "builtin", "args", "collection", "phrase")
+    __slots__ = ("collection", "phrase")
 
     def __init__(
         self,
@@ -232,11 +225,7 @@ class FullTextScanPlan(Plan):
         collection: Optional[str],
         phrase: Optional[str],
     ):
-        super().__init__()
-        self.expr = expr
-        self.name = name
-        self.builtin = builtin
-        self.args = args
+        super().__init__(expr, name, builtin, args)
         self.collection = collection
         self.phrase = phrase
 
@@ -244,9 +233,6 @@ class FullTextScanPlan(Plan):
         where = "?" if self.collection is None else (self.collection or "*")
         what = "?" if self.phrase is None else self.phrase
         return f"FullTextScan[{where} ~ {what!r}]"
-
-    def children(self) -> List[Plan]:
-        return list(self.args)
 
 
 class SetOpPlan(Plan):
@@ -268,14 +254,14 @@ class SetOpPlan(Plan):
 
 class StepPlan(PathStep):
     """One axis step of a scan: the :class:`~repro.xquery.compiler.PathStep`
-    the executor runs through ``run_path_step``, plus its classified
-    predicates, which it runs through ``run_predicates``.
+    (with its classified predicates) the executor runs through
+    ``run_path_step``, plus its separator for explain and ``scan_key``.
 
     ``closed`` means every predicate is a compiled fast predicate with no
     free variables — the precondition for memoizing the scan's result.
     """
 
-    __slots__ = ("separator", "predicates", "closed")
+    __slots__ = ("separator", "closed")
 
     def __init__(
         self,
@@ -284,9 +270,8 @@ class StepPlan(PathStep):
         predicates: List[Predicate],
         closed: bool,
     ):
-        super().__init__(expr, separator)
+        super().__init__(expr, separator, predicates)
         self.separator = separator  # "/" or "//"
-        self.predicates = predicates
         self.closed = closed
 
     def key(self) -> tuple:

@@ -45,10 +45,25 @@ one function, :func:`classify_predicate`, into one :class:`Predicate`
 shape (positional slices, attribute filters, the calculus property
 filter, value comparisons whose right side runs once, the generic loop),
 and filters its candidates through one function, :func:`run_predicates`.
+
+Every path, here and in the algebra executor (and in lowering), is split
+by one function, :func:`path_pairs`, into its lead and ``(separator,
+step)`` pairs, an anchor becoming the first step's separator; it starts
+through one, :func:`start_path` (the root, the context item or the lead's
+items), and its steps run through one, :func:`run_steps`.
+
+Every user-function call, here and in the algebra executor, enters through
+one function, :func:`call_user_function`: the depth guard, the deadline,
+the arguments in order, the function scope, the body and the declared-type
+checks.
+
+:meth:`Compiler.thunk` is the one closure memo of a program: the algebra's
+fallback leaves, predicate parts and function bodies each compile once.
 """
 
 from __future__ import annotations
 
+import threading
 from functools import partial
 from typing import Callable, Dict, List, Optional, Tuple
 
@@ -139,17 +154,18 @@ _NAME_INDEXES = {
 
 class PathStep:
     """One axis step as the fast engines run it: the step, its axis and node
-    test, whether a ``//`` precedes it, and the name index, if any, that
-    answers it over an element."""
+    test, whether a ``//`` precedes it, the name index, if any, that
+    answers it over an element, and its classified predicates."""
 
-    __slots__ = ("expr", "axis", "test", "expand", "index")
+    __slots__ = ("expr", "axis", "test", "expand", "index", "predicates")
 
-    def __init__(self, expr: ast.AxisStep, separator: str = "/"):
+    def __init__(self, expr: ast.AxisStep, separator: str, predicates: List[Predicate]):
         self.expr = expr
         self.axis = expr.axis
         self.test = expr.test
         self.expand = separator == "//"
         self.index = _NAME_INDEXES.get(expr.axis) if expr.test.kind == "name" else None
+        self.predicates = predicates
 
 
 def axis_scan(step: PathStep, node: Node) -> List[Node]:
@@ -191,23 +207,25 @@ def _raise_non_node_step(expr: ast.Expr, ctx: DynamicContext, item: object):
 
 def run_path_step(
     step: PathStep,
+    closure: Closure,
+    bindings: Optional[Dict[str, Sequence]],
     current: Sequence,
     ordered: bool,
     non_nested: bool,
     ctx: DynamicContext,
-    keep: Optional[Callable[[Sequence, DynamicContext], Sequence]] = None,
     groups: Optional[List[Sequence]] = None,
 ):
     """Run one axis step over the context items *current*.
 
     Checks the deadline, expands a preceding ``//``, raises XPDY0002 or
-    XPTY0019 for a context item that is not a node, scans and filters each
-    item's candidates (*keep* is the caller's predicate filter,
-    ``(items, ctx) -> items``), and sorts the concatenation unless
-    :func:`step_order` proves it ordered.  Returns ``(results, ordered,
-    non_nested)``.  With *groups*, each item's filtered candidates are
-    appended to it instead, nothing is concatenated or sorted, and the
-    returned ``ordered`` says whether the groups' concatenation is ordered.
+    XPTY0019 for a context item that is not a node, scans each item's
+    candidates and filters them through the step's predicates
+    (:func:`run_predicates` with *closure* and *bindings*), and sorts the
+    concatenation unless :func:`step_order` proves it ordered.  Returns
+    ``(results, ordered, non_nested)``.  With *groups*, each item's
+    filtered candidates are appended to it instead, nothing is
+    concatenated or sorted, and the returned ``ordered`` says whether the
+    groups' concatenation is ordered.
     """
     if ctx.deadline is not None:
         ctx.check_deadline()
@@ -215,21 +233,22 @@ def run_path_step(
         current = expand_descendants(current, ordered, non_nested)
         ordered, non_nested = True, False
     ordered, non_nested = step_order(step.axis, len(current) == 1, ordered, non_nested)
+    predicates = step.predicates
     if len(current) == 1 and groups is None:
         item = current[0]
         if not isinstance(item, Node):
             _raise_non_node_step(step.expr, ctx, item)
         results = axis_scan(step, item)
-        if keep is not None:
-            results = keep(results, ctx)
+        if predicates:
+            results = run_predicates(predicates, closure, bindings, results, ctx)
     else:
         results = []
         for item in current:
             if not isinstance(item, Node):
                 _raise_non_node_step(step.expr, ctx, item)
             found = axis_scan(step, item)
-            if keep is not None:
-                found = keep(found, ctx)
+            if predicates:
+                found = run_predicates(predicates, closure, bindings, found, ctx)
             if groups is None:
                 results.extend(found)
             else:
@@ -270,6 +289,80 @@ def _apply_step(thunk: Thunk, context_items: Sequence, ctx: DynamicContext) -> S
     if saw_node:
         return sort_document_order(results)
     return results
+
+
+# -- the fast path: the closure compiler's and the algebra executor's --------
+
+
+def path_pairs(expr: ast.PathExpr) -> Tuple[Optional[ast.Expr], List[Tuple[str, ast.Expr]]]:
+    """A path as its leading expression (None when it starts at the root or
+    at the context item) and its ``(separator, step)`` pairs.
+
+    An anchor is the first step's separator (``//a`` is the root's
+    ``("//", a)``), and a leading axis step is a ``/`` step from the
+    context item.
+    """
+    pairs = list(expr.steps)
+    if expr.anchor is not None:
+        if expr.first is not None:
+            pairs.insert(0, (expr.anchor, expr.first))
+        return None, pairs
+    if isinstance(expr.first, ast.AxisStep):
+        pairs.insert(0, ("/", expr.first))
+        return None, pairs
+    return expr.first, pairs
+
+
+def start_path(
+    expr: ast.PathExpr, lead: Optional[Sequence], ctx: DynamicContext
+) -> Tuple[Sequence, bool, bool]:
+    """A path's first context items, as ``(items, ordered, non_nested)``.
+
+    An anchored path starts at the context item's root, and raises XPDY0002
+    when the context item is not a node.  A path without a lead starts at
+    the context item (an absent one stays: the first step raises).
+    Otherwise *lead* holds the items of the leading expression, evaluated
+    once in the outer focus as the treewalk does; they count as ordered
+    when there is at most one.
+    """
+    if expr.anchor is not None:
+        if not isinstance(ctx.item, Node):
+            raise _error(expr, ctx, "'/' requires a node as the context item", "XPDY0002")
+        return [ctx.item.root()], True, True
+    if lead is None:
+        return [ctx.item], True, True
+    single = len(lead) <= 1
+    return lead, single, single
+
+
+def run_steps(
+    steps: Sequence,
+    closure: Closure,
+    bindings: Optional[Dict[str, Sequence]],
+    start: Tuple[Sequence, bool, bool],
+    ctx: DynamicContext,
+) -> Tuple[Sequence, bool, bool]:
+    """Run a path's steps from *start* (see :func:`start_path`); returns the
+    last ``(items, ordered, non_nested)``.
+
+    A :class:`PathStep` runs through :func:`run_path_step` with *closure*
+    and *bindings*; any other step is the closure compiler's ``(expand,
+    thunk)``, which runs through :func:`_apply_step` after its ``//``
+    expansion, if any.
+    """
+    current, ordered, non_nested = start
+    for step in steps:
+        if isinstance(step, PathStep):
+            current, ordered, non_nested = run_path_step(
+                step, closure, bindings, current, ordered, non_nested, ctx
+            )
+            continue
+        expand, thunk = step
+        if expand:
+            current = expand_descendants(current, ordered, non_nested)
+        current = _apply_step(thunk, current, ctx)
+        ordered = non_nested = False
+    return current, ordered, non_nested
 
 
 # -- the fast predicate: the closure compiler's and the algebra executor's ---
@@ -1043,6 +1136,62 @@ def run_flwor(
     return results
 
 
+# -- the fast call: the closure compiler's and the algebra executor's -------
+
+
+def call_user_function(
+    expr: ast.FunctionCall,
+    declaration: ast.FunctionDecl,
+    args: Sequence,
+    body: Callable[[], Callable[[DynamicContext], Sequence]],
+    check_types: bool,
+    ctx: DynamicContext,
+) -> Sequence:
+    """Enter one user-function call, as the treewalk's
+    ``_call_user_function`` does.
+
+    Raises FOER0000 past ``max_recursion_depth`` and checks the deadline;
+    then runs *args* (the arguments' callables on the caller's *ctx*) in
+    order, binds them in ``ctx.function_scope`` and runs the body there.
+    *body* gives the body's callable when the call runs, so a recursive
+    function may call a body not yet compiled.  With *check_types*, an
+    argument or the result that does not match its declared type raises
+    XPTY0004 at *expr*.  *ctx* comes last, so the compiler's call thunk
+    is a ``partial`` of the rest.
+    """
+    if ctx.depth >= ctx.config.max_recursion_depth:
+        raise _error(
+            expr,
+            ctx,
+            f"recursion depth limit exceeded calling {declaration.name}()",
+            "FOER0000",
+        )
+    ctx.check_deadline()
+    frame: Dict[str, Sequence] = {}
+    for param, arg in zip(declaration.params, args):
+        value = arg(ctx)
+        declared_type = param.declared_type
+        if check_types and declared_type is not None and not declared_type.matches(value):
+            raise _error(
+                expr,
+                ctx,
+                f"argument ${param.name} of {declaration.name}() does not match "
+                f"declared type {declared_type!r}",
+                "XPTY0004",
+            )
+        frame[param.name] = value
+    result = body()(ctx.function_scope(frame))
+    return_type = declaration.return_type
+    if check_types and return_type is not None and not return_type.matches(result):
+        raise _error(
+            expr,
+            ctx,
+            f"result of {declaration.name}() does not match declared type {return_type!r}",
+            "XPTY0004",
+        )
+    return result
+
+
 class Compiler:
     """Compiles one module's expressions to thunks; owned by an
     :class:`~repro.xquery.algebra.AlgebraProgram`."""
@@ -1056,26 +1205,22 @@ class Compiler:
         self.config = config
         #: which right sides the predicate fast paths may evaluate once.
         self.effects = Effects(functions)
-        #: user-function bodies, compiled on their first call: recursion
-        #: needs no ordering, and a fallback that calls none compiles none.
-        self.function_bodies: Dict[Tuple[str, int], Thunk] = {}
-        #: predicate parts by expression id, compiled on first use.
+        #: the program's one closure memo: expression id -> its closure.
         self._thunks: Dict[int, Thunk] = {}
-
-    def function_body(self, key: Tuple[str, int]) -> Thunk:
-        body = self.function_bodies.get(key)
-        if body is None:
-            # racing first calls compile equal thunks; either one may win.
-            body = self.function_bodies[key] = self.compile(self.functions[key].body)
-        return body
+        self._lock = threading.Lock()
 
     def thunk(self, expr: ast.Expr) -> Thunk:
-        """The closure of *expr*, compiled once, on first use: the closure
-        resolver this compiler's predicates run with."""
+        """The closure of *expr*, compiled once, on first use, under a lock
+        held only while compiling.  *expr* is a node of the module, so its
+        id is stable; a function body compiles here on its first call, so
+        recursion needs no ordering and a fallback that calls no function
+        compiles none."""
         thunk = self._thunks.get(id(expr))
         if thunk is None:
-            # racing first uses compile equal closures; either one may win.
-            thunk = self._thunks[id(expr)] = self.compile(expr)
+            with self._lock:
+                thunk = self._thunks.get(id(expr))
+                if thunk is None:
+                    thunk = self._thunks[id(expr)] = self.compile(expr)
         return thunk
 
     def compile(self, expr: ast.Expr) -> Thunk:
@@ -1243,79 +1388,36 @@ class Compiler:
 
     # -- paths --------------------------------------------------------------
 
-    def _predicates(self, predicates: List[ast.Expr]):
-        """The filter ``(items, ctx) -> items`` of *predicates*: the one
-        predicate rule, :func:`run_predicates`, over the one classifier."""
-        return partial(
-            run_predicates,
-            classify_predicates(predicates, self.functions, self.effects),
-            self.thunk,
-            None,
+    def _path_step(self, expr: ast.AxisStep, separator: str = "/") -> PathStep:
+        return PathStep(
+            expr, separator, classify_predicates(expr.predicates, self.functions, self.effects)
         )
 
-    def _path_step(self, expr: ast.AxisStep, separator: str = "/"):
-        """The :class:`PathStep` and predicate filter ``run_path_step`` takes."""
-        keep = self._predicates(expr.predicates) if expr.predicates else None
-        return PathStep(expr, separator), keep
-
     def _axis_step(self, expr: ast.AxisStep) -> Thunk:
-        step, keep = self._path_step(expr)
-        return lambda ctx: run_path_step(step, [ctx.item], True, True, ctx, keep)[0]
+        step = self._path_step(expr)
+        closure = self.thunk
+        return lambda ctx: run_path_step(step, closure, None, [ctx.item], True, True, ctx)[0]
 
     def _filter(self, expr: ast.FilterExpr) -> Thunk:
         base_thunk = self.compile(expr.base)
-        keep = self._predicates(expr.predicates)
-        return lambda ctx: keep(base_thunk(ctx), ctx)
+        predicates = classify_predicates(expr.predicates, self.functions, self.effects)
+        closure = self.thunk
+        return lambda ctx: run_predicates(predicates, closure, None, base_thunk(ctx), ctx)
 
     def _path(self, expr: ast.PathExpr) -> Thunk:
-        anchor = expr.anchor
-        pairs = list(expr.steps)
-        lead: Optional[Thunk] = None
-        if anchor is not None:
-            # from the root, "/" or "//" separates the first step
-            if expr.first is not None:
-                pairs.insert(0, (anchor, expr.first))
-        elif isinstance(expr.first, ast.AxisStep):
-            pairs.insert(0, ("/", expr.first))
-        else:
-            lead = self.compile(expr.first)
-        # (PathStep, filter, _, _) for an axis step; (None, None, whether
-        # "//" precedes it, its thunk) for any other step.
+        lead_expr, pairs = path_pairs(expr)
+        lead = None if lead_expr is None else self.compile(lead_expr)
         steps = tuple(
-            (*self._path_step(step, separator), False, None)
+            self._path_step(step, separator)
             if isinstance(step, ast.AxisStep)
-            else (None, None, separator == "//", self.compile(step))
+            else (separator == "//", self.compile(step))
             for separator, step in pairs
         )
+        closure = self.thunk
 
         def run(ctx: DynamicContext) -> Sequence:
-            if anchor is not None:
-                if not isinstance(ctx.item, Node):
-                    raise _error(
-                        expr, ctx, "'/' requires a node as the context item", "XPDY0002"
-                    )
-                current: Sequence = [ctx.item.root()]
-                ordered = non_nested = True
-            elif lead is None:
-                # an absent context item stays: the first step raises XPDY0002
-                current = [ctx.item]
-                ordered = non_nested = True
-            else:
-                # The leading expression of a relative path is evaluated once
-                # in the outer focus, exactly as the treewalk does.
-                current = lead(ctx)
-                ordered = non_nested = len(current) <= 1
-            for path_step, keep, expand, thunk in steps:
-                if path_step is not None:
-                    current, ordered, non_nested = run_path_step(
-                        path_step, current, ordered, non_nested, ctx, keep
-                    )
-                    continue
-                if expand:
-                    current = expand_descendants(current, ordered, non_nested)
-                current = _apply_step(thunk, current, ctx)
-                ordered = non_nested = False
-            return current
+            start = start_path(expr, None if lead is None else lead(ctx), ctx)
+            return run_steps(steps, closure, None, start, ctx)[0]
 
         return run
 
@@ -1405,8 +1507,17 @@ class Compiler:
     def _function_call(self, expr: ast.FunctionCall) -> Thunk:
         callee = resolve_call(expr, self.functions)
         if callee.kind == "user":
-            key = (callee.name, len(expr.args))  # the function_table key
-            return self._user_function_call(expr, key, callee.declaration)
+            # The program is compiled against one config (the compile cache
+            # is keyed on it), so whether types are checked is taken here.
+            declaration = callee.declaration
+            return partial(
+                call_user_function,
+                expr,
+                declaration,
+                tuple(self.compile(arg) for arg in expr.args),
+                partial(self.thunk, declaration.body),
+                self.config.type_check_calls,
+            )
         if callee.kind != "builtin":
             # constructor functions are cold: the treewalk casts; it also
             # raises XPST0017 for an unknown call when it is evaluated.
@@ -1422,62 +1533,6 @@ class Compiler:
             run.ebv = lambda ctx: builtin(
                 ctx, [thunk(ctx) for thunk in arg_thunks], expr
             )[0]
-        return run
-
-    def _user_function_call(
-        self,
-        expr: ast.FunctionCall,
-        key: Tuple[str, int],
-        declaration: ast.FunctionDecl,
-    ) -> Thunk:
-        function_name = declaration.name
-        function_body = self.function_body  # resolved at call time: recursion-safe
-        max_depth = self.config.max_recursion_depth
-        # The program is compiled against one config (the compile cache is
-        # keyed on it), so the type-checking decision and the per-parameter
-        # checks are taken here, not per call.
-        check_types = self.config.type_check_calls
-        param_specs = tuple(
-            (
-                param.name,
-                arg_thunk,
-                param.declared_type if check_types else None,
-                f"argument ${param.name} of {function_name}() does not match "
-                f"declared type {param.declared_type!r}",
-            )
-            for param, arg_thunk in zip(
-                declaration.params, (self.compile(arg) for arg in expr.args)
-            )
-        )
-        return_type = declaration.return_type if check_types else None
-
-        def run(ctx: DynamicContext) -> Sequence:
-            if ctx.depth >= max_depth:
-                raise _error(
-                    expr,
-                    ctx,
-                    f"recursion depth limit exceeded calling {function_name}()",
-                    "FOER0000",
-                )
-            ctx.check_deadline()
-            bindings: Dict[str, Sequence] = {}
-            for param_name, arg_thunk, declared_type, type_message in param_specs:
-                value = arg_thunk(ctx)
-                if declared_type is not None and not declared_type.matches(value):
-                    raise _error(expr, ctx, type_message, "XPTY0004")
-                bindings[param_name] = value
-            scope = ctx.function_scope(bindings)
-            result = function_body(key)(scope)
-            if return_type is not None and not return_type.matches(result):
-                raise _error(
-                    expr,
-                    ctx,
-                    f"result of {function_name}() does not match declared type "
-                    f"{return_type!r}",
-                    "XPTY0004",
-                )
-            return result
-
         return run
 
     # -- type expressions ------------------------------------------------------

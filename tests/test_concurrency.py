@@ -24,6 +24,54 @@ def _sources():
     return [(f"sum(1 to {n})", n * (n + 1) // 2) for n in range(1, 26)]
 
 
+#: a large leaf: its compile is slow enough for a race to show.
+_TERMS = ", ".join(f"$i * {n}" for n in range(300))
+
+
+def _assert_first_runs_compile_once(monkeypatch, source):
+    """Racing first runs of *source* build one closure compiler and
+    compile each expression once; returns the last round's query and its
+    compile counts."""
+    built = []
+    compiles = Counter()
+
+    class CountingCompiler(algebra.Compiler):
+        def __init__(self, *args):
+            built.append(self)
+            super().__init__(*args)
+
+        def compile(self, expr):
+            compiles[id(expr)] += 1
+            return super().compile(expr)
+
+    monkeypatch.setattr(algebra, "Compiler", CountingCompiler)
+    engine = XQueryEngine(EngineConfig(backend="algebra", compile_cache_size=0))
+    expected = serialize_result(XQueryEngine().compile(source).run())
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)  # switch threads often: widen the race
+    try:
+        for _ in range(5):
+            built.clear()
+            compiles.clear()
+            compiled = engine.compile(source)
+            barrier = threading.Barrier(THREADS)
+
+            def first_run():
+                barrier.wait(timeout=30)
+                return serialize_result(compiled.run())
+
+            with ThreadPoolExecutor(max_workers=THREADS) as pool:
+                futures = [pool.submit(first_run) for _ in range(THREADS)]
+                results = [future.result(timeout=60) for future in futures]
+            assert results == [expected] * THREADS
+            assert len(built) == 1
+            assert compiled.algebra._compiler is built[0]
+            assert set(compiles.values()) == {1}  # each node compiled once
+    finally:
+        sys.setswitchinterval(interval)
+    return compiled, compiles
+
+
 class TestEngineThreadSafety:
     def test_8_threads_x_100_queries_one_engine(self):
         # a small cache forces constant hit/miss/eviction interleaving.
@@ -57,45 +105,23 @@ class TestEngineThreadSafety:
         # the return clause's constructor is an EvalPlan leaf: the first
         # runs race to build the closure compiler and compile the leaf.  A
         # large leaf keeps the compile slow enough for the race to show.
-        terms = ", ".join(f"$i * {n}" for n in range(300))
-        source = f"for $i in 1 to 5 return <sq>{{ ({terms}) }}</sq>"
-        built = []
-        compiles = Counter()
+        source = f"for $i in 1 to 5 return <sq>{{ ({_TERMS}) }}</sq>"
+        _assert_first_runs_compile_once(monkeypatch, source)
 
-        class CountingCompiler(algebra.Compiler):
-            def __init__(self, *args):
-                built.append(self)
-                super().__init__(*args)
-
-            def compile(self, expr):
-                compiles[id(expr)] += 1
-                return super().compile(expr)
-
-        monkeypatch.setattr(algebra, "Compiler", CountingCompiler)
-        engine = XQueryEngine(EngineConfig(backend="algebra", compile_cache_size=0))
-        expected = serialize_result(XQueryEngine().compile(source).run())
-        interval = sys.getswitchinterval()
-        sys.setswitchinterval(1e-6)  # switch threads often: widen the race
-        try:
-            for _ in range(5):
-                built.clear()
-                compiles.clear()
-                compiled = engine.compile(source)
-                barrier = threading.Barrier(THREADS)
-
-                def first_run():
-                    barrier.wait(timeout=30)
-                    return serialize_result(compiled.run())
-
-                with ThreadPoolExecutor(max_workers=THREADS) as pool:
-                    futures = [pool.submit(first_run) for _ in range(THREADS)]
-                    results = [future.result(timeout=60) for future in futures]
-                assert results == [expected] * THREADS
-                assert len(built) == 1
-                assert compiled.algebra._compiler is built[0]
-                assert set(compiles.values()) == {1}  # each node compiled once
-        finally:
-            sys.setswitchinterval(interval)
+    def test_concurrent_predicate_and_call_closures_compile_once(self, monkeypatch):
+        # the first runs also race on a generic predicate's closure and on
+        # a user function's body, compiled at its first call: every closure
+        # comes from the compiler's one memo.
+        source = (
+            f"declare function local:sq($n) {{ ({_TERMS.replace('$i', '$n')}) }};"
+            f" for $i in (1 to 5)[. mod 2 = 1]"
+            f" return <sq>{{ ({_TERMS}), local:sq($i) }}</sq>"
+        )
+        compiled, compiles = _assert_first_runs_compile_once(monkeypatch, source)
+        module = compiled.algebra.module
+        predicate = module.body.clauses[0].source.predicates[0]
+        assert id(predicate) in compiles
+        assert id(module.functions[0].body) in compiles
 
     def test_concurrent_runs_of_one_compiled_query(self):
         engine = XQueryEngine(EngineConfig(backend="algebra"))
