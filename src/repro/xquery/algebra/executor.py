@@ -15,12 +15,17 @@ sources, each individually proven equivalent:
   (a forward axis over one node, or over ordered, non-nested nodes), which
   is the common case for the chains the calculus compiler emits;
 * **hash joins** — a correlated ``[@attr eq $v/@id]`` predicate probes a
-  hash table built once per distinct base instead of rescanning per tuple;
-* **memoization** — loop-invariant sources, join build sides, and (across
-  queries over one export generation, via a shared :class:`~repro.lru.LRU`)
-  whole closed scans are computed once, each keyed on the base nodes
-  themselves, so a constructed node freed during a run cannot pass its
-  id, and its memo entry, to a later node.
+  hash table built once per distinct base instead of rescanning per tuple.
+  The hash answers one string-like key over a build that carries the
+  attribute at most once per candidate; every other probe runs the join
+  predicate through the one predicate rule, so the join holds no copy of
+  the comparison's semantics;
+* **memoization** — loop-invariant sources are computed once per FLWOR,
+  and closed scans and join builds once per base, in one memo
+  (``ExecState.memo``: the caller's shared :class:`~repro.lru.LRU`, so
+  queries over one export generation share them, or one for the run),
+  keyed on the base nodes themselves, so a constructed node freed during
+  a run cannot pass its id, and its memo entry, to a later node.
 
 A FLWOR's tuple stream runs through the closure compiler's
 :func:`~repro.xquery.compiler.run_flwor`, the one FLWOR rule both fast
@@ -92,34 +97,29 @@ __all__ = ["ExecState", "execute_plan"]
 _MISSING = object()
 
 class ExecState:
-    """Per-run executor state: fallback closures, memos, the shared cache.
+    """Per-run executor state: fallback closures and memos.
 
     Every memo keyed on nodes holds the nodes themselves, not their ids:
     an entry pins what it was computed for, so a node built and freed
     during the run cannot hand its id, and its entry, to a later node.
     """
 
-    __slots__ = ("thunk", "shared", "join_builds", "scans", "roots", "probes")
+    __slots__ = ("thunk", "memo", "roots", "probes")
 
     def __init__(self, thunk, shared: Optional[LRU] = None):
         #: ``AlgebraProgram.thunk``: AST expression -> its compiled closure.
         self.thunk = thunk
-        #: the cross-query scan/join-build cache: keys are a closed, pure
-        #: scan's ``scan_key`` (plus the hashed attribute, for a join build)
-        #: and its base nodes, so queries sharing a subplan over one
-        #: document share the work.  A shard worker keeps one per export
-        #: generation; it is read only after the per-run memos below miss.
-        self.shared = shared
-        #: (op identity, base nodes) -> _JoinBuild
-        self.join_builds: Dict[tuple, "_JoinBuild"] = {}
-        #: (plan identity, base nodes) -> result list
-        self.scans: Dict[tuple, list] = {}
+        #: the one scan and join-build memo, keyed ``("scan" | "join",
+        #: scan_key, base nodes)`` for a closed, pure scan: the caller's
+        #: shared cache when it passes one (a shard worker keeps one per
+        #: export generation, so queries sharing a subplan over one document
+        #: share the work), else one for this run.
+        self.memo = shared if shared is not None else LRU(None)
         #: node -> [fn:root(node)]: fn:root is pure per node, and join
         #: scans anchored on root($n) re-resolve it once per tuple.
         self.roots: Dict[Node, list] = {}
-        #: (op identity, build identity, probe key) -> match list, for
-        #: single-key probes whose residual is tuple-independent; the
-        #: build lives in ``join_builds`` for the whole run.
+        #: (op, build, probe key) -> match list, for single-key probes
+        #: whose residual reads only the candidate (``ForJoinOp.memoable``).
         self.probes: Dict[tuple, list] = {}
 
 
@@ -225,22 +225,10 @@ def _exec_path(plan: PathPlan, ctx, bindings, state):
     start = _start(plan, ctx, bindings, state)
     if not plan.cacheable:
         return run_steps(plan.steps, state.thunk, bindings, start, ctx)[0]
-    local_key = (id(plan), tuple(start[0]))
-    cached = state.scans.get(local_key)
-    if cached is not None:
-        return cached
-    shared = state.shared
-    if shared is not None:
-        shared_key = ("scan", plan.scan_key, local_key[1])
-        value = shared.get(shared_key)
-        if value is not None:
-            state.scans[local_key] = value
-            return value
-    result = run_steps(plan.steps, state.thunk, bindings, start, ctx)[0]
-    if shared is not None:
-        shared.put(shared_key, result)
-    state.scans[local_key] = result
-    return result
+    return state.memo.get_or_build(
+        ("scan", plan.scan_key, tuple(start[0])),
+        lambda: run_steps(plan.steps, state.thunk, bindings, start, ctx)[0],
+    )
 
 
 def _exec_filter(plan: FilterPlan, ctx, bindings, state):
@@ -311,116 +299,75 @@ class _JoinBuild:
         self.groups = groups
         self.ordered = ordered
         self.total = sum(len(group) for group in groups)
-        self._indexes: Dict[str, tuple] = {}
+        self._indexes: Dict[str, Optional[list]] = {}
 
-    def index_on(self, attr: str):
-        """Per-group value -> items maps, plus multi/any attribute flags."""
-        cached = self._indexes.get(attr)
-        if cached is not None:
-            return cached
-        keymaps = []
-        any_attr = False
-        any_multi = False
-        for group in self.groups:
-            keymap: Dict[str, list] = {}
-            for item in group:
-                matches = item.attributes_by_name(attr)
-                if matches:
-                    any_attr = True
-                    if len(matches) > 1:
-                        any_multi = True
-                    for attribute in matches:
-                        keymap.setdefault(attribute.value, []).append(item)
-            keymaps.append(keymap)
-        built = (keymaps, any_attr, any_multi)
-        self._indexes[attr] = built
-        return built
+    def index_on(self, attr: str) -> Optional[list]:
+        """Per-group value -> items maps, or None when some candidate
+        carries *attr* twice (keep-mode), which the hash cannot answer."""
+        if attr not in self._indexes:
+            self._indexes[attr] = _index(self.groups, attr)
+        return self._indexes[attr]
 
 
-def _join_build(op: ForJoinOp, ctx, tuple_bindings, state) -> _JoinBuild:
+def _index(groups, attr: str) -> Optional[list]:
+    keymaps = []
+    for group in groups:
+        keymap: Dict[str, list] = {}
+        for item in group:
+            matches = item.attributes_by_name(attr)
+            if len(matches) > 1:
+                return None
+            if matches:
+                keymap.setdefault(matches[0].value, []).append(item)
+        keymaps.append(keymap)
+    return keymaps
+
+
+def _join_build(op: ForJoinOp, start, ctx, state) -> _JoinBuild:
+    """The build for the scan's base *start*, from the one scan and build memo."""
     scan = op.scan
-    element = None if op.base_var is None else _one_element(tuple_bindings.get(op.base_var))
-    if element is not None:
-        # root($var) over a singleton element binding: fn:root is pure per
-        # node, so the per-tuple base resolution collapses to a memo probe.
-        start = (_root_of(element, state), True, True)
-    else:
-        start = _start(scan, ctx, tuple_bindings, state)
-    key = (id(op), tuple(start[0]))
-    build = state.join_builds.get(key)
-    if build is not None:
-        return build
-    shared = state.shared
-    shared_key = None
-    if shared is not None and scan.cacheable:
-        shared_key = ("join", scan.scan_key, op.build_attr, key[1])
-        cached = shared.get(shared_key)
-        if cached is not None:
-            state.join_builds[key] = cached
-            return cached
-    current, ordered, non_nested = run_steps(
-        scan.steps[:-1], state.thunk, tuple_bindings, start, ctx
-    )
-    # the last step's groups stay apart; its predicates are closed.
-    groups: list = []
-    _, ordered, _ = run_path_step(
-        scan.steps[-1], state.thunk, {}, current, ordered, non_nested, ctx, groups
-    )
-    build = _JoinBuild(groups, ordered)
-    state.join_builds[key] = build
-    if shared_key is not None:
-        shared.put(shared_key, build)
-    return build
+
+    def build():
+        # every build step is closed: no tuple variable reaches it
+        current, ordered, non_nested = run_steps(scan.steps[:-1], state.thunk, {}, start, ctx)
+        # the last step's groups stay apart
+        groups: list = []
+        _, ordered, _ = run_path_step(
+            scan.steps[-1], state.thunk, {}, current, ordered, non_nested, ctx, groups
+        )
+        return _JoinBuild(groups, ordered)
+
+    return state.memo.get_or_build(("join", scan.scan_key, tuple(start[0])), build)
 
 
 def _join_source(op: ForJoinOp, ctx, state):
     """A join's ``for`` source: each tuple's matches from the hash build."""
-    # Resolve residual memoability once per op, so the per-tuple probe can
-    # answer a repeated single-key probe with one dict hit instead of
-    # re-entering _probe_join (which re-derives it).
-    shape = op.probe_shape
-    memoable = shape is not None and all(pred.candidate_only for pred in op.residual)
-    probes = state.probes
-    op_id = id(op)
     # Consecutive tuples almost always bind nodes under the same document
-    # root, so a root($var) build resolution collapses to one memo probe
-    # and an identity compare against the previous tuple's root.
+    # root, so a root($var) base resolves to one memo probe and an identity
+    # compare against the previous tuple's root.
     base_var = op.base_var
-    builds = state.join_builds
     last_root = None
     last_build = None
 
     def matches_of(tuple_bindings):
         nonlocal last_root, last_build
-        build = None
-        if base_var is not None:
-            element = _one_element(tuple_bindings.get(base_var))
-            if element is not None:
-                root = _root_of(element, state)[0]
-                if root is last_root:
-                    build = last_build
-                else:
-                    build = builds.get((op_id, (root,)))
-                    if build is not None:
-                        last_root, last_build = root, build
-        if build is None:
-            build = _join_build(op, ctx, tuple_bindings, state)
-            if base_var is not None:
-                last_root, last_build = None, None
-        if memoable:
-            element = _one_element(tuple_bindings.get(shape[0]))
-            if element is not None:
-                attributes = element.attributes_by_name(shape[1])
-                if len(attributes) == 1:
-                    matches = probes.get((op_id, id(build), attributes[0].value))
-                    if matches is not None:
-                        return matches
+        element = None if base_var is None else _one_element(tuple_bindings.get(base_var))
+        if element is None:
+            build = _join_build(op, _start(op.scan, ctx, tuple_bindings, state), ctx, state)
+        else:
+            root = _root_of(element, state)
+            if root[0] is not last_root:
+                last_root, last_build = root[0], _join_build(op, (root, True, True), ctx, state)
+            build = last_build
         return _probe_join(op, build, ctx, tuple_bindings, state)
 
     return matches_of
 
 
 def _probe_join(op: ForJoinOp, build: _JoinBuild, ctx, tuple_bindings, state):
+    """The tuple's matches: one string-like key over a build that carries
+    the attribute at most once per candidate is a hash lookup; every other
+    probe runs the join predicate through the predicate rule."""
     if build.total == 0:
         # the reference never evaluates the probe when there is nothing to
         # compare it against, so neither may we.
@@ -428,83 +375,44 @@ def _probe_join(op: ForJoinOp, build: _JoinBuild, ctx, tuple_bindings, state):
     keys = None
     if op.probe_shape is not None:
         # a tuple variable holding one element: read the attribute directly
-        # (the untyped-atomic values the evaluator's attribute step would
-        # atomize to, minus the wrapper objects) instead of paying a context
-        # clone + path walk + document-order sort per tuple.
+        # instead of paying a context clone + path walk per tuple.
         var_name, attr_name = op.probe_shape
         element = _one_element(tuple_bindings.get(var_name))
         if element is not None:
             keys = [attribute.value for attribute in element.attributes_by_name(attr_name)]
-    hashable = True
     if keys is None:
         scope = ctx.with_variables(tuple_bindings) if tuple_bindings else ctx
-        probe_atoms = atomize(state.thunk(op.probe_expr)(scope))
-        keys = []
-        for atom in probe_atoms:
-            if isinstance(atom, str):
-                keys.append(atom)
-            elif isinstance(atom, UntypedAtomic):
-                keys.append(atom.value)
-            else:
-                # numeric/boolean probes promote differently; fall back to
-                # the reference comparison per candidate item.
-                hashable = False
-                break
-    keymaps, any_attr, any_multi = build.index_on(op.build_attr)
-    if hashable and op.style == "value":
-        if not keys:
-            return []
-        if len(keys) > 1:
-            # raises only if some candidate has a matching attribute — an
-            # attribute-less item yields an empty left operand and is
-            # silently dropped before the singleton check.
-            if any_attr:
-                raise _error(
-                    op.join_expr,
-                    ctx,
-                    f"value comparison '{op.join_expr.op}' requires "
-                    "singleton operands",
-                    "XPTY0004",
-                )
-            return []
-        if any_multi:
-            # some candidate carries duplicate attributes (keep-mode): the
-            # reference raises when its predicate reaches that item.
-            return _probe_join_generic(op, build, ctx, tuple_bindings, state)
-    if not hashable:
+        keys = atomize(state.thunk(op.probe_expr)(scope))
+    if not keys:
+        return []
+    key = keys[0]
+    if isinstance(key, UntypedAtomic):
+        key = key.value
+    keymaps = None
+    if len(keys) == 1 and isinstance(key, str):
+        keymaps = build.index_on(op.build_attr)
+    if keymaps is None:
+        # several keys, a key that promotes differently, or a candidate
+        # repeating the attribute: the predicate rule decides
         return _probe_join_generic(op, build, ctx, tuple_bindings, state)
-    memo_key = None
-    if len(keys) == 1 and all(pred.candidate_only for pred in op.residual):
-        # single-key probes repeat whenever tuples share a join partner;
-        # with a tuple-independent residual the match list is a pure
-        # function of (op, build, key), so replay it from the memo.
-        memo_key = (id(op), id(build), keys[0])
-        memo = state.probes.get(memo_key)
-        if memo is not None:
-            return memo
+    if op.memoable:
+        # with a candidate-only residual the match list is a pure
+        # function of (op, build, key); the key holds the build itself.
+        memo_key = (op, build, key)
+        matches = state.probes.get(memo_key)
+        if matches is not None:
+            return matches
     results: list = []
-    attr = op.build_attr
-    key_set = frozenset(keys)
-    for group_index, keymap in enumerate(keymaps):
-        if len(keys) == 1:
-            # hash hit lists preserve candidate order within the group.
-            matched = keymap.get(keys[0], [])
-        elif keys:
-            # multi-key probes walk the group so matches keep candidate
-            # order (the existential `=` sweep, set-at-a-time).
-            matched = [
-                item
-                for item in build.groups[group_index]
-                if any(a.value in key_set for a in item.attributes_by_name(attr))
-            ]
-        else:
-            matched = []
+    for keymap in keymaps:
+        # hash hit lists preserve candidate order within the group.
+        matched = keymap.get(key)
         if matched and op.residual:
             matched = run_predicates(op.residual, state.thunk, tuple_bindings, matched, ctx)
-        results.extend(matched)
+        if matched:
+            results.extend(matched)
     if not build.ordered:
         results = sort_document_order(results)
-    if memo_key is not None:
+    if op.memoable:
         state.probes[memo_key] = results
     return results
 

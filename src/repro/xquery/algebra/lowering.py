@@ -248,9 +248,9 @@ class Lowerer:
             build_scan = PathPlan(
                 scan.expr, scan.anchor, scan.base, scan.steps[:-1] + [build_step]
             )
-            build_scan.cacheable = all(s.closed for s in build_scan.steps)
-            if build_scan.cacheable:
-                build_scan.scan_key = tuple(s.key() for s in build_scan.steps)
+            # every build step is closed, so every build is memoized
+            build_scan.cacheable = True
+            build_scan.scan_key = tuple(s.key() for s in build_scan.steps)
             return ForJoinOp(clause, build_scan, attr, probe, style, residual, pred.expr)
         return None
 

@@ -449,6 +449,7 @@ class ForJoinOp(TupleOp):
         "join_expr",
         "probe_shape",
         "base_var",
+        "memoable",
     )
 
     def __init__(
@@ -477,6 +478,9 @@ class ForJoinOp(TupleOp):
         #: the variable when the scan is based on exactly ``root($var)``,
         #: which the executor resolves through a per-node memo.
         self.base_var = _root_var(scan)
+        #: every residual reads only its candidate, so a single-key probe's
+        #: matches depend on (build, key) alone and may be replayed.
+        self.memoable = all(pred.candidate_only for pred in residual)
 
     def label(self) -> str:
         op = "eq" if self.style == "value" else "="

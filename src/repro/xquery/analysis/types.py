@@ -41,7 +41,7 @@ from dataclasses import dataclass
 from typing import Dict, List, Optional, Set, Tuple
 
 from .. import ast
-from ..functions import resolve_call
+from ..functions import BOOLEAN_BUILTINS, resolve_call
 from ...xdm import atomic_type_name, is_atomic, is_node
 from ...xdm.types import ATOMIC_HIERARCHY, ItemType, atomic_type_derives_from
 from .cardinality import (
@@ -309,13 +309,11 @@ class TypeFinding:
 # -- builtin result types -----------------------------------------------------
 
 #: builtins that return exactly one item regardless of input.
-_ALWAYS_ONE = {
-    "true", "false", "not", "boolean", "count", "empty", "exists",
-    "position", "last", "deep-equal", "string", "string-length", "concat",
+_ALWAYS_ONE = BOOLEAN_BUILTINS | {
+    "count", "position", "last", "string", "string-length", "concat",
     "string-join", "normalize-space", "upper-case", "lower-case",
-    "translate", "contains", "starts-with", "ends-with", "matches",
-    "replace", "codepoints-to-string", "number", "sum", "name",
-    "local-name", "exactly-one", "doc", "doc-available", "substring",
+    "translate", "replace", "codepoints-to-string", "number", "sum", "name",
+    "local-name", "exactly-one", "doc", "substring",
     "substring-before", "substring-after",
 }
 
@@ -325,10 +323,6 @@ _AT_MOST_ONE = {
     "root", "zero-or-one",
 }
 
-_CALL_BOOLEAN = {
-    "true", "false", "not", "boolean", "empty", "exists", "deep-equal",
-    "contains", "starts-with", "ends-with", "matches", "doc-available",
-}
 _CALL_INTEGER = {"count", "position", "last", "string-length", "string-to-codepoints"}
 _CALL_STRING = {
     "string", "concat", "string-join", "normalize-space", "upper-case",
@@ -646,7 +640,7 @@ class TypeAnalyzer:
             declared = callee.declaration.return_type
             return ANY_ITEM if declared is None else _from_item_type(declared.item_type)
         name = callee.name if callee.kind == "builtin" else None
-        if name in _CALL_BOOLEAN:
+        if name in BOOLEAN_BUILTINS:
             return BOOLEAN
         if name in _CALL_INTEGER:
             return INTEGER

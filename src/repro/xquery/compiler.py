@@ -99,20 +99,12 @@ from .evaluator import (
     evaluate,
     undefined_variable,
 )
-from .functions import resolve_call
+from .functions import BOOLEAN_BUILTINS, resolve_call
 from .operators import arithmetic
 from .optimizer import Effects
 
 #: A compiled expression: call it with a dynamic context, get a sequence.
 Thunk = Callable[[DynamicContext], Sequence]
-
-
-#: builtins that always return a singleton boolean (or raise), so their
-#: effective boolean value is just the returned item.  Kept deliberately
-#: small and certain; see the matching functions in ``functions.py``.
-_BOOLEAN_BUILTINS = frozenset(
-    ("empty", "exists", "not", "boolean", "true", "false", "contains", "starts-with")
-)
 
 
 # -- the fast axis step: the closure compiler's and the algebra executor's ----
@@ -1529,7 +1521,7 @@ class Compiler:
             args = [thunk(ctx) for thunk in arg_thunks]
             return builtin(ctx, args, expr)
 
-        if callee.name in _BOOLEAN_BUILTINS:
+        if callee.name in BOOLEAN_BUILTINS:
             run.ebv = lambda ctx: builtin(
                 ctx, [thunk(ctx) for thunk in arg_thunks], expr
             )[0]

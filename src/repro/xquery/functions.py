@@ -44,6 +44,16 @@ from .operators import _promote_pair
 _REGISTRY: Dict[Tuple[str, int], Callable] = {}
 _VARIADIC: Dict[str, Tuple[int, Callable]] = {}
 
+#: the builtins that always return exactly one ``xs:boolean`` (or raise),
+#: so a call's effective boolean value is its one item; the closure
+#: compiler and the static analyzer both read this table.
+BOOLEAN_BUILTINS = frozenset(
+    (
+        "true", "false", "not", "boolean", "empty", "exists", "deep-equal",
+        "contains", "starts-with", "ends-with", "matches", "doc-available",
+    )
+)
+
 
 def builtin(name: str, *arities: int, min_arity: Optional[int] = None):
     """Register a builtin under ``name`` for the given arities.
@@ -158,14 +168,23 @@ def _fn_false(ctx, args, expr) -> Sequence:
     return [False]
 
 
+def _ebv(value: Sequence) -> bool:
+    """The effective boolean value, FORG0006 (not a bare ValueError) for
+    a sequence that has none."""
+    try:
+        return effective_boolean_value(value)
+    except ValueError as exc:
+        raise XQueryDynamicError(str(exc), code="FORG0006") from exc
+
+
 @builtin("not", 1)
 def _fn_not(ctx, args, expr) -> Sequence:
-    return [not effective_boolean_value(args[0])]
+    return [not _ebv(args[0])]
 
 
 @builtin("boolean", 1)
 def _fn_boolean(ctx, args, expr) -> Sequence:
-    return [effective_boolean_value(args[0])]
+    return [_ebv(args[0])]
 
 
 @builtin("count", 1)

@@ -9,6 +9,7 @@ from repro.xquery import (
     TraceLog,
     XQueryDynamicError,
     XQueryEngine,
+    XQueryError,
     XQueryUserError,
     builtin_names,
 )
@@ -258,3 +259,49 @@ class TestLibraryInventory:
         with pytest.raises(XQueryDynamicError) as info:
             run("position()")
         assert info.value.code == "XPDY0002"
+
+
+#: name -> calls over ordinary, empty, node and ill-typed arguments
+BOOLEAN_CALLS = {
+    "true": ["true()"],
+    "false": ["false()"],
+    "not": ["not(())", "not((<a/>, 1))", "not((1, 2))"],
+    "boolean": ["boolean('')", "boolean(<a/>)", "boolean((1, 2))"],
+    "empty": ["empty(())", "empty(<a/>)"],
+    "exists": ["exists(())", "exists((1, 2))"],
+    "deep-equal": ["deep-equal((1, 2), (1, 2))", "deep-equal(<a/>, 'a')", "deep-equal((), ())"],
+    "contains": ["contains('abc', 'b')", "contains((), 'b')", "contains(('a', 'b'), 'b')"],
+    "starts-with": ["starts-with('abc', 'a')", "starts-with(<a>x</a>, 'x')", "starts-with(1, '1')"],
+    "ends-with": ["ends-with('abc', 'c')", "ends-with((), '')", "ends-with(('a', 'b'), 'b')"],
+    "matches": ["matches('abc', 'b+')", "matches((), 'x')", "matches(('a', 'b'), 'a')"],
+    "doc-available": ["doc-available('nowhere.xml')", "doc-available(())", "doc-available((1, 2))"],
+}
+
+
+def test_every_boolean_builtin_is_pinned():
+    from repro.xquery.functions import BOOLEAN_BUILTINS
+
+    assert set(BOOLEAN_CALLS) == BOOLEAN_BUILTINS
+
+
+def _boolean_outcome(source, backend):
+    try:
+        return ("ok", XQueryEngine(compile_cache_size=0).compile(source).run(backend=backend))
+    except XQueryError as error:
+        return ("error", type(error).__name__, error.code, error.bare_message)
+
+
+@pytest.mark.parametrize(
+    "call", [call for calls in BOOLEAN_CALLS.values() for call in calls]
+)
+def test_a_boolean_builtin_returns_one_boolean_or_raises(call):
+    # the closure compiler takes such a call's first item as its
+    # effective boolean value, in a condition and in a predicate
+    outcome = _boolean_outcome(call, "treewalk")
+    if outcome[0] == "ok":
+        assert len(outcome[1]) == 1 and type(outcome[1][0]) is bool, outcome
+    for form in ("if ({call}) then 1 else 0", "(1, 2)[{call}]"):
+        source = form.format(call=call)
+        reference = _boolean_outcome(source, "treewalk")
+        compiled = "if (true()) then ({source}) else ()".format(source=source)
+        assert _boolean_outcome(compiled, "algebra") == reference, source
